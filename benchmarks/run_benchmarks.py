@@ -15,11 +15,10 @@ against the reference implementation *in the same process and run*:
   ``repro.fleet`` kernel versus the same 1000 devices run one-by-one
   through the scalar fast kernel (equivalence enforced by
   ``tests/fleet/test_equivalence.py``);
-* ``segalg_kernel`` — a duty-cycled harvesting workload advanced by the
-  event-driven segment-algebra core versus the scalar stepping fastpath
-  (four-way equivalence enforced by ``tests/segalg/test_fourway.py``);
-* ``segalg_fleet``  — a 1024-device jittered fleet on the same duty
-  pattern: the vectorized segalg path versus the stepping fleet kernel.
+* ``segalg_fleet``  — a 1024-device jittered fleet on a duty-cycled
+  harvesting pattern (short bursts, long idle recharge): the vectorized
+  segment-algebra path versus the stepping fleet kernel (equivalence
+  enforced by ``tests/segalg/test_fourway.py``).
 
 Results land in a JSON file (``BENCH.json`` by default; see README
 §Performance for how to read it). ``--quick`` shrinks the workloads for CI
@@ -219,62 +218,12 @@ def bench_fleet(devices: int, repeats: int, cycles: int = 4) -> dict:
     )
 
 
-def bench_segalg_kernel(cycles: int, repeats: int) -> dict:
-    """(e) duty-cycled trace: scalar stepping fastpath vs segalg core.
-
-    The workload the event-driven core exists for: short load bursts
-    separated by long idle recharge under weak harvest. The stepping
-    kernel pays ~50 ms-capped idle steps through every gap; the algebra
-    advances each gap in closed form. Both paths see the same plant
-    (a zero-jitter Capybara-class device at 0.3 mW harvest).
-    """
-    from repro import segalg
-    from repro.fleet.spec import FleetSpec
-    from repro.sim import fastpath
-
-    spec = FleetSpec(devices=1, seed=0, harvest_power=0.0003,
-                     esr_jitter=0.0, capacitance_jitter=0.0,
-                     harvest_jitter=0.0, eta_jitter=0.0)
-    params = spec.parameters()
-    trace = CurrentTrace([(0.015, 0.005), (0.0, 0.995)] * cycles)
-
-    def run(use_segalg: bool):
-        system = params.device_system(0)
-        system.rest_at(2.2)
-        sim = PowerSystemSimulator(system, fast=True)
-        if use_segalg:
-            assert segalg.supported(system)
-            segalg.advance_segments(sim, trace, True, spec.v_off)
-        else:
-            fastpath.advance_segments(sim, trace.segments(), True,
-                                      spec.v_off)
-        return sim
-
-    step = run(False)
-    alg = run(True)
-    drift = abs(step.system.buffer.terminal_voltage
-                - alg.system.buffer.terminal_voltage)
-    assert drift < 2e-3, f"segalg diverged from stepping: {drift}"
-
-    t_step = _bench(lambda: run(False), repeats)
-    t_alg = _bench(lambda: run(True), repeats)
-    return dict(
-        backend=segalg.backend(),
-        segments=len(trace),
-        duration_s=trace.duration,
-        fastpath_s=t_step,
-        segalg_s=t_alg,
-        speedup=t_step / t_alg,
-    )
-
-
 def bench_segalg_fleet(devices: int, cycles: int, repeats: int) -> dict:
-    """(f) jittered duty-cycle fleet: stepping kernel vs segalg vector path.
+    """(e) jittered duty-cycle fleet: stepping kernel vs segalg vector path.
 
     Jittered (the realistic deployment), 2 s idle gaps — long enough for
     the stepping kernel's 50 ms idle cap to dominate, short enough that
     every cycle still exercises the load transient and event detection.
-    The fleet segalg path is numpy-only regardless of backend.
     """
     from repro.fleet.kernel import FleetState, advance
     from repro.fleet.spec import FleetSpec
@@ -312,7 +261,7 @@ def bench_segalg_fleet(devices: int, cycles: int, repeats: int) -> dict:
 
 
 def bench_bank_sweep(devices: int, repeats: int, cycles: int = 6) -> dict:
-    """(h) reconfiguration sweep: bank fleet driver vs scalar loop.
+    """(f) reconfiguration sweep: bank fleet driver vs scalar loop.
 
     Every device carries the default Capybara two-bank buffer and runs a
     plan-bearing trace (three mid-trace bank switches per cycle block).
@@ -494,12 +443,7 @@ def main(argv=None) -> int:
     if args.quick:
         n_segments, n_tasks, trials, repeats = 1000, 20, 1, 1
         fleet_devices, fleet_cycles = 1000, 2
-        # The segalg kernel case keeps the full duty-cycle count even in
-        # quick mode: the whole point of the algebra is that the cost is
-        # per *event*, so the case is cheap regardless, while a shrunken
-        # trace lets fixed per-call setup dominate the stepping side and
-        # the measured ratio collapses below the compare.py floor.
-        sa_cycles, sa_fleet_devices, sa_fleet_cycles = 600, 256, 25
+        sa_fleet_devices, sa_fleet_cycles = 256, 25
         # The bank driver's batching advantage scales with device count;
         # below ~256 devices the per-switch split/merge overhead drags
         # the quick-mode ratio far under the full-mode baseline and the
@@ -509,7 +453,7 @@ def main(argv=None) -> int:
     else:
         n_segments, n_tasks, trials, repeats = 10_000, 100, 1, 2
         fleet_devices, fleet_cycles = 1000, 4
-        sa_cycles, sa_fleet_devices, sa_fleet_cycles = 600, 1024, 100
+        sa_fleet_devices, sa_fleet_cycles = 1024, 100
         bank_devices, bank_cycles = 512, 6
         serve_requests = 200_000
 
@@ -537,14 +481,6 @@ def main(argv=None) -> int:
     print(f"  scalar {fleet['scalar_s']:.3f}s  fleet {fleet['fleet_s']:.3f}s"
           f"  ({fleet['speedup']:.1f}x, "
           f"{fleet['fleet_device_steps_per_s']:.3g} device-steps/s)")
-
-    print("segalg-kernel: stepping fastpath vs segment algebra ...",
-          flush=True)
-    sa_kernel = bench_segalg_kernel(sa_cycles, repeats)
-    print(f"  fastpath {sa_kernel['fastpath_s']:.3f}s  "
-          f"segalg {sa_kernel['segalg_s']:.3f}s  "
-          f"({sa_kernel['speedup']:.1f}x, backend "
-          f"{sa_kernel['backend']})")
 
     print("segalg-fleet: stepping fleet kernel vs vector algebra ...",
           flush=True)
@@ -584,7 +520,6 @@ def main(argv=None) -> int:
         analysis=analysis,
         sweep=sweep,
         fleet=fleet,
-        segalg_kernel=sa_kernel,
         segalg_fleet=sa_fleet,
         bank_sweep=bank_sweep,
         serving=serving,

@@ -30,7 +30,7 @@ jitter) against the hardened runtime and exits non-zero if any gated task
 browns out or livelocks; ``fleet`` expands one base plant into N seeded
 jittered devices, steps them all through a shared-firmware program on
 the vectorized kernel, and can differentially cross-check sampled
-devices against the scalar kernel; ``env`` records parametric harvesting
+devices re-run one at a time; ``env`` records parametric harvesting
 environments (diurnal solar with cloud transients, kinetic bursts, thermal
 gradients behind an MPPT front-end) as compact fingerprinted ``.npz``
 fleet traces and replays them through the fleet engines; ``trace`` re-runs
@@ -836,7 +836,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "algebra core (faster; method tolerances)")
     p_fleet.add_argument("--check", type=int, default=0, metavar="N",
                          help="differential mode: re-run N sampled devices "
-                              "on the scalar fastpath kernel and compare "
+                              "alone — on the scalar fastpath kernel under "
+                              "--engine stepping, as one-lane segalg "
+                              "fleets under --engine segalg — and compare "
                               "within documented tolerance (exit 1 on "
                               "mismatch)")
     p_fleet.add_argument("--report", metavar="FILE", default=None,
@@ -920,7 +922,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulation engine (default stepping)")
     p_rep.add_argument("--check", type=int, default=0, metavar="N",
                        help="differential mode: re-run N sampled devices "
-                            "on the scalar kernel (exit 1 on mismatch)")
+                            "alone — on the scalar fastpath kernel under "
+                            "--engine stepping, as one-lane segalg fleets "
+                            "under --engine segalg (exit 1 on mismatch)")
     p_rep.add_argument("--report", metavar="FILE", default=None,
                        help="also write the structured report as JSON")
     p_rep.set_defaults(fn=cmd_env)

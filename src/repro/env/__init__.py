@@ -8,9 +8,9 @@ irradiance/vibration/temperature profile and an MPPT harvester front-end
 — and **lowers** them into the piecewise-constant
 :class:`~repro.power.harvester.TraceHarvester` representation every
 simulation engine already consumes natively: the reference loop and the
-scalar fastpath clamp their steps at piece edges, the segment algebra
-turns the edges into span horizons, and the fleet kernels replay shared
-edge grids with per-device power columns.
+scalar fastpath clamp their steps at piece edges, and the fleet kernels
+(stepping and segment algebra) replay shared edge grids with per-device
+power columns.
 
 Layout:
 

@@ -5,8 +5,8 @@ The contract that makes the rest of the stack exact: the lowered
 breakpoint as a piece edge **verbatim** — the same float the model
 reported, not a rounded neighbour — so step discontinuities (cloud
 edges, kinetic bursts) land on trace edges, trace edges land on
-simulation-step clamps and segment-program span horizons, and no engine
-ever integrates through a discontinuity.
+simulation-step clamps and segment-algebra chunk boundaries, and no
+engine ever integrates through a discontinuity.
 
 Between breakpoints the profile is smooth and the trace approximates it
 by **adaptive bisection**: an interval is split while its quarter-point

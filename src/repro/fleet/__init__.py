@@ -13,8 +13,8 @@ harvesting devices) actually runs in. Three layers:
 * :mod:`~repro.fleet.runner` — shared-firmware program execution over
   the batch, aggregating the chaos campaign's four-way classification
   into any-jobs byte-identical :class:`FleetReport`s, with a
-  :mod:`~repro.fleet.differential` mode cross-checking sampled devices
-  against the scalar kernel (``repro fleet --check N``).
+  :mod:`~repro.fleet.differential` mode re-running sampled devices
+  alone on each engine's mirror (``repro fleet --check N``).
 
 A fourth entry point, :mod:`~repro.fleet.batch`, inverts the spec's
 shape for the serving layer: N *unrelated* one-shot queries — each with
@@ -23,7 +23,6 @@ per-lane answers byte-identical to a batch of one.
 """
 
 from repro.fleet.batch import (
-    BATCH_ENGINES,
     BatchPlant,
     BatchQuery,
     BatchResult,
@@ -36,7 +35,7 @@ from repro.fleet.differential import (
     CrossCheckResult,
     DeviceMismatch,
     cross_check,
-    run_device_scalar,
+    run_device_mirror,
     sample_indices,
 )
 from repro.fleet.kernel import (
@@ -58,7 +57,6 @@ from repro.fleet.spec import FleetParams, FleetSpec
 from repro.segalg.vector import advance_fleet
 
 __all__ = [
-    "BATCH_ENGINES",
     "BatchPlant",
     "BatchQuery",
     "BatchResult",
@@ -83,6 +81,6 @@ __all__ = [
     "CrossCheckResult",
     "DeviceMismatch",
     "cross_check",
-    "run_device_scalar",
+    "run_device_mirror",
     "sample_indices",
 ]

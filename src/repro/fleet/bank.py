@@ -8,9 +8,9 @@ sub-spans. This module is the fleet half of that contract: the same
 unmodified batch kernels (stepping or segment algebra) advance each
 sub-span, and :meth:`FleetBankDriver.reconfigure` mirrors
 ``ReconfigurableBuffer.configure`` elementwise across the batch — same
-float operations, same sorted-bank accumulation order — so the four-way
-differential (reference ≡ fastpath ≡ scalar segalg ≡ fleet kernels)
-holds on plan-bearing traces within the documented kernel tolerances.
+float operations, same sorted-bank accumulation order — so the
+differential chain (reference ≡ fastpath ≡ fleet kernels) holds on
+plan-bearing traces within the documented kernel tolerances.
 
 Per-device semantics match the scalar event rules exactly:
 
@@ -29,7 +29,7 @@ Per-device semantics match the scalar event rules exactly:
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

@@ -31,10 +31,7 @@ query answered in a batch of N is therefore byte-identical to the same
 query answered in a batch of one — the same property that makes sharded
 fleet reports byte-identical for any ``--jobs``. ``tests/fleet/
 test_batch.py`` enforces it directly; the serving layer's correctness
-bar (served answer ≡ library answer) rests on it. The segalg engine is
-offered for throughput experiments but carries only the documented
-method tolerance, not the byte contract — serving always dispatches on
-``stepping``.
+bar (served answer ≡ library answer) rests on it.
 """
 
 from __future__ import annotations
@@ -47,11 +44,6 @@ import numpy as np
 from repro.fleet.kernel import FleetState, advance
 from repro.fleet.spec import FleetParams, FleetSpec
 from repro.power.booster import CurvedEfficiency
-
-#: Engines a batch may dispatch on. Only ``stepping`` carries the
-#: batch-composition byte-identity contract.
-BATCH_ENGINES: Tuple[str, ...] = ("stepping", "segalg")
-
 
 @dataclass(frozen=True)
 class BatchPlant:
@@ -241,19 +233,13 @@ def advance_batch(queries: Sequence[BatchQuery],
                   shared: Optional[BatchShared] = None,
                   harvest_edges: Optional[np.ndarray] = None,
                   harvest_powers: Optional[np.ndarray] = None,
-                  harvest_fp: str = "",
-                  engine: str = "stepping") -> BatchResult:
+                  harvest_fp: str = "") -> BatchResult:
     """Step every query through ``segments`` in one kernel call.
 
     The serving batcher's entry point: N heterogeneous one-shot queries,
-    one vectorized advance. On the default ``stepping`` engine each
-    lane's answer is byte-identical to the answer a batch of one would
-    produce; ``segalg`` dispatches the same batch onto the event-driven
-    vector path (method tolerance only).
+    one vectorized advance of the stepping fleet kernel. Each lane's
+    answer is byte-identical to the answer a batch of one would produce.
     """
-    if engine not in BATCH_ENGINES:
-        raise ValueError(f"unknown batch engine {engine!r}; "
-                         f"choose from {BATCH_ENGINES}")
     segments = [(float(i), float(d)) for i, d in
                 (segments.segments() if hasattr(segments, "segments")
                  else segments)]
@@ -261,11 +247,7 @@ def advance_batch(queries: Sequence[BatchQuery],
                         harvest_edges=harvest_edges,
                         harvest_powers=harvest_powers,
                         harvest_fp=harvest_fp)
-    if engine == "stepping":
-        brown = advance(state, segments, harvesting, stop_below)
-    else:
-        from repro.segalg.vector import advance_fleet
-        brown = advance_fleet(state, segments, harvesting, stop_below)
+    brown = advance(state, segments, harvesting, stop_below)
     return BatchResult(
         v_term=state.v_term,
         v_min=state.v_min,
@@ -277,7 +259,6 @@ def advance_batch(queries: Sequence[BatchQuery],
 
 
 __all__ = [
-    "BATCH_ENGINES",
     "BatchPlant",
     "BatchQuery",
     "BatchResult",

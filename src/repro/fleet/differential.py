@@ -1,23 +1,30 @@
-"""Differential cross-check: sampled fleet devices vs the scalar kernel.
+"""Differential cross-check: sampled fleet devices re-run one at a time.
 
-The fleet kernel's equivalence contract (see :mod:`repro.fleet.kernel`)
-is enforced two ways: the pytest equivalence suite compares raw
-trajectories, and this module provides the *runtime* check behind
-``repro fleet --check N`` — re-run a sampled subset of devices through
-the scalar ``fastpath`` kernel with the **same** charge/execute/classify
-logic the fleet runner uses, and compare outcomes and final state.
+The fleet engines' equivalence contracts are enforced two ways: the
+pytest suites compare raw trajectories, and this module provides the
+*runtime* check behind ``repro fleet --check N`` — re-run a sampled
+subset of devices alone through a *mirror*, with the **same**
+charge/execute/classify logic the fleet runner uses, and compare
+outcomes and final state. Each fleet engine has its own mirror:
+
+* ``stepping`` — the device steps through the scalar fastpath kernel
+  on :meth:`FleetParams.device_system`, the identical floats the
+  vectorized arrays hold, so any disagreement beyond
+  :data:`~repro.fleet.kernel.V_TOL`/:data:`~repro.fleet.kernel.T_TOL`
+  is a kernel bug, not parameter drift;
+* ``segalg`` — the device advances as a one-lane fleet
+  (:func:`~repro.segalg.vector.advance_fleet` on
+  ``FleetState(params.slice(i, i + 1))``), so its segment program is
+  compiled for that device alone where the fleet compiled one program
+  for every lane (DESIGN §12, weakness 2).
 
 Comparisons:
 
 * outcome classification and committed-task count: exact match;
-* brown-out time, final simulated time: within :data:`~repro.fleet.kernel.T_TOL`;
-* V_min and final terminal voltage: within :data:`~repro.fleet.kernel.V_TOL`;
-* delivered energy: within :data:`E_TOL` (J).
-
-The scalar mirror builds each device with
-:meth:`FleetParams.device_system` — the identical floats the vectorized
-arrays hold — so any disagreement beyond tolerance is a kernel bug, not
-parameter drift.
+* brown-out time, final simulated time: within the engine's time
+  tolerance;
+* V_min: within the engine's voltage tolerance;
+* delivered energy: within the engine's energy tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.fleet.kernel import T_TOL, V_TOL
+from repro.fleet.kernel import T_TOL, V_TOL, FleetState
 from repro.fleet.runner import (
     CHARGE_CHUNK,
     PROGRESS_EPS,
@@ -35,37 +42,44 @@ from repro.fleet.runner import (
     FleetOutcomes,
 )
 from repro.fleet.spec import FleetParams
+from repro.segalg.vector import advance_fleet
+from repro.sim import fastpath
+from repro.sim.engine import PowerSystemSimulator
 
-#: Documented fleet-vs-scalar tolerance on delivered energy (J): ulp-level
-#: per-step drift integrated over ~1e5 accumulations of ~1e-4 J terms.
+#: Documented fleet-vs-fastpath tolerance on delivered energy (J):
+#: ulp-level per-step drift integrated over ~1e5 accumulations of
+#: ~1e-4 J terms.
 E_TOL = 1e-6
 
-#: Segalg-engine differential tolerances. The fleet algebra path and the
-#: scalar algebra path converge to the same per-interval fixed points,
-#: but they compile *different* segment programs — the fleet program uses
-#: fleet-wide conservative subdivision bounds (min capacitance, worst-case
-#: bounding current), a per-device scalar compile uses that device's own —
-#: so interval partitions differ and the midpoint-sampled quantities pick
-#: up partition sensitivity (~1e-3 V, ~1e-2 relative energy on jittered
-#: fleets; exact agreement on homogeneous ones). These bounds cover the
-#: partition term, not just float drift.
+#: Segalg-engine differential tolerances. The fleet and its one-lane
+#: mirror run the same algebra to the same per-interval fixed points,
+#: but they compile *different* segment programs — the fleet program
+#: uses fleet-wide conservative subdivision bounds (min capacitance,
+#: worst-case bounding current), a one-lane compile uses that device's
+#: own — so interval partitions differ and the midpoint-sampled
+#: quantities pick up partition sensitivity (~1e-3 V, ~1e-2 relative
+#: energy on jittered fleets; exact agreement on homogeneous ones).
+#: These bounds cover the partition term, not just float drift.
 V_TOL_SEGALG = 5e-3
 T_TOL_SEGALG = 2e-2
 E_TOL_SEGALG = 2e-2
 
+#: The mirror each fleet engine's sampled devices re-run on.
+MIRRORS = {"stepping": "fastpath", "segalg": "one-lane"}
+
 
 @dataclass
 class DeviceMismatch:
-    """One sampled device whose scalar re-run disagreed with the fleet."""
+    """One sampled device whose mirror re-run disagreed with the fleet."""
 
     device: int
     field: str
     fleet: object
-    scalar: object
+    mirror: object
 
     def __str__(self) -> str:
         return (f"device {self.device}: {self.field} fleet={self.fleet!r} "
-                f"scalar={self.scalar!r}")
+                f"mirror={self.mirror!r}")
 
 
 @dataclass
@@ -82,46 +96,85 @@ class CrossCheckResult:
         return not self.mismatches
 
     def render(self) -> str:
-        mirror = ("scalar segalg" if self.engine == "segalg"
-                  else "scalar fastpath")
+        mirror = f"the {MIRRORS[self.engine]} mirror"
         if self.ok:
             return (f"differential check: {len(self.devices)} device(s) "
                     f"vs {mirror} — OK")
         lines = [f"differential check: {len(self.mismatches)} mismatch(es) "
-                 f"across {len(self.devices)} sampled device(s):"]
+                 f"across {len(self.devices)} sampled device(s) "
+                 f"vs {mirror}:"]
         lines += [f"  {m}" for m in self.mismatches]
         return "\n".join(lines)
 
 
-def run_device_scalar(params: FleetParams, index: int, app: str,
+class _FastpathDevice:
+    """The stepping mirror: one device on the scalar fastpath kernel."""
+
+    def __init__(self, params: FleetParams, index: int) -> None:
+        self.system = params.device_system(index)
+        assert fastpath.supported(self.system), \
+            "fleet devices are stock systems"
+        self.sim = PowerSystemSimulator(self.system)
+
+    @property
+    def v_term(self) -> float:
+        return self.system.buffer.terminal_voltage
+
+    @property
+    def time(self) -> float:
+        return self.sim.time
+
+    def advance(self, segments, stop_below) -> Optional[float]:
+        return fastpath.advance_segments(self.sim, segments, True,
+                                         stop_below)
+
+    def totals(self) -> tuple:
+        """``(v_min, energy)`` accumulated so far."""
+        return (self.sim._v_min_seen,     # noqa: SLF001 — sim-internal
+                self.sim._energy_out)     # noqa: SLF001
+
+
+class _OneLaneDevice:
+    """The segalg mirror: one device advanced alone as a one-lane fleet."""
+
+    def __init__(self, params: FleetParams, index: int) -> None:
+        self.state = FleetState(params.slice(index, index + 1))
+
+    @property
+    def v_term(self) -> float:
+        return float(self.state.v_term[0])
+
+    @property
+    def time(self) -> float:
+        return float(self.state.time[0])
+
+    def advance(self, segments, stop_below) -> Optional[float]:
+        brown = float(advance_fleet(self.state, segments, True,
+                                    stop_below)[0])
+        return None if np.isnan(brown) else brown
+
+    def totals(self) -> tuple:
+        """``(v_min, energy)`` accumulated so far."""
+        return float(self.state.v_min[0]), float(self.state.energy[0])
+
+
+def run_device_mirror(params: FleetParams, index: int, app: str,
                       cycles: int, gates: Dict[str, float],
                       horizon: float, engine: str = "stepping") -> dict:
-    """Replay fleet-runner semantics for one device on a scalar kernel.
+    """Replay fleet-runner semantics for one device on its mirror.
 
     Chunked charging, horizon/equilibrium handling and classification
     mirror ``runner._run_shard`` branch for branch. Under the default
     ``stepping`` engine the device steps through
     ``fastpath.advance_segments`` (the bit-exact scalar kernel); under
-    ``segalg`` it advances through the scalar segment-algebra event loop
-    — the independent scalar implementation of the same integrator the
-    fleet path vectorizes — so the differential sample exercises the
-    engine actually used, not a proxy.
+    ``segalg`` it advances alone as a one-lane fleet, so the sample
+    exercises the engine actually used against a per-device program.
     """
     from repro.apps.programs import build_program
-    from repro.sim import fastpath
-    from repro.sim.engine import PowerSystemSimulator
 
     spec = params.spec
-    system = params.device_system(index)
-    sim = PowerSystemSimulator(system)
-    if engine == "segalg":
-        from repro import segalg
-        assert segalg.supported(system), "fleet devices are stock systems"
-        advance = segalg.advance_segments
-    else:
-        assert fastpath.supported(system), "fleet devices are stock systems"
-        advance = fastpath.advance_segments
-    buffer = system.buffer
+    device = (_OneLaneDevice(params, index) if engine == "segalg"
+              else _FastpathDevice(params, index))
     program = build_program(app, cycles=cycles)
     time_varying = spec.harvest_period > 0 or spec.env is not None
     # Bank fleets key the shared gate table per configuration (§V-B);
@@ -144,30 +197,28 @@ def run_device_scalar(params: FleetParams, index: int, app: str,
         gate_v = min(spec.v_high, gates[gate_prefix + task.name])
         stall = 0
 
-        while pending and buffer.terminal_voltage < gate_v:
-            if sim.time >= horizon - 1e-12:
+        while pending and device.v_term < gate_v:
+            if device.time >= horizon - 1e-12:
                 outcome = "degraded_but_safe"
                 pending = False
                 break
-            v_before = buffer.terminal_voltage
-            advance(sim, ((0.0, CHARGE_CHUNK),), True, None)
-            if buffer.terminal_voltage > v_before + PROGRESS_EPS:
+            v_before = device.v_term
+            device.advance(((0.0, CHARGE_CHUNK),), None)
+            if device.v_term > v_before + PROGRESS_EPS:
                 stall = 0
             else:
                 stall += 1
             if not time_varying and stall >= STALL_CHUNKS \
-                    and buffer.terminal_voltage < gate_v:
+                    and device.v_term < gate_v:
                 outcome = "livelock"
                 pending = False
         if not pending:
             break
 
-        if not (sim.time < horizon - 1e-12
-                and buffer.terminal_voltage >= gate_v):
+        if not (device.time < horizon - 1e-12 and device.v_term >= gate_v):
             outcome = "degraded_but_safe"
             break
-        browned = advance(sim, list(task.trace.segments()), True,
-                          spec.v_off)
+        browned = device.advance(list(task.trace.segments()), spec.v_off)
         if browned is not None:
             outcome = "brown_out"
             brown_time = browned
@@ -175,13 +226,14 @@ def run_device_scalar(params: FleetParams, index: int, app: str,
             break
         tasks_committed += 1
 
+    v_min, energy = device.totals()
     return {
         "outcome": outcome,
         "tasks_committed": tasks_committed,
-        "v_min": sim._v_min_seen,          # noqa: SLF001 — sim-internal
-        "final_time": sim.time,
-        "energy": sim._energy_out,         # noqa: SLF001 — sim-internal
-        "v_term": buffer.terminal_voltage,
+        "v_min": v_min,
+        "final_time": device.time,
+        "energy": energy,
+        "v_term": device.v_term,
         "brown_time": brown_time,
         "brown_task": brown_task,
     }
@@ -200,11 +252,11 @@ def sample_indices(devices: int, check: int, seed: int) -> List[int]:
 
 def cross_check(outcomes: FleetOutcomes,
                 indices: Sequence[int]) -> CrossCheckResult:
-    """Re-run ``indices`` on the scalar kernel and compare to the fleet.
+    """Re-run ``indices`` on their mirror and compare to the fleet.
 
-    The scalar mirror runs whichever engine produced ``outcomes``
-    (``outcomes.engine``), with the tolerances documented for that
-    engine's fleet-vs-scalar agreement.
+    The mirror matches the engine that produced ``outcomes``
+    (``outcomes.engine``, see :data:`MIRRORS`), with the tolerances
+    documented for that engine's fleet-vs-mirror agreement.
     """
     params = outcomes.spec.parameters()
     engine = getattr(outcomes, "engine", "stepping")
@@ -214,35 +266,35 @@ def cross_check(outcomes: FleetOutcomes,
         v_tol, t_tol, e_tol = V_TOL, T_TOL, E_TOL
     result = CrossCheckResult(devices=list(indices), engine=engine)
     for i in indices:
-        scalar = run_device_scalar(params, i, outcomes.app, outcomes.cycles,
+        mirror = run_device_mirror(params, i, outcomes.app, outcomes.cycles,
                                    outcomes.gates, outcomes.horizon,
                                    engine=engine)
         fleet_outcome = outcomes.outcome_of(i)
-        if scalar["outcome"] != fleet_outcome:
+        if mirror["outcome"] != fleet_outcome:
             result.mismatches.append(DeviceMismatch(
-                i, "outcome", fleet_outcome, scalar["outcome"]))
+                i, "outcome", fleet_outcome, mirror["outcome"]))
             continue
-        if scalar["tasks_committed"] != int(outcomes.tasks_committed[i]):
+        if mirror["tasks_committed"] != int(outcomes.tasks_committed[i]):
             result.mismatches.append(DeviceMismatch(
                 i, "tasks_committed", int(outcomes.tasks_committed[i]),
-                scalar["tasks_committed"]))
+                mirror["tasks_committed"]))
         checks = (
-            ("v_min", float(outcomes.v_min[i]), scalar["v_min"], v_tol),
+            ("v_min", float(outcomes.v_min[i]), mirror["v_min"], v_tol),
             ("final_time", float(outcomes.final_time[i]),
-             scalar["final_time"], t_tol),
-            ("energy", float(outcomes.energy[i]), scalar["energy"], e_tol),
+             mirror["final_time"], t_tol),
+            ("energy", float(outcomes.energy[i]), mirror["energy"], e_tol),
         )
-        for name, fleet_v, scalar_v, tol in checks:
-            if abs(fleet_v - scalar_v) > tol:
+        for name, fleet_v, mirror_v, tol in checks:
+            if abs(fleet_v - mirror_v) > tol:
                 result.mismatches.append(
-                    DeviceMismatch(i, name, fleet_v, scalar_v))
+                    DeviceMismatch(i, name, fleet_v, mirror_v))
         fleet_bt = float(outcomes.brown_time[i])
-        scalar_bt = scalar["brown_time"]
-        if scalar_bt is None:
+        mirror_bt = mirror["brown_time"]
+        if mirror_bt is None:
             if not np.isnan(fleet_bt):
                 result.mismatches.append(
                     DeviceMismatch(i, "brown_time", fleet_bt, None))
-        elif np.isnan(fleet_bt) or abs(fleet_bt - scalar_bt) > t_tol:
+        elif np.isnan(fleet_bt) or abs(fleet_bt - mirror_bt) > t_tol:
             result.mismatches.append(
-                DeviceMismatch(i, "brown_time", fleet_bt, scalar_bt))
+                DeviceMismatch(i, "brown_time", fleet_bt, mirror_bt))
     return result

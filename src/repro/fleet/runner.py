@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.fleet.kernel import FleetState, advance
-from repro.fleet.spec import FleetParams, FleetSpec
+from repro.fleet.spec import FleetSpec
 from repro.harness.parallel import parallel_map, split_ranges
 from repro.harness.report import TextTable
 from repro.obs import THROUGHPUT_BUCKETS, VOLTAGE_BUCKETS_V
@@ -53,7 +53,7 @@ from repro.segalg.vector import advance_fleet as _segalg_advance
 FLEET_ENGINES = ("stepping", "segalg")
 
 #: Charge-phase chunk length (s) — matches the scalar engine's
-#: ``charge_until`` stride so scalar mirrors replay identical chunks.
+#: ``charge_until`` stride; the differential mirrors replay the same chunks.
 CHARGE_CHUNK = 0.25
 
 #: Minimum terminal-voltage gain per chunk that counts as progress
@@ -220,9 +220,7 @@ def run_fleet_raw(spec: FleetSpec, *, app: str = "sense-store",
     """Run the fleet and return raw per-device outcomes.
 
     Gates come from ``estimator`` evaluated once on the un-jittered base
-    plant (shared firmware). Results are byte-identical for any ``jobs``
-    (and, under ``engine="segalg"``, for any backend setting — the fleet
-    algebra path is numpy-only by design).
+    plant (shared firmware). Results are byte-identical for any ``jobs``.
     """
     from repro.apps.programs import build_program
     from repro.sched.gating import program_gates

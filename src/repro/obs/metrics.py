@@ -50,7 +50,7 @@ THROUGHPUT_BUCKETS: Tuple[float, ...] = tuple(
 )
 
 #: Default boundaries for small discrete-count histograms (events per
-#: advance, passes per solve): 0 and a coarse log-2 ladder to 4096.
+#: advance): 0 and a coarse log-2 ladder to 4096.
 #: Most segment-algebra advances see zero or a handful of events; the
 #: tail buckets catch pathological regime-chatter workloads.
 EVENT_COUNT_BUCKETS: Tuple[float, ...] = tuple(

@@ -6,15 +6,15 @@ configuration; Williams & Hicks (arXiv:2401.08806) show *when* to resize
 matters as much as *whether*. This module is the simulation side of that
 story: a :class:`ReconfigPlan` is a serializable schedule of mid-trace
 bank switches, and every engine (reference stepping loop, scalar
-fastpath, scalar segment algebra, fleet kernels) consumes it the same
-way — split the load trace at each event offset, advance each sub-span
-with the unmodified engine, and apply the *shared* electrical transform
-(:func:`apply_reconfiguration`) between spans.
+fastpath, fleet kernels) consumes it the same way — split the load trace
+at each event offset, advance each sub-span with the unmodified engine,
+and apply the *shared* electrical transform (:func:`apply_reconfiguration`)
+between spans.
 
-The transform is deliberately one piece of code: the four-way
-differential (reference ≡ fastpath ≡ scalar segalg ≡ fleet segalg) holds
-on plan-bearing traces because every scalar engine literally calls the
-same :meth:`ReconfigurableBuffer.configure`, and the fleet driver
+The transform is deliberately one piece of code: the differential chain
+(reference ≡ fastpath ≡ fleet kernels) holds on plan-bearing traces
+because both scalar engines literally call the same
+:meth:`ReconfigurableBuffer.configure`, and the fleet driver
 (:mod:`repro.fleet.bank`) mirrors it elementwise in the same float
 order.
 

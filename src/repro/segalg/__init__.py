@@ -1,12 +1,11 @@
 """``repro.segalg`` — the event-driven segment-algebra simulation core.
 
-One analytic core, three consumers. The stepping engines
-(:mod:`repro.sim.engine`, :mod:`repro.sim.fastpath`,
+The stepping engines (:mod:`repro.sim.engine`, :mod:`repro.sim.fastpath`,
 :mod:`repro.fleet.kernel`) integrate the paper's charge model with
 fixed sub-steps; this package advances the *same* model in closed form
 between **events** — brown-out crossings, monitor hysteresis flips,
-the V_max rail, harvest resumes, observer due-times — so cost scales
-with how often the system changes regime, not with simulated time.
+the V_max rail, harvest-trace edges — so cost scales with how often
+the system changes regime, not with simulated time.
 
 Layout:
 
@@ -14,32 +13,22 @@ Layout:
   closed-form constants of the two-branch charge model;
 * :mod:`~repro.segalg.program` — traces precompiled (and cached) into
   flat structure-of-arrays segment programs;
-* :mod:`~repro.segalg.core` — the span solver, per-interval stepper,
-  and shared event primitives (pure array math);
-* :mod:`~repro.segalg.scalar` — the single-device event loop, a
-  drop-in for the fastpath kernel's entry point;
-* :mod:`~repro.segalg.vector` — the fleet path: the same program
-  advanced per-interval across whole device batches;
-* :mod:`~repro.segalg.backends` — the ``REPRO_SEGALG_BACKEND``
-  numpy/numba switch (numba optional, silent fallback).
+* :mod:`~repro.segalg.core` — the per-interval stepper and the event
+  primitives (pure array math);
+* :mod:`~repro.segalg.vector` — the one driver: a program advanced
+  per-interval across a whole device batch (a single device is a
+  batch of one).
 
 Results match the stepping engines to *method* tolerances (~1e-4 V) —
 this is a different integrator, not a reordering of the same floating
-point — while the scalar and fleet paths here agree with each other to
-~1e-7 V because they converge to the same per-interval fixed point.
+point (DESIGN §12).
 """
 
-from repro.segalg.backends import backend
-from repro.segalg.model import supported
 from repro.segalg.program import canonical_fingerprint, compile_segments
-from repro.segalg.scalar import advance_segments
 from repro.segalg.vector import advance_fleet
 
 __all__ = [
     "advance_fleet",
-    "advance_segments",
-    "backend",
     "canonical_fingerprint",
     "compile_segments",
-    "supported",
 ]

@@ -1,310 +1,35 @@
 """Closed-form advance primitives of the segment-algebra core.
 
 Everything here is pure math over float64 arrays: no component objects,
-no simulator state. Two consumers drive it:
+no simulator state. The fleet vector path (:mod:`repro.segalg.vector`)
+advances one interval at a time across all devices with
+:func:`interval_step`, a per-interval Picard iteration vectorized
+across devices: booster currents evaluated at the interval's exact
+average terminal voltage, states advanced by the exact constant-current
+closed forms.
 
-* the **scalar event loop** (:mod:`repro.segalg.scalar`) solves whole
-  *spans* — runs of program intervals between events — with
-  :func:`span_solve`, a Newton–chord fixed-point iteration vectorized
-  across intervals;
-* the **fleet vector path** (:mod:`repro.segalg.vector`) advances one
-  interval at a time across all devices with :func:`interval_step`, a
-  per-interval Picard iteration vectorized across devices.
-
-Both converge to the same fixed point — booster currents evaluated at
-the interval's exact average terminal voltage, states advanced by the
-exact constant-current closed forms — which is what makes the two paths
-agree to ~1e-10 V, far inside the documented fleet tolerance, without
-sharing a stepping loop.
-
-Shared event helpers (:func:`interval_extrema`, :func:`crossing_time`,
-the pinned-at-V_max regime) keep event *semantics* identical between
-the two consumers: a crossing is "the continuous trajectory reaches the
-level", located by bisection on the same analytic curve.
+The event helpers (:func:`interval_extrema`, :func:`crossing_time`,
+the pinned-at-V_max regime) define event *semantics*: a crossing is
+"the continuous trajectory reaches the level", located by bisection on
+the analytic interval curve.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 import numpy as np
 
-from repro.segalg import backends
 from repro.segalg.model import Bank, V_CLAMP
 
-#: Span fixed-point tolerance: max change of any interval's average
-#: terminal voltage between passes. The residual contraction rate is
-#: ~0.1/pass (Aitken-accelerated to ~0.01), so the committed states sit
-#: within ~0.1*tol of the true fixed point — two orders under the 1e-7 V
-#: scalar/fleet consistency band.
-SPAN_TOL = 1e-9
-
-#: Per-interval Picard tolerance for the fleet/commit primitive. A few
-#: tens of ulps at operating voltages — tight enough that the scalar
-#: and fleet paths agree orders of magnitude inside their ~1e-6 V
-#: consistency band, loose enough that the iteration does not chase
-#: float noise around the fixed point.
+#: Per-interval Picard tolerance. A few tens of ulps at operating
+#: voltages — tight enough that a fleet lane and the same device run
+#: alone agree orders of magnitude inside the differential tolerances,
+#: loose enough that the iteration does not chase float noise around
+#: the fixed point.
 STEP_TOL = 1e-11
 
 #: Bisection iterations for crossing times: 2^-60 of an interval is far
 #: below T_TOL for any physical interval length.
 CROSS_ITERS = 60
-
-_seq_affine_compiled = None
-
-
-def _seq_affine(a, b, x0):
-    # nopython-clean sequential affine recurrence (numba backend); also
-    # plain valid Python, so the numba code path is testable without it.
-    out = np.empty_like(b)
-    prev = x0
-    for k in range(b.shape[0]):
-        prev = a[k] * prev + b[k]
-        out[k] = prev
-    return out
-
-
-def affine_prefix(a: np.ndarray, b: np.ndarray, x0: float) -> np.ndarray:
-    """Inclusive scan of ``x_k = a_k * x_{k-1} + b_k`` with ``x_{-1}=x0``.
-
-    numpy backend: Hillis–Steele doubling over the affine composition
-    ``(A2,B2)∘(A1,B1) = (A2*A1, A2*B1+B2)`` — log2(n) vector passes,
-    exact up to rounding (multiplier underflow to 0 is the correct
-    limit of a decaying product). numba backend: the literal recurrence,
-    JIT-compiled.
-    """
-    n = b.shape[0]
-    if n == 0:
-        return b.copy()
-    if backends.backend() == "numba":
-        global _seq_affine_compiled
-        if _seq_affine_compiled is None:
-            _seq_affine_compiled = backends.jit(_seq_affine)
-        return _seq_affine_compiled(
-            np.ascontiguousarray(a, dtype=np.float64),
-            np.ascontiguousarray(b, dtype=np.float64), float(x0))
-    A = np.array(a, dtype=np.float64, copy=True)
-    B = np.array(b, dtype=np.float64, copy=True)
-    shift = 1
-    while shift < n:
-        B[shift:] = B[shift:] + A[shift:] * B[:-shift]
-        A[shift:] = A[shift:] * A[:-shift]
-        shift <<= 1
-    return A * x0 + B
-
-
-def _shifted(arr: np.ndarray, first: float) -> np.ndarray:
-    out = np.empty_like(arr)
-    out[0] = first
-    out[1:] = arr[:-1]
-    return out
-
-
-class SpanSolution:
-    """Per-interval endpoint arrays of a converged span solve."""
-
-    __slots__ = ("i_in", "i_ext", "i_led", "vbar_end", "d_end", "vs_c_start",
-                 "slope", "T", "alpha", "ratio", "v_start", "v_end", "v_avg",
-                 "passes", "n")
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
-
-
-def span_solve(bank: Bank, i_out: np.ndarray, dur: np.ndarray,
-               p_h: np.ndarray, vbar0: float, d0: float, vt0: float,
-               enabled: bool, charging: bool, burden: float = 0.0,
-               tol: float = SPAN_TOL, max_passes: int = 14,
-               stop_level: Optional[float] = None,
-               _allow_truncate: bool = True) -> SpanSolution:
-    """Solve a span of intervals with monitor/charging regime held fixed.
-
-    ``i_out``/``dur`` are the program interval columns, ``p_h`` the
-    harvest power sampled per interval; ``(vbar0, d0, vt0)`` the mode
-    coordinates entering the span. The regime flags are span-constant by
-    construction — the event loop cuts spans wherever they would change.
-
-    Each pass linearizes the net booster current around the previous
-    evaluation point, solves the total-charge chain implicitly (the
-    Newton chord, an :func:`affine_prefix` over the intervals), then
-    reconstructs all interval endpoints with the *exact* closed forms at
-    the predicted currents. The residual contraction (the chord offset
-    ``s_corr`` lags one pass) is geometric at ~0.1/pass and Aitken-
-    extrapolated away; the fixed point — per-interval currents evaluated
-    at that interval's exact average terminal voltage — is independent
-    of the chord, which only steers the iteration.
-
-    With ``stop_level`` set, a span whose trajectory falls well below it
-    is truncated and re-solved short: intervals past a brown-out are
-    discarded by the caller anyway, and the post-brown-out trajectory
-    (clamped converters, huge currents) is what convergence pays for.
-    The returned ``n`` may therefore be smaller than the input length.
-    """
-    n = int(i_out.shape[0])
-    total_out = i_out + burden
-    p_out = total_out * bank.v_out
-    drawing = np.asarray(enabled & (total_out > 0.0))
-    any_draw = bool(np.any(drawing))
-    do_charge = bool(charging) and bool(np.any(p_h > 0.0))
-    c_tot = bank.c_tot
-    h = dur / c_tot
-    is_ideal = bank.is_ideal
-    cd = (not is_ideal) and bool(bank.cd_pos)
-    has_red = (not is_ideal) and bool(bank.has_red)
-
-    if is_ideal:
-        u0 = vbar0  # callers pass the open-circuit voltage as vbar0
-    else:
-        u0 = (bank.c_s * vbar0 + bank.c_dec * vt0) / c_tot
-    if cd:
-        ratio = dur / bank.tau_safe
-        alpha = np.exp(-ratio)
-        one_m_alpha = -np.expm1(-ratio)
-        avg_f = one_m_alpha / ratio
-    else:
-        ratio = np.zeros(n)
-        alpha = np.zeros(n)
-        avg_f = np.ones(n)
-    if has_red:
-        s_d = dur * bank.inv_tau_r
-        beta = np.exp(-s_d)
-        one_m_beta = -np.expm1(-s_d)
-
-    v_e = np.full(n, vt0)  # where the currents were last evaluated
-    i_in, di_in = bank.load_current(v_e, p_out, drawing)
-    if do_charge:
-        i_chg, di_chg = bank.charge_current(v_e, p_h, True)
-    else:
-        i_chg = np.float64(0.0)
-        di_chg = np.float64(0.0)
-    s_corr = np.zeros(n)
-    vt_end_prev = np.full(n, vt0)
-    v_avg = None
-    delta_prev = None
-    rate_prev = None
-    extrapolated = False
-    vbar_end = d_end = vs_c_start = slope = T = i_ext = i_led = None
-    passes = 0
-
-    for p in range(max_passes):
-        passes = p + 1
-        if p > 0 and (any_draw or do_charge):
-            # Newton chord: i ≈ i(v_e) + b_lin (v - v_e), v = u_avg + s_corr,
-            # solved implicitly on the exactly-linear ledger coordinate u.
-            b_lin = di_in - di_chg
-            x = 0.5 * b_lin * h
-            denom = 1.0 + x
-            A = (1.0 - x) / denom
-            B = -((i_in - i_chg + bank.leak)
-                  + b_lin * (s_corr - v_e)) * h / denom
-            u_end = affine_prefix(A, B, u0)
-            u_avg = 0.5 * (_shifted(u_end, u0) + u_end)
-            v_pred = u_avg + s_corr
-            i_in, di_in = bank.load_current(v_pred, p_out, drawing)
-            if do_charge:
-                i_chg, di_chg = bank.charge_current(v_pred, p_h, True)
-            v_e = v_pred
-
-        # -- exact reconstruction at the evaluated interval currents ------
-        i_ext = i_in - i_chg
-        i_led = i_ext + bank.leak
-        q_cum = np.cumsum(i_led * dur)
-        if is_ideal:
-            u_end_x = u0 - q_cum / c_tot
-            u_start = _shifted(u_end_x, u0)
-            sag = i_ext * bank.esr
-            vt_end = u_end_x - sag
-            vt_avg = 0.5 * (u_start + u_end_x) - sag
-            vbar_end = u_end_x
-            d_end = np.zeros(n)
-            vs_c_start = u_start - sag
-            slope = (vt_end - vs_c_start) / dur
-            T = np.zeros(n)
-        else:
-            # ledger: the c_dec correction telescopes to the running
-            # terminal-voltage change, no second prefix sum needed
-            vbar_end = vbar0 - (q_cum
-                                + bank.c_dec * (vt_end_prev - vt0)) / bank.c_s
-            vbar_start = _shifted(vbar_end, vbar0)
-            if has_red:
-                d_eq = bank.deq_coef * i_ext + bank.deq_leak
-                d_end = affine_prefix(beta, d_eq * one_m_beta, d0)
-                d_start = _shifted(d_end, d0)
-            else:
-                d_end = np.zeros(n)
-                d_start = d_end
-            vs_start = vbar_start + bank.kappa * d_start - i_ext / bank.g
-            vs_end = vbar_end + bank.kappa * d_end - i_ext / bank.g
-            slope = (vs_end - vs_start) / dur
-            if cd:
-                vs_c_start = vs_start - bank.tau * slope
-                vs_c_end = vs_end - bank.tau * slope
-                jump = np.empty(n)
-                jump[0] = vt0 - vs_c_start[0]
-                jump[1:] = vs_c_end[:-1] - vs_c_start[1:]
-                a_T = _shifted(alpha, 1.0)
-                a_T[0] = 0.0
-                T = affine_prefix(a_T, jump, 0.0)
-                vt_end = vs_c_end + T * alpha
-                vt_avg = 0.5 * (vs_c_start + vs_c_end) + T * avg_f
-            else:
-                vs_c_start = vs_start
-                T = np.zeros(n)
-                vt_end = vs_end
-                vt_avg = 0.5 * (vs_start + vs_end)
-
-        ref = v_avg if v_avg is not None else v_e
-        delta = float(np.max(np.abs(vt_avg - ref))) if n else 0.0
-        v_avg = vt_avg
-        vt_end_prev = vt_end
-        if delta < tol or not (any_draw or do_charge):
-            break
-
-        # -- brown-out truncation: drop the tail the caller will discard --
-        if (stop_level is not None and _allow_truncate and p >= 1
-                and n > 64):
-            below = vt_avg < stop_level - 0.1
-            if bool(below.any()):
-                k_cut = int(np.argmax(below)) + 8
-                if k_cut < n:
-                    return span_solve(
-                        bank, i_out[:k_cut], dur[:k_cut], p_h[:k_cut],
-                        vbar0, d0, vt0, enabled, charging, burden=burden,
-                        tol=tol, max_passes=max_passes,
-                        stop_level=stop_level, _allow_truncate=False)
-
-        # next pass's chord offset: exact-trajectory average minus the
-        # exactly-linear ledger average at the same currents ...
-        u_end_x = u0 - q_cum / c_tot
-        u_avg_x = 0.5 * (_shifted(u_end_x, u0) + u_end_x)
-        new_s = vt_avg - u_avg_x
-        # ... Aitken-extrapolated: the offset converges geometrically, so
-        # once two consecutive contraction ratios agree the rate is the
-        # real one — project the offset to its limit. The pass right
-        # after a projection is skipped (its ratio measures the
-        # projection error, not the natural contraction).
-        if extrapolated:
-            extrapolated = False
-            rate_prev = None
-        elif delta_prev is not None and delta_prev > 0.0:
-            rate = delta / delta_prev
-            if (rate_prev is not None and 0.001 < rate < 0.95
-                    and abs(rate - rate_prev) < 0.25 * rate):
-                new_s = new_s + (new_s - s_corr) * (rate / (1.0 - rate))
-                extrapolated = True
-                rate_prev = None
-            else:
-                rate_prev = rate
-        s_corr = new_s
-        delta_prev = delta
-
-    v_start = vs_c_start + T
-    return SpanSolution(
-        i_in=i_in, i_ext=i_ext, i_led=i_led, vbar_end=vbar_end, d_end=d_end,
-        vs_c_start=vs_c_start, slope=slope, T=T, alpha=alpha, ratio=ratio,
-        v_start=v_start, v_end=vt_end_prev, v_avg=v_avg, passes=passes, n=n)
 
 
 def interval_step(bank: Bank, vbar0, d0, vt0, i_out_total, p_h, drawing,
@@ -312,13 +37,12 @@ def interval_step(bank: Bank, vbar0, d0, vt0, i_out_total, p_h, drawing,
                   max_iter: int = 60):
     """Advance one constant-current interval per device, in closed form.
 
-    All arguments broadcast (the fleet passes per-device arrays, the
-    scalar commit path length-1 arrays). ``dur`` may be zero for masked
-    devices — they come back unchanged. Iterates the booster currents
-    against the exact closed forms until the average terminal voltage is
-    fixed to ``tol`` — the same fixed point :func:`span_solve` reaches —
-    with an elementwise Steffensen extrapolation every third pass, since
-    the iteration map is affine in the currents to first order.
+    All arguments broadcast over the fleet's per-device arrays. ``dur``
+    may be zero for masked devices — they come back unchanged. Iterates
+    the booster currents against the exact closed forms until the
+    average terminal voltage is fixed to ``tol``, with an elementwise
+    Steffensen extrapolation every third pass, since the iteration map
+    is affine in the currents to first order.
 
     When every device shares the full branch structure (has_red and
     cd_pos everywhere — true for any capybara-derived fleet) the body
@@ -335,48 +59,36 @@ def interval_step(bank: Bank, vbar0, d0, vt0, i_out_total, p_h, drawing,
     all_live = bool(live.all())
     any_live = all_live or bool(live.any())
     dur_safe = dur if all_live else np.where(live, dur, 1.0)
-    is_ideal = bank.is_ideal
-    uniform = False
-    if not is_ideal:
-        cd_pos = bank.cd_pos
-        has_red = bank.has_red
-        uniform = bool(np.all(cd_pos)) and bool(np.all(has_red))
-        if uniform:
-            ratio = dur / bank.tau_safe
-            alpha = np.exp(-ratio)
-            one_m_alpha = -np.expm1(-ratio)
-            avg_f = np.where(ratio > 0.0,
-                             one_m_alpha / np.where(ratio > 0.0, ratio, 1.0),
-                             1.0)
-            beta = np.exp(-dur * bank.inv_tau_r)
-            s_base = vbar0 + bank.kappa * d0
-        else:
-            ratio = np.where(cd_pos, dur / bank.tau_safe, 0.0)
-            alpha = np.where(cd_pos, np.exp(-np.where(cd_pos, ratio, 0.0)),
-                             0.0)
-            one_m_alpha = np.where(cd_pos, -np.expm1(-ratio), 1.0)
-            avg_f = np.where(ratio > 0.0, one_m_alpha / np.where(
-                ratio > 0.0, ratio, 1.0), 1.0)
-            beta = np.where(has_red, np.exp(-dur * bank.inv_tau_r), 1.0)
+    cd_pos = bank.cd_pos
+    has_red = bank.has_red
+    uniform = bool(np.all(cd_pos)) and bool(np.all(has_red))
+    if uniform:
+        ratio = dur / bank.tau_safe
+        alpha = np.exp(-ratio)
+        one_m_alpha = -np.expm1(-ratio)
+        avg_f = np.where(ratio > 0.0,
+                         one_m_alpha / np.where(ratio > 0.0, ratio, 1.0),
+                         1.0)
+        beta = np.exp(-dur * bank.inv_tau_r)
+        s_base = vbar0 + bank.kappa * d0
+    else:
+        ratio = np.where(cd_pos, dur / bank.tau_safe, 0.0)
+        alpha = np.where(cd_pos, np.exp(-np.where(cd_pos, ratio, 0.0)),
+                         0.0)
+        one_m_alpha = np.where(cd_pos, -np.expm1(-ratio), 1.0)
+        avg_f = np.where(ratio > 0.0, one_m_alpha / np.where(
+            ratio > 0.0, ratio, 1.0), 1.0)
+        beta = np.where(has_red, np.exp(-dur * bank.inv_tau_r), 1.0)
 
     v_g = np.asarray(vt0, dtype=np.float64) + np.zeros_like(dur)
     vt1_g = v_g.copy()
     v_pp = t_pp = None  # pre-previous iterates (Steffensen history)
     for _ in range(max_iter):
-        i_in, _unused = bank.load_current(v_g, p_out, drawing)
-        i_chg, _unused = bank.charge_current(v_g, p_h, charging)
+        i_in = bank.load_current(v_g, p_out, drawing)
+        i_chg = bank.charge_current(v_g, p_h, charging)
         i_ext = i_in - i_chg
         i_led = i_ext + bank.leak
-        if is_ideal:
-            vbar1 = vbar0 - i_led * dur / bank.c_tot
-            sag = i_ext * bank.esr
-            d1 = np.zeros_like(vbar1)
-            vt1 = vbar1 - sag
-            vt_avg = 0.5 * (vbar0 + vbar1) - sag
-            vs_c0 = vbar0 - sag
-            slope = (vt1 - vs_c0) / dur_safe
-            T = d1
-        elif uniform:
+        if uniform:
             vbar1 = vbar0 - (i_led * dur
                              + bank.c_dec * (vt1_g - vt0)) / bank.c_s
             d_eq = bank.deq_coef * i_ext + bank.deq_leak
@@ -492,10 +204,8 @@ def crossing_time(level, vs_c0, slope, T, tau_safe, cd_mask, hi,
                   iters: int = CROSS_ITERS):
     """First ``t`` in ``(0, hi]`` where the curve reaches ``level``.
 
-    Bisection on the analytic curve — identical arithmetic for the
-    scalar and fleet paths (both call this with arrays), so the two
-    report the same crossing time to the last ulp of the bracket.
-    The caller guarantees a crossing exists in the bracket; ``hi`` is
+    Bisection on the analytic curve, vectorized across devices. The
+    caller guarantees a crossing exists in the bracket; ``hi`` is
     the interval end, or the interior stationary time when the crossing
     is a transient dip that recovers.
     """
@@ -518,8 +228,7 @@ def crossing_time(level, vs_c0, slope, T, tau_safe, cd_mask, hi,
 def pin_available(bank: Bank, v_pin, p_h):
     """Max charge current the input booster can deliver at the pin rail."""
     v_clamp = np.maximum(v_pin, V_CLAMP)
-    eta, _unused = bank.eta_in.eval(v_clamp)
-    return p_h * eta / v_clamp
+    return p_h * bank.eta_in.eval(v_clamp) / v_clamp
 
 
 def pin_required(bank: Bank, v_pin, v_main0, v_red0, i_in):
@@ -531,9 +240,6 @@ def pin_required(bank: Bank, v_pin, v_main0, v_red0, i_in):
     holds at the interval start it holds to the end, and regime checks
     only ever happen at interval boundaries.
     """
-    if bank.is_ideal:
-        return i_in + bank.leak + np.zeros_like(np.asarray(v_main0,
-                                                           dtype=float))
     a_in = (v_pin - bank.leak * bank.r_esr - v_main0) / bank.r_esr
     b_in = np.where(bank.has_red, (v_pin - v_red0) / bank.rr_safe, 0.0)
     return i_in + bank.leak + a_in + b_in
@@ -546,9 +252,6 @@ def pinned_step(bank: Bank, v_pin, v_main0, v_red0, dur):
     relax as single exponentials; the main branch equilibrates
     ``leak * R_esr`` below the rail.
     """
-    if bank.is_ideal:
-        return v_pin + np.zeros_like(np.asarray(v_main0, dtype=float)), \
-            v_pin + np.zeros_like(np.asarray(v_red0, dtype=float))
     v_eq_m = v_pin - bank.leak * bank.r_esr
     v_main1 = v_eq_m + (v_main0 - v_eq_m) * np.exp(
         -dur / (bank.r_esr * bank.c_main))
@@ -562,15 +265,11 @@ def pinned_step(bank: Bank, v_pin, v_main0, v_red0, dur):
 
 __all__ = [
     "CROSS_ITERS",
-    "SPAN_TOL",
     "STEP_TOL",
-    "SpanSolution",
-    "affine_prefix",
     "crossing_time",
     "interval_extrema",
     "interval_step",
     "pin_available",
     "pin_required",
     "pinned_step",
-    "span_solve",
 ]

@@ -25,33 +25,16 @@ into three closed-form coordinates per constant-current interval:
   time constant ``tau = C_dec / g`` toward the quasi-static terminal
   voltage ``v_star = vbar + kappa*d - i_ext/g``.
 
-Every attribute here is either a Python float (scalar path) or a
-per-device numpy array (fleet path); the algebra in
-:mod:`repro.segalg.core` broadcasts over both.
+Per-device quantities are numpy arrays over the fleet batch (a single
+device is a batch of one); the algebra in :mod:`repro.segalg.core`
+broadcasts over them.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
-
-from repro.power.booster import (
-    CurvedEfficiency,
-    InputBooster,
-    LinearEfficiency,
-    OutputBooster,
-)
-from repro.power.capacitor import IdealCapacitor, TwoBranchSupercap
-from repro.power.harvester import (
-    ConstantPowerHarvester,
-    NullHarvester,
-    SolarHarvester,
-    TraceHarvester,
-)
-from repro.power.monitor import VoltageMonitor
-from repro.power.reconfigurable import ReconfigurableBuffer
 
 #: Derated efficiency floor, matching OutputBooster.input_current.
 DERATING_FLOOR = 0.30
@@ -63,43 +46,11 @@ V_CLAMP = 0.1
 HARVEST_NONE = 0
 HARVEST_CONST = 1
 HARVEST_SOLAR = 2
-HARVEST_CALLABLE = 3
-HARVEST_TRACE = 4
-
-
-def _resolve_buffer(buffer):
-    """Unwrap a ReconfigurableBuffer to its active group (exact types)."""
-    if type(buffer) is ReconfigurableBuffer:
-        buffer = buffer._group  # noqa: SLF001 — sim-internal
-    if type(buffer) in (IdealCapacitor, TwoBranchSupercap):
-        return buffer
-    return None
-
-
-def supported(system) -> bool:
-    """Whether the segment-algebra core models this system analytically.
-
-    Same component whitelist as the scalar fastpath: stock buffer,
-    boosters and monitor (exact types — a subclass may change behavior
-    the algebra has already integrated away). Unlike the fastpath,
-    observers are *not* a disqualifier: their due-times become events.
-    """
-    if _resolve_buffer(system.buffer) is None:
-        return False
-    if type(system.output_booster) is not OutputBooster:
-        return False
-    if type(system.input_booster) is not InputBooster:
-        return False
-    if type(system.monitor) is not VoltageMonitor:
-        return False
-    out_eta = type(system.output_booster.efficiency_model)
-    in_eta = type(system.input_booster.efficiency_model)
-    return (out_eta in (LinearEfficiency, CurvedEfficiency)
-            and in_eta in (LinearEfficiency, CurvedEfficiency))
+HARVEST_TRACE = 3
 
 
 class _Eta:
-    """An efficiency curve in analytic form: value and slope.
+    """An efficiency curve in analytic form.
 
     Parameters may be floats or per-device arrays (only ``base``/
     ``intercept`` varies across a fleet; the shape is shared).
@@ -114,124 +65,38 @@ class _Eta:
         self.floor = floor
         self.ceiling = ceiling
 
-    @classmethod
-    def from_model(cls, model) -> "_Eta":
-        if type(model) is LinearEfficiency:
-            return cls("linear", model.intercept, model.slope, 0.0, 0.0,
-                       model.floor, model.ceiling)
-        if type(model) is CurvedEfficiency:
-            return cls("curved", model.base, model.slope, model.curvature,
-                       model.v_ref, model.floor, model.ceiling)
-        raise TypeError(f"unsupported efficiency model {type(model).__name__}")
-
     def eval(self, v):
-        """``(eta, deta_dv)`` at ``v``, with the clip window applied.
-
-        The slope is zero wherever the curve is clipped to its floor or
-        ceiling — exactly the derivative the Newton chord needs.
-        """
+        """Efficiency at ``v``, clipped to the ``[floor, ceiling]`` window."""
         if self.kind == "linear":
             raw = self.p0 + self.p1 * v
-            draw = self.p1
         else:
             dv = v - self.v_ref
             raw = self.p0 + self.p1 * dv - self.p2 * dv * dv
-            draw = self.p1 - 2.0 * self.p2 * dv
-        eta = np.minimum(self.ceiling, np.maximum(self.floor, raw))
-        deta = np.where((raw > self.floor) & (raw < self.ceiling), draw, 0.0)
-        return eta, deta
+        return np.minimum(self.ceiling, np.maximum(self.floor, raw))
 
 
 class Bank:
     """Hoisted component parameters + derived closed-form constants.
 
-    Scalar instances (one device) hold floats; fleet instances hold
-    per-device arrays. The degenerate configurations the stepping paths
-    support — no redistribution branch, no decoupling capacitor, ideal
-    capacitor — are encoded with flags and "safe" denominators so the
-    algebra stays division-safe under broadcasting.
+    Per-device parameters are arrays over the fleet batch. The
+    degenerate two-branch configurations — no redistribution branch, no
+    decoupling capacitor — are encoded with per-device flags and "safe"
+    denominators so the algebra stays division-safe under broadcasting.
     """
 
     # -- constructors -------------------------------------------------------
 
     def __init__(self) -> None:
-        self.is_ideal = False
         self.harvest_mode = HARVEST_NONE
         self.harvest_power = 0.0
         self.harvest_omega = 0.0
         self.harvest_phase = 0.0
-        self.power_at = None  # HARVEST_CALLABLE only
         # HARVEST_TRACE only: shared piece edges (1-D, starts at 0) and
-        # piece powers — 1-D on the scalar path, [devices, pieces] on the
-        # fleet path. ``harvest_fp`` is the content fingerprint that keys
-        # the program cache.
+        # per-device piece powers ([devices, pieces]). ``harvest_fp`` is
+        # the content fingerprint that keys the program cache.
         self.harvest_edges: Optional[np.ndarray] = None
         self.harvest_powers: Optional[np.ndarray] = None
         self.harvest_fp = ""
-
-    @classmethod
-    def from_system(cls, system, harvesting: bool) -> "Bank":
-        """Hoist a scalar :class:`PowerSystem` (must pass supported())."""
-        bank = cls()
-        buf = _resolve_buffer(system.buffer)
-        if buf is None:
-            raise TypeError("segalg does not support this buffer type")
-        if type(buf) is IdealCapacitor:
-            bank.is_ideal = True
-            bank.cap = buf.capacitance
-            bank.esr = buf.esr
-            bank.leak = buf.leakage_current
-            bank.c_tot = buf.capacitance
-            bank.has_red = False
-            bank.cd_pos = False
-            bank.tau = 0.0
-            bank.tau_safe = 1.0
-            bank.tau_r_safe = 1.0
-            bank.inv_tau_r = 0.0
-            bank.kappa = 0.0
-            bank.deq_coef = 0.0
-            bank.deq_leak = 0.0
-            bank.g = 1.0 / buf.esr if buf.esr > 0 else math.inf
-            bank.c_s = buf.capacitance
-        else:
-            bank._derive_two_branch(
-                c_main=buf.c_main, r_esr=buf.r_esr, c_red=buf.c_redist,
-                r_red=buf.r_redist, c_dec=buf.c_decoupling,
-                leak=buf.leakage_current, scalar=True)
-
-        out = system.output_booster
-        bank.v_out = out.v_out
-        bank.min_vin = out.min_input_voltage
-        bank.derating = out.power_derating
-        bank.eta_out = _Eta.from_model(out.efficiency_model)
-        inp = system.input_booster
-        bank.v_max_in = inp.v_max
-        bank.eta_in = _Eta.from_model(inp.efficiency_model)
-        mon = system.monitor
-        bank.v_off = mon.v_off
-        bank.v_high = mon.v_high
-
-        harvester = system.harvester
-        if not harvesting or type(harvester) is NullHarvester:
-            bank.harvest_mode = HARVEST_NONE
-        elif type(harvester) is ConstantPowerHarvester:
-            bank.harvest_mode = HARVEST_CONST
-            bank.harvest_power = harvester.power
-        elif type(harvester) is SolarHarvester:
-            bank.harvest_mode = HARVEST_SOLAR
-            bank.harvest_power = harvester.peak
-            bank.harvest_omega = 2.0 * math.pi / harvester.period
-            bank.harvest_phase = harvester.phase
-        elif type(harvester) is TraceHarvester:
-            bank.harvest_mode = HARVEST_TRACE
-            bank.harvest_edges = harvester.edges
-            bank.harvest_powers = harvester.powers
-            bank.harvest_power = harvester.max_power
-            bank.harvest_fp = harvester.fingerprint
-        else:
-            bank.harvest_mode = HARVEST_CALLABLE
-            bank.power_at = harvester.power_at
-        return bank
 
     @classmethod
     def from_fleet_state(cls, state, harvesting: bool) -> "Bank":
@@ -242,7 +107,7 @@ class Bank:
         bank._derive_two_branch(
             c_main=params.c_main, r_esr=params.r_esr, c_red=params.c_redist,
             r_red=params.r_redist, c_dec=params.c_decoupling,
-            leak=params.leakage, scalar=False)
+            leak=params.leakage)
         bank.v_out = spec.v_out
         bank.min_vin = 0.5
         bank.derating = 0.6
@@ -278,21 +143,16 @@ class Bank:
             bank.harvest_phase = params.phase
         return bank
 
-    def _derive_two_branch(self, c_main, r_esr, c_red, r_red, c_dec, leak,
-                           scalar: bool) -> None:
-        self.is_ideal = False
+    def _derive_two_branch(self, c_main, r_esr, c_red, r_red, c_dec,
+                           leak) -> None:
         self.c_main = c_main
         self.r_esr = r_esr
         self.c_red = c_red
         self.r_red = r_red
         self.c_dec = c_dec
         self.leak = leak
-        if scalar:
-            has_red = c_red > 0 and math.isfinite(r_red)
-            cd_pos = c_dec > 0
-        else:
-            has_red = (c_red > 0) & np.isfinite(r_red)
-            cd_pos = c_dec > 0
+        has_red = (c_red > 0) & np.isfinite(r_red)
+        cd_pos = c_dec > 0
         self.has_red = has_red
         self.cd_pos = cd_pos
         rr = np.where(has_red, r_red, 1.0)
@@ -325,149 +185,54 @@ class Bank:
             -(1.0 / (r_esr * c_main) - 1.0 / (rr * cr)) * tau_r / g,
             0.0)
         self.deq_leak = np.where(has_red, -(leak / c_main) * tau_r, 0.0)
-        if scalar:
-            # collapse 0-d numpy scalars back to floats for the scalar path
-            for name in ("rr_safe", "cr_safe", "g", "c_s", "c_tot", "tau",
-                         "tau_safe", "inv_tau_r", "tau_r_safe", "kappa",
-                         "deq_coef", "deq_leak"):
-                setattr(self, name, float(getattr(self, name)))
 
     # -- current models -----------------------------------------------------
 
     def load_current(self, v, p_out, drawing):
-        """``(i_in, di_dv)``: output-booster draw at terminal voltage ``v``.
+        """Output-booster draw at terminal voltage ``v``.
 
-        Mirrors ``OutputBooster.input_current`` with the analytic slope
-        alongside (zero wherever a clamp is active), broadcast over
-        arrays. ``drawing`` gates the draw (monitor-enabled and loaded).
+        Mirrors ``OutputBooster.input_current``, broadcast over arrays.
+        ``drawing`` gates the draw (monitor-enabled and loaded).
         """
         v_in = np.maximum(v, self.min_vin)
-        eta, deta = self.eta_out.eval(v_in)
+        eta = self.eta_out.eval(v_in)
         if np.ndim(p_out) > 0 or p_out > 0.0:
             if self.derating > 0.0:
                 derated = eta - self.derating * p_out
-                floored = derated < DERATING_FLOOR
                 apply = p_out > 0.0
                 eta = np.where(apply, np.maximum(derated, DERATING_FLOOR),
                                eta)
-                deta = np.where(apply & floored, 0.0, deta)
-        i_raw = p_out / eta / v_in
-        dvin = np.where(v > self.min_vin, 1.0, 0.0)
-        di_raw = -i_raw * (deta / eta + 1.0 / v_in) * dvin
-        i_in = np.where(drawing, i_raw, 0.0)
-        di = np.where(drawing, di_raw, 0.0)
-        return i_in, di
+        return np.where(drawing, p_out / eta / v_in, 0.0)
 
     def charge_current(self, v, p_h, allow):
-        """``(i_chg, di_dv)``: input-booster charge at terminal voltage ``v``.
+        """Input-booster charge at terminal voltage ``v``.
 
-        ``allow`` is the *regime* gate (harvesting on and the span is in
+        ``allow`` is the *regime* gate (harvesting on and the lane is in
         the charging regime); the ``v >= v_max_in`` cutoff is NOT applied
-        here — crossing V_max is an event, handled by the drivers, so the
-        currents stay smooth within a span.
+        here — crossing V_max is an event, handled by the driver, so the
+        currents stay smooth within an interval.
         """
         v_clamp = np.maximum(v, V_CLAMP)
-        eta, deta = self.eta_in.eval(v_clamp)
-        i_raw = p_h * eta / v_clamp
-        dvc = np.where(v > V_CLAMP, 1.0, 0.0)
-        di_raw = (p_h * deta / v_clamp - i_raw / v_clamp) * dvc
-        gate = allow & (p_h > 0.0)
-        return np.where(gate, i_raw, 0.0), np.where(gate, di_raw, 0.0)
-
-    def harvest_power_at(self, t):
-        """Harvested power at absolute time ``t`` (scalar or array)."""
-        if self.harvest_mode == HARVEST_NONE:
-            return np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
-        if self.harvest_mode == HARVEST_CONST:
-            if isinstance(t, np.ndarray):
-                return self.harvest_power + np.zeros_like(t)
-            return self.harvest_power
-        if self.harvest_mode == HARVEST_SOLAR:
-            return self.harvest_power * np.maximum(
-                0.0, np.sin(self.harvest_omega * t + self.harvest_phase))
-        if self.harvest_mode == HARVEST_TRACE:
-            # Piece lookup (scalar-path 1-D powers): clamp-before-start,
-            # hold-last-after-end — TraceHarvester.power_at, vectorized.
-            idx = np.searchsorted(self.harvest_edges, t, side="right") - 1
-            idx = np.clip(idx, 0, len(self.harvest_powers) - 1)
-            if isinstance(t, np.ndarray):
-                return self.harvest_powers[idx]
-            return float(self.harvest_powers[int(idx)])
-        # HARVEST_CALLABLE — scalar path only, pointwise
-        if isinstance(t, np.ndarray):
-            return np.array([self.power_at(float(x)) for x in t])
-        return self.power_at(t)
-
-    def next_harvest_edge(self, t: float) -> float:
-        """First harvest-trace edge strictly after ``t`` (scalar path).
-
-        ``inf`` for non-trace modes and past the end of the recording —
-        the span-clipping horizon in the scalar driver feeds on this.
-        """
-        if self.harvest_mode != HARVEST_TRACE:
-            return math.inf
-        edges = self.harvest_edges
-        idx = int(np.searchsorted(edges, t, side="right"))
-        if idx >= len(edges):
-            return math.inf
-        return float(edges[idx])
+        i_raw = p_h * self.eta_in.eval(v_clamp) / v_clamp
+        return np.where(allow & (p_h > 0.0), i_raw, 0.0)
 
     # -- state conversions --------------------------------------------------
 
     def to_modes(self, v_main, v_red):
         """(v_main, v_redist) -> (vbar, d) mode coordinates."""
-        if self.is_ideal:
-            return v_main, np.zeros_like(v_main) if isinstance(
-                v_main, np.ndarray) else 0.0
         vbar = (self.c_main * v_main
                 + np.where(self.has_red, self.c_red * v_red, 0.0)) / self.c_s
         d = np.where(self.has_red, v_main - v_red, 0.0)
-        if not isinstance(v_main, np.ndarray):
-            return float(vbar), float(d)
         return vbar, d
 
     def from_modes(self, vbar, d):
         """(vbar, d) -> (v_main, v_redist), clamped at zero like stepping."""
-        if self.is_ideal:
-            return vbar, vbar
         v_main = vbar + np.where(self.has_red, self.c_red / self.c_s, 0.0) * d
         v_red = np.where(self.has_red,
                          vbar - (self.c_main / self.c_s) * d, vbar)
         v_main = np.maximum(v_main, 0.0)
         v_red = np.maximum(v_red, 0.0)
-        if not isinstance(vbar, np.ndarray):
-            return float(v_main), float(v_red)
         return v_main, v_red
-
-    # -- cache key ----------------------------------------------------------
-
-    def config_key(self) -> tuple:
-        """Hashable scalar-path key for the program cache (scalar only)."""
-        eo = self.eta_out
-        ei = self.eta_in
-        if self.is_ideal:
-            bank = ("ideal", self.cap, self.esr, self.leak)
-        else:
-            bank = ("2b", self.c_main, self.r_esr, self.c_red, self.r_red,
-                    self.c_dec, self.leak)
-        if self.harvest_mode == HARVEST_TRACE:
-            # Content-addressed: programs compiled against one recorded
-            # environment are reusable by any process replaying it.
-            harv_tail: object = self.harvest_fp
-        elif self.power_at is not None:
-            harv_tail = id(self.power_at)
-        else:
-            harv_tail = 0
-        harv = (self.harvest_mode, self.harvest_power, self.harvest_omega,
-                self.harvest_phase, harv_tail)
-        return (bank,
-                (self.v_out, self.min_vin, self.derating,
-                 eo.kind, eo.p0, eo.p1, eo.p2, eo.v_ref, eo.floor,
-                 eo.ceiling),
-                (self.v_max_in, ei.kind, ei.p0, ei.p1, ei.p2, ei.v_ref,
-                 ei.floor, ei.ceiling),
-                (self.v_off, self.v_high),
-                harv)
 
 
 def bound_current(bank: Bank, i_out: float) -> float:
@@ -477,16 +242,15 @@ def bound_current(bank: Bank, i_out: float) -> float:
     is the worst-case booster draw at the brown-out rail (lowest useful
     operating voltage → highest draw) plus the worst-case harvest charge
     at the same rail — conservative for any reachable trajectory the
-    tolerances care about. Evaluated on the scalar base plant; fleet
-    jitter perturbs it by a few percent against orders of magnitude of
-    headroom in the per-interval voltage budget.
+    tolerances care about. Evaluated at the batch's worst case (highest
+    draw and harvest charge over its lanes), so one bound covers every
+    lane.
     """
     v_ref = max(float(np.min(np.asarray(bank.v_off))), 2.0 * V_CLAMP)
     i_load = 0.0
     if i_out > 0.0:
         p_out = i_out * float(np.max(np.asarray(bank.v_out)))
-        eta, _ = bank.eta_out.eval(v_ref)
-        eta = float(np.min(np.asarray(eta)))
+        eta = float(np.min(np.asarray(bank.eta_out.eval(v_ref))))
         if bank.derating > 0.0:
             eta = max(DERATING_FLOOR, eta - bank.derating * p_out)
         i_load = p_out / eta / max(v_ref, bank.min_vin)
@@ -495,9 +259,7 @@ def bound_current(bank: Bank, i_out: float) -> float:
         p_h = float(np.max(np.asarray(bank.harvest_power)))
     elif bank.harvest_mode == HARVEST_TRACE:
         p_h = float(np.max(bank.harvest_powers))
-    elif bank.harvest_mode == HARVEST_CALLABLE:
-        p_h = float(bank.power_at(0.0))
-    eta_in, _ = bank.eta_in.eval(v_ref)
+    eta_in = bank.eta_in.eval(v_ref)
     i_chg = p_h * float(np.max(np.asarray(eta_in))) / v_ref
     return i_load + i_chg
 
@@ -505,12 +267,10 @@ def bound_current(bank: Bank, i_out: float) -> float:
 __all__ = [
     "Bank",
     "DERATING_FLOOR",
-    "HARVEST_CALLABLE",
     "HARVEST_CONST",
     "HARVEST_NONE",
     "HARVEST_SOLAR",
     "HARVEST_TRACE",
     "V_CLAMP",
     "bound_current",
-    "supported",
 ]

@@ -5,38 +5,31 @@ the ``(current, duration)`` runs of a trace, subdivided into intervals
 short enough that (a) the per-interval linearization of the booster
 currents stays inside the documented tolerances and (b) a time-varying
 harvest profile is re-sampled often enough to track its breakpoints.
-The program is a flat SoA — one float64 array per column — so both the
-scalar event loop and the fleet vector path consume it without touching
-Python objects in their hot loops.
+The program is a flat SoA — one float64 array per column — so the fleet
+vector path consumes it without touching Python objects in its hot loop.
 
 Programs are immutable and cached: compiling a 10k-segment benchmark
 trace costs ~1 ms, advancing it ~3 ms, so re-deriving the program every
-run would dominate. The cache is a small LRU keyed on (bank
-configuration, trace fingerprint, compile options); hits and misses are
-exported as ``segalg.program_cache.{hits,misses}`` counters at batch
-granularity (one cache lookup per advance call, not per interval).
+run would dominate. The cache is a small LRU keyed on (plant digest,
+trace fingerprint); hits and misses are exported as
+``segalg.program_cache.{hits,misses}`` counters at batch granularity
+(one cache lookup per advance call, not per interval).
 
 The *canonical* program of a trace — the 1:1 interval mapping, no bank,
-no subdivision — provides a backend- and plant-independent fingerprint
-used by :class:`~repro.core.vsafe_cache.VsafeCache` key derivation.
+no subdivision — provides a plant-independent fingerprint used by
+:class:`~repro.core.vsafe_cache.VsafeCache` key derivation.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from collections import OrderedDict
 from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.obs import current as _obs_current
-from repro.segalg.model import (
-    HARVEST_CALLABLE,
-    HARVEST_SOLAR,
-    Bank,
-    bound_current,
-)
+from repro.segalg.model import HARVEST_SOLAR, Bank, bound_current
 
 #: Per-interval voltage budget (V): an interval may not move the ledger
 #: by more than this at the bounding current. 10 mV keeps the midpoint
@@ -46,8 +39,8 @@ DV_BUDGET = 0.02
 
 #: Longest interval (s) when the harvest profile is time-varying — the
 #: profile is sampled once per interval (at its midpoint), so this is
-#: the profile-breakpoint resolution. For opaque callables this is the
-#: only bound; harmonic (solar) profiles relax it by phase instead.
+#: the profile-breakpoint resolution. Harmonic (solar) profiles relax it
+#: by phase (:data:`TV_PHASE_BUDGET`).
 TV_MAX_INTERVAL = 0.05
 
 #: Max harvest phase advance (radians) per interval for harmonic solar
@@ -101,9 +94,8 @@ class SegmentProgram:
     def fingerprint(self) -> str:
         """Content hash of the interval arrays.
 
-        Depends only on the compiled intervals — not on which backend
-        will run them, not on plant state — so it is stable across
-        ``REPRO_SEGALG_BACKEND`` settings and across processes.
+        Depends only on the compiled intervals — not on plant state —
+        so it is stable across processes.
         """
         cached = self._fingerprint
         if cached is None:
@@ -126,8 +118,9 @@ def compile_segments(segments: Iterable[Tuple[float, float]],
     algebra has no step to skip them with, so they must not produce
     intervals). With a ``bank``, each segment is subdivided so the
     ledger moves at most ``dv_budget`` volts per interval at the
-    bounding current, and — when the harvest profile is time-varying —
-    so no interval exceeds :data:`TV_MAX_INTERVAL`. Without a bank the
+    bounding current, and — under a solar harvest — so no interval is
+    longer than the larger of :data:`TV_MAX_INTERVAL` and
+    :data:`TV_PHASE_BUDGET` radians of harvest phase. Without a bank the
     mapping is 1:1 (the *canonical* program).
     """
     currents = []
@@ -154,12 +147,11 @@ def compile_segments(segments: Iterable[Tuple[float, float]],
     with np.errstate(divide="ignore"):
         n_sub = np.ceil(d_arr * i_bound / budget_q)
     n_sub = np.where(np.isfinite(n_sub), n_sub, MAX_SUB)
-    if bank.harvest_mode in (HARVEST_SOLAR, HARVEST_CALLABLE):
+    if bank.harvest_mode == HARVEST_SOLAR:
         tv_max = TV_MAX_INTERVAL
-        if bank.harvest_mode == HARVEST_SOLAR:
-            omega = float(np.max(np.asarray(bank.harvest_omega)))
-            if omega > 0.0:
-                tv_max = max(tv_max, TV_PHASE_BUDGET / omega)
+        omega = float(np.max(np.asarray(bank.harvest_omega)))
+        if omega > 0.0:
+            tv_max = max(tv_max, TV_PHASE_BUDGET / omega)
         n_sub = np.maximum(n_sub, np.ceil(d_arr / tv_max))
     counts = np.clip(n_sub, 1, MAX_SUB).astype(np.intp)
     i_flat = np.repeat(i_arr, counts)
@@ -204,24 +196,6 @@ def cached_program(key: tuple,
     return program
 
 
-def program_for(bank: Bank, segments,
-                extra_key: tuple = ()) -> SegmentProgram:
-    """The compiled program for ``segments`` under ``bank``, via the cache.
-
-    Only scalar banks (float parameters) are cacheable directly — their
-    :meth:`~repro.segalg.model.Bank.config_key` is hashable. Vector
-    consumers derive their own key (see :mod:`repro.segalg.vector`).
-    """
-    token = segments_cache_token(segments)
-    key = ("scalar", bank.config_key(), token[:2], extra_key)
-    if token[0] == "trace":
-        runs = lambda: segments.segments()  # noqa: E731
-    else:
-        captured = token[2]  # the token iteration already consumed them
-        runs = lambda: captured  # noqa: E731
-    return cached_program(key, lambda: compile_segments(runs(), bank))
-
-
 def cache_clear() -> None:
     """Drop all cached programs (test hook)."""
     _cache.clear()
@@ -233,9 +207,9 @@ def canonical_fingerprint(trace) -> str:
 
     The fingerprint of the trace's canonical (unsubdivided) program.
     This is the token estimator caches key on: it identifies *what the
-    core will be asked to advance* independent of backend, plant
-    parameters, or compile budgets, so cache entries survive backend
-    switches and re-tuned subdivision constants.
+    core will be asked to advance* independent of plant parameters or
+    compile budgets, so cache entries survive re-tuned subdivision
+    constants.
     """
     trace_fp = trace.fingerprint()
     cached = _canonical_cache.get(trace_fp)
@@ -257,6 +231,5 @@ __all__ = [
     "cached_program",
     "canonical_fingerprint",
     "compile_segments",
-    "program_for",
     "segments_cache_token",
 ]

@@ -1,31 +1,21 @@
 """Fleet path: one segment program advanced across a whole device batch.
 
-The scalar event loop (:mod:`repro.segalg.scalar`) walks a program one
-device at a time: it solves multi-interval spans in a few fixed-point
-passes and bisects exact event times on the resulting curves. A fleet
-cannot span like that — every device flips its monitor, hits the rail,
-and browns out at a different point — so this path keeps the batch in
-*lockstep over intervals* instead: each compiled interval advances all
-devices at once through :func:`~repro.segalg.core.interval_step`, and
-regime boundaries (monitor hysteresis, the V_max charge cutoff,
-brown-out) are handled by splitting the interval at the earliest
-crossing per device. The split stays fully vectorized — it just masks
-per-device remainders — and since crossings are rare, the common case
-is one solve per interval.
+Every device flips its monitor, hits the rail, and browns out at a
+different point, so the batch advances in *lockstep over intervals*:
+each compiled interval advances all devices at once through
+:func:`~repro.segalg.core.interval_step`, and regime boundaries
+(monitor hysteresis, the V_max charge cutoff, brown-out) are handled by
+splitting the interval at the earliest crossing per device. The split
+stays fully vectorized — it just masks per-device remainders — and
+since crossings are rare, the common case is one solve per interval.
+A single device is a batch of one.
 
-Agreement contract: the per-interval fixed point here is the same one
-:func:`~repro.segalg.core.span_solve` converges to, and crossings
-bisect the same analytic curve with the same bisection, so the fleet
-path tracks the scalar segalg path to ~1e-6 V — far tighter than
-either tracks the stepping engines (method tolerance, see DESIGN §12).
-Against the *stepping* fleet kernel the differences are exactly the
-scalar-vs-fastpath method differences: continuous-trajectory ``v_min``,
-midpoint harvest sampling, average-voltage energy accounting.
-
-This module is numpy-only regardless of ``REPRO_SEGALG_BACKEND`` — the
-batch dimension already saturates the vector units, so a jit adds
-nothing — which is what makes fleet reports byte-identical across
-backend settings (the CI backend matrix asserts this with ``cmp``).
+Agreement contract: against the stepping engines the differences are
+method differences, bounded by the tolerances in DESIGN §12 —
+continuous-trajectory ``v_min``, midpoint harvest sampling,
+average-voltage energy accounting. A lane of a jittered fleet and the
+same device advanced alone differ only by program partition: the fleet
+compiles one program with fleet-wide conservative subdivision bounds.
 """
 
 from __future__ import annotations
@@ -71,8 +61,7 @@ def _plant_key(state, harvesting: bool) -> tuple:
     Everything compilation can depend on — per-device physics, harvest
     profile, booster curves — is either in these arrays or on the spec
     scalars below. Hashing ~9 float64 columns is microseconds even for
-    10k devices, and the digest makes the key hashable where the bank's
-    array-valued ``config_key`` cannot be.
+    10k devices, and the digest makes the array-valued plant hashable.
     """
     params = state.params
     spec = params.spec
@@ -97,9 +86,9 @@ def _curve_at(bank: Bank, out: dict, vt0: np.ndarray, t: np.ndarray,
               t_pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(v_t, avg v_t)`` on the solved interval curve at times ``t``.
 
-    The same closed form the scalar path commits partial intervals
-    along: ``v(t) = vs_c0 + slope*t + T*exp(-t/tau)``. Lanes with
-    ``t == 0`` pass ``vt0`` through unchanged.
+    Partial intervals commit along the closed form
+    ``v(t) = vs_c0 + slope*t + T*exp(-t/tau)``. Lanes with ``t == 0``
+    pass ``vt0`` through unchanged.
     """
     slope = out["slope"]
     vs_c0 = out["vs_c0"]
@@ -114,8 +103,6 @@ def _curve_at(bank: Bank, out: dict, vt0: np.ndarray, t: np.ndarray,
 def _ledger_at(bank: Bank, out: dict, vbar0, d0, vt0, vt_c, t):
     """Mode coordinates ``(vbar, d)`` at time ``t`` within the interval."""
     i_ext = out["i_ext"]
-    if bank.is_ideal:
-        return vt_c + i_ext * bank.esr, np.zeros_like(np.asarray(vt_c))
     i_led = i_ext + bank.leak
     vbar_c = vbar0 - (i_led * t + bank.c_dec * (vt_c - vt0)) / bank.c_s
     d_eq = bank.deq_coef * i_ext + bank.deq_leak
@@ -163,8 +150,7 @@ def advance_fleet(state, segments: Iterable[Tuple[float, float]],
 
     bank = Bank.from_fleet_state(state, harvesting)
     # A CurrentTrace contributes its fingerprint without being iterated;
-    # plain run iterables are consumed into the token itself (mirrors
-    # program_for, which serves the scalar paths).
+    # plain run iterables are consumed into the token itself.
     token = segments_cache_token(segments)
     key = (_plant_key(state, harvesting), token[:2])
     if token[0] == "trace":
@@ -224,9 +210,8 @@ def advance_fleet(state, segments: Iterable[Tuple[float, float]],
                 # Trace mode replays the interval piece by piece: each
                 # chunk stops at the earliest next trace edge across the
                 # batch lanes' own clocks, so the per-chunk harvest power
-                # is *exactly* constant — no midpoint sampling error, the
-                # same contract the scalar driver gets from span
-                # clipping. Other modes run the interval as one chunk.
+                # is *exactly* constant — no midpoint sampling error.
+                # Other modes run the interval as one chunk.
                 if mode == HARVEST_TRACE:
                     chunk_cap = h_pieces + 4
                 else:
@@ -258,7 +243,7 @@ def advance_fleet(state, segments: Iterable[Tuple[float, float]],
                         p_h = h_powers[h_rows, idx]
                         to_edge = np.where(to_edge <= 0.0, np.inf, to_edge)
                         rem = np.minimum(int_rem, to_edge)
-                    else:  # HARVEST_SOLAR (callables never reach the fleet)
+                    else:  # HARVEST_SOLAR
                         p_h = bank.harvest_power * np.maximum(
                             0.0, np.sin(bank.harvest_omega
                                         * (time + 0.5 * dur_k)
@@ -273,8 +258,7 @@ def advance_fleet(state, segments: Iterable[Tuple[float, float]],
                         # the rail (the rail-hit commit below snaps them
                         # there) hold at the rail for their remainder when
                         # the harvester can supply the draw plus the branch
-                        # inrush — the vector analogue of the scalar pin
-                        # block. pin_required is monotone non-increasing
+                        # inrush. pin_required is monotone non-increasing
                         # within a constant-current interval, so a feasible
                         # pin at the cut stays feasible to the interval end.
                         at_rail = live & (vt == v_max_in)
@@ -284,7 +268,7 @@ def advance_fleet(state, segments: Iterable[Tuple[float, float]],
                             # there has its monitor on (inclusive hysteresis)
                             enabled = enabled | at_rail
                             drawing = at_rail & (i_out_k > 0.0)
-                            i_in_pin, _unused = bank.load_current(
+                            i_in_pin = bank.load_current(
                                 vt, i_out_k * bank.v_out, drawing)
                             avail = pin_available(bank, v_max_in, p_h)
                             v_main_c, v_red_c = bank.from_modes(vbar, d)
@@ -293,8 +277,7 @@ def advance_fleet(state, segments: Iterable[Tuple[float, float]],
                             pinned = at_rail & (req <= avail)
                             # a lane at the rail whose pin is rejected falls
                             # off it immediately — the charger stays on for
-                            # its interval (the scalar pin block's
-                            # charging-span fall-through)
+                            # its interval
                             unpinned = at_rail & ~pinned
                             if pinned.any():
                                 hold = np.where(pinned, rem, 0.0)
@@ -322,12 +305,12 @@ def advance_fleet(state, segments: Iterable[Tuple[float, float]],
                         lo, hi = interval_extrema(
                             vt, out["vt1"], out["vs_c0"], out["slope"],
                             out["T"], tau_safe, cd_pos, rem_safe)
-                        # hover backstop (the scalar stall path in closed
-                        # form): a pin-rejected lane whose free solve still
-                        # rises off the rail has no event left to cap it —
-                        # the true trajectory hovers a hair below V_max
-                        # while the branches absorb the surplus, so its
-                        # remainder commits as a pinned hold at the rail.
+                        # hover backstop: a pin-rejected lane whose free
+                        # solve still rises off the rail has no event left
+                        # to cap it — the true trajectory hovers a hair
+                        # below V_max while the branches absorb the
+                        # surplus, so its remainder commits as a pinned
+                        # hold at the rail.
                         # A falling solve leaves hi == V_max exactly (the
                         # start point is the max) and departs normally.
                         hover = unpinned & live & (hi > v_max_in)
@@ -348,8 +331,7 @@ def advance_fleet(state, segments: Iterable[Tuple[float, float]],
                             live = rem > 0.0
                             if not live.any():
                                 break
-                        # regime boundaries inside the interval (same flag
-                        # strictness as the scalar event scan: upward
+                        # regime boundaries inside the interval (upward
                         # monitor-on inclusive, everything else strict)
                         if split < MAX_SPLITS - 1:
                             hit_off = live & enabled & (lo < v_off)

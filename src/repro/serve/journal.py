@@ -21,7 +21,11 @@ Recovery invariants (what the kill-at-every-byte-offset test pins down):
   hides the verifiable records around it;
 * a file whose first valid record is not this journal's header is
   **rejected whole** — a foreign or pre-journal file contributes
-  nothing rather than something surprising.
+  nothing rather than something surprising;
+* a **repeated header** — racing openers of an empty journal each write
+  one — is skipped, not counted: it is not damage, and an opener that
+  finds damage compacts the file, cutting off the appends of every
+  other writer that still holds it open.
 
 Dropping records is always safe here because the journal persists pure,
 content-keyed cache entries: a lost record costs a recompute, a wrong
@@ -145,6 +149,8 @@ def read_journal(path: os.PathLike) -> Recovery:
             if obj != header_record():
                 return Recovery(status="rejected:bad-format")
             saw_header = True
+            continue
+        if obj == header_record():
             continue
         digest = obj.get("k")
         entry = obj.get("e")

@@ -32,22 +32,12 @@ from repro.power.reconfig import (
     split_at_offsets,
 )
 from repro.power.system import PowerSystem
-from repro.segalg import (
-    advance_segments as _segalg_advance,
-    supported as _segalg_supported,
-)
 from repro.sim.fastpath import advance_segments, supported as _fast_supported
 
 #: Process-wide default for ``PowerSystemSimulator(fast=...)``. The fast
 #: kernel is bit-exact with the reference loop, so it is on by default;
 #: benchmarks and equivalence tests flip it off via :func:`set_default_fast`.
 DEFAULT_FAST = True
-
-#: Process-wide default for ``PowerSystemSimulator(segalg=...)``. The
-#: segment-algebra core is a *different integrator* — it agrees with the
-#: stepping kernels only to method tolerances (~1e-4 V, see DESIGN §12)
-#: rather than bit-exactly — so it is opt-in, never silently on.
-DEFAULT_SEGALG = False
 
 
 def set_default_fast(value: bool) -> bool:
@@ -56,15 +46,6 @@ def set_default_fast(value: bool) -> bool:
     global DEFAULT_FAST
     old = DEFAULT_FAST
     DEFAULT_FAST = bool(value)
-    return old
-
-
-def set_default_segalg(value: bool) -> bool:
-    """Set the process-wide default for the segment-algebra core; returns
-    the old value (so callers can restore it)."""
-    global DEFAULT_SEGALG
-    old = DEFAULT_SEGALG
-    DEFAULT_SEGALG = bool(value)
     return old
 
 
@@ -130,13 +111,11 @@ class PowerSystemSimulator:
 
     def __init__(self, system: PowerSystem,
                  observers: Optional[List[EngineObserver]] = None,
-                 fast: Optional[bool] = None,
-                 segalg: Optional[bool] = None) -> None:
+                 fast: Optional[bool] = None) -> None:
         self.system = system
         self.observers: List[EngineObserver] = list(observers or [])
         self.time = 0.0
         self.fast = DEFAULT_FAST if fast is None else bool(fast)
-        self.segalg = DEFAULT_SEGALG if segalg is None else bool(segalg)
         self._v_min_seen = system.buffer.terminal_voltage
         self._energy_out = 0.0
         # Cached observer schedule: per-observer next due time plus their
@@ -250,13 +229,6 @@ class PowerSystemSimulator:
         return (self.fast and not self.observers
                 and _fast_supported(self.system))
 
-    def _use_segalg(self) -> bool:
-        """Whether the event-driven segment-algebra core should run in
-        place of any stepping loop: opted in, stock component types.
-        Unlike the fastpath, observers do not disqualify — their
-        due-times become events the algebra advances to exactly."""
-        return self.segalg and _segalg_supported(self.system)
-
     def _advance(self, i_out: float, duration: float, harvesting: bool,
                  stop_below: Optional[float]) -> Optional[float]:
         """Advance ``duration`` seconds at constant load current ``i_out``.
@@ -267,9 +239,6 @@ class PowerSystemSimulator:
         to it. The buffer sees the booster's input current minus any
         harvester charge current.
         """
-        if self._use_segalg():
-            return _segalg_advance(self, ((i_out, duration),), harvesting,
-                                   stop_below)
         if self._use_fast():
             return advance_segments(self, ((i_out, duration),), harvesting,
                                     stop_below)
@@ -341,8 +310,6 @@ class PowerSystemSimulator:
         bit-exact with a whole-trace call."""
         if not segments:
             return None
-        if self._use_segalg():
-            return _segalg_advance(self, segments, harvesting, stop_below)
         if self._use_fast():
             return advance_segments(self, segments, harvesting, stop_below)
         for current, seg_duration in segments:
@@ -478,13 +445,6 @@ class PowerSystemSimulator:
         if reconfig_plan is not None and len(reconfig_plan) > 0:
             hit = self._advance_plan(trace, reconfig_plan, harvesting,
                                      stop_level)
-            if hit is not None:
-                browned_out = True
-                brown_time = hit
-        elif self._use_segalg():
-            # Whole-trace algebra call: the trace object itself is passed
-            # so its fingerprint can key the segment-program cache.
-            hit = _segalg_advance(self, trace, harvesting, stop_level)
             if hit is not None:
                 browned_out = True
                 brown_time = hit

@@ -1,13 +1,14 @@
-"""Four-way differential on reconfiguration traces.
+"""Differential chain on reconfiguration traces.
 
 The bank axis' equivalence contract: a plan-bearing trace produces the
-same trajectory in all four engines —
+same trajectory in every engine —
 
 * reference stepping loop ≡ scalar fastpath **bit-exact** (the scalar
   contract, unchanged by mid-trace reconfiguration);
-* scalar segalg within the documented method tolerance;
 * fleet stepping kernel vs scalar fastpath within ``V_TOL``/``T_TOL``;
-* fleet segalg vs scalar segalg within the vector-path tolerance.
+* fleet segalg vs the reference within the documented method tolerance;
+* each jittered fleet-segalg lane vs the same device run alone within
+  the partition tolerance.
 
 Every scalar engine applies the one shared transform
 (:func:`repro.power.reconfig.apply_reconfiguration`); the fleet driver
@@ -25,10 +26,11 @@ from repro.loads.trace import CurrentTrace
 from repro.power.reconfig import ReconfigPlan
 from repro.sim.engine import PowerSystemSimulator
 
-#: Scalar segalg vs stepping reference — the segment-algebra method
-#: tolerance (same bound the env four-way suite uses).
+#: Fleet segalg vs stepping reference — the segment-algebra method
+#: tolerance (same bound the env differential suite uses).
 V_METHOD_TOL = 5e-3
-#: Fleet segalg vs scalar segalg — same algebra, vectorized arithmetic.
+#: A fleet-segalg lane vs the same device run alone — same algebra, but
+#: the fleet compiles one program for every lane.
 V_PATH_TOL = 1e-3
 
 BANK = FleetBankSpec(
@@ -55,12 +57,10 @@ def _spec(seed: int, **overrides) -> FleetSpec:
 
 
 def _scalar_runs(params, i, trace, plan):
-    """Device ``i`` through the three scalar engines."""
+    """Device ``i`` through the reference loop and the fastpath."""
     results = {}
-    for name, kwargs in (("reference", dict(fast=False, segalg=False)),
-                         ("fastpath", dict(fast=True, segalg=False)),
-                         ("segalg", dict(segalg=True))):
-        sim = PowerSystemSimulator(params.device_system(i), **kwargs)
+    for name, fast in (("reference", False), ("fastpath", True)):
+        sim = PowerSystemSimulator(params.device_system(i), fast=fast)
         results[name] = sim.run_trace(trace, reconfig_plan=plan)
     return results
 
@@ -85,16 +85,18 @@ class TestFourWayDifferential:
 
         for i in range(params.n):
             runs = _scalar_runs(params, i, trace, PLAN)
-            ref, fast, alg = (runs["reference"], runs["fastpath"],
-                              runs["segalg"])
+            ref, fast = runs["reference"], runs["fastpath"]
             # Leg 1: reference ≡ fastpath, bit-exact.
             assert fast.v_final == ref.v_final
             assert fast.v_min == ref.v_min
             assert fast.browned_out == ref.browned_out
-            # Leg 2: scalar segalg within the method tolerance.
-            assert alg.v_final == pytest.approx(ref.v_final,
-                                                abs=V_METHOD_TOL)
-            assert alg.v_min == pytest.approx(ref.v_min, abs=V_METHOD_TOL)
+            # Leg 2: fleet segalg within the method tolerance.
+            assert float(alg_state.v_term[i]) == pytest.approx(
+                ref.v_final, abs=V_METHOD_TOL)
+            assert float(alg_state.v_min[i]) == pytest.approx(
+                ref.v_min, abs=V_METHOD_TOL)
+            assert (np.isnan(float(alg_brown[i]))
+                    == (not ref.browned_out))
             # Leg 3: fleet stepping vs scalar fastpath.
             assert float(step_state.v_term[i]) == pytest.approx(
                 fast.v_final, abs=V_TOL)
@@ -105,11 +107,14 @@ class TestFourWayDifferential:
                     fast.brown_out_time, abs=T_TOL)
             else:
                 assert np.isnan(float(step_brown[i]))
-            # Leg 4: fleet segalg vs scalar segalg.
+            # Leg 4: fleet segalg lane vs the same device run alone.
+            alone, alone_brown = advance_fleet_plan(
+                FleetState(params.slice(i, i + 1)), trace, PLAN, True,
+                spec.v_off, engine="segalg")
             assert float(alg_state.v_term[i]) == pytest.approx(
-                alg.v_final, abs=V_PATH_TOL)
+                float(alone.v_term[0]), abs=V_PATH_TOL)
             assert (np.isnan(float(alg_brown[i]))
-                    == (not alg.browned_out))
+                    == np.isnan(float(alone_brown[0])))
 
     def test_fleet_stepping_is_bitwise_on_this_corpus(self):
         """Stronger than V_TOL: on the equivalence corpus the stepping
@@ -121,8 +126,7 @@ class TestFourWayDifferential:
         state, _ = advance_fleet_plan(FleetState(params), trace, PLAN,
                                       True, spec.v_off, engine="stepping")
         for i in range(params.n):
-            fast = PowerSystemSimulator(params.device_system(i), fast=True,
-                                        segalg=False)
+            fast = PowerSystemSimulator(params.device_system(i), fast=True)
             result = fast.run_trace(trace, reconfig_plan=PLAN)
             assert float(state.v_term[i]) == result.v_final
             assert float(state.v_min[i]) == result.v_min
@@ -166,7 +170,7 @@ class TestEventSemantics:
         for i in range(params.n):
             system = params.device_system(i)
             self._park_small_low(system)
-            sim = PowerSystemSimulator(system, fast=True, segalg=False)
+            sim = PowerSystemSimulator(system, fast=True)
             result = sim.run_trace(trace, reconfig_plan=plan)
             assert result.browned_out
             # The brown-out lands at the event time, not at a step after.

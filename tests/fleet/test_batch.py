@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.fleet.batch import (
-    BATCH_ENGINES,
     BatchPlant,
     BatchQuery,
     BatchShared,
@@ -122,21 +121,6 @@ class TestSpecMirror:
         assert not bool(state.enabled[0])
 
 
-class TestSegalgEngine:
-    def test_method_tolerance_not_byte_identity(self):
-        # The segalg path is offered for throughput experiments with the
-        # documented method tolerance; serving never dispatches it.
-        queries = _queries()[:3]
-        stepping = advance_batch(queries, MIXED_SEGMENTS,
-                                 harvesting=True)
-        segalg = advance_batch(queries, MIXED_SEGMENTS, harvesting=True,
-                               engine="segalg")
-        for i in range(len(queries)):
-            a, b = stepping.lane(i), segalg.lane(i)
-            assert b["v_end"] == pytest.approx(a["v_end"], abs=5e-3)
-            assert (a["brownout"] is None) == (b["brownout"] is None)
-
-
 class TestValidation:
     def test_plant_and_query_bounds(self):
         with pytest.raises(ValueError):
@@ -148,11 +132,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             BatchQuery(plant=BatchPlant(), v_start=-0.1)
 
-    def test_empty_batch_and_unknown_engine(self):
+    def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             build_batch([])
-        with pytest.raises(ValueError):
-            advance_batch(_queries(), MIXED_SEGMENTS, engine="quantum")
 
     def test_overcommitted_capacitance_is_caught(self):
         plant = BatchPlant(datasheet_capacitance=50e-6,
@@ -191,6 +173,3 @@ class TestSharedKey:
             shared_key(changed["shared"], changed["segments"],
                        changed["harvesting"], changed["stop_below"],
                        changed["env"])
-
-    def test_engines_listed(self):
-        assert BATCH_ENGINES == ("stepping", "segalg")

@@ -178,7 +178,7 @@ class TestBankFleet:
         assert stepping.counts == segalg.counts
 
     def test_cross_check_reads_per_configuration_gates(self):
-        # Regression: the scalar mirror used to look gates up by bare
+        # Regression: the differential mirror used to look gates up by bare
         # task name and KeyError'd on bank fleets, whose shared table is
         # keyed "<config_tag>/<task>" per device configuration.
         from repro.fleet.differential import cross_check, sample_indices

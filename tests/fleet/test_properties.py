@@ -6,18 +6,33 @@ import json
 import numpy as np
 import pytest
 
+from repro.env import EnvSpec
 from repro.fleet.differential import (
     E_TOL,
     cross_check,
     sample_indices,
 )
 from repro.fleet.kernel import T_TOL, V_TOL, FleetState, advance
-from repro.fleet.runner import run_fleet, run_fleet_raw, summarize
+from repro.fleet.runner import (
+    FLEET_ENGINES,
+    run_fleet,
+    run_fleet_raw,
+    summarize,
+)
 from repro.fleet.spec import FleetSpec
 from repro.sim import fastpath
 from repro.sim.engine import PowerSystemSimulator
 
 SEGMENTS = [(0.012, 0.05), (0.0, 0.3), (0.020, 0.03), (0.0, 0.2)]
+
+#: Cross-check inputs, ``(spec overrides, cycles)``: the built-in
+#: constant harvest, and a correlated diurnal-solar sky (shared piece
+#: edges, per-device power columns) run for enough cycles that devices
+#: recharge under it instead of finishing on their start charge.
+CHECK_FLEETS = {
+    "constant": ({}, 1),
+    "diurnal-solar": (dict(env=EnvSpec(model="diurnal-solar", seed=6)), 5),
+}
 
 
 class TestEmptyFleet:
@@ -183,22 +198,31 @@ class TestDifferentialSampling:
         assert sample_indices(0, 4, seed=0) == []
         assert sample_indices(10, 0, seed=0) == []
 
-    def test_cross_check_passes_on_honest_fleet(self):
-        spec = FleetSpec(devices=12, seed=6)
-        outcomes = run_fleet_raw(spec, cycles=1, horizon=60.0)
+    @pytest.mark.parametrize("fleet", sorted(CHECK_FLEETS))
+    @pytest.mark.parametrize("engine", FLEET_ENGINES)
+    def test_cross_check_passes_on_honest_fleet(self, engine, fleet):
+        overrides, cycles = CHECK_FLEETS[fleet]
+        spec = FleetSpec(devices=12, seed=6, **overrides)
+        outcomes = run_fleet_raw(spec, cycles=cycles, horizon=60.0,
+                                 engine=engine)
         result = cross_check(outcomes, sample_indices(12, 4, seed=6))
         assert result.ok, result.render()
         assert "OK" in result.render()
 
-    def test_cross_check_flags_a_corrupted_lane(self):
-        spec = FleetSpec(devices=6, seed=6)
-        outcomes = run_fleet_raw(spec, cycles=1, horizon=60.0)
+    @pytest.mark.parametrize("fleet", sorted(CHECK_FLEETS))
+    @pytest.mark.parametrize("engine", FLEET_ENGINES)
+    def test_cross_check_flags_a_corrupted_lane(self, engine, fleet):
+        overrides, cycles = CHECK_FLEETS[fleet]
+        spec = FleetSpec(devices=6, seed=6, **overrides)
+        outcomes = run_fleet_raw(spec, cycles=cycles, horizon=60.0,
+                                 engine=engine)
         outcomes.v_min = outcomes.v_min.copy()
         outcomes.v_min[2] += 0.5           # sabotage one device
         result = cross_check(outcomes, [1, 2])
         assert not result.ok
-        assert any(m.device == 2 and m.field == "v_min"
-                   for m in result.mismatches)
+        # the sabotaged lane is caught, the honest one is not
+        assert [(m.device, m.field) for m in result.mismatches] == \
+            [(2, "v_min")]
         assert "mismatch" in result.render()
 
 

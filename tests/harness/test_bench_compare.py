@@ -22,8 +22,8 @@ _SPEC.loader.exec_module(compare_mod)
 
 
 def _payload(kernel_speedup=5.0, hit_rate=0.9, sweep_speedup=3.0,
-             fleet_speedup=15.0, segalg_kernel_speedup=13.0,
-             segalg_fleet_speedup=6.0, serving_qps=200_000.0,
+             fleet_speedup=15.0, segalg_fleet_speedup=6.0,
+             serving_qps=200_000.0,
              bank_sweep_speedup=10.0):
     return {
         "benchmark": "BENCH",
@@ -40,8 +40,6 @@ def _payload(kernel_speedup=5.0, hit_rate=0.9, sweep_speedup=3.0,
         "fleet": {"speedup": fleet_speedup,
                   "scalar_s": 1.8, "fleet_s": 0.1,
                   "fleet_device_steps_per_s": 1.1e7},
-        "segalg_kernel": {"speedup": segalg_kernel_speedup,
-                          "fastpath_s": 0.074, "segalg_s": 0.0056},
         "segalg_fleet": {"speedup": segalg_fleet_speedup,
                          "stepping_s": 1.0, "segalg_s": 0.17},
         "serving": {"qps": serving_qps, "requests": 200000,
@@ -162,7 +160,6 @@ class TestMain:
         back to their absolute floors."""
         stripped = _payload()
         del stripped["fleet"]
-        del stripped["segalg_kernel"]
         del stripped["segalg_fleet"]
         base = self._write(tmp_path, "base.json", stripped)
         fresh = self._write(tmp_path, "fresh.json", _payload())

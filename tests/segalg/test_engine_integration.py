@@ -1,85 +1,11 @@
-"""Engine dispatch to the segment-algebra core, and its cache keys."""
+"""Estimator cache keys carry the canonical segment-program fingerprint."""
 
-import pytest
-
-from repro import obs, segalg
 from repro.core.profile_guided import CulpeoPG
 from repro.loads.trace import CurrentTrace
-from repro.power.system import capybara_power_system
 from repro.segalg.program import canonical_fingerprint
-from repro.sim.adc import Adc, SamplingObserver
-from repro.sim.engine import (
-    DEFAULT_SEGALG,
-    PowerSystemSimulator,
-    set_default_segalg,
-)
 
 TRACE = CurrentTrace([(0.012, 0.05), (0.0, 0.2), (0.025, 0.02),
                       (0.0, 0.5)])
-
-
-def _sim(**kwargs):
-    system = capybara_power_system()
-    system.rest_at(2.2)
-    return PowerSystemSimulator(system, **kwargs), system
-
-
-class TestDispatch:
-    def test_off_by_default(self):
-        sim, _ = _sim()
-        assert sim.segalg is DEFAULT_SEGALG is False
-        assert not sim._use_segalg()
-
-    def test_opt_in_dispatches_whole_trace(self):
-        sim, _ = _sim(segalg=True)
-        assert sim._use_segalg()
-        with obs.observe() as ob:
-            sim.run_trace(TRACE, stop_on_brownout=False)
-        assert ob.metrics.counter("segalg.calls").value >= 1
-
-    def test_segalg_matches_reference_within_method_tol(self):
-        alg_sim, alg_system = _sim(segalg=True, fast=False)
-        alg_sim.run_trace(TRACE, stop_on_brownout=False)
-        ref_sim, ref_system = _sim(segalg=False, fast=False)
-        ref_sim.run_trace(TRACE, stop_on_brownout=False)
-        assert alg_system.buffer.terminal_voltage == pytest.approx(
-            ref_system.buffer.terminal_voltage, abs=3e-3)
-        assert alg_sim._energy_out == pytest.approx(
-            ref_sim._energy_out, rel=2e-2, abs=1e-6)
-
-    def test_observers_ride_along(self):
-        # unlike the fastpath, observers do not force a fallback: their
-        # due-times become events
-        observer = SamplingObserver(Adc(bits=12), sample_period=0.05,
-                                    burden_current=0.0005)
-        observer.enable(0.0)
-        sim, _ = _sim(segalg=True, observers=[observer])
-        assert sim._use_segalg()
-        sim.run_trace(TRACE, stop_on_brownout=False)
-        assert observer.sample_count > 0
-
-    def test_observer_samples_match_reference(self):
-        counts = {}
-        for use_segalg in (False, True):
-            observer = SamplingObserver(Adc(bits=12), sample_period=0.05)
-            observer.enable(0.0)
-            sim, _ = _sim(segalg=use_segalg, fast=False,
-                          observers=[observer])
-            sim.run_trace(TRACE, stop_on_brownout=False)
-            counts[use_segalg] = (observer.sample_count, observer.v_min)
-        assert counts[True][0] == counts[False][0]
-        # ADC quantization: within one LSB of the stepping loop's view
-        assert counts[True][1] == pytest.approx(counts[False][1],
-                                                abs=2 * 2.56 / 4096)
-
-    def test_set_default_segalg(self):
-        old = set_default_segalg(True)
-        try:
-            assert old is False
-            sim, _ = _sim()
-            assert sim.segalg
-        finally:
-            set_default_segalg(old)
 
 
 class TestEstimatorCacheKey:

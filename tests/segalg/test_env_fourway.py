@@ -1,20 +1,18 @@
-"""Four-way equivalence on environment-generated harvest traces.
+"""Equivalence chain on environment-generated harvest traces.
 
 The environment engine lowers parametric skies into the same
 piecewise-constant :class:`TraceHarvester` every engine consumes, so
 the permanent equivalence chain must hold unchanged on env-driven
-fleets: reference ≡ fastpath bit-exactly, fastpath ≡ scalar segalg at
-method tolerance, scalar segalg ≡ fleet segalg within the vector-path
-band. Dense dawn/dusk ramps (a short-period diurnal sky subdivides
-into many pieces around sunrise) stress the edge-horizon machinery:
-every trace edge becomes a span horizon in the scalar algebra and a
-chunk boundary in the vector path.
+fleets: reference ≡ fastpath bit-exactly, fastpath ≡ fleet segalg at
+method tolerance. Dense dawn/dusk ramps (a short-period diurnal sky
+subdivides into many pieces around sunrise) stress the edge handling:
+every trace edge is a step clamp in the stepping loops and a chunk
+boundary in the vector path.
 """
 
 import numpy as np
 import pytest
 
-from repro import segalg
 from repro.env.spec import EnvSpec
 from repro.fleet.kernel import FleetState
 from repro.fleet.spec import FleetSpec
@@ -31,9 +29,9 @@ V_METHOD_TOL = 5e-3
 T_METHOD_TOL = 6e-2
 E_METHOD_TOL = 2e-2
 
-#: Scalar segalg vs fleet segalg on one device: same program, same
-#: piece edges, but the scalar clips spans at every edge while the
-#: vector path chunks per compiled interval — a small method gap.
+#: A jittered fleet lane vs the same device run alone: same piece
+#: edges, but the fleet compiles one program for every lane — a small
+#: partition gap.
 V_PATH_TOL = 1e-3
 
 MIXED = [
@@ -68,13 +66,10 @@ def _run_scalar(params, segments, harvesting, stop_below, *, mode,
             if hit is not None:
                 brown = hit
                 break
-    elif mode == "fastpath":
+    else:
         assert fastpath.supported(system)
         brown = fastpath.advance_segments(sim, trace.segments(),
                                           harvesting, stop_below)
-    else:
-        assert segalg.supported(system)
-        brown = segalg.advance_segments(sim, trace, harvesting, stop_below)
     return dict(
         v_term=system.buffer.terminal_voltage,
         v_min=sim._v_min_seen,
@@ -91,8 +86,6 @@ def _fourway(spec, segments, harvesting=True, stop_below=None, v0=None):
                       mode="reference", v0=v0)
     fast = _run_scalar(params, segments, harvesting, stop_below,
                        mode="fastpath", v0=v0)
-    alg = _run_scalar(params, segments, harvesting, stop_below,
-                      mode="segalg", v0=v0)
     state = FleetState(params, v_start=v0)
     brown = advance_fleet(state, list(segments), harvesting, stop_below)
 
@@ -102,27 +95,19 @@ def _fourway(spec, segments, harvesting=True, stop_below=None, v0=None):
     assert fast["energy"] == ref["energy"]
     assert (fast["brown"] is None) == (ref["brown"] is None)
 
-    # fastpath ≡ scalar segalg: method tolerance.
-    assert alg["v_term"] == pytest.approx(fast["v_term"],
-                                          abs=V_METHOD_TOL)
-    assert alg["v_min"] == pytest.approx(fast["v_min"], abs=V_METHOD_TOL)
-    assert alg["energy"] == pytest.approx(fast["energy"],
-                                          rel=E_METHOD_TOL, abs=1e-6)
-    assert (alg["brown"] is None) == (fast["brown"] is None)
-    if alg["brown"] is not None:
-        assert alg["brown"] == pytest.approx(fast["brown"],
-                                             abs=T_METHOD_TOL)
-
-    # scalar segalg ≡ fleet segalg.
-    assert float(state.v_term[0]) == pytest.approx(alg["v_term"],
-                                                   abs=V_PATH_TOL)
-    assert float(state.energy[0]) == pytest.approx(alg["energy"],
-                                                   rel=1e-3, abs=1e-7)
-    if alg["brown"] is None:
+    # fastpath ≡ fleet segalg: method tolerance.
+    assert float(state.v_term[0]) == pytest.approx(fast["v_term"],
+                                                   abs=V_METHOD_TOL)
+    assert float(state.v_min[0]) == pytest.approx(fast["v_min"],
+                                                  abs=V_METHOD_TOL)
+    assert float(state.energy[0]) == pytest.approx(
+        fast["energy"], rel=E_METHOD_TOL, abs=1e-6)
+    if fast["brown"] is None:
         assert np.isnan(float(brown[0]))
     else:
-        assert float(brown[0]) == pytest.approx(alg["brown"], abs=1e-3)
-    return ref, fast, alg, state
+        assert float(brown[0]) == pytest.approx(fast["brown"],
+                                                abs=T_METHOD_TOL)
+    return ref, fast, state, brown
 
 
 class TestEnvFourWay:
@@ -160,21 +145,22 @@ class TestEnvFourWay:
         _fourway(_env_fleet_spec(env), SPARSE)
 
     def test_brown_out_under_a_dark_sky(self):
-        # Night-heavy diurnal sky + sustained draw: all four engines
-        # must call the brown-out on the same analytic crossing.
+        # Night-heavy diurnal sky + sustained draw: every engine must
+        # call the brown-out near the same crossing.
         env = EnvSpec(model="diurnal-solar", duration=40.0, seed=1,
                       peak_power=0.5e-3, period=40.0,
                       daylight_fraction=0.2, cloud_rate=0.0)
         spec = _env_fleet_spec(env)
-        ref, fast, alg, state = _fourway(
+        ref, fast, state, brown = _fourway(
             spec, [(0.020, 12.0), (0.0, 4.0), (0.020, 12.0)],
             stop_below=spec.v_off, v0=1.9)
-        assert alg["brown"] is not None
+        assert not np.isnan(float(brown[0]))
 
     def test_env_jittered_lanes_match_their_scalar_plants(self):
         # Site shading: each device's column is scaled by its harvest
         # jitter factor; every lane must still match its own scalar
-        # segalg run (the lane and the plant share the same floats).
+        # plant on the fastpath (the lane and the plant share the same
+        # floats) and the same device run alone as a one-lane fleet.
         env = EnvSpec(model="diurnal-solar", duration=30.0, seed=4,
                       peak_power=4e-3, period=24.0, cloud_rate=5.0,
                       front_delay=0.4)
@@ -184,8 +170,11 @@ class TestEnvFourWay:
         advance_fleet(state, MIXED, True, None)
         for i in (0, 3, 7):
             system = params.device_system(i)
-            sim = PowerSystemSimulator(system, fast=False)
-            segalg.advance_segments(
-                sim, CurrentTrace([(c, d) for c, d in MIXED]), True, None)
+            sim = PowerSystemSimulator(system)
+            fastpath.advance_segments(sim, MIXED, True, None)
             assert float(state.v_term[i]) == pytest.approx(
                 system.buffer.terminal_voltage, abs=V_METHOD_TOL)
+            alone = FleetState(params.slice(i, i + 1))
+            advance_fleet(alone, MIXED, True, None)
+            assert float(state.v_term[i]) == pytest.approx(
+                float(alone.v_term[0]), abs=V_PATH_TOL)

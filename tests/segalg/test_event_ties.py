@@ -1,18 +1,18 @@
 """Event ties and degenerate segments in the segment-algebra core.
 
-The event loop's hard cases are exact coincidences: a brown-out landing
-on a task boundary, a rail arrival landing on a source-segment edge, a
-crossing landing on an interior compiled-interval boundary, and
+The event handling's hard cases are exact coincidences: a brown-out
+landing on a task boundary, a rail arrival landing on a source-segment
+edge, a crossing landing on an interior compiled-interval boundary, and
 segments that compile to nothing at all. Each is constructed by solving
 for the coincidence (measuring the event time, then rebuilding the
 trace so the boundary sits exactly there) rather than hoping a seed
-produces one.
+produces one. The segalg runs are one-lane fleets; the stepping
+fastpath is the cross-engine anchor.
 """
 
 import numpy as np
 import pytest
 
-from repro import segalg
 from repro.env.spec import EnvSpec
 from repro.fleet.bank import advance_fleet_plan
 from repro.fleet.kernel import FleetRecorder, FleetState
@@ -22,12 +22,16 @@ from repro.power.reconfig import ReconfigPlan, split_at_offsets
 from repro.segalg.model import Bank
 from repro.segalg.program import compile_segments
 from repro.segalg.vector import advance_fleet
+from repro.sim import fastpath
 from repro.sim.engine import PowerSystemSimulator
 
 V_OFF = 1.6
 DRAW = 0.020
 #: The repo's documented segalg-vs-stepping method tolerance (volts).
 V_METHOD_TOL = 5e-3
+#: Segalg-vs-stepping tolerance on brown-out times (s): the stepping
+#: loops locate a crossing only to their adaptive step.
+T_METHOD_TOL = 6e-2
 WEAK = FleetSpec(devices=1, seed=0, harvest_power=0.1e-3)
 
 #: A two-bank set pinned to start in the lone large configuration, so
@@ -45,10 +49,9 @@ def _bank_spec(**overrides):
     return FleetSpec(**kw)
 
 
-def _scalar_plan(spec, segments, plan, v0=2.2, fast=True,
-                 use_segalg=False):
+def _scalar_plan(spec, segments, plan, v0=2.2):
     system = spec.parameters().device_system(0, rest_at=v0)
-    sim = PowerSystemSimulator(system, fast=fast, segalg=use_segalg)
+    sim = PowerSystemSimulator(system)
     result = sim.run_trace(CurrentTrace(list(segments)),
                            reconfig_plan=plan)
     return system, result
@@ -61,12 +64,12 @@ def _fleet_plan(spec, segments, plan, v0=2.2, engine="stepping"):
 
 
 def _scalar(spec, segments, harvesting=True, stop_below=None, v0=2.2):
-    params = spec.parameters()
-    system = params.device_system(0)
+    """Device 0 on the scalar stepping fastpath."""
+    system = spec.parameters().device_system(0)
     system.rest_at(v0)
-    sim = PowerSystemSimulator(system, fast=False)
-    brown = segalg.advance_segments(sim, list(segments), harvesting,
-                                    stop_below)
+    sim = PowerSystemSimulator(system)
+    brown = fastpath.advance_segments(sim, list(segments), harvesting,
+                                      stop_below)
     return sim, system, brown
 
 
@@ -94,43 +97,47 @@ class TestBrownOnTaskBoundary:
     EPS = 4e-3
 
     def _t_star(self):
-        _sim, _sys, t_star = _scalar(WEAK, [(DRAW, 30.0)],
-                                     stop_below=V_OFF)
-        assert t_star is not None and 0.0 < t_star < 30.0
+        _state, brown = _fleet(WEAK, [(DRAW, 30.0)], stop_below=V_OFF)
+        t_star = float(brown[0])
+        assert 0.0 < t_star < 30.0
         return t_star
 
     def test_crossing_a_hair_before_the_boundary(self):
         t_star = self._t_star()
-        sim, system, brown = _scalar(
+        state, brown = _fleet(
             WEAK, [(DRAW, t_star + self.EPS), (0.0, 1.0)],
             stop_below=V_OFF)
-        assert brown is not None
-        assert brown == pytest.approx(t_star, abs=self.EPS)
-        assert brown < t_star + self.EPS  # fires before the boundary
+        t_brown = float(brown[0])
+        assert t_brown == pytest.approx(t_star, abs=self.EPS)
+        assert t_brown < t_star + self.EPS  # fires before the boundary
         # the advance stops at the crossing — the trailing segment must
         # not run
-        assert sim.time == pytest.approx(brown, abs=1e-9)
-        assert system.buffer.terminal_voltage == pytest.approx(
-            V_OFF, abs=1e-6)
+        assert float(state.time[0]) == pytest.approx(t_brown, abs=1e-9)
+        assert float(state.v_term[0]) == pytest.approx(V_OFF, abs=1e-6)
 
     def test_crossing_a_hair_after_the_boundary(self):
         t_star = self._t_star()
         # the draw continues across the boundary, so the crossing fires
         # in the *second* segment's first instants
-        sim, _system, brown = _scalar(
+        state, brown = _fleet(
             WEAK, [(DRAW, t_star - self.EPS), (DRAW, 1.0)],
             stop_below=V_OFF)
-        assert brown is not None
-        assert brown == pytest.approx(t_star, abs=self.EPS)
-        assert brown > t_star - self.EPS  # fires after the boundary
-        assert sim.time == pytest.approx(brown, abs=1e-9)
+        t_brown = float(brown[0])
+        assert t_brown == pytest.approx(t_star, abs=self.EPS)
+        assert t_brown > t_star - self.EPS  # fires after the boundary
+        assert float(state.time[0]) == pytest.approx(t_brown, abs=1e-9)
 
     def test_fleet_agrees_on_both_sides(self):
+        # the stepping fastpath calls the same brown-out on both sides
         t_star = self._t_star()
         for segments in ([(DRAW, t_star + self.EPS), (0.0, 1.0)],
                          [(DRAW, t_star - self.EPS), (DRAW, 1.0)]):
             state, brown = _fleet(WEAK, segments, stop_below=V_OFF)
-            assert float(brown[0]) == pytest.approx(t_star, abs=self.EPS)
+            _sim, _system, fast_brown = _scalar(WEAK, segments,
+                                                stop_below=V_OFF)
+            assert fast_brown is not None
+            assert float(brown[0]) == pytest.approx(fast_brown,
+                                                    abs=T_METHOD_TOL)
             assert not bool(state.alive[0])
             assert float(state.time[0]) == pytest.approx(t_star,
                                                          abs=self.EPS)
@@ -175,8 +182,8 @@ class TestBalancedHarvest:
         duration = 5.0
 
         def drift(i_out):
-            _sim, system, _ = _scalar(spec, [(i_out, duration)], v0=v0)
-            return system.buffer.terminal_voltage - v0
+            state, _ = _fleet(spec, [(i_out, duration)], v0=v0)
+            return float(state.v_term[0]) - v0
 
         lo_i, hi_i = 0.0, 0.01
         assert drift(lo_i) > 0 and drift(hi_i) < 0
@@ -189,19 +196,19 @@ class TestBalancedHarvest:
         balanced = 0.5 * (lo_i + hi_i)
 
         # no regime boundary is ever crossed: the advance is a single
-        # capped full-duration commit, not an event cascade
-        sim, system, brown = _scalar(
+        # full-duration commit, not an event cascade
+        state, brown = _fleet(
             spec, [(balanced, duration)], stop_below=V_OFF, v0=v0)
-        assert brown is None
-        assert sim.time == pytest.approx(duration)
-        assert system.buffer.terminal_voltage == pytest.approx(v0,
-                                                               abs=1e-6)
-
-        state, fleet_brown = _fleet(
-            spec, [(balanced, duration)], stop_below=V_OFF, v0=v0)
-        assert np.isnan(float(fleet_brown[0]))
+        assert np.isnan(float(brown[0]))
         assert float(state.time[0]) == pytest.approx(duration)
-        assert float(state.v_term[0]) == pytest.approx(v0, abs=1e-4)
+        assert float(state.v_term[0]) == pytest.approx(v0, abs=1e-6)
+
+        sim, system, fast_brown = _scalar(
+            spec, [(balanced, duration)], stop_below=V_OFF, v0=v0)
+        assert fast_brown is None
+        assert sim.time == pytest.approx(duration)
+        assert system.buffer.terminal_voltage == pytest.approx(
+            v0, abs=V_METHOD_TOL)
 
 
 class TestCrossingOnCompiledBoundary:
@@ -211,15 +218,16 @@ class TestCrossingOnCompiledBoundary:
         # the start voltage until the measured brown time sits on it
         spec = WEAK
         duration = 30.0
-        bank = Bank.from_system(spec.parameters().device_system(0), True)
+        bank = Bank.from_fleet_state(FleetState(spec.parameters()), True)
         program = compile_segments([(DRAW, duration)], bank)
         assert program.n > 4
         edges = np.cumsum(program.dur)
 
         def brown_at(v0):
-            _sim, _sys, t = _scalar(spec, [(DRAW, duration)],
-                                    stop_below=V_OFF, v0=v0)
-            assert t is not None
+            _state, brown = _fleet(spec, [(DRAW, duration)],
+                                   stop_below=V_OFF, v0=v0)
+            t = float(brown[0])
+            assert not np.isnan(t)
             return t
 
         lo_v, hi_v = 1.7, 2.5
@@ -236,14 +244,15 @@ class TestCrossingOnCompiledBoundary:
                 hi_v = mid
         v0 = 0.5 * (lo_v + hi_v)
 
-        sim, system, brown = _scalar(spec, [(DRAW, duration)],
-                                     stop_below=V_OFF, v0=v0)
-        assert brown == pytest.approx(target, abs=1e-6)
-        assert sim.time == pytest.approx(brown, abs=1e-9)
+        state, brown = _fleet(spec, [(DRAW, duration)], stop_below=V_OFF,
+                              v0=v0)
+        t_brown = float(brown[0])
+        assert t_brown == pytest.approx(target, abs=1e-6)
+        assert float(state.time[0]) == pytest.approx(t_brown, abs=1e-9)
 
-        state, fleet_brown = _fleet(spec, [(DRAW, duration)],
-                                    stop_below=V_OFF, v0=v0)
-        assert float(fleet_brown[0]) == pytest.approx(brown, abs=1e-6)
+        _sim, _system, fast_brown = _scalar(spec, [(DRAW, duration)],
+                                            stop_below=V_OFF, v0=v0)
+        assert fast_brown == pytest.approx(t_brown, abs=T_METHOD_TOL)
 
     def test_rail_arrival_on_source_boundary(self):
         spec = FleetSpec(devices=1, seed=0, harvest_power=6e-3)
@@ -252,8 +261,8 @@ class TestCrossingOnCompiledBoundary:
 
         # time-to-rail via bisection on an idle recharge duration
         def v_after(d):
-            _sim, system, _ = _scalar(spec, [(0.0, d)], v0=v0)
-            return system.buffer.terminal_voltage
+            state, _ = _fleet(spec, [(0.0, d)], v0=v0)
+            return float(state.v_term[0])
 
         lo_d, hi_d = 1e-3, 60.0
         assert v_after(lo_d) < v_max and v_after(hi_d) == pytest.approx(
@@ -268,26 +277,26 @@ class TestCrossingOnCompiledBoundary:
 
         # crossing lands (within float eps) on the boundary between the
         # two idle segments; the pin regime then holds the second one
-        sim, system, _ = _scalar(spec, [(0.0, t_rail), (0.0, 1.0)],
-                                 v0=v0)
-        assert system.buffer.terminal_voltage == pytest.approx(v_max)
-        assert sim.time == pytest.approx(t_rail + 1.0)
-
         state, _ = _fleet(spec, [(0.0, t_rail), (0.0, 1.0)], v0=v0)
         assert float(state.v_term[0]) == pytest.approx(v_max)
         assert float(state.time[0]) == pytest.approx(t_rail + 1.0)
+
+        sim, system, _ = _scalar(spec, [(0.0, t_rail), (0.0, 1.0)], v0=v0)
+        assert system.buffer.terminal_voltage == pytest.approx(
+            v_max, abs=V_METHOD_TOL)
+        assert sim.time == pytest.approx(t_rail + 1.0)
 
 
 class TestEnvBreakpointOnTaskBoundary:
     """An environment piece edge landing *exactly* on a task boundary.
 
     Env fleet columns live on a uniform ``grid_dt`` lattice, so a task
-    segment ending on a lattice point makes the span horizon, the
+    segment ending on a lattice point makes the chunk boundary, the
     segment commit, and the harvest-power step all coincide at one
-    float. Both segalg paths must take the step exactly once — no
-    stall on the zero-length sliver, no double-sampled piece — and
-    stay within the method band of the stepping fastpath (which clamps
-    its step at the same edge).
+    float. Every engine must take the step exactly once — no stall on
+    the zero-length sliver, no double-sampled piece — and the segalg
+    path must stay within the method band of the stepping fastpath
+    (which clamps its step at the same edge).
     """
 
     def _spec(self):
@@ -312,17 +321,19 @@ class TestEnvBreakpointOnTaskBoundary:
         t_b = self._boundary_with_power_step(params)
         segments = [(0.012, t_b), (0.0, 1.0)]
 
-        from repro.sim import fastpath
-        system = params.device_system(0)
-        system.rest_at(2.2)  # the _scalar helper's start voltage
-        sim_fast = PowerSystemSimulator(system, fast=False)
-        fastpath.advance_segments(sim_fast, segments, True, None)
-
-        sim, sys_alg, brown = _scalar(spec, segments)
+        sim, system, brown = _scalar(spec, segments)
         assert brown is None
         assert sim.time == pytest.approx(t_b + 1.0, abs=1e-9)
-        assert sys_alg.buffer.terminal_voltage == pytest.approx(
-            system.buffer.terminal_voltage, abs=5e-3)
+
+        # the reference loop clamps at the same edge, bit for bit
+        ref_system = params.device_system(0)
+        ref_system.rest_at(2.2)  # the _scalar helper's start voltage
+        ref = PowerSystemSimulator(ref_system, fast=False)
+        for current, duration in segments:
+            assert ref._advance(current, duration, True, None) is None
+        assert ref.time == sim.time
+        assert ref_system.buffer.terminal_voltage == \
+            system.buffer.terminal_voltage
 
     def test_fleet_agrees_on_the_tie(self):
         spec = self._spec()
@@ -330,15 +341,15 @@ class TestEnvBreakpointOnTaskBoundary:
         t_b = self._boundary_with_power_step(params)
         segments = [(0.012, t_b), (0.0, 1.0)]
 
-        _sim, sys_alg, _ = _scalar(spec, segments)
+        _sim, system, _ = _scalar(spec, segments)
         state, brown = _fleet(spec, segments)
         assert np.isnan(float(brown[0]))
         assert float(state.time[0]) == pytest.approx(t_b + 1.0, abs=1e-9)
         assert float(state.v_term[0]) == pytest.approx(
-            sys_alg.buffer.terminal_voltage, abs=1e-3)
+            system.buffer.terminal_voltage, abs=V_METHOD_TOL)
 
     def test_splitting_the_task_at_the_edge_changes_nothing(self):
-        # The boundary is already a span horizon; making it a *source*
+        # The boundary is already a chunk boundary; making it a *source*
         # boundary as well must not move the physics.
         spec = self._spec()
         params = spec.parameters()
@@ -348,11 +359,6 @@ class TestEnvBreakpointOnTaskBoundary:
 
         # Partition sensitivity bounds the drift: a new source boundary
         # re-cuts the compiled intervals (~1e-4 V here), nothing more.
-        _sim_a, sys_a, _ = _scalar(spec, whole)
-        _sim_b, sys_b, _ = _scalar(spec, split)
-        assert sys_b.buffer.terminal_voltage == pytest.approx(
-            sys_a.buffer.terminal_voltage, abs=5e-4)
-
         state_a, _ = _fleet(spec, whole)
         state_b, _ = _fleet(spec, split)
         assert float(state_b.v_term[0]) == pytest.approx(
@@ -410,11 +416,10 @@ class TestReconfigOnBrownCrossing:
         assert float(brown[0]) == pytest.approx(res.brown_out_time,
                                                 abs=1e-7)
 
-        sys_alg, res_alg = _scalar_plan(spec, [(DRAW, 30.0)], plan,
-                                        fast=False, use_segalg=True)
-        assert sys_alg.buffer.config_id == frozenset(MERGE)
-        assert res_alg.browned_out
-        assert res_alg.brown_out_time == pytest.approx(
+        _alg, alg_brown = _fleet_plan(spec, [(DRAW, 30.0)], plan,
+                                      engine="segalg")
+        assert float(alg_brown[0]) > t_star + self.EPS
+        assert float(alg_brown[0]) == pytest.approx(
             res.brown_out_time, abs=0.05)
 
 
@@ -437,36 +442,30 @@ class TestReconfigOnTaskBoundary:
     def _all_engines(self, plan):
         spec = _bank_spec()
         sys_fast, res_fast = _scalar_plan(spec, self.SEGMENTS, plan)
-        _sys, res_alg = _scalar_plan(spec, self.SEGMENTS, plan,
-                                     fast=False, use_segalg=True)
         fleet_step, _ = _fleet_plan(spec, self.SEGMENTS, plan)
         fleet_alg, _ = _fleet_plan(spec, self.SEGMENTS, plan,
                                    engine="segalg")
-        return sys_fast, res_fast, res_alg, fleet_step, fleet_alg
+        return sys_fast, res_fast, fleet_step, fleet_alg
 
     def test_event_exactly_on_the_boundary(self):
         plan = ReconfigPlan.build((0.4, MERGE))
-        sys_fast, res_fast, res_alg, fleet_step, fleet_alg = \
-            self._all_engines(plan)
+        sys_fast, res_fast, fleet_step, fleet_alg = self._all_engines(plan)
         assert not res_fast.browned_out
         assert sys_fast.buffer.config_id == frozenset(MERGE)
         assert float(fleet_step.v_term[0]) == pytest.approx(
             res_fast.v_final, abs=1e-7)
-        assert res_alg.v_final == pytest.approx(res_fast.v_final,
-                                                abs=V_METHOD_TOL)
         assert float(fleet_alg.v_term[0]) == pytest.approx(
-            res_alg.v_final, abs=1e-3)
+            res_fast.v_final, abs=V_METHOD_TOL)
 
     def test_both_orderings_bracket_the_boundary(self):
         finals = []
         for t_e in (0.4 - self.EPS, 0.4, 0.4 + self.EPS):
             plan = ReconfigPlan.build((t_e, MERGE))
-            _sys, res_fast, res_alg, fleet_step, _ = \
-                self._all_engines(plan)
+            _sys, res_fast, fleet_step, fleet_alg = self._all_engines(plan)
             assert float(fleet_step.v_term[0]) == pytest.approx(
                 res_fast.v_final, abs=1e-7)
-            assert res_alg.v_final == pytest.approx(res_fast.v_final,
-                                                    abs=V_METHOD_TOL)
+            assert float(fleet_alg.v_term[0]) == pytest.approx(
+                res_fast.v_final, abs=V_METHOD_TOL)
             finals.append(res_fast.v_final)
         # moving the switch by 4 ms moves the endpoint by less
         assert max(finals) - min(finals) < 0.02
@@ -474,7 +473,7 @@ class TestReconfigOnTaskBoundary:
 
 class TestReconfigOnEnvBreakpoint:
     """An event landing on an environment power-step edge that is also
-    a task boundary — span horizon, segment commit, harvest step and
+    a task boundary — chunk boundary, segment commit, harvest step and
     bank switch all at one float. Both orderings must stay in band."""
 
     EPS = 4e-3
@@ -502,8 +501,6 @@ class TestReconfigOnEnvBreakpoint:
         for t_e in (t_b - self.EPS, t_b, t_b + self.EPS):
             plan = ReconfigPlan.build((t_e, MERGE))
             sys_fast, res_fast = _scalar_plan(spec, segments, plan)
-            _sys, res_alg = _scalar_plan(spec, segments, plan,
-                                         fast=False, use_segalg=True)
             fleet_step, brown = _fleet_plan(spec, segments, plan)
             fleet_alg, _ = _fleet_plan(spec, segments, plan,
                                        engine="segalg")
@@ -512,10 +509,8 @@ class TestReconfigOnEnvBreakpoint:
             assert sys_fast.buffer.config_id == frozenset(MERGE)
             assert float(fleet_step.v_term[0]) == pytest.approx(
                 res_fast.v_final, abs=1e-7)
-            assert res_alg.v_final == pytest.approx(res_fast.v_final,
-                                                    abs=V_METHOD_TOL)
             assert float(fleet_alg.v_term[0]) == pytest.approx(
-                res_alg.v_final, abs=1e-3)
+                res_fast.v_final, abs=V_METHOD_TOL)
 
 
 class TestReconfigOnRailArrival:

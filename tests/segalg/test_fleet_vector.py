@@ -7,7 +7,6 @@ from repro.fleet.kernel import FleetRecorder, FleetState, advance
 from repro.fleet.runner import FLEET_ENGINES, run_fleet, run_fleet_raw
 from repro.fleet.spec import FleetSpec
 from repro.loads.trace import CurrentTrace
-from repro.segalg import backends
 from repro.segalg.vector import advance_fleet
 
 TRACE = [(0.012, 0.05), (0.0, 0.4), (0.020, 0.03), (0.0, 0.6)]
@@ -120,28 +119,3 @@ class TestRunnerIntegration:
         # where a device sits within method tolerance of a threshold
         assert step.devices == alg.devices
         assert alg.cycles == step.cycles
-
-
-class TestBackendInvariance:
-    """The fleet path is numpy-only: reports must be byte-identical
-    across ``REPRO_SEGALG_BACKEND`` settings (the CI cmp check)."""
-
-    def _run(self):
-        state = FleetState(_spec(devices=8).parameters(), v_start=2.3)
-        advance_fleet(state, TRACE, True, None)
-        return state
-
-    def test_arrays_bit_identical_across_backends(self, monkeypatch):
-        results = {}
-        for name in ("numpy", "numba"):
-            monkeypatch.setenv(backends._ENV_VAR, name)
-            backends.reset()
-            try:
-                results[name] = self._run()
-            finally:
-                backends.reset()
-        for field in ("v_term", "v_main", "v_redist", "v_min", "energy",
-                      "time"):
-            a = getattr(results["numpy"], field)
-            b = getattr(results["numba"], field)
-            assert a.tobytes() == b.tobytes(), field

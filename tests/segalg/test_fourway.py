@@ -1,18 +1,18 @@
-"""Four-way differential harness: reference ≡ fastpath ≡ segalg ≡ fleet.
+"""Differential harness: reference ≡ fastpath ≡ fleet segalg.
 
 The permanent equivalence chain for the segment-algebra core, enforced
 over seeded random configurations:
 
 * **reference ≡ fastpath** — bit-exact (the PR1 claim, re-pinned here so
   the chain is anchored);
-* **fastpath ≡ scalar segalg** — *method* tolerance: the algebra is a
+* **fastpath ≡ fleet segalg** — *method* tolerance: the algebra is a
   different integrator (closed-form between events vs adaptive
   stepping), so it agrees on physics, not on floating point;
-* **scalar segalg ≡ fleet segalg** — tight on homogeneous fleets (both
-  paths compile the identical segment program and converge to the same
-  per-interval fixed points); method-level on jittered fleets, where the
-  fleet-wide conservative compile bounds partition intervals differently
-  than a per-device compile (partition sensitivity, see DESIGN §12).
+* **fleet lane ≡ the same device run alone** — exact on homogeneous
+  fleets (both compile the identical segment program); method-level on
+  jittered fleets, where the fleet-wide conservative compile bounds
+  partition intervals differently than a one-lane compile (partition
+  sensitivity, see DESIGN §12).
 """
 
 import random
@@ -20,7 +20,6 @@ import random
 import numpy as np
 import pytest
 
-from repro import segalg
 from repro.fleet.kernel import FleetState
 from repro.fleet.spec import FleetSpec
 from repro.loads.trace import CurrentTrace
@@ -29,8 +28,9 @@ from repro.sim import fastpath
 from repro.sim.engine import PowerSystemSimulator
 
 #: Stepping-vs-segalg method tolerance on voltages (V). The documented
-#: band is ~1e-4 V for plain workloads; brown-out truncation and solar
-#: midpoint sampling push worst cases toward 2e-3 V.
+#: band is ~1e-4 V for plain workloads; the commit bias right after a
+#: load burst and solar midpoint sampling push worst cases toward
+#: 2.5e-3 V.
 V_METHOD_TOL = 3e-3
 
 #: Stepping-vs-segalg tolerance on brown-out times (s): the stepping
@@ -42,13 +42,9 @@ T_METHOD_TOL = 6e-2
 #: endpoint-voltage accounting per step).
 E_METHOD_TOL = 2e-2
 
-#: Scalar-segalg vs fleet-segalg on a homogeneous batch: identical
+#: A homogeneous fleet lane vs the same device run alone: identical
 #: programs, identical fixed points — agreement is numerical, not
-#: method-level. The only slack beyond float noise is the hover
-#: backstop's onset granularity (the scalar stalls three cap events
-#: across adaptive spans before holding at the rail; the fleet commits
-#: on the split where the free solve rises), which perturbs the hidden
-#: branch ledger by ~1e-6 V while both terminals sit at V_max.
+#: method-level; the slack only absorbs float noise.
 V_PATH_TOL = 5e-6
 
 #: Mixed workload: bursts, recharge gaps, hysteresis traffic.
@@ -85,7 +81,7 @@ def _random_spec(seed: int, *, jitter: bool, **overrides) -> FleetSpec:
 
 def _run_scalar(params, index, segments, harvesting, stop_below, *,
                 mode, v0=None):
-    """One device through reference / fastpath / scalar-segalg."""
+    """One device through the reference loop or the fastpath."""
     system = params.device_system(index)
     if v0 is not None:
         system.rest_at(v0)
@@ -98,13 +94,10 @@ def _run_scalar(params, index, segments, harvesting, stop_below, *,
             if hit is not None:
                 brown = hit
                 break
-    elif mode == "fastpath":
+    else:
         assert fastpath.supported(system)
         brown = fastpath.advance_segments(sim, trace.segments(),
                                           harvesting, stop_below)
-    else:
-        assert segalg.supported(system)
-        brown = segalg.advance_segments(sim, trace, harvesting, stop_below)
     return dict(
         v_term=system.buffer.terminal_voltage,
         v_min=sim._v_min_seen,
@@ -122,25 +115,19 @@ def _run_fleet(params, segments, harvesting, stop_below, *, v0=None):
 
 
 def _fourway(spec, segments, harvesting=True, stop_below=None, v0=None,
-             energy_abs=1e-6, path_v_tol=V_PATH_TOL, path_e_rel=1e-6):
-    """Run all four engines and assert the equivalence chain.
+             energy_abs=1e-6):
+    """Run every engine on device 0 and assert the equivalence chain.
 
     ``energy_abs`` widens the stepping-vs-algebra energy band on
     brown-out workloads: the stepping loop accrues energy up to its
     step-quantized brown time, the algebra cuts at the analytic
     crossing, so the bands differ by up to ``i_peak * v * T_METHOD_TOL``.
-    ``path_v_tol``/``path_e_rel`` relax the scalar-vs-fleet leg for
-    solar harvests, where the scalar's adaptive spans re-sample the
-    sine per sub-span but the fleet samples once per compiled interval
-    midpoint — a method difference, not a numerical one.
     """
     params = spec.parameters()
     ref = _run_scalar(params, 0, segments, harvesting, stop_below,
                       mode="reference", v0=v0)
     fast = _run_scalar(params, 0, segments, harvesting, stop_below,
                        mode="fastpath", v0=v0)
-    alg = _run_scalar(params, 0, segments, harvesting, stop_below,
-                      mode="segalg", v0=v0)
     state, brown = _run_fleet(params, segments, harvesting, stop_below,
                               v0=v0)
 
@@ -150,34 +137,27 @@ def _fourway(spec, segments, harvesting=True, stop_below=None, v0=None,
     assert fast["energy"] == ref["energy"]
     assert (fast["brown"] is None) == (ref["brown"] is None)
 
-    # fastpath ≡ scalar segalg: method tolerance.
-    assert alg["v_term"] == pytest.approx(fast["v_term"], abs=V_METHOD_TOL)
-    assert alg["v_min"] == pytest.approx(fast["v_min"], abs=V_METHOD_TOL)
-    assert alg["energy"] == pytest.approx(
-        fast["energy"], rel=E_METHOD_TOL, abs=energy_abs)
-    assert (alg["brown"] is None) == (fast["brown"] is None)
-    if alg["brown"] is not None:
-        assert alg["brown"] == pytest.approx(fast["brown"],
-                                             abs=T_METHOD_TOL)
-
-    # scalar segalg ≡ fleet segalg (single device: identical program).
-    assert float(state.v_term[0]) == pytest.approx(alg["v_term"],
-                                                   abs=path_v_tol)
-    assert float(state.v_min[0]) == pytest.approx(alg["v_min"],
-                                                  abs=path_v_tol)
+    # fastpath ≡ fleet segalg: method tolerance.
+    assert float(state.v_term[0]) == pytest.approx(fast["v_term"],
+                                                   abs=V_METHOD_TOL)
+    assert float(state.v_min[0]) == pytest.approx(fast["v_min"],
+                                                  abs=V_METHOD_TOL)
     assert float(state.energy[0]) == pytest.approx(
-        alg["energy"], rel=path_e_rel, abs=1e-9)
-    assert bool(state.enabled[0]) == alg["enabled"]
+        fast["energy"], rel=E_METHOD_TOL, abs=energy_abs)
+    assert float(state.time[0]) == pytest.approx(
+        fast["time"], abs=T_METHOD_TOL)
+    assert bool(state.enabled[0]) == fast["enabled"]
     fleet_brown = float(brown[0])
-    if alg["brown"] is None:
+    if fast["brown"] is None:
         assert np.isnan(fleet_brown)
     else:
-        assert fleet_brown == pytest.approx(alg["brown"], abs=1e-6)
-    return ref, fast, alg, state
+        assert fleet_brown == pytest.approx(fast["brown"],
+                                            abs=T_METHOD_TOL)
+    return ref, fast, state, brown
 
 
 class TestFourWayEquivalence:
-    """reference ≡ fastpath ≡ scalar segalg ≡ fleet segalg."""
+    """reference ≡ fastpath ≡ fleet segalg."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mixed_workload(self, seed):
@@ -189,16 +169,15 @@ class TestFourWayEquivalence:
         spec = _random_spec(seed, jitter=False, harvest_power=0.2e-3)
         # the 20 mA draw accrues up to i*v*T_METHOD_TOL of energy over
         # the allowed brown-time slack between the two integrators
-        ref, fast, alg, state = _fourway(
+        ref, fast, state, brown = _fourway(
             spec, HEAVY, stop_below=spec.v_off, v0=1.9,
             energy_abs=0.020 * 2.6 * T_METHOD_TOL)
-        assert alg["brown"] is not None
+        assert not np.isnan(float(brown[0]))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_solar_harvest(self, seed):
         spec = _random_spec(seed, jitter=False, harvest_period=60.0)
-        _fourway(spec, MIXED, path_v_tol=V_METHOD_TOL,
-                 path_e_rel=E_METHOD_TOL)
+        _fourway(spec, MIXED)
 
     def test_not_harvesting(self):
         spec = _random_spec(99, jitter=False)
@@ -211,11 +190,11 @@ class TestFourWayEquivalence:
         _fourway(spec, [(0.020, 1.5), (0.0, 60.0), (0.010, 0.5)], v0=2.1)
 
 
-class TestJitteredFleetAgainstScalarSegalg:
-    """Each jittered device's fleet lane vs its own scalar segalg run.
+class TestJitteredFleetAgainstOneLane:
+    """Each jittered device's fleet lane vs the same device run alone.
 
     Method-level bounds: the fleet program's conservative partition is
-    shared fleet-wide, a scalar compile partitions per-device.
+    shared fleet-wide, a one-lane compile partitions per device.
     """
 
     @pytest.mark.parametrize("seed", range(3))
@@ -224,18 +203,18 @@ class TestJitteredFleetAgainstScalarSegalg:
         params = spec.parameters()
         state, brown = _run_fleet(params, MIXED, True, None)
         for i in (0, 7, 15):
-            alg = _run_scalar(params, i, MIXED, True, None, mode="segalg")
+            alone, _ = _run_fleet(params.slice(i, i + 1), MIXED, True, None)
             assert float(state.v_term[i]) == pytest.approx(
-                alg["v_term"], abs=V_METHOD_TOL)
+                float(alone.v_term[0]), abs=V_METHOD_TOL)
             assert float(state.energy[i]) == pytest.approx(
-                alg["energy"], rel=E_METHOD_TOL, abs=1e-6)
+                float(alone.energy[0]), rel=E_METHOD_TOL, abs=1e-6)
 
     def test_homogeneous_fleet_is_tight(self):
         spec = _random_spec(5, jitter=False, devices=8)
         params = spec.parameters()
         state, brown = _run_fleet(params, MIXED, True, None)
-        alg = _run_scalar(params, 0, MIXED, True, None, mode="segalg")
-        # All lanes identical, and equal to the scalar algebra path.
+        alone, _ = _run_fleet(params.slice(0, 1), MIXED, True, None)
+        # All lanes identical, and equal to the device run alone.
         assert float(np.ptp(state.v_term)) == 0.0
-        assert float(state.v_term[0]) == pytest.approx(alg["v_term"],
-                                                       abs=V_PATH_TOL)
+        assert float(state.v_term[0]) == pytest.approx(
+            float(alone.v_term[0]), abs=V_PATH_TOL)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.fleet.kernel import FleetState
+from repro.fleet.spec import FleetSpec
 from repro.loads.trace import CurrentTrace
-from repro.power.system import capybara_power_system
 from repro.segalg import program as prog
 from repro.segalg.model import Bank
 from repro.segalg.program import (
@@ -16,9 +17,9 @@ from repro.segalg.program import (
     cached_program,
     canonical_fingerprint,
     compile_segments,
-    program_for,
     segments_cache_token,
 )
+from repro.segalg.vector import advance_fleet
 
 
 @pytest.fixture(autouse=True)
@@ -30,7 +31,11 @@ def _fresh_cache():
 
 @pytest.fixture
 def bank():
-    return Bank.from_system(capybara_power_system(), True)
+    """The un-jittered Capybara base plant as a one-lane bank."""
+    spec = FleetSpec(devices=1, seed=0, esr_jitter=0.0,
+                     capacitance_jitter=0.0, harvest_jitter=0.0,
+                     eta_jitter=0.0)
+    return Bank.from_fleet_state(FleetState(spec.parameters()), True)
 
 
 class TestCompile:
@@ -168,10 +173,16 @@ class TestCachedProgram:
         assert ("k", 0) not in prog._cache
         assert ("k", cap) in prog._cache
 
-    def test_program_for_caches_per_bank_and_trace(self, bank):
+    def test_fleet_caches_per_plant_and_trace(self):
         trace = CurrentTrace([(0.01, 1.0), (0.0, 2.0)])
-        first = program_for(bank, trace)
-        second = program_for(bank, trace)
-        assert first is second
-        other = program_for(bank, CurrentTrace([(0.02, 1.0)]))
-        assert other is not first
+        params = FleetSpec(devices=4, seed=1).parameters()
+        with obs.observe() as ob:
+            advance_fleet(FleetState(params), trace, True, None)
+            advance_fleet(FleetState(params), trace, True, None)
+            advance_fleet(FleetState(params), CurrentTrace([(0.02, 1.0)]),
+                          True, None)
+            advance_fleet(FleetState(params.slice(0, 1)), trace, True,
+                          None)
+        hits = ob.metrics.counter("segalg.program_cache.hits").value
+        misses = ob.metrics.counter("segalg.program_cache.misses").value
+        assert (hits, misses) == (1, 3)

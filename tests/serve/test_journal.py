@@ -196,6 +196,31 @@ class TestCompaction:
         assert not list(tmp_path.glob("*.tmp"))  # temp cleaned up
 
 
+class TestRacingOpeners:
+    def test_repeated_header_does_not_cut_off_open_writers(self, tmp_path):
+        # Two openers that both found the journal empty each wrote a
+        # header. A third opener must load the file as clean — a
+        # compaction here would strand the first two writers' later
+        # appends on the replaced inode.
+        path = tmp_path / "journal"
+        first = JournalWriter(path)
+        first.open(write_header=True)
+        second = JournalWriter(path)
+        second.open(write_header=True)
+        first.append("a", {"v": 1.0})
+        third = PersistentVsafeCache(path)
+        assert third.load_status == "loaded"
+        first.append("b", {"v": 2.0})
+        second.append("c", {"v": 3.0})
+        for writer in (first, second):
+            writer.close()
+        third.close()
+        recovery = read_journal(path)
+        assert recovery.dropped_records == 0
+        assert recovery.entries == {"a": {"v": 1.0}, "b": {"v": 2.0},
+                                    "c": {"v": 3.0}}
+
+
 _CRASH_WRITER = r"""
 import sys
 from repro.serve.cache import PersistentVsafeCache
