@@ -13,8 +13,7 @@ between processes.
 The spec's :attr:`~EnvSpec.fingerprint` digests the canonical field
 dict, so it is stable across sessions and keys recorded ``.npz``
 artifacts; the *lowered trace* carries its own content fingerprint
-(:attr:`TraceHarvester.fingerprint`) which keys the V_safe and
-segment-program caches.
+(:attr:`TraceHarvester.fingerprint`) which keys the V_safe cache.
 """
 
 from __future__ import annotations

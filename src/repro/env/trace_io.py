@@ -5,10 +5,10 @@ environment: the shared edge grid, one power column per device, the
 generating :class:`~repro.env.spec.EnvSpec` (when there is one — a
 trace recorded from real hardware has none), and a **content
 fingerprint** over the canonical arrays. The fingerprint is the trace's
-identity everywhere: ``repro env replay --check`` verifies a
-regenerated trace against it, and each device's column shares it as a
-prefix of the per-device :class:`TraceHarvester` fingerprints that key
-the V_safe and segment-program caches.
+integrity check: ``load_trace`` and ``repro env replay`` verify the
+arrays against it. It keys no cache; each device's column, replayed as
+a :class:`TraceHarvester`, keys the V_safe cache by its own content
+fingerprint.
 
 The writer is **byte-deterministic**: ``numpy.savez`` stamps zip
 members with the current wall clock, so two identical saves differ;

@@ -124,8 +124,7 @@ def shared_key(shared: BatchShared, segments: Sequence[Tuple[float, float]],
 def build_batch(queries: Sequence[BatchQuery],
                 shared: Optional[BatchShared] = None,
                 harvest_edges: Optional[np.ndarray] = None,
-                harvest_powers: Optional[np.ndarray] = None,
-                harvest_fp: str = "") -> FleetState:
+                harvest_powers: Optional[np.ndarray] = None) -> FleetState:
     """Assemble N one-shot queries into a ready-to-advance batch state.
 
     The derivation chain (true capacitance, branch split, redistribution
@@ -184,7 +183,6 @@ def build_batch(queries: Sequence[BatchQuery],
         phase=np.zeros(n),
         harvest_edges=harvest_edges,
         harvest_powers=harvest_powers,
-        harvest_fp=harvest_fp,
     )
     state = FleetState(params)
     # Per-lane start voltages: overwrite the constructor's uniform fill
@@ -232,8 +230,7 @@ def advance_batch(queries: Sequence[BatchQuery],
                   stop_below: Optional[float] = None,
                   shared: Optional[BatchShared] = None,
                   harvest_edges: Optional[np.ndarray] = None,
-                  harvest_powers: Optional[np.ndarray] = None,
-                  harvest_fp: str = "") -> BatchResult:
+                  harvest_powers: Optional[np.ndarray] = None) -> BatchResult:
     """Step every query through ``segments`` in one kernel call.
 
     The serving batcher's entry point: N heterogeneous one-shot queries,
@@ -245,8 +242,7 @@ def advance_batch(queries: Sequence[BatchQuery],
                  else segments)]
     state = build_batch(queries, shared=shared,
                         harvest_edges=harvest_edges,
-                        harvest_powers=harvest_powers,
-                        harvest_fp=harvest_fp)
+                        harvest_powers=harvest_powers)
     brown = advance(state, segments, harvesting, stop_below)
     return BatchResult(
         v_term=state.v_term,

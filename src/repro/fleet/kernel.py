@@ -31,7 +31,7 @@ scalar fastpath's contract against the reference engine.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,7 +90,9 @@ class FleetState:
 
     The derived arrays (conductance, total capacitance, stability bound,
     decoupling time constant) mirror the scalar fastpath's hoisting block
-    expression-for-expression.
+    expression-for-expression. The segment-algebra plant (bank constants
+    and program-cache digest) is derived once per state, on the first
+    segalg advance, and reused by every later one.
     """
 
     def __init__(self, params: FleetParams,
@@ -113,6 +115,13 @@ class FleetState:
         self.alive = np.ones(n, dtype=bool)
         #: Total device·steps executed across all advance() calls.
         self.device_steps = 0
+        #: Segment-algebra plant per ``harvesting`` value: the hoisted
+        #: :class:`~repro.segalg.model.Bank` and its program-cache key,
+        #: derived once per state by ``segalg.vector.advance_fleet`` on
+        #: first use. Reuse is sound because ``params`` is frozen and its
+        #: arrays are never written after expansion; a bank switch builds
+        #: a fresh state.
+        self.segalg_plants: Dict[bool, tuple] = {}
 
         # -- hoisted derived constants (fastpath hoisting block) ----------
         r_esr = params.r_esr

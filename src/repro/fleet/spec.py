@@ -32,7 +32,6 @@ from repro.power.booster import (
 )
 from repro.env.correlate import base_grid, fleet_columns
 from repro.env.spec import EnvSpec
-from repro.env.trace_io import trace_fingerprint
 from repro.power.bank import CapacitorBank
 from repro.power.capacitor import TwoBranchSupercap
 from repro.power.reconfigurable import ReconfigurableBuffer
@@ -357,7 +356,6 @@ class FleetSpec:
         r_esr = self.dc_esr * esr_f
         eta_defaults = CurvedEfficiency()
         harvest_edges = harvest_powers = None
-        harvest_fp = ""
         if self.env is not None:
             # Correlated environment: shared grid, per-device columns,
             # each scaled by the device's harvest jitter factor (site
@@ -365,7 +363,6 @@ class FleetSpec:
             # the columns never travel between processes.
             harvest_edges, columns = fleet_columns(self.env, n)
             harvest_powers = columns * harv_f[:, None]
-            harvest_fp = trace_fingerprint(harvest_edges, harvest_powers)
 
         config_idx = bank_caps = bank_esrs = bank_leaks = None
         r_redist = r_esr * 5.0
@@ -421,7 +418,6 @@ class FleetSpec:
             phase=(phase if self.harvest_period > 0 else np.zeros(n)),
             harvest_edges=harvest_edges,
             harvest_powers=harvest_powers,
-            harvest_fp=harvest_fp,
             config_idx=config_idx,
             bank_caps=bank_caps,
             bank_esrs=bank_esrs,
@@ -448,11 +444,10 @@ class FleetParams:
     eta_base: np.ndarray
     p_harvest: np.ndarray
     phase: np.ndarray
-    # Environment replay (spec.env only): shared piece edges, one power
-    # column per device, and the content fingerprint of the whole batch.
+    # Environment replay (spec.env only): shared piece edges and one power
+    # column per device.
     harvest_edges: Optional[np.ndarray] = None
     harvest_powers: Optional[np.ndarray] = None
-    harvest_fp: str = ""
     # Bank axis (spec.bank only): per-device configuration index into
     # ``spec.bank.configs``, per-device per-bank electricals in sorted
     # bank-name column order, and the shared per-bank leakage column.
@@ -487,7 +482,6 @@ class FleetParams:
             harvest_edges=self.harvest_edges,
             harvest_powers=(None if self.harvest_powers is None
                             else self.harvest_powers[start:stop]),
-            harvest_fp=self.harvest_fp,
             config_idx=(None if self.config_idx is None
                         else self.config_idx[start:stop]),
             bank_caps=(None if self.bank_caps is None

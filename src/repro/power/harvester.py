@@ -84,10 +84,9 @@ class TraceHarvester:
     identical float at the identical time — a bit-identity requirement.
 
     The content fingerprint (a digest of the canonical edge/power arrays)
-    doubles as the cache identity: it keys both the segment-program cache
-    and the VsafeCache through ``PowerSystem.config_key``, so two
-    harvesters lowered from the same environment share cached work across
-    processes.
+    doubles as the cache identity: it keys the VsafeCache through
+    ``PowerSystem.config_key``, so two harvesters lowered from the same
+    environment share cached work across processes.
     """
 
     __slots__ = ("edges", "powers", "_fingerprint")

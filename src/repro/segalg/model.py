@@ -92,11 +92,9 @@ class Bank:
         self.harvest_omega = 0.0
         self.harvest_phase = 0.0
         # HARVEST_TRACE only: shared piece edges (1-D, starts at 0) and
-        # per-device piece powers ([devices, pieces]). ``harvest_fp`` is
-        # the content fingerprint that keys the program cache.
+        # per-device piece powers ([devices, pieces]).
         self.harvest_edges: Optional[np.ndarray] = None
         self.harvest_powers: Optional[np.ndarray] = None
-        self.harvest_fp = ""
 
     @classmethod
     def from_fleet_state(cls, state, harvesting: bool) -> "Bank":
@@ -132,7 +130,6 @@ class Bank:
             bank.harvest_edges = params.harvest_edges
             bank.harvest_powers = params.harvest_powers
             bank.harvest_power = float(np.max(params.harvest_powers))
-            bank.harvest_fp = params.harvest_fp
         elif spec.harvest_period <= 0:
             bank.harvest_mode = HARVEST_CONST
             bank.harvest_power = params.p_harvest

@@ -11,7 +11,9 @@ vector path consumes it without touching Python objects in its hot loop.
 Programs are immutable and cached: compiling a 10k-segment benchmark
 trace costs ~1 ms, advancing it ~3 ms, so re-deriving the program every
 run would dominate. The cache is a small LRU keyed on (plant digest,
-trace fingerprint); hits and misses are exported as
+trace fingerprint). The plant digest is computed once per fleet state
+and kept on it (``FleetState.segalg_plants``), so a lookup hashes only
+the segment source. Hits and misses are exported as
 ``segalg.program_cache.{hits,misses}`` counters at batch granularity
 (one cache lookup per advance call, not per interval).
 
@@ -62,13 +64,10 @@ _canonical_cache: "OrderedDict[str, str]" = OrderedDict()
 class SegmentProgram:
     """Immutable SoA of constant-current intervals.
 
-    ``i_out``/``dur`` are the per-interval load current and length;
-    ``t_start``/``t_mid`` are trace-relative interval start/midpoint
-    times (the midpoint is where time-varying harvest is sampled).
+    ``i_out``/``dur`` are the per-interval load current and length.
     """
 
-    __slots__ = ("i_out", "dur", "t_start", "t_mid", "n", "duration",
-                 "seg_bounds", "_fingerprint")
+    __slots__ = ("i_out", "dur", "n", "seg_bounds", "_fingerprint")
 
     def __init__(self, i_out: np.ndarray, dur: np.ndarray,
                  seg_bounds: Optional[np.ndarray] = None) -> None:
@@ -77,10 +76,6 @@ class SegmentProgram:
         self.i_out.setflags(write=False)
         self.dur.setflags(write=False)
         self.n = len(self.i_out)
-        ends = np.cumsum(self.dur)
-        self.t_start = ends - self.dur
-        self.t_mid = ends - 0.5 * self.dur
-        self.duration = float(ends[-1]) if self.n else 0.0
         # Exclusive interval-index end per *source* segment (zero-length
         # source segments contribute a repeated bound): what lets the
         # fleet path fire recorder captures at the same boundaries the

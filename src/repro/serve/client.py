@@ -174,17 +174,13 @@ class ExpectedAnswers:
             harvesting = bool(req.get("harvesting", False))
             stop_below = shared.v_off if req.get("stop", True) else None
             edges = powers = None
-            fp = ""
             if harvesting and req.get("env") is not None:
-                spec = EnvSpec.from_dict(req["env"])
-                fp = spec.fingerprint
-                edges, base = base_grid(spec)
+                edges, base = base_grid(EnvSpec.from_dict(req["env"]))
                 powers = base[None, :].copy()
             result = advance_batch(
                 [BatchQuery(plant=plant, v_start=float(req["v_start"]))],
                 trace, harvesting=harvesting, stop_below=stop_below,
-                shared=shared, harvest_edges=edges, harvest_powers=powers,
-                harvest_fp=fp)
+                shared=shared, harvest_edges=edges, harvest_powers=powers)
             body = {"id": req_id, "ok": True, "op": "simulate"}
             body.update(result.lane(0))
             return body

@@ -456,7 +456,7 @@ class AdmissionEngine:
         sim_key = ("sim", plant.config_key(), group, v_start)
         sim_plan[idx] = (sim_key, plant, shared, v_start)
         sim_groups.setdefault(group, []).append(
-            (idx, segments, harvesting, stop_below, env_grid, env_fp))
+            (idx, segments, harvesting, stop_below, env_grid))
 
     def _resolve_simulations(self, sim_groups, sim_plan, responses, reqs):
         """Serve cached lanes; batch the misses of each group into one
@@ -476,8 +476,7 @@ class AdmissionEngine:
                     misses.append(member)
             if not misses:
                 continue
-            _idx0, segments, harvesting, stop_below, env_grid, env_fp = \
-                misses[0]
+            _idx0, segments, harvesting, stop_below, env_grid = misses[0]
             queries = []
             for member in misses:
                 idx = member[0]
@@ -495,7 +494,7 @@ class AdmissionEngine:
                     queries, segments, harvesting=harvesting,
                     stop_below=stop_below, shared=shared,
                     harvest_edges=harvest_edges,
-                    harvest_powers=harvest_powers, harvest_fp=env_fp)
+                    harvest_powers=harvest_powers)
             except Exception as exc:
                 for member in misses:
                     idx = member[0]

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.env.spec import EnvSpec
 from repro.fleet.kernel import FleetState
+from repro.fleet.runner import run_fleet_raw
 from repro.fleet.spec import FleetSpec
 from repro.loads.trace import CurrentTrace
 from repro.segalg import program as prog
+from repro.segalg import vector
 from repro.segalg.model import Bank
 from repro.segalg.program import (
     DV_BUDGET,
@@ -46,7 +49,7 @@ class TestCompile:
         np.testing.assert_array_equal(p.i_out, [0.01, 0.0, 0.02])
         np.testing.assert_array_equal(p.dur, [0.5, 1.0, 0.25])
         np.testing.assert_array_equal(p.seg_bounds, [1, 2, 3])
-        assert p.duration == pytest.approx(1.75)
+        assert p.dur.sum() == pytest.approx(1.75)
 
     def test_zero_and_negative_segments_dropped(self):
         runs = [(0.01, 0.5), (0.02, 0.0), (0.03, -1.0), (0.0, 1.0)]
@@ -61,7 +64,7 @@ class TestCompile:
     def test_empty(self):
         p = compile_segments([])
         assert p.n == 0
-        assert p.duration == 0.0
+        assert p.dur.sum() == 0.0
 
     def test_subdivision_preserves_totals(self, bank):
         runs = [(0.025, 2.0), (0.0, 5.0)]
@@ -86,11 +89,6 @@ class TestCompile:
         # a pathological segment cannot explode past MAX_SUB intervals
         p = compile_segments([(0.030, 1e9)], bank)
         assert p.n == MAX_SUB
-
-    def test_time_columns(self):
-        p = compile_segments([(0.01, 1.0), (0.0, 3.0)])
-        np.testing.assert_allclose(p.t_start, [0.0, 1.0])
-        np.testing.assert_allclose(p.t_mid, [0.5, 2.5])
 
     def test_arrays_immutable(self):
         p = compile_segments([(0.01, 1.0)])
@@ -173,7 +171,16 @@ class TestCachedProgram:
         assert ("k", 0) not in prog._cache
         assert ("k", cap) in prog._cache
 
-    def test_fleet_caches_per_plant_and_trace(self):
+    def test_fleet_caches_per_plant_and_trace(self, monkeypatch):
+        keys = []
+        plant_key = vector._plant_key
+
+        def counting_plant_key(state, harvesting):
+            key = plant_key(state, harvesting)
+            keys.append(key)
+            return key
+
+        monkeypatch.setattr(vector, "_plant_key", counting_plant_key)
         trace = CurrentTrace([(0.01, 1.0), (0.0, 2.0)])
         params = FleetSpec(devices=4, seed=1).parameters()
         with obs.observe() as ob:
@@ -185,4 +192,37 @@ class TestCachedProgram:
                           None)
         hits = ob.metrics.counter("segalg.program_cache.hits").value
         misses = ob.metrics.counter("segalg.program_cache.misses").value
+        # equal parameters share programs across states
         assert (hits, misses) == (1, 3)
+        assert len(keys) == 4
+
+        # one state derives its plant once per harvesting value
+        keys.clear()
+        state = FleetState(params)
+        for _ in range(3):
+            advance_fleet(state, trace, True, None)
+            advance_fleet(state, [(0.0, 0.25)], False, None)
+        assert [key[-1] for key in keys] == [True, False]
+
+        # environment fleet: the sliced columns are each shard's harvest
+        # identity, so two shards that differ only by their columns (a
+        # cloud front, no jitter) get distinct keys
+        env = EnvSpec(model="diurnal-solar", duration=20.0, seed=3,
+                      period=20.0, front_delay=2.0)
+        env_spec = FleetSpec(devices=4, seed=1, esr_jitter=0.0,
+                             capacitance_jitter=0.0, harvest_jitter=0.0,
+                             eta_jitter=0.0, env=env)
+        env_params = env_spec.parameters()
+        keys.clear()
+        advance_fleet(FleetState(env_params.slice(0, 2)), trace, True, None)
+        advance_fleet(FleetState(env_params.slice(2, 4)), trace, True, None)
+        assert len(keys) == 2 and keys[0] != keys[1]
+
+        # the fleet runner derives the plant once per shard (one here),
+        # not once per charge chunk
+        keys.clear()
+        with obs.observe() as ob:
+            run_fleet_raw(env_spec, cycles=1, horizon=20.0, jobs=1,
+                          engine="segalg")
+        assert ob.metrics.counter("segalg.fleet.calls").value > 1
+        assert len(keys) == 1
