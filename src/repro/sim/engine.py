@@ -59,6 +59,17 @@ class EngineObserver(Protocol):
     simulation time of the observer's next required sample, or ``None``
     when it needs none; the engine guarantees ``on_sample`` is called at
     that exact time with the terminal voltage.
+
+    Both stepping loops keep the same contract with an observer. Before
+    ``on_sample`` the engine has written back its time, the buffer state
+    and the monitor's enable state, so the observer sees (and may force
+    off, as :class:`~repro.sim.faults.SupplyGlitch` does) the live
+    monitor. After the due observers have run, the engine re-reads the
+    monitor's enable state, every fired observer's ``next_event_time``
+    and the summed ``burden_current``. The fast kernel reads nothing from
+    an observer between due steps, so ``burden_current`` and
+    ``next_event_time`` may change only inside ``on_sample`` or between
+    engine calls, and ``on_sample`` must not touch the buffer.
     """
 
     @property
@@ -155,32 +166,43 @@ class PowerSystemSimulator:
             self._refresh_observer_due()
         return self._next_due
 
-    def _notify(self) -> None:
+    def _notify(self) -> Optional[float]:
+        """Deliver every sample due by now, in attachment order, and
+        return the next due time.
+
+        The one notification routine of both stepping loops. Only fired
+        observers are re-queried; the cached minimum is rebuilt in the
+        same pass.
+        """
         if not self._due_valid:
             self._refresh_observer_due()
+        now = self.time
+        horizon = now + 1e-12
         next_due = self._next_due
-        if next_due is None or next_due > self.time + 1e-12:
-            return  # nothing due: skip querying every observer
+        if next_due is None or next_due > horizon:
+            return next_due  # nothing due: skip querying every observer
         v = self.system.buffer.terminal_voltage
         due_list = self._obs_due
+        next_due = None
         for idx, obs in enumerate(self.observers):
             due = due_list[idx]
-            if due is None or due > self.time + 1e-12:
-                continue
-            while due is not None and due <= self.time + 1e-12:
-                obs.on_sample(self.time, v)
-                nxt = obs.next_event_time()
-                if nxt is not None and nxt <= due:
+            if due is not None and due <= horizon:
+                while True:
+                    obs.on_sample(now, v)
+                    nxt = obs.next_event_time()
+                    if nxt is not None and nxt <= due:
+                        due = nxt
+                        break  # observer did not advance; avoid spinning
                     due = nxt
-                    break  # observer did not advance; avoid spinning
-                due = nxt
-            due_list[idx] = due
-        # Only fired observers were re-queried; recompute the cached min.
-        next_due = None
-        for due in due_list:
+                    if due is None or due > horizon:
+                        break
+                due_list[idx] = due
             if due is not None and (next_due is None or due < next_due):
                 next_due = due
         self._next_due = next_due
+        if not self._due_valid:  # an on_sample attached or detached one
+            self._refresh_observer_due()
+        return self._next_due
 
     # -- core stepping -------------------------------------------------------
 
@@ -225,9 +247,10 @@ class PowerSystemSimulator:
 
     def _use_fast(self) -> bool:
         """Whether the inlined kernel can (and should) run in place of the
-        reference loop: opted in, no observers, stock component types."""
-        return (self.fast and not self.observers
-                and _fast_supported(self.system))
+        reference loop: opted in and stock component types. Observers do
+        not matter; the kernel schedules them exactly as the reference
+        does."""
+        return self.fast and _fast_supported(self.system)
 
     def _advance(self, i_out: float, duration: float, harvesting: bool,
                  stop_below: Optional[float]) -> Optional[float]:
@@ -248,9 +271,10 @@ class PowerSystemSimulator:
     def _advance_reference(self, i_out: float, duration: float,
                            harvesting: bool,
                            stop_below: Optional[float]) -> Optional[float]:
-        """The general stepping loop (see :mod:`repro.sim.fastpath` for the
-        observer-free specialization, which replays this arithmetic
-        exactly)."""
+        """The general stepping loop: the oracle for ``fast=False`` and the
+        path for non-stock component types (see :mod:`repro.sim.fastpath`
+        for the inlined kernel, which replays this arithmetic and this
+        observer schedule exactly)."""
         obs = _obs_current()
         if obs is not None:
             obs.metrics.counter("sim.reference.calls").inc()
@@ -303,11 +327,12 @@ class PowerSystemSimulator:
 
     def _advance_span(self, segments, harvesting: bool,
                       stop_below: Optional[float]) -> Optional[float]:
-        """Advance a list of ``(current, duration)`` segments through the
-        selected engine. Sub-span grouping does not change the float-step
-        sequence: the fastpath re-hoists component state per call but its
-        per-segment recurrence is identical, so per-span calls remain
-        bit-exact with a whole-trace call."""
+        """Advance ``(current, duration)`` segments (a list, or a trace's
+        segment iterator) through the selected engine: one kernel call, or
+        one reference call per segment. Sub-span grouping does not change
+        the float-step sequence: the fastpath re-hoists component state
+        per call but its per-segment recurrence is identical, so per-span
+        calls remain bit-exact with a whole-trace call."""
         if not segments:
             return None
         if self._use_fast():
@@ -430,8 +455,6 @@ class PowerSystemSimulator:
         start_time = self.time
         self._v_min_seen = v_start
         self._energy_out = 0.0
-        browned_out = False
-        brown_time: Optional[float] = None
         stop_level = system.monitor.v_off if stop_on_brownout else None
 
         if not system.monitor.output_enabled:
@@ -443,33 +466,19 @@ class PowerSystemSimulator:
             )
 
         if reconfig_plan is not None and len(reconfig_plan) > 0:
-            hit = self._advance_plan(trace, reconfig_plan, harvesting,
-                                     stop_level)
-            if hit is not None:
-                browned_out = True
-                brown_time = hit
-        elif self._use_fast():
-            # Whole-trace kernel call: component state is hoisted once for
-            # the entire trace, not once per segment.
-            hit = advance_segments(self, trace.segments(), harvesting,
-                                   stop_level)
-            if hit is not None:
-                browned_out = True
-                brown_time = hit
+            brown_time = self._advance_plan(trace, reconfig_plan, harvesting,
+                                            stop_level)
         else:
-            for current, seg_duration in trace.segments():
-                hit = self._advance(current, seg_duration, harvesting,
-                                    stop_level)
-                if hit is not None:
-                    browned_out = True
-                    brown_time = hit
-                    break
+            # On the kernel this is one whole-trace call: component state
+            # is hoisted once for the entire trace, not once per segment.
+            brown_time = self._advance_span(trace.segments(), harvesting,
+                                            stop_level)
+        browned_out = brown_time is not None
 
-        completed = not browned_out
         if settle_after > 0:
             self._advance(0.0, settle_after, harvesting, None)
         return SimulationResult(
-            completed=completed,
+            completed=not browned_out,
             browned_out=browned_out,
             v_start=v_start,
             v_min=self._v_min_seen,

@@ -3,16 +3,31 @@
 ``PowerSystemSimulator(fast=True)`` must be indistinguishable from the
 reference stepper on every simulation it accelerates — the kernel replays
 the identical recurrence, so the results should agree to well inside the
-1e-6 V / 1e-6 s budget (in practice bit-for-bit).
+1e-6 V / 1e-6 s budget (in practice bit-for-bit). Attached observers are
+one more input to that property: the kernel schedules them exactly as the
+reference does, so every observer capture must match with ``==`` too.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.loads.trace import CurrentTrace
-from repro.power.capacitor import IdealCapacitor
+from repro.core.isr import CulpeoIsrRuntime
+from repro.core.runtime import CulpeoRCalculator
+from repro.power.capacitor import IdealCapacitor, TwoBranchSupercap
+from repro.power.harvester import ConstantPowerHarvester, TraceHarvester
+from repro.power.reconfig import ReconfigPlan
+from repro.power.reconfigurable import (
+    ReconfigurableBuffer,
+    capybara_bank_set,
+)
 from repro.power.system import capybara_power_system
+from repro.sim.adc import Adc, FilteringSamplingObserver, SamplingObserver
 from repro.sim.engine import PowerSystemSimulator
+from repro.sim.faults import FaultyAdc, SupplyGlitch
+from repro.sim.recorder import TraceRecorder
+from repro.sim.uarch import CaptureMode, CulpeoUArchBlock
 
 V_TOL = 1e-6
 T_TOL = 1e-6
@@ -83,3 +98,169 @@ class TestFastPathEquivalence:
         assert fast.energy_from_buffer == ref.energy_from_buffer
         assert fast_time == ref_time
         assert fast_v == ref_v
+
+
+# -- observed runs -----------------------------------------------------------
+
+observer_sets = st.sampled_from(
+    ("none", "uarch", "isr", "recorder", "glitch+faulty-adc"))
+harvest_kinds = st.sampled_from(("off", "constant", "trace"))
+observed_buffer_kinds = st.sampled_from(
+    ("two-branch", "decoupled", "ideal", "reconfigurable"))
+short_segment_lists = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=0.06),
+              st.floats(min_value=1e-3, max_value=0.02)),
+    min_size=1, max_size=5,
+)
+harvest_pieces = st.lists(
+    st.tuples(st.floats(min_value=1e-3, max_value=0.03),
+              st.floats(min_value=0.0, max_value=8e-3)),
+    min_size=1, max_size=5,
+)
+
+
+def build_observed_system(kind, esr, v_start, harvest, pieces):
+    system = capybara_power_system(dc_esr=esr)
+    if kind == "reconfigurable":
+        system.buffer = ReconfigurableBuffer(capybara_bank_set(),
+                                             ("large", "small"))
+        system.datasheet_capacitance = None
+    else:
+        system = build_system(kind, esr, v_start)
+    if harvest == "constant":
+        system.harvester = ConstantPowerHarvester(3e-3)
+    elif harvest == "trace":
+        edges = np.cumsum([0.0] + [d for d, _ in pieces])
+        system.harvester = TraceHarvester(edges,
+                                          np.array([p for _, p in pieces]))
+    system.rest_at(v_start)
+    return system
+
+
+def attach_observers(which, sim, seed):
+    """Attach the drawn observer set; returns a capture snapshot thunk."""
+    now = sim.time
+    if which == "none":
+        return lambda: ()
+    if which == "uarch":
+        block = CulpeoUArchBlock()
+        block.configure(True, now)
+        block.prepare(CaptureMode.MIN)
+        block.sample(CaptureMode.MIN)
+        sim.attach(block)
+        return lambda: (block.read(), block._live_code, block._next_t)
+    if which == "isr":
+        sampler = FilteringSamplingObserver(
+            Adc(bits=12), 1e-3, burden_current=72e-6,
+            plausibility_floor=1.5)
+        sampler.set_jitter(np.random.default_rng(seed), 0.2)
+        sampler.enable(now)
+        sim.attach(sampler)
+        return lambda: (sampler.v_first, sampler.v_last, sampler.v_min,
+                        sampler.v_max, sampler.sample_count,
+                        sampler.rejected_count, sampler._next_t)
+    if which == "recorder":
+        recorder = TraceRecorder(7e-4)
+        recorder.start(now)
+        sim.attach(recorder)
+        return lambda: (tuple(recorder._times), tuple(recorder._volts))
+    glitch = SupplyGlitch(sim.system.monitor,
+                          [now + 0.004, now + 0.021, now + 0.021])
+    sampler = SamplingObserver(
+        FaultyAdc(bits=12, dropout_rate=0.3, seed=seed), 1e-3,
+        burden_current=72e-6)
+    sampler.enable(now)
+    sim.attach(glitch)
+    sim.attach(sampler)
+    return lambda: (tuple(glitch.fired), sampler.v_first, sampler.v_last,
+                    sampler.v_min, sampler.v_max, sampler.sample_count)
+
+
+def buffer_state(buffer):
+    inner = getattr(buffer, "_group", buffer)
+    return (buffer.terminal_voltage, buffer.open_circuit_voltage,
+            tuple(sorted(vars(inner).items())))
+
+
+def run_observed(fast, case):
+    system = build_observed_system(case["kind"], case["esr"], case["v"],
+                                   case["harvest"], case["pieces"])
+    sim = PowerSystemSimulator(system, fast=fast)
+    captures = attach_observers(case["observers"], sim, case["seed"])
+    harvesting = case["harvest"] != "off"
+    plan = None
+    if case["kind"] == "reconfigurable":
+        total = sum(d for _, d in case["segs"])
+        plan = ReconfigPlan.build((0.3 * total, ("large",)),
+                                  (0.7 * total, ("large", "small")))
+    result = sim.run_trace(CurrentTrace(case["segs"]),
+                           harvesting=harvesting,
+                           settle_after=case["settle"], reconfig_plan=plan)
+    v_idle = sim.idle(0.005, harvesting=harvesting)
+    return (result, sim.time, v_idle, buffer_state(system.buffer),
+            system.monitor.output_enabled, captures())
+
+
+class TestObservedFastPathEquivalence:
+    @given(kind=observed_buffer_kinds, esr=esr_values, v=start_voltages,
+           segs=short_segment_lists, harvest=harvest_kinds,
+           pieces=harvest_pieces, observers=observer_sets,
+           seed=st.integers(min_value=0, max_value=2**31 - 1),
+           settle=st.sampled_from((0.0, 0.01)))
+    @settings(max_examples=80, deadline=None)
+    def test_observed_fast_matches_reference_bit_exact(
+            self, kind, esr, v, segs, harvest, pieces, observers, seed,
+            settle):
+        case = dict(kind=kind, esr=esr, v=v, segs=segs, harvest=harvest,
+                    pieces=pieces, observers=observers, seed=seed,
+                    settle=settle)
+        assert run_observed(True, case) == run_observed(False, case)
+
+
+# -- a plant whose explicit branch update diverges ---------------------------
+
+def diverging_system():
+    """The golden catalog's CERA-0001 bank: r_esr * c_main ~ 5e-7 s puts
+    ``max_stable_dt`` (~7e-8 s) below the 1 µs ``MIN_DT`` floor, so the
+    branch update blows up to inf and then NaN within a few milliseconds.
+    """
+    system = capybara_power_system()
+    system.buffer = TwoBranchSupercap(
+        c_main=40.5e-3, r_esr=1.23e-5, c_redist=4.5e-3, r_redist=6.2e-5,
+        c_decoupling=100e-6)
+    system.rest_at(system.monitor.v_high)
+    return system
+
+
+class TestDivergingPlant:
+    """Both loops clamp a non-finite state to 0 V the same way, so they
+    agree on the brown-out instead of the kernel carrying a NaN on."""
+
+    def test_fast_matches_reference_once_state_goes_non_finite(self):
+        assert diverging_system().buffer.max_stable_dt \
+            < PowerSystemSimulator.MIN_DT
+        trace = CurrentTrace([(0.012, 0.05), (0.004, 0.10)])
+        runs = []
+        for fast in (True, False):
+            system = diverging_system()
+            sim = PowerSystemSimulator(system, fast=fast)
+            result = sim.run_trace(trace, harvesting=False)
+            runs.append((result, sim.time, buffer_state(system.buffer)))
+        assert runs[0] == runs[1]
+        assert runs[0][0].browned_out and runs[0][0].v_final == 0.0
+
+    def test_isr_profile_matches_reference(self):
+        """The ISR sampler on the kernel reads 0 V, not NaN (which
+        ``Adc.convert`` would reject), exactly as on the reference."""
+        model = capybara_power_system().characterize()
+        calculator = CulpeoRCalculator(efficiency=model.efficiency,
+                                       v_off=model.v_off,
+                                       v_high=model.v_high)
+        trace = CurrentTrace([(0.012, 0.05), (0.004, 0.10)])
+        runs = []
+        for fast in (True, False):
+            sim = PowerSystemSimulator(diverging_system(), fast=fast)
+            runtime = CulpeoIsrRuntime(sim, calculator)
+            result = runtime.profile_task(trace, "t", harvesting=False)
+            runs.append((result, sim.time, runtime.get_vsafe("t")))
+        assert runs[0] == runs[1]

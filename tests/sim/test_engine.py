@@ -203,6 +203,27 @@ class TestObservers:
         assert loaded.buffer.terminal_voltage < \
             baseline.buffer.terminal_voltage
 
+    def test_burden_switched_in_on_sample_matches_reference(self, system):
+        """The kernel re-reads the summed burden after every due step, so
+        an observer that switches its burden inside ``on_sample`` loads
+        the rail exactly as it does on the reference stepper."""
+        class Toggling(_CountingObserver):
+            @property
+            def burden_current(self):
+                return 0.004 if len(self.samples) % 2 else 0.0
+
+        runs = []
+        for fast in (True, False):
+            engine = PowerSystemSimulator(system.copy(), fast=fast)
+            obs = Toggling(0.003)
+            engine.attach(obs)
+            result = engine.run_trace(CurrentTrace.constant(0.002, 0.050),
+                                      harvesting=False, settle_after=0.010)
+            runs.append((result, engine.time,
+                         engine.system.buffer.terminal_voltage,
+                         tuple(obs.samples)))
+        assert runs[0] == runs[1]
+
     def test_detach(self, system):
         engine = PowerSystemSimulator(system)
         obs = _CountingObserver(0.010)

@@ -8,10 +8,9 @@ properties here assert the *contract* over the whole input space:
   or at the V_high fallback, and always inside ``[V_off, V_high]``;
 * supply glitches fire exactly once each, in order, regardless of how the
   schedule is permuted;
-* any attached observer — including every fault injector — must disable
-  the fast kernel, because the kernel cannot deliver observer callbacks;
-  equivalently, a simulation with observers attached must equal the
-  reference stepper bit for bit.
+* every attached observer — fault injectors included — runs on the fast
+  kernel, and a simulation with observers attached equals the reference
+  stepper bit for bit, observer captures included.
 """
 
 import numpy as np
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.isr import CulpeoIsrRuntime
 from repro.loads.synthetic import uniform_load
 from repro.loads.trace import CurrentTrace
@@ -107,31 +107,85 @@ class TestSupplyGlitchProperties:
         assert SupplyGlitch(system.monitor, [0.01]).burden_current == 0.0
 
 
+def _kernel_and_reference(run):
+    """``run(fast)`` on both steppers, counting which loop each used.
+
+    Returns ``(fast_out, ref_out)``; asserts the fast run stayed on the
+    kernel and the reference run never touched it.
+    """
+    outputs = []
+    for fast in (True, False):
+        with obs.observe() as state:
+            outputs.append(run(fast))
+        counters = state.metrics.snapshot()["counters"]
+        kernel = counters.get("sim.fastpath.calls", 0)
+        reference = counters.get("sim.reference.calls", 0)
+        if fast:
+            assert kernel > 0 and reference == 0
+        else:
+            assert kernel == 0 and reference > 0
+    return outputs
+
+
 class TestFaultObserversDisableFastpath:
-    """The fast kernel cannot deliver observer callbacks, so *any*
-    observer — fault injectors included — must force the reference path."""
+    """Fault observers on the fast kernel: each one runs there (no
+    reference-loop call) and leaves results, timing and its own captures
+    bit-identical to the reference stepper."""
 
     def test_bare_engine_uses_fast_kernel(self, system):
         engine = PowerSystemSimulator(system, fast=True)
         assert engine._use_fast()
 
-    def test_supply_glitch_disables_fast_kernel(self, system):
-        glitch = SupplyGlitch(system.monitor, [0.01])
-        engine = PowerSystemSimulator(system, observers=[glitch], fast=True)
-        assert not engine._use_fast()
+    def test_supply_glitch_runs_on_fast_kernel(self, system):
+        trace = CurrentTrace.constant(0.010, 0.060)
 
-    def test_faulty_sampler_disables_fast_kernel(self, system):
-        adc = FaultyAdc(bits=12, dropout_rate=0.5, seed=5)
-        sampler = SamplingObserver(adc, 1e-3, burden_current=72e-6)
-        engine = PowerSystemSimulator(system, observers=[sampler], fast=True)
-        assert not engine._use_fast()
+        def run(fast):
+            trial = system.copy()
+            glitch = SupplyGlitch(trial.monitor, [0.004, 0.021, 0.021])
+            engine = PowerSystemSimulator(trial, observers=[glitch],
+                                          fast=fast)
+            res = engine.run_trace(trace, harvesting=False)
+            engine.idle(0.030, harvesting=False)
+            return (res, trial.buffer.terminal_voltage, engine.time,
+                    trial.monitor.output_enabled, tuple(glitch.fired))
 
-    def test_isr_runtime_attach_disables_fast_kernel(self, system,
-                                                     calculator):
-        engine = PowerSystemSimulator(system, fast=True)
-        assert engine._use_fast()
-        CulpeoIsrRuntime(engine, calculator)
-        assert not engine._use_fast()
+        fast_out, ref_out = _kernel_and_reference(run)
+        assert fast_out == ref_out
+        assert len(fast_out[-1]) == 3
+
+    def test_faulty_sampler_runs_on_fast_kernel(self, system):
+        trace = uniform_load(0.020, 0.010).trace
+
+        def run(fast):
+            trial = system.copy()
+            adc = FaultyAdc(bits=12, dropout_rate=0.5, seed=5)
+            sampler = SamplingObserver(adc, 1e-3, burden_current=72e-6)
+            engine = PowerSystemSimulator(trial, observers=[sampler],
+                                          fast=fast)
+            sampler.enable(engine.time)
+            res = engine.run_trace(trace, harvesting=False,
+                                   settle_after=0.005)
+            return (res, trial.buffer.terminal_voltage, engine.time,
+                    sampler.v_first, sampler.v_last, sampler.v_min,
+                    sampler.v_max, sampler.sample_count)
+
+        fast_out, ref_out = _kernel_and_reference(run)
+        assert fast_out == ref_out
+        assert fast_out[-1] > 0
+
+    def test_isr_runtime_runs_on_fast_kernel(self, system, calculator):
+        def run(fast):
+            engine = PowerSystemSimulator(system.copy(), fast=fast)
+            runtime = CulpeoIsrRuntime(engine, calculator)
+            res = runtime.profile_task(_LOAD, "t", harvesting=False)
+            sampler = runtime._sampler
+            return (res, engine.time,
+                    engine.system.buffer.terminal_voltage,
+                    runtime.get_vsafe("t"), sampler.v_max,
+                    sampler.sample_count, sampler.rejected_count)
+
+        fast_out, ref_out = _kernel_and_reference(run)
+        assert fast_out == ref_out
 
     @given(glitch_at=st.floats(min_value=0.005, max_value=0.05))
     @settings(max_examples=10, deadline=None,

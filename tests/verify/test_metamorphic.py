@@ -77,6 +77,25 @@ class TestInvariantsHoldOnReference:
     def test_fastpath_equivalence(self, system, trace):
         assert check_fastpath_equivalence(system, trace).passed
 
+    def test_fastpath_equivalence_checks_the_sampler(self, system, trace,
+                                                     monkeypatch):
+        """A kernel that skips observers (no samples, no ADC burden)
+        fails the invariant."""
+        import repro.sim.engine as engine_mod
+        kernel = engine_mod.advance_segments
+
+        def deaf(sim, *args):
+            attached, sim.observers = sim.observers, []
+            try:
+                return kernel(sim, *args)
+            finally:
+                sim.observers = attached
+
+        monkeypatch.setattr(engine_mod, "advance_segments", deaf)
+        result = check_fastpath_equivalence(system, trace)
+        assert not result.passed
+        assert "adc" in result.detail
+
     def test_cache_consistency(self, model, trace):
         assert check_cache_consistency(model, trace).passed
 
