@@ -787,7 +787,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes; devices shard into "
                               "contiguous ranges (default 1 = serial; the "
-                              "report is byte-identical either way)")
+                              "report is byte-identical either way under "
+                              "--engine stepping, while segalg shards "
+                              "compile their own programs and agree within "
+                              "its method tolerance)")
     p_fleet.add_argument("--app", default="sense-store",
                          help="task program every device runs "
                               "(default sense-store)")
@@ -907,7 +910,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fleet device-jitter seed (default 0)")
     p_rep.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes (default 1; reports are "
-                            "byte-identical for any N)")
+                            "byte-identical for any N under --engine "
+                            "stepping, within method tolerance under "
+                            "segalg)")
     p_rep.add_argument("--app", default="sense-store",
                        help="shared firmware program (default sense-store)")
     p_rep.add_argument("--cycles", type=int, default=2, metavar="N",

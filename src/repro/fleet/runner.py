@@ -27,7 +27,12 @@ and campaign numbers compose.
 Sharding: ``jobs > 1`` splits the device range into contiguous shards
 via :func:`repro.harness.parallel.split_ranges`; every shard expands the
 same seeded spec and slices its own devices, and results concatenate in
-device order — reports are **byte-identical for any jobs value**.
+device order. On the stepping engine reports are **byte-identical for
+any jobs value**. The segalg engine compiles one program per shard from
+that shard's devices (DESIGN §12, weakness 2), so its interval partition
+moves with ``jobs``: outcomes agree, while ``device_steps`` and the late
+digits of voltages, times and energies differ within the segalg
+tolerances (``V_TOL_SEGALG``, ``T_TOL_SEGALG``, ``E_TOL_SEGALG``).
 """
 
 from __future__ import annotations
@@ -220,7 +225,9 @@ def run_fleet_raw(spec: FleetSpec, *, app: str = "sense-store",
     """Run the fleet and return raw per-device outcomes.
 
     Gates come from ``estimator`` evaluated once on the un-jittered base
-    plant (shared firmware). Results are byte-identical for any ``jobs``.
+    plant (shared firmware). Under ``engine="stepping"`` results are
+    byte-identical for any ``jobs``; segalg shards agree within the
+    segalg tolerances (see the module docstring).
     """
     from repro.apps.programs import build_program
     from repro.sched.gating import program_gates
@@ -331,7 +338,8 @@ _REPORT_DETAIL_CAP = 50
 
 @dataclass
 class FleetReport:
-    """Aggregated fleet outcomes (pure data — any-jobs byte-identical)."""
+    """Aggregated fleet outcomes (pure data; byte-identical for any jobs
+    on the stepping engine)."""
 
     spec: FleetSpec
     app: str

@@ -15,10 +15,11 @@ cannot live anywhere but with the device's history
 
 The correctness bar is deliberately unforgiving: every served answer is
 **byte-identical** to the library's answer for the same query, enforced
-end to end by the differential client (:mod:`~repro.serve.client`) and
-the CI smoke harness (:mod:`~repro.serve.check`). Batching, coalescing,
-caching and restarts are throughput features; none of them is allowed
-to change a single byte.
+end to end by the differential check (:mod:`~repro.serve.client`'s
+independent oracle and byte-check lanes) and the CI smoke harness
+(:mod:`~repro.serve.check`). Batching, coalescing, caching and restarts
+are throughput features; none of them is allowed to change a single
+byte.
 
 The crash-safety layer holds that bar while things break: the cache is
 a journaled, checksummed, crash-consistent tier (:mod:`~repro.serve.journal`)
@@ -29,6 +30,11 @@ with deadlines, seeded backoff and idempotent resend; typed errors
 (:mod:`~repro.serve.errors`) document exactly what is retryable; and
 ``repro chaos --serve`` (:mod:`~repro.serve.chaos`) proves the whole
 stack under service-level fault injection.
+
+``VsafeClient`` is the only client. Because every resend is idempotent,
+a clean run is simply one in which the client healed nothing: the plain
+differential check fails on any retry, resend or reconnect, so the
+healing that masks injected faults cannot mask a daemon fault.
 """
 
 from repro.serve.cache import PersistentVsafeCache

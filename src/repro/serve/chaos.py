@@ -7,8 +7,10 @@ serving stack. One campaign *trial* is: derive the trial RNG from
 injector from the grid, fire a seeded mixed workload at the daemon
 through the self-healing :class:`~repro.serve.vsafe_client.VsafeClient`,
 and byte-compare every answered response against the independent library
-oracle (:class:`~repro.serve.client.ExpectedAnswers`). The outcome is
-classified with the same four-way taxonomy the simulator campaigns use:
+oracle — the same :class:`~repro.serve.client.ByteCheck` lane the
+``repro.serve.check`` smoke runs. The outcome is classified with the
+four-way taxonomy of the simulator campaigns
+(:data:`repro.resilience.campaign.OUTCOMES`):
 
 ``completed``
     Every response byte-identical, no retries, no degradation, daemon
@@ -61,7 +63,6 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
 from random import Random
 from typing import Dict, List, Optional, Tuple, Type
@@ -69,22 +70,11 @@ from typing import Dict, List, Optional, Tuple, Type
 from repro.harness.parallel import parallel_map
 from repro.harness.report import TextTable
 from repro.obs import current as _obs_current
-from repro.serve.client import ExpectedAnswers, ServerProcess
-from repro.serve.errors import (
-    DeadlineBudgetExceeded,
-    DeadlineExpiredError,
-    DegradedOperationError,
-    VsafeServiceError,
-)
+from repro.resilience.campaign import OUTCOMES
+from repro.serve.client import STORM_DEADLINE_MS, ByteCheck, ServerProcess
 from repro.serve.faultfs import FAULTS_ENV
-from repro.serve.protocol import MAX_LINE_BYTES, encode_line
+from repro.serve.protocol import MAX_LINE_BYTES
 from repro.serve.vsafe_client import VsafeClient
-
-#: A queue deadline (ms) no dispatched request can beat: the enqueue ->
-#: dispatch path always takes at least one event-loop hop, so any
-#: positive measured residence exceeds a nanosecond. Deterministic
-#: expiry without sleeping or reading a wall clock.
-STORM_DEADLINE_MS = 1e-6
 
 #: Registered service injector classes by name.
 SERVICE_INJECTORS: Dict[str, Type["ServiceInjector"]] = {}
@@ -537,27 +527,6 @@ def make_trial_workload(rng: Random, queries: int, *,
     return reqs
 
 
-def lines_match(got: bytes, expected: bytes,
-                strip_degraded: bool = False) -> bool:
-    """Byte identity, optionally modulo a true ``degraded`` flag.
-
-    When the disk tier is (deliberately) unhealthy, ok responses carry
-    ``"degraded": true``; stripping exactly that key must restore the
-    healthy bytes — anything else differing is a real mismatch.
-    """
-    if got == expected:
-        return True
-    if not strip_degraded:
-        return False
-    try:
-        body = json.loads(got)
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return False
-    if not isinstance(body, dict) or body.pop("degraded", None) is not True:
-        return False
-    return encode_line(body) == expected
-
-
 # -- one trial --------------------------------------------------------------
 
 
@@ -592,127 +561,53 @@ class ServeTrialOutcome:
         return self.outcome in ("brown_out", "livelock")
 
 
-class _Totals:
-    """Mutable per-trial accumulators (client counters + fault sightings)."""
+class _Totals(ByteCheck):
+    """A trial's byte check plus the faults seen outside its clients."""
 
-    def __init__(self) -> None:
-        self.checked = 0
-        self.mismatches: List[str] = []
-        self.retries = 0
-        self.reconnects = 0
-        self.resends = 0
-        self.degraded_seen = 0
-        self.storm_expired = 0
-        self.flush_degraded = 0
+    def __init__(self, strip_degraded: bool) -> None:
+        super().__init__(strip_degraded)
         self.restarts = 0
         self.proxy_faults = 0
-        self.bad_exits: List[int] = []
-
-    def absorb(self, client: VsafeClient) -> None:
-        self.retries += client.retries
-        # The first connect of each phase is normal, not healing.
-        self.reconnects += max(0, client.reconnects - 1)
-        self.resends += client.resends
-        self.degraded_seen += client.degraded_seen
 
     @property
     def activity(self) -> int:
-        return (self.retries + self.reconnects + self.resends
-                + self.degraded_seen + self.storm_expired
-                + self.flush_degraded + self.restarts
-                + self.proxy_faults)
+        return (self.healed + self.degraded_seen + self.counts["deadline"]
+                + self.flush_degraded + self.restarts + self.proxy_faults)
 
     def as_dict(self) -> dict:
         return {
-            "checked": self.checked,
-            "mismatches": len(self.mismatches),
-            "mismatch_samples": self.mismatches[:3],
+            "checked": self.counts["answered"],
+            "mismatches": len(self.failures),
+            "mismatch_samples": self.failures[:3],
             "retries": self.retries,
             "reconnects": self.reconnects,
             "resends": self.resends,
             "degraded_seen": self.degraded_seen,
-            "storm_expired": self.storm_expired,
+            "storm_expired": self.counts["deadline"],
             "flush_degraded": self.flush_degraded,
             "restarts": self.restarts,
             "proxy_faults": self.proxy_faults,
-            "bad_exits": self.bad_exits,
         }
 
 
 async def _run_phase(host: str, port: int, reqs: List[dict],
-                     oracle: ExpectedAnswers, injector: ServiceInjector,
-                     seed: int, totals: _Totals,
+                     injector: ServiceInjector, seed: int, totals: _Totals,
                      deadline_s: float) -> None:
     """Drive one contiguous slice of the workload against one daemon."""
     proxy: Optional[ChaosProxy] = None
-    target_host, target_port = host, port
     profile = injector.proxy_profile()
     if profile is not None:
         proxy = ChaosProxy(host, port, profile, seed)
         await proxy.start()
-        target_host, target_port = proxy.host, proxy.port
-    strip = injector.kind == "disk"
-    client = VsafeClient(target_host, target_port, deadline_s=deadline_s,
-                         attempt_timeout_s=0.5, seed=seed)
+        host, port = proxy.host, proxy.port
     try:
-        for req in reqs:
-            if req["op"] == "flush":
-                # No oracle for flush (its count is cache-internal);
-                # a degraded error is the *expected* disk-fault signal.
-                try:
-                    await client.request(dict(req))
-                except DegradedOperationError:
-                    totals.flush_degraded += 1
-                continue
-            if req.get("deadline_ms") == STORM_DEADLINE_MS:
-                # Doomed by construction: never reaches the engine, so
-                # the oracle must not see it either.
-                try:
-                    await client.request(dict(req),
-                                         retry_server_errors=False)
-                except DeadlineExpiredError:
-                    totals.storm_expired += 1
-                    continue
-                totals.mismatches.append(
-                    f"id={req['id']}: storm deadline did not expire")
-                continue
-            # Device ops are order-sensitive: compute the expectation
-            # immediately before the sequential round-trip.
-            expected = oracle.expect_line(req)
-            line = await client.request_line(dict(req))
-            totals.checked += 1
-            if not lines_match(line, expected, strip_degraded=strip):
-                totals.mismatches.append(
-                    f"id={req['id']}\n  served   {line!r}\n"
-                    f"  expected {expected!r}")
+        await totals.lane(VsafeClient(host, port, deadline_s=deadline_s,
+                                      attempt_timeout_s=0.5, seed=seed),
+                          reqs)
     finally:
-        totals.absorb(client)
-        await client.close()
         if proxy is not None:
             await proxy.stop()
             totals.proxy_faults += proxy.faults_fired
-
-
-def _shutdown_daemon(server: ServerProcess, totals: _Totals,
-                     drain_timeout: float) -> None:
-    """Graceful stop via the shutdown op; the exit code is part of the
-    safety property (a non-zero exit is a brown-out)."""
-    async def _ask() -> None:
-        client = VsafeClient(server.host, server.port, deadline_s=5.0,
-                             attempt_timeout_s=1.0)
-        try:
-            await client.request({"op": "shutdown", "id": "bye"})
-        finally:
-            await client.close()
-
-    try:
-        asyncio.run(_ask())
-        rc = server.wait(timeout=drain_timeout + 10.0)
-    except (VsafeServiceError, subprocess.TimeoutExpired, OSError) as exc:
-        totals.mismatches.append(f"graceful shutdown failed: {exc}")
-        return
-    if rc != 0:
-        totals.bad_exits.append(rc)
 
 
 def _run_resolved_serve(seed: int, index: int, injector_dict: dict, *,
@@ -738,8 +633,7 @@ def _run_resolved_serve(seed: int, index: int, injector_dict: dict, *,
                    "--queue-limit", str(queue_limit),
                    "--drain-timeout", str(drain_timeout))
 
-    oracle = ExpectedAnswers()
-    totals = _Totals()
+    totals = _Totals(strip_degraded=injector.kind == "disk")
     timed_out = False
     server: Optional[ServerProcess] = None
 
@@ -747,16 +641,12 @@ def _run_resolved_serve(seed: int, index: int, injector_dict: dict, *,
         """One bounded client phase; True when the watchdog expired."""
         try:
             asyncio.run(asyncio.wait_for(
-                _run_phase(server.host, server.port, reqs, oracle,
-                           injector, seed * 1_000_003 + index, totals,
-                           deadline_s),
+                _run_phase(server.host, server.port, reqs, injector,
+                           seed * 1_000_003 + index, totals, deadline_s),
                 timeout=watchdog_s))
             return False
         except asyncio.TimeoutError:
             return True
-        except DeadlineBudgetExceeded as exc:
-            totals.mismatches.append(f"client budget exhausted: {exc}")
-            return False
 
     try:
         server = ServerProcess(*server_args, env=env).__enter__()
@@ -771,9 +661,9 @@ def _run_resolved_serve(seed: int, index: int, injector_dict: dict, *,
                 try:
                     rc = server.wait(timeout=drain_timeout + 10.0)
                     if rc != 0:
-                        totals.bad_exits.append(rc)
+                        totals.failures.append(f"daemon exited with {rc}")
                 except subprocess.TimeoutExpired:
-                    totals.mismatches.append(
+                    totals.failures.append(
                         "SIGTERM drain exceeded its deadline")
                     server.kill()
             else:
@@ -789,16 +679,15 @@ def _run_resolved_serve(seed: int, index: int, injector_dict: dict, *,
         else:
             timed_out = _phase(workload)
         if not timed_out:
-            _shutdown_daemon(server, totals, drain_timeout)
+            totals.stop(server, drain_timeout)
     finally:
         if server is not None:
             server.__exit__(None, None, None)
         shutil.rmtree(tmpdir, ignore_errors=True)
 
-    failed = bool(totals.mismatches or totals.bad_exits)
     if timed_out:
         outcome = "livelock"
-    elif failed:
+    elif totals.failures:
         outcome = "brown_out"
     elif totals.activity:
         outcome = "degraded_but_safe"
@@ -824,10 +713,6 @@ def run_serve_trial(args: "Tuple[int, ServeCampaignConfig]") \
 
 CASE_FORMAT = "repro.serve-chaos-case"
 CASE_VERSION = 1
-
-OUTCOMES: Tuple[str, ...] = ("completed", "degraded_but_safe", "brown_out",
-                             "livelock")
-
 
 @dataclass(frozen=True)
 class ServeChaosCase:
@@ -1051,7 +936,6 @@ __all__ = [
     "ServeTrialOutcome",
     "ServiceInjector",
     "default_service_injector_dicts",
-    "lines_match",
     "load_serve_chaos_case",
     "make_trial_workload",
     "run_serve_campaign",

@@ -3,32 +3,37 @@
 ``python -m repro.serve.check`` spawns a real ``python -m repro serve``
 subprocess, fires a seeded mixed workload at it over concurrent
 connections, and compares every response line against the independent
-library oracle (:class:`~repro.serve.client.ExpectedAnswers`). Two
-modes:
+library oracle (:class:`~repro.serve.client.ExpectedAnswers`). Every
+connection is a :class:`~repro.serve.vsafe_client.VsafeClient` driven
+by :class:`~repro.serve.client.ByteCheck`. Two modes:
 
 * **smoke** (default; the CI ``serve-smoke`` job): mixed admits /
-  simulates / reports / pings across ``--connections`` concurrent
-  connections, every byte compared, then a ``stats`` probe, a graceful
-  ``shutdown``, and an exit-code-0 assertion. Device-scoped requests
-  stay sequential on their home connection (session answers are
-  history-dependent); everything else is concurrent — exactly the
-  interleaving the batcher must coalesce without changing an answer.
+  simulates / reports / pings, one sequential lane per connection,
+  every byte compared, then a ``stats`` probe, a graceful ``shutdown``,
+  and an exit-code-0 assertion. Device-scoped requests stay on their
+  home lane (session answers are history-dependent); everything else
+  is concurrent — exactly the interleaving the batcher must coalesce
+  without changing an answer.
 * **sustained** (``--sustained``; the nightly job): pipelined floods of
-  session-free admits against a deliberately small queue, asserting the
-  daemon *sheds* (``overloaded``) rather than stalls, and that every
-  non-shed answer is still byte-identical. Load shedding is
-  timing-dependent, so shed responses are only counted, never compared.
+  session-free admits, a whole lane in flight, against a deliberately
+  small queue, asserting the daemon *sheds* (``overloaded``) rather
+  than stalls, and that every non-shed answer is still byte-identical.
+  Load shedding is timing-dependent, so shed responses are only
+  counted, never compared.
 
-``--chaos`` runs either mode with the service-fault injectors live: a
-disk-fault plan (ENOSPC) degrades the daemon's cache tier mid-run, and
-every data connection is routed through seeded
+A plain run gives each attempt the whole budget and fails if any client
+retried, resent or reconnected: the client's healing must never hide a
+daemon fault. ``--chaos`` runs either mode with the service-fault
+injectors live, and there the healing is the point: a disk-fault plan
+(ENOSPC) degrades the daemon's cache tier mid-run, and every data
+connection is routed through seeded
 :class:`~repro.serve.chaos.ChaosProxy` instances cycling the transport
 faults (resets, half-open stalls, slow-loris trickle); sustained mode
 additionally storms a fraction of requests with a queue deadline that
-always expires. Lanes then drive the self-healing
-:class:`~repro.serve.vsafe_client.VsafeClient` instead of the raw
-client, and answers are compared modulo the (expected) ``degraded``
-flag — the bar is unchanged: every *answered* byte identical.
+always expires. The same lanes then run against the proxies with short
+attempt timeouts and a small flood window, and answers are compared
+modulo the (expected) ``degraded`` flag — the bar is unchanged: every
+*answered* byte identical.
 
 Exit code 0 means every assertion held; any mismatch prints both byte
 strings and fails the run (and with it, the CI job).
@@ -43,13 +48,17 @@ import os
 import shutil
 import sys
 import tempfile
+from contextlib import asynccontextmanager
 from pathlib import Path
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.env.spec import EnvSpec
-from repro.serve.client import ExpectedAnswers, ServeClient, ServerProcess
+from repro.serve.chaos import ChaosProxy
+from repro.serve.client import STORM_DEADLINE_MS, ByteCheck, ServerProcess
+from repro.serve.faultfs import FAULTS_ENV
 from repro.serve.protocol import canonical
+from repro.serve.vsafe_client import VsafeClient
 
 #: The transport-fault mix ``--chaos`` cycles data connections through.
 CHAOS_PROFILES: Tuple[dict, ...] = (
@@ -64,6 +73,22 @@ CHAOS_DISK_PLAN = {"enospc_after_bytes": 4096}
 #: Fraction of sustained-flood requests stormed with the always-expiring
 #: queue deadline under ``--chaos``.
 CHAOS_STORM_FRACTION = 0.2
+
+#: Sustained floods stop at this many waves, or once shedding has engaged
+#: after the first.
+WAVES = 5
+
+#: The budget of one smoke request, and of one whole flood lane.
+LANE_BUDGET_S = 30.0
+FLOOD_BUDGET_S = 120.0
+
+#: Under ``--chaos``: the attempt timeout that lets a client heal a
+#: stall, and the flood window. The window stays below the reset
+#: profile's minimum (8 forwarded lines): the proxy must deliver some
+#: responses before it can abort, so every reconnect cycle makes
+#: progress.
+CHAOS_ATTEMPT_S = 1.0
+CHAOS_WINDOW = 4
 
 #: Distinct plant overrides the workload cycles through (None = default).
 SYSTEMS: Tuple[Optional[dict], ...] = (
@@ -162,187 +187,64 @@ def make_smoke_workload(seed: int, queries: int, devices: int,
     return lanes
 
 
-async def _run_lane(host: str, port: int, requests: List[dict],
-                    oracle: ExpectedAnswers,
-                    mismatches: List[str]) -> None:
-    client = await ServeClient.connect(host, port)
+def _client(address: Tuple[str, int], budget: float,
+            chaos_seed: Optional[int], salt: int) -> VsafeClient:
+    """One lane's client. A plain run waits a whole budget per attempt,
+    so a healthy daemon never needs healing; under ``--chaos`` attempts
+    time out early and the client heals what the proxies break."""
+    if chaos_seed is None:
+        return VsafeClient(*address, deadline_s=budget,
+                           attempt_timeout_s=budget)
+    return VsafeClient(*address, deadline_s=budget,
+                       attempt_timeout_s=CHAOS_ATTEMPT_S,
+                       seed=chaos_seed * 131 + salt)
+
+
+@asynccontextmanager
+async def _addresses(host: str, port: int, chaos_seed: Optional[int]):
+    """Where lanes connect: the daemon, or under ``--chaos`` one
+    :class:`ChaosProxy` per transport profile in front of it."""
+    if chaos_seed is None:
+        yield [(host, port)]
+        return
+    proxies = [ChaosProxy(host, port, profile, chaos_seed + offset)
+               for offset, profile in enumerate(CHAOS_PROFILES)]
     try:
-        for req in requests:
-            # The oracle must see device ops in served order; computing
-            # just before the sequential round-trip guarantees it.
-            expected = oracle.expect_line(req)
-            got = await client.request_line(req)
-            if got != expected:
-                mismatches.append(
-                    f"id={req.get('id')}\n  served   {got!r}\n"
-                    f"  expected {expected!r}")
+        for proxy in proxies:
+            await proxy.start()
+        yield [(proxy.host, proxy.port) for proxy in proxies]
     finally:
-        await client.close()
-
-
-async def _run_lane_chaos(host: str, port: int, requests: List[dict],
-                          oracle: ExpectedAnswers,
-                          mismatches: List[str], seed: int) -> None:
-    """A smoke lane through the self-healing client: same oracle, same
-    byte bar (modulo the expected ``degraded`` flag), faults masked."""
-    from repro.serve.chaos import lines_match
-    from repro.serve.vsafe_client import VsafeClient
-
-    client = VsafeClient(host, port, deadline_s=30.0,
-                         attempt_timeout_s=1.0, seed=seed)
-    try:
-        for req in requests:
-            expected = oracle.expect_line(req)
-            got = await client.request_line(dict(req))
-            if not lines_match(got, expected, strip_degraded=True):
-                mismatches.append(
-                    f"id={req.get('id')}\n  served   {got!r}\n"
-                    f"  expected {expected!r}")
-    finally:
-        await client.close()
-
-
-async def _start_chaos_proxies(host: str, port: int, seed: int) -> list:
-    """One ChaosProxy per transport profile, fronting the daemon."""
-    from repro.serve.chaos import ChaosProxy
-
-    proxies = []
-    for offset, profile in enumerate(CHAOS_PROFILES):
-        proxy = ChaosProxy(host, port, profile, seed + offset)
-        await proxy.start()
-        proxies.append(proxy)
-    return proxies
+        for proxy in proxies:
+            await proxy.stop()
 
 
 async def run_smoke(host: str, port: int, lanes: List[List[dict]],
-                    shutdown: bool = True,
-                    chaos_seed: Optional[int] = None) -> Tuple[int, int]:
-    """Returns (requests checked, mismatches); prints each mismatch."""
-    oracle = ExpectedAnswers()
-    mismatches: List[str] = []
-    if chaos_seed is None:
+                    chaos_seed: Optional[int] = None) -> ByteCheck:
+    """Every lane at once, one connection each, every answer checked."""
+    check = ByteCheck(strip_degraded=chaos_seed is not None)
+    async with _addresses(host, port, chaos_seed) as addresses:
         await asyncio.gather(*(
-            _run_lane(host, port, lane, oracle, mismatches)
-            for lane in lanes if lane))
-    else:
-        proxies = await _start_chaos_proxies(host, port, chaos_seed)
-        try:
-            await asyncio.gather(*(
-                _run_lane_chaos(proxies[i % len(proxies)].host,
-                                proxies[i % len(proxies)].port,
-                                lane, oracle, mismatches,
-                                chaos_seed * 31 + i)
-                for i, lane in enumerate(lanes) if lane))
-        finally:
-            for proxy in proxies:
-                await proxy.stop()
-    checked = sum(len(lane) for lane in lanes)
-
-    control = await ServeClient.connect(host, port)
-    try:
-        stats = json.loads(await control.request_line(
-            {"op": "stats", "id": "stats"}))
-        if not stats.get("ok"):
-            mismatches.append(f"stats probe failed: {canonical(stats)}")
-        if shutdown:
-            ack = json.loads(await control.request_line(
-                {"op": "shutdown", "id": "bye"}))
-            if not ack.get("stopping"):
-                mismatches.append(f"shutdown not acked: {canonical(ack)}")
-    finally:
-        await control.close()
-    for text in mismatches:
-        print(f"MISMATCH {text}", file=sys.stderr)
-    return checked, len(mismatches)
-
-
-async def _flood_lane(host: str, port: int, requests: List[dict],
-                      expected: Dict[str, bytes], counts: Dict[str, int],
-                      mismatches: List[str]) -> None:
-    """Pipelined: write the whole lane, then collect every response."""
-    client = await ServeClient.connect(host, port)
-    try:
-        for req in requests:
-            await client.send(req)
-        for _ in requests:
-            line = await client.recv_line()
-            body = json.loads(line)
-            if body.get("ok"):
-                counts["answered"] += 1
-                if line != expected[body["id"]]:
-                    mismatches.append(
-                        f"id={body['id']}\n  served   {line!r}\n"
-                        f"  expected {expected[body['id']]!r}")
-            elif body.get("error") in ("overloaded", "deadline"):
-                counts[body["error"]] += 1
-            else:
-                mismatches.append(f"unexpected error: {line!r}")
-    finally:
-        await client.close()
-
-
-async def _flood_lane_chaos(host: str, port: int, requests: List[dict],
-                            expected: Dict[str, bytes],
-                            counts: Dict[str, int],
-                            mismatches: List[str], seed: int) -> None:
-    """A flood lane through the self-healing client's pipelined path:
-    transport faults are masked by idempotent resend; shed and stormed
-    requests come back as error lines and are counted, not compared."""
-    from repro.serve.chaos import lines_match
-    from repro.serve.errors import DeadlineBudgetExceeded
-    from repro.serve.vsafe_client import VsafeClient
-
-    client = VsafeClient(host, port, deadline_s=120.0,
-                         attempt_timeout_s=1.0, seed=seed)
-    try:
-        # Window stays below the reset profile's minimum (8 forwarded
-        # lines): the proxy must deliver some responses before it can
-        # abort, so every reconnect cycle makes progress.
-        results = await client.request_many(
-            [dict(req) for req in requests], window=4,
-            retry_server_errors=False)
-    except DeadlineBudgetExceeded as exc:
-        mismatches.append(f"flood lane livelocked: {exc}")
-        return
-    finally:
-        await client.close()
-    for rid, line in results.items():
-        body = json.loads(line)
-        if body.get("ok"):
-            counts["answered"] += 1
-            if not lines_match(line, expected[rid], strip_degraded=True):
-                mismatches.append(
-                    f"id={rid}\n  served   {line!r}\n"
-                    f"  expected {expected[rid]!r}")
-        elif body.get("error") in ("overloaded", "deadline"):
-            counts[body["error"]] += 1
-        else:
-            mismatches.append(f"unexpected error: {line!r}")
+            check.lane(_client(addresses[i % len(addresses)], LANE_BUDGET_S,
+                               chaos_seed, i), lane)
+            for i, lane in enumerate(lanes) if lane))
+    return check
 
 
 async def run_sustained(host: str, port: int, seed: int, queries: int,
-                        connections: int, waves: int = 5,
-                        chaos_seed: Optional[int] = None) -> int:
-    """Flood with session-free admits until the daemon sheds; byte-check
-    every answered response. Returns the number of failures."""
-    oracle = ExpectedAnswers()
+                        connections: int,
+                        chaos_seed: Optional[int] = None) -> ByteCheck:
+    """Flood with session-free admits, up to :data:`WAVES` waves, until
+    the daemon sheds; every answered response is checked."""
+    check = ByteCheck(strip_degraded=chaos_seed is not None)
     rng = Random(seed)
-    mismatches: List[str] = []
-    totals = {"answered": 0, "overloaded": 0, "deadline": 0}
     per_lane = max(1, queries // max(1, connections))
-    proxies = []
-    if chaos_seed is not None:
-        from repro.serve.chaos import STORM_DEADLINE_MS
-        proxies = await _start_chaos_proxies(host, port, chaos_seed)
-    try:
-        for wave in range(waves):
+    window = per_lane if chaos_seed is None else CHAOS_WINDOW
+    async with _addresses(host, port, chaos_seed) as addresses:
+        for wave in range(WAVES):
             lanes = []
-            expected: Dict[str, bytes] = {}
             for c in range(connections):
                 lane = [_random_admit(rng, f"w{wave}c{c}n{n}", None)
                         for n in range(per_lane)]
-                for req in lane:
-                    expected[req["id"]] = oracle.expect_line(req)
                 if chaos_seed is not None:
                     # Storm a seeded fraction: those deterministically
                     # expire queued, whatever the timing.
@@ -350,51 +252,25 @@ async def run_sustained(host: str, port: int, seed: int, queries: int,
                         if rng.random() < CHAOS_STORM_FRACTION:
                             req["deadline_ms"] = STORM_DEADLINE_MS
                 lanes.append(lane)
-            counts = {"answered": 0, "overloaded": 0, "deadline": 0}
-            if chaos_seed is None:
-                await asyncio.gather(*(
-                    _flood_lane(host, port, lane, expected, counts,
-                                mismatches)
-                    for lane in lanes))
-            else:
-                await asyncio.gather(*(
-                    _flood_lane_chaos(proxies[c % len(proxies)].host,
-                                      proxies[c % len(proxies)].port,
-                                      lane, expected, counts, mismatches,
-                                      chaos_seed * 131 + wave * 17 + c)
-                    for c, lane in enumerate(lanes)))
-            for key, value in counts.items():
-                totals[key] += value
-            print(f"wave {wave}: {canonical(counts)}", flush=True)
-            shed = (totals["overloaded"] if chaos_seed is None
-                    else totals["overloaded"] + totals["deadline"])
-            if shed > 0 and wave >= 1:
+            await asyncio.gather(*(
+                check.flood(_client(addresses[c % len(addresses)],
+                                    FLOOD_BUDGET_S, chaos_seed,
+                                    wave * 17 + c), lane, window)
+                for c, lane in enumerate(lanes)))
+            print(f"after wave {wave}: {canonical(check.counts)}",
+                  flush=True)
+            if wave >= 1 and _shed(check, chaos_seed):
                 break
-    finally:
-        for proxy in proxies:
-            await proxy.stop()
-    control = await ServeClient.connect(host, port)
-    try:
-        await control.request_line({"op": "shutdown", "id": "bye"})
-    finally:
-        await control.close()
-    failures = len(mismatches)
-    for text in mismatches:
-        print(f"MISMATCH {text}", file=sys.stderr)
-    if chaos_seed is None and totals["overloaded"] == 0:
-        print("FAIL: sustained load never tripped load shedding",
-              file=sys.stderr)
-        failures += 1
-    if chaos_seed is not None \
-            and totals["overloaded"] + totals["deadline"] == 0:
-        print("FAIL: chaos flood never exercised the shed path",
-              file=sys.stderr)
-        failures += 1
-    if totals["answered"] == 0:
-        print("FAIL: no request was answered under load", file=sys.stderr)
-        failures += 1
-    print(f"sustained totals: {canonical(totals)}", flush=True)
-    return failures
+    return check
+
+
+def _shed(check: ByteCheck, chaos_seed: Optional[int]) -> int:
+    """Sheds that prove backpressure: ``overloaded`` lines, plus the
+    stormed ``deadline`` expiries under ``--chaos``."""
+    shed = check.counts["overloaded"]
+    if chaos_seed is not None:
+        shed += check.counts["deadline"]
+    return shed
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -437,7 +313,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # A journaled cache tier on a faulty disk: the ENOSPC plan makes
         # the daemon degrade to memo+compute mid-run, and the tmp
         # journal exercises recovery paths the stock check never sees.
-        from repro.serve.faultfs import FAULTS_ENV
         tmpdir = tempfile.mkdtemp(prefix="repro-serve-chaos-check-")
         server_args += ["--cache", os.path.join(tmpdir, "vsafe-cache")]
         env = dict(os.environ)
@@ -446,38 +321,45 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         with ServerProcess(*server_args, env=env) as server:
             if args.sustained:
-                failures = asyncio.run(run_sustained(
+                check = asyncio.run(run_sustained(
                     server.host, server.port, args.seed, args.queries,
                     args.connections, chaos_seed=chaos_seed))
-                checked = None
             else:
                 lanes = make_smoke_workload(args.seed, args.queries,
                                             args.devices, args.connections)
-                checked, failures = asyncio.run(run_smoke(
+                check = asyncio.run(run_smoke(
                     server.host, server.port, lanes,
                     chaos_seed=chaos_seed))
-            rc = server.wait()
-            if rc != 0:
-                print(f"FAIL: server exited with {rc}", file=sys.stderr)
-                failures += 1
+            check.stop(server)
     finally:
         if tmpdir is not None:
             shutil.rmtree(tmpdir, ignore_errors=True)
+    failures = list(check.failures)
+    if chaos_seed is None and check.healed:
+        failures.append(
+            f"a plain run healed {check.healed} faults ({check.retries} "
+            f"retries, {check.reconnects} reconnects, {check.resends} "
+            f"resends)")
+    if args.sustained:
+        if not _shed(check, chaos_seed):
+            failures.append("sustained load never tripped load shedding")
+        if check.counts["answered"] == 0:
+            failures.append("no request was answered under load")
     if args.metrics_out and not Path(args.metrics_out).is_file():
-        print(f"FAIL: no metrics snapshot at {args.metrics_out}",
-              file=sys.stderr)
-        failures += 1
+        failures.append(f"no metrics snapshot at {args.metrics_out}")
+    for text in failures:
+        print(f"FAIL: {text}", file=sys.stderr)
     if failures:
-        print(f"serve check FAILED ({failures} failures)", file=sys.stderr)
+        print(f"serve check FAILED ({len(failures)} failures)",
+              file=sys.stderr)
         return 1
-    if checked is not None:
-        print(f"serve check OK: {checked} responses byte-identical, "
-              f"clean shutdown")
-    else:
+    if args.sustained:
         print("serve check OK: shedding engaged, answers byte-identical, "
               "clean shutdown")
+    else:
+        print(f"serve check OK: {check.counts['answered']} responses "
+              f"byte-identical, clean shutdown")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

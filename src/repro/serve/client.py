@@ -2,7 +2,8 @@
 
 The serving correctness bar is *byte identity*: for every request, the
 daemon's response line must equal — byte for byte — the response the
-library produces for the same query. This module supplies both halves:
+library produces for the same query. This module supplies both halves
+and the one loop that compares them:
 
 * :class:`ExpectedAnswers` — the **library path**. It recomputes each
   answer from first principles (``capybara_power_system`` +
@@ -11,8 +12,12 @@ library produces for the same query. This module supplies both halves:
   mirror of the adaptive derate arithmetic for sessions), deliberately
   *without* importing the engine — a shared bug in a shared code path
   is exactly what a differential check must not be blind to.
-* :class:`ServeClient` — a small asyncio NDJSON client (sequential
-  request/response, or pipelined fire-then-collect for load tests).
+* :class:`ByteCheck` — the **wire path**: it drives the one client,
+  the self-healing :class:`~repro.serve.vsafe_client.VsafeClient`,
+  through a sequential lane or a pipelined flood, compares every
+  answered line against the oracle, counts what the clients healed,
+  and shuts the daemon down. ``repro.serve.check`` and the
+  ``repro chaos --serve`` trials are both built on it.
 * :class:`ServerProcess` — spawns ``python -m repro serve`` as a real
   subprocess and parses the announced port, so the CI smoke job
   exercises the same daemon a deployment would run.
@@ -28,10 +33,11 @@ is supposed to coalesce without changing a byte.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import subprocess
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.env.correlate import base_grid
 from repro.env.spec import EnvSpec
@@ -41,17 +47,26 @@ from repro.loads.trace import CurrentTrace
 from repro.apps.programs import build_program
 from repro.power.system import capybara_power_system
 from repro.sched.adaptive import AdaptiveCulpeoScheduler as _Sched
-from repro.serve.protocol import (
-    MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    encode_line,
+from repro.serve.errors import (
+    DeadlineExpiredError,
+    DegradedOperationError,
+    VsafeServiceError,
 )
+from repro.serve.protocol import PROTOCOL_VERSION, RETRYABLE_ERRORS, \
+    encode_line
+from repro.serve.vsafe_client import VsafeClient
 from repro.verify.runner import build_estimator
 
 _PLANT_FIELDS = ("datasheet_capacitance", "capacitance_tolerance",
                  "dc_esr", "c_decoupling", "leakage_current",
                  "redist_fraction", "harvest_power")
 _SHARED_FIELDS = ("v_high", "v_off", "v_out")
+
+#: A queue deadline (ms) no dispatched request can beat: the enqueue ->
+#: dispatch path always takes at least one event-loop hop, so any
+#: positive measured residence exceeds a nanosecond. Deterministic
+#: expiry without sleeping or reading a wall clock.
+STORM_DEADLINE_MS = 1e-6
 
 
 class _LocalDevice:
@@ -201,41 +216,147 @@ class ExpectedAnswers:
         return encode_line(self.expect(req))
 
 
-class ServeClient:
-    """A minimal NDJSON client over one connection."""
+def lines_match(got: bytes, expected: bytes,
+                strip_degraded: bool = False) -> bool:
+    """Byte identity, optionally modulo a true ``degraded`` flag.
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self.reader = reader
-        self.writer = writer
+    When the disk tier is (deliberately) unhealthy, ok responses carry
+    ``"degraded": true``; stripping exactly that key must restore the
+    healthy bytes — anything else differing is a real mismatch.
+    """
+    if got == expected:
+        return True
+    if not strip_degraded:
+        return False
+    try:
+        body = json.loads(got)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return False
+    if not isinstance(body, dict) or body.pop("degraded", None) is not True:
+        return False
+    return encode_line(body) == expected
 
-    @classmethod
-    async def connect(cls, host: str, port: int) -> "ServeClient":
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=MAX_LINE_BYTES)
-        return cls(reader, writer)
 
-    async def send(self, req: dict) -> None:
-        self.writer.write(encode_line(req))
-        await self.writer.drain()
+class ByteCheck:
+    """Every answer of one differential run, checked against the library.
 
-    async def recv_line(self) -> bytes:
-        line = await self.reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return line
+    :meth:`lane` and :meth:`flood` drive a :class:`VsafeClient` through
+    a request list and close it; :meth:`stop` shuts the daemon down.
+    Each answered line must equal the oracle's (modulo a true
+    ``degraded`` flag when ``strip_degraded``); lines shed with a
+    retryable error are counted in ``counts``, never compared, because
+    shedding is timing-dependent. ``failures`` lists everything that
+    went wrong. ``retries``, ``reconnects`` (connects after each
+    client's first), ``resends`` and ``degraded_seen`` sum what the
+    clients masked, so a run can demand that nothing was healed.
+    """
 
-    async def request_line(self, req: dict) -> bytes:
-        """Sequential round-trip: send one request, return its raw line."""
-        await self.send(req)
-        return await self.recv_line()
+    def __init__(self, strip_degraded: bool = False) -> None:
+        self.oracle = ExpectedAnswers()
+        self.strip_degraded = strip_degraded
+        self.failures: List[str] = []
+        self.counts = {"answered": 0, "overloaded": 0, "deadline": 0}
+        self.flush_degraded = 0
+        self.retries = 0
+        self.reconnects = 0
+        self.resends = 0
+        self.degraded_seen = 0
 
-    async def close(self) -> None:
+    @property
+    def healed(self) -> int:
+        """Faults the clients masked: retries, reconnects and resends."""
+        return self.retries + self.reconnects + self.resends
+
+    async def lane(self, client: VsafeClient, reqs: Sequence[dict]) -> None:
+        """Send ``reqs`` one at a time, checking each answer.
+
+        Each expectation is computed just before its round trip, so
+        device ops reach the oracle in served order. ``flush`` has no
+        oracle (its count is cache-internal): only its ``degraded``
+        error, the expected disk-fault signal, is counted. A request
+        carrying :data:`STORM_DEADLINE_MS` must expire, and the oracle
+        never sees it. Any other error stops the lane.
+        """
         try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except ConnectionError:
-            pass
+            for req in reqs:
+                if req["op"] == "flush":
+                    try:
+                        await client.request(req)
+                    except DegradedOperationError:
+                        self.flush_degraded += 1
+                elif req.get("deadline_ms") == STORM_DEADLINE_MS:
+                    try:
+                        await client.request(req, retry_server_errors=False)
+                        self.failures.append(
+                            f"id={req['id']}: storm deadline did not expire")
+                    except DeadlineExpiredError:
+                        self.counts["deadline"] += 1
+                else:
+                    expected = self.oracle.expect_line(req)
+                    self._judge(req["id"], await client.request_line(req),
+                                expected)
+        except VsafeServiceError as exc:
+            self.failures.append(f"lane stopped: {exc}")
+        finally:
+            await self._release(client)
+
+    async def flood(self, client: VsafeClient, reqs: Sequence[dict],
+                    window: int) -> None:
+        """Pipeline session-free ``reqs``, ``window`` in flight, then
+        check every answer."""
+        expected = {req["id"]: self.oracle.expect_line(req) for req in reqs}
+        try:
+            results = await client.request_many(reqs, window=window)
+        except VsafeServiceError as exc:
+            self.failures.append(f"flood stopped: {exc}")
+            return
+        finally:
+            await self._release(client)
+        for rid, line in results.items():
+            self._judge(rid, line, expected[rid])
+
+    def stop(self, server: "ServerProcess",
+             drain_timeout: float = 5.0) -> None:
+        """Probe ``stats``, send ``shutdown``, and require the daemon to
+        exit 0 within its drain budget (a bad exit fails like a wrong
+        byte)."""
+        async def ask() -> None:
+            client = VsafeClient(server.host, server.port, deadline_s=5.0,
+                                 attempt_timeout_s=5.0)
+            try:
+                await client.request({"op": "stats", "id": "stats"})
+                await client.request({"op": "shutdown", "id": "bye"})
+            finally:
+                await self._release(client)
+
+        try:
+            asyncio.run(ask())
+            rc = server.wait(timeout=drain_timeout + 10.0)
+        except (VsafeServiceError, subprocess.TimeoutExpired, OSError) as exc:
+            self.failures.append(f"graceful shutdown failed: {exc}")
+            return
+        if rc != 0:
+            self.failures.append(f"daemon exited with {rc}")
+
+    def _judge(self, rid: str, line: bytes, expected: bytes) -> None:
+        body = json.loads(line)
+        if body.get("ok"):
+            self.counts["answered"] += 1
+            if not lines_match(line, expected, self.strip_degraded):
+                self.failures.append(
+                    f"id={rid}\n  served   {line!r}\n"
+                    f"  expected {expected!r}")
+        elif body.get("error") in RETRYABLE_ERRORS:
+            self.counts[body["error"]] += 1
+        else:
+            self.failures.append(f"unexpected error: {line!r}")
+
+    async def _release(self, client: VsafeClient) -> None:
+        self.retries += client.retries
+        self.reconnects += max(0, client.reconnects - 1)
+        self.resends += client.resends
+        self.degraded_seen += client.degraded_seen
+        await client.close()
 
 
 class ServerProcess:
@@ -300,7 +421,9 @@ class ServerProcess:
 
 
 __all__ = [
+    "STORM_DEADLINE_MS",
+    "ByteCheck",
     "ExpectedAnswers",
-    "ServeClient",
     "ServerProcess",
+    "lines_match",
 ]

@@ -34,6 +34,10 @@ The client is asyncio-based and **sequential** per call —
 pipelines a window and re-matches responses by ``id``, resending every
 unanswered request after a transport failure. Both leave the connection
 in sync or torn down, never ambiguous.
+
+It is the package's only client: the differential check
+(:class:`~repro.serve.client.ByteCheck`) drives it as well, and its
+counters let a plain run demand that nothing was healed.
 """
 
 from __future__ import annotations
@@ -87,7 +91,8 @@ class VsafeClient:
 
     All counters (``retries``, ``reconnects``, ``resends``,
     ``degraded_seen``) accumulate over the client's life so harnesses
-    can assert that faults were actually masked rather than unexercised.
+    can assert that faults were actually masked rather than unexercised,
+    or, in a plain run, that nothing needed masking.
     """
 
     def __init__(self, host: str, port: int, *,

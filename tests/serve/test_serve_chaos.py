@@ -19,9 +19,7 @@ from repro.serve.chaos import (
     ChaosProxy,
     ServeCampaignConfig,
     ServeChaosCase,
-    ServeChaosReport,
     default_service_injector_dicts,
-    lines_match,
     load_serve_chaos_case,
     make_trial_workload,
     run_serve_campaign,
@@ -29,6 +27,7 @@ from repro.serve.chaos import (
     save_serve_chaos_case,
     service_injector_from_dict,
 )
+from repro.serve.client import lines_match
 from repro.serve.protocol import encode_line
 
 

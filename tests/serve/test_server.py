@@ -1,9 +1,9 @@
 """The asyncio daemon end to end: bytes, backpressure, clean exits.
 
 In-process servers (fast, deterministic — the dispatcher can be paused
-to force queue states) plus one real-subprocess differential smoke via
-:mod:`repro.serve.check`, which is the same entry point the CI
-``serve-smoke`` job runs.
+to force queue states) plus real-subprocess runs of
+:mod:`repro.serve.check` in each mode the CI ``serve-smoke`` and
+``serve-chaos-smoke`` jobs and the nightly flood run.
 """
 
 import asyncio
@@ -14,10 +14,12 @@ import pytest
 
 from repro import obs
 from repro.serve.check import main as check_main, make_smoke_workload
-from repro.serve.client import ExpectedAnswers, ServeClient, ServerProcess
+from repro.serve.client import ExpectedAnswers, ServerProcess
+from repro.serve.errors import DegradedOperationError
 from repro.serve.faultfs import FaultyDiskOps
 from repro.serve.protocol import encode_line
 from repro.serve.server import ServeConfig, VsafeServer
+from repro.serve.vsafe_client import VsafeClient
 
 ADMIT = {"op": "admit", "id": "a0", "v_bank": 2.1,
          "app": "sense-store", "task": "sample"}
@@ -32,7 +34,7 @@ async def _with_server(config, body):
     server = VsafeServer(config)
     await server.start()
     runner = asyncio.ensure_future(server.serve_until_stopped())
-    client = await ServeClient.connect(server.host, server.port)
+    client = VsafeClient(server.host, server.port)
     try:
         result = await body(server, client)
     finally:
@@ -40,6 +42,12 @@ async def _with_server(config, body):
         server.stop()
         await runner
     return result
+
+
+async def _raw(server):
+    """A bare stream, for bytes the client would never send and for
+    reads that must wait while the dispatcher is paused."""
+    return await asyncio.open_connection(server.host, server.port)
 
 
 class TestEndToEnd:
@@ -61,27 +69,27 @@ class TestEndToEnd:
 
     def test_malformed_lines_answer_inline_errors(self):
         async def body(server, client):
-            client.writer.write(b"{not json}\n")
-            await client.writer.drain()
-            bad = json.loads(await client.recv_line())
+            reader, writer = await _raw(server)
+            writer.write(b"{not json}\n")
+            bad = json.loads(await reader.readline())
             assert bad["ok"] is False and bad["error"] == "bad-request"
             # The connection survives a bad line.
-            pong = json.loads(await client.request_line(
-                {"op": "ping", "id": "p"}))
-            assert pong["ok"]
+            writer.write(encode_line({"op": "ping", "id": "p"}))
+            assert json.loads(await reader.readline())["ok"]
             # A structurally invalid (but decodable) request too.
-            missing = json.loads(await client.request_line(
-                {"op": "admit", "id": "x"}))
+            writer.write(encode_line({"op": "admit", "id": "x"}))
+            missing = json.loads(await reader.readline())
             assert missing["error"] == "bad-request"
+            writer.close()
 
         _run(_with_server(ServeConfig(), body))
 
     def test_blank_lines_are_ignored(self):
         async def body(server, client):
-            client.writer.write(b"\n\n" + encode_line({"op": "ping",
-                                                       "id": "p"}))
-            await client.writer.drain()
-            assert json.loads(await client.recv_line())["ok"]
+            reader, writer = await _raw(server)
+            writer.write(b"\n\n" + encode_line({"op": "ping", "id": "p"}))
+            assert json.loads(await reader.readline())["ok"]
+            writer.close()
 
         _run(_with_server(ServeConfig(), body))
 
@@ -105,12 +113,11 @@ class TestBackpressure:
             server._dispatcher.cancel()
             await asyncio.gather(server._dispatcher,
                                  return_exceptions=True)
-            first = dict(ADMIT)
-            shed = {**ADMIT, "id": "a1"}
-            await client.send(first)       # occupies the single slot
-            await asyncio.sleep(0.05)      # let the handler enqueue it
-            await client.send(shed)
-            rejected = json.loads(await client.recv_line())
+            reader, writer = await _raw(server)
+            writer.write(encode_line(ADMIT))   # occupies the single slot
+            await asyncio.sleep(0.05)          # let the handler enqueue it
+            writer.write(encode_line({**ADMIT, "id": "a1"}))
+            rejected = json.loads(await reader.readline())
             assert rejected["id"] == "a1"
             assert rejected["error"] == "overloaded"
             assert server.shed == 1
@@ -118,8 +125,9 @@ class TestBackpressure:
             # and drain cleanly through shutdown.
             server._dispatcher = asyncio.ensure_future(
                 server._dispatch_loop())
-            answered = json.loads(await client.recv_line())
+            answered = json.loads(await reader.readline())
             assert answered["id"] == "a0" and answered["ok"]
+            writer.close()
 
         config = ServeConfig(queue_limit=1)
         _run(_with_server(config, body))
@@ -129,11 +137,13 @@ class TestBackpressure:
             server._dispatcher.cancel()
             await asyncio.gather(server._dispatcher,
                                  return_exceptions=True)
-            await client.send({**ADMIT, "deadline_ms": 1.0})
+            reader, writer = await _raw(server)
+            writer.write(encode_line({**ADMIT, "deadline_ms": 1.0}))
             await asyncio.sleep(0.05)      # queued past its deadline
             server._dispatcher = asyncio.ensure_future(
                 server._dispatch_loop())
-            rejected = json.loads(await client.recv_line())
+            rejected = json.loads(await reader.readline())
+            writer.close()
             assert rejected["error"] == "deadline"
             assert server.deadline_expired == 1
             assert server.engine.kernel_calls == 0
@@ -154,11 +164,9 @@ class TestLifecycle:
                 await server.start()
                 runner = asyncio.ensure_future(
                     server.serve_until_stopped())
-                client = await ServeClient.connect(server.host,
-                                                   server.port)
-                await client.request_line(dict(ADMIT))
-                ack = json.loads(await client.request_line(
-                    {"op": "shutdown", "id": "bye"}))
+                client = VsafeClient(server.host, server.port)
+                await client.request(ADMIT)
+                ack = await client.request({"op": "shutdown", "id": "bye"})
                 assert ack["stopping"] is True
                 await client.close()
                 assert await runner == 0
@@ -195,8 +203,8 @@ class TestLifecycle:
             server = VsafeServer(config)
             await server.start()
             runner = asyncio.ensure_future(server.serve_until_stopped())
-            client = await ServeClient.connect(server.host, server.port)
-            await client.request_line(dict(ADMIT))
+            client = VsafeClient(server.host, server.port)
+            await client.request(ADMIT)
             await client.close()
 
             def wedged_flush():
@@ -216,9 +224,8 @@ class TestLifecycle:
 class TestCrashSafety:
     def test_flush_op_reports_durable_entries(self, tmp_path):
         async def body(server, client):
-            await client.request_line(dict(ADMIT))
-            flushed = json.loads(await client.request_line(
-                {"op": "flush", "id": "f"}))
+            await client.request(ADMIT)
+            flushed = await client.request({"op": "flush", "id": "f"})
             assert flushed["ok"] and flushed["entries"] >= 1
             assert "degraded" not in flushed
 
@@ -234,17 +241,16 @@ class TestCrashSafety:
                 fsync_fail_after=0)
             await server.start()
             runner = asyncio.ensure_future(server.serve_until_stopped())
-            client = await ServeClient.connect(server.host, server.port)
+            client = VsafeClient(server.host, server.port)
             try:
-                degraded = json.loads(await client.request_line(
-                    {"op": "flush", "id": "f"}))
-                assert degraded["ok"] is False
-                assert degraded["error"] == "degraded"
+                with pytest.raises(DegradedOperationError) as raised:
+                    await client.request({"op": "flush", "id": "f"})
+                assert raised.value.response["ok"] is False
+                assert raised.value.response["error"] == "degraded"
                 # Queries still answer — with the degraded marker.
-                answer = json.loads(await client.request_line(dict(ADMIT)))
+                answer = await client.request(ADMIT)
                 assert answer["ok"] and answer["degraded"] is True
-                stats = json.loads(await client.request_line(
-                    {"op": "stats", "id": "st"}))
+                stats = await client.request({"op": "stats", "id": "st"})
                 assert stats["engine"]["cache"]["degraded"] is True
             finally:
                 await client.close()
@@ -275,11 +281,8 @@ class TestCrashSafety:
         """The daemon is SIGKILLed; a successor on the same journal
         serves the same bytes for the same queries."""
         async def ask(host, port, reqs):
-            client = await ServeClient.connect(host, port)
-            try:
-                return [await client.request_line(dict(r)) for r in reqs]
-            finally:
-                await client.close()
+            async with VsafeClient(host, port) as client:
+                return [await client.request_line(r) for r in reqs]
 
         reqs = [dict(ADMIT), {"op": "admit", "id": "a1", "v_bank": 1.9,
                               "app": "sense-tx", "task": "radio"}]
@@ -307,13 +310,8 @@ class TestCrashSafety:
     def test_sigterm_drains_to_exit_zero(self):
         with ServerProcess() as server:
             async def ping():
-                client = await ServeClient.connect(server.host,
-                                                   server.port)
-                try:
-                    return json.loads(await client.request_line(
-                        {"op": "ping", "id": "p"}))
-                finally:
-                    await client.close()
+                async with VsafeClient(server.host, server.port) as client:
+                    return await client.request({"op": "ping", "id": "p"})
 
             assert asyncio.run(ping())["ok"]
             server.terminate()             # SIGTERM, not the shutdown op
@@ -332,6 +330,20 @@ class TestSubprocessSmoke:
         assert rc == 0
         payload = json.loads(metrics.read_text(encoding="utf-8"))
         assert payload["serve"]["shed"] == 0
+
+    def test_sustained_flood_sheds_and_checks_every_answer(self):
+        # The nightly serve-sustained job, miniaturized: pipelined floods
+        # against the small default queue must trip load shedding, and
+        # every answer that is not shed must still match the library.
+        assert check_main(["--sustained", "--queries", "300",
+                           "--connections", "4", "--seed", "1"]) == 0
+
+    def test_chaos_smoke_heals_every_fault(self):
+        # The serve-chaos-smoke differential leg, miniaturized: chaos
+        # proxies on every lane and a disk-fault plan on the daemon, and
+        # still every answered byte matches modulo the degraded flag.
+        assert check_main(["--chaos", "--queries", "40", "--devices", "4",
+                           "--connections", "3", "--seed", "1"]) == 0
 
     def test_workload_generator_is_seeded_and_partitioned(self):
         lanes = make_smoke_workload(seed=3, queries=60, devices=5,
