@@ -55,9 +55,6 @@ GATED_METRICS: List[MetricSpec] = [
     # The segment-algebra claim: the vectorized segalg fleet path beats
     # the stepping fleet kernel >=5x on the jittered duty fleet.
     MetricSpec("segalg_fleet.speedup", floor=5.0, rel_tol=0.6),
-    # The bank-axis driver must keep its vectorization win across the
-    # split/switch/advance cycle, not just on unbroken traces.
-    MetricSpec("bank_sweep.speedup", floor=2.0, rel_tol=0.6),
     # The serving claim: the admission daemon's data plane (request
     # validation + batched engine dispatch over already-decoded objects —
     # the section its dispatcher serializes) sustains >=100k cache-warm

@@ -260,72 +260,6 @@ def bench_segalg_fleet(devices: int, cycles: int, repeats: int) -> dict:
     )
 
 
-def bench_bank_sweep(devices: int, repeats: int, cycles: int = 6) -> dict:
-    """(f) reconfiguration sweep: bank fleet driver vs scalar loop.
-
-    Every device carries the default Capybara two-bank buffer and runs a
-    plan-bearing trace (three mid-trace bank switches per cycle block).
-    The fleet driver splits the trace once and advances the whole batch
-    through the stepping kernel between switches; the scalar loop runs
-    the identical plan per device through the fastpath. The stepping
-    kernel is bit-compatible with the scalar fastpath across switches
-    (``tests/fleet/test_bank_fourway.py``), so the comparison is pure
-    throughput.
-    """
-    from repro.fleet.bank import advance_fleet_plan
-    from repro.fleet.kernel import FleetState
-    from repro.fleet.spec import FleetBankSpec, FleetSpec
-    from repro.power.reconfig import ReconfigPlan
-
-    spec = FleetSpec(devices=devices, seed=11,
-                     bank=FleetBankSpec.capybara())
-    params = spec.parameters()
-    block = [(0.012, 0.05), (0.0, 0.4), (0.020, 0.03), (0.0, 0.6)]
-    segments = block * cycles
-    block_dur = sum(d for _, d in block)
-    events = []
-    for i in range(cycles):
-        base = i * block_dur
-        events.append((base + 0.2, ("large",)))
-        events.append((base + 0.55, ("large", "small")))
-        events.append((base + 0.9, ("small",)))
-    plan = ReconfigPlan.build(*events)
-    trace = CurrentTrace(segments)
-
-    def run_fleet():
-        state, _ = advance_fleet_plan(FleetState(params), trace, plan,
-                                      True, spec.v_off)
-        return state
-
-    def run_scalar():
-        sims = []
-        for i in range(devices):
-            sim = PowerSystemSimulator(params.device_system(i))
-            sim.run_trace(trace, reconfig_plan=plan)
-            sims.append(sim)
-        return sims
-
-    state = run_fleet()
-    sims = run_scalar()
-    drift = max(abs(float(state.v_term[i])
-                    - sims[i].system.buffer.terminal_voltage)
-                for i in range(devices))
-    assert drift < 1e-7, f"bank driver diverged from scalar: {drift}"
-    assert len(set(int(c) for c in params.config_idx)) == 3, \
-        "sweep must cover every start configuration"
-
-    t_fleet = _bench(run_fleet, repeats)
-    t_scalar = _bench(run_scalar, repeats)
-    return dict(
-        devices=devices,
-        segments=len(trace),
-        switches=len(plan),
-        reference_s=t_scalar,
-        fast_s=t_fleet,
-        speedup=t_scalar / t_fleet,
-    )
-
-
 def bench_serving(requests: int, repeats: int, batch: int = 64,
                   distinct: int = 8) -> dict:
     """(g) serving core: validate -> coalesce -> answer, cache-warm.
@@ -444,17 +378,11 @@ def main(argv=None) -> int:
         n_segments, n_tasks, trials, repeats = 1000, 20, 1, 1
         fleet_devices, fleet_cycles = 1000, 2
         sa_fleet_devices, sa_fleet_cycles = 256, 25
-        # The bank driver's batching advantage scales with device count;
-        # below ~256 devices the per-switch split/merge overhead drags
-        # the quick-mode ratio far under the full-mode baseline and the
-        # compare.py relative gate flakes.
-        bank_devices, bank_cycles = 320, 5
         serve_requests = 20_000
     else:
         n_segments, n_tasks, trials, repeats = 10_000, 100, 1, 2
         fleet_devices, fleet_cycles = 1000, 4
         sa_fleet_devices, sa_fleet_cycles = 1024, 100
-        bank_devices, bank_cycles = 512, 6
         serve_requests = 200_000
 
     print("kernel: single many-segment trace ...", flush=True)
@@ -489,14 +417,6 @@ def main(argv=None) -> int:
           f"segalg {sa_fleet['segalg_s']:.3f}s  "
           f"({sa_fleet['speedup']:.1f}x)")
 
-    print("bank-sweep: fleet reconfiguration driver vs scalar loop ...",
-          flush=True)
-    bank_sweep = bench_bank_sweep(bank_devices, repeats, bank_cycles)
-    print(f"  scalar {bank_sweep['reference_s']:.3f}s  "
-          f"fleet {bank_sweep['fast_s']:.3f}s  "
-          f"({bank_sweep['speedup']:.1f}x over {bank_sweep['switches']} "
-          f"switches)")
-
     print("serving: admission data plane, cache-warm batched queries ...",
           flush=True)
     serving = bench_serving(serve_requests, repeats)
@@ -521,7 +441,6 @@ def main(argv=None) -> int:
         sweep=sweep,
         fleet=fleet,
         segalg_fleet=sa_fleet,
-        bank_sweep=bank_sweep,
         serving=serving,
     )
     out = Path(args.output)

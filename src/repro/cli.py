@@ -299,7 +299,7 @@ def _replay_serve_chaos(path: str) -> int:
     print(f"outcome: {outcome.outcome}  "
           f"(recorded: {case.original.get('outcome', '?')})")
     for key in ("checked", "mismatches", "retries", "reconnects",
-                "restarts", "bad_exits"):
+                "resends", "restarts"):
         print(f"  {key}: {outcome.details.get(key)}")
     return 1 if outcome.unsafe else 0
 

@@ -18,8 +18,9 @@ harvesting devices) actually runs in. Three layers:
 
 A fourth entry point, :mod:`~repro.fleet.batch`, inverts the spec's
 shape for the serving layer: N *unrelated* one-shot queries — each with
-its own plant and start voltage — assembled into one kernel call, with
-per-lane answers byte-identical to a batch of one.
+its own plant and start voltage — stepped one by one on scalar plants
+through the fastpath kernel, so every answer is the reference loop's,
+bit for bit, in any batch.
 """
 
 from repro.fleet.batch import (
@@ -28,7 +29,6 @@ from repro.fleet.batch import (
     BatchResult,
     BatchShared,
     advance_batch,
-    build_batch,
     shared_key,
 )
 from repro.fleet.differential import (
@@ -62,7 +62,6 @@ __all__ = [
     "BatchResult",
     "BatchShared",
     "advance_batch",
-    "build_batch",
     "shared_key",
     "FLEET_ENGINES",
     "advance_fleet",

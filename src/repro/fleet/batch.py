@@ -1,60 +1,61 @@
-"""Heterogeneous batch entry: unrelated one-shot queries, one kernel call.
+"""Heterogeneous one-shot queries: the serving layer's simulate entry.
 
 :class:`~repro.fleet.spec.FleetSpec` expands *one* base plant into N
 jittered siblings; the serving layer (:mod:`repro.serve`) needs the
-opposite shape — N unrelated admission queries, each carrying its own
-plant and start voltage, stepped through a shared trace in a single
-vectorized :func:`~repro.fleet.kernel.advance` call. This module builds
-the per-lane :class:`~repro.fleet.spec.FleetParams` arrays directly from
-:class:`BatchPlant` rows, mirroring the spec expansion's float
-derivations expression-for-expression so a batch lane and the equivalent
-scalar plant hold the same values bit-for-bit.
+opposite shape — N unrelated ``simulate`` queries, each carrying its own
+plant and start voltage, over a shared trace. This module names the
+pieces: :class:`BatchPlant` (the per-lane half of a Capybara
+configuration) with :meth:`BatchPlant.system`, the one constructor of
+its scalar :class:`~repro.power.system.PowerSystem`; :class:`BatchShared`
+(the rails every lane of a group agrees on); :func:`shared_key` (the
+coalescing group key); and :func:`advance_batch`.
 
-What a batch may mix and what it must share
--------------------------------------------
+One device, one scalar run
+--------------------------
+A served simulate is one device asking the paper's per-(plant, task)
+question, and measured serve traffic dispatches about one lane per
+call. :func:`advance_batch` therefore steps each lane on its own scalar
+plant through the fastpath kernel (:mod:`repro.sim.fastpath`), which is
+bit-exact with the reference stepping loop. A lane reads nothing but its
+own query, so its answer is byte-identical in a batch of any size or
+order — the property that lets the serving batcher group unrelated
+queries. ``tests/fleet/test_batch.py`` enforces it and pins every lane
+to the reference loop, bit for bit.
+
+What a group must share
+-----------------------
 Per-lane: capacitance, tolerance, ESR, decoupling, leakage,
-redistribution fraction, harvest power, and the start voltage. Shared
-(they are scalars the kernel hoists once per batch): the monitor rails
-``v_high``/``v_off``, the output rail ``v_out``, the input-booster
-efficiency, the trace itself, the harvesting mode, and the stop level.
-:func:`shared_key` digests exactly that shared remainder — it is the
-coalescing group key the serving batcher partitions on.
-
-Batch-composition invariance
-----------------------------
-The stepping kernel's per-lane arithmetic is lane-local: every branch of
-its update (booster draw, charge step, adaptive ``dt``, monitor
-hysteresis) computes lane ``i``'s next state from lane ``i``'s current
-state alone, and the batch-structure fast paths (``enabled.all()``,
-``running.all()``...) select between *identical per-lane values*. A
-query answered in a batch of N is therefore byte-identical to the same
-query answered in a batch of one — the same property that makes sharded
-fleet reports byte-identical for any ``--jobs``. ``tests/fleet/
-test_batch.py`` enforces it directly; the serving layer's correctness
-bar (served answer ≡ library answer) rests on it.
+redistribution fraction, harvest power, and the start voltage. Shared:
+the monitor rails ``v_high``/``v_off``, the output rail ``v_out``, the
+trace itself, the harvesting mode, the stop level and the recorded
+environment. :func:`shared_key` digests exactly that shared remainder —
+it is the group key the serving batcher partitions on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fleet.kernel import FleetState, advance
-from repro.fleet.spec import FleetParams, FleetSpec
-from repro.power.booster import CurvedEfficiency
+from repro.power.harvester import (
+    ConstantPowerHarvester,
+    Harvester,
+    TraceHarvester,
+)
+from repro.power.system import PowerSystem, capybara_power_system
+from repro.sim.engine import PowerSystemSimulator
+from repro.sim.fastpath import advance_segments
+
 
 @dataclass(frozen=True)
 class BatchPlant:
     """One query's plant: the per-lane half of a Capybara configuration.
 
     Field names and defaults match
-    :func:`~repro.power.system.capybara_power_system`; the derived
-    two-branch quantities are computed exactly as
-    :meth:`FleetSpec.parameters` computes them (unit jitter factors), so
-    a lane built from this row equals the scalar plant built from the
-    same numbers.
+    :func:`~repro.power.system.capybara_power_system`, which
+    :meth:`system` calls with exactly these numbers.
     """
 
     datasheet_capacitance: float = 45e-3
@@ -83,6 +84,30 @@ class BatchPlant:
                 self.leakage_current, self.redist_fraction,
                 self.harvest_power)
 
+    def system(self, shared: "BatchShared",
+               harvester: Optional[Harvester] = None) -> PowerSystem:
+        """This plant on ``shared``'s rails as a scalar power system.
+
+        The one ``BatchPlant`` → :class:`PowerSystem` constructor: the
+        serving engine's admits and simulates and its library oracle
+        all build plants here. ``harvester`` defaults to none, as
+        admission analysis assumes. Raises :class:`ValueError` for a
+        plant the scalar model rejects (overcommitted capacitance,
+        non-positive ESR, ``v_off`` not below ``v_high``...).
+        """
+        return capybara_power_system(
+            datasheet_capacitance=self.datasheet_capacitance,
+            capacitance_tolerance=self.capacitance_tolerance,
+            dc_esr=self.dc_esr,
+            c_decoupling=self.c_decoupling,
+            leakage_current=self.leakage_current,
+            redist_fraction=self.redist_fraction,
+            v_high=shared.v_high,
+            v_off=shared.v_off,
+            v_out=shared.v_out,
+            harvester=harvester,
+        )
+
 
 @dataclass(frozen=True)
 class BatchQuery:
@@ -98,129 +123,43 @@ class BatchQuery:
 
 @dataclass(frozen=True)
 class BatchShared:
-    """The scalars every lane of one kernel call must agree on."""
+    """The rails every lane of one group must agree on."""
 
     v_high: float = 2.56
     v_off: float = 1.6
     v_out: float = 2.55
-    input_efficiency: float = 0.80
 
 
 def shared_key(shared: BatchShared, segments: Sequence[Tuple[float, float]],
                harvesting: bool, stop_below: Optional[float],
                env_fingerprint: str = "") -> tuple:
-    """The coalescing group key: everything one kernel call shares.
+    """The coalescing group key: everything one ``advance_batch`` call
+    shares.
 
     Two queries with equal keys can ride the same batch; the per-lane
-    remainder (plant, ``v_start``) travels in the arrays.
+    remainder (plant, ``v_start``) travels in the queries.
     """
     return ("batch-shared", shared.v_high, shared.v_off, shared.v_out,
-            shared.input_efficiency, tuple(tuple(s) for s in segments),
+            tuple(tuple(s) for s in segments),
             bool(harvesting),
             None if stop_below is None else float(stop_below),
             env_fingerprint)
 
 
-def build_batch(queries: Sequence[BatchQuery],
-                shared: Optional[BatchShared] = None,
-                harvest_edges: Optional[np.ndarray] = None,
-                harvest_powers: Optional[np.ndarray] = None) -> FleetState:
-    """Assemble N one-shot queries into a ready-to-advance batch state.
-
-    The derivation chain (true capacitance, branch split, redistribution
-    resistance, booster base efficiency) mirrors
-    :meth:`FleetSpec.parameters` with the jitter factors pinned at one,
-    so every float a lane holds equals what the equivalent scalar
-    :func:`~repro.power.system.capybara_power_system` plant holds.
-    ``harvest_edges``/``harvest_powers`` attach a recorded environment
-    (one power row per lane on shared piece edges) exactly as a fleet
-    env replay would.
-    """
-    if not queries:
-        raise ValueError("a batch needs at least one query")
-    shared = shared or BatchShared()
-    n = len(queries)
-
-    cap = np.array([q.plant.datasheet_capacitance for q in queries])
-    tol = np.array([q.plant.capacitance_tolerance for q in queries])
-    esr = np.array([q.plant.dc_esr for q in queries])
-    c_dec = np.array([q.plant.c_decoupling for q in queries])
-    leak = np.array([q.plant.leakage_current for q in queries])
-    redist = np.array([q.plant.redist_fraction for q in queries])
-    p_h = np.array([q.plant.harvest_power for q in queries])
-
-    # Elementwise mirror of FleetSpec.parameters() with unit jitters.
-    true_c = cap * (1.0 + tol)
-    c_redist = true_c * redist
-    c_main = true_c - c_redist - c_dec
-    if c_main.min() <= 0:
-        raise ValueError(
-            "decoupling + redistribution exceed total capacitance for at "
-            "least one query's plant")
-    eta = CurvedEfficiency()
-
-    # The spec carries only the shared scalars the kernel hoists; the
-    # base-plant fields are placeholders (never read through the arrays).
-    spec = FleetSpec(
-        devices=n,
-        v_high=shared.v_high,
-        v_off=shared.v_off,
-        v_out=shared.v_out,
-        input_efficiency=shared.input_efficiency,
-        esr_jitter=0.0, capacitance_jitter=0.0,
-        harvest_jitter=0.0, eta_jitter=0.0,
-    )
-    params = FleetParams(
-        spec=spec,
-        c_main=c_main,
-        r_esr=esr,
-        c_redist=c_redist,
-        r_redist=esr * 5.0,
-        c_decoupling=c_dec,
-        leakage=leak,
-        eta_base=np.full(n, eta.base),
-        p_harvest=p_h,
-        phase=np.zeros(n),
-        harvest_edges=harvest_edges,
-        harvest_powers=harvest_powers,
-    )
-    state = FleetState(params)
-    # Per-lane start voltages: overwrite the constructor's uniform fill
-    # with the same per-lane values a batch-of-one would start from.
-    v0 = np.array([q.v_start for q in queries])
-    state.v_main = v0.copy()
-    state.v_redist = v0.copy()
-    state.v_term = v0.copy()
-    state.v_min = v0.copy()
-    state.enabled = v0 >= shared.v_off
-    return state
-
-
 @dataclass
 class BatchResult:
-    """Per-lane outcome of one batched advance (plain arrays)."""
+    """Per-lane outcomes of one :func:`advance_batch` call."""
 
-    v_term: np.ndarray
-    v_min: np.ndarray
-    time: np.ndarray
-    energy: np.ndarray
-    brown: np.ndarray    # absolute brown-out times, NaN where none
-    alive: np.ndarray
+    lanes: List[dict]
 
     @property
     def n(self) -> int:
-        return int(self.v_term.shape[0])
+        return len(self.lanes)
 
     def lane(self, i: int) -> dict:
-        """Lane ``i`` as a JSON-ready dict (NaN brown-out becomes None)."""
-        t_brown = float(self.brown[i])
-        return {
-            "v_end": float(self.v_term[i]),
-            "v_min": float(self.v_min[i]),
-            "time": float(self.time[i]),
-            "energy": float(self.energy[i]),
-            "brownout": None if np.isnan(t_brown) else t_brown,
-        }
+        """Lane ``i`` as a JSON-ready dict: ``v_end``, ``v_min``,
+        ``time``, ``energy`` and ``brownout`` (None when none)."""
+        return dict(self.lanes[i])
 
 
 def advance_batch(queries: Sequence[BatchQuery],
@@ -231,27 +170,38 @@ def advance_batch(queries: Sequence[BatchQuery],
                   shared: Optional[BatchShared] = None,
                   harvest_edges: Optional[np.ndarray] = None,
                   harvest_powers: Optional[np.ndarray] = None) -> BatchResult:
-    """Step every query through ``segments`` in one kernel call.
+    """Step every query through ``segments``, one scalar run per lane.
 
-    The serving batcher's entry point: N heterogeneous one-shot queries,
-    one vectorized advance of the stepping fleet kernel. Each lane's
-    answer is byte-identical to the answer a batch of one would produce.
+    Each lane is a fresh :meth:`BatchPlant.system` rested at its
+    ``v_start`` and advanced by the fastpath kernel. It harvests its
+    plant's constant ``harvest_power``, or with ``harvest_edges`` row
+    ``i`` of ``harvest_powers`` as a recorded environment. Times are
+    absolute from the lane's start at 0 s.
     """
+    if not queries:
+        raise ValueError("a batch needs at least one query")
     segments = [(float(i), float(d)) for i, d in
                 (segments.segments() if hasattr(segments, "segments")
                  else segments)]
-    state = build_batch(queries, shared=shared,
-                        harvest_edges=harvest_edges,
-                        harvest_powers=harvest_powers)
-    brown = advance(state, segments, harvesting, stop_below)
-    return BatchResult(
-        v_term=state.v_term,
-        v_min=state.v_min,
-        time=state.time,
-        energy=state.energy,
-        brown=brown,
-        alive=state.alive,
-    )
+    shared = shared or BatchShared()
+    lanes = []
+    for k, query in enumerate(queries):
+        if harvest_edges is None:
+            harvester = ConstantPowerHarvester(query.plant.harvest_power)
+        else:
+            harvester = TraceHarvester(harvest_edges, harvest_powers[k])
+        system = query.plant.system(shared, harvester)
+        system.rest_at(query.v_start)
+        sim = PowerSystemSimulator(system)
+        brownout = advance_segments(sim, segments, harvesting, stop_below)
+        lanes.append({
+            "v_end": system.buffer.terminal_voltage,
+            "v_min": sim._v_min_seen,     # noqa: SLF001 — sim-internal
+            "time": sim.time,
+            "energy": sim._energy_out,    # noqa: SLF001
+            "brownout": brownout,
+        })
+    return BatchResult(lanes)
 
 
 __all__ = [
@@ -260,6 +210,5 @@ __all__ = [
     "BatchResult",
     "BatchShared",
     "advance_batch",
-    "build_batch",
     "shared_key",
 ]

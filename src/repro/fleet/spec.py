@@ -150,9 +150,8 @@ def bank_group_params(bank_caps: np.ndarray, bank_esrs: np.ndarray,
     leakage column, ``members`` the column indices of the active set *in
     sorted name order*. Accumulation happens column by column in that
     order — the same left-to-right float summation the scalar buffer
-    performs — so a fleet slot and its scalar mirror agree bit for bit.
-    Shared by spec expansion and the mid-run reconfiguration driver so
-    the two can never drift apart.
+    performs — so a fleet slot and its scalar mirror
+    (:meth:`FleetParams.device_buffer`) agree bit for bit.
     """
     n = bank_caps.shape[0]
     capacitance = np.zeros(n)
@@ -547,9 +546,9 @@ class FleetParams:
         level = spec.v_high if rest_at is None else rest_at
         system.rest_at(level)
         if spec.bank is not None:
-            # Idle banks rest at the same level the active group does, so
-            # a scalar replay of a mid-run reconfiguration merges against
-            # the same parked voltages the fleet driver tracks.
+            # Idle banks rest at the same level the active group does
+            # (the admission precondition), so a mid-run reconfiguration
+            # merges against banks parked at the start level.
             buffer.rest_all(level)
         return system
 

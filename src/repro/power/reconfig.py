@@ -5,18 +5,17 @@ reconfigurable storage by tagging profiles and V_safe entries per buffer
 configuration; Williams & Hicks (arXiv:2401.08806) show *when* to resize
 matters as much as *whether*. This module is the simulation side of that
 story: a :class:`ReconfigPlan` is a serializable schedule of mid-trace
-bank switches, and every engine (reference stepping loop, scalar
-fastpath, fleet kernels) consumes it the same way — split the load trace
-at each event offset, advance each sub-span with the unmodified engine,
-and apply the *shared* electrical transform (:func:`apply_reconfiguration`)
-between spans.
+bank switches, and both scalar engines (reference stepping loop, scalar
+fastpath) consume it the same way — split the load trace at each event
+offset, advance each sub-span with the unmodified engine, and apply the
+*shared* electrical transform (:func:`apply_reconfiguration`) between
+spans.
 
-The transform is deliberately one piece of code: the differential chain
-(reference ≡ fastpath ≡ fleet kernels) holds on plan-bearing traces
-because both scalar engines literally call the same
-:meth:`ReconfigurableBuffer.configure`, and the fleet driver
-(:mod:`repro.fleet.bank`) mirrors it elementwise in the same float
-order.
+The transform is deliberately one piece of code: reference ≡ fastpath
+holds bit for bit on plan-bearing traces because both engines literally
+call the same :meth:`ReconfigurableBuffer.configure`. The fleet engines
+have no plan path; a fleet's bank axis is a static configuration per
+device.
 
 Event semantics (documented, relied on by the tie tests):
 

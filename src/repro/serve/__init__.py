@@ -4,8 +4,9 @@ The paper's charge-management interface answers one question — *is the
 bank above V_safe for this task?* — on the device. This package answers
 the same question for a **fleet**, from one daemon: admission queries
 arrive over a newline-delimited canonical-JSON socket protocol
-(:mod:`~repro.serve.protocol`), a coalescer batches concurrent queries
-that share an analysis onto one vectorized kernel call
+(:mod:`~repro.serve.protocol`), a coalescer answers concurrent queries
+that share an analysis with one computation — an estimator run, or a
+scalar fastpath run per simulated plant
 (:mod:`~repro.serve.engine` over :mod:`repro.fleet.batch`), a
 disk-backed content-keyed cache keeps answers warm across restarts
 (:mod:`~repro.serve.cache`), and per-device sessions carry the

@@ -6,12 +6,15 @@ library produces for the same query. This module supplies both halves
 and the one loop that compares them:
 
 * :class:`ExpectedAnswers` — the **library path**. It recomputes each
-  answer from first principles (``capybara_power_system`` +
-  ``build_estimator`` for admits, a batch-of-one
-  :func:`~repro.fleet.batch.advance_batch` for simulates, its own
-  mirror of the adaptive derate arithmetic for sessions), deliberately
-  *without* importing the engine — a shared bug in a shared code path
-  is exactly what a differential check must not be blind to.
+  answer from first principles (``build_estimator`` for admits, the
+  reference stepping loop for simulates, its own mirror of the adaptive
+  derate arithmetic for sessions), deliberately *without* importing the
+  engine or :func:`~repro.fleet.batch.advance_batch` — a shared bug in
+  a shared code path is exactly what a differential check must not be
+  blind to. What it shares with the daemon is library code both must
+  call: the plant constructor
+  (:meth:`~repro.fleet.batch.BatchPlant.system`), the estimators and
+  the program registry.
 * :class:`ByteCheck` — the **wire path**: it drives the one client,
   the self-healing :class:`~repro.serve.vsafe_client.VsafeClient`,
   through a sequential lane or a pipelined flood, compares every
@@ -41,11 +44,10 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.env.correlate import base_grid
 from repro.env.spec import EnvSpec
-from repro.fleet.batch import BatchPlant, BatchQuery, BatchShared, \
-    advance_batch
+from repro.fleet.batch import BatchPlant, BatchShared
 from repro.loads.trace import CurrentTrace
 from repro.apps.programs import build_program
-from repro.power.system import capybara_power_system
+from repro.power.harvester import ConstantPowerHarvester, TraceHarvester
 from repro.sched.adaptive import AdaptiveCulpeoScheduler as _Sched
 from repro.serve.errors import (
     DeadlineExpiredError,
@@ -55,6 +57,7 @@ from repro.serve.errors import (
 from repro.serve.protocol import PROTOCOL_VERSION, RETRYABLE_ERRORS, \
     encode_line
 from repro.serve.vsafe_client import VsafeClient
+from repro.sim.engine import PowerSystemSimulator
 from repro.verify.runner import build_estimator
 
 _PLANT_FIELDS = ("datasheet_capacitance", "capacitance_tolerance",
@@ -141,19 +144,30 @@ class ExpectedAnswers:
         key = (plant, shared)
         system = self._systems.get(key)
         if system is None:
-            system = capybara_power_system(
-                datasheet_capacitance=plant.datasheet_capacitance,
-                capacitance_tolerance=plant.capacitance_tolerance,
-                dc_esr=plant.dc_esr,
-                c_decoupling=plant.c_decoupling,
-                leakage_current=plant.leakage_current,
-                redist_fraction=plant.redist_fraction,
-                v_high=shared.v_high,
-                v_off=shared.v_off,
-                v_out=shared.v_out,
-            )
-            self._systems[key] = system
+            system = self._systems[key] = plant.system(shared)
         return system
+
+    def _simulate(self, req: dict) -> dict:
+        """A ``simulate`` answered on the reference stepping loop: the
+        request's plant, rested at ``v_start``, over the same segments
+        and stop level the daemon uses."""
+        plant, shared = self._split_system(req)
+        harvesting = bool(req.get("harvesting", False))
+        harvester = ConstantPowerHarvester(plant.harvest_power)
+        if harvesting and req.get("env") is not None:
+            harvester = TraceHarvester(
+                *base_grid(EnvSpec.from_dict(req["env"])))
+        system = plant.system(shared, harvester)
+        system.rest_at(float(req["v_start"]))
+        sim = PowerSystemSimulator(system, fast=False)
+        brownout = sim._advance_span(     # noqa: SLF001 — sim-internal
+            list(self._trace(req).segments()), harvesting,
+            shared.v_off if req.get("stop", True) else None)
+        return {"v_end": system.buffer.terminal_voltage,
+                "v_min": sim._v_min_seen,     # noqa: SLF001
+                "time": sim.time,
+                "energy": sim._energy_out,    # noqa: SLF001
+                "brownout": brownout}
 
     # -- the oracle ---------------------------------------------------------
 
@@ -184,20 +198,8 @@ class ExpectedAnswers:
                     "gate": gate, "derate": derate,
                     "method": estimate.method}
         if op == "simulate":
-            plant, shared = self._split_system(req)
-            trace = self._trace(req)
-            harvesting = bool(req.get("harvesting", False))
-            stop_below = shared.v_off if req.get("stop", True) else None
-            edges = powers = None
-            if harvesting and req.get("env") is not None:
-                edges, base = base_grid(EnvSpec.from_dict(req["env"]))
-                powers = base[None, :].copy()
-            result = advance_batch(
-                [BatchQuery(plant=plant, v_start=float(req["v_start"]))],
-                trace, harvesting=harvesting, stop_below=stop_below,
-                shared=shared, harvest_edges=edges, harvest_powers=powers)
             body = {"id": req_id, "ok": True, "op": "simulate"}
-            body.update(result.lane(0))
+            body.update(self._simulate(req))
             return body
         if op == "report":
             device = self._devices.setdefault(req["device"], _LocalDevice())

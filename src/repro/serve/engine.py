@@ -1,4 +1,4 @@
-"""The admission core: coalesced estimates, batched kernel dispatch.
+"""The admission core: coalesced estimates, grouped simulations.
 
 This is the synchronous heart of the daemon — everything the asyncio
 layer (:mod:`repro.serve.server`) does is feed it request batches. One
@@ -13,11 +13,11 @@ layer (:mod:`repro.serve.server`) does is feed it request batches. One
   expensive quantity is a property of (plant, task), not of the device
   asking, so a million devices asking about the same firmware cost one
   analysis.
-* ``simulate`` requests are **batched**: cache misses sharing a
+* ``simulate`` requests are **grouped**: cache misses sharing a
   :func:`~repro.fleet.batch.shared_key` group become lanes of one
-  heterogeneous :func:`~repro.fleet.batch.advance_batch` call on the
-  stepping fleet kernel, whose batch-composition invariance keeps every
-  lane's answer byte-identical to a batch-of-one — the library answer.
+  :func:`~repro.fleet.batch.advance_batch` call, which steps each lane
+  on its own scalar plant through the fastpath kernel — bit-exact with
+  the reference loop, so a lane's answer does not depend on its group.
 * ``report`` requests mutate device sessions (derate backoff) — and are
   **deduplicated** by the digest of their canonical request bytes: a
   byte-identical resend (the self-healing client recovering from a dead
@@ -30,6 +30,11 @@ batch ``[admit(d), report(d), admit(d)]`` behaves exactly like the three
 requests served one at a time — which is how the differential client
 checks it.
 
+Every plant is built and validated by the one constructor
+(:meth:`~repro.fleet.batch.BatchPlant.system`) when its request is
+planned, so a plant the scalar model rejects answers ``bad-request`` for
+that request alone, like an unknown app or a malformed trace.
+
 Estimates and simulation lanes are pure functions of their keys, so an
 answer is byte-identical whether it was computed fresh, coalesced into a
 neighbour's computation, restored from the disk tier, or stepped in any
@@ -41,6 +46,7 @@ end to end.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
@@ -68,7 +74,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.sessions import SessionStore
 from repro.apps.programs import TASK_PROGRAMS, build_program
-from repro.power.system import capybara_power_system
 from repro.sched.estimators import estimator_cache_key
 from repro.verify.runner import KNOWN_ESTIMATORS, build_estimator
 
@@ -85,8 +90,11 @@ _SHARED_FIELDS = ("v_high", "v_off", "v_out")
 def _system_config(req: dict) -> tuple:
     """The request's full plant configuration as a sorted, hashable key."""
     system = req.get("system") or {}
-    plant = BatchPlant(**{k: float(system[k]) for k in _PLANT_FIELDS
-                          if k in system})
+    try:
+        plant = BatchPlant(**{k: float(system[k]) for k in _PLANT_FIELDS
+                              if k in system})
+    except ValueError as exc:
+        raise ProtocolError(f"bad system: {exc}") from exc
     shared = BatchShared(**{k: float(system[k]) for k in _SHARED_FIELDS
                             if k in system})
     return (plant, shared)
@@ -102,8 +110,10 @@ class AdmissionEngine:
         self.cache = cache if cache is not None else PersistentVsafeCache()
         self.sessions = sessions if sessions is not None else SessionStore()
         self.max_systems = max_systems
-        # Scalar plants + estimators, keyed by configuration (LRU).
-        self._systems: "OrderedDict[tuple, tuple]" = OrderedDict()
+        # Scalar plants, their characterized models, and estimators,
+        # keyed by configuration (LRU).
+        self._systems: "OrderedDict[tuple, Any]" = OrderedDict()
+        self._models: "OrderedDict[tuple, Any]" = OrderedDict()
         self._estimators: "OrderedDict[tuple, Any]" = OrderedDict()
         # Trace resolution cache: request task key -> (trace, fp, canon).
         self._traces: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -139,24 +149,19 @@ class AdmissionEngine:
         return value
 
     def _system_for(self, plant: BatchPlant, shared: BatchShared):
-        """The scalar plant + model for an admit's estimator run."""
-        key = (plant, shared)
+        """The scalar plant of a configuration, built once (LRU).
 
+        A configuration the scalar model rejects raises ``bad-request``
+        for the request that named it; nothing is cached for it.
+        """
         def build():
-            system = capybara_power_system(
-                datasheet_capacitance=plant.datasheet_capacitance,
-                capacitance_tolerance=plant.capacitance_tolerance,
-                dc_esr=plant.dc_esr,
-                c_decoupling=plant.c_decoupling,
-                leakage_current=plant.leakage_current,
-                redist_fraction=plant.redist_fraction,
-                v_high=shared.v_high,
-                v_off=shared.v_off,
-                v_out=shared.v_out,
-            )
-            return system, system.characterize()
+            try:
+                return plant.system(shared)
+            except ValueError as exc:
+                raise ProtocolError(f"bad system: {exc}") from exc
 
-        return self._lru_get(self._systems, key, build, self.max_systems)
+        return self._lru_get(self._systems, (plant, shared), build,
+                             self.max_systems)
 
     def _estimator_for(self, name: str, plant: BatchPlant,
                        shared: BatchShared):
@@ -167,7 +172,9 @@ class AdmissionEngine:
         key = (name, plant, shared)
 
         def build():
-            system, model = self._system_for(plant, shared)
+            system = self._system_for(plant, shared)
+            model = self._lru_get(self._models, (plant, shared),
+                                  system.characterize, self.max_systems)
             return build_estimator(name, system, model)
 
         return self._lru_get(self._estimators, key, build,
@@ -276,9 +283,9 @@ class AdmissionEngine:
         effect, and the result is identical to serving the requests one
         at a time. Simulates only *plan* in the first pass: their cache
         misses are grouped by :func:`~repro.fleet.batch.shared_key` and
-        dispatched as one kernel call per group, then patched into the
-        response list (they touch no session, so deferring them is
-        invisible).
+        dispatched as one ``advance_batch`` call per group, then patched
+        into the response list (they touch no session, so deferring them
+        is invisible).
         """
         n = len(reqs)
         coalesced_before = self.coalesced
@@ -376,8 +383,8 @@ class AdmissionEngine:
             return estimate
         estimate = self.cache.get_estimate(key)
         if estimate is None:
-            system, _model = self._system_for(plant, shared)
-            estimate = estimator.estimate(system, trace)
+            estimate = estimator.estimate(
+                self._system_for(plant, shared), trace)
             self.cache.put_estimate(key, estimate)
         if len(memo) >= 4096:
             memo.clear()
@@ -441,6 +448,7 @@ class AdmissionEngine:
 
     def _plan_simulate(self, idx, req, sim_plan, sim_groups) -> None:
         plant, shared = _system_config(req)
+        self._system_for(plant, shared)   # validates the plant
         trace, fp, _canon = self._trace_for(req)
         harvesting = bool(req.get("harvesting", False))
         stop = bool(req.get("stop", True))
@@ -459,8 +467,10 @@ class AdmissionEngine:
             (idx, segments, harvesting, stop_below, env_grid))
 
     def _resolve_simulations(self, sim_groups, sim_plan, responses, reqs):
-        """Serve cached lanes; batch the misses of each group into one
-        stepping-kernel call (byte-identical to batch-of-one answers)."""
+        """Serve cached lanes; hand the misses of each group to one
+        :func:`~repro.fleet.batch.advance_batch` call. A lane with a
+        non-finite result (a finite but extreme load can overflow) has
+        no JSON form: it answers ``internal`` and is not cached."""
         results: Dict[int, dict] = {}
         for group, members in sim_groups.items():
             misses = []
@@ -507,6 +517,12 @@ class AdmissionEngine:
             for lane_no, member in enumerate(misses):
                 idx = member[0]
                 lane = batch.lane(lane_no)
+                if not all(math.isfinite(v) for v in lane.values()
+                           if v is not None):
+                    responses[idx] = error_response(
+                        reqs[idx].get("id"), "internal",
+                        "simulation produced a non-finite value")
+                    continue
                 lane_entry = dict(lane)
                 lane_entry["kind"] = "sim"
                 self.cache.put(sim_plan[idx][0], lane_entry)

@@ -22,9 +22,10 @@ Every request is an object with ``op`` and (except ``ping``) ``id``:
     ``system`` overrides, optional ``device`` (attaches the per-device
     session: capture registers + derate backoff).
 ``simulate``
-    a one-shot profiling run on the fleet kernel: ``v_start``, a task
-    (``trace`` or ``app``+``cycles``), ``harvesting``, ``stop`` (gate at
-    V_off), optional ``system``, optional ``env`` (an EnvSpec dict).
+    a one-shot profiling run of one plant on the scalar fastpath
+    kernel: ``v_start``, a task (``trace`` or ``app``+``cycles``),
+    ``harvesting``, ``stop`` (gate at V_off), optional ``system``,
+    optional ``env`` (an EnvSpec dict).
 ``report``
     a device's ground-truth outcome (``"brownout"`` or ``"success"``),
     feeding its session's derate backoff.
@@ -65,6 +66,7 @@ indistinguishable from a retry.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Optional
 
 PROTOCOL_VERSION = 1
@@ -142,11 +144,23 @@ def error_response(req_id: Any, code: str, message: str) -> dict:
     return {"id": req_id, "ok": False, "error": code, "message": message}
 
 
+def _is_finite_number(value: Any) -> bool:
+    """A JSON number that is a finite float: not ``NaN``/``±Infinity``
+    (which ``json.loads`` decodes) and not an integer beyond float
+    range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _require_number(req: dict, field: str,
                     minimum: Optional[float] = None) -> float:
     value = req.get(field)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ProtocolError(f"{field!r} must be a number")
+    if not _is_finite_number(value):
+        raise ProtocolError(f"{field!r} must be a finite number")
     value = float(value)
     if minimum is not None and value < minimum:
         raise ProtocolError(f"{field!r} must be >= {minimum:g}, got {value}")
@@ -162,12 +176,11 @@ def _check_task(req: dict) -> None:
     if trace is not None:
         if (not isinstance(trace, list) or not trace
                 or not all(isinstance(seg, list) and len(seg) == 2
-                           and all(isinstance(x, (int, float))
-                                   and not isinstance(x, bool) for x in seg)
+                           and all(_is_finite_number(x) for x in seg)
                            for seg in trace)):
             raise ProtocolError(
-                "'trace' must be a non-empty list of [current, duration] "
-                "pairs")
+                "'trace' must be a non-empty list of finite [current, "
+                "duration] pairs")
     if app is not None and not isinstance(app, str):
         raise ProtocolError("'app' must be a string")
     task = req.get("task")
@@ -186,15 +199,18 @@ def _check_system(req: dict) -> None:
             raise ProtocolError(
                 f"unknown system field {key!r}; "
                 f"choose from {', '.join(SYSTEM_FIELDS)}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ProtocolError(f"system field {key!r} must be a number")
+        if not _is_finite_number(value):
+            raise ProtocolError(
+                f"system field {key!r} must be a finite number")
 
 
 def parse_request(obj: Any) -> dict:
     """Validate a decoded request object; returns it unchanged.
 
-    Validation is structural only — registry names (estimators, apps) are
-    resolved by the engine, whose errors also map to ``bad-request``.
+    Validation is structural only — registry names (estimators, apps) and
+    plant physics are resolved by the engine, whose errors also map to
+    ``bad-request``. Numbers must be finite (``json.loads`` accepts
+    ``NaN`` and ``Infinity``; no response could carry them back).
     """
     if not isinstance(obj, dict):
         raise ProtocolError("a request must be a JSON object")
@@ -221,6 +237,10 @@ def parse_request(obj: Any) -> dict:
         env = obj.get("env")
         if env is not None and not isinstance(env, dict):
             raise ProtocolError("'env' must be an EnvSpec object")
+        if env and not all(_is_finite_number(v) for v in env.values()
+                           if isinstance(v, (int, float))
+                           and not isinstance(v, bool)):
+            raise ProtocolError("'env' numbers must be finite")
     elif op == "report":
         device = obj.get("device")
         if not isinstance(device, str) or not device:

@@ -103,6 +103,18 @@ class _Pending:
         self.deadline_s = deadline_s
 
 
+def _unencodable(response: dict, exc: Exception) -> bytes:
+    """The ``internal`` error line that replaces a response with no JSON
+    form (a non-finite float): that request fails alone, and the
+    dispatcher lives on. An id that cannot be echoed is dropped."""
+    message = f"response not encodable: {exc}"
+    try:
+        return encode_line(error_response(response.get("id"), "internal",
+                                          message))
+    except (TypeError, ValueError):
+        return encode_line(error_response(None, "internal", message))
+
+
 class VsafeServer:
     """The admission daemon: one listener, one queue, one dispatcher."""
 
@@ -287,7 +299,10 @@ class VsafeServer:
                     f"queue full ({self.config.queue_limit}); shedding"))
 
     async def _write(self, writer, wlock, response: dict) -> None:
-        data = encode_line(response)
+        try:
+            data = encode_line(response)
+        except (TypeError, ValueError) as exc:
+            data = _unencodable(response, exc)
         async with wlock:
             try:
                 writer.write(data)

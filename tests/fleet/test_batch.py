@@ -1,27 +1,33 @@
-"""Batch-composition invariance: the serving layer's load-bearing wall.
+"""``advance_batch``: the serving layer's simulate entry point.
 
-``advance_batch`` on the stepping engine must answer every lane
-*byte-identically* to the same query in a batch of one — that is the
-whole reason a coalescing daemon can batch unrelated queries without
-changing an answer. The chain back to the scalar library goes through
-``FleetSpec``: a batch lane holds bit-for-bit the same floats a
-zero-jitter single-device spec expands to, and the existing equivalence
-suite anchors that spec to the scalar fastpath.
+Each lane steps on its own scalar plant (:meth:`BatchPlant.system`)
+through the fastpath kernel. Two properties carry the serving layer's
+correctness bar:
+
+* batch-composition invariance — a query answered in a batch of N is
+  byte-identical to the same query in a batch of one, in any order and
+  whatever its neighbours do, which is why a coalescing daemon may
+  group unrelated queries;
+* reference agreement — every lane equals the reference stepping loop
+  on the same plant, bit for bit, across harvest modes, stop levels and
+  start voltages on both sides of V_off. The reference loop is the
+  second answer path ``repro.serve.check`` compares served bytes with.
 """
 
-import numpy as np
 import pytest
 
+from repro.env.correlate import base_grid
+from repro.env.spec import EnvSpec
 from repro.fleet.batch import (
     BatchPlant,
     BatchQuery,
     BatchShared,
     advance_batch,
-    build_batch,
     shared_key,
 )
-from repro.fleet.spec import FleetSpec
+from repro.power.harvester import ConstantPowerHarvester, TraceHarvester
 from repro.serve.protocol import canonical
+from repro.sim.engine import PowerSystemSimulator
 
 MIXED_SEGMENTS = [
     (0.012, 0.05), (0.0, 0.2), (0.025, 0.02), (0.0, 0.5),
@@ -84,41 +90,59 @@ class TestBatchCompositionInvariance:
                 canonical(backward.lane(len(queries) - 1 - i))
 
 
-class TestSpecMirror:
-    def test_lane_floats_equal_zero_jitter_spec_expansion(self):
-        # The documented contract: build_batch mirrors
-        # FleetSpec.parameters() with unit jitter factors, bit for bit.
-        plant = PLANTS[1]
-        shared = BatchShared()
-        spec = FleetSpec(
-            devices=1,
-            datasheet_capacitance=plant.datasheet_capacitance,
-            capacitance_tolerance=plant.capacitance_tolerance,
-            dc_esr=plant.dc_esr,
-            c_decoupling=plant.c_decoupling,
-            leakage_current=plant.leakage_current,
-            redist_fraction=plant.redist_fraction,
-            harvest_power=plant.harvest_power,
-            v_high=shared.v_high, v_off=shared.v_off, v_out=shared.v_out,
-            input_efficiency=shared.input_efficiency,
-            esr_jitter=0.0, capacitance_jitter=0.0,
-            harvest_jitter=0.0, eta_jitter=0.0,
-        )
-        expected = spec.parameters()
-        state = build_batch([BatchQuery(plant=plant, v_start=2.56)],
-                            shared=shared)
-        params = state.params
-        assert np.array_equal(params.c_main, expected.c_main)
-        assert np.array_equal(params.r_esr, expected.r_esr)
-        assert np.array_equal(params.c_redist, expected.c_redist)
-        assert np.array_equal(params.r_redist, expected.r_redist)
-        assert np.array_equal(params.leakage, expected.leakage)
-        assert np.array_equal(params.eta_base, expected.eta_base)
-        assert np.array_equal(params.p_harvest, expected.p_harvest)
+#: A small recorded sky: the env-harvest lanes replay its base grid.
+ENV_GRID = base_grid(EnvSpec(model="diurnal-solar", duration=60.0, seed=3))
+
+
+def _reference_lane(query, segments, harvest, stop):
+    """One query on the reference stepping loop, as a lane dict."""
+    plant = query.plant
+    if harvest == "env":
+        harvester = TraceHarvester(*ENV_GRID)
+    else:
+        harvester = ConstantPowerHarvester(plant.harvest_power)
+    system = plant.system(BatchShared(), harvester)
+    system.rest_at(query.v_start)
+    sim = PowerSystemSimulator(system, fast=False)
+    brownout = sim._advance_span(segments, harvest != "off", stop)
+    return {"v_end": system.buffer.terminal_voltage,
+            "v_min": sim._v_min_seen, "time": sim.time,
+            "energy": sim._energy_out, "brownout": brownout}
+
+
+def _advance(queries, segments, harvest, stop):
+    env = {}
+    if harvest == "env":
+        edges, base = ENV_GRID
+        env = dict(harvest_edges=edges,
+                   harvest_powers=[base] * len(queries))
+    return advance_batch(queries, segments, harvesting=harvest != "off",
+                         stop_below=stop, **env)
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("stop", [None, 1.6])
+    @pytest.mark.parametrize("harvest", ["off", "constant", "env"])
+    def test_every_lane_equals_the_reference_loop(self, harvest, stop):
+        # Every plant from above and from below V_off.
+        queries = [BatchQuery(plant=p, v_start=v)
+                   for p in PLANTS for v in (2.3, 1.5)]
+        batch = _advance(queries, MIXED_SEGMENTS, harvest, stop)
+        for i, query in enumerate(queries):
+            expected = _reference_lane(query, MIXED_SEGMENTS, harvest,
+                                       stop)
+            assert canonical(batch.lane(i)) == canonical(expected)
 
     def test_v_start_below_v_off_starts_disabled(self):
-        state = build_batch([BatchQuery(plant=BatchPlant(), v_start=1.0)])
-        assert not bool(state.enabled[0])
+        # The monitor starts off below V_off: the load never draws, and
+        # with the stop level at V_off the lane browns out on its first
+        # step.
+        query = BatchQuery(plant=BatchPlant(), v_start=1.0)
+        free = advance_batch([query], [(0.02, 0.1)]).lane(0)
+        assert free["energy"] == 0.0 and free["brownout"] is None
+        stopped = advance_batch([query], [(0.02, 0.1)],
+                                stop_below=1.6).lane(0)
+        assert stopped["brownout"] == stopped["time"] < 1e-3
 
 
 class TestValidation:
@@ -134,13 +158,24 @@ class TestValidation:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            build_batch([])
+            advance_batch([], MIXED_SEGMENTS)
 
     def test_overcommitted_capacitance_is_caught(self):
         plant = BatchPlant(datasheet_capacitance=50e-6,
                            c_decoupling=100e-6)
         with pytest.raises(ValueError):
-            build_batch([BatchQuery(plant=plant, v_start=2.0)])
+            plant.system(BatchShared())
+        with pytest.raises(ValueError):
+            advance_batch([BatchQuery(plant=plant, v_start=2.0)],
+                          MIXED_SEGMENTS)
+
+    @pytest.mark.parametrize("plant,shared", [
+        (BatchPlant(dc_esr=0.0), BatchShared()),
+        (BatchPlant(), BatchShared(v_off=3.0)),
+    ])
+    def test_scalar_model_rejects_bad_plants(self, plant, shared):
+        with pytest.raises(ValueError):
+            plant.system(shared)
 
     def test_config_key_discriminates(self):
         assert BatchPlant().config_key() == BatchPlant().config_key()

@@ -23,8 +23,7 @@ _SPEC.loader.exec_module(compare_mod)
 
 def _payload(kernel_speedup=5.0, hit_rate=0.9, sweep_speedup=3.0,
              fleet_speedup=15.0, segalg_fleet_speedup=6.0,
-             serving_qps=200_000.0,
-             bank_sweep_speedup=10.0):
+             serving_qps=200_000.0):
     return {
         "benchmark": "BENCH",
         "quick": False,
@@ -44,9 +43,6 @@ def _payload(kernel_speedup=5.0, hit_rate=0.9, sweep_speedup=3.0,
                          "stepping_s": 1.0, "segalg_s": 0.17},
         "serving": {"qps": serving_qps, "requests": 200000,
                     "seconds": 1.0, "wire_qps": 80_000.0},
-        "bank_sweep": {"speedup": bank_sweep_speedup, "devices": 512,
-                       "segments": 24, "switches": 18,
-                       "reference_s": 0.98, "fast_s": 0.085},
     }
 
 
@@ -73,13 +69,6 @@ class TestCompare:
                                        _payload())
         assert not ok
         status = {r[0]: r[4] for r in rows}["kernel.speedup"]
-        assert "floor" in status
-
-    def test_bank_sweep_floor_gates(self):
-        rows, ok = compare_mod.compare(_payload(bank_sweep_speedup=1.0),
-                                       _payload())
-        assert not ok
-        status = {r[0]: r[4] for r in rows}["bank_sweep.speedup"]
         assert "floor" in status
 
     def test_relative_regression_fails(self):

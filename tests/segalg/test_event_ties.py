@@ -7,14 +7,15 @@ segments that compile to nothing at all. Each is constructed by solving
 for the coincidence (measuring the event time, then rebuilding the
 trace so the boundary sits exactly there) rather than hoping a seed
 produces one. The segalg runs are one-lane fleets; the stepping
-fastpath is the cross-engine anchor.
+fastpath is the cross-engine anchor. Reconfiguration ties run on the
+scalar engines only (the fleet engines have no plan path), where the
+reference loop must match the fastpath bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.env.spec import EnvSpec
-from repro.fleet.bank import advance_fleet_plan
 from repro.fleet.kernel import FleetRecorder, FleetState
 from repro.fleet.spec import FleetBankSpec, FleetSpec
 from repro.loads.trace import CurrentTrace
@@ -49,18 +50,20 @@ def _bank_spec(**overrides):
     return FleetSpec(**kw)
 
 
-def _scalar_plan(spec, segments, plan, v0=2.2):
+def _scalar_plan(spec, segments, plan, v0=2.2, fast=True):
     system = spec.parameters().device_system(0, rest_at=v0)
-    sim = PowerSystemSimulator(system)
+    sim = PowerSystemSimulator(system, fast=fast)
     result = sim.run_trace(CurrentTrace(list(segments)),
                            reconfig_plan=plan)
     return system, result
 
 
-def _fleet_plan(spec, segments, plan, v0=2.2, engine="stepping"):
-    state = FleetState(spec.parameters(), v_start=v0)
-    return advance_fleet_plan(state, list(segments), plan, True, V_OFF,
-                              engine=engine)
+def _assert_reference_matches(spec, segments, plan, fast_result):
+    """The reference loop replays the fastpath's plan run bit for bit."""
+    _sys, ref = _scalar_plan(spec, segments, plan, fast=False)
+    assert ref.v_final == fast_result.v_final
+    assert ref.v_min == fast_result.v_min
+    assert ref.brown_out_time == fast_result.brown_out_time
 
 
 def _scalar(spec, segments, harvesting=True, stop_below=None, v0=2.2):
@@ -392,15 +395,7 @@ class TestReconfigOnBrownCrossing:
         assert res.brown_out_time < t_star + self.EPS
         # the dead device kept its configuration
         assert system.buffer.config_id == frozenset({"large"})
-
-        state0 = FleetState(spec.parameters(), v_start=2.2)
-        c_before = state0.params.c_main.copy()
-        final, brown = advance_fleet_plan(state0, [(DRAW, 30.0)], plan,
-                                          True, V_OFF)
-        assert float(brown[0]) == pytest.approx(res.brown_out_time,
-                                                abs=1e-7)
-        assert not bool(final.alive[0])
-        assert np.array_equal(final.params.c_main, c_before)
+        _assert_reference_matches(spec, [(DRAW, 30.0)], plan, res)
 
     def test_switch_a_hair_before_the_crossing_postpones_it(self):
         spec = _bank_spec(harvest_power=0.1e-3)
@@ -411,16 +406,7 @@ class TestReconfigOnBrownCrossing:
         assert system.buffer.config_id == frozenset(MERGE)
         assert res.browned_out  # the reserve only buys time
         assert res.brown_out_time > t_star + self.EPS
-
-        final, brown = _fleet_plan(spec, [(DRAW, 30.0)], plan)
-        assert float(brown[0]) == pytest.approx(res.brown_out_time,
-                                                abs=1e-7)
-
-        _alg, alg_brown = _fleet_plan(spec, [(DRAW, 30.0)], plan,
-                                      engine="segalg")
-        assert float(alg_brown[0]) > t_star + self.EPS
-        assert float(alg_brown[0]) == pytest.approx(
-            res.brown_out_time, abs=0.05)
+        _assert_reference_matches(spec, [(DRAW, 30.0)], plan, res)
 
 
 class TestReconfigOnTaskBoundary:
@@ -439,33 +425,23 @@ class TestReconfigOnTaskBoundary:
         assert spans[0] == [(DRAW, 0.4)]
         assert spans[1] == [(0.0, 0.6)]
 
-    def _all_engines(self, plan):
+    def _both_engines(self, plan):
         spec = _bank_spec()
         sys_fast, res_fast = _scalar_plan(spec, self.SEGMENTS, plan)
-        fleet_step, _ = _fleet_plan(spec, self.SEGMENTS, plan)
-        fleet_alg, _ = _fleet_plan(spec, self.SEGMENTS, plan,
-                                   engine="segalg")
-        return sys_fast, res_fast, fleet_step, fleet_alg
+        _assert_reference_matches(spec, self.SEGMENTS, plan, res_fast)
+        return sys_fast, res_fast
 
     def test_event_exactly_on_the_boundary(self):
         plan = ReconfigPlan.build((0.4, MERGE))
-        sys_fast, res_fast, fleet_step, fleet_alg = self._all_engines(plan)
+        sys_fast, res_fast = self._both_engines(plan)
         assert not res_fast.browned_out
         assert sys_fast.buffer.config_id == frozenset(MERGE)
-        assert float(fleet_step.v_term[0]) == pytest.approx(
-            res_fast.v_final, abs=1e-7)
-        assert float(fleet_alg.v_term[0]) == pytest.approx(
-            res_fast.v_final, abs=V_METHOD_TOL)
 
     def test_both_orderings_bracket_the_boundary(self):
         finals = []
         for t_e in (0.4 - self.EPS, 0.4, 0.4 + self.EPS):
             plan = ReconfigPlan.build((t_e, MERGE))
-            _sys, res_fast, fleet_step, fleet_alg = self._all_engines(plan)
-            assert float(fleet_step.v_term[0]) == pytest.approx(
-                res_fast.v_final, abs=1e-7)
-            assert float(fleet_alg.v_term[0]) == pytest.approx(
-                res_fast.v_final, abs=V_METHOD_TOL)
+            _sys, res_fast = self._both_engines(plan)
             finals.append(res_fast.v_final)
         # moving the switch by 4 ms moves the endpoint by less
         assert max(finals) - min(finals) < 0.02
@@ -501,16 +477,9 @@ class TestReconfigOnEnvBreakpoint:
         for t_e in (t_b - self.EPS, t_b, t_b + self.EPS):
             plan = ReconfigPlan.build((t_e, MERGE))
             sys_fast, res_fast = _scalar_plan(spec, segments, plan)
-            fleet_step, brown = _fleet_plan(spec, segments, plan)
-            fleet_alg, _ = _fleet_plan(spec, segments, plan,
-                                       engine="segalg")
             assert not res_fast.browned_out
-            assert np.isnan(float(brown[0]))
             assert sys_fast.buffer.config_id == frozenset(MERGE)
-            assert float(fleet_step.v_term[0]) == pytest.approx(
-                res_fast.v_final, abs=1e-7)
-            assert float(fleet_alg.v_term[0]) == pytest.approx(
-                res_fast.v_final, abs=V_METHOD_TOL)
+            _assert_reference_matches(spec, segments, plan, res_fast)
 
 
 class TestReconfigOnRailArrival:
@@ -550,16 +519,10 @@ class TestReconfigOnRailArrival:
         for t_e in (t_rail - self.EPS, t_rail, t_rail + self.EPS):
             plan = ReconfigPlan.build((t_e, MERGE))
             sys_fast, res_fast = _scalar_plan(spec, segments, plan)
-            fleet_step, brown = _fleet_plan(spec, segments, plan)
             assert not res_fast.browned_out
-            assert np.isnan(float(brown[0]))
             assert sys_fast.buffer.config_id == frozenset(MERGE)
             # the merge dip off the rail is visible to v_min accounting
             assert V_OFF < res_fast.v_min < v_rail - 0.02
-            # near the pin the engines differ by the hysteresis sliver
-            # (the scalar pin overshoots nominal V_high by ~3e-4 V), so
-            # the stepping comparison is banded, not bitwise, here
-            assert float(fleet_step.v_term[0]) == pytest.approx(
-                res_fast.v_final, abs=1e-3)
+            _assert_reference_matches(spec, segments, plan, res_fast)
             finals.append(res_fast.v_final)
         assert max(finals) - min(finals) < 0.02

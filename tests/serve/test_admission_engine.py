@@ -213,6 +213,44 @@ class TestErrorContainment:
             canonical({**responses[2], "id": None})
 
 
+#: Plants the scalar model rejects: overcommitted capacitance, zero
+#: ESR, and a V_off above V_high.
+BAD_SYSTEMS = (
+    {"datasheet_capacitance": 5e-5, "c_decoupling": 1e-4},
+    {"dc_esr": 0},
+    {"v_off": 3.0},
+)
+
+
+class TestInvalidPlants:
+    @pytest.mark.parametrize("system", BAD_SYSTEMS)
+    @pytest.mark.parametrize("base", [ADMIT, SIMULATE])
+    def test_bad_plant_answers_bad_request(self, base, system):
+        response = AdmissionEngine().handle(_req(base, system=system))
+        assert response["ok"] is False
+        assert response["error"] == "bad-request"
+        assert response["id"] == base["id"]
+
+    @pytest.mark.parametrize("system", BAD_SYSTEMS)
+    def test_bad_plant_does_not_fail_its_neighbours(self, system):
+        good = _req(SIMULATE, id="good")
+        bad = _req(SIMULATE, id="bad", system=system)
+        alone = AdmissionEngine().handle_batch([dict(good)])
+        paired = AdmissionEngine().handle_batch([dict(good), bad])
+        assert canonical(paired[0]) == canonical(alone[0])
+        assert paired[0]["ok"] is True
+        assert paired[1]["error"] == "bad-request"
+
+    def test_overflowing_lane_answers_internal_and_is_not_cached(self):
+        engine = AdmissionEngine()
+        req = _req(SIMULATE, trace=[[1e308, 0.2]])
+        for _ in range(2):
+            response = engine.handle(req)
+            assert response["ok"] is False
+            assert response["error"] == "internal"
+        assert len(engine.cache) == 0
+
+
 class TestPersistentTier:
     def test_warm_restart_serves_identical_bytes(self, tmp_path):
         path = tmp_path / "vsafe.json"

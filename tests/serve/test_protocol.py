@@ -129,3 +129,26 @@ class TestParseRequest:
     def test_malformed_requests_are_rejected(self, bad):
         with pytest.raises(ProtocolError):
             parse_request(bad)
+
+    @pytest.mark.parametrize("literal", [
+        "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400,
+    ], ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"])
+    @pytest.mark.parametrize("template", [
+        '{"op":"admit","id":"a","app":"a","v_bank":%s}',
+        '{"op":"admit","id":"a","app":"a","v_bank":2.0,"deadline_ms":%s}',
+        '{"op":"simulate","id":"s","app":"a","v_start":%s}',
+        '{"op":"simulate","id":"s","v_start":2.0,"trace":[[%s,0.2]]}',
+        '{"op":"simulate","id":"s","v_start":2.0,"trace":[[0.01,%s]]}',
+        '{"op":"admit","id":"a","app":"a","v_bank":2.0,'
+        '"system":{"dc_esr":%s}}',
+        '{"op":"simulate","id":"s","app":"a","v_start":2.0,'
+        '"harvesting":true,"env":{"model":"diurnal-solar",'
+        '"peak_power":%s}}',
+    ], ids=["v_bank", "deadline_ms", "v_start", "trace-current",
+            "trace-duration", "system", "env"])
+    def test_non_finite_numbers_are_rejected(self, template, literal):
+        # json.loads decodes these to NaN, an infinity, or an integer
+        # no float can hold; none may reach the engine.
+        req = decode_line((template % literal).encode("utf-8"))
+        with pytest.raises(ProtocolError, match="finite"):
+            parse_request(req)

@@ -318,6 +318,43 @@ class TestCrashSafety:
             assert server.wait(timeout=30) == 0
 
 
+class TestNonFiniteInput:
+    def test_unanswerable_requests_fail_alone(self, tmp_path):
+        """A finite but extreme load overflows the simulation, and an id
+        too large for a float has no JSON form: each request gets an
+        error line of its own, nothing unencodable reaches the journal,
+        and the dispatcher keeps serving — an admit on another
+        connection is still answered."""
+        async def exchange(host, port, line):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(line)
+                await writer.drain()
+                return json.loads(
+                    await asyncio.wait_for(reader.readline(), 30.0))
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        with ServerProcess("--cache", str(tmp_path / "cache")) as server:
+            def ask(line):
+                return asyncio.run(exchange(server.host, server.port, line))
+
+            overflow = ask(b'{"op":"simulate","id":"s","v_start":2.2,'
+                           b'"trace":[[1e308,0.2]]}\n')
+            assert overflow["ok"] is False
+            assert (overflow["error"], overflow["id"]) == ("internal", "s")
+            huge_id = ask(b'{"op":"report","id":1e400,"device":"d",'
+                          b'"outcome":"success"}\n')
+            assert (huge_id["error"], huge_id["id"]) == ("internal", None)
+            nan = ask(b'{"op":"simulate","id":"n","v_start":NaN,'
+                      b'"trace":[[0.01,0.2]]}\n')
+            assert nan["error"] == "bad-request"
+            assert ask(encode_line(ADMIT))["ok"] is True
+            assert ask(encode_line({"op": "shutdown", "id": "bye"}))["ok"]
+            assert server.wait() == 0
+
+
 class TestSubprocessSmoke:
     def test_differential_check_entry_point(self, tmp_path):
         # The CI serve-smoke job, miniaturized: a real `python -m repro

@@ -204,6 +204,23 @@ class TestChaosCommand:
                  "--cases-dir", str(tmp_path / "cases2")]
         assert main(clean + ["--expect-unsafe"]) == 1
 
+    def test_serve_chaos_replay_prints_every_detail(self, capsys,
+                                                    tmp_path):
+        from repro.serve.chaos import ServeChaosCase, save_serve_chaos_case
+
+        path = tmp_path / "serve-case.json"
+        save_serve_chaos_case(ServeChaosCase(
+            seed=5, index=0, injector={"injector": "none", "params": {}},
+            queries=8, queue_limit=256, drain_timeout=5.0,
+            deadline_s=20.0, watchdog_s=120.0), path)
+        assert main(["chaos", "--replay", str(path)]) == 0
+        details = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("  ")]
+        assert [d.split(":")[0].strip() for d in details] == [
+            "checked", "mismatches", "retries", "reconnects", "resends",
+            "restarts"]
+        assert not any("None" in d for d in details)
+
     def test_unknown_selectors_rejected(self, capsys):
         assert main(["chaos", "--trials", "1",
                      "--injectors", "gremlins"]) == 2
