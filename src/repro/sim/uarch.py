@@ -20,7 +20,7 @@ design's whole advantage over ISR-based sampling.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.errors import ProfileError
 from repro.sim.adc import Adc
@@ -150,3 +150,42 @@ class CulpeoUArchBlock:
                 if code > self._register:
                     self._register = code
         self._next_t = t + self.clock_period
+
+    def on_samples(self, volts: Sequence[float], t_last: float) -> None:
+        """Deliver clocked samples in order; the last was taken at ``t_last``.
+
+        Leaves the block exactly as :meth:`on_sample` would, applied to
+        each voltage in turn. The fast kernel calls this with its buffered
+        due-step voltages, which are never NaN.
+
+        A plain noise-free :class:`Adc` converts monotonically, so min and
+        max commute with the conversion: only the extremes and the last
+        sample are converted. If an extreme overflows the conversion (a
+        diverging plant), the samples go one at a time, so the error is
+        raised at the same sample after the same register updates; only
+        the next due time then counts from ``t_last``. Any other
+        converter (a noisy one, a
+        :class:`~repro.sim.faults.FaultyAdc`) converts every sample in
+        order, so its random draws and fault counters advance as before.
+        """
+        if not self._enabled or not volts:
+            return
+        adc = self.adc
+        if type(adc) is Adc and not adc.noise_sigma > 0:
+            try:
+                lo = adc.convert(min(volts))
+                hi = adc.convert(max(volts))
+            except OverflowError:
+                pass
+            else:
+                if self._sampling and self._mode is not None:
+                    if self._mode is CaptureMode.MIN:
+                        if lo < self._register:
+                            self._register = lo
+                    elif hi > self._register:
+                        self._register = hi
+                self._live_code = adc.convert(volts[-1])
+                self._next_t = t_last + self.clock_period
+                return
+        for v in volts:
+            self.on_sample(t_last, v)

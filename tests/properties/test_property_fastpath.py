@@ -6,15 +6,22 @@ the identical recurrence, so the results should agree to well inside the
 1e-6 V / 1e-6 s budget (in practice bit-for-bit). Attached observers are
 one more input to that property: the kernel schedules them exactly as the
 reference does, so every observer capture must match with ``==`` too.
+A lone µArch block gets its samples in chunks (``on_samples``); its
+registers, live code and next due time must still match the reference's
+per-sample delivery exactly.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.loads.trace import CurrentTrace
 from repro.core.isr import CulpeoIsrRuntime
 from repro.core.runtime import CulpeoRCalculator
+from repro.power.booster import CurvedEfficiency, LinearEfficiency
 from repro.power.capacitor import IdealCapacitor, TwoBranchSupercap
 from repro.power.harvester import ConstantPowerHarvester, TraceHarvester
 from repro.power.reconfig import ReconfigPlan
@@ -25,6 +32,7 @@ from repro.power.reconfigurable import (
 from repro.power.system import capybara_power_system
 from repro.sim.adc import Adc, FilteringSamplingObserver, SamplingObserver
 from repro.sim.engine import PowerSystemSimulator
+from repro.sim.fastpath import _SAMPLE_CHUNK
 from repro.sim.faults import FaultyAdc, SupplyGlitch
 from repro.sim.recorder import TraceRecorder
 from repro.sim.uarch import CaptureMode, CulpeoUArchBlock
@@ -100,10 +108,61 @@ class TestFastPathEquivalence:
         assert fast_v == ref_v
 
 
+# -- efficiency models: inlined stock curves and the called fallback ---------
+
+class SqrtEfficiency:
+    """A non-stock efficiency model: the kernel calls ``efficiency``."""
+
+    def efficiency(self, v_in):
+        return min(0.92, 0.58 * math.sqrt(v_in))
+
+
+# Parameters whose floor and ceiling both bind inside the drawn start
+# voltages (1.7-2.56 V), so the inlined clamps take both branches.
+EFFICIENCY_MODELS = {
+    "linear": LinearEfficiency(slope=0.5, intercept=-0.25, floor=0.62,
+                               ceiling=0.9),
+    "curved": CurvedEfficiency(base=0.8, slope=0.6, curvature=0.5,
+                               v_ref=2.0, floor=0.7, ceiling=0.9),
+    "custom": SqrtEfficiency(),
+}
+efficiency_kinds = st.sampled_from(sorted(EFFICIENCY_MODELS))
+
+
+class TestEfficiencyModels:
+    @pytest.mark.parametrize("kind", ["linear", "curved"])
+    def test_stock_models_clip_inside_the_drawn_range(self, kind):
+        model = EFFICIENCY_MODELS[kind]
+        assert model.efficiency(1.7) == model.floor
+        assert model.efficiency(2.5) == model.ceiling
+
+    @given(out_kind=efficiency_kinds, in_kind=efficiency_kinds,
+           kind=buffer_kinds, esr=esr_values, v=start_voltages,
+           segs=segment_lists, harvesting=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_fast_matches_reference_bit_exact(self, out_kind, in_kind, kind,
+                                              esr, v, segs, harvesting):
+        trace = CurrentTrace(segs)
+        runs = []
+        for fast in (False, True):
+            system = build_system(kind, esr, v)
+            system.output_booster.efficiency_model = \
+                EFFICIENCY_MODELS[out_kind]
+            system.input_booster.efficiency_model = \
+                EFFICIENCY_MODELS[in_kind]
+            system.harvester = ConstantPowerHarvester(4e-3)
+            sim = PowerSystemSimulator(system, fast=fast)
+            result = sim.run_trace(trace, harvesting=harvesting,
+                                   settle_after=0.02)
+            runs.append((result, sim.time, buffer_state(system.buffer)))
+        assert runs[0] == runs[1]
+
+
 # -- observed runs -----------------------------------------------------------
 
 observer_sets = st.sampled_from(
-    ("none", "uarch", "isr", "recorder", "glitch+faulty-adc"))
+    ("none", "uarch", "uarch-max", "uarch-stuck", "uarch-dropout",
+     "uarch-noisy", "isr", "recorder", "glitch+faulty-adc"))
 harvest_kinds = st.sampled_from(("off", "constant", "trace"))
 observed_buffer_kinds = st.sampled_from(
     ("two-branch", "decoupled", "ideal", "reconfigurable"))
@@ -142,13 +201,29 @@ def attach_observers(which, sim, seed):
     now = sim.time
     if which == "none":
         return lambda: ()
-    if which == "uarch":
+    if which.startswith("uarch"):
         block = CulpeoUArchBlock()
+        # converters swapped in the way the chaos ADC injectors do
+        if which == "uarch-stuck":
+            block.adc = FaultyAdc(bits=8, stuck_code=seed % 256,
+                                  stuck_after=seed % 700)
+        elif which == "uarch-dropout":
+            block.adc = FaultyAdc(bits=8, dropout_rate=0.3, seed=seed)
+        elif which == "uarch-noisy":
+            block.adc = Adc(bits=8, noise_sigma=0.02,
+                            rng=np.random.default_rng(seed))
         block.configure(True, now)
-        block.prepare(CaptureMode.MIN)
-        block.sample(CaptureMode.MIN)
+        if which == "uarch-max":
+            # armed as CulpeoUArchRuntime._end_capture arms it
+            block.prepare(CaptureMode.MAX)
+            block.sample(CaptureMode.MAX)
+            block.convert_now(now, sim.system.buffer.terminal_voltage)
+        else:
+            block.prepare(CaptureMode.MIN)
+            block.sample(CaptureMode.MIN)
         sim.attach(block)
-        return lambda: (block.read(), block._live_code, block._next_t)
+        return lambda: (block.read(), block._live_code, block._next_t,
+                        adc_state(block.adc))
     if which == "isr":
         sampler = FilteringSamplingObserver(
             Adc(bits=12), 1e-3, burden_current=72e-6,
@@ -174,6 +249,14 @@ def attach_observers(which, sim, seed):
     sim.attach(sampler)
     return lambda: (tuple(glitch.fired), sampler.v_first, sampler.v_last,
                     sampler.v_min, sampler.v_max, sampler.sample_count)
+
+
+def adc_state(adc):
+    """What a converter carries from one conversion to the next."""
+    rngs = [getattr(adc, name, None) for name in ("_rng", "_fault_rng")]
+    return (getattr(adc, "_conversions", None),
+            tuple(r.bit_generator.state["state"]["state"]
+                  for r in rngs if r is not None))
 
 
 def buffer_state(buffer):
@@ -215,6 +298,53 @@ class TestObservedFastPathEquivalence:
                     pieces=pieces, observers=observers, seed=seed,
                     settle=settle)
         assert run_observed(True, case) == run_observed(False, case)
+
+
+class TestChunkedUArchDelivery:
+    """A lone µArch block gets its samples in chunks of ``_SAMPLE_CHUNK``,
+    flushed when full, at each segment end and at a brown-out."""
+
+    @pytest.fixture
+    def flushes(self, monkeypatch):
+        """Sizes of the chunks the kernel hands to ``on_samples``."""
+        sizes = []
+        on_samples = CulpeoUArchBlock.on_samples
+
+        def record(block, volts, t_last):
+            sizes.append(len(volts))
+            on_samples(block, volts, t_last)
+
+        monkeypatch.setattr(CulpeoUArchBlock, "on_samples", record)
+        return sizes
+
+    @staticmethod
+    def run(fast, segs, v_start):
+        system = build_system("decoupled", 2.0, v_start)
+        sim = PowerSystemSimulator(system, fast=fast)
+        captures = attach_observers("uarch", sim, 0)
+        result = sim.run_trace(CurrentTrace(segs), harvesting=False)
+        return (result, sim.time, buffer_state(system.buffer),
+                system.monitor.output_enabled, captures())
+
+    def test_run_spanning_several_chunks(self, flushes):
+        segs = [(0.010, 0.035), (0.0, 0.004)]
+        ref = self.run(False, segs, 2.4)
+        assert not flushes
+        assert self.run(True, segs, 2.4) == ref
+        # three full chunks, then a partial flush at each segment end
+        assert flushes[:3] == [_SAMPLE_CHUNK] * 3
+        assert len(flushes) == 5
+        assert all(0 < n < _SAMPLE_CHUNK for n in flushes[3:])
+
+    def test_brown_out_mid_chunk(self, flushes):
+        segs = [(0.050, 0.2)]
+        ref = self.run(False, segs, 1.9)
+        fast = self.run(True, segs, 1.9)
+        assert fast == ref
+        assert fast[0].browned_out
+        assert len(flushes) >= 2
+        assert flushes[:-1] == [_SAMPLE_CHUNK] * (len(flushes) - 1)
+        assert 0 < flushes[-1] < _SAMPLE_CHUNK
 
 
 # -- a plant whose explicit branch update diverges ---------------------------
@@ -263,4 +393,29 @@ class TestDivergingPlant:
             runtime = CulpeoIsrRuntime(sim, calculator)
             result = runtime.profile_task(trace, "t", harvesting=False)
             runs.append((result, sim.time, runtime.get_vsafe("t")))
+        assert runs[0] == runs[1]
+
+    def test_uarch_overflow_raises_on_both_loops(self):
+        """Without decoupling the terminal voltage reaches inf, which
+        ``Adc.convert`` cannot convert. Chunked delivery raises the same
+        error after the same register updates; only the schedule differs,
+        since the kernel raises at the chunk's flush."""
+        runs = []
+        for fast in (True, False):
+            system = capybara_power_system()
+            system.buffer = TwoBranchSupercap(
+                c_main=40.5e-3, r_esr=3e-5, c_redist=4.5e-3,
+                r_redist=6.2e-5, c_decoupling=0.0)
+            system.rest_at(system.monitor.v_high)
+            sim = PowerSystemSimulator(system, fast=fast)
+            block = CulpeoUArchBlock()
+            block.configure(True, sim.time)
+            block.prepare(CaptureMode.MAX)
+            block.sample(CaptureMode.MAX)
+            sim.attach(block)
+            with pytest.raises(OverflowError):
+                sim.run_trace(CurrentTrace([(0.012, 0.05)]),
+                              harvesting=False, stop_on_brownout=False,
+                              settle_after=0.02)
+            runs.append((block.read(), block._live_code))
         assert runs[0] == runs[1]

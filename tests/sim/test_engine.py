@@ -6,6 +6,8 @@ from repro.loads.trace import CurrentTrace
 from repro.power.harvester import ConstantPowerHarvester
 from repro.power.system import capybara_power_system
 from repro.sim.engine import PowerSystemSimulator
+from repro.sim.recorder import TraceRecorder
+from repro.sim.uarch import CaptureMode, CulpeoUArchBlock
 from repro.units import capacitor_energy
 
 
@@ -222,6 +224,54 @@ class TestObservers:
             runs.append((result, engine.time,
                          engine.system.buffer.terminal_voltage,
                          tuple(obs.samples)))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("load", [0.0, 0.050])
+    def test_observer_due_now_samples_before_the_first_step(self, system,
+                                                            load):
+        """``on_sample`` runs at the exact due time, even when that is the
+        instant the engine is called: on both loops the first sample is
+        at t = 0 with the start voltage, and the loops agree bit for bit.
+        """
+        runs = []
+        for fast in (True, False):
+            trial = system.copy()
+            trial.rest_at(2.3)
+            engine = PowerSystemSimulator(trial, fast=fast)
+            recorder = TraceRecorder(2e-3)
+            recorder.start(0.0)
+            engine.attach(recorder)
+            if load:
+                engine.run_trace(CurrentTrace.constant(load, 0.010),
+                                 harvesting=False)
+            else:
+                engine.idle(0.2, harvesting=False)
+            assert recorder._times[0] == 0.0
+            assert recorder._volts[0] == 2.3
+            runs.append((tuple(recorder._times), tuple(recorder._volts),
+                         engine.time, trial.buffer.terminal_voltage))
+        assert runs[0] == runs[1]
+
+    def test_uarch_block_due_now_captures_the_start_voltage(self, system):
+        """The chunked µArch path keeps the rule: a MAX capture armed due
+        at the call's first instant holds the start voltage's code, which
+        the load's ESR drop never reaches again."""
+        runs = []
+        for fast in (True, False):
+            trial = system.copy()
+            trial.rest_at(2.3)
+            engine = PowerSystemSimulator(trial, fast=fast)
+            block = CulpeoUArchBlock()
+            block.configure(True, -0.5 * block.clock_period)
+            block.prepare(CaptureMode.MAX)
+            block.sample(CaptureMode.MAX)
+            engine.attach(block)
+            engine.run_trace(CurrentTrace.constant(0.050, 0.010),
+                             harvesting=False)
+            assert block.read() == block.adc.convert(2.3)
+            assert block._live_code < block.read()
+            runs.append((block.read(), block._live_code, block._next_t,
+                         engine.time, trial.buffer.terminal_voltage))
         assert runs[0] == runs[1]
 
     def test_detach(self, system):

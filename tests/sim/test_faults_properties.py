@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.isr import CulpeoIsrRuntime
+from repro.core.uarch_runtime import CulpeoUArchRuntime
 from repro.loads.synthetic import uniform_load
 from repro.loads.trace import CurrentTrace
 from repro.sim.adc import SamplingObserver
@@ -183,6 +184,24 @@ class TestFaultObserversDisableFastpath:
                     engine.system.buffer.terminal_voltage,
                     runtime.get_vsafe("t"), sampler.v_max,
                     sampler.sample_count, sampler.rejected_count)
+
+        fast_out, ref_out = _kernel_and_reference(run)
+        assert fast_out == ref_out
+
+    def test_uarch_runtime_runs_on_fast_kernel(self, system, calculator):
+        """The µArch runtime switches the block from MIN to MAX capture
+        and calls ``convert_now`` between engine calls; chunked delivery
+        must leave every register as per-sample delivery does."""
+        def run(fast):
+            engine = PowerSystemSimulator(system.copy(), fast=fast)
+            runtime = CulpeoUArchRuntime(engine, calculator)
+            res = runtime.profile_task(_LOAD, "t", harvesting=False)
+            block = runtime.block
+            return (res, engine.time,
+                    engine.system.buffer.terminal_voltage,
+                    runtime.get_vsafe("t"), runtime._v_start,
+                    runtime._v_min, runtime._v_final, block._register,
+                    block._live_code, block._next_t)
 
         fast_out, ref_out = _kernel_and_reference(run)
         assert fast_out == ref_out

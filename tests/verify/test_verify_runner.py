@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro import obs
+from repro.sim import set_default_fast
 from repro.verify.runner import (
     BASELINE_ESTIMATORS,
     KNOWN_ESTIMATORS,
@@ -98,6 +100,32 @@ class TestRunVerification:
             run_verification(0)
         with pytest.raises(ValueError):
             run_verification(1, estimators=("bogus",))
+
+
+class TestReferenceLoopCrossCheck:
+    """Whole trials, with the real µArch and ISR runtimes, report the same
+    on the reference loop as on the fast kernel."""
+
+    @staticmethod
+    def run(seed, fast):
+        old = set_default_fast(fast)
+        try:
+            with obs.observe() as state:
+                report = run_verification(3, seed=seed).to_dict()
+        finally:
+            set_default_fast(old)
+        return report, state.metrics.snapshot()["counters"]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reference_loop_report_equals_fast(self, seed):
+        fast, fast_calls = self.run(seed, True)
+        reference, ref_calls = self.run(seed, False)
+        # Only the per-trial fastpath invariant pins an engine to a loop.
+        assert ref_calls["sim.fastpath.calls"] \
+            < fast_calls["sim.fastpath.calls"]
+        assert ref_calls["sim.reference.calls"] \
+            > fast_calls["sim.reference.calls"]
+        assert reference == fast
 
 
 class TestEnvAxis:
