@@ -60,6 +60,13 @@ class EnergyBuffer(Protocol):
         ``i_load`` and return the new terminal voltage."""
         ...
 
+    def pulse(self, i_load: float, dt: float, steps: int) -> float:
+        """Advance ``steps`` steps of ``dt`` seconds under one terminal
+        current ``i_load`` and return the lowest terminal voltage seen
+        after any of them. Leaves the buffer exactly as ``steps`` calls
+        of :meth:`step` would; ``step`` is the one-step case."""
+        ...
+
     def reset(self, voltage: float) -> None:
         """Force the buffer to rest (all internal nodes equal) at ``voltage``."""
         ...
@@ -125,12 +132,32 @@ class IdealCapacitor:
         return self.capacitance
 
     def step(self, i_load: float, dt: float) -> float:
+        return self.pulse(i_load, dt, 1)
+
+    def pulse(self, i_load: float, dt: float, steps: int) -> float:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        drain = i_load + (self.leakage_current if self._v > 0 else 0.0)
-        self._v = max(0.0, self._v - drain * dt / self.capacitance)
+        if steps < 1:
+            raise ValueError(f"steps must be at least 1, got {steps}")
+        capacitance = self.capacitance
+        esr = self.esr
+        leakage = self.leakage_current
+        v = self._v
+        v_min = math.inf
+        # Zero clamps as in TwoBranchSupercap.pulse.
+        for _ in range(steps):
+            drain = i_load + (leakage if v > 0 else 0.0)
+            v = v - drain * dt / capacitance
+            if not v > 0.0:
+                v = 0.0
+            v_term = v - i_load * esr
+            if not v_term > 0.0:
+                v_term = 0.0
+            if v_term < v_min:
+                v_min = v_term
+        self._v = v
         self._i_last = i_load
-        return self.terminal_voltage
+        return v_min
 
     def reset(self, voltage: float) -> None:
         if voltage < 0:
@@ -168,9 +195,15 @@ class TwoBranchSupercap:
     The terminal node relaxes toward the conductance-weighted branch voltage
     with time constant ``C_dec / (1/R_esr + 1/R_redist)``; that relaxation is
     the millisecond-scale rebound the paper's Figure 1(b) shows. The step
-    integrator treats the branch voltages as slow variables and solves the
-    terminal node exactly over each step (exponential integrator), so the
-    model is stable for any ``dt``.
+    integrator solves the terminal node exactly over each step
+    (exponential integrator) but holds the branch voltages constant within
+    it and updates them explicitly, so it is stable only for steps up to
+    :attr:`max_stable_dt`, a quarter of the smaller branch R*C; above that
+    the branch update oscillates and can diverge. The simulator clamps its
+    steps to that bound (down to its 1 µs floor), but ESR characterization
+    (:mod:`repro.power.esr_profile`) takes a fixed 400 steps per pulse and
+    does not respect it, so on very low-ESR parts it measures an unstable
+    trajectory (see "Stable physics" in ROADMAP.md).
     """
 
     def __init__(self, c_main: float, r_esr: float,
@@ -257,40 +290,73 @@ class TwoBranchSupercap:
             cap += self.c_redist
         return cap
 
-    def _target_terminal(self, i_load: float) -> float:
-        """Terminal voltage the node relaxes toward under ``i_load``."""
-        num = self._v_main / self.r_esr - i_load
-        if self._has_redist:
-            num += self._v_redist / self.r_redist
-        return num / self._conductance
-
     def step(self, i_load: float, dt: float) -> float:
+        return self.pulse(i_load, dt, 1)
+
+    def pulse(self, i_load: float, dt: float, steps: int) -> float:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        g = self._conductance
-        v_star = self._target_terminal(i_load)
-        if self.c_decoupling > 0:
+        if steps < 1:
+            raise ValueError(f"steps must be at least 1, got {steps}")
+        # Per-call constants: the same expressions, in the same order, as
+        # the _has_redist and _conductance properties.
+        r_esr = self.r_esr
+        c_main = self.c_main
+        r_redist = self.r_redist
+        c_redist = self.c_redist
+        leakage = self.leakage_current
+        has_redist = c_redist > 0 and math.isfinite(r_redist)
+        g = 1.0 / r_esr
+        if has_redist:
+            g += 1.0 / r_redist
+        decoupled = self.c_decoupling > 0
+        if decoupled:
             tau = self.c_decoupling / g
             ratio = dt / tau
             alpha = math.exp(-ratio)
-            # Time-averaged terminal voltage across the step, used so branch
-            # charge bookkeeping stays consistent with the exponential path.
-            v_avg = v_star + (self._v_term - v_star) * (1.0 - alpha) / ratio
-            v_term_new = v_star + (self._v_term - v_star) * alpha
-        else:
-            v_avg = v_star
-            v_term_new = v_star
+            one_minus_alpha = 1.0 - alpha
+        v_main = self._v_main
+        v_redist = self._v_redist
+        v_term = self._v_term
+        v_min = math.inf
+        # Zero clamps are written ``not x > 0.0``: for every float x, NaN
+        # and -0.0 included, that picks what max(0.0, x) returns, without
+        # a builtin call per step (the fastpath kernel writes them alike).
+        for _ in range(steps):
+            # Terminal voltage the node relaxes toward under i_load.
+            num = v_main / r_esr - i_load
+            if has_redist:
+                num += v_redist / r_redist
+            v_star = num / g
+            if decoupled:
+                # Time-averaged terminal voltage across the step, used so
+                # branch charge bookkeeping stays consistent with the
+                # exponential path.
+                diff = v_term - v_star
+                v_avg = v_star + diff * one_minus_alpha / ratio
+                v_term = v_star + diff * alpha
+            else:
+                v_avg = v_star
+                v_term = v_star
 
-        i_main = (self._v_main - v_avg) / self.r_esr
-        leak = self.leakage_current if self._v_main > 0 else 0.0
-        self._v_main = max(0.0, self._v_main - (i_main + leak) * dt / self.c_main)
-        if self._has_redist:
-            i_redist = (self._v_redist - v_avg) / self.r_redist
-            self._v_redist = max(
-                0.0, self._v_redist - i_redist * dt / self.c_redist
-            )
-        self._v_term = max(0.0, v_term_new)
-        return self._v_term
+            i_main = (v_main - v_avg) / r_esr
+            leak = leakage if v_main > 0 else 0.0
+            v_main = v_main - (i_main + leak) * dt / c_main
+            if not v_main > 0.0:
+                v_main = 0.0
+            if has_redist:
+                i_redist = (v_redist - v_avg) / r_redist
+                v_redist = v_redist - i_redist * dt / c_redist
+                if not v_redist > 0.0:
+                    v_redist = 0.0
+            if not v_term > 0.0:
+                v_term = 0.0
+            if v_term < v_min:
+                v_min = v_term
+        self._v_main = v_main
+        self._v_redist = v_redist
+        self._v_term = v_term
+        return v_min
 
     def reset(self, voltage: float) -> None:
         if voltage < 0:

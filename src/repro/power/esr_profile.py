@@ -31,6 +31,9 @@ DEFAULT_PULSE_WIDTHS: Tuple[float, ...] = (
     0.0002, 0.0005, 0.001, 0.002, 0.005, 0.010, 0.020, 0.050, 0.100, 0.300,
 )
 
+#: Equal steps each measurement pulse is split into.
+_STEPS_PER_PULSE = 400
+
 
 @dataclass(frozen=True)
 class EsrFrequencyCurve:
@@ -49,8 +52,8 @@ class EsrFrequencyCurve:
             raise ValueError("pulse_widths and esr_values must align")
         if len(self.pulse_widths) < 1:
             raise ValueError("curve needs at least one point")
-        if any(w <= 0 for w in self.pulse_widths):
-            raise ValueError("pulse widths must be positive")
+        if not all(0 < w < math.inf for w in self.pulse_widths):
+            raise ValueError("pulse widths must be positive and finite")
         if list(self.pulse_widths) != sorted(self.pulse_widths):
             raise ValueError("pulse widths must be sorted ascending")
 
@@ -79,27 +82,29 @@ class EsrFrequencyCurve:
 
 def measure_pulse_esr(buffer: EnergyBuffer, pulse_width: float,
                       test_current: float = 0.010,
-                      rest_voltage: float = 2.2,
-                      steps_per_pulse: int = 400) -> float:
+                      rest_voltage: float = 2.2) -> float:
     """Measure effective ESR with a single constant-current pulse.
 
     Applies ``test_current`` directly at the buffer terminals (bypassing
-    the boosters, as a bench impedance analyzer would), finds the minimum
-    terminal voltage during the pulse, and subtracts the voltage that the
-    consumed charge alone accounts for. The remainder over the current is
-    the effective series resistance at this pulse width.
+    the boosters, as a bench impedance analyzer would) for one
+    :meth:`~repro.power.capacitor.EnergyBuffer.pulse` of equal steps,
+    takes the minimum terminal voltage during the pulse, and subtracts the
+    voltage that the consumed charge alone accounts for. The remainder
+    over the current is the effective series resistance at this pulse
+    width.
     """
-    if pulse_width <= 0:
-        raise ValueError(f"pulse_width must be positive, got {pulse_width}")
-    if test_current <= 0:
-        raise ValueError(f"test_current must be positive, got {test_current}")
+    if not 0 < pulse_width < math.inf:
+        raise ValueError(
+            f"pulse_width must be positive and finite, got {pulse_width}")
+    if not 0 < test_current < math.inf:
+        raise ValueError(
+            f"test_current must be positive and finite, got {test_current}")
+    if not math.isfinite(rest_voltage):
+        raise ValueError(f"rest_voltage must be finite, got {rest_voltage}")
     probe = buffer.copy()
     probe.reset(rest_voltage)
-    dt = pulse_width / steps_per_pulse
-    v_min = rest_voltage
-    for _ in range(steps_per_pulse):
-        v = probe.step(test_current, dt)
-        v_min = min(v_min, v)
+    v_min = min(rest_voltage, probe.pulse(
+        test_current, pulse_width / _STEPS_PER_PULSE, _STEPS_PER_PULSE))
     # Voltage drop explained by charge actually removed from the buffer.
     charge_drop = test_current * pulse_width / probe.total_capacitance
     esr_drop = (rest_voltage - v_min) - charge_drop

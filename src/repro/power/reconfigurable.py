@@ -18,7 +18,6 @@ instantly and conservatively.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from repro.errors import PowerSystemError
@@ -172,6 +171,9 @@ class ReconfigurableBuffer:
 
     def step(self, i_load: float, dt: float) -> float:
         return self._group.step(i_load, dt)
+
+    def pulse(self, i_load: float, dt: float, steps: int) -> float:
+        return self._group.pulse(i_load, dt, steps)
 
     def reset(self, voltage: float) -> None:
         """Rest the active group (not the parked banks) at ``voltage``."""

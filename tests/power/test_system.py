@@ -44,6 +44,15 @@ class TestCapybaraFactory:
 
 
 class TestCharacterize:
+    @pytest.mark.parametrize("kwargs", [
+        dict(linearize_at=(1.8, 2.4)),
+        dict(test_current=0.0),
+        dict(pulse_widths=[0.001, float("nan")]),
+    ])
+    def test_takes_no_measurement_parameters(self, system, kwargs):
+        with pytest.raises(TypeError):
+            system.characterize(**kwargs)
+
     def test_model_uses_datasheet_capacitance(self, system, model):
         assert model.capacitance == pytest.approx(45e-3)
         assert model.capacitance < system.buffer.total_capacitance
