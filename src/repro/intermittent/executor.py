@@ -17,6 +17,7 @@ so instead of spinning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -170,8 +171,9 @@ class IntermittentExecutor:
         executor raises :class:`NonTermination` when a task proves
         unrunnable; otherwise the report's ``stuck_on`` names it.
         """
-        if until <= 0:
-            raise ValueError(f"until must be positive, got {until}")
+        if not 0.0 < until < math.inf:
+            # charge_until takes only a finite budget
+            raise ValueError(f"until must be finite and positive, got {until}")
         report = ExecutionReport(finished=False, tasks_committed=0,
                                  elapsed=0.0)
         start_time = self.engine.time

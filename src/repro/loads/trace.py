@@ -16,6 +16,7 @@ the ESR-versus-frequency curve.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -35,10 +36,14 @@ class CurrentTrace:
         currents: List[float] = []
         durations: List[float] = []
         for current, duration in segments:
-            if duration < 0:
-                raise ValueError(f"segment duration must be >= 0, got {duration}")
-            if current < 0:
-                raise ValueError(f"segment current must be >= 0, got {current}")
+            # ``not 0 <= x < inf`` so NaN fails too: a NaN or infinite
+            # segment would hang an engine run or fool an estimator
+            if not 0.0 <= duration < math.inf:
+                raise ValueError("segment duration must be finite and "
+                                 f">= 0, got {duration}")
+            if not 0.0 <= current < math.inf:
+                raise ValueError("segment current must be finite and "
+                                 f">= 0, got {current}")
             if duration == 0:
                 continue
             if currents and currents[-1] == current:

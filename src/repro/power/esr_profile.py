@@ -59,7 +59,7 @@ class EsrFrequencyCurve:
 
     def esr_for_pulse_width(self, width: float) -> float:
         """Effective ESR for a load pulse of ``width`` seconds."""
-        if width <= 0:
+        if not width > 0:
             raise ValueError(f"width must be positive, got {width}")
         widths = self.pulse_widths
         if width <= widths[0]:

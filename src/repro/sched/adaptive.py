@@ -188,9 +188,12 @@ class AdaptiveCulpeoScheduler(IntermittentScheduler):
         self._maybe_reprofile()
         super()._run_background_slice(result)
 
-    def _idle_step(self, step: float) -> None:
+    def _idle(self, horizon: float) -> None:
+        """One hop per main-loop pass, not one call per stretch:
+        ``_maybe_reprofile`` may profile, which advances the engine, and a
+        hop generator must not change the simulator it is drawn from."""
         self._maybe_reprofile()
-        super()._idle_step(step)
+        self.engine.idle(self._idle_hop(horizon))
 
     def _maybe_reprofile(self) -> None:
         power = self.engine.system.harvester.power_at(self.engine.time)

@@ -17,10 +17,19 @@ execution stops (the task has failed) and the system must recharge to
 
 from __future__ import annotations
 
+import itertools
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, runtime_checkable
+from typing import (
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 from repro.loads.trace import CurrentTrace
 from repro.obs import VOLTAGE_BUCKETS_V
@@ -47,6 +56,16 @@ def set_default_fast(value: bool) -> bool:
     old = DEFAULT_FAST
     DEFAULT_FAST = bool(value)
     return old
+
+
+def _zero_load(hops: Iterable[float]) -> Iterator[Tuple[float, float]]:
+    """``(0.0, hop)`` segments, drawn lazily; a hop that is not finite and
+    positive (NaN included) raises ``ValueError``."""
+    for hop in hops:
+        if not 0.0 < hop < math.inf:
+            raise ValueError("idle hop must be finite and positive, "
+                             f"got {hop}")
+        yield 0.0, hop
 
 
 @runtime_checkable
@@ -500,46 +519,94 @@ class PowerSystemSimulator:
         )
 
     def idle(self, duration: float, *, harvesting: bool = True) -> float:
-        """Advance with no load (recharging if harvesting). Returns V_term."""
-        if duration < 0:
-            raise ValueError(f"duration must be non-negative, got {duration}")
+        """Advance with no load (recharging if harvesting). Returns V_term.
+
+        The one-hop case of :meth:`idle_hops`; ``duration`` must be finite
+        and non-negative (0 advances nothing).
+        """
+        if not 0.0 <= duration < math.inf:
+            raise ValueError(
+                f"duration must be finite and non-negative, got {duration}")
+        self.idle_hops((duration,) if duration > 0 else (),
+                       harvesting=harvesting)
+        return self.system.buffer.terminal_voltage
+
+    def idle_hops(self, hops: Iterable[float], *,
+                  harvesting: bool = True) -> None:
+        """Advance zero-load hops of the given durations, in order.
+
+        ``hops`` may be a generator that reads the live simulator
+        (``time``, the buffer, the monitor) to choose its next hop or to
+        stop: both stepping loops leave those current after every hop. It
+        must not change anything. On the fast kernel the whole wait is one
+        call, on the reference loop one call per hop, and either takes the
+        same steps as one :meth:`idle` per hop. A hop that is not finite
+        and positive raises ``ValueError`` when it is drawn, after the
+        hops before it have run.
+
+        ``_v_min_seen`` and ``_energy_out`` are reset once, here, so they
+        cover the whole wait rather than its last hop. Nothing reads them
+        between a wait and the next :meth:`run_trace`, which resets both.
+        """
         self._v_min_seen = self.system.buffer.terminal_voltage
         self._energy_out = 0.0
-        if duration > 0:
-            self._advance(0.0, duration, harvesting, None)
-        return self.system.buffer.terminal_voltage
+        segments = _zero_load(hops)
+        first = next(segments, None)
+        if first is None:
+            return  # no hop: skip the kernel's hoisting
+        segments = itertools.chain((first,), segments)
+        if self._use_fast():
+            advance_segments(self, segments, harvesting, None)
+            return
+        for _, hop in segments:
+            self._advance_reference(0.0, hop, harvesting, None)
 
     def charge_until(self, v_target: float, *, max_time: float = 3600.0,
                      harvesting: bool = True) -> Optional[float]:
         """Recharge until the terminal voltage reaches ``v_target``.
 
         Returns the elapsed recharge time, or ``None`` if ``max_time``
-        passed first (e.g. no incoming power).
+        passed first, or the buffer stopped rising with no input ahead.
+        The 0.25 s chunks are :meth:`idle_hops`, so a recharge is one
+        kernel call. ``v_target`` must be finite and positive, ``max_time``
+        finite and non-negative.
         """
-        if v_target <= 0:
-            raise ValueError(f"v_target must be positive, got {v_target}")
-        self._v_min_seen = self.system.buffer.terminal_voltage
-        self._energy_out = 0.0
+        if not 0.0 < v_target < math.inf:
+            raise ValueError(
+                f"v_target must be finite and positive, got {v_target}")
+        if not 0.0 <= max_time < math.inf:
+            raise ValueError(
+                f"max_time must be finite and non-negative, got {max_time}")
+        buffer = self.system.buffer
         start = self.time
         deadline = start + max_time
-        while self.system.buffer.terminal_voltage < v_target:
-            if self.time >= deadline:
-                return None
-            chunk = min(0.25, deadline - self.time)
-            v_before = self.system.buffer.terminal_voltage
-            self._advance(0.0, chunk, harvesting, None)
-            if self.system.buffer.terminal_voltage <= v_before + 1e-9:
-                if not harvesting:
-                    return None
-                harvester = self.system.harvester
-                if type(harvester) is TraceHarvester:
-                    # A recorded lull is not "no input" — positive pieces
-                    # may lie ahead; only a trace gone dark for good bails.
-                    if harvester.max_power_after(self.time) <= 0:
-                        return None
-                elif harvester.power_at(self.time) <= 0:
-                    return None  # nothing coming in; avoid spinning to deadline
-        self.system.monitor.observe(self.system.buffer.terminal_voltage)
+        reached = False
+
+        def chunks():
+            nonlocal reached
+            while buffer.terminal_voltage < v_target:
+                if self.time >= deadline:
+                    return
+                v_before = buffer.terminal_voltage
+                yield min(0.25, deadline - self.time)
+                if buffer.terminal_voltage <= v_before + 1e-9:
+                    if not harvesting:
+                        return
+                    harvester = self.system.harvester
+                    if type(harvester) is TraceHarvester:
+                        # A recorded lull is not "no input" — positive
+                        # pieces may lie ahead; only a trace gone dark for
+                        # good bails.
+                        if harvester.max_power_after(self.time) <= 0:
+                            return
+                    elif harvester.power_at(self.time) <= 0:
+                        return  # nothing coming in; avoid spinning to deadline
+            reached = True
+
+        self.idle_hops(chunks(), harvesting=harvesting)
+        if not reached:
+            return None
+        self.system.monitor.observe(buffer.terminal_voltage)
         return self.time - start
 
     def discharge_to(self, v_target: float, *, bleed_current: float = 0.010,

@@ -42,7 +42,10 @@ efficiency model is called.
 
 The kernel advances *whole traces* per call (`advance_segments`), so the
 hoisting cost is paid once per ``run_trace`` rather than once per segment
-— significant for traces with thousands of short segments.
+— significant for traces with thousands of short segments. The same
+holds for a wait: a generator of zero-load hops that reads the live
+simulator between segments makes a whole wait one call
+(:meth:`~repro.sim.engine.PowerSystemSimulator.idle_hops`).
 """
 
 from __future__ import annotations
@@ -147,13 +150,20 @@ def advance_segments(sim, segments: Iterable[Tuple[float, float]],
     monitor's enable state, the next due time and the burden. A lone
     stock µArch block instead gets its due-step samples in chunks (see
     the module docstring).
+
+    At the end of every segment, before it draws the next one, the
+    kernel writes back ``sim.time``, the buffer state and the monitor's
+    enable state. So ``segments`` may be a generator that reads the live
+    simulator to choose its next segment or to stop (a scheduler wait is
+    one call this way). It must not change anything: the kernel does not
+    re-read these values.
     """
     system = sim.system
     buffer = _resolve_buffer(system.buffer)
 
     # Observability: count kernel entries at batch granularity, before the
     # hoisting block — the stepping loop below must stay untouched. The
-    # disabled cost is one global read per whole-trace (or idle-chunk)
+    # disabled cost is one global read per whole-trace (or whole-wait)
     # call, invisible next to the thousands of steps each call runs.
     obs = _obs_current()
     if obs is not None:
@@ -498,13 +508,14 @@ def advance_segments(sim, segments: Iterable[Tuple[float, float]],
         if volts:
             block.on_samples(volts, t_last)
             volts.clear()
+        # -- write state back: live between segments, so ``segments`` may
+        # read it to choose its next hop or to stop (never to change it)
+        sim.time = time_abs
+        monitor.force_enabled(enabled)
+        _store_buffer(buffer, is_ideal, v_oc, i_last, v_main, v_red, v_term)
         if brown_time is not None:
             break
 
-    # -- write state back ----------------------------------------------------
-    sim.time = time_abs
     sim._v_min_seen = v_min_seen   # noqa: SLF001
     sim._energy_out = energy       # noqa: SLF001
-    monitor.force_enabled(enabled)
-    _store_buffer(buffer, is_ideal, v_oc, i_last, v_main, v_red, v_term)
     return brown_time

@@ -1,5 +1,7 @@
 """Intermittent executor: re-execution, gating, non-termination."""
 
+import math
+
 import pytest
 
 from repro.core.profile_guided import CulpeoPG
@@ -111,6 +113,10 @@ class TestNonTermination:
         with pytest.raises(ValueError):
             IntermittentExecutor(engine).run(Program([light_task()]),
                                              until=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                IntermittentExecutor(engine).run(Program([light_task()]),
+                                                 until=bad)
 
     def test_stuck_limit_is_configurable(self):
         engine = make_engine(harvest=10e-3)

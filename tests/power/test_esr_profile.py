@@ -109,6 +109,10 @@ class TestEsrFrequencyCurve:
         with pytest.raises(ValueError):
             curve.esr_for_pulse_width(0.0)
 
+    def test_rejects_nan_width_query(self, curve):
+        with pytest.raises(ValueError):
+            curve.esr_for_pulse_width(math.nan)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EsrFrequencyCurve(pulse_widths=(0.01,), esr_values=(1.0, 2.0))
