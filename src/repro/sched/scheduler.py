@@ -277,12 +277,11 @@ class IntermittentScheduler:
             while self._resume and self._device_on():
                 rec, chain, index = self._resume.pop(0)
                 grace = self.engine.time + chain.deadline
+                # a retry always ends with an outcome: wait lost,
+                # brown-out, captured or late
                 self._run_chain(chain, rec, result, start_index=index,
                                 wait_deadline=min(grace, end),
                                 is_retry=True)
-                if rec.outcome is None and not self._device_on():
-                    rec.outcome = EventOutcome.LOST_BROWNOUT
-                    break
             # Admit arrivals; expire what died while we were busy/off.
             while next_idx < len(queue) and \
                     queue[next_idx][0].arrival <= self.engine.time:

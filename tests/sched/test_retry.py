@@ -1,5 +1,8 @@
 """Retry-after-reboot chain semantics (the paper's RR failure mode)."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from repro.loads.trace import CurrentTrace
@@ -75,3 +78,57 @@ class TestRetryAfterReboot:
         result = sched.run([(0.1, chain)], duration=60.0)
         assert result.events[0].outcome in (
             EventOutcome.LOST_BROWNOUT, EventOutcome.LOST_DEADLINE_WAITING)
+
+
+class RetryLog(IntermittentScheduler):
+    """The stock scheduler, logging each retry's outcome as it returns."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.retry_outcomes = []
+
+    def _run_chain(self, chain, record, result, start_index=0,
+                   wait_deadline=None, is_retry=False):
+        super()._run_chain(chain, record, result, start_index=start_index,
+                           wait_deadline=wait_deadline, is_retry=is_retry)
+        if is_retry:
+            self.retry_outcomes.append(record.outcome)
+
+
+def fixed_gate_trial(tasks, gates, deadline):
+    """One arrival of a chain of ``(current, seconds)`` tasks behind fixed
+    gates, on a plant discharged to 1.7 V (the first task browns out)."""
+    system = capybara_power_system(harvester=ConstantPowerHarvester(5e-3))
+    system.rest_at(system.monitor.v_high)
+    engine = PowerSystemSimulator(system)
+    engine.discharge_to(1.7)
+    system.monitor.force_enabled(True)
+    chain = TaskChain("chain", [
+        Task(f"task{i}", CurrentTrace.constant(current, seconds))
+        for i, (current, seconds) in enumerate(tasks)], deadline=deadline)
+    policy = SimpleNamespace(name="fixed", gate=lambda _, index: gates[index],
+                             background_threshold=math.inf)
+    sched = RetryLog(engine, policy, retry_after_reboot=True)
+    start = engine.time
+    result = sched.run([(start + 0.1, chain)], start + 60.0)
+    return sched, result
+
+
+class TestRetryEndsWithAnOutcome:
+    """A post-reboot retry always leaves its event with an outcome, so the
+    main loop needs no fallback for one that did not."""
+
+    @pytest.mark.parametrize("tasks, gates, deadline, outcome", [
+        # browns out again: 2 s at 50 mA fails even from V_high
+        ([(0.050, 2.0)], [0.0], 3.0, EventOutcome.LOST_BROWNOUT),
+        # the retried task runs, then the next gate is out of reach
+        ([(0.050, 0.3), (0.010, 0.3)], [0.0, 2.5], 3.0,
+         EventOutcome.LOST_DEADLINE_WAITING),
+        # completes, after the deadline or before it
+        ([(0.050, 0.3)], [0.0], 3.0, EventOutcome.LOST_LATE),
+        ([(0.050, 0.3)], [0.0], 40.0, EventOutcome.CAPTURED),
+    ], ids=["browns-out-again", "gate-wait-misses", "late", "captured"])
+    def test_outcome(self, tasks, gates, deadline, outcome):
+        sched, result = fixed_gate_trial(tasks, gates, deadline)
+        assert sched.retry_outcomes == [outcome]
+        assert [event.outcome for event in result.events] == [outcome]
