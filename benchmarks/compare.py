@@ -51,10 +51,6 @@ GATED_METRICS: List[MetricSpec] = [
     MetricSpec("kernel.speedup", floor=2.0, rel_tol=0.6),
     MetricSpec("analysis.hit_rate", floor=0.5, rel_tol=0.3),
     MetricSpec("sweep.speedup_fast", floor=1.3, rel_tol=0.6),
-    MetricSpec("fleet.speedup", floor=10.0, rel_tol=0.6),
-    # The segment-algebra claim: the vectorized segalg fleet path beats
-    # the stepping fleet kernel >=5x on the jittered duty fleet.
-    MetricSpec("segalg_fleet.speedup", floor=5.0, rel_tol=0.6),
     # The serving claim: the admission daemon's data plane (request
     # validation + batched engine dispatch over already-decoded objects —
     # the section its dispatcher serializes) sustains >=100k cache-warm
@@ -72,8 +68,12 @@ REPORTED_METRICS: List[str] = [
     "analysis.speedup", "analysis.cold_s", "analysis.warm_s",
     "sweep.reference_s", "sweep.fast_s",
     "sweep.speedup_fast_parallel",
-    "fleet.scalar_s", "fleet.fleet_s",
-    "fleet.fleet_device_steps_per_s",
+    # The segment-algebra fleet path against the stepping fleet engine.
+    # Ungated: it was gated (>=5x) against the vectorized numpy stepping
+    # kernel, which is gone; every fleet device now steps on the compiled
+    # scalar kernel, and segalg's lead over that is a finding to track
+    # (ROADMAP item 2), not a claim.
+    "segalg_fleet.speedup",
     "segalg_fleet.stepping_s", "segalg_fleet.segalg_s",
     "serving.seconds", "serving.requests", "serving.wire_qps",
     # Degraded-tier throughput (disk tier abandoned, memo + compute):

@@ -11,14 +11,11 @@ against the reference implementation *in the same process and run*:
   :class:`~repro.core.vsafe_cache.VsafeCache`;
 * ``sweep``    — the Figure 13 event-rate sweep: reference stepper, fast
   kernel, and fast kernel + process-pool fan-out;
-* ``fleet``    — a 1000-device homogeneous fleet stepped by the vectorized
-  ``repro.fleet`` kernel versus the same 1000 devices run one-by-one
-  through the scalar fast kernel (equivalence enforced by
-  ``tests/fleet/test_equivalence.py``);
 * ``segalg_fleet``  — a 1024-device jittered fleet on a duty-cycled
   harvesting pattern (short bursts, long idle recharge): the vectorized
-  segment-algebra path versus the stepping fleet kernel (equivalence
-  enforced by ``tests/segalg/test_fourway.py``).
+  segment-algebra path versus the stepping fleet engine, which runs
+  every device on the compiled scalar kernel (equivalence enforced by
+  ``tests/segalg/test_fourway.py``; reported, not gated).
 
 Results land in a JSON file (``BENCH.json`` by default; see README
 §Performance for how to read it). ``--quick`` shrinks the workloads for CI
@@ -163,66 +160,11 @@ def bench_sweep(trials: int, repeats: int, seed: int = 0) -> dict:
     )
 
 
-def bench_fleet(devices: int, repeats: int, cycles: int = 4) -> dict:
-    """(d) N-device homogeneous fleet: vectorized kernel vs scalar loop.
-
-    Homogeneous (zero jitter) so both paths integrate the same physics
-    for every device and the comparison is pure kernel throughput; the
-    workload is the shared sense-store program with idle recharge gaps.
-    """
-    from repro.apps.programs import build_program
-    from repro.fleet.kernel import FleetState, advance
-    from repro.fleet.spec import FleetSpec
-    from repro.sim import fastpath
-
-    spec = FleetSpec(devices=devices, seed=0, esr_jitter=0.0,
-                     capacitance_jitter=0.0, harvest_jitter=0.0,
-                     eta_jitter=0.0)
-    params = spec.parameters()
-    program = build_program("sense-store", cycles=cycles)
-    segments = []
-    for task in program.tasks:
-        segments.extend(task.trace.segments())
-        segments.append((0.0, 0.3))
-
-    def run_fleet():
-        state = FleetState(params)
-        advance(state, segments, True, spec.v_off)
-        return state
-
-    def run_scalar():
-        system = params.device_system(0)
-        for _ in range(devices):
-            system.rest_at(spec.v_high)
-            sim = PowerSystemSimulator(system)
-            fastpath.advance_segments(sim, segments, True, spec.v_off)
-        return sim
-
-    state = run_fleet()
-    sim = run_scalar()
-    drift = abs(float(state.v_term[-1]) - sim.system.buffer.terminal_voltage)
-    assert drift < 1e-6, f"fleet kernel diverged from scalar: {drift}"
-
-    t_fleet = _bench(run_fleet, repeats)
-    t_scalar = _bench(run_scalar, repeats)
-    steps = state.device_steps
-    return dict(
-        devices=devices,
-        segments=len(segments),
-        device_steps=steps,
-        scalar_s=t_scalar,
-        fleet_s=t_fleet,
-        speedup=t_scalar / t_fleet,
-        fleet_device_steps_per_s=steps / t_fleet,
-        scalar_device_steps_per_s=steps / t_scalar,
-    )
-
-
 def bench_segalg_fleet(devices: int, cycles: int, repeats: int) -> dict:
-    """(e) jittered duty-cycle fleet: stepping kernel vs segalg vector path.
+    """(e) jittered duty-cycle fleet: stepping engine vs segalg vector path.
 
     Jittered (the realistic deployment), 2 s idle gaps — long enough for
-    the stepping kernel's 50 ms idle cap to dominate, short enough that
+    the stepping engine's 50 ms idle cap to dominate, short enough that
     every cycle still exercises the load transient and event detection.
     """
     from repro.fleet.kernel import FleetState, advance
@@ -376,12 +318,10 @@ def main(argv=None) -> int:
 
     if args.quick:
         n_segments, n_tasks, trials, repeats = 1000, 20, 1, 1
-        fleet_devices, fleet_cycles = 1000, 2
         sa_fleet_devices, sa_fleet_cycles = 256, 25
         serve_requests = 20_000
     else:
         n_segments, n_tasks, trials, repeats = 10_000, 100, 1, 2
-        fleet_devices, fleet_cycles = 1000, 4
         sa_fleet_devices, sa_fleet_cycles = 1024, 100
         serve_requests = 200_000
 
@@ -404,13 +344,7 @@ def main(argv=None) -> int:
           f"{sweep['fast_parallel_s']:.3f}s "
           f"({sweep['speedup_fast_parallel']:.1f}x)")
 
-    print("fleet: vectorized batch kernel vs scalar loop ...", flush=True)
-    fleet = bench_fleet(fleet_devices, repeats, fleet_cycles)
-    print(f"  scalar {fleet['scalar_s']:.3f}s  fleet {fleet['fleet_s']:.3f}s"
-          f"  ({fleet['speedup']:.1f}x, "
-          f"{fleet['fleet_device_steps_per_s']:.3g} device-steps/s)")
-
-    print("segalg-fleet: stepping fleet kernel vs vector algebra ...",
+    print("segalg-fleet: stepping fleet engine vs vector algebra ...",
           flush=True)
     sa_fleet = bench_segalg_fleet(sa_fleet_devices, sa_fleet_cycles, repeats)
     print(f"  stepping {sa_fleet['stepping_s']:.3f}s  "
@@ -439,7 +373,6 @@ def main(argv=None) -> int:
         kernel=kernel,
         analysis=analysis,
         sweep=sweep,
-        fleet=fleet,
         segalg_fleet=sa_fleet,
         serving=serving,
     )

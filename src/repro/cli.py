@@ -29,7 +29,7 @@ injection campaigns (harvester storms, ESR aging, ADC faults, timer
 jitter) against the hardened runtime and exits non-zero if any gated task
 browns out or livelocks; ``fleet`` expands one base plant into N seeded
 jittered devices, steps them all through a shared-firmware program on
-the vectorized kernel, and can differentially cross-check sampled
+the compiled kernel, and can differentially cross-check sampled
 devices re-run one at a time; ``env`` records parametric harvesting
 environments (diurnal solar with cloud transients, kinetic bursts, thermal
 gradients behind an MPPT front-end) as compact fingerprinted ``.npz``
@@ -834,9 +834,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--engine", default="stepping",
                          choices=["stepping", "segalg"],
                          help="simulation engine: the stepping kernel "
-                              "(default, bit-compatible with the scalar "
-                              "fastpath) or the event-driven segment-"
-                              "algebra core (faster; method tolerances)")
+                              "(default, every device on the compiled "
+                              "scalar kernel, bit-exact with the "
+                              "reference loop) or the event-driven "
+                              "segment-algebra core (method tolerances)")
     p_fleet.add_argument("--check", type=int, default=0, metavar="N",
                          help="differential mode: re-run N sampled devices "
                               "alone — on the scalar fastpath kernel under "

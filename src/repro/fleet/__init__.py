@@ -1,15 +1,16 @@
-"""Fleet-scale vectorized simulation: N jittered devices per step.
+"""Fleet-scale simulation: N jittered devices per call.
 
 The scalar stack simulates one device at a time; this package holds the
-whole deployment in numpy arrays and advances every device per vector
-operation — the regime the ROADMAP's production north star (millions of
-harvesting devices) actually runs in. Three layers:
+whole deployment in numpy arrays and advances every device per call —
+the regime the ROADMAP's production north star (millions of harvesting
+devices) actually runs in. Three layers:
 
 * :mod:`~repro.fleet.spec` — :class:`FleetSpec`, a seeded serializable
   recipe expanding one base plant into per-device parameter arrays;
-* :mod:`~repro.fleet.kernel` — the batched stepping kernel, replaying
-  the scalar fastpath recurrence across the batch with masked brown-out
-  handling (documented tolerance, enforced by the equivalence suite);
+* :mod:`~repro.fleet.kernel` — the stepping engine: each device a lane
+  of the compiled scalar kernel, one C call per segment for the whole
+  batch, so every device equals its reference-loop run bit for bit
+  (enforced by the equivalence suites);
 * :mod:`~repro.fleet.runner` — shared-firmware program execution over
   the batch, aggregating the chaos campaign's four-way classification
   into any-jobs byte-identical :class:`FleetReport`s, with a

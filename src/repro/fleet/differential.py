@@ -9,9 +9,10 @@ outcomes and final state. Each fleet engine has its own mirror:
 
 * ``stepping`` — the device steps through the scalar fastpath kernel
   on :meth:`FleetParams.device_system`, the identical floats the
-  vectorized arrays hold, so any disagreement beyond
+  fleet's lanes hold, and through the same compiled body, so the fleet
+  agrees exactly and any disagreement beyond
   :data:`~repro.fleet.kernel.V_TOL`/:data:`~repro.fleet.kernel.T_TOL`
-  is a kernel bug, not parameter drift;
+  is a bug in the lane packing or the runner, not parameter drift;
 * ``segalg`` — the device advances as a one-lane fleet
   (:func:`~repro.segalg.vector.advance_fleet` on
   ``FleetState(params.slice(i, i + 1))``), so its segment program is

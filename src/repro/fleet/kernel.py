@@ -1,32 +1,28 @@
-"""Batched stepping kernel: N devices advance per vector operation.
+"""Fleet stepping engine: every device on the compiled scalar kernel.
 
-This is the fleet-scale counterpart of :mod:`repro.sim.fastpath`. Where
-the scalar kernel replays the reference loop's arithmetic with hoisted
-locals, this kernel replays the *same recurrence* across a whole device
-batch at once: every per-device quantity (branch voltages, monitor
-state, elapsed segment time) lives in a numpy array, and one iteration
-of the stepping loop advances every still-running device by its own
-adaptive ``dt``. Devices that brown out, or that a caller masks off,
-are frozen by ``np.where`` selection — their state stops changing while
-the rest of the batch runs on.
+This is the fleet-scale driver of :mod:`repro.sim.fastpath`'s C body.
+Each device is one *lane*: a kernel state holding the device's plant,
+packed from the fleet's parameter arrays, and its live state. Per
+:func:`advance` call the lanes are packed once; each segment is then one
+C call (:func:`~repro.sim.fastpath.advance_lanes`) that runs it on every
+still-running lane. Devices that brown out, or that a caller masks off,
+do not step: their state stays as it was while the rest of the batch
+runs on.
 
 Equivalence contract
 --------------------
-The kernel performs the same floating-point operations in the same
-order as ``fastpath.advance_segments`` with two mechanical exceptions:
+A lane takes exactly the steps a scalar run of its device takes
+(:meth:`~repro.fleet.spec.FleetParams.device_system` through
+``fastpath.advance_segments``): the same C function on the same floats.
+So a fleet device equals the reference loop bit for bit, in any batch,
+and fleet results are byte-identical however the fleet is sharded. The
+tolerances :data:`V_TOL` / :data:`T_TOL` remain the bounds the
+differential check (``repro fleet --check``) and the segment-algebra
+suites hold the stepping engine to; it meets them with zero error.
 
-* transcendental calls go through numpy (``np.exp``/``np.sin``) instead
-  of ``math.exp``/``math.sin``, which may differ from the C library in
-  the last ulp;
-* masked lanes compute speculative values that are discarded by
-  ``np.where`` (never committed, so they cannot influence live state).
-
-Per-step divergence is therefore at most an ulp or two, and integrated
-drift over full program runs stays within the documented tolerances
-(:data:`V_TOL` / :data:`T_TOL`), which the equivalence suite
-(`tests/fleet/test_equivalence.py`) enforces against seeded random
-configurations. Bit-exactness is *not* claimed — that remains the
-scalar fastpath's contract against the reference engine.
+Without a compiled kernel (no C compiler), each device steps on the
+reference loop instead, one scalar simulator per device: the same
+results and step counts, at the reference loop's speed.
 """
 
 from __future__ import annotations
@@ -37,25 +33,16 @@ import numpy as np
 
 from repro.fleet.spec import FleetParams
 from repro.power.booster import CurvedEfficiency, LinearEfficiency
+from repro.sim import fastpath
 from repro.sim.engine import PowerSystemSimulator as _Engine
 
-#: Documented fleet-vs-scalar tolerance on any recorded voltage (V).
-#: Empirically the worst drift over the equivalence corpus is below 1e-9 V;
-#: the bound leaves two orders of magnitude of headroom and is still ~4
-#: orders tighter than the ADC quantum the estimators themselves model.
+#: Documented fleet-vs-scalar tolerance on any recorded voltage (V). The
+#: stepping engine meets it exactly (zero error); the differential check
+#: and the segment-algebra suites compare against it.
 V_TOL = 1e-7
 
-#: Documented fleet-vs-scalar tolerance on any recorded time (s). Step
-#: sizes are voltage-dependent, so ulp-level voltage drift perturbs ``dt``;
-#: the accumulated effect over ~1e5 steps stays far below a microsecond.
+#: Documented fleet-vs-scalar tolerance on any recorded time (s).
 T_TOL = 1e-6
-
-# Engine stepping constants, hoisted from the scalar simulator so the two
-# paths can never disagree about the adaptive-dt policy.
-_MIN_DT = _Engine.MIN_DT
-_MAX_IDLE_DT = _Engine.MAX_IDLE_DT
-_IDLE_DV = _Engine.IDLE_DV
-_LOAD_DV = _Engine.LOAD_DV
 
 
 class FleetRecorder:
@@ -86,13 +73,12 @@ class FleetRecorder:
 
 
 class FleetState:
-    """Mutable per-device simulation state plus hoisted derived constants.
+    """Mutable per-device simulation state plus the hoisted plants.
 
-    The derived arrays (conductance, total capacitance, stability bound,
-    decoupling time constant) mirror the scalar fastpath's hoisting block
-    expression-for-expression. The segment-algebra plant (bank constants
-    and program-cache digest) is derived once per state, on the first
-    segalg advance, and reused by every later one.
+    The stepping engine's lane plants are packed once per state, on the
+    first stepping advance, and the segment-algebra plant (bank
+    constants and program-cache digest) on the first segalg advance;
+    each is reused by every later advance.
     """
 
     def __init__(self, params: FleetParams,
@@ -122,31 +108,14 @@ class FleetState:
         #: arrays are never written after expansion; a bank switch builds
         #: a fresh state.
         self.segalg_plants: Dict[bool, tuple] = {}
+        #: Kernel states holding every device's plant, packed by the
+        #: first stepping advance and reused by every later one, and the
+        #: harvest arrays their pointers address.
+        self._plants: Optional[np.ndarray] = None
+        self._harvest: Tuple[np.ndarray, ...] = ()
 
-        # -- hoisted derived constants (fastpath hoisting block) ----------
-        r_esr = params.r_esr
-        c_main = params.c_main
-        c_red = params.c_redist
-        r_red = params.r_redist
-        c_dec = params.c_decoupling
-        self.has_red = (c_red > 0) & np.isfinite(r_red)
-        self._rr_safe = np.where(self.has_red, r_red, 1.0)
-        self._cr_safe = np.where(self.has_red, c_red, 1.0)
-        g = 1.0 / r_esr
-        g = g + np.where(self.has_red, 1.0 / self._rr_safe, 0.0)
-        self.g = g
-        total_c = c_main + c_dec
-        self.total_c = total_c + np.where(self.has_red, c_red, 0.0)
-        stable = r_esr * c_main
-        branch_rc = np.where(self.has_red, self._rr_safe * self._cr_safe,
-                             np.inf)
-        self.stable = 0.25 * np.minimum(stable, branch_rc)
-        self.cd_pos = c_dec > 0
-        self._tau_safe = np.where(self.cd_pos, c_dec / g, 1.0)
-        self.tau = np.where(self.cd_pos, self._tau_safe, 0.0)
-        self.tau_quarter = self.tau / 4.0
-
-        # Output-booster efficiency curve: per-device base, shared shape.
+        # Efficiency curves (the segment-algebra plant reads them):
+        # output booster per-device base, shared shape.
         eta = CurvedEfficiency()
         self._eta_slope = eta.slope
         self._eta_curvature = eta.curvature
@@ -159,15 +128,77 @@ class FleetState:
         self._eta_in = min(lin.ceiling, max(lin.floor, lin.intercept))
 
 
+def _lane_plants(state: FleetState) -> Optional[np.ndarray]:
+    """Kernel states holding every device's plant (``None`` without a
+    compiled kernel), packed once per state.
+
+    Device 0's scalar system supplies what every device shares (booster,
+    monitor and engine constants); the per-device fields are written
+    over it from the parameter arrays with the expressions
+    ``fastpath.plant`` evaluates, so each lane holds the floats
+    ``device_system(i)`` would give the kernel.
+    """
+    if state._plants is not None:
+        return state._plants
+    params = state.params
+    plants = fastpath.lanes(params.device_system(0), state.n)
+    if plants is None:
+        return None
+    plants["out_a"] = params.eta_base
+    plants["p_h_const"] = params.p_harvest
+    plants["h_phase"] = params.phase
+    if params.harvest_edges is not None:
+        # environment replay: shared edges, one power row per device
+        edges = np.ascontiguousarray(params.harvest_edges, dtype=float)
+        powers = np.ascontiguousarray(params.harvest_powers, dtype=float)
+        state._harvest = (edges, powers)
+        plants["h_edges"] = edges.ctypes.data
+        plants["h_powers"] = (powers.ctypes.data
+                              + powers.strides[0] * np.arange(state.n))
+        plants["hp_last"] = powers.shape[1] - 1
+    # TwoBranchSupercap (a bank's active group): _conductance,
+    # total_capacitance, max_stable_dt and _transient_tau, in plant()'s
+    # evaluation order
+    c_main = params.c_main
+    r_esr = params.r_esr
+    c_red = params.c_redist
+    r_red = params.r_redist
+    c_dec = params.c_decoupling
+    has_red = (c_red > 0) & np.isfinite(r_red)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = 1.0 / r_esr
+        g = np.where(has_red, g + 1.0 / r_red, g)
+        total_c = c_main + c_dec
+        total_c = np.where(has_red, total_c + c_red, total_c)
+        stable = r_esr * c_main
+        branch = r_red * c_red
+        stable = 0.25 * np.where(has_red & (branch < stable), branch,
+                                 stable)
+        tau = np.where(c_dec > 0, c_dec / g, 0.0)
+    for name, value in (("c_main", c_main), ("r_esr", r_esr),
+                        ("c_red", c_red), ("r_red", r_red),
+                        ("c_dec", c_dec), ("leak", params.leakage),
+                        ("g", g), ("total_c", total_c), ("stable", stable),
+                        ("tau", tau), ("tau_quarter", tau / 4.0),
+                        ("has_red", has_red)):
+        plants[name] = value
+    plants["min_dt"] = _Engine.MIN_DT
+    plants["max_idle_dt"] = _Engine.MAX_IDLE_DT
+    plants["idle_dv"] = _Engine.IDLE_DV
+    plants["load_dv"] = _Engine.LOAD_DV
+    state._plants = plants
+    return plants
+
+
 def advance(state: FleetState, segments: Iterable[Tuple[float, float]],
             harvesting: bool, stop_below: Optional[float],
             active: Optional[np.ndarray] = None,
             recorder: Optional[FleetRecorder] = None) -> np.ndarray:
     """Advance the batch through ``(current, duration)`` segments.
 
-    The vector analogue of ``fastpath.advance_segments``: every device in
-    ``active & state.alive`` replays the segment list independently (its
-    own adaptive steps, its own monitor hysteresis). A device whose
+    The fleet analogue of ``fastpath.advance_segments``: every device in
+    ``active & state.alive`` replays the segment list on its own lane
+    (its own adaptive steps, its own monitor hysteresis). A device whose
     terminal voltage crosses ``stop_below`` stops there mid-trace and is
     removed from ``state.alive``; everyone else runs the trace to the
     end. Returns the absolute brown-out times (NaN where none).
@@ -183,262 +214,97 @@ def advance(state: FleetState, segments: Iterable[Tuple[float, float]],
     runs = getattr(segments, "segments", None)
     if callable(runs):
         segments = runs()
-    params = state.params
-    spec = params.spec
     n = state.n
     brown = np.full(n, np.nan)
     if n == 0:
         return brown
-
-    # Hoist state arrays into locals (rebound each step, written back at
-    # the end) and fixed parameters once per call, like the scalar kernel.
-    v_main = state.v_main
-    v_red = state.v_redist
-    v_term = state.v_term
-    time = state.time
-    v_min = state.v_min
-    energy = state.energy
-    enabled = state.enabled
-    alive = state.alive if active is None else (state.alive & active)
-
-    c_main = params.c_main
-    r_esr = params.r_esr
-    leak = params.leakage
-    eta_base = params.eta_base
-    has_red = state.has_red
-    rr_safe = state._rr_safe
-    cr_safe = state._cr_safe
-    g = state.g
-    total_c = state.total_c
-    stable = state.stable
-    cd_pos = state.cd_pos
-    tau_safe = state._tau_safe
-    tau_quarter = state.tau_quarter
-
-    v_out = spec.v_out
-    min_vin = 0.5
-    derating = 0.6
-    v_max_in = spec.v_high
-    v_off_mon = spec.v_off
-    v_high_mon = spec.v_high
-    eta_in = state._eta_in
-    eta_slope = state._eta_slope
-    eta_curvature = state._eta_curvature
-    eta_v_ref = state._eta_v_ref
-    eta_floor = state._eta_floor
-    eta_ceiling = state._eta_ceiling
-    tau = state.tau
-
-    if not harvesting:
-        harvest_mode = 0
-    elif params.harvest_edges is not None:
-        # Environment replay: shared piece edges, per-device columns.
-        harvest_mode = 3
-        h_edges = params.harvest_edges
-        h_powers = params.harvest_powers
-        hp_last = h_powers.shape[1] - 1
-        h_rows = np.arange(n)
-    elif spec.harvest_period <= 0:
-        harvest_mode = 1
+    run = state.alive if active is None else (state.alive & active)
+    run = run.astype(np.uint8)
+    plants = _lane_plants(state)
+    if plants is None:
+        _advance_reference(state, segments, harvesting, stop_below, run,
+                           brown, recorder)
     else:
-        harvest_mode = 2
-        omega = 2.0 * np.pi / spec.harvest_period
-    p_harvest = params.p_harvest
-    phase = params.phase
-
-    stopping = stop_below is not None
-    stop_level = stop_below if stopping else 0.0
-    steps = 0
-
-    # Batch-structure flags: when every device shares a branch (all have a
-    # redistribution branch, all have decoupling — true for any capybara
-    # derived fleet), the per-device ``np.where`` selects collapse to plain
-    # arithmetic. Checked once per call, not per step.
-    all_red = bool(has_red.all())
-    any_red = bool(has_red.any())
-    all_cd = bool(cd_pos.all())
-    any_cd = bool(cd_pos.any())
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i_out, seg_duration in segments:
-            run_base = alive.copy()
-            if not run_base.any():
+        lanes = plants.copy()
+        if not harvesting:
+            lanes["harvest_mode"] = 0
+        lanes["stopping"] = stop_below is not None
+        lanes["stop_level"] = 0.0 if stop_below is None else stop_below
+        for name, value in (("v_main", state.v_main),
+                            ("v_red", state.v_redist),
+                            ("v_term", state.v_term),
+                            ("time_abs", state.time),
+                            ("v_min", state.v_min),
+                            ("energy", state.energy),
+                            ("enabled", state.enabled)):
+            lanes[name] = value
+        for i_out, duration in segments:
+            if not run.any():
                 break
-            loaded = i_out > 0
-            transient_window = 6.0 * tau if loaded else None
-            dv_budget = _LOAD_DV if loaded else _IDLE_DV
-            p_out = i_out * v_out
-            elapsed = np.zeros(n)
-            running = run_base & (elapsed < seg_duration - 1e-12)
-            seg_start = time.copy()
-            while running.any():
-                v = v_term
-
-                # output booster draw (vectorized OutputBooster math)
-                if loaded:
-                    v_in = np.maximum(v, min_vin)
-                    dv = v_in - eta_v_ref
-                    eta = eta_base + eta_slope * dv - eta_curvature * dv * dv
-                    eta = np.minimum(eta_ceiling, np.maximum(eta_floor, eta))
-                    if p_out > 0.0 and derating > 0.0:
-                        eta = np.maximum(0.30, eta - derating * p_out)
-                    if enabled.all():
-                        i_in = p_out / eta / v_in
-                    else:
-                        i_in = np.where(enabled, p_out / eta / v_in, 0.0)
-                else:
-                    i_in = 0.0
-
-                # input booster charge (vectorized InputBooster math)
-                if harvest_mode == 0:
-                    i_chg = 0.0
-                else:
-                    if harvest_mode == 1:
-                        p_h = p_harvest
-                    elif harvest_mode == 3:
-                        # Piece containing each device's current time —
-                        # the same lookup the scalar fastpath's forward
-                        # pointer performs, so the floats match exactly.
-                        h_idx = np.searchsorted(h_edges, time,
-                                                side="right") - 1
-                        h_idx = np.clip(h_idx, 0, hp_last)
-                        p_h = h_powers[h_rows, h_idx]
-                    else:
-                        p_h = p_harvest * np.maximum(
-                            0.0, np.sin(omega * time + phase))
-                    v_clamp = np.maximum(v, 0.1)
-                    i_chg = np.where(
-                        (p_h > 0.0) & (v < v_max_in),
-                        p_h * eta_in / v_clamp, 0.0)
-
-                i_net = i_in - i_chg
-                remaining = seg_duration - elapsed
-
-                # step-size choice (_choose_dt, vectorized)
-                i_abs = np.abs(i_net)
-                dt = np.where(i_abs > 1e-12,
-                              dv_budget * total_c / i_abs, _MAX_IDLE_DT)
-                if loaded:
-                    in_transient = elapsed < transient_window
-                    dt = np.where(in_transient & (tau_quarter < dt),
-                                  tau_quarter, dt)
-                dt = np.minimum(dt, stable)
-                dt = np.minimum(dt, _MAX_IDLE_DT)
-                dt = np.minimum(dt, remaining)
-                if harvest_mode == 3:
-                    # Clamp at the next harvest edge — the same value at
-                    # the same point of the min chain as the scalar
-                    # fastpath, so both kernels land on the edge exactly
-                    # (the _MIN_DT floor below may overshoot it by at
-                    # most a microsecond on both paths alike).
-                    next_edge = h_edges[h_idx + 1]
-                    gap = next_edge - time
-                    dt = np.where((time < next_edge) & (gap < dt), gap, dt)
-                dt = np.maximum(dt, np.minimum(_MIN_DT, remaining))
-
-                # two-branch buffer step (TwoBranchSupercap.step)
-                num = v_main / r_esr - i_net
-                if all_red:
-                    num = num + v_red / rr_safe
-                elif any_red:
-                    num = num + np.where(has_red, v_red / rr_safe, 0.0)
-                v_star = num / g
-                if all_cd:
-                    ratio = dt / tau_safe
-                    alpha = np.exp(-ratio)
-                    diff = v_term - v_star
-                    v_avg = v_star + diff * (1.0 - alpha) / ratio
-                    v_term_new = v_star + diff * alpha
-                elif any_cd:
-                    ratio = dt / tau_safe
-                    alpha = np.exp(-ratio)
-                    diff = v_term - v_star
-                    v_avg = np.where(
-                        cd_pos, v_star + diff * (1.0 - alpha) / ratio,
-                        v_star)
-                    v_term_new = np.where(cd_pos, v_star + diff * alpha,
-                                          v_star)
-                else:
-                    v_avg = v_star
-                    v_term_new = v_star
-                i_main = (v_main - v_avg) / r_esr
-                drain = i_main + np.where(v_main > 0.0, leak, 0.0)
-                v_main_new = np.maximum(v_main - drain * dt / c_main, 0.0)
-                if all_red:
-                    v_red_new = np.maximum(
-                        v_red - (v_red - v_avg) / rr_safe * dt / cr_safe,
-                        0.0)
-                elif any_red:
-                    v_red_new = np.where(
-                        has_red,
-                        np.maximum(
-                            v_red - (v_red - v_avg) / rr_safe * dt / cr_safe,
-                            0.0),
-                        v_red)
-                else:
-                    v_red_new = v_red
-                v_term_new = np.maximum(v_term_new, 0.0)
-
-                # commit — plain assignment while the whole batch is
-                # running (the common case), masked selection otherwise
-                if running.all():
-                    elapsed = elapsed + dt
-                    time = seg_start + elapsed
-                    energy = energy + i_in * np.maximum(v, v_term_new) * dt
-                    v_main = v_main_new
-                    v_red = v_red_new
-                    v_term = v_term_new
-                    enabled = np.where(enabled, v_term_new >= v_off_mon,
-                                       v_term_new >= v_high_mon)
-                    v_min = np.minimum(v_min, v_term_new)
-                    steps += n
-                else:
-                    elapsed = np.where(running, elapsed + dt, elapsed)
-                    time = np.where(running, seg_start + elapsed, time)
-                    energy = np.where(
-                        running,
-                        energy + i_in * np.maximum(v, v_term_new) * dt,
-                        energy)
-                    v_main = np.where(running, v_main_new, v_main)
-                    v_red = np.where(running, v_red_new, v_red)
-                    v_term = np.where(running, v_term_new, v_term)
-                    # monitor hysteresis (VoltageMonitor.observe)
-                    enabled = np.where(
-                        running,
-                        np.where(enabled, v_term_new >= v_off_mon,
-                                 v_term_new >= v_high_mon),
-                        enabled)
-                    v_min = np.where(running & (v_term_new < v_min),
-                                     v_term_new, v_min)
-                    steps += int(running.sum())
-                if stopping:
-                    hit = running & (v_term_new < stop_level)
-                    if hit.any():
-                        brown = np.where(hit, time, brown)
-                        alive = alive & ~hit
-                running = run_base & alive \
-                    & (elapsed < seg_duration - 1e-12)
+            fastpath.advance_lanes(lanes, run, i_out, duration, brown)
             if recorder is not None:
-                state.v_term = v_term
-                state.v_main = v_main
-                state.v_redist = v_red
-                state.time = time
-                state.v_min = v_min
-                state.energy = energy
+                _store(state, lanes)
                 recorder.capture(state)
-
-    # -- write state back --------------------------------------------------
-    state.v_main = v_main
-    state.v_redist = v_red
-    state.v_term = v_term
-    state.time = time
-    state.v_min = v_min
-    state.energy = energy
-    state.enabled = enabled
-    if active is None:
-        state.alive = alive
-    else:
-        # Only devices this call actually ran can have died.
-        state.alive = np.where(active, alive, state.alive)
-    state.device_steps += steps
+        _store(state, lanes)
+        state.device_steps += int(lanes["steps"].sum())
+    state.alive = state.alive & np.isnan(brown)
     return brown
+
+
+def _store(state: FleetState, lanes: np.ndarray) -> None:
+    """Copy the lanes' live state back into the state arrays."""
+    state.v_main = lanes["v_main"].copy()
+    state.v_redist = lanes["v_red"].copy()
+    state.v_term = lanes["v_term"].copy()
+    state.time = lanes["time_abs"].copy()
+    state.v_min = lanes["v_min"].copy()
+    state.energy = lanes["energy"].copy()
+    state.enabled = lanes["enabled"] != 0
+
+
+def _advance_reference(state: FleetState, segments, harvesting: bool,
+                       stop_below: Optional[float], run: np.ndarray,
+                       brown: np.ndarray,
+                       recorder: Optional[FleetRecorder]) -> None:
+    """:func:`advance` without a compiled kernel: each running device on
+    the reference loop, one scalar simulator per device, counting the
+    steps the kernel would count (one per buffer step)."""
+    sims = {}
+    for i in np.flatnonzero(run):
+        system = state.params.device_system(int(i))
+        buffer = getattr(system.buffer, "_group", system.buffer)
+        buffer._v_main = float(state.v_main[i])       # noqa: SLF001
+        buffer._v_redist = float(state.v_redist[i])   # noqa: SLF001
+        buffer._v_term = float(state.v_term[i])       # noqa: SLF001
+        system.monitor.force_enabled(bool(state.enabled[i]))
+        sim = _Engine(system, fast=False)
+        sim.time = float(state.time[i])
+        sim._v_min_seen = float(state.v_min[i])       # noqa: SLF001
+        sim._energy_out = float(state.energy[i])      # noqa: SLF001
+        step = buffer.step
+
+        def counted(i_net, dt, step=step):
+            state.device_steps += 1
+            return step(i_net, dt)
+
+        buffer.step = counted
+        sims[int(i)] = (sim, buffer)
+    for i_out, duration in segments:
+        if not run.any():
+            break
+        for i in np.flatnonzero(run):
+            sim, buffer = sims[int(i)]
+            hit = sim._advance_reference(  # noqa: SLF001
+                i_out, duration, harvesting, stop_below)
+            state.v_main[i] = buffer._v_main       # noqa: SLF001
+            state.v_redist[i] = buffer._v_redist   # noqa: SLF001
+            state.v_term[i] = buffer._v_term       # noqa: SLF001
+            state.time[i] = sim.time
+            state.v_min[i] = sim._v_min_seen       # noqa: SLF001
+            state.energy[i] = sim._energy_out      # noqa: SLF001
+            state.enabled[i] = sim.system.monitor.output_enabled
+            if hit is not None:
+                brown[i] = hit
+                run[i] = 0
+        if recorder is not None:
+            recorder.capture(state)

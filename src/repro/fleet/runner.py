@@ -52,9 +52,9 @@ from repro.obs import current as _obs_current
 from repro.resilience.campaign import OUTCOMES
 from repro.segalg.vector import advance_fleet as _segalg_advance
 
-#: Fleet simulation engines: the stepping kernel (bit-compatible with the
-#: scalar fastpath) and the event-driven segment-algebra core (method
-#: tolerances vs stepping, ~5-7x faster on duty-cycled programs).
+#: Fleet simulation engines: the stepping kernel (every device on the
+#: compiled scalar kernel, bit-exact with the reference loop) and the
+#: event-driven segment-algebra core (method tolerances vs stepping).
 FLEET_ENGINES = ("stepping", "segalg")
 
 #: Charge-phase chunk length (s) — matches the scalar engine's

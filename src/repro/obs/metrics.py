@@ -44,7 +44,7 @@ VOLTAGE_BUCKETS_V: Tuple[float, ...] = tuple(
 
 #: Default boundaries for throughput histograms (items per second on a
 #: log scale, 1 to 10^9) — wide enough for device·steps/s of both the
-#: scalar stepping loop and the vectorized fleet kernel.
+#: scalar stepping loop and the fleet engines.
 THROUGHPUT_BUCKETS: Tuple[float, ...] = tuple(
     round(10.0 ** (e / 3.0), 6) for e in range(0, 28)
 )

@@ -110,7 +110,7 @@ class Bank:
         bank.min_vin = 0.5
         bank.derating = 0.6
         # Per-device efficiency base, shared curve shape — the exact
-        # arrays the stepping fleet kernel hoists.
+        # arrays the stepping fleet engine packs.
         bank.eta_out = _Eta(
             "curved", params.eta_base, state._eta_slope,  # noqa: SLF001
             state._eta_curvature, state._eta_v_ref,       # noqa: SLF001

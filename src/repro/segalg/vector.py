@@ -141,7 +141,7 @@ def advance_fleet(state, segments: Iterable[Tuple[float, float]],
     Drop-in for :func:`repro.fleet.kernel.advance` — same signature,
     same state mutations, same brown-out return array — running the
     segment-algebra core instead of the stepping recurrence. Results
-    differ from the stepping kernel by the documented segalg method
+    differ from the stepping engine by the documented segalg method
     tolerances, not by bug-for-bug drift.
 
     The plant (hoisted :class:`Bank` plus program-cache digest) is

@@ -28,11 +28,17 @@
  *              harvester's power_at, a non-stock efficiency model):
  *              Python evaluates it at `arg` and re-enters, and the step
  *              starts over with the value in hand;
- *   K_ZERODIV, K_OVERFLOW, K_NEGATIVE_POWER   the errors the reference
- *              loop would raise (ZeroDivisionError, OverflowError, and
- *              the ValueError of a negative harvest power at `arg`).
+ *   K_ZERODIV, K_OVERFLOW, K_NEGATIVE_POWER, K_DOMAIN   the errors the
+ *              reference loop would raise (ZeroDivisionError,
+ *              OverflowError, the ValueError of a negative harvest power
+ *              at `arg`, and math.sin's ValueError on an infinite
+ *              argument).
  * After K_DUE and K_CHUNK the step is finished on the next call
  * (`pending`); `begin` starts a new segment.
+ *
+ * repro_advance_lanes is the fleet's entry: it runs one segment on
+ * every lane of an array of states, each lane exactly as one
+ * repro_advance call would.
  */
 
 #include <math.h>
@@ -40,7 +46,7 @@
 
 enum {
     K_END = 0, K_BROWN = 1, K_DUE = 2, K_CHUNK = 3, K_NEED = 4,
-    K_ZERODIV = -1, K_OVERFLOW = -2, K_NEGATIVE_POWER = -3
+    K_ZERODIV = -1, K_OVERFLOW = -2, K_NEGATIVE_POWER = -3, K_DOMAIN = -4
 };
 
 /* What K_NEED asks for, and the `have` bit of its answer. */
@@ -56,7 +62,8 @@ struct kstate {
     double v_max_in;
     double in_a, in_b, in_c, in_ref, in_floor, in_ceiling;
     double v_off, v_high;
-    double p_h_const;
+    double p_h_const;           /* ConstantPowerHarvester, Solar peak */
+    double h_period, h_phase;   /* SolarHarvester */
     double cap, esr, leak;                  /* IdealCapacitor */
     double c_main, r_esr, c_red, r_red, c_dec, g;   /* TwoBranchSupercap */
     double total_c, stable, tau, tau_quarter;
@@ -70,13 +77,14 @@ struct kstate {
     double period, stop_level;
     double v_oc, i_last, v_main, v_red, v_term;
     double time_abs, v_min, energy;
-    int harvest_mode;           /* 0 none, 1 constant, 2 other, 3 trace */
+    int harvest_mode;   /* 0 none, 1 constant, 2 other, 3 trace, 4 solar */
     int stopping, observed, chunked, chunk, hp_last, enabled;
     /* the segment and the step */
     double i_out, duration, burden, next_due;
     double start, elapsed, transient_window, dv_budget, total_out, p_out;
     double step_cap, t_last, v_new;
     double arg, x_out_eta, x_power, x_in_eta;   /* K_NEED */
+    long long steps;            /* steps taken since the state was packed */
     int has_due, out_on, drawing, hp_idx, n_volts;
     int begin, pending, need, have;
 };
@@ -100,6 +108,7 @@ int repro_advance(struct kstate *s)
     const double in_ceiling = s->in_ceiling;
     const double v_off = s->v_off, v_high = s->v_high;
     const double p_h_const = s->p_h_const;
+    const double h_period = s->h_period, h_phase = s->h_phase;
     const double cap = s->cap, esr = s->esr, leak = s->leak;
     const double c_main = s->c_main, r_esr = s->r_esr;
     const double c_red = s->c_red, r_red = s->r_red, c_dec = s->c_dec;
@@ -128,6 +137,7 @@ int repro_advance(struct kstate *s)
     int enabled = s->enabled, out_on = s->out_on, drawing = s->drawing;
     int has_due = s->has_due, hp_idx = s->hp_idx, n_volts = s->n_volts;
     int have = s->have;
+    long long steps = s->steps;
     int code = K_END;
 
     if (s->begin) {
@@ -229,6 +239,16 @@ int repro_advance(struct kstate *s)
                 while (hp_idx < hp_last && time_abs >= h_edges[hp_idx + 1])
                     hp_idx++;
                 p_h = h_powers[hp_idx];
+            } else if (harvest_mode == 4) {
+                /* SolarHarvester.power_at */
+                double x = 2.0 * 3.141592653589793 * time_abs / h_period
+                    + h_phase;
+                if (isinf(x)) {
+                    code = K_DOMAIN;
+                    goto out;
+                }
+                x = sin(x);
+                p_h = p_h_const * (x > 0.0 ? x : 0.0);
             } else {
                 if (!(have & NEED_POWER)) {
                     s->need = NEED_POWER;
@@ -386,6 +406,7 @@ int repro_advance(struct kstate *s)
             v_new = v_term;
         }
 
+        steps++;
         elapsed += dt;
         time_abs = start + elapsed;
         energy += i_in * (v_new > v ? v_new : v) * dt;
@@ -461,5 +482,36 @@ out:
     s->hp_idx = hp_idx;
     s->n_volts = n_volts;
     s->have = have;
+    s->steps = steps;
     return code;
+}
+
+/* Run one segment on each of the n lanes whose run flag is set. The
+ * lanes are unobserved plants whose harvester and efficiency models the
+ * kernel evaluates itself, so no lane asks for Python. A lane that
+ * browns out has its run flag cleared and its time stored in brown[].
+ * Returns K_END, or the first error, with its lane in *failed. */
+int repro_advance_lanes(struct kstate *lanes, long n, unsigned char *run,
+                        double i_out, double duration, double *brown,
+                        long *failed)
+{
+    long i;
+    for (i = 0; i < n; i++) {
+        struct kstate *s = lanes + i;
+        int code;
+        if (!run[i])
+            continue;
+        s->i_out = i_out;
+        s->duration = duration;
+        s->begin = 1;
+        code = repro_advance(s);
+        if (code == K_BROWN) {
+            run[i] = 0;
+            brown[i] = s->time_abs;
+        } else if (code != K_END) {
+            *failed = i;
+            return code;
+        }
+    }
+    return K_END;
 }

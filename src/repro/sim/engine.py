@@ -41,7 +41,7 @@ from repro.power.reconfig import (
     split_at_offsets,
 )
 from repro.power.system import PowerSystem
-from repro.sim.fastpath import advance_segments, plant as _fast_plant
+from repro.sim.fastpath import advance_segments, supported as _fast_supported
 
 #: Process-wide default for ``PowerSystemSimulator(fast=...)``. The fast
 #: kernel is bit-exact with the reference loop, so it is on by default;
@@ -273,13 +273,13 @@ class PowerSystemSimulator:
             dt = min(dt, next_obs - self.time)
         return max(dt, min(self.MIN_DT, remaining))
 
-    def _use_fast(self) -> Optional[tuple]:
-        """The kernel's hoisted plant if the compiled kernel can (and
-        should) run in place of the reference loop: opted in, stock
-        component types and the kernel built. ``None`` otherwise.
-        Observers do not matter; the kernel schedules them exactly as the
-        reference does."""
-        return _fast_plant(self.system) if self.fast else None
+    def _use_fast(self) -> bool:
+        """Whether the compiled kernel should run in place of the
+        reference loop: opted in and stock component types (without a
+        compiled kernel, :func:`~repro.sim.fastpath.advance_segments` runs
+        the reference loop itself). Observers do not matter; the kernel
+        schedules them exactly as the reference does."""
+        return self.fast and _fast_supported(self.system)
 
     def _advance(self, i_out: float, duration: float, harvesting: bool,
                  stop_below: Optional[float]) -> Optional[float]:
@@ -291,10 +291,9 @@ class PowerSystemSimulator:
         to it. The buffer sees the booster's input current minus any
         harvester charge current.
         """
-        hoisted = self._use_fast()
-        if hoisted is not None:
+        if self._use_fast():
             return advance_segments(self, ((i_out, duration),), harvesting,
-                                    stop_below, hoisted)
+                                    stop_below)
         return self._advance_reference(i_out, duration, harvesting,
                                        stop_below)
 
@@ -366,10 +365,8 @@ class PowerSystemSimulator:
         calls remain bit-exact with a whole-trace call."""
         if not segments:
             return None
-        hoisted = self._use_fast()
-        if hoisted is not None:
-            return advance_segments(self, segments, harvesting, stop_below,
-                                    hoisted)
+        if self._use_fast():
+            return advance_segments(self, segments, harvesting, stop_below)
         for current, seg_duration in segments:
             hit = self._advance_reference(current, seg_duration, harvesting,
                                           stop_below)
@@ -559,9 +556,8 @@ class PowerSystemSimulator:
         if first is None:
             return  # no hop: skip the kernel's hoisting
         segments = itertools.chain((first,), segments)
-        hoisted = self._use_fast()
-        if hoisted is not None:
-            advance_segments(self, segments, harvesting, None, hoisted)
+        if self._use_fast():
+            advance_segments(self, segments, harvesting, None)
             return
         for _, hop in segments:
             self._advance_reference(0.0, hop, harvesting, None)

@@ -45,8 +45,10 @@ re-entered:
   :meth:`~repro.sim.uarch.CulpeoUArchBlock.on_samples` when it fills
   (``_SAMPLE_CHUNK``), at each segment end and before returning, which
   leaves the block exactly as per-sample delivery would.
-* The two stock efficiency curves, the constant harvester and a
-  :class:`~repro.power.harvester.TraceHarvester` are evaluated in C. Any
+* The two stock efficiency curves and the constant, solar and trace
+  harvesters (:class:`~repro.power.harvester.ConstantPowerHarvester`,
+  :class:`~repro.power.harvester.SolarHarvester`,
+  :class:`~repro.power.harvester.TraceHarvester`) are evaluated in C. Any
   other efficiency model, and any other harvester's ``power_at``, is
   called from Python at the start of each step that needs it, in the
   reference's order.
@@ -56,6 +58,11 @@ buffer state and the monitor's enable state before it draws the next
 segment, so ``segments`` may be a generator that reads the live
 simulator (a whole wait is one call this way:
 :meth:`~repro.sim.engine.PowerSystemSimulator.idle_hops`).
+
+A fleet steps its devices through the same body: :func:`lanes` holds one
+kernel state per device, and :func:`advance_lanes` runs a segment on
+all of them in one C call (:mod:`repro.fleet.kernel` packs and reads
+them).
 
 The library is built on first use with the system C compiler and cached
 in ``__pycache__`` next to this file, under a digest of the source, the
@@ -67,6 +74,7 @@ fails, ``fast=True`` runs the reference loop and warns once.
 from __future__ import annotations
 
 import ctypes
+import errno
 import hashlib
 import math
 import os
@@ -80,6 +88,8 @@ import warnings
 from pathlib import Path
 from typing import Any, Iterable, Optional, Tuple
 
+import numpy as np
+
 from repro.obs import current as _obs_current
 from repro.power.booster import (
     CurvedEfficiency,
@@ -91,6 +101,7 @@ from repro.power.capacitor import IdealCapacitor, TwoBranchSupercap
 from repro.power.harvester import (
     ConstantPowerHarvester,
     NullHarvester,
+    SolarHarvester,
     TraceHarvester,
 )
 from repro.power.monitor import VoltageMonitor
@@ -103,7 +114,7 @@ _SAMPLE_CHUNK = 1024
 
 # Return codes of repro_advance, and the K_NEED requests (_kernel.c).
 _END, _BROWN, _DUE, _CHUNK, _NEED = 0, 1, 2, 3, 4
-_ZERODIV, _OVERFLOW, _NEGATIVE_POWER = -1, -2, -3
+_ZERODIV, _OVERFLOW, _NEGATIVE_POWER, _DOMAIN = -1, -2, -3, -4
 _NEED_OUT_ETA, _NEED_POWER = 1, 2
 
 
@@ -115,7 +126,7 @@ def _fields(ctype, names: str) -> list:
 _PLANT_FIELDS = _fields(ctypes.c_double, """
     v_out min_vin derating out_a out_b out_c out_ref out_floor out_ceiling
     v_max_in in_a in_b in_c in_ref in_floor in_ceiling v_off v_high
-    p_h_const cap esr leak c_main r_esr c_red r_red c_dec g
+    p_h_const h_period h_phase cap esr leak c_main r_esr c_red r_red c_dec g
     total_c stable tau tau_quarter""") + _fields(ctypes.c_int, """
     out_kind in_kind is_ideal has_red""")
 _CALL_FIELDS = _fields(ctypes.c_void_p, "h_edges h_powers volts") + _fields(
@@ -127,7 +138,7 @@ _CALL_FIELDS = _fields(ctypes.c_void_p, "h_edges h_powers volts") + _fields(
 _STEP_FIELDS = _fields(ctypes.c_double, """
     i_out duration burden next_due start elapsed transient_window dv_budget
     total_out p_out step_cap t_last v_new arg x_out_eta x_power x_in_eta
-    """) + _fields(ctypes.c_int, """
+    """) + _fields(ctypes.c_longlong, "steps") + _fields(ctypes.c_int, """
     has_due out_on drawing hp_idx n_volts begin pending need have""")
 
 
@@ -142,12 +153,14 @@ class _State(ctypes.Structure):
 _ENTRY = struct.Struct("@" + "".join(
     ctype._type_ for _, ctype in _PLANT_FIELDS + _CALL_FIELDS))
 _TAIL = bytes(ctypes.sizeof(_State) - _ENTRY.size)
+#: ``struct kstate`` as a numpy record, for the fleet's lane arrays.
+_LANE = np.dtype(_State)
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 #: Float rules of the bit-exact contract: no contraction, no fast-math.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-#: ``repro_advance`` once loaded, ``False`` once the build failed.
+#: The kernel library once loaded, ``False`` once the build failed.
 _kernel: Any = None
 
 
@@ -186,8 +199,12 @@ def _build():
         try:
             cache.mkdir(exist_ok=True)
             path = _compile(compiler, cache, name)
-        except PermissionError:
-            # a read-only install: build privately for this process
+        except OSError as exc:
+            # a cache that cannot be written (EACCES, EPERM, or a
+            # read-only file system): build privately for this process
+            if not (isinstance(exc, PermissionError)
+                    or exc.errno == errno.EROFS):
+                raise
             private = tempfile.mkdtemp(prefix="repro-kernel-")
             path = _compile(compiler, Path(private), name)
     try:
@@ -199,14 +216,17 @@ def _build():
     lib.repro_kstate_size.restype = ctypes.c_size_t
     if lib.repro_kstate_size() != ctypes.sizeof(_State):
         raise OSError(f"{path.name}: struct kstate does not match _State")
-    advance = lib.repro_advance
-    advance.argtypes = [ctypes.POINTER(_State)]
-    advance.restype = ctypes.c_int
-    return advance
+    lib.repro_advance.argtypes = [ctypes.POINTER(_State)]
+    lib.repro_advance.restype = ctypes.c_int
+    lib.repro_advance_lanes.argtypes = [
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_double,
+        ctypes.c_double, ctypes.c_void_p, ctypes.POINTER(ctypes.c_long)]
+    lib.repro_advance_lanes.restype = ctypes.c_int
+    return lib
 
 
 def _load():
-    """The compiled ``repro_advance``, or ``None`` if it cannot be built
+    """The compiled kernel library, or ``None`` if it cannot be built
     (warned once per process)."""
     global _kernel
     if _kernel is None:
@@ -268,7 +288,7 @@ def _eta_form(model):
 def plant(system) -> Optional[tuple]:
     """The kernel's hoisted plant for ``system``, or ``None`` when the
     reference loop must run it (a non-stock component, or no compiled
-    kernel). Read once per kernel call, by the engine's dispatch.
+    kernel). Read once per :func:`advance_segments` call.
 
     ``(buffer, is_ideal, harvester, harvest kind, out_eta, in_eta,
     values)``: ``values`` fills the plant section of the kernel state;
@@ -287,12 +307,18 @@ def plant(system) -> Optional[tuple]:
         _eta_form(inp.efficiency_model)
 
     harvester = system.harvester
-    p_h_const = 0.0
+    p_h_const = h_period = h_phase = 0.0
     if type(harvester) is NullHarvester:
         harvest_kind = 0
     elif type(harvester) is ConstantPowerHarvester:
         harvest_kind = 1
         p_h_const = harvester.power
+    elif type(harvester) is SolarHarvester and harvester.period > 0:
+        # (a zero period is left to power_at, whose division raises)
+        harvest_kind = 4
+        p_h_const = harvester.peak
+        h_period = harvester.period
+        h_phase = harvester.phase
     elif type(harvester) is TraceHarvester:
         # Exact type only (mirrors the reference loop): a subclass with
         # an overridden power_at must be called in both loops, or
@@ -337,7 +363,7 @@ def plant(system) -> Optional[tuple]:
         out.v_out, out.min_input_voltage, out.power_derating,
         out_a, out_b, out_c, out_ref, out_floor, out_ceiling,
         inp.v_max, in_a, in_b, in_c, in_ref, in_floor, in_ceiling,
-        monitor.v_off, monitor.v_high, p_h_const,
+        monitor.v_off, monitor.v_high, p_h_const, h_period, h_phase,
         cap, esr, leak, c_main, r_esr, c_red, r_red, c_dec, g,
         total_c, stable, tau, tau / 4.0,
         out_kind, in_kind, is_ideal, has_red)
@@ -365,9 +391,23 @@ def _set_due(st, next_due: Optional[float]) -> None:
         st.next_due = next_due
 
 
+def _raise(code: int, arg: float) -> None:
+    """Raise what the reference loop raises where the kernel stopped
+    with error ``code`` (``arg``: the kernel state's ``arg``)."""
+    if code == _ZERODIV:
+        raise ZeroDivisionError("float division by zero")
+    if code == _OVERFLOW:
+        raise OverflowError("math range error")
+    if code == _DOMAIN:
+        raise ValueError("math domain error")
+    if code == _NEGATIVE_POWER:
+        raise ValueError(f"p_harvest must be non-negative, got {arg}")
+    raise RuntimeError(f"compiled kernel returned {code}")
+
+
 def advance_segments(sim, segments: Iterable[Tuple[float, float]],
-                     harvesting: bool, stop_below: Optional[float],
-                     hoisted: Optional[tuple] = None) -> Optional[float]:
+                     harvesting: bool,
+                     stop_below: Optional[float]) -> Optional[float]:
     """Advance ``sim`` through ``(current, duration)`` segments.
 
     Mirrors a sequence of ``PowerSystemSimulator._advance_reference``
@@ -375,9 +415,6 @@ def advance_segments(sim, segments: Iterable[Tuple[float, float]],
     schedule), mutating the simulator, buffer, monitor and observers in
     place. Returns the absolute brown-out time if the terminal voltage
     crossed ``stop_below`` (stopping there, mid-trace), else ``None``.
-    ``hoisted`` is the system's :func:`plant`, read by the caller; without
-    it the plant is read here, and a system the kernel cannot run takes
-    the reference loop, one call per segment.
 
     With observers attached, each segment starts as a reference call
     does: due times are refreshed, samples already due are delivered,
@@ -395,19 +432,21 @@ def advance_segments(sim, segments: Iterable[Tuple[float, float]],
     simulator to choose its next segment or to stop (a scheduler wait is
     one call this way). It must not change anything: the kernel does not
     re-read these values.
+
+    A system the kernel cannot run (see :func:`plant`) takes the
+    reference loop, one call per segment.
     """
+    hoisted = plant(sim.system)
     if hoisted is None:
-        hoisted = plant(sim.system)
-        if hoisted is None:
-            for current, duration in segments:
-                hit = sim._advance_reference(  # noqa: SLF001
-                    current, duration, harvesting, stop_below)
-                if hit is not None:
-                    return hit
-            return None
+        for current, duration in segments:
+            hit = sim._advance_reference(  # noqa: SLF001
+                current, duration, harvesting, stop_below)
+            if hit is not None:
+                return hit
+        return None
     (buffer, is_ideal, harvester, harvest_kind, out_eta, in_eta,
      values) = hoisted
-    kernel = _kernel
+    kernel = _kernel.repro_advance
 
     # Observability: count kernel entries at batch granularity. The
     # disabled cost is one global read per whole-trace (or whole-wait)
@@ -500,13 +539,8 @@ def advance_segments(sim, segments: Iterable[Tuple[float, float]],
             elif code == _BROWN:
                 brown_time = st.time_abs
                 break
-            elif code == _ZERODIV:
-                raise ZeroDivisionError("float division by zero")
-            elif code == _OVERFLOW:
-                raise OverflowError("math range error")
             else:
-                raise ValueError("p_harvest must be non-negative, "
-                                 f"got {st.arg}")
+                _raise(code, st.arg)
             code = kernel(st)
         if volts is not None and st.n_volts:
             block.on_samples(volts[:st.n_volts], st.t_last)
@@ -520,3 +554,43 @@ def advance_segments(sim, segments: Iterable[Tuple[float, float]],
     sim._v_min_seen = st.v_min   # noqa: SLF001
     sim._energy_out = st.energy  # noqa: SLF001
     return brown_time
+
+
+def lanes(system, n: int) -> Optional[np.ndarray]:
+    """``n`` kernel states for :func:`advance_lanes`, each holding
+    ``system``'s plant (one record per lane, with ``struct kstate``'s
+    field names, for a fleet to write its per-device values over) and
+    its harvester kind as ``harvest_mode``.
+
+    ``None`` when the kernel cannot run ``system`` without Python: no
+    compiled kernel, a non-stock component, or an efficiency model or
+    harvester that Python evaluates.
+    """
+    hoisted = plant(system)
+    if hoisted is None or hoisted[3] == 2 or hoisted[4] or hoisted[5]:
+        return None
+    states = np.zeros(n, dtype=_LANE)
+    for (name, _), value in zip(_PLANT_FIELDS, hoisted[-1]):
+        states[name] = value
+    states["harvest_mode"] = hoisted[3]
+    return states
+
+
+def advance_lanes(states: np.ndarray, run: np.ndarray, i_out: float,
+                  duration: float, brown: np.ndarray) -> None:
+    """Run one ``(i_out, duration)`` segment on every lane of ``states``
+    whose ``run`` flag (``uint8``) is set, in one C call.
+
+    Each lane steps exactly as an :func:`advance_segments` segment on its
+    plant would, and must be one the kernel evaluates without Python: no
+    observers, stock efficiency models, and a null, constant, solar or
+    trace harvester. A lane that falls below its ``stop_level`` stops
+    there: its ``run`` flag is cleared and its time stored in ``brown``.
+    The states keep the lanes' live state and count their ``steps``.
+    """
+    failed = ctypes.c_long()
+    code = _kernel.repro_advance_lanes(
+        states.ctypes.data, len(states), run.ctypes.data, i_out, duration,
+        brown.ctypes.data, ctypes.byref(failed))
+    if code != _END:
+        _raise(code, float(states["arg"][failed.value]))

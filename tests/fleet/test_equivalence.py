@@ -2,12 +2,13 @@
 
 Two permanent claims, each enforced over seeded random configurations:
 
-* a **size-1 fleet** matches the scalar fastpath element-wise within the
-  documented tolerances (``V_TOL`` / ``T_TOL`` / ``E_TOL``) — the fleet
-  kernel's contract (see :mod:`repro.fleet.kernel`);
+* a **size-1 fleet** matches the scalar fastpath exactly — the fleet
+  kernel's contract (see :mod:`repro.fleet.kernel`): each lane runs the
+  same compiled body on the same floats, so the documented tolerances
+  (``V_TOL`` / ``T_TOL`` / ``E_TOL``) are met with zero error;
 * the **scalar fastpath is bit-exact** against the reference engine — the
   PR1 claim, re-asserted here so no later optimization can quietly
-  weaken the foundation the fleet tolerance chain is anchored to.
+  weaken the foundation the fleet equivalence chain is anchored to.
 """
 
 import random
@@ -15,8 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.fleet.differential import E_TOL
-from repro.fleet.kernel import T_TOL, V_TOL, FleetState, advance
+from repro.fleet.kernel import FleetState, advance
 from repro.fleet.spec import FleetSpec
 from repro.loads.trace import CurrentTrace
 from repro.sim import fastpath
@@ -68,13 +68,10 @@ def _run_both(spec: FleetSpec, segments, harvesting=True, stop_below=None):
 
 def _assert_matches(state, sim):
     buffer = sim.system.buffer
-    assert float(state.v_term[0]) == pytest.approx(
-        buffer.terminal_voltage, abs=V_TOL)
-    assert float(state.v_min[0]) == pytest.approx(
-        sim._v_min_seen, abs=V_TOL)
-    assert float(state.time[0]) == pytest.approx(sim.time, abs=T_TOL)
-    assert float(state.energy[0]) == pytest.approx(
-        sim._energy_out, abs=E_TOL)
+    assert float(state.v_term[0]) == buffer.terminal_voltage
+    assert float(state.v_min[0]) == sim._v_min_seen
+    assert float(state.time[0]) == sim.time
+    assert float(state.energy[0]) == sim._energy_out
 
 
 class TestSizeOneFleetMatchesFastpath:
@@ -96,7 +93,7 @@ class TestSizeOneFleetMatchesFastpath:
         state, sim, brown, scalar_brown = _run_both(
             spec, segments, stop_below=spec.v_off)
         assert scalar_brown is not None, "workload was meant to brown out"
-        assert brown == pytest.approx(scalar_brown, abs=T_TOL)
+        assert brown == scalar_brown
         assert not bool(state.alive[0])
         _assert_matches(state, sim)
 

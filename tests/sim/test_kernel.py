@@ -7,6 +7,7 @@ fails if it did not, so those suites cannot pass by comparing the
 reference loop with itself.
 """
 
+import errno
 import math
 import shutil
 import threading
@@ -49,11 +50,16 @@ def test_fast_runs_the_compiled_kernel():
     assert kernel > 0 and reference == 0
 
 
+class CalledSolar(SolarHarvester):
+    """Solar harvest the kernel does not inline: a subclass may override
+    ``power_at``, so the kernel asks Python for it."""
+
+
 def solar_plant():
     """A plant whose harvester and both efficiency models are called by
     Python: every step re-enters the kernel for all three values."""
     system = capybara_power_system()
-    system.harvester = SolarHarvester(peak=6e-3, period=0.2)
+    system.harvester = CalledSolar(peak=6e-3, period=0.2)
 
     class Sqrt:
         def efficiency(self, v):
@@ -78,6 +84,24 @@ def test_called_components_match_the_reference():
     assert runs[0][1] > 50
     if HAS_COMPILER:
         assert runs[0][3][1] == 0  # the fast run never left the kernel
+
+
+def test_solar_harvest_is_evaluated_in_the_kernel():
+    trace = CurrentTrace([(0.015, 0.03), (0.0, 0.3), (0.03, 0.02)])
+    runs = []
+    for fast in (True, False):
+        system = capybara_power_system()
+        system.harvester = SolarHarvester(peak=6e-3, period=0.2, phase=0.4)
+        calls = []
+        power_at = system.harvester.power_at
+        system.harvester.power_at = lambda t: calls.append(t) or power_at(t)
+        system.rest_at(2.3)
+        out, _ = counted_run(fast, system, trace)
+        runs.append((out, len(calls)))
+    assert runs[0][0] == runs[1][0]
+    assert runs[1][1] > 50  # the reference loop asks at every step
+    if HAS_COMPILER:
+        assert runs[0][1] == 0  # the kernel evaluates the sinusoid itself
 
 
 # -- the reference loop's errors ---------------------------------------------
@@ -113,13 +137,20 @@ def negative_harvest(system):
     system.harvester = Negative()
 
 
+def infinite_phase(system):
+    """A solar harvester whose sine argument is infinite: math.sin
+    raises a domain error."""
+    system.harvester = SolarHarvester(peak=1e-3, period=1.0, phase=math.inf)
+
+
 @pytest.mark.parametrize("make, error", [
     (zero_efficiency, ZeroDivisionError),
     (open_esr, ZeroDivisionError),
     (negative_tau, OverflowError),
     (negative_harvest, ValueError),
+    (infinite_phase, ValueError),
 ], ids=["zero-efficiency", "zero-conductance", "exp-overflow",
-        "negative-harvest"])
+        "negative-harvest", "solar-domain"])
 @pytest.mark.parametrize("fast", [True, False])
 def test_errors_match_the_reference(make, error, fast):
     system = capybara_power_system()
@@ -181,12 +212,16 @@ def test_edited_source_gets_its_own_library(cold):
 
 
 @pytest.mark.skipif(not HAS_COMPILER, reason="no C compiler on PATH")
-def test_read_only_cache_builds_privately(cold, monkeypatch):
+@pytest.mark.parametrize("refusal", [
+    PermissionError(errno.EACCES, "Permission denied"),
+    OSError(errno.EROFS, "Read-only file system"),
+])
+def test_read_only_cache_builds_privately(cold, monkeypatch, refusal):
     compile_ = fastpath._compile
 
     def refuse_cache(compiler, cache, name):
         if cache == cold:
-            raise PermissionError(cache)
+            raise refusal
         return compile_(compiler, cache, name)
 
     monkeypatch.setattr(fastpath, "_compile", refuse_cache)
