@@ -68,11 +68,10 @@ REPORTED_METRICS: List[str] = [
     "analysis.speedup", "analysis.cold_s", "analysis.warm_s",
     "sweep.reference_s", "sweep.fast_s",
     "sweep.speedup_fast_parallel",
-    # The segment-algebra fleet path against the stepping fleet engine.
-    # Ungated: it was gated (>=5x) against the vectorized numpy stepping
-    # kernel, which is gone; every fleet device now steps on the compiled
-    # scalar kernel, and segalg's lead over that is a finding to track
-    # (ROADMAP item 2), not a claim.
+    # The segment-algebra fleet path against the stepping fleet engine,
+    # which runs every device on the compiled scalar kernel. Not gated:
+    # segalg's lead over it (about 1.3x on the quick fleet, 4x on the
+    # full one) is a finding to track (ROADMAP item 2), not a claim.
     "segalg_fleet.speedup",
     "segalg_fleet.stepping_s", "segalg_fleet.segalg_s",
     "serving.seconds", "serving.requests", "serving.wire_qps",
