@@ -269,7 +269,7 @@ def _advance_reference(state: FleetState, segments, harvesting: bool,
     """:func:`advance` without a compiled kernel: each running device on
     the reference loop, one scalar simulator per device, counting the
     steps the kernel would count (one per buffer step)."""
-    sims = {}
+    sims: Dict[int, tuple] = {}
     for i in np.flatnonzero(run):
         system = state.params.device_system(int(i))
         buffer = getattr(system.buffer, "_group", system.buffer)
