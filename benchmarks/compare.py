@@ -71,7 +71,12 @@ REPORTED_METRICS: List[str] = [
     # The segment-algebra fleet path against the stepping fleet engine,
     # which runs every device on the compiled scalar kernel. Not gated:
     # segalg's lead over it (about 1.3x on the quick fleet, 4x on the
-    # full one) is a finding to track (ROADMAP item 2), not a claim.
+    # full one) is a finding, not a claim. On the fleet-env inputs
+    # segalg is 4.7x slower (0.46-0.50 s against 0.098-0.104 s median
+    # CPU per run on a 2-vCPU Xeon), so ROADMAP item 2 keeps the lanes
+    # and deletes segalg's fleet path, and this case with it; that waits
+    # only for a change to the ledger, whose fleet-env workload runs on
+    # segalg.
     "segalg_fleet.speedup",
     "segalg_fleet.stepping_s", "segalg_fleet.segalg_s",
     "serving.seconds", "serving.requests", "serving.wire_qps",

@@ -342,13 +342,6 @@ def _run_serve_chaos(args: argparse.Namespace) -> int:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.apps.programs import TASK_PROGRAMS
-    from repro.fleet import (
-        FleetSpec,
-        cross_check,
-        run_fleet_raw,
-        sample_indices,
-        summarize,
-    )
     from repro.verify.runner import KNOWN_ESTIMATORS
 
     if args.app not in TASK_PROGRAMS:
@@ -382,18 +375,43 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         from repro.fleet.spec import FleetBankSpec
 
         bank_spec = FleetBankSpec.capybara()
+    return _run_fleet(
+        args, fail_on_unsafe=args.fail_on_unsafe,
+        devices=args.devices,
+        seed=args.seed,
+        harvest_power=args.harvest * 1e-3,
+        harvest_period=args.harvest_period,
+        esr_jitter=args.esr_jitter,
+        capacitance_jitter=args.cap_jitter,
+        harvest_jitter=args.harvest_jitter,
+        env=env_spec,
+        bank=bank_spec,
+    )
+
+
+def _run_fleet(args: argparse.Namespace, *, fail_on_unsafe: bool,
+               **spec_fields) -> int:
+    """Run the fleet ``FleetSpec(**spec_fields)`` with ``args``' app,
+    cycles, estimator, horizon, jobs and engine; print its report and the
+    ``--check`` cross-check, and write ``--report``. The shared tail of
+    ``repro fleet`` and ``repro env replay``.
+
+    Exits 2 on a bad spec or run argument, 1 on a cross-check mismatch
+    or, with ``fail_on_unsafe``, an unsafe fleet, else 0.
+    """
+    import json
+    from pathlib import Path
+
+    from repro.fleet import (
+        FleetSpec,
+        cross_check,
+        run_fleet_raw,
+        sample_indices,
+        summarize,
+    )
+
     try:
-        spec = FleetSpec(
-            devices=args.devices,
-            seed=args.seed,
-            harvest_power=args.harvest * 1e-3,
-            harvest_period=args.harvest_period,
-            esr_jitter=args.esr_jitter,
-            capacitance_jitter=args.cap_jitter,
-            harvest_jitter=args.harvest_jitter,
-            env=env_spec,
-            bank=bank_spec,
-        )
+        spec = FleetSpec(**spec_fields)
         outcomes = run_fleet_raw(
             spec, app=args.app, cycles=args.cycles,
             estimator=args.estimator, horizon=args.horizon,
@@ -414,16 +432,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         check_failed = not result.ok
 
     if args.report is not None:
-        import json
-        from pathlib import Path
-
         Path(args.report).write_text(
             json.dumps(report.to_dict(), indent=2), encoding="utf-8"
         )
         print(f"wrote {args.report}", file=sys.stderr)
     if check_failed:
         return 1
-    if args.fail_on_unsafe and not report.ok:
+    if fail_on_unsafe and not report.ok:
         return 1
     return 0
 
@@ -447,7 +462,6 @@ def _env_spec_from_args(args: argparse.Namespace):
 
 def cmd_env(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.env import generate_fleet_trace, load_trace, save_trace
 
@@ -475,14 +489,6 @@ def cmd_env(args: argparse.Namespace) -> int:
         return 0
 
     # replay: re-run the recorded environment through the fleet engine
-    from repro.fleet import (
-        FleetSpec,
-        cross_check,
-        run_fleet_raw,
-        sample_indices,
-        summarize,
-    )
-
     try:
         trace = load_trace(args.trace)
     except (ValueError, OSError) as exc:
@@ -498,33 +504,8 @@ def cmd_env(args: argparse.Namespace) -> int:
               f"not match regeneration {regenerated.fingerprint}",
               file=sys.stderr)
         return 2
-    try:
-        spec = FleetSpec(devices=trace.devices, seed=args.seed,
-                         env=trace.spec)
-        outcomes = run_fleet_raw(
-            spec, app=args.app, cycles=args.cycles,
-            estimator=args.estimator, horizon=args.horizon,
-            jobs=args.jobs, engine=args.engine,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    report = summarize(outcomes)
-    print(report.render())
-
-    check_failed = False
-    if args.check > 0:
-        indices = sample_indices(spec.devices, args.check, spec.seed)
-        result = cross_check(outcomes, indices)
-        print()
-        print(result.render())
-        check_failed = not result.ok
-    if args.report is not None:
-        Path(args.report).write_text(
-            json.dumps(report.to_dict(), indent=2), encoding="utf-8"
-        )
-        print(f"wrote {args.report}", file=sys.stderr)
-    return 1 if check_failed else 0
+    return _run_fleet(args, fail_on_unsafe=False, devices=trace.devices,
+                      seed=args.seed, env=trace.spec)
 
 
 #: App aliases accepted by ``repro trace`` (the paper's three applications).
@@ -840,11 +821,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "segment-algebra core (method tolerances)")
     p_fleet.add_argument("--check", type=int, default=0, metavar="N",
                          help="differential mode: re-run N sampled devices "
-                              "alone — on the scalar fastpath kernel under "
-                              "--engine stepping, as one-lane segalg "
-                              "fleets under --engine segalg — and compare "
-                              "within documented tolerance (exit 1 on "
-                              "mismatch)")
+                              "alone and compare — on the reference loop "
+                              "under --engine stepping, which must match "
+                              "exactly, as one-lane segalg fleets under "
+                              "--engine segalg, within its method "
+                              "tolerance (exit 1 on mismatch)")
     p_fleet.add_argument("--report", metavar="FILE", default=None,
                          help="also write the structured report as JSON")
     p_fleet.add_argument("--fail-on-unsafe", action="store_true",
@@ -928,9 +909,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulation engine (default stepping)")
     p_rep.add_argument("--check", type=int, default=0, metavar="N",
                        help="differential mode: re-run N sampled devices "
-                            "alone — on the scalar fastpath kernel under "
-                            "--engine stepping, as one-lane segalg fleets "
-                            "under --engine segalg (exit 1 on mismatch)")
+                            "alone and compare — on the reference loop "
+                            "under --engine stepping (exact), as one-lane "
+                            "segalg fleets under --engine segalg (exit 1 "
+                            "on mismatch)")
     p_rep.add_argument("--report", metavar="FILE", default=None,
                        help="also write the structured report as JSON")
     p_rep.set_defaults(fn=cmd_env)

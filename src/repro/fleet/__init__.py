@@ -39,13 +39,7 @@ from repro.fleet.differential import (
     run_device_mirror,
     sample_indices,
 )
-from repro.fleet.kernel import (
-    T_TOL,
-    V_TOL,
-    FleetRecorder,
-    FleetState,
-    advance,
-)
+from repro.fleet.kernel import FleetRecorder, FleetState, advance
 from repro.fleet.runner import (
     FLEET_ENGINES,
     FleetOutcomes,
@@ -71,8 +65,6 @@ __all__ = [
     "FleetState",
     "FleetRecorder",
     "advance",
-    "V_TOL",
-    "T_TOL",
     "FleetOutcomes",
     "FleetReport",
     "run_fleet",

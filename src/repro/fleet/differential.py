@@ -7,12 +7,14 @@ subset of devices alone through a *mirror*, with the **same**
 charge/execute/classify logic the fleet runner uses, and compare
 outcomes and final state. Each fleet engine has its own mirror:
 
-* ``stepping`` — the device steps through the scalar fastpath kernel
-  on :meth:`FleetParams.device_system`, the identical floats the
-  fleet's lanes hold, and through the same compiled body, so the fleet
-  agrees exactly and any disagreement beyond
-  :data:`~repro.fleet.kernel.V_TOL`/:data:`~repro.fleet.kernel.T_TOL`
-  is a bug in the lane packing or the runner, not parameter drift;
+* ``stepping`` — the device steps on the reference loop (a
+  ``fast=False`` simulator: one
+  :meth:`~repro.sim.engine.PowerSystemSimulator._advance_reference` call
+  per segment) on :meth:`FleetParams.device_system`. The fleet's
+  lanes run the compiled kernel, which is bit-exact with that loop, so
+  every compared value must be equal: a difference is a bug in the
+  kernel, the lane packing or the runner, and the check is independent
+  of the body it checks;
 * ``segalg`` — the device advances as a one-lane fleet
   (:func:`~repro.segalg.vector.advance_fleet` on
   ``FleetState(params.slice(i, i + 1))``), so its segment program is
@@ -22,10 +24,10 @@ outcomes and final state. Each fleet engine has its own mirror:
 Comparisons:
 
 * outcome classification and committed-task count: exact match;
-* brown-out time, final simulated time: within the engine's time
-  tolerance;
-* V_min: within the engine's voltage tolerance;
-* delivered energy: within the engine's energy tolerance.
+* brown-out time, final simulated time: equal under ``stepping``,
+  within the time tolerance under ``segalg``;
+* V_min: equal, or within the segalg voltage tolerance;
+* delivered energy: equal, or within the segalg energy tolerance.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.fleet.kernel import T_TOL, V_TOL, FleetState
+from repro.fleet.kernel import FleetState
 from repro.fleet.runner import (
     CHARGE_CHUNK,
     PROGRESS_EPS,
@@ -44,13 +46,7 @@ from repro.fleet.runner import (
 )
 from repro.fleet.spec import FleetParams
 from repro.segalg.vector import advance_fleet
-from repro.sim import fastpath
 from repro.sim.engine import PowerSystemSimulator
-
-#: Documented fleet-vs-fastpath tolerance on delivered energy (J):
-#: ulp-level per-step drift integrated over ~1e5 accumulations of
-#: ~1e-4 J terms.
-E_TOL = 1e-6
 
 #: Segalg-engine differential tolerances. The fleet and its one-lane
 #: mirror run the same algebra to the same per-interval fixed points,
@@ -66,7 +62,7 @@ T_TOL_SEGALG = 2e-2
 E_TOL_SEGALG = 2e-2
 
 #: The mirror each fleet engine's sampled devices re-run on.
-MIRRORS = {"stepping": "fastpath", "segalg": "one-lane"}
+MIRRORS = {"stepping": "reference-loop", "segalg": "one-lane"}
 
 
 @dataclass
@@ -108,14 +104,12 @@ class CrossCheckResult:
         return "\n".join(lines)
 
 
-class _FastpathDevice:
-    """The stepping mirror: one device on the scalar fastpath kernel."""
+class _ReferenceDevice:
+    """The stepping mirror: one device on the reference loop."""
 
     def __init__(self, params: FleetParams, index: int) -> None:
         self.system = params.device_system(index)
-        assert fastpath.supported(self.system), \
-            "fleet devices are stock systems"
-        self.sim = PowerSystemSimulator(self.system)
+        self.sim = PowerSystemSimulator(self.system, fast=False)
 
     @property
     def v_term(self) -> float:
@@ -126,8 +120,10 @@ class _FastpathDevice:
         return self.sim.time
 
     def advance(self, segments, stop_below) -> Optional[float]:
-        return fastpath.advance_segments(self.sim, segments, True,
-                                         stop_below)
+        # fast=False: one _advance_reference call per segment, and never
+        # the compiled kernel the fleet's lanes run
+        return self.sim._advance_span(  # noqa: SLF001 — sim-internal
+            segments, True, stop_below)
 
     def totals(self) -> tuple:
         """``(v_min, energy)`` accumulated so far."""
@@ -166,16 +162,16 @@ def run_device_mirror(params: FleetParams, index: int, app: str,
 
     Chunked charging, horizon/equilibrium handling and classification
     mirror ``runner._run_shard`` branch for branch. Under the default
-    ``stepping`` engine the device steps through
-    ``fastpath.advance_segments`` (the bit-exact scalar kernel); under
-    ``segalg`` it advances alone as a one-lane fleet, so the sample
-    exercises the engine actually used against a per-device program.
+    ``stepping`` engine the device steps on the reference loop, the
+    oracle the compiled lanes are bit-exact with; under ``segalg`` it
+    advances alone as a one-lane fleet, so the sample exercises the
+    engine actually used against a per-device program.
     """
     from repro.apps.programs import build_program
 
     spec = params.spec
     device = (_OneLaneDevice(params, index) if engine == "segalg"
-              else _FastpathDevice(params, index))
+              else _ReferenceDevice(params, index))
     program = build_program(app, cycles=cycles)
     time_varying = spec.harvest_period > 0 or spec.env is not None
     # Bank fleets key the shared gate table per configuration (§V-B);
@@ -256,15 +252,17 @@ def cross_check(outcomes: FleetOutcomes,
     """Re-run ``indices`` on their mirror and compare to the fleet.
 
     The mirror matches the engine that produced ``outcomes``
-    (``outcomes.engine``, see :data:`MIRRORS`), with the tolerances
-    documented for that engine's fleet-vs-mirror agreement.
+    (``outcomes.engine``, see :data:`MIRRORS`). The stepping engine must
+    equal its mirror; segalg must agree within the tolerances documented
+    for its fleet-vs-mirror agreement.
     """
     params = outcomes.spec.parameters()
     engine = getattr(outcomes, "engine", "stepping")
     if engine == "segalg":
         v_tol, t_tol, e_tol = V_TOL_SEGALG, T_TOL_SEGALG, E_TOL_SEGALG
     else:
-        v_tol, t_tol, e_tol = V_TOL, T_TOL, E_TOL
+        # exact: for floats that are not NaN, abs(a - b) > 0.0 is a != b
+        v_tol = t_tol = e_tol = 0.0
     result = CrossCheckResult(devices=list(indices), engine=engine)
     for i in indices:
         mirror = run_device_mirror(params, i, outcomes.app, outcomes.cycles,

@@ -16,9 +16,8 @@ A lane takes exactly the steps a scalar run of its device takes
 ``fastpath.advance_segments``): the same C function on the same floats.
 So a fleet device equals the reference loop bit for bit, in any batch,
 and fleet results are byte-identical however the fleet is sharded. The
-tolerances :data:`V_TOL` / :data:`T_TOL` remain the bounds the
-differential check (``repro fleet --check``) and the segment-algebra
-suites hold the stepping engine to; it meets them with zero error.
+differential check (``repro fleet --check``) replays sampled devices on
+the reference loop and requires equality.
 
 Without a compiled kernel (no C compiler), each device steps on the
 reference loop instead, one scalar simulator per device: the same
@@ -35,14 +34,6 @@ from repro.fleet.spec import FleetParams
 from repro.power.booster import CurvedEfficiency, LinearEfficiency
 from repro.sim import fastpath
 from repro.sim.engine import PowerSystemSimulator as _Engine
-
-#: Documented fleet-vs-scalar tolerance on any recorded voltage (V). The
-#: stepping engine meets it exactly (zero error); the differential check
-#: and the segment-algebra suites compare against it.
-V_TOL = 1e-7
-
-#: Documented fleet-vs-scalar tolerance on any recorded time (s).
-T_TOL = 1e-6
 
 
 class FleetRecorder:
@@ -133,9 +124,8 @@ def _lane_plants(state: FleetState) -> Optional[np.ndarray]:
     compiled kernel), packed once per state.
 
     Device 0's scalar system supplies what every device shares (booster,
-    monitor and engine constants); the per-device fields are written
-    over it from the parameter arrays with the expressions
-    ``fastpath.plant`` evaluates, so each lane holds the floats
+    monitor and engine constants); the per-device fields are copied over
+    it from the parameter arrays, so each lane holds the floats
     ``device_system(i)`` would give the kernel.
     """
     if state._plants is not None:
@@ -144,9 +134,15 @@ def _lane_plants(state: FleetState) -> Optional[np.ndarray]:
     plants = fastpath.lanes(params.device_system(0), state.n)
     if plants is None:
         return None
-    plants["out_a"] = params.eta_base
-    plants["p_h_const"] = params.p_harvest
-    plants["h_phase"] = params.phase
+    # the per-device fields (for the buffer, a bank's active group)
+    for name, column in (("out_a", params.eta_base),
+                         ("p_h_const", params.p_harvest),
+                         ("h_phase", params.phase), ("c_main", params.c_main),
+                         ("r_esr", params.r_esr), ("c_red", params.c_redist),
+                         ("r_red", params.r_redist),
+                         ("c_dec", params.c_decoupling),
+                         ("leak", params.leakage)):
+        plants[name] = column
     if params.harvest_edges is not None:
         # environment replay: shared edges, one power row per device
         edges = np.ascontiguousarray(params.harvest_edges, dtype=float)
@@ -156,32 +152,6 @@ def _lane_plants(state: FleetState) -> Optional[np.ndarray]:
         plants["h_powers"] = (powers.ctypes.data
                               + powers.strides[0] * np.arange(state.n))
         plants["hp_last"] = powers.shape[1] - 1
-    # TwoBranchSupercap (a bank's active group): _conductance,
-    # total_capacitance, max_stable_dt and _transient_tau, in plant()'s
-    # evaluation order
-    c_main = params.c_main
-    r_esr = params.r_esr
-    c_red = params.c_redist
-    r_red = params.r_redist
-    c_dec = params.c_decoupling
-    has_red = (c_red > 0) & np.isfinite(r_red)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = 1.0 / r_esr
-        g = np.where(has_red, g + 1.0 / r_red, g)
-        total_c = c_main + c_dec
-        total_c = np.where(has_red, total_c + c_red, total_c)
-        stable = r_esr * c_main
-        branch = r_red * c_red
-        stable = 0.25 * np.where(has_red & (branch < stable), branch,
-                                 stable)
-        tau = np.where(c_dec > 0, c_dec / g, 0.0)
-    for name, value in (("c_main", c_main), ("r_esr", r_esr),
-                        ("c_red", c_red), ("r_red", r_red),
-                        ("c_dec", c_dec), ("leak", params.leakage),
-                        ("g", g), ("total_c", total_c), ("stable", stable),
-                        ("tau", tau), ("tau_quarter", tau / 4.0),
-                        ("has_red", has_red)):
-        plants[name] = value
     plants["min_dt"] = _Engine.MIN_DT
     plants["max_idle_dt"] = _Engine.MAX_IDLE_DT
     plants["idle_dv"] = _Engine.IDLE_DV

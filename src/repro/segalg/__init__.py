@@ -24,11 +24,10 @@ this is a different integrator, not a reordering of the same floating
 point (DESIGN §12).
 """
 
-from repro.segalg.program import canonical_fingerprint, compile_segments
+from repro.segalg.program import compile_segments
 from repro.segalg.vector import advance_fleet
 
 __all__ = [
     "advance_fleet",
-    "canonical_fingerprint",
     "compile_segments",
 ]

@@ -28,7 +28,7 @@ from repro.segalg.model import Bank, V_CLAMP
 STEP_TOL = 1e-11
 
 #: Bisection iterations for crossing times: 2^-60 of an interval is far
-#: below T_TOL for any physical interval length.
+#: below T_TOL_SEGALG for any physical interval length.
 CROSS_ITERS = 60
 
 

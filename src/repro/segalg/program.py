@@ -58,7 +58,6 @@ MAX_SUB = 4096
 
 _CACHE_CAP = 256
 _cache: "OrderedDict[tuple, SegmentProgram]" = OrderedDict()
-_canonical_cache: "OrderedDict[str, str]" = OrderedDict()
 
 
 class SegmentProgram:
@@ -194,26 +193,6 @@ def cached_program(key: tuple,
 def cache_clear() -> None:
     """Drop all cached programs (test hook)."""
     _cache.clear()
-    _canonical_cache.clear()
-
-
-def canonical_fingerprint(trace) -> str:
-    """Plant-independent program fingerprint of a trace.
-
-    The fingerprint of the trace's canonical (unsubdivided) program.
-    This is the token estimator caches key on: it identifies *what the
-    core will be asked to advance* independent of plant parameters or
-    compile budgets, so cache entries survive re-tuned subdivision
-    constants.
-    """
-    trace_fp = trace.fingerprint()
-    cached = _canonical_cache.get(trace_fp)
-    if cached is None:
-        cached = compile_segments(trace.segments()).fingerprint()
-        _canonical_cache[trace_fp] = cached
-        while len(_canonical_cache) > _CACHE_CAP:
-            _canonical_cache.popitem(last=False)
-    return cached
 
 
 __all__ = [
@@ -224,7 +203,6 @@ __all__ = [
     "TV_PHASE_BUDGET",
     "cache_clear",
     "cached_program",
-    "canonical_fingerprint",
     "compile_segments",
     "segments_cache_token",
 ]

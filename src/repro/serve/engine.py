@@ -63,7 +63,6 @@ from repro.fleet.batch import (
 )
 from repro.loads.trace import CurrentTrace
 from repro.obs import current as _obs_current
-from repro.segalg.program import canonical_fingerprint
 from repro.serve.cache import PersistentVsafeCache
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -115,7 +114,7 @@ class AdmissionEngine:
         self._systems: "OrderedDict[tuple, Any]" = OrderedDict()
         self._models: "OrderedDict[tuple, Any]" = OrderedDict()
         self._estimators: "OrderedDict[tuple, Any]" = OrderedDict()
-        # Trace resolution cache: request task key -> (trace, fp, canon).
+        # Trace resolution cache: request task key -> (trace, fp).
         self._traces: "OrderedDict[tuple, tuple]" = OrderedDict()
         # Environment grids keyed by EnvSpec fingerprint.
         self._env_grids: "OrderedDict[str, tuple]" = OrderedDict()
@@ -181,7 +180,7 @@ class AdmissionEngine:
                              self.max_systems * len(KNOWN_ESTIMATORS))
 
     def _trace_for(self, req: dict) -> tuple:
-        """Resolve the request's task to ``(trace, fp, canonical_fp)``."""
+        """Resolve the request's task to ``(trace, fingerprint)``."""
         raw = req.get("trace")
         if raw is not None:
             key = ("trace", tuple((float(i), float(d)) for i, d in raw))
@@ -221,7 +220,7 @@ class AdmissionEngine:
                         raise ProtocolError(
                             f"app {key[1]!r} has no task {task_name!r}; "
                             f"choose from {', '.join(names)}")
-            return trace, trace.fingerprint(), canonical_fingerprint(trace)
+            return trace, trace.fingerprint()
 
         return self._lru_get(self._traces, key, build, 256)
 
@@ -258,10 +257,10 @@ class AdmissionEngine:
         plant, shared = _system_config(req)
         name = sig[0]
         estimator = self._estimator_for(name, plant, shared)
-        trace, fp, canon = self._trace_for(req)
+        trace, fp = self._trace_for(req)
         est_key = estimator_cache_key(estimator) \
             or (name, plant.config_key())
-        key = ("vsafe", est_key, fp, canon)
+        key = ("vsafe", est_key, fp)
         plan = (key, plant, shared, trace, fp, estimator)
         self._admit_plans[sig] = plan
         while len(self._admit_plans) > 1024:
@@ -449,7 +448,7 @@ class AdmissionEngine:
     def _plan_simulate(self, idx, req, sim_plan, sim_groups) -> None:
         plant, shared = _system_config(req)
         self._system_for(plant, shared)   # validates the plant
-        trace, fp, _canon = self._trace_for(req)
+        trace, fp = self._trace_for(req)
         harvesting = bool(req.get("harvesting", False))
         stop = bool(req.get("stop", True))
         v_start = float(req["v_start"])

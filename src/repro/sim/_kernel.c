@@ -56,7 +56,8 @@ enum { NEED_OUT_ETA = 1, NEED_POWER = 2, NEED_IN_ETA = 4 };
  * packs the plant and the call sections once per call; the segment and
  * step section starts at zero. */
 struct kstate {
-    /* the plant: booster, monitor, harvester and buffer constants */
+    /* the plant: booster, monitor, harvester and buffer fields, as the
+     * components hold them (repro_advance derives the rest) */
     double v_out, min_vin, derating;
     double out_a, out_b, out_c, out_ref, out_floor, out_ceiling;
     double v_max_in;
@@ -65,10 +66,9 @@ struct kstate {
     double p_h_const;           /* ConstantPowerHarvester, Solar peak */
     double h_period, h_phase;   /* SolarHarvester */
     double cap, esr, leak;                  /* IdealCapacitor */
-    double c_main, r_esr, c_red, r_red, c_dec, g;   /* TwoBranchSupercap */
-    double total_c, stable, tau, tau_quarter;
+    double c_main, r_esr, c_red, r_red, c_dec;      /* TwoBranchSupercap */
     int out_kind, in_kind;      /* efficiency: 1 linear, 2 curved, 0 other */
-    int is_ideal, has_red;
+    int is_ideal;
     /* the call: engine constants, harvest, observers, live state */
     const double *h_edges;      /* TraceHarvester edges and powers */
     const double *h_powers;
@@ -112,17 +112,19 @@ int repro_advance(struct kstate *s)
     const double cap = s->cap, esr = s->esr, leak = s->leak;
     const double c_main = s->c_main, r_esr = s->r_esr;
     const double c_red = s->c_red, r_red = s->r_red, c_dec = s->c_dec;
-    const double g = s->g, total_c = s->total_c, stable = s->stable;
-    const double tau = s->tau, tau_quarter = s->tau_quarter;
     const double stop_level = s->stop_level;
     const double *h_edges = s->h_edges, *h_powers = s->h_powers;
     double *volts = s->volts;
     const int out_kind = s->out_kind, in_kind = s->in_kind;
     const int harvest_mode = s->harvest_mode, is_ideal = s->is_ideal;
-    const int has_red = s->has_red, stopping = s->stopping;
+    const int stopping = s->stopping;
     const int observed = s->observed, chunked = s->chunked;
     const int hp_last = s->hp_last, chunk = s->chunk;
     const double period = s->period;
+    /* the buffer's derived constants, set below */
+    double g = 0.0, total_c = cap, stable = INFINITY, tau = 0.0;
+    double tau_quarter;
+    int has_red = 0, zero_g = 0;
 
     double v_oc = s->v_oc, i_last = s->i_last;
     double v_main = s->v_main, v_red = s->v_red, v_term = s->v_term;
@@ -139,6 +141,31 @@ int repro_advance(struct kstate *s)
     int have = s->have;
     long long steps = s->steps;
     int code = K_END;
+
+    if (!is_ideal) {
+        /* TwoBranchSupercap's _has_redist, _conductance,
+         * total_capacitance and max_stable_dt and the engine's
+         * _transient_tau, each expression in its evaluation order. A
+         * zero divisor leaves inf or NaN here and sets zero_g, and the
+         * ZeroDivisionError is reported where the reference raises it. */
+        double branch;
+        has_red = c_red > 0.0 && isfinite(r_red);
+        g = 1.0 / r_esr;
+        if (has_red)
+            g += 1.0 / r_red;
+        total_c = c_main + c_dec;
+        if (has_red)
+            total_c += c_red;
+        stable = r_esr * c_main;
+        branch = r_red * c_red;
+        if (has_red && branch < stable)
+            stable = branch;
+        stable = 0.25 * stable;
+        if (!(c_dec <= 0.0))
+            tau = c_dec / g;
+        zero_g = r_esr == 0.0 || (has_red && r_red == 0.0) || g == 0.0;
+    }
+    tau_quarter = tau / 4.0;
 
     if (s->begin) {
         /* one reference _advance call: the segment's constants */
@@ -159,6 +186,11 @@ int repro_advance(struct kstate *s)
             loaded = i_out > 0.0;
             total_out = i_out;
             step_cap = max_idle_dt;
+        }
+        if (loaded && zero_g && !(c_dec <= 0.0)) {
+            /* _transient_tau divides at a loaded segment's start */
+            code = K_ZERODIV;
+            goto out;
         }
         transient_window = loaded ? 6.0 * tau : 0.0;
         dv_budget = loaded ? s->load_dv : s->idle_dv;
@@ -343,22 +375,14 @@ int repro_advance(struct kstate *s)
                 v_new = 0.0;
         } else {
             double num, v_star, v_avg, i_main;
-            if (r_esr == 0.0) {
+            if (zero_g) {
+                /* pulse's conductance, its tau or its v_star */
                 code = K_ZERODIV;
                 goto out;
             }
             num = v_main / r_esr - i_net;
-            if (has_red) {
-                if (r_red == 0.0) {
-                    code = K_ZERODIV;
-                    goto out;
-                }
+            if (has_red)
                 num += v_red / r_red;
-            }
-            if (g == 0.0) {
-                code = K_ZERODIV;
-                goto out;
-            }
             v_star = num / g;
             if (c_dec > 0.0) {
                 double ratio, alpha, diff;

@@ -41,7 +41,7 @@ from repro.power.reconfig import (
     split_at_offsets,
 )
 from repro.power.system import PowerSystem
-from repro.sim.fastpath import advance_segments, supported as _fast_supported
+from repro.sim.fastpath import advance_segments
 
 #: Process-wide default for ``PowerSystemSimulator(fast=...)``. The fast
 #: kernel is bit-exact with the reference loop, so it is on by default;
@@ -158,7 +158,7 @@ class PowerSystemSimulator:
         self._v_min_seen = system.buffer.terminal_voltage
         self._energy_out = 0.0
         # Cached observer schedule: per-observer next due time plus their
-        # minimum, refreshed at each _advance entry and, within a window,
+        # minimum, refreshed at each segment's start and, within a window,
         # only for observers that actually fired.
         self._obs_due: List[Optional[float]] = []
         self._next_due: Optional[float] = None
@@ -273,30 +273,6 @@ class PowerSystemSimulator:
             dt = min(dt, next_obs - self.time)
         return max(dt, min(self.MIN_DT, remaining))
 
-    def _use_fast(self) -> bool:
-        """Whether the compiled kernel should run in place of the
-        reference loop: opted in and stock component types (without a
-        compiled kernel, :func:`~repro.sim.fastpath.advance_segments` runs
-        the reference loop itself). Observers do not matter; the kernel
-        schedules them exactly as the reference does."""
-        return self.fast and _fast_supported(self.system)
-
-    def _advance(self, i_out: float, duration: float, harvesting: bool,
-                 stop_below: Optional[float]) -> Optional[float]:
-        """Advance ``duration`` seconds at constant load current ``i_out``.
-
-        Returns the absolute time of a brown-out if the terminal voltage
-        crossed ``stop_below`` (and stops there), else ``None``.
-        ``i_out`` is defined at the regulated rail; observer burden is added
-        to it. The buffer sees the booster's input current minus any
-        harvester charge current.
-        """
-        if self._use_fast():
-            return advance_segments(self, ((i_out, duration),), harvesting,
-                                    stop_below)
-        return self._advance_reference(i_out, duration, harvesting,
-                                       stop_below)
-
     def _advance_reference(self, i_out: float, duration: float,
                            harvesting: bool,
                            stop_below: Optional[float]) -> Optional[float]:
@@ -357,15 +333,27 @@ class PowerSystemSimulator:
 
     def _advance_span(self, segments, harvesting: bool,
                       stop_below: Optional[float]) -> Optional[float]:
-        """Advance ``(current, duration)`` segments (a list, or a trace's
-        segment iterator) through the selected engine: one kernel call, or
-        one reference call per segment. Sub-span grouping does not change
-        the float-step sequence: the fastpath re-hoists component state
-        per call but its per-segment recurrence is identical, so per-span
-        calls remain bit-exact with a whole-trace call."""
+        """Advance ``(i_out, duration)`` segments in order: a list, a
+        trace's segment iterator or a generator of hops.
+
+        Returns the absolute time of a brown-out if the terminal voltage
+        crossed ``stop_below`` (and stops there), else ``None``.
+        ``i_out`` is defined at the regulated rail; observer burden is
+        added to it. The buffer sees the booster's input current minus
+        any harvester charge current.
+
+        This is the one place the engine picks its stepping loop. With
+        ``fast`` it makes one :func:`~repro.sim.fastpath.advance_segments`
+        call (the compiled kernel, or the reference loop for a system the
+        kernel cannot run); with ``fast=False`` it makes one
+        :meth:`_advance_reference` call per segment and never enters the
+        fastpath. Sub-span grouping does not change the float-step
+        sequence: the kernel re-packs the plant per call but its
+        per-segment recurrence is identical, so per-span calls remain
+        bit-exact with a whole-trace call."""
         if not segments:
             return None
-        if self._use_fast():
+        if self.fast:
             return advance_segments(self, segments, harvesting, stop_below)
         for current, seg_duration in segments:
             hit = self._advance_reference(current, seg_duration, harvesting,
@@ -499,14 +487,14 @@ class PowerSystemSimulator:
             brown_time = self._advance_plan(trace, reconfig_plan, harvesting,
                                             stop_level)
         else:
-            # On the kernel this is one whole-trace call: component state
-            # is hoisted once for the entire trace, not once per segment.
+            # On the kernel this is one whole-trace call: the plant is
+            # packed once for the entire trace, not once per segment.
             brown_time = self._advance_span(trace.segments(), harvesting,
                                             stop_level)
         browned_out = brown_time is not None
 
         if settle_after > 0:
-            self._advance(0.0, settle_after, harvesting, None)
+            self._advance_span(((0.0, settle_after),), harvesting, None)
         return SimulationResult(
             completed=not browned_out,
             browned_out=browned_out,
@@ -554,13 +542,9 @@ class PowerSystemSimulator:
         segments = _zero_load(hops)
         first = next(segments, None)
         if first is None:
-            return  # no hop: skip the kernel's hoisting
-        segments = itertools.chain((first,), segments)
-        if self._use_fast():
-            advance_segments(self, segments, harvesting, None)
-            return
-        for _, hop in segments:
-            self._advance_reference(0.0, hop, harvesting, None)
+            return  # no hop: pack no kernel state
+        self._advance_span(itertools.chain((first,), segments), harvesting,
+                           None)
 
     def charge_until(self, v_target: float, *, max_time: float = 3600.0,
                      harvesting: bool = True) -> Optional[float]:

@@ -22,12 +22,12 @@ negative harvest power). That is what lets
 kernel does not recognize (custom buffer/booster/monitor subclasses)
 run the reference loop.
 
-This module drives the C body. Per call it packs the plant's hoisted
-constants and the live state into one struct; segment iteration stays
-here, in Python. The C body returns to Python at a segment end, a
-brown-out, a due observer sample, a full sample chunk, or at the start
-of a step that needs a value only Python can compute, and is then
-re-entered:
+This module drives the C body. Per call it packs the plant's fields
+and the live state into one struct (the C body derives the buffer's
+constants from them); segment iteration stays here, in Python. The C
+body returns to Python at a segment end, a brown-out, a due observer
+sample, a full sample chunk, or at the start of a step that needs a
+value only Python can compute, and is then re-entered:
 
 * Attached observers (ADC samplers, trace recorders, fault injectors)
   are scheduled exactly as the reference schedules them: samples already
@@ -76,7 +76,6 @@ from __future__ import annotations
 import ctypes
 import errno
 import hashlib
-import math
 import os
 import platform
 import shutil
@@ -126,9 +125,8 @@ def _fields(ctype, names: str) -> list:
 _PLANT_FIELDS = _fields(ctypes.c_double, """
     v_out min_vin derating out_a out_b out_c out_ref out_floor out_ceiling
     v_max_in in_a in_b in_c in_ref in_floor in_ceiling v_off v_high
-    p_h_const h_period h_phase cap esr leak c_main r_esr c_red r_red c_dec g
-    total_c stable tau tau_quarter""") + _fields(ctypes.c_int, """
-    out_kind in_kind is_ideal has_red""")
+    p_h_const h_period h_phase cap esr leak c_main r_esr c_red r_red c_dec
+    """) + _fields(ctypes.c_int, "out_kind in_kind is_ideal")
 _CALL_FIELDS = _fields(ctypes.c_void_p, "h_edges h_powers volts") + _fields(
     ctypes.c_double, """
     min_dt max_idle_dt idle_dv load_dv period stop_level
@@ -286,14 +284,16 @@ def _eta_form(model):
 
 
 def plant(system) -> Optional[tuple]:
-    """The kernel's hoisted plant for ``system``, or ``None`` when the
-    reference loop must run it (a non-stock component, or no compiled
-    kernel). Read once per :func:`advance_segments` call.
+    """The kernel's plant for ``system``, or ``None`` when the reference
+    loop must run it (a non-stock component, or no compiled kernel).
+    Read once per :func:`advance_segments` call.
 
     ``(buffer, is_ideal, harvester, harvest kind, out_eta, in_eta,
-    values)``: ``values`` fills the plant section of the kernel state;
-    ``out_eta`` and ``in_eta`` are the efficiency callables Python
-    evaluates (``None`` when the kernel inlines them).
+    values)``: ``values`` fills the plant section of the kernel state
+    with the components' fields as they hold them (the kernel derives
+    the buffer's conductance, capacitance, step limit and time constant
+    itself); ``out_eta`` and ``in_eta`` are the efficiency callables
+    Python evaluates (``None`` when the kernel inlines them).
     """
     buffer = _stock_buffer(system)
     if buffer is None or _load() is None:
@@ -329,44 +329,20 @@ def plant(system) -> Optional[tuple]:
 
     is_ideal = type(buffer) is IdealCapacitor
     if is_ideal:
-        cap = buffer.capacitance
-        esr = buffer.esr
-        leak = buffer.leakage_current
-        total_c = cap
-        stable = math.inf
-        tau = 0.0
-        c_main = r_esr = c_red = r_red = c_dec = g = 0.0
-        has_red = False
+        cap, esr, leak = buffer.capacitance, buffer.esr, buffer.leakage_current
+        c_main = r_esr = c_red = r_red = c_dec = 0.0
     else:
-        c_main = buffer.c_main
-        r_esr = buffer.r_esr
-        c_red = buffer.c_redist
-        r_red = buffer.r_redist
-        c_dec = buffer.c_decoupling
-        leak = buffer.leakage_current
-        has_red = c_red > 0 and math.isfinite(r_red)
-        # _conductance, total_capacitance, max_stable_dt, _transient_tau —
-        # same expressions, same evaluation order as the properties.
-        g = 1.0 / r_esr
-        if has_red:
-            g += 1.0 / r_red
-        total_c = c_main + c_dec
-        if has_red:
-            total_c += c_red
-        stable = r_esr * c_main
-        if has_red:
-            stable = min(stable, r_red * c_red)
-        stable = 0.25 * stable
-        tau = c_dec / g if c_dec > 0 else 0.0
         cap = esr = 0.0
+        c_main, r_esr = buffer.c_main, buffer.r_esr
+        c_red, r_red = buffer.c_redist, buffer.r_redist
+        c_dec, leak = buffer.c_decoupling, buffer.leakage_current
     values = (
         out.v_out, out.min_input_voltage, out.power_derating,
         out_a, out_b, out_c, out_ref, out_floor, out_ceiling,
         inp.v_max, in_a, in_b, in_c, in_ref, in_floor, in_ceiling,
         monitor.v_off, monitor.v_high, p_h_const, h_period, h_phase,
-        cap, esr, leak, c_main, r_esr, c_red, r_red, c_dec, g,
-        total_c, stable, tau, tau / 4.0,
-        out_kind, in_kind, is_ideal, has_red)
+        cap, esr, leak, c_main, r_esr, c_red, r_red, c_dec,
+        out_kind, in_kind, is_ideal)
     return (buffer, is_ideal, harvester, harvest_kind,
             None if out_kind else out.efficiency_model.efficiency,
             None if in_kind else inp.efficiency_model.efficiency, values)

@@ -4,8 +4,7 @@ Two permanent claims, each enforced over seeded random configurations:
 
 * a **size-1 fleet** matches the scalar fastpath exactly — the fleet
   kernel's contract (see :mod:`repro.fleet.kernel`): each lane runs the
-  same compiled body on the same floats, so the documented tolerances
-  (``V_TOL`` / ``T_TOL`` / ``E_TOL``) are met with zero error;
+  same compiled body on the same floats;
 * the **scalar fastpath is bit-exact** against the reference engine — the
   PR1 claim, re-asserted here so no later optimization can quietly
   weaken the foundation the fleet equivalence chain is anchored to.

@@ -333,7 +333,8 @@ class TestEnvBreakpointOnTaskBoundary:
         ref_system.rest_at(2.2)  # the _scalar helper's start voltage
         ref = PowerSystemSimulator(ref_system, fast=False)
         for current, duration in segments:
-            assert ref._advance(current, duration, True, None) is None
+            assert ref._advance_reference(current, duration, True,
+                                          None) is None
         assert ref.time == sim.time
         assert ref_system.buffer.terminal_voltage == \
             system.buffer.terminal_voltage

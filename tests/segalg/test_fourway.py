@@ -90,7 +90,8 @@ def _run_scalar(params, index, segments, harvesting, stop_below, *,
     if mode == "reference":
         brown = None
         for current, duration in trace.segments():
-            hit = sim._advance(current, duration, harvesting, stop_below)
+            hit = sim._advance_reference(current, duration, harvesting,
+                                         stop_below)
             if hit is not None:
                 brown = hit
                 break

@@ -18,7 +18,6 @@ from repro.segalg.program import (
     SegmentProgram,
     cache_clear,
     cached_program,
-    canonical_fingerprint,
     compile_segments,
     segments_cache_token,
 )
@@ -111,15 +110,15 @@ class TestFingerprint:
         assert bare.fingerprint() == bounded.fingerprint()
 
     def test_canonical_ignores_zero_length_segments(self):
-        a = CurrentTrace([(0.01, 1.0), (0.0, 2.0)])
-        b = CurrentTrace([(0.01, 1.0), (0.02, 0.0), (0.0, 2.0)])
-        assert canonical_fingerprint(a) == canonical_fingerprint(b)
+        a = compile_segments([(0.01, 1.0), (0.0, 2.0)])
+        b = compile_segments([(0.01, 1.0), (0.02, 0.0), (0.0, 2.0)])
+        assert a.fingerprint() == b.fingerprint()
 
     def test_canonical_is_plant_independent(self, bank):
         trace = CurrentTrace([(0.025, 2.0)])
-        # the canonical fingerprint never sees the bank, so it differs
-        # from the bank-subdivided program's fingerprint
-        assert canonical_fingerprint(trace) != \
+        # the canonical program never sees the bank, so its fingerprint
+        # differs from the bank-subdivided program's
+        assert compile_segments(trace.segments()).fingerprint() != \
             compile_segments(trace.segments(), bank).fingerprint()
 
 

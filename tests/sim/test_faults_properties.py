@@ -134,8 +134,12 @@ class TestFaultObserversDisableFastpath:
     bit-identical to the reference stepper."""
 
     def test_bare_engine_uses_fast_kernel(self, system):
-        engine = PowerSystemSimulator(system, fast=True)
-        assert engine._use_fast()
+        def run(fast):
+            engine = PowerSystemSimulator(system.copy(), fast=fast)
+            return engine.run_trace(CurrentTrace.constant(0.010, 0.020))
+
+        fast, ref = _kernel_and_reference(run)
+        assert fast == ref
 
     def test_supply_glitch_runs_on_fast_kernel(self, system):
         trace = CurrentTrace.constant(0.010, 0.060)

@@ -7,7 +7,7 @@ here drives one reading generator two ways, through one ``idle_hops``
 call and through one ``idle`` call per hop, on both stepping loops, and
 compares with ``==``: the final state, every hop boundary and every
 observer capture. ``charge_until`` is compared with a transcription of
-its per-chunk loop, one ``_advance`` call per 0.25 s chunk.
+its per-chunk loop, one ``_advance_span`` call per 0.25 s chunk.
 """
 
 import math
@@ -214,7 +214,7 @@ def charge_until_per_chunk(sim, v_target, *, max_time=3600.0,
             return None
         chunk = min(0.25, deadline - sim.time)
         v_before = sim.system.buffer.terminal_voltage
-        sim._advance(0.0, chunk, harvesting, None)
+        sim._advance_span(((0.0, chunk),), harvesting, None)
         if sim.system.buffer.terminal_voltage <= v_before + 1e-9:
             if not harvesting:
                 return None

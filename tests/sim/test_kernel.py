@@ -137,6 +137,26 @@ def negative_harvest(system):
     system.harvester = Negative()
 
 
+def short_esr_negative_harvest(system):
+    """A zero ESR and a negative harvest power on an undecoupled buffer:
+    the reference rejects the harvest before its buffer step divides by
+    zero, so the kernel must too (it derives the conductance itself and
+    reports the zero divisor where the reference divides)."""
+    system.buffer = TwoBranchSupercap(c_main=0.045, r_esr=1.0, voltage=2.4)
+    system.buffer.r_esr = 0.0
+    negative_harvest(system)
+
+
+def short_decoupled_esr_negative_harvest(system):
+    """The same on a decoupled buffer under load: the reference's
+    ``_transient_tau`` divides by zero at the segment's start, before
+    any step asks the harvester."""
+    system.buffer = TwoBranchSupercap(c_main=0.045, r_esr=1.0,
+                                      c_decoupling=1e-4, voltage=2.4)
+    system.buffer.r_esr = 0.0
+    negative_harvest(system)
+
+
 def infinite_phase(system):
     """A solar harvester whose sine argument is infinite: math.sin
     raises a domain error."""
@@ -149,8 +169,11 @@ def infinite_phase(system):
     (negative_tau, OverflowError),
     (negative_harvest, ValueError),
     (infinite_phase, ValueError),
+    (short_esr_negative_harvest, ValueError),
+    (short_decoupled_esr_negative_harvest, ZeroDivisionError),
 ], ids=["zero-efficiency", "zero-conductance", "exp-overflow",
-        "negative-harvest", "solar-domain"])
+        "negative-harvest", "solar-domain", "harvest-before-zero-esr",
+        "zero-esr-at-loaded-start"])
 @pytest.mark.parametrize("fast", [True, False])
 def test_errors_match_the_reference(make, error, fast):
     system = capybara_power_system()
