@@ -18,19 +18,17 @@ devices) actually runs in. Three layers:
   alone on each engine's mirror (``repro fleet --check N``).
 
 A fourth entry point, :mod:`~repro.fleet.batch`, inverts the spec's
-shape for the serving layer: N *unrelated* one-shot queries — each with
+shape for the serving layer: *unrelated* one-shot queries — each with
 its own plant and start voltage — stepped one by one on scalar plants
-through the fastpath kernel, so every answer is the reference loop's,
-bit for bit, in any batch.
+through the simulator's own choice of stepping loop, so every answer is
+the reference loop's, bit for bit.
 """
 
 from repro.fleet.batch import (
     BatchPlant,
     BatchQuery,
-    BatchResult,
     BatchShared,
     advance_batch,
-    shared_key,
 )
 from repro.fleet.differential import (
     CrossCheckResult,
@@ -54,10 +52,8 @@ from repro.segalg.vector import advance_fleet
 __all__ = [
     "BatchPlant",
     "BatchQuery",
-    "BatchResult",
     "BatchShared",
     "advance_batch",
-    "shared_key",
     "FLEET_ENGINES",
     "advance_fleet",
     "FleetSpec",

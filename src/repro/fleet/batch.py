@@ -2,34 +2,25 @@
 
 :class:`~repro.fleet.spec.FleetSpec` expands *one* base plant into N
 jittered siblings; the serving layer (:mod:`repro.serve`) needs the
-opposite shape — N unrelated ``simulate`` queries, each carrying its own
-plant and start voltage, over a shared trace. This module names the
-pieces: :class:`BatchPlant` (the per-lane half of a Capybara
-configuration) with :meth:`BatchPlant.system`, the one constructor of
-its scalar :class:`~repro.power.system.PowerSystem`; :class:`BatchShared`
-(the rails every lane of a group agrees on); :func:`shared_key` (the
-coalescing group key); and :func:`advance_batch`.
+opposite shape — unrelated ``simulate`` queries, each carrying its own
+plant and start voltage. This module names the pieces:
+:class:`BatchPlant` (the per-lane half of a Capybara configuration) with
+:meth:`BatchPlant.system`, the one constructor of its scalar
+:class:`~repro.power.system.PowerSystem`; :class:`BatchShared` (the
+rails); and :func:`advance_batch`.
 
 One device, one scalar run
 --------------------------
 A served simulate is one device asking the paper's per-(plant, task)
-question, and measured serve traffic dispatches about one lane per
-call. :func:`advance_batch` therefore steps each lane on its own scalar
-plant through the fastpath kernel (:mod:`repro.sim.fastpath`), which is
-bit-exact with the reference stepping loop. A lane reads nothing but its
-own query, so its answer is byte-identical in a batch of any size or
-order — the property that lets the serving batcher group unrelated
-queries. ``tests/fleet/test_batch.py`` enforces it and pins every lane
-to the reference loop, bit for bit.
-
-What a group must share
------------------------
-Per-lane: capacitance, tolerance, ESR, decoupling, leakage,
-redistribution fraction, harvest power, and the start voltage. Shared:
-the monitor rails ``v_high``/``v_off``, the output rail ``v_out``, the
-trace itself, the harvesting mode, the stop level and the recorded
-environment. :func:`shared_key` digests exactly that shared remainder —
-it is the group key the serving batcher partitions on.
+question. :func:`advance_batch` therefore steps each query on its own
+scalar plant through
+:meth:`~repro.sim.engine.PowerSystemSimulator._advance_span`, the
+engine's one choice of stepping loop: the compiled kernel, bit-exact
+with the reference loop, or the reference loop itself under
+``set_default_fast(False)``. A lane reads nothing but its own query, so
+its answer is byte-identical in a call of any size or order.
+``tests/fleet/test_batch.py`` enforces it and pins every lane to the
+reference loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +37,6 @@ from repro.power.harvester import (
 )
 from repro.power.system import PowerSystem, capybara_power_system
 from repro.sim.engine import PowerSystemSimulator
-from repro.sim.fastpath import advance_segments
 
 
 @dataclass(frozen=True)
@@ -123,43 +113,12 @@ class BatchQuery:
 
 @dataclass(frozen=True)
 class BatchShared:
-    """The rails every lane of one group must agree on."""
+    """The monitor rails ``v_high``/``v_off`` and the output rail
+    ``v_out`` of a query's plant."""
 
     v_high: float = 2.56
     v_off: float = 1.6
     v_out: float = 2.55
-
-
-def shared_key(shared: BatchShared, segments: Sequence[Tuple[float, float]],
-               harvesting: bool, stop_below: Optional[float],
-               env_fingerprint: str = "") -> tuple:
-    """The coalescing group key: everything one ``advance_batch`` call
-    shares.
-
-    Two queries with equal keys can ride the same batch; the per-lane
-    remainder (plant, ``v_start``) travels in the queries.
-    """
-    return ("batch-shared", shared.v_high, shared.v_off, shared.v_out,
-            tuple(tuple(s) for s in segments),
-            bool(harvesting),
-            None if stop_below is None else float(stop_below),
-            env_fingerprint)
-
-
-@dataclass
-class BatchResult:
-    """Per-lane outcomes of one :func:`advance_batch` call."""
-
-    lanes: List[dict]
-
-    @property
-    def n(self) -> int:
-        return len(self.lanes)
-
-    def lane(self, i: int) -> dict:
-        """Lane ``i`` as a JSON-ready dict: ``v_end``, ``v_min``,
-        ``time``, ``energy`` and ``brownout`` (None when none)."""
-        return dict(self.lanes[i])
 
 
 def advance_batch(queries: Sequence[BatchQuery],
@@ -169,20 +128,21 @@ def advance_batch(queries: Sequence[BatchQuery],
                   stop_below: Optional[float] = None,
                   shared: Optional[BatchShared] = None,
                   harvest_edges: Optional[np.ndarray] = None,
-                  harvest_powers: Optional[np.ndarray] = None) -> BatchResult:
+                  harvest_powers: Optional[np.ndarray] = None) -> List[dict]:
     """Step every query through ``segments``, one scalar run per lane.
 
     Each lane is a fresh :meth:`BatchPlant.system` rested at its
-    ``v_start`` and advanced by the fastpath kernel. It harvests its
-    plant's constant ``harvest_power``, or with ``harvest_edges`` row
-    ``i`` of ``harvest_powers`` as a recorded environment. Times are
-    absolute from the lane's start at 0 s.
+    ``v_start`` and advanced by the simulator's ``_advance_span``. It
+    harvests its plant's constant ``harvest_power``, or with
+    ``harvest_edges`` row ``i`` of ``harvest_powers`` as a recorded
+    environment. Times are absolute from the lane's start at 0 s.
+
+    Returns one JSON-ready dict per query, in order: ``v_end``,
+    ``v_min``, ``time``, ``energy`` and ``brownout`` (None when none).
     """
     if not queries:
         raise ValueError("a batch needs at least one query")
-    segments = [(float(i), float(d)) for i, d in
-                (segments.segments() if hasattr(segments, "segments")
-                 else segments)]
+    segments = [(float(i), float(d)) for i, d in segments]
     shared = shared or BatchShared()
     lanes = []
     for k, query in enumerate(queries):
@@ -193,22 +153,21 @@ def advance_batch(queries: Sequence[BatchQuery],
         system = query.plant.system(shared, harvester)
         system.rest_at(query.v_start)
         sim = PowerSystemSimulator(system)
-        brownout = advance_segments(sim, segments, harvesting, stop_below)
+        brownout = sim._advance_span(    # noqa: SLF001 — sim-internal
+            segments, harvesting, stop_below)
         lanes.append({
             "v_end": system.buffer.terminal_voltage,
-            "v_min": sim._v_min_seen,     # noqa: SLF001 — sim-internal
+            "v_min": sim._v_min_seen,     # noqa: SLF001
             "time": sim.time,
             "energy": sim._energy_out,    # noqa: SLF001
             "brownout": brownout,
         })
-    return BatchResult(lanes)
+    return lanes
 
 
 __all__ = [
     "BatchPlant",
     "BatchQuery",
-    "BatchResult",
     "BatchShared",
     "advance_batch",
-    "shared_key",
 ]

@@ -19,7 +19,8 @@ and fleet results are byte-identical however the fleet is sharded. The
 differential check (``repro fleet --check``) replays sampled devices on
 the reference loop and requires equality.
 
-Without a compiled kernel (no C compiler), each device steps on the
+Without a compiled kernel (no C compiler), or while
+``repro.sim.set_default_fast(False)`` holds, each device steps on the
 reference loop instead, one scalar simulator per device: the same
 results and step counts, at the reference loop's speed.
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro.fleet.spec import FleetParams
 from repro.power.booster import CurvedEfficiency, LinearEfficiency
-from repro.sim import fastpath
+from repro.sim import engine as _sim_engine, fastpath
 from repro.sim.engine import PowerSystemSimulator as _Engine
 
 
@@ -190,7 +191,7 @@ def advance(state: FleetState, segments: Iterable[Tuple[float, float]],
         return brown
     run = state.alive if active is None else (state.alive & active)
     run = run.astype(np.uint8)
-    plants = _lane_plants(state)
+    plants = _lane_plants(state) if _sim_engine.DEFAULT_FAST else None
     if plants is None:
         _advance_reference(state, segments, harvesting, stop_below, run,
                            brown, recorder)
@@ -236,9 +237,10 @@ def _advance_reference(state: FleetState, segments, harvesting: bool,
                        stop_below: Optional[float], run: np.ndarray,
                        brown: np.ndarray,
                        recorder: Optional[FleetRecorder]) -> None:
-    """:func:`advance` without a compiled kernel: each running device on
-    the reference loop, one scalar simulator per device, counting the
-    steps the kernel would count (one per buffer step)."""
+    """:func:`advance` on the reference loop (no compiled kernel, or
+    ``DEFAULT_FAST`` off): each running device on its own scalar
+    simulator, counting the steps the kernel would count (one per buffer
+    step)."""
     sims: Dict[int, tuple] = {}
     for i in np.flatnonzero(run):
         system = state.params.device_system(int(i))

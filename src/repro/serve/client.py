@@ -13,8 +13,11 @@ and the one loop that compares them:
   a shared code path is exactly what a differential check must not be
   blind to. What it shares with the daemon is library code both must
   call: the plant constructor
-  (:meth:`~repro.fleet.batch.BatchPlant.system`), the estimators and
-  the program registry.
+  (:meth:`~repro.fleet.batch.BatchPlant.system`), the simulator's
+  ``_advance_span`` (the daemon's runs take the compiled kernel, the
+  oracle's ``fast=False`` runs the reference loop, so the two answers
+  come from different stepping bodies), the estimators and the program
+  registry.
 * :class:`ByteCheck` — the **wire path**: it drives the one client,
   the self-healing :class:`~repro.serve.vsafe_client.VsafeClient`,
   through a sequential lane or a pipelined flood, compares every

@@ -1,4 +1,4 @@
-"""The admission core: coalesced estimates, grouped simulations.
+"""The admission core: coalesced estimates, cached simulations.
 
 This is the synchronous heart of the daemon — everything the asyncio
 layer (:mod:`repro.serve.server`) does is feed it request batches. One
@@ -13,11 +13,12 @@ layer (:mod:`repro.serve.server`) does is feed it request batches. One
   expensive quantity is a property of (plant, task), not of the device
   asking, so a million devices asking about the same firmware cost one
   analysis.
-* ``simulate`` requests are **grouped**: cache misses sharing a
-  :func:`~repro.fleet.batch.shared_key` group become lanes of one
-  :func:`~repro.fleet.batch.advance_batch` call, which steps each lane
-  on its own scalar plant through the fastpath kernel — bit-exact with
-  the reference loop, so a lane's answer does not depend on its group.
+* ``simulate`` requests are **one scalar run each**: a cache miss runs
+  the request's plant once through :func:`~repro.fleet.batch.advance_batch`,
+  which steps it on the simulator's own choice of loop (the compiled
+  kernel, bit-exact with the reference loop, unless
+  ``set_default_fast(False)`` picks the reference loop itself), and
+  caches the lane; a repeat answers from the cache.
 * ``report`` requests mutate device sessions (derate backoff) — and are
   **deduplicated** by the digest of their canonical request bytes: a
   byte-identical resend (the self-healing client recovering from a dead
@@ -25,22 +26,20 @@ layer (:mod:`repro.serve.server`) does is feed it request batches. One
   the outcome, which is what makes every op idempotent under resend
   (the Alpaca recovery discipline at the service layer).
 
-Session effects are applied in arrival order after the pure phase, so a
-batch ``[admit(d), report(d), admit(d)]`` behaves exactly like the three
-requests served one at a time — which is how the differential client
-checks it.
+Every request resolves in arrival order, so a batch ``[admit(d),
+report(d), admit(d)]`` behaves exactly like the three requests served
+one at a time — which is how the differential client checks it.
 
 Every plant is built and validated by the one constructor
-(:meth:`~repro.fleet.batch.BatchPlant.system`) when its request is
-planned, so a plant the scalar model rejects answers ``bad-request`` for
-that request alone, like an unknown app or a malformed trace.
+(:meth:`~repro.fleet.batch.BatchPlant.system`) when its request
+resolves, so a plant the scalar model rejects answers ``bad-request``
+for that request alone, like an unknown app or a malformed trace.
 
 Estimates and simulation lanes are pure functions of their keys, so an
 answer is byte-identical whether it was computed fresh, coalesced into a
-neighbour's computation, restored from the disk tier, or stepped in any
-batch — the serving correctness bar reduces to this module never mixing
-keys up, and ``tests/serve`` plus the CI differential client enforce it
-end to end.
+neighbour's computation or restored from the disk tier — the serving
+correctness bar reduces to this module never mixing keys up, and
+``tests/serve`` plus the CI differential client enforce it end to end.
 """
 
 from __future__ import annotations
@@ -50,8 +49,6 @@ import math
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from repro.env.correlate import base_grid
 from repro.env.spec import EnvSpec
 from repro.fleet.batch import (
@@ -59,7 +56,6 @@ from repro.fleet.batch import (
     BatchQuery,
     BatchShared,
     advance_batch,
-    shared_key,
 )
 from repro.loads.trace import CurrentTrace
 from repro.obs import current as _obs_current
@@ -73,7 +69,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.sessions import SessionStore
 from repro.apps.programs import TASK_PROGRAMS, build_program
-from repro.sched.estimators import estimator_cache_key
 from repro.verify.runner import KNOWN_ESTIMATORS, build_estimator
 
 #: Per-lane plant fields a request's ``system`` object may override.
@@ -81,8 +76,7 @@ _PLANT_FIELDS = ("datasheet_capacitance", "capacitance_tolerance",
                  "dc_esr", "c_decoupling", "leakage_current",
                  "redist_fraction", "harvest_power")
 
-#: Shared-rail fields (every lane of a kernel batch must agree on them;
-#: for admits they just parameterize the plant).
+#: Rail fields: the monitor rails and the output rail of the plant.
 _SHARED_FIELDS = ("v_high", "v_off", "v_out")
 
 
@@ -132,7 +126,6 @@ class AdmissionEngine:
         self.coalesced = 0
         self.replayed_reports = 0
         self.kernel_calls = 0
-        self.kernel_lanes = 0
 
     # -- resolution helpers -------------------------------------------------
 
@@ -258,9 +251,7 @@ class AdmissionEngine:
         name = sig[0]
         estimator = self._estimator_for(name, plant, shared)
         trace, fp = self._trace_for(req)
-        est_key = estimator_cache_key(estimator) \
-            or (name, plant.config_key())
-        key = ("vsafe", est_key, fp)
+        key = ("vsafe", estimator.cache_key(), fp)
         plan = (key, plant, shared, trace, fp, estimator)
         self._admit_plans[sig] = plan
         while len(self._admit_plans) > 1024:
@@ -276,22 +267,16 @@ class AdmissionEngine:
     def handle_batch(self, reqs: List[dict]) -> List[dict]:
         """Serve a mixed batch with sequential semantics.
 
-        Admits and reports resolve in one arrival-order pass — estimates
-        are pure, so a memo hit (or a first-in-batch compute that warms
-        the memo) coalesces duplicates without reordering any session
-        effect, and the result is identical to serving the requests one
-        at a time. Simulates only *plan* in the first pass: their cache
-        misses are grouped by :func:`~repro.fleet.batch.shared_key` and
-        dispatched as one ``advance_batch`` call per group, then patched
-        into the response list (they touch no session, so deferring them
-        is invisible).
+        Every request resolves in one arrival-order pass — estimates and
+        simulation lanes are pure, so a memo hit (or a first-in-batch
+        compute that warms the memo or the cache) coalesces duplicates
+        without reordering any session effect, and the result is
+        identical to serving the requests one at a time.
         """
         n = len(reqs)
         coalesced_before = self.coalesced
         replayed_before = self.replayed_reports
         responses: List[Optional[dict]] = [None] * n
-        sim_plan: Dict[int, tuple] = {}        # idx -> (sim key, ctx)
-        sim_groups: Dict[tuple, list] = {}
         seen_keys = set()
         admits = simulates = reports = 0
 
@@ -330,7 +315,7 @@ class AdmissionEngine:
                         responses[idx]["degraded"] = True
                 elif op == "simulate":
                     simulates += 1
-                    self._plan_simulate(idx, req, sim_plan, sim_groups)
+                    responses[idx] = self._simulate(req)
                 elif op == "report":
                     reports += 1
                     responses[idx] = self._handle_report(req, req_id)
@@ -350,20 +335,6 @@ class AdmissionEngine:
                 responses[idx] = error_response(req_id, "internal",
                                                 f"{type(exc).__name__}: "
                                                 f"{exc}")
-
-        if sim_groups:
-            sim_results = self._resolve_simulations(sim_groups, sim_plan,
-                                                    responses, reqs)
-            for idx, lane in sim_results.items():
-                responses[idx] = ok_response(reqs[idx].get("id"),
-                                             "simulate", lane)
-                if self.cache.degraded:
-                    responses[idx]["degraded"] = True
-            for idx in sim_plan:
-                if responses[idx] is None:
-                    responses[idx] = error_response(
-                        reqs[idx].get("id"), "internal",
-                        "simulation lane failed")
 
         self._observe_batch(n, admits, simulates, reports,
                             self.coalesced - coalesced_before,
@@ -445,88 +416,49 @@ class AdmissionEngine:
 
     # -- simulate resolution ------------------------------------------------
 
-    def _plan_simulate(self, idx, req, sim_plan, sim_groups) -> None:
-        plant, shared = _system_config(req)
-        self._system_for(plant, shared)   # validates the plant
-        trace, fp = self._trace_for(req)
-        harvesting = bool(req.get("harvesting", False))
-        stop = bool(req.get("stop", True))
-        v_start = float(req["v_start"])
-        env_fp = ""
-        env_grid = None
-        if harvesting and req.get("env") is not None:
-            env_fp, edges, base = self._env_grid_for(req["env"])
-            env_grid = (edges, base)
-        stop_below = shared.v_off if stop else None
-        segments = tuple(trace.segments())
-        group = shared_key(shared, segments, harvesting, stop_below, env_fp)
-        sim_key = ("sim", plant.config_key(), group, v_start)
-        sim_plan[idx] = (sim_key, plant, shared, v_start)
-        sim_groups.setdefault(group, []).append(
-            (idx, segments, harvesting, stop_below, env_grid))
-
-    def _resolve_simulations(self, sim_groups, sim_plan, responses, reqs):
-        """Serve cached lanes; hand the misses of each group to one
-        :func:`~repro.fleet.batch.advance_batch` call. A lane with a
+    def _simulate(self, req: dict) -> dict:
+        """Serve a ``simulate``: from the cache, or by one run of the
+        request's plant, whose lane is then cached. A lane with a
         non-finite result (a finite but extreme load can overflow) has
         no JSON form: it answers ``internal`` and is not cached."""
-        results: Dict[int, dict] = {}
-        for group, members in sim_groups.items():
-            misses = []
-            for member in members:
-                idx = member[0]
-                sim_key = sim_plan[idx][0]
-                entry = self.cache.get(sim_key)
-                if entry is not None and entry.get("kind") == "sim":
-                    results[idx] = {k: entry[k] for k in
-                                    ("v_end", "v_min", "time", "energy",
-                                     "brownout")}
-                else:
-                    misses.append(member)
-            if not misses:
-                continue
-            _idx0, segments, harvesting, stop_below, env_grid = misses[0]
-            queries = []
-            for member in misses:
-                idx = member[0]
-                _key, plant, shared, v_start = sim_plan[idx]
-                queries.append(BatchQuery(plant=plant, v_start=v_start))
-            shared = sim_plan[misses[0][0]][2]
-            harvest_edges = harvest_powers = None
-            if env_grid is not None:
-                edges, base = env_grid
-                harvest_edges = edges
-                harvest_powers = np.repeat(base[None, :], len(queries),
-                                           axis=0)
-            try:
-                batch = advance_batch(
-                    queries, segments, harvesting=harvesting,
-                    stop_below=stop_below, shared=shared,
-                    harvest_edges=harvest_edges,
-                    harvest_powers=harvest_powers)
-            except Exception as exc:
-                for member in misses:
-                    idx = member[0]
-                    responses[idx] = error_response(
-                        reqs[idx].get("id"), "internal",
-                        f"kernel dispatch failed: {exc}")
-                continue
+        plant, shared = _system_config(req)
+        self._system_for(plant, shared)   # validates the plant
+        trace = self._trace_for(req)[0]
+        harvesting = bool(req.get("harvesting", False))
+        stop_below = shared.v_off if req.get("stop", True) else None
+        v_start = float(req["v_start"])
+        env_fp = ""
+        env: Dict[str, Any] = {}
+        if harvesting and req.get("env") is not None:
+            env_fp, edges, base = self._env_grid_for(req["env"])
+            env = {"harvest_edges": edges, "harvest_powers": (base,)}
+        segments = tuple(trace.segments())
+        # Rails, trace, harvesting mode, stop level and environment, laid
+        # out as journals already on disk key them.
+        key = ("sim", plant.config_key(),
+               ("batch-shared", shared.v_high, shared.v_off, shared.v_out,
+                segments, harvesting, stop_below, env_fp),
+               v_start)
+        entry = self.cache.get(key)
+        if entry is not None and entry.get("kind") == "sim":
+            lane = {k: entry[k] for k in
+                    ("v_end", "v_min", "time", "energy", "brownout")}
+        else:
+            lane, = advance_batch(
+                [BatchQuery(plant=plant, v_start=v_start)], segments,
+                harvesting=harvesting, stop_below=stop_below, shared=shared,
+                **env)
             self.kernel_calls += 1
-            self.kernel_lanes += len(queries)
-            for lane_no, member in enumerate(misses):
-                idx = member[0]
-                lane = batch.lane(lane_no)
-                if not all(math.isfinite(v) for v in lane.values()
-                           if v is not None):
-                    responses[idx] = error_response(
-                        reqs[idx].get("id"), "internal",
-                        "simulation produced a non-finite value")
-                    continue
-                lane_entry = dict(lane)
-                lane_entry["kind"] = "sim"
-                self.cache.put(sim_plan[idx][0], lane_entry)
-                results[idx] = lane
-        return results
+            if not all(math.isfinite(v) for v in lane.values()
+                       if v is not None):
+                return error_response(
+                    req.get("id"), "internal",
+                    "simulation produced a non-finite value")
+            self.cache.put(key, dict(lane, kind="sim"))
+        response = ok_response(req.get("id"), "simulate", lane)
+        if self.cache.degraded:
+            response["degraded"] = True
+        return response
 
     # -- telemetry ----------------------------------------------------------
 
@@ -559,7 +491,6 @@ class AdmissionEngine:
             "coalesced": self.coalesced,
             "replayed_reports": self.replayed_reports,
             "kernel_calls": self.kernel_calls,
-            "kernel_lanes": self.kernel_lanes,
         }
 
 

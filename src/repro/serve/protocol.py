@@ -84,9 +84,8 @@ INLINE_OPS = ("ping", "stats", "flush", "shutdown")
 RETRYABLE_ERRORS = ("overloaded", "deadline")
 
 #: Plant override fields accepted in a request's ``system`` object —
-#: exactly the per-lane half of a Capybara configuration
-#: (:class:`repro.fleet.batch.BatchPlant`) plus the shared rails
-#: (:class:`repro.fleet.batch.BatchShared`).
+#: exactly the fields of :class:`repro.fleet.batch.BatchPlant` plus the
+#: rails of :class:`repro.fleet.batch.BatchShared`.
 SYSTEM_FIELDS = (
     "datasheet_capacitance", "capacitance_tolerance", "dc_esr",
     "c_decoupling", "leakage_current", "redist_fraction", "harvest_power",

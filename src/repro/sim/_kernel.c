@@ -1,8 +1,9 @@
 /*
  * The fastpath's stepping body: the per-step arithmetic of
- * PowerSystemSimulator._advance_reference for stock component types,
- * compiled. repro/sim/fastpath.py builds this file with the system C
- * compiler, loads it through ctypes and drives it segment by segment.
+ * PowerSystemSimulator._advance_reference for stock component types
+ * (the two stock efficiency curves among them), compiled.
+ * repro/sim/fastpath.py builds this file with the system C compiler,
+ * loads it through ctypes and drives it segment by segment.
  *
  * Float rules. Every operation is the one the reference loop performs,
  * in the same order, on IEEE doubles, so results are bit-identical:
@@ -24,10 +25,10 @@
  *              back, runs the engine's _notify and re-reads the monitor,
  *              the burden and the next due time;
  *   K_CHUNK    the lone uArch block's sample buffer is full;
- *   K_NEED     a step needs a value only Python can compute (a generic
- *              harvester's power_at, a non-stock efficiency model):
- *              Python evaluates it at `arg` and re-enters, and the step
- *              starts over with the value in hand;
+ *   K_NEED     a step needs the harvest power of a harvester only Python
+ *              can evaluate: Python calls its power_at at `arg`, stores
+ *              the value in x_power, sets `have` and re-enters, and the
+ *              step starts over with the value in hand;
  *   K_ZERODIV, K_OVERFLOW, K_NEGATIVE_POWER, K_DOMAIN   the errors the
  *              reference loop would raise (ZeroDivisionError,
  *              OverflowError, the ValueError of a negative harvest power
@@ -49,9 +50,6 @@ enum {
     K_ZERODIV = -1, K_OVERFLOW = -2, K_NEGATIVE_POWER = -3, K_DOMAIN = -4
 };
 
-/* What K_NEED asks for, and the `have` bit of its answer. */
-enum { NEED_OUT_ETA = 1, NEED_POWER = 2, NEED_IN_ETA = 4 };
-
 /* Field for field the ctypes mirror `_State` in fastpath.py, which
  * packs the plant and the call sections once per call; the segment and
  * step section starts at zero. */
@@ -67,7 +65,7 @@ struct kstate {
     double h_period, h_phase;   /* SolarHarvester */
     double cap, esr, leak;                  /* IdealCapacitor */
     double c_main, r_esr, c_red, r_red, c_dec;      /* TwoBranchSupercap */
-    int out_kind, in_kind;      /* efficiency: 1 linear, 2 curved, 0 other */
+    int out_kind, in_kind;      /* efficiency: 1 linear, 2 curved */
     int is_ideal;
     /* the call: engine constants, harvest, observers, live state */
     const double *h_edges;      /* TraceHarvester edges and powers */
@@ -83,10 +81,10 @@ struct kstate {
     double i_out, duration, burden, next_due;
     double start, elapsed, transient_window, dv_budget, total_out, p_out;
     double step_cap, t_last, v_new;
-    double arg, x_out_eta, x_power, x_in_eta;   /* K_NEED */
+    double arg, x_power;        /* K_NEED */
     long long steps;            /* steps taken since the state was packed */
     int has_due, out_on, drawing, hp_idx, n_volts;
-    int begin, pending, need, have;
+    int begin, pending, have;
 };
 
 size_t repro_kstate_size(void)
@@ -228,24 +226,14 @@ int repro_advance(struct kstate *s)
             v_in = min_vin > v ? min_vin : v;
             if (out_kind == 1) {
                 eta = out_a * v_in + out_b;
-            } else if (out_kind == 2) {
+            } else {
                 dv = v_in - out_ref;
                 eta = out_a + out_b * dv - out_c * dv * dv;
-            } else {
-                if (!(have & NEED_OUT_ETA)) {
-                    s->need = NEED_OUT_ETA;
-                    s->arg = v_in;
-                    code = K_NEED;
-                    goto out;
-                }
-                eta = s->x_out_eta;
             }
-            if (out_kind) {
-                if (!(eta > out_floor))
-                    eta = out_floor;
-                if (!(eta < out_ceiling))
-                    eta = out_ceiling;
-            }
+            if (!(eta > out_floor))
+                eta = out_floor;
+            if (!(eta < out_ceiling))
+                eta = out_ceiling;
             if (p_out > 0.0 && derating > 0.0) {
                 eta -= derating * p_out;
                 if (!(eta > 0.30))
@@ -282,8 +270,7 @@ int repro_advance(struct kstate *s)
                 x = sin(x);
                 p_h = p_h_const * (x > 0.0 ? x : 0.0);
             } else {
-                if (!(have & NEED_POWER)) {
-                    s->need = NEED_POWER;
+                if (!have) {
                     s->arg = time_abs;
                     code = K_NEED;
                     goto out;
@@ -302,24 +289,14 @@ int repro_advance(struct kstate *s)
                 v_clamp = 0.1 > v ? 0.1 : v;
                 if (in_kind == 1) {
                     eta_c = in_a * v_clamp + in_b;
-                } else if (in_kind == 2) {
+                } else {
                     dv = v_clamp - in_ref;
                     eta_c = in_a + in_b * dv - in_c * dv * dv;
-                } else {
-                    if (!(have & NEED_IN_ETA)) {
-                        s->need = NEED_IN_ETA;
-                        s->arg = v_clamp;
-                        code = K_NEED;
-                        goto out;
-                    }
-                    eta_c = s->x_in_eta;
                 }
-                if (in_kind) {
-                    if (!(eta_c > in_floor))
-                        eta_c = in_floor;
-                    if (!(eta_c < in_ceiling))
-                        eta_c = in_ceiling;
-                }
+                if (!(eta_c > in_floor))
+                    eta_c = in_floor;
+                if (!(eta_c < in_ceiling))
+                    eta_c = in_ceiling;
                 if (v_clamp == 0.0) {
                     code = K_ZERODIV;
                     goto out;
@@ -511,10 +488,10 @@ out:
 }
 
 /* Run one segment on each of the n lanes whose run flag is set. The
- * lanes are unobserved plants whose harvester and efficiency models the
- * kernel evaluates itself, so no lane asks for Python. A lane that
- * browns out has its run flag cleared and its time stored in brown[].
- * Returns K_END, or the first error, with its lane in *failed. */
+ * lanes are unobserved plants whose harvester the kernel evaluates
+ * itself, so no lane asks for Python. A lane that browns out has its
+ * run flag cleared and its time stored in brown[]. Returns K_END, or
+ * the first error, with its lane in *failed. */
 int repro_advance_lanes(struct kstate *lanes, long n, unsigned char *run,
                         double i_out, double duration, double *brown,
                         long *failed)

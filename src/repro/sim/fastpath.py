@@ -19,8 +19,9 @@ overflowing ``exp`` so that this module raises the ``ZeroDivisionError``
 or ``OverflowError`` the reference would (and the ``ValueError`` of a
 negative harvest power). That is what lets
 ``PowerSystemSimulator(fast=True)`` be the default. Configurations the
-kernel does not recognize (custom buffer/booster/monitor subclasses)
-run the reference loop.
+kernel does not recognize (custom buffer/booster/monitor subclasses, or
+an efficiency model other than the two stock curves) run the reference
+loop.
 
 This module drives the C body. Per call it packs the plant's fields
 and the live state into one struct (the C body derives the buffer's
@@ -45,13 +46,15 @@ value only Python can compute, and is then re-entered:
   :meth:`~repro.sim.uarch.CulpeoUArchBlock.on_samples` when it fills
   (``_SAMPLE_CHUNK``), at each segment end and before returning, which
   leaves the block exactly as per-sample delivery would.
-* The two stock efficiency curves and the constant, solar and trace
-  harvesters (:class:`~repro.power.harvester.ConstantPowerHarvester`,
+* The two stock efficiency curves
+  (:class:`~repro.power.booster.LinearEfficiency`,
+  :class:`~repro.power.booster.CurvedEfficiency`) and the constant,
+  solar and trace harvesters
+  (:class:`~repro.power.harvester.ConstantPowerHarvester`,
   :class:`~repro.power.harvester.SolarHarvester`,
-  :class:`~repro.power.harvester.TraceHarvester`) are evaluated in C. Any
-  other efficiency model, and any other harvester's ``power_at``, is
-  called from Python at the start of each step that needs it, in the
-  reference's order.
+  :class:`~repro.power.harvester.TraceHarvester`) are evaluated in C.
+  Any other harvester's ``power_at`` is called from Python at the start
+  of each step that needs it, in the reference's order.
 
 At the end of every segment Python writes back ``sim.time``, the
 buffer state and the monitor's enable state before it draws the next
@@ -111,10 +114,12 @@ from repro.sim.uarch import CulpeoUArchBlock
 #: ``on_samples``: bounds the buffer on long runs.
 _SAMPLE_CHUNK = 1024
 
-# Return codes of repro_advance, and the K_NEED requests (_kernel.c).
+# Return codes of repro_advance (_kernel.c).
 _END, _BROWN, _DUE, _CHUNK, _NEED = 0, 1, 2, 3, 4
 _ZERODIV, _OVERFLOW, _NEGATIVE_POWER, _DOMAIN = -1, -2, -3, -4
-_NEED_OUT_ETA, _NEED_POWER = 1, 2
+
+#: The efficiency models the kernel evaluates inline.
+_STOCK_EFFICIENCY = (LinearEfficiency, CurvedEfficiency)
 
 
 def _fields(ctype, names: str) -> list:
@@ -135,9 +140,9 @@ _CALL_FIELDS = _fields(ctypes.c_void_p, "h_edges h_powers volts") + _fields(
                   "enabled")
 _STEP_FIELDS = _fields(ctypes.c_double, """
     i_out duration burden next_due start elapsed transient_window dv_budget
-    total_out p_out step_cap t_last v_new arg x_out_eta x_power x_in_eta
+    total_out p_out step_cap t_last v_new arg x_power
     """) + _fields(ctypes.c_longlong, "steps") + _fields(ctypes.c_int, """
-    has_due out_on drawing hp_idx n_volts begin pending need have""")
+    has_due out_on drawing hp_idx n_volts begin pending have""")
 
 
 class _State(ctypes.Structure):
@@ -240,16 +245,18 @@ def _load():
 
 def _stock_buffer(system):
     """The concrete capacitor the kernel steps, or ``None`` if a component
-    is not of a stock type.
+    (efficiency models included) is not of a stock type.
 
     A :class:`ReconfigurableBuffer` delegates all stepping to its active
     group (a ``TwoBranchSupercap``), so the kernel operates on the group
     directly. Exact type checks, not isinstance: a subclass may override
     behavior the kernel has inlined away.
     """
-    if (type(system.output_booster) is not OutputBooster
-            or type(system.input_booster) is not InputBooster
-            or type(system.monitor) is not VoltageMonitor):
+    out, inp = system.output_booster, system.input_booster
+    if (type(out) is not OutputBooster or type(inp) is not InputBooster
+            or type(system.monitor) is not VoltageMonitor
+            or type(out.efficiency_model) not in _STOCK_EFFICIENCY
+            or type(inp.efficiency_model) not in _STOCK_EFFICIENCY):
         return None
     buffer = system.buffer
     if type(buffer) is ReconfigurableBuffer:
@@ -265,22 +272,19 @@ def supported(system) -> bool:
 
 
 def _eta_form(model):
-    """``(kind, a, b, c, v_ref, floor, ceiling)`` of an efficiency model.
+    """``(kind, a, b, c, v_ref, floor, ceiling)`` of a stock efficiency
+    model.
 
     Kind 1 is :class:`LinearEfficiency` (``a * v + b``), kind 2
     :class:`CurvedEfficiency` (``a + b * dv - c * dv * dv`` with
     ``dv = v - v_ref``), both then clipped to ``[floor, ceiling]``; the
     kernel evaluates these inline with the models' own operation order.
-    Kind 0 is anything else, which is called from Python.
     """
-    kind = type(model)
-    if kind is LinearEfficiency:
+    if type(model) is LinearEfficiency:
         return (1, model.slope, model.intercept, 0.0, 0.0,
                 model.floor, model.ceiling)
-    if kind is CurvedEfficiency:
-        return (2, model.base, model.slope, model.curvature, model.v_ref,
-                model.floor, model.ceiling)
-    return 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    return (2, model.base, model.slope, model.curvature, model.v_ref,
+            model.floor, model.ceiling)
 
 
 def plant(system) -> Optional[tuple]:
@@ -288,12 +292,10 @@ def plant(system) -> Optional[tuple]:
     loop must run it (a non-stock component, or no compiled kernel).
     Read once per :func:`advance_segments` call.
 
-    ``(buffer, is_ideal, harvester, harvest kind, out_eta, in_eta,
-    values)``: ``values`` fills the plant section of the kernel state
-    with the components' fields as they hold them (the kernel derives
-    the buffer's conductance, capacitance, step limit and time constant
-    itself); ``out_eta`` and ``in_eta`` are the efficiency callables
-    Python evaluates (``None`` when the kernel inlines them).
+    ``(buffer, is_ideal, harvester, harvest kind, values)``: ``values``
+    fills the plant section of the kernel state with the components'
+    fields as they hold them (the kernel derives the buffer's
+    conductance, capacitance, step limit and time constant itself).
     """
     buffer = _stock_buffer(system)
     if buffer is None or _load() is None:
@@ -343,9 +345,7 @@ def plant(system) -> Optional[tuple]:
         monitor.v_off, monitor.v_high, p_h_const, h_period, h_phase,
         cap, esr, leak, c_main, r_esr, c_red, r_red, c_dec,
         out_kind, in_kind, is_ideal)
-    return (buffer, is_ideal, harvester, harvest_kind,
-            None if out_kind else out.efficiency_model.efficiency,
-            None if in_kind else inp.efficiency_model.efficiency, values)
+    return buffer, is_ideal, harvester, harvest_kind, values
 
 
 def _write_back(sim, st, buffer, is_ideal) -> None:
@@ -420,8 +420,7 @@ def advance_segments(sim, segments: Iterable[Tuple[float, float]],
             if hit is not None:
                 return hit
         return None
-    (buffer, is_ideal, harvester, harvest_kind, out_eta, in_eta,
-     values) = hoisted
+    buffer, is_ideal, harvester, harvest_kind, values = hoisted
     kernel = _kernel.repro_advance
 
     # Observability: count kernel entries at batch granularity. The
@@ -504,14 +503,8 @@ def advance_segments(sim, segments: Iterable[Tuple[float, float]],
                 st.burden = sim._burden()                # noqa: SLF001
                 _set_due(st, next_due)
             elif code == _NEED:
-                need = st.need
-                if need == _NEED_OUT_ETA:
-                    st.x_out_eta = out_eta(st.arg)
-                elif need == _NEED_POWER:
-                    st.x_power = power_at(st.arg)
-                else:
-                    st.x_in_eta = in_eta(st.arg)
-                st.have |= need
+                st.x_power = power_at(st.arg)
+                st.have = 1
             elif code == _BROWN:
                 brown_time = st.time_abs
                 break
@@ -539,11 +532,11 @@ def lanes(system, n: int) -> Optional[np.ndarray]:
     its harvester kind as ``harvest_mode``.
 
     ``None`` when the kernel cannot run ``system`` without Python: no
-    compiled kernel, a non-stock component, or an efficiency model or
-    harvester that Python evaluates.
+    compiled kernel, a non-stock component, or a harvester that Python
+    evaluates.
     """
     hoisted = plant(system)
-    if hoisted is None or hoisted[3] == 2 or hoisted[4] or hoisted[5]:
+    if hoisted is None or hoisted[3] == 2:
         return None
     states = np.zeros(n, dtype=_LANE)
     for (name, _), value in zip(_PLANT_FIELDS, hoisted[-1]):
@@ -559,9 +552,9 @@ def advance_lanes(states: np.ndarray, run: np.ndarray, i_out: float,
 
     Each lane steps exactly as an :func:`advance_segments` segment on its
     plant would, and must be one the kernel evaluates without Python: no
-    observers, stock efficiency models, and a null, constant, solar or
-    trace harvester. A lane that falls below its ``stop_level`` stops
-    there: its ``run`` flag is cleared and its time stored in ``brown``.
+    observers, and a null, constant, solar or trace harvester. A lane
+    that falls below its ``stop_level`` stops there: its ``run`` flag is
+    cleared and its time stored in ``brown``.
     The states keep the lanes' live state and count their ``steps``.
     """
     failed = ctypes.c_long()

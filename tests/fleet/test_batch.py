@@ -1,13 +1,12 @@
 """``advance_batch``: the serving layer's simulate entry point.
 
 Each lane steps on its own scalar plant (:meth:`BatchPlant.system`)
-through the fastpath kernel. Two properties carry the serving layer's
-correctness bar:
+through the simulator's choice of stepping loop. Two properties carry
+the serving layer's correctness bar:
 
 * batch-composition invariance — a query answered in a batch of N is
   byte-identical to the same query in a batch of one, in any order and
-  whatever its neighbours do, which is why a coalescing daemon may
-  group unrelated queries;
+  whatever its neighbours do;
 * reference agreement — every lane equals the reference stepping loop
   on the same plant, bit for bit, across harvest modes, stop levels and
   start voltages on both sides of V_off. The reference loop is the
@@ -23,9 +22,9 @@ from repro.fleet.batch import (
     BatchQuery,
     BatchShared,
     advance_batch,
-    shared_key,
 )
 from repro.power.harvester import ConstantPowerHarvester, TraceHarvester
+from repro.serve.engine import AdmissionEngine
 from repro.serve.protocol import canonical
 from repro.sim.engine import PowerSystemSimulator
 
@@ -64,7 +63,7 @@ class TestBatchCompositionInvariance:
                                  harvesting=harvesting, stop_below=stop)
             # Byte identity, through the same canonical encoding the
             # serving layer answers with.
-            assert canonical(batched.lane(i)) == canonical(solo.lane(0))
+            assert canonical(batched[i]) == canonical(solo[0])
 
     def test_browned_lane_does_not_disturb_neighbours(self):
         # A heavy draw sized so some lanes brown out and some survive;
@@ -73,21 +72,21 @@ class TestBatchCompositionInvariance:
         segments = [(0.030, 0.4)]
         queries = _queries()
         batched = advance_batch(queries, segments, stop_below=1.6)
-        browned = [i for i in range(batched.n)
-                   if batched.lane(i)["brownout"] is not None]
+        browned = [i for i, lane in enumerate(batched)
+                   if lane["brownout"] is not None]
         assert browned, "workload was meant to brown out a lane"
         assert len(browned) < len(queries)
         for i, query in enumerate(queries):
             solo = advance_batch([query], segments, stop_below=1.6)
-            assert canonical(batched.lane(i)) == canonical(solo.lane(0))
+            assert canonical(batched[i]) == canonical(solo[0])
 
     def test_lane_order_is_preserved_under_permutation(self):
         queries = _queries()
         forward = advance_batch(queries, MIXED_SEGMENTS)
         backward = advance_batch(list(reversed(queries)), MIXED_SEGMENTS)
         for i in range(len(queries)):
-            assert canonical(forward.lane(i)) == \
-                canonical(backward.lane(len(queries) - 1 - i))
+            assert canonical(forward[i]) == \
+                canonical(backward[len(queries) - 1 - i])
 
 
 #: A small recorded sky: the env-harvest lanes replay its base grid.
@@ -131,17 +130,16 @@ class TestReferenceLoop:
         for i, query in enumerate(queries):
             expected = _reference_lane(query, MIXED_SEGMENTS, harvest,
                                        stop)
-            assert canonical(batch.lane(i)) == canonical(expected)
+            assert canonical(batch[i]) == canonical(expected)
 
     def test_v_start_below_v_off_starts_disabled(self):
         # The monitor starts off below V_off: the load never draws, and
         # with the stop level at V_off the lane browns out on its first
         # step.
         query = BatchQuery(plant=BatchPlant(), v_start=1.0)
-        free = advance_batch([query], [(0.02, 0.1)]).lane(0)
+        free, = advance_batch([query], [(0.02, 0.1)])
         assert free["energy"] == 0.0 and free["brownout"] is None
-        stopped = advance_batch([query], [(0.02, 0.1)],
-                                stop_below=1.6).lane(0)
+        stopped, = advance_batch([query], [(0.02, 0.1)], stop_below=1.6)
         assert stopped["brownout"] == stopped["time"] < 1e-3
 
 
@@ -184,27 +182,34 @@ class TestValidation:
 
 
 class TestSharedKey:
-    def test_equal_inputs_share_a_key(self):
-        shared = BatchShared()
-        key = shared_key(shared, MIXED_SEGMENTS, True, 1.6, "env-a")
-        assert key == shared_key(shared, MIXED_SEGMENTS, True, 1.6,
-                                 "env-a")
+    """The serving layer caches a simulate under its plant, its start
+    voltage and the inputs a batch shares: rails, segments, harvesting
+    mode, stop level and environment. That a difference in any of them
+    misses is asserted on the engine in ``tests/serve``."""
 
-    @pytest.mark.parametrize("variant", [
-        dict(shared=BatchShared(v_high=2.50)),
-        dict(segments=[(0.012, 0.05)]),
-        dict(harvesting=False),
-        dict(stop_below=None),
-        dict(env="env-b"),
-    ])
-    def test_any_shared_difference_changes_the_key(self, variant):
-        base = dict(shared=BatchShared(), segments=MIXED_SEGMENTS,
-                    harvesting=True, stop_below=1.6, env="env-a")
-        changed = dict(base)
-        changed.update(variant)
-        assert shared_key(base["shared"], base["segments"],
-                          base["harvesting"], base["stop_below"],
-                          base["env"]) != \
-            shared_key(changed["shared"], changed["segments"],
-                       changed["harvesting"], changed["stop_below"],
-                       changed["env"])
+    def test_equal_inputs_share_a_key(self):
+        # The same shared inputs, left to their defaults in one request
+        # and spelled out, built apart, in the other, hit one cache
+        # entry; the cached lane is advance_batch's answer on them.
+        shared = BatchShared()
+        env = EnvSpec(model="diurnal-solar", duration=60.0, seed=3)
+        defaulted = {"op": "simulate", "id": "s0", "v_start": 2.3,
+                     "trace": [list(seg) for seg in MIXED_SEGMENTS],
+                     "harvesting": True, "env": env.to_dict()}
+        spelled = dict(defaulted, id="s1", stop=True,
+                       trace=[list(seg) for seg in MIXED_SEGMENTS],
+                       env=env.to_dict(),
+                       system={"v_high": shared.v_high,
+                               "v_off": shared.v_off,
+                               "v_out": shared.v_out})
+        engine = AdmissionEngine()
+        first = engine.handle(defaulted)
+        again = engine.handle(spelled)
+        assert first["ok"] and engine.kernel_calls == 1
+        assert canonical({**again, "id": None}) == \
+            canonical({**first, "id": None})
+        expected, = _advance([BatchQuery(plant=BatchPlant(), v_start=2.3)],
+                             MIXED_SEGMENTS, "env", shared.v_off)
+        assert canonical({k: first[k] for k in expected}) == \
+            canonical(expected)
+

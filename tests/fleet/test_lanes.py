@@ -4,9 +4,9 @@ Each fleet device steps on the compiled scalar kernel with the plant
 packed from the fleet's arrays, so a lane must equal the device's scalar
 system (:meth:`FleetParams.device_system`) on the reference loop bit for
 bit: for every harvest kind, for bank fleets, for devices that brown out
-mid-trace and for devices a mask leaves idle. Without a compiled kernel
-the engine runs each device on the reference loop, with the same
-results and step counts.
+mid-trace and for devices a mask leaves idle. Without a compiled
+kernel, or under ``set_default_fast(False)``, the engine runs each
+device on the reference loop, with the same results and step counts.
 """
 
 import math
@@ -14,10 +14,11 @@ import math
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.env.spec import EnvSpec
 from repro.fleet.kernel import FleetRecorder, FleetState, advance
 from repro.fleet.spec import FleetBankSpec, FleetSpec
-from repro.sim import fastpath
+from repro.sim import engine as sim_engine, fastpath
 from repro.sim.engine import PowerSystemSimulator
 
 #: Loaded stretches that brown some devices of each fleet below out.
@@ -94,15 +95,37 @@ def _masked_run(spec):
     return arrays, state.device_steps, recorder.rows
 
 
-@pytest.mark.parametrize("kind", ["constant", "bank"])
+def _no_compiler(monkeypatch, spec):
+    monkeypatch.setattr(fastpath, "_kernel", False)
+    assert fastpath.lanes(spec.parameters().device_system(0), 1) is None
+
+
+def _fast_off(monkeypatch, spec):
+    monkeypatch.setattr(sim_engine, "DEFAULT_FAST", False)
+
+
+#: The two routes to the reference loop: no compiled kernel, and the
+#: process-wide fast default switched off (``set_default_fast(False)``).
+ROUTES = {"no-compiler": _no_compiler, "fast-off": _fast_off}
+
+
+@pytest.mark.parametrize("kind,route", [
+    pytest.param("constant", "no-compiler", id="constant"),
+    pytest.param("bank", "no-compiler", id="bank"),
+    pytest.param("constant", "fast-off", id="constant-fast-off"),
+    pytest.param("bank", "fast-off", id="bank-fast-off"),
+])
 def test_without_a_compiler_the_reference_loop_runs_each_device(
-        kind, monkeypatch):
+        kind, route, monkeypatch):
     spec = _spec(kind)
     arrays, steps, rows = _masked_run(spec)
     assert steps > 0 and 0 < np.count_nonzero(np.isnan(arrays[-1])) < 10
-    monkeypatch.setattr(fastpath, "_kernel", False)
-    assert fastpath.lanes(spec.parameters().device_system(0), 1) is None
-    reference = _masked_run(spec)
+    ROUTES[route](monkeypatch, spec)
+    with obs.observe() as observed:
+        reference = _masked_run(spec)
+    counters = observed.metrics.snapshot()["counters"]
+    assert counters.get("sim.fastpath.calls", 0) == 0
+    assert counters.get("sim.reference.calls", 0) > 0
     for ours, theirs in zip(reference[0], arrays):
         np.testing.assert_array_equal(ours, theirs)  # NaN == NaN here
     assert reference[1:] == (steps, rows)

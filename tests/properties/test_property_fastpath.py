@@ -108,10 +108,11 @@ class TestFastPathEquivalence:
         assert fast_v == ref_v
 
 
-# -- efficiency models: inlined stock curves and the called fallback ---------
+# -- efficiency models: inlined stock curves and the reference fallback -----
 
 class SqrtEfficiency:
-    """A non-stock efficiency model: the kernel calls ``efficiency``."""
+    """A non-stock efficiency model: ``fast=True`` runs the reference
+    loop for it."""
 
     def efficiency(self, v_in):
         return min(0.92, 0.58 * math.sqrt(v_in))

@@ -11,17 +11,32 @@ import pytest
 
 from repro import obs
 from repro.env.spec import EnvSpec
+from repro.fleet.batch import BatchPlant, BatchShared
+from repro.serve import engine as engine_module
 from repro.serve.cache import PersistentVsafeCache
 from repro.serve.client import ExpectedAnswers
 from repro.serve.engine import AdmissionEngine
 from repro.serve.protocol import canonical
 from repro.serve.sessions import DERATE_INITIAL
+from repro.sim import engine as sim_engine
+from repro.verify.runner import KNOWN_ESTIMATORS, build_estimator
 
 ADMIT = {"op": "admit", "id": "a0", "v_bank": 2.1,
          "app": "sense-store", "task": "sample"}
 SIMULATE = {"op": "simulate", "id": "s0", "v_start": 2.2,
             "trace": [[0.01, 0.2], [0.004, 0.35]]}
 ENV = EnvSpec(model="diurnal-solar", duration=60.0, seed=3).to_dict()
+#: An env-backed simulate, and one change to each part of its cache key
+#: other than the plant and the start voltage: rails, trace, harvesting
+#: mode, stop level and environment.
+ENV_SIMULATE = dict(SIMULATE, harvesting=True, env=ENV)
+KEY_CHANGES = {
+    "rails": dict(system={"v_high": 2.50}),
+    "segments": dict(trace=[[0.01, 0.2]]),
+    "harvesting": dict(harvesting=False),
+    "stop": dict(stop=False),
+    "env": dict(env=dict(ENV, seed=4)),
+}
 
 
 def _req(base, **overrides):
@@ -129,15 +144,14 @@ class TestSimulate:
                          "capacitance_tolerance": 0.1}),
         ])
 
-    def test_shared_key_groups_ride_one_kernel_call(self):
+    def test_distinct_simulates_run_once_each(self):
         engine = AdmissionEngine()
         batch = [_req(SIMULATE, id=f"s{i}", v_start=2.0 + 0.1 * i)
                  for i in range(4)]
         responses = engine.handle_batch(batch)
         assert all(r["ok"] for r in responses)
-        assert engine.kernel_calls == 1
-        assert engine.kernel_lanes == 4
-        # Each lane byte-identical to its solo answer.
+        assert engine.kernel_calls == len(batch)
+        # Each answer byte-identical to its solo answer.
         for req, response in zip(batch, responses):
             solo = AdmissionEngine().handle(dict(req))
             assert canonical({**response, "id": None}) == \
@@ -145,23 +159,66 @@ class TestSimulate:
 
     def test_repeat_simulate_hits_the_cache(self):
         engine = AdmissionEngine()
-        engine.handle(dict(SIMULATE))
-        assert engine.kernel_calls == 1
-        engine.handle(_req(SIMULATE, id="s9"))
-        assert engine.kernel_calls == 1   # served from cache, no kernel
+        for calls, base in enumerate((SIMULATE, ENV_SIMULATE), 1):
+            first = engine.handle(dict(base))
+            assert engine.kernel_calls == calls
+            again = engine.handle(_req(base, id="s9"))
+            assert engine.kernel_calls == calls   # from cache, no run
+            assert canonical({**again, "id": None}) == \
+                canonical({**first, "id": None})
 
     def test_different_v_start_misses_different_env_regroups(self):
         engine = AdmissionEngine()
         engine.handle(dict(SIMULATE))
         engine.handle(_req(SIMULATE, id="s1", v_start=1.9))
         assert engine.kernel_calls == 2
-        # Env-backed queries group by EnvSpec fingerprint.
+        # A different EnvSpec fingerprint misses, in one batch too.
         engine.handle_batch([
             _req(SIMULATE, id="s2", harvesting=True, env=ENV),
             _req(SIMULATE, id="s3", harvesting=True,
                  env=dict(ENV, seed=4)),
         ])
-        assert engine.kernel_calls == 4   # two groups, two calls
+        assert engine.kernel_calls == 4
+
+    @pytest.mark.parametrize("change", sorted(KEY_CHANGES))
+    def test_any_key_difference_misses(self, change):
+        engine = AdmissionEngine()
+        engine.handle(dict(ENV_SIMULATE))
+        changed = engine.handle(_req(ENV_SIMULATE, id="s1",
+                                     **KEY_CHANGES[change]))
+        assert changed["ok"]
+        assert engine.kernel_calls == 2
+        expected = ExpectedAnswers().expect(
+            _req(ENV_SIMULATE, id="s1", **KEY_CHANGES[change]))
+        assert canonical(changed) == canonical(expected)
+
+    def test_fast_off_reaches_a_served_simulate(self, monkeypatch):
+        default = AdmissionEngine().handle(dict(ENV_SIMULATE))
+        monkeypatch.setattr(sim_engine, "DEFAULT_FAST", False)
+        with obs.observe() as observed:
+            served = AdmissionEngine().handle(dict(ENV_SIMULATE))
+        counters = observed.metrics.snapshot()["counters"]
+        assert counters.get("sim.fastpath.calls", 0) == 0
+        assert counters.get("sim.reference.calls", 0) > 0
+        assert canonical(served) == canonical(default)
+
+    def test_a_run_that_raises_fails_alone(self, monkeypatch):
+        run = engine_module.advance_batch
+
+        def advance_batch(queries, *args, **kwargs):
+            if any(query.v_start == 1.9 for query in queries):
+                raise OverflowError("math range error")
+            return run(queries, *args, **kwargs)
+
+        batch = [_req(SIMULATE, id=f"s{i}", v_start=v)
+                 for i, v in enumerate((2.0, 1.9, 2.1))]
+        alone = [AdmissionEngine().handle(dict(batch[i])) for i in (0, 2)]
+        monkeypatch.setattr(engine_module, "advance_batch", advance_batch)
+        responses = AdmissionEngine().handle_batch(batch)
+        assert responses[1]["ok"] is False
+        assert responses[1]["error"] == "internal"
+        assert [canonical(responses[i]) for i in (0, 2)] == \
+            [canonical(r) for r in alone]
 
 
 class TestSessions:
@@ -200,6 +257,12 @@ class TestErrorContainment:
         assert response["ok"] is False
         assert response["error"] == "bad-request"
         assert response["id"] == req.get("id")
+
+    def test_every_served_estimator_has_a_cache_key(self):
+        # Admits key on it alone: it carries the plant and its rails.
+        system = BatchPlant().system(BatchShared())
+        for name in KNOWN_ESTIMATORS:
+            assert build_estimator(name, system).cache_key() is not None
 
     def test_one_bad_request_does_not_poison_the_batch(self):
         responses = AdmissionEngine().handle_batch([

@@ -55,35 +55,55 @@ class CalledSolar(SolarHarvester):
     ``power_at``, so the kernel asks Python for it."""
 
 
-def solar_plant():
-    """A plant whose harvester and both efficiency models are called by
-    Python: every step re-enters the kernel for all three values."""
+class Sqrt:
+    """A non-stock efficiency model: only the reference loop runs it."""
+
+    def efficiency(self, v):
+        return min(0.93, 0.6 * math.sqrt(v))
+
+
+def solar_plant(efficiency=None):
+    """A plant whose harvester Python evaluates: every step re-enters
+    the kernel for its power. ``efficiency`` replaces both boosters'
+    efficiency models."""
     system = capybara_power_system()
     system.harvester = CalledSolar(peak=6e-3, period=0.2)
-
-    class Sqrt:
-        def efficiency(self, v):
-            return min(0.93, 0.6 * math.sqrt(v))
-
-    system.output_booster.efficiency_model = Sqrt()
-    system.input_booster.efficiency_model = Sqrt()
+    if efficiency is not None:
+        system.output_booster.efficiency_model = efficiency
+        system.input_booster.efficiency_model = efficiency
     system.rest_at(2.3)
     return system
 
 
-def test_called_components_match_the_reference():
+def sampled_runs(efficiency=None):
+    """The called-solar plant on both loops with a sampler attached:
+    per loop, the end state, the sampler's count and minimum, and the
+    kernel and reference-loop calls."""
     trace = CurrentTrace([(0.015, 0.03), (0.0, 0.05), (0.03, 0.02)])
     runs = []
     for fast in (True, False):
         sampler = SamplingObserver(Adc(bits=12), 1e-3,
                                    burden_current=2e-4)
         sampler.enable(0.0)
-        out, calls = counted_run(fast, solar_plant(), trace, [sampler])
+        out, calls = counted_run(fast, solar_plant(efficiency), trace,
+                                 [sampler])
         runs.append((out, sampler.sample_count, sampler.v_min, calls))
     assert runs[0][:3] == runs[1][:3]
     assert runs[0][1] > 50
+    return runs
+
+
+def test_called_components_match_the_reference():
+    runs = sampled_runs()
     if HAS_COMPILER:
         assert runs[0][3][1] == 0  # the fast run never left the kernel
+
+
+def test_a_custom_efficiency_model_runs_the_reference_loop():
+    runs = sampled_runs(Sqrt())
+    assert fastpath.plant(solar_plant(Sqrt())) is None
+    kernel, reference = runs[0][3]
+    assert kernel == 0 and reference > 0
 
 
 def test_solar_harvest_is_evaluated_in_the_kernel():
