@@ -189,9 +189,9 @@ class AdaptiveCulpeoScheduler(IntermittentScheduler):
         super()._run_background_slice(result)
 
     def _idle(self, horizon: float) -> None:
-        """One hop per main-loop pass, not one call per stretch:
-        ``_maybe_reprofile`` may profile, which advances the engine, and a
-        hop generator must not change the simulator it is drawn from."""
+        """One hop per main-loop pass, not one wait per stretch:
+        ``_maybe_reprofile`` may profile before any hop, which advances
+        the engine, so the stretch cannot be one rule the kernel runs."""
         self._maybe_reprofile()
         self.engine.idle(self._idle_hop(horizon))
 

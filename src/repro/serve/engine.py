@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import traceback
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
@@ -66,31 +67,30 @@ from repro.serve.protocol import (
     canonical,
     error_response,
     ok_response,
+    system_config,
 )
 from repro.serve.sessions import SessionStore
 from repro.apps.programs import TASK_PROGRAMS, build_program
 from repro.verify.runner import KNOWN_ESTIMATORS, build_estimator
 
-#: Per-lane plant fields a request's ``system`` object may override.
-_PLANT_FIELDS = ("datasheet_capacitance", "capacitance_tolerance",
-                 "dc_esr", "c_decoupling", "leakage_current",
-                 "redist_fraction", "harvest_power")
-
-#: Rail fields: the monitor rails and the output rail of the plant.
-_SHARED_FIELDS = ("v_high", "v_off", "v_out")
+def _trace_internal_error() -> None:
+    """Leave a trace of the exception being handled, which the batch
+    answers as ``internal``: its traceback on stderr (the daemon's log)
+    and one ``serve.internal_errors`` count in :mod:`repro.obs`, which
+    reaches the daemon's ``--metrics-out`` snapshot."""
+    traceback.print_exc()
+    obs = _obs_current()
+    if obs is not None:
+        obs.metrics.counter("serve.internal_errors").inc()
 
 
 def _system_config(req: dict) -> tuple:
-    """The request's full plant configuration as a sorted, hashable key."""
-    system = req.get("system") or {}
+    """The request's ``(BatchPlant, BatchShared)``; a plant the batch
+    model rejects is a ``bad-request``."""
     try:
-        plant = BatchPlant(**{k: float(system[k]) for k in _PLANT_FIELDS
-                              if k in system})
+        return system_config(req)
     except ValueError as exc:
         raise ProtocolError(f"bad system: {exc}") from exc
-    shared = BatchShared(**{k: float(system[k]) for k in _SHARED_FIELDS
-                            if k in system})
-    return (plant, shared)
 
 
 class AdmissionEngine:
@@ -335,6 +335,7 @@ class AdmissionEngine:
                 responses[idx] = error_response(req_id, "internal",
                                                 f"{type(exc).__name__}: "
                                                 f"{exc}")
+                _trace_internal_error()
 
         self._observe_batch(n, admits, simulates, reports,
                             self.coalesced - coalesced_before,

@@ -67,7 +67,10 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Optional
+from dataclasses import fields
+from typing import Any, Dict, Optional, Tuple
+
+from repro.fleet.batch import BatchPlant, BatchShared
 
 PROTOCOL_VERSION = 1
 
@@ -83,14 +86,12 @@ INLINE_OPS = ("ping", "stats", "flush", "shutdown")
 #: not retryable: the same request will fail the same way.
 RETRYABLE_ERRORS = ("overloaded", "deadline")
 
-#: Plant override fields accepted in a request's ``system`` object —
-#: exactly the fields of :class:`repro.fleet.batch.BatchPlant` plus the
-#: rails of :class:`repro.fleet.batch.BatchShared`.
-SYSTEM_FIELDS = (
-    "datasheet_capacitance", "capacitance_tolerance", "dc_esr",
-    "c_decoupling", "leakage_current", "redist_fraction", "harvest_power",
-    "v_high", "v_off", "v_out",
-)
+_PLANT_FIELDS = tuple(f.name for f in fields(BatchPlant))
+_SHARED_FIELDS = tuple(f.name for f in fields(BatchShared))
+#: Plant override fields accepted in a request's ``system`` object: the
+#: fields of :class:`repro.fleet.batch.BatchPlant`, then the rails of
+#: :class:`repro.fleet.batch.BatchShared`.
+SYSTEM_FIELDS = _PLANT_FIELDS + _SHARED_FIELDS
 
 #: Device outcomes a ``report`` may carry.
 REPORT_OUTCOMES = ("brownout", "success")
@@ -187,6 +188,20 @@ def _check_task(req: dict) -> None:
         raise ProtocolError("'task' must be a string")
 
 
+def system_config(req: dict) -> Tuple[BatchPlant, BatchShared]:
+    """The plant a request names: its ``system`` overrides split into a
+    :class:`~repro.fleet.batch.BatchPlant` and the
+    :class:`~repro.fleet.batch.BatchShared` rails, with the defaults for
+    every field it leaves out. Raises ``ValueError`` for a plant
+    ``BatchPlant`` rejects."""
+    system = req.get("system") or {}
+    plant = BatchPlant(**{k: float(system[k]) for k in _PLANT_FIELDS
+                          if k in system})
+    shared = BatchShared(**{k: float(system[k]) for k in _SHARED_FIELDS
+                            if k in system})
+    return plant, shared
+
+
 def _check_system(req: dict) -> None:
     system = req.get("system")
     if system is None:
@@ -260,6 +275,7 @@ __all__ = [
     "REPORT_OUTCOMES",
     "RETRYABLE_ERRORS",
     "SYSTEM_FIELDS",
+    "system_config",
     "ProtocolError",
     "canonical",
     "decode_line",

@@ -3,7 +3,8 @@
  * PowerSystemSimulator._advance_reference for stock component types
  * (the two stock efficiency curves among them), compiled.
  * repro/sim/fastpath.py builds this file with the system C compiler,
- * loads it through ctypes and drives it segment by segment.
+ * loads it through ctypes and drives it segment by segment, or hands
+ * repro_wait a whole zero-load wait.
  *
  * Float rules. Every operation is the one the reference loop performs,
  * in the same order, on IEEE doubles, so results are bit-identical:
@@ -37,6 +38,23 @@
  * After K_DUE and K_CHUNK the step is finished on the next call
  * (`pending`); `begin` starts a new segment.
  *
+ * repro_wait runs a zero-load wait: hops drawn and stopped by one rule
+ * (the w_ fields), each hop one segment of the body above. A hop is
+ * min(w_hop, max(w_floor, w_until - time)), without the max when there
+ * is no floor. After each hop the wait stops on the first of, in order:
+ *   K_STALL    the terminal voltage rose by at most 1e-9 V for more
+ *              than w_stall hops in a row (w_stall < 0: never);
+ *   K_RISE     the terminal voltage is not below w_rise;
+ *   K_UNTIL    the time reached w_until;
+ *   K_OFF      the monitor is off (only with w_stop_off).
+ * The first hop is drawn unconditionally. repro_wait passes K_DUE,
+ * K_CHUNK, K_NEED and the errors on, and resumes the hop on the next
+ * call. It returns K_HOP when a hop is about to start and Python must
+ * act first: in an observed wait, at every hop, so Python refreshes the
+ * observers as at a segment's start; and after a hop that took no step,
+ * so a wait that cannot end stays interruptible. Every float and every
+ * comparison is the one PowerSystemSimulator's reference wait makes.
+ *
  * repro_advance_lanes is the fleet's entry: it runs one segment on
  * every lane of an array of states, each lane exactly as one
  * repro_advance call would.
@@ -46,7 +64,8 @@
 #include <stddef.h>
 
 enum {
-    K_END = 0, K_BROWN = 1, K_DUE = 2, K_CHUNK = 3, K_NEED = 4,
+    K_END = 0, K_BROWN = 1, K_DUE = 2, K_CHUNK = 3, K_NEED = 4, K_HOP = 5,
+    K_STALL = 6, K_RISE = 7, K_UNTIL = 8, K_OFF = 9,
     K_ZERODIV = -1, K_OVERFLOW = -2, K_NEGATIVE_POWER = -3, K_DOMAIN = -4
 };
 
@@ -77,14 +96,20 @@ struct kstate {
     double time_abs, v_min, energy;
     int harvest_mode;   /* 0 none, 1 constant, 2 other, 3 trace, 4 solar */
     int stopping, observed, chunked, chunk, hp_last, enabled;
+    /* a wait's rule (repro_wait) */
+    double w_hop, w_until, w_floor, w_rise;
+    int w_stall, w_has_floor, w_has_rise, w_stop_off;
     /* the segment and the step */
     double i_out, duration, burden, next_due;
     double start, elapsed, transient_window, dv_budget, total_out, p_out;
     double step_cap, t_last, v_new;
     double arg, x_power;        /* K_NEED */
+    double w_before;            /* the terminal voltage at the hop's start */
     long long steps;            /* steps taken since the state was packed */
     int has_due, out_on, drawing, hp_idx, n_volts;
     int begin, pending, have;
+    int w_flat, w_hopping, w_spun;  /* flat hops in a row; mid-hop; the
+                                     * last hop took no step */
 };
 
 size_t repro_kstate_size(void)
@@ -485,6 +510,60 @@ out:
     s->have = have;
     s->steps = steps;
     return code;
+}
+
+/* The terminal voltage the buffer reports: IdealCapacitor's
+ * max(0.0, v - i_last * esr), or the two-branch terminal node. */
+static double terminal(const struct kstate *s)
+{
+    double v;
+    if (!s->is_ideal)
+        return s->v_term;
+    v = s->v_oc - s->i_last * s->esr;
+    return v > 0.0 ? v : 0.0;
+}
+
+int repro_wait(struct kstate *s)
+{
+    for (;;) {
+        int code;
+        double v;
+        if (!s->w_hopping) {
+            /* draw the hop as Python's min(hop, max(floor, left)) does:
+             * max keeps the floor unless left > floor, min keeps the hop
+             * unless left < hop */
+            double left = s->w_until - s->time_abs;
+            if (s->w_has_floor && !(left > s->w_floor))
+                left = s->w_floor;
+            s->duration = left < s->w_hop ? left : s->w_hop;
+            s->i_out = 0.0;
+            s->begin = 1;
+            s->w_before = terminal(s);
+            s->w_hopping = 1;
+            if (s->observed || s->w_spun)
+                return K_HOP;
+        }
+        code = repro_advance(s);
+        if (code != K_END)
+            return code;
+        s->w_hopping = 0;
+        s->w_spun = !(s->elapsed > 0.0);
+        v = terminal(s);
+        if (s->w_stall >= 0) {
+            if (v <= s->w_before + 1e-9) {
+                if (++s->w_flat > s->w_stall)
+                    return K_STALL;
+            } else {
+                s->w_flat = 0;
+            }
+        }
+        if (s->w_has_rise && !(v < s->w_rise))
+            return K_RISE;
+        if (s->time_abs >= s->w_until)
+            return K_UNTIL;
+        if (s->w_stop_off && !s->enabled)
+            return K_OFF;
+    }
 }
 
 /* Run one segment on each of the n lanes whose run flag is set. The

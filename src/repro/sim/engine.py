@@ -17,19 +17,10 @@ execution stops (the task has failed) and the system must recharge to
 
 from __future__ import annotations
 
-import itertools
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import (
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import List, Optional, Protocol, runtime_checkable
 
 from repro.loads.trace import CurrentTrace
 from repro.obs import VOLTAGE_BUCKETS_V
@@ -41,7 +32,14 @@ from repro.power.reconfig import (
     split_at_offsets,
 )
 from repro.power.system import PowerSystem
-from repro.sim.fastpath import advance_segments
+from repro.sim.fastpath import (
+    OFF,
+    RISE,
+    STALL,
+    UNTIL,
+    Wait,
+    advance_segments,
+)
 
 #: Process-wide default for ``PowerSystemSimulator(fast=...)``. The fast
 #: kernel is bit-exact with the reference loop, so it is on by default;
@@ -56,16 +54,6 @@ def set_default_fast(value: bool) -> bool:
     old = DEFAULT_FAST
     DEFAULT_FAST = bool(value)
     return old
-
-
-def _zero_load(hops: Iterable[float]) -> Iterator[Tuple[float, float]]:
-    """``(0.0, hop)`` segments, drawn lazily; a hop that is not finite and
-    positive (NaN included) raises ``ValueError``."""
-    for hop in hops:
-        if not 0.0 < hop < math.inf:
-            raise ValueError("idle hop must be finite and positive, "
-                             f"got {hop}")
-        yield 0.0, hop
 
 
 @runtime_checkable
@@ -331,30 +319,62 @@ class PowerSystemSimulator:
                 return self.time
         return None
 
-    def _advance_span(self, segments, harvesting: bool,
-                      stop_below: Optional[float]) -> Optional[float]:
-        """Advance ``(i_out, duration)`` segments in order: a list, a
-        trace's segment iterator or a generator of hops.
+    def _wait_reference(self, rule: Wait, harvesting: bool) -> str:
+        """One zero-load wait on the reference loop: one
+        :meth:`_advance_reference` call per hop, then the rule's checks
+        in order (see :class:`~repro.sim.fastpath.Wait`). The compiled
+        kernel's ``repro_wait`` makes the same hops and checks."""
+        buffer = self.system.buffer
+        monitor = self.system.monitor
+        flat = 0
+        while True:
+            before = buffer.terminal_voltage
+            self._advance_reference(0.0, rule.next_hop(self.time),
+                                    harvesting, None)
+            v = buffer.terminal_voltage
+            if rule.stall is not None:
+                if v <= before + 1e-9:
+                    flat += 1
+                    if flat > rule.stall:
+                        return STALL
+                else:
+                    flat = 0
+            if rule.rise is not None and not v < rule.rise:
+                return RISE
+            if self.time >= rule.until:
+                return UNTIL
+            if rule.stop_off and not monitor.output_enabled:
+                return OFF
 
-        Returns the absolute time of a brown-out if the terminal voltage
-        crossed ``stop_below`` (and stops there), else ``None``.
-        ``i_out`` is defined at the regulated rail; observer burden is
-        added to it. The buffer sees the booster's input current minus
-        any harvester charge current.
+    def _advance_span(self, segments, harvesting: bool,
+                      stop_below: Optional[float]):
+        """Advance ``(i_out, duration)`` segments in order (a list or a
+        trace's segment iterator), or one zero-load
+        :class:`~repro.sim.fastpath.Wait`.
+
+        For segments, returns the absolute time of a brown-out if the
+        terminal voltage crossed ``stop_below`` (and stops there), else
+        ``None``. A wait ignores brown-outs (``stop_below`` is ``None``)
+        and returns the name of the check that ended it. ``i_out`` is
+        defined at the regulated rail; observer burden is added to it.
+        The buffer sees the booster's input current minus any harvester
+        charge current.
 
         This is the one place the engine picks its stepping loop. With
         ``fast`` it makes one :func:`~repro.sim.fastpath.advance_segments`
         call (the compiled kernel, or the reference loop for a system the
         kernel cannot run); with ``fast=False`` it makes one
-        :meth:`_advance_reference` call per segment and never enters the
-        fastpath. Sub-span grouping does not change the float-step
-        sequence: the kernel re-packs the plant per call but its
-        per-segment recurrence is identical, so per-span calls remain
+        :meth:`_advance_reference` call per segment or hop and never
+        enters the fastpath. Sub-span grouping does not change the
+        float-step sequence: the kernel re-packs the plant per call but
+        its per-segment recurrence is identical, so per-span calls remain
         bit-exact with a whole-trace call."""
         if not segments:
             return None
         if self.fast:
             return advance_segments(self, segments, harvesting, stop_below)
+        if isinstance(segments, Wait):
+            return self._wait_reference(segments, harvesting)
         for current, seg_duration in segments:
             hit = self._advance_reference(current, seg_duration, harvesting,
                                           stop_below)
@@ -510,28 +530,29 @@ class PowerSystemSimulator:
     def idle(self, duration: float, *, harvesting: bool = True) -> float:
         """Advance with no load (recharging if harvesting). Returns V_term.
 
-        The one-hop case of :meth:`idle_hops`; ``duration`` must be finite
-        and non-negative (0 advances nothing).
+        One zero-load segment of exactly ``duration`` (a :meth:`wait`
+        ending at ``time + duration`` may not, since ``(t + d) - t`` need
+        not equal ``d``); ``duration`` must be finite and non-negative
+        (0 advances nothing). Resets ``_v_min_seen`` and ``_energy_out``
+        as :meth:`wait` does.
         """
         if not 0.0 <= duration < math.inf:
             raise ValueError(
                 f"duration must be finite and non-negative, got {duration}")
-        self.idle_hops((duration,) if duration > 0 else (),
-                       harvesting=harvesting)
+        self._v_min_seen = self.system.buffer.terminal_voltage
+        self._energy_out = 0.0
+        if duration > 0:
+            self._advance_span(((0.0, duration),), harvesting, None)
         return self.system.buffer.terminal_voltage
 
-    def idle_hops(self, hops: Iterable[float], *,
-                  harvesting: bool = True) -> None:
-        """Advance zero-load hops of the given durations, in order.
+    def wait(self, rule: Wait, *, harvesting: bool = True) -> str:
+        """Run one zero-load wait under ``rule`` and return the name of
+        the check that ended it (:class:`~repro.sim.fastpath.Wait`).
 
-        ``hops`` may be a generator that reads the live simulator
-        (``time``, the buffer, the monitor) to choose its next hop or to
-        stop: both stepping loops leave those current after every hop. It
-        must not change anything. On the fast kernel the whole wait is one
-        call, on the reference loop one call per hop, and either takes the
-        same steps as one :meth:`idle` per hop. A hop that is not finite
-        and positive raises ``ValueError`` when it is drawn, after the
-        hops before it have run.
+        On the compiled kernel an unobserved wait is one C entry, however
+        many hops it takes; the reference loop makes one
+        :meth:`_advance_reference` call per hop. Either takes the same
+        steps as one :meth:`idle` per hop.
 
         ``_v_min_seen`` and ``_energy_out`` are reset once, here, so they
         cover the whole wait rather than its last hop. Nothing reads them
@@ -539,12 +560,7 @@ class PowerSystemSimulator:
         """
         self._v_min_seen = self.system.buffer.terminal_voltage
         self._energy_out = 0.0
-        segments = _zero_load(hops)
-        first = next(segments, None)
-        if first is None:
-            return  # no hop: pack no kernel state
-        self._advance_span(itertools.chain((first,), segments), harvesting,
-                           None)
+        return self._advance_span(rule, harvesting, None)
 
     def charge_until(self, v_target: float, *, max_time: float = 3600.0,
                      harvesting: bool = True) -> Optional[float]:
@@ -552,9 +568,11 @@ class PowerSystemSimulator:
 
         Returns the elapsed recharge time, or ``None`` if ``max_time``
         passed first, or the buffer stopped rising with no input ahead.
-        The 0.25 s chunks are :meth:`idle_hops`, so a recharge is one
-        kernel call. ``v_target`` must be finite and positive, ``max_time``
-        finite and non-negative.
+        The 0.25 s chunks are one wait, so a recharge is one kernel call
+        until a chunk leaves the voltage flat; the harvester is then
+        asked whether input lies ahead, and the wait goes on or ends.
+        ``v_target`` must be finite and positive, ``max_time`` finite and
+        non-negative.
         """
         if not 0.0 < v_target < math.inf:
             raise ValueError(
@@ -565,32 +583,25 @@ class PowerSystemSimulator:
         buffer = self.system.buffer
         start = self.time
         deadline = start + max_time
-        reached = False
-
-        def chunks():
-            nonlocal reached
-            while buffer.terminal_voltage < v_target:
-                if self.time >= deadline:
-                    return
-                v_before = buffer.terminal_voltage
-                yield min(0.25, deadline - self.time)
-                if buffer.terminal_voltage <= v_before + 1e-9:
-                    if not harvesting:
-                        return
-                    harvester = self.system.harvester
-                    if type(harvester) is TraceHarvester:
-                        # A recorded lull is not "no input" — positive
-                        # pieces may lie ahead; only a trace gone dark for
-                        # good bails.
-                        if harvester.max_power_after(self.time) <= 0:
-                            return
-                    elif harvester.power_at(self.time) <= 0:
-                        return  # nothing coming in; avoid spinning to deadline
-            reached = True
-
-        self.idle_hops(chunks(), harvesting=harvesting)
-        if not reached:
-            return None
+        chunks = Wait(0.25, deadline, rise=v_target, stall=0)
+        self._v_min_seen = buffer.terminal_voltage
+        self._energy_out = 0.0
+        while buffer.terminal_voltage < v_target:
+            if self.time >= deadline:
+                return None
+            if self._advance_span(chunks, harvesting, None) != STALL:
+                continue
+            # a flat chunk: wait on only while input lies ahead
+            if not harvesting:
+                return None
+            harvester = self.system.harvester
+            if type(harvester) is TraceHarvester:
+                # A recorded lull is not "no input" — positive pieces may
+                # lie ahead; only a trace gone dark for good bails.
+                if harvester.max_power_after(self.time) <= 0:
+                    return None
+            elif harvester.power_at(self.time) <= 0:
+                return None  # nothing coming in; avoid spinning to deadline
         self.system.monitor.observe(buffer.terminal_voltage)
         return self.time - start
 

@@ -25,10 +25,13 @@ loop.
 
 This module drives the C body. Per call it packs the plant's fields
 and the live state into one struct (the C body derives the buffer's
-constants from them); segment iteration stays here, in Python. The C
-body returns to Python at a segment end, a brown-out, a due observer
-sample, a full sample chunk, or at the start of a step that needs a
-value only Python can compute, and is then re-entered:
+constants from them). A load trace's segments are iterated here, in
+Python; a zero-load wait (:class:`Wait`) is one rule that the C body
+runs itself, drawing each hop and checking after it whether to stop.
+The C body returns to Python at a segment end, a brown-out, the end of
+a wait, a due observer sample, a full sample chunk, at the start of a
+step that needs a value only Python can compute, or at the start of an
+observed wait's hop, and is then re-entered:
 
 * Attached observers (ADC samplers, trace recorders, fault injectors)
   are scheduled exactly as the reference schedules them: samples already
@@ -55,12 +58,13 @@ value only Python can compute, and is then re-entered:
   :class:`~repro.power.harvester.TraceHarvester`) are evaluated in C.
   Any other harvester's ``power_at`` is called from Python at the start
   of each step that needs it, in the reference's order.
+* An unobserved wait on such a plant is one C entry, however many hops
+  it takes. An observed wait returns at the start of every hop, so
+  Python refreshes the observers there as a segment's start does.
 
-At the end of every segment Python writes back ``sim.time``, the
-buffer state and the monitor's enable state before it draws the next
-segment, so ``segments`` may be a generator that reads the live
-simulator (a whole wait is one call this way:
-:meth:`~repro.sim.engine.PowerSystemSimulator.idle_hops`).
+Python writes ``sim.time``, the buffer state and the monitor's enable
+state back at due steps, where observers read them, and once at the
+end of the call.
 
 A fleet steps its devices through the same body: :func:`lanes` holds one
 kernel state per device, and :func:`advance_lanes` runs a segment on
@@ -79,6 +83,7 @@ from __future__ import annotations
 import ctypes
 import errno
 import hashlib
+import math
 import os
 import platform
 import shutil
@@ -88,7 +93,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Any, Iterable, Optional, Tuple
+from typing import Any, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -114,9 +119,14 @@ from repro.sim.uarch import CulpeoUArchBlock
 #: ``on_samples``: bounds the buffer on long runs.
 _SAMPLE_CHUNK = 1024
 
-# Return codes of repro_advance (_kernel.c).
-_END, _BROWN, _DUE, _CHUNK, _NEED = 0, 1, 2, 3, 4
+# Return codes of repro_advance and repro_wait (_kernel.c).
+_END, _BROWN, _DUE, _CHUNK, _NEED, _HOP = 0, 1, 2, 3, 4, 5
+_STALL, _RISE, _UNTIL, _OFF = 6, 7, 8, 9
 _ZERODIV, _OVERFLOW, _NEGATIVE_POWER, _DOMAIN = -1, -2, -3, -4
+
+#: How a wait ended: the check that stopped it (see :class:`Wait`).
+STALL, RISE, UNTIL, OFF = "stall", "rise", "until", "off"
+_EXITS = {_STALL: STALL, _RISE: RISE, _UNTIL: UNTIL, _OFF: OFF}
 
 #: The efficiency models the kernel evaluates inline.
 _STOCK_EFFICIENCY = (LinearEfficiency, CurvedEfficiency)
@@ -137,12 +147,15 @@ _CALL_FIELDS = _fields(ctypes.c_void_p, "h_edges h_powers volts") + _fields(
     min_dt max_idle_dt idle_dv load_dv period stop_level
     v_oc i_last v_main v_red v_term time_abs v_min energy""") + _fields(
     ctypes.c_int, "harvest_mode stopping observed chunked chunk hp_last "
-                  "enabled")
+                  "enabled") + _fields(
+    ctypes.c_double, "w_hop w_until w_floor w_rise") + _fields(
+    ctypes.c_int, "w_stall w_has_floor w_has_rise w_stop_off")
 _STEP_FIELDS = _fields(ctypes.c_double, """
     i_out duration burden next_due start elapsed transient_window dv_budget
-    total_out p_out step_cap t_last v_new arg x_power
+    total_out p_out step_cap t_last v_new arg x_power w_before
     """) + _fields(ctypes.c_longlong, "steps") + _fields(ctypes.c_int, """
-    has_due out_on drawing hp_idx n_volts begin pending have""")
+    has_due out_on drawing hp_idx n_volts begin pending have
+    w_flat w_hopping w_spun""")
 
 
 class _State(ctypes.Structure):
@@ -155,6 +168,8 @@ class _State(ctypes.Structure):
 #: packs them in one go and zero-fills the rest (``_TAIL``).
 _ENTRY = struct.Struct("@" + "".join(
     ctype._type_ for _, ctype in _PLANT_FIELDS + _CALL_FIELDS))
+#: The call section's rule fields of a segment run (no wait).
+_NO_RULE = (0.0, 0.0, 0.0, 0.0, -1, 0, 0, 0)
 _TAIL = bytes(ctypes.sizeof(_State) - _ENTRY.size)
 #: ``struct kstate`` as a numpy record, for the fleet's lane arrays.
 _LANE = np.dtype(_State)
@@ -219,8 +234,9 @@ def _build():
     lib.repro_kstate_size.restype = ctypes.c_size_t
     if lib.repro_kstate_size() != ctypes.sizeof(_State):
         raise OSError(f"{path.name}: struct kstate does not match _State")
-    lib.repro_advance.argtypes = [ctypes.POINTER(_State)]
-    lib.repro_advance.restype = ctypes.c_int
+    for entry in (lib.repro_advance, lib.repro_wait):
+        entry.argtypes = [ctypes.POINTER(_State)]
+        entry.restype = ctypes.c_int
     lib.repro_advance_lanes.argtypes = [
         ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_double,
         ctypes.c_double, ctypes.c_void_p, ctypes.POINTER(ctypes.c_long)]
@@ -241,6 +257,73 @@ def _load():
                           RuntimeWarning, stacklevel=3)
             _kernel = False
     return _kernel or None
+
+
+class Wait:
+    """A zero-load wait: the one rule that draws its hops and ends it.
+
+    Each hop is ``min(hop, max(floor, until - time))``, or
+    ``min(hop, until - time)`` without a floor; the first is drawn
+    unconditionally. After each hop the wait ends on the first of these
+    checks, in this order, and returns its name:
+
+    * :data:`STALL`: the terminal voltage rose by at most 1e-9 V for more
+      than ``stall`` hops in a row (never, if ``stall`` is ``None``);
+    * :data:`RISE`: the terminal voltage is not below ``rise`` (never, if
+      ``rise`` is ``None``);
+    * :data:`UNTIL`: the time is ``until`` or later;
+    * :data:`OFF`: the monitor is off (only with ``stop_off``).
+
+    ``hop`` must be finite and positive, ``until`` and ``rise`` not NaN
+    (an infinite ``until`` is a wait without a deadline), ``floor``
+    finite and positive and ``stall`` a non-negative integer; anything
+    else raises ``ValueError``.
+
+    :meth:`~repro.sim.engine.PowerSystemSimulator.wait` runs one. On the
+    compiled kernel the C body draws and checks every hop (``repro_wait``
+    in ``_kernel.c``); the reference loop runs the same rule with one
+    ``_advance_reference`` call per hop. Both make the same hops, the
+    same checks and the same floats.
+    """
+
+    __slots__ = ("hop", "until", "floor", "rise", "stall", "stop_off")
+
+    def __init__(self, hop: float, until: float, *,
+                 floor: Optional[float] = None, rise: Optional[float] = None,
+                 stall: Optional[int] = None, stop_off: bool = False) -> None:
+        if not 0.0 < hop < math.inf:
+            raise ValueError(f"hop must be finite and positive, got {hop}")
+        if until != until:
+            raise ValueError("until must not be NaN")
+        if floor is not None and not 0.0 < floor < math.inf:
+            raise ValueError(
+                f"floor must be finite and positive, got {floor}")
+        if rise is not None and rise != rise:
+            raise ValueError("rise level must not be NaN")
+        if stall is not None and not (isinstance(stall, int) and stall >= 0):
+            raise ValueError(
+                f"stall must be a non-negative integer, got {stall}")
+        self.hop = hop
+        self.until = until
+        self.floor = floor
+        self.rise = rise
+        self.stall = stall
+        self.stop_off = stop_off
+
+    def next_hop(self, time: float) -> float:
+        """The hop a wait draws at ``time``."""
+        left = self.until - time
+        if self.floor is not None:
+            left = max(self.floor, left)
+        return min(self.hop, left)
+
+    def _entry(self) -> tuple:
+        """The rule fields of ``struct kstate``."""
+        return (self.hop, self.until,
+                0.0 if self.floor is None else self.floor,
+                0.0 if self.rise is None else self.rise,
+                -1 if self.stall is None else self.stall,
+                self.floor is not None, self.rise is not None, self.stop_off)
 
 
 def _stock_buffer(system):
@@ -381,47 +464,56 @@ def _raise(code: int, arg: float) -> None:
     raise RuntimeError(f"compiled kernel returned {code}")
 
 
-def advance_segments(sim, segments: Iterable[Tuple[float, float]],
+def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
+                                           Wait],
                      harvesting: bool,
-                     stop_below: Optional[float]) -> Optional[float]:
-    """Advance ``sim`` through ``(current, duration)`` segments.
+                     stop_below: Optional[float]) -> Union[None, float, str]:
+    """Advance ``sim`` through ``(current, duration)`` segments, or
+    through one zero-load :class:`Wait`.
 
     Mirrors a sequence of ``PowerSystemSimulator._advance_reference``
     calls exactly (same recurrence, same rounding, same observer
     schedule), mutating the simulator, buffer, monitor and observers in
-    place. Returns the absolute brown-out time if the terminal voltage
-    crossed ``stop_below`` (stopping there, mid-trace), else ``None``.
+    place. For segments, returns the absolute brown-out time if the
+    terminal voltage crossed ``stop_below`` (stopping there, mid-trace),
+    else ``None``. A wait runs as the reference wait does (one
+    ``_advance_reference`` per hop, the rule's checks after each), never
+    stops at a brown-out (``stop_below`` is ``None``) and returns the
+    name of the check that ended it.
 
-    With observers attached, each segment starts as a reference call
-    does: due times are refreshed, samples already due are delivered,
-    and ``loaded`` is read from the burden at that moment. Every step is
-    clamped to the next due time. At a due step this function writes back
-    time, buffer and monitor state, calls the engine's ``_notify`` (the
-    one notification routine both loops share), then hands the kernel
-    the monitor's enable state, the next due time and the burden. A lone
-    stock µArch block instead gets its due-step samples in chunks (see
-    the module docstring).
+    With observers attached, each segment, and each hop of a wait,
+    starts as a reference call does: due times are refreshed, samples
+    already due are delivered, and ``loaded`` is read from the burden at
+    that moment. Every step is clamped to the next due time. At a due
+    step this function writes back time, buffer and monitor state, calls
+    the engine's ``_notify`` (the one notification routine both loops
+    share), then hands the kernel the monitor's enable state, the next
+    due time and the burden. A lone stock µArch block instead gets its
+    due-step samples in chunks (see the module docstring).
 
-    At the end of every segment, before it draws the next one, the
-    function writes back ``sim.time``, the buffer state and the monitor's
-    enable state. So ``segments`` may be a generator that reads the live
-    simulator to choose its next segment or to stop (a scheduler wait is
-    one call this way). It must not change anything: the kernel does not
-    re-read these values.
+    Apart from due steps, the state is written back to the simulator
+    once, at the end of the call, so ``segments`` must not read the live
+    simulator.
 
     A system the kernel cannot run (see :func:`plant`) takes the
-    reference loop, one call per segment.
+    reference loop, one call per segment or hop.
     """
+    if isinstance(segments, Wait):
+        wait: Optional[Wait] = segments
+        pending: Iterator[Tuple[float, float]] = iter(())
+    else:
+        wait, pending = None, iter(segments)
     hoisted = plant(sim.system)
     if hoisted is None:
-        for current, duration in segments:
+        if wait is not None:
+            return sim._wait_reference(wait, harvesting)  # noqa: SLF001
+        for current, duration in pending:
             hit = sim._advance_reference(  # noqa: SLF001
                 current, duration, harvesting, stop_below)
             if hit is not None:
                 return hit
         return None
     buffer, is_ideal, harvester, harvest_kind, values = hoisted
-    kernel = _kernel.repro_advance
 
     # Observability: count kernel entries at batch granularity. The
     # disabled cost is one global read per whole-trace (or whole-wait)
@@ -472,57 +564,76 @@ def advance_segments(sim, segments: Iterable[Tuple[float, float]],
         v_oc, i_last, v_main, v_red, v_term,
         sim.time, sim._v_min_seen, sim._energy_out,  # noqa: SLF001
         harvest_mode, stopping, observed, block is not None, _SAMPLE_CHUNK,
-        hp_last, monitor.output_enabled) + _TAIL)
-    brown_time: Optional[float] = None
+        hp_last, monitor.output_enabled,
+        *(_NO_RULE if wait is None else wait._entry())) + _TAIL)
 
-    for i_out, seg_duration in segments:
-        if observed:
-            sim._refresh_observer_due()  # noqa: SLF001
-            next_due = sim._next_due     # noqa: SLF001
-            if next_due is not None and next_due <= st.time_abs + 1e-12:
-                # due at the segment's first instant: sample before stepping
-                _write_back(sim, st, buffer, is_ideal)
-                next_due = sim._notify()           # noqa: SLF001
-                st.enabled = monitor.output_enabled
-            st.burden = sim._burden()    # noqa: SLF001
-            _set_due(st, next_due)
-        st.i_out = i_out
-        st.duration = seg_duration
-        st.begin = 1
-        code = kernel(st)
-        while code != _END:
-            if code == _CHUNK:
-                block.on_samples(volts[:_SAMPLE_CHUNK], st.t_last)
-                st.n_volts = 0
-            elif code == _DUE:
-                # _notify's due step: write back what observers read,
-                # deliver the samples, hand back what they may change
-                _write_back(sim, st, buffer, is_ideal)
-                next_due = sim._notify()                 # noqa: SLF001
-                st.enabled = monitor.output_enabled      # SupplyGlitch
-                st.burden = sim._burden()                # noqa: SLF001
-                _set_due(st, next_due)
-            elif code == _NEED:
-                st.x_power = power_at(st.arg)
-                st.have = 1
-            elif code == _BROWN:
-                brown_time = st.time_abs
-                break
-            else:
-                _raise(code, st.arg)
-            code = kernel(st)
+    def begin() -> None:
+        # a reference call's start: hand over the µArch samples so far,
+        # refresh the due times, deliver what is due at this instant
+        # (before the first step) and read the burden
         if volts is not None and st.n_volts:
             block.on_samples(volts[:st.n_volts], st.t_last)
             st.n_volts = 0
-        # -- write state back: live between segments, so ``segments`` may
-        # read it to choose its next hop or to stop (never to change it)
-        _write_back(sim, st, buffer, is_ideal)
-        if brown_time is not None:
-            break
+        sim._refresh_observer_due()  # noqa: SLF001
+        next_due = sim._next_due     # noqa: SLF001
+        if next_due is not None and next_due <= st.time_abs + 1e-12:
+            _write_back(sim, st, buffer, is_ideal)
+            next_due = sim._notify()           # noqa: SLF001
+            st.enabled = monitor.output_enabled
+        st.burden = sim._burden()    # noqa: SLF001
+        _set_due(st, next_due)
 
+    result: Union[None, float, str] = None
+    if wait is None:
+        entry, code = _kernel.repro_advance, _END
+    else:
+        entry = _kernel.repro_wait
+        code = entry(st)
+    while True:
+        if code == _END:
+            # the next segment (a wait's hops are drawn in C)
+            seg = next(pending, None)
+            if seg is None:
+                break
+            if observed:
+                begin()
+            st.i_out, st.duration = seg
+            st.begin = 1
+        elif code == _HOP:
+            # an observed wait's next hop (or one after a hop that took
+            # no step) is about to start
+            if observed:
+                begin()
+        elif code == _CHUNK:
+            block.on_samples(volts[:_SAMPLE_CHUNK], st.t_last)
+            st.n_volts = 0
+        elif code == _DUE:
+            # _notify's due step: write back what observers read,
+            # deliver the samples, hand back what they may change
+            _write_back(sim, st, buffer, is_ideal)
+            next_due = sim._notify()                 # noqa: SLF001
+            st.enabled = monitor.output_enabled      # SupplyGlitch
+            st.burden = sim._burden()                # noqa: SLF001
+            _set_due(st, next_due)
+        elif code == _NEED:
+            st.x_power = power_at(st.arg)
+            st.have = 1
+        elif code == _BROWN:
+            result = st.time_abs
+            break
+        elif code < 0:
+            _raise(code, st.arg)
+        else:
+            result = _EXITS[code]
+            break
+        code = entry(st)
+
+    if volts is not None and st.n_volts:
+        block.on_samples(volts[:st.n_volts], st.t_last)
+    _write_back(sim, st, buffer, is_ideal)
     sim._v_min_seen = st.v_min   # noqa: SLF001
     sim._energy_out = st.energy  # noqa: SLF001
-    return brown_time
+    return result
 
 
 def lanes(system, n: int) -> Optional[np.ndarray]:

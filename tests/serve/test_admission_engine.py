@@ -202,7 +202,7 @@ class TestSimulate:
         assert counters.get("sim.reference.calls", 0) > 0
         assert canonical(served) == canonical(default)
 
-    def test_a_run_that_raises_fails_alone(self, monkeypatch):
+    def test_a_run_that_raises_fails_alone(self, monkeypatch, capsys):
         run = engine_module.advance_batch
 
         def advance_batch(queries, *args, **kwargs):
@@ -214,11 +214,17 @@ class TestSimulate:
                  for i, v in enumerate((2.0, 1.9, 2.1))]
         alone = [AdmissionEngine().handle(dict(batch[i])) for i in (0, 2)]
         monkeypatch.setattr(engine_module, "advance_batch", advance_batch)
-        responses = AdmissionEngine().handle_batch(batch)
+        with obs.observe() as observed:
+            responses = AdmissionEngine().handle_batch(batch)
         assert responses[1]["ok"] is False
         assert responses[1]["error"] == "internal"
         assert [canonical(responses[i]) for i in (0, 2)] == \
             [canonical(r) for r in alone]
+        # the contained failure leaves a count and a traceback
+        counters = observed.metrics.snapshot()["counters"]
+        assert counters.get("serve.internal_errors") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "OverflowError: math range" in err
 
 
 class TestSessions:

@@ -6,13 +6,16 @@ representation. The validation layer's job is to keep garbage out of the
 engine with ``bad-request`` errors the client can act on.
 """
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.fleet.batch import BatchPlant, BatchShared
 from repro.serve.protocol import (
     OPS,
     PROTOCOL_VERSION,
+    SYSTEM_FIELDS,
     ProtocolError,
     canonical,
     decode_line,
@@ -20,6 +23,7 @@ from repro.serve.protocol import (
     error_response,
     ok_response,
     parse_request,
+    system_config,
 )
 
 
@@ -152,3 +156,31 @@ class TestParseRequest:
         req = decode_line((template % literal).encode("utf-8"))
         with pytest.raises(ProtocolError, match="finite"):
             parse_request(req)
+
+
+class TestSystemConfig:
+    """One split from a request's ``system`` object to the batch plant
+    and its rails, shared by the engine and the differential client."""
+
+    def test_wire_names_are_the_plant_then_the_rails(self):
+        # the order the ``unknown system field`` answer lists them in
+        assert SYSTEM_FIELDS == (
+            "datasheet_capacitance", "capacitance_tolerance", "dc_esr",
+            "c_decoupling", "leakage_current", "redist_fraction",
+            "harvest_power", "v_high", "v_off", "v_out")
+
+    def test_every_field_reaches_the_plant_or_the_rails(self):
+        system = {name: (k + 1) / 100 for k, name in
+                  enumerate(SYSTEM_FIELDS)}
+        plant, shared = system_config({"system": system})
+        assert {**dataclasses.asdict(plant),
+                **dataclasses.asdict(shared)} == system
+
+    def test_defaults_fill_what_the_request_leaves_out(self):
+        assert system_config({}) == (BatchPlant(), BatchShared())
+        assert system_config({"system": {"v_off": 1.7}}) == (
+            BatchPlant(), BatchShared(v_off=1.7))
+
+    def test_a_plant_the_batch_model_rejects_raises(self):
+        with pytest.raises(ValueError):
+            system_config({"system": {"redist_fraction": 1.5}})

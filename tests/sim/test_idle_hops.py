@@ -1,32 +1,44 @@
-"""Zero-load waits as one engine call: ``idle_hops`` and ``charge_until``.
+"""Zero-load waits as one rule: ``PowerSystemSimulator.wait`` and
+``charge_until``.
 
-``PowerSystemSimulator.idle_hops`` hands the fast kernel its hops lazily.
-Between hops the simulator is live, so a generator may read the time,
-the buffer and the monitor to choose its next hop or to stop. Each test
-here drives one reading generator two ways, through one ``idle_hops``
-call and through one ``idle`` call per hop, on both stepping loops, and
-compares with ``==``: the final state, every hop boundary and every
-observer capture. ``charge_until`` is compared with a transcription of
-its per-chunk loop, one ``_advance_span`` call per 0.25 s chunk.
+A :class:`~repro.sim.fastpath.Wait` draws each hop and checks after it
+whether to stop; the compiled kernel runs the whole rule in C, the
+reference loop runs it with one ``_advance_reference`` call per hop.
+Each test here runs a rule two ways, as one wait and as one ``idle``
+call per hop (the rule's hop size and checks written out below), on both
+stepping loops, and compares with ``==``: the exit, the final state and
+every observer capture. ``charge_until`` is compared with a
+transcription of its per-chunk loop, one ``_advance_span`` call per
+0.25 s chunk.
 """
 
 import math
 
 import pytest
 
+import repro.sim.fastpath as fastpath
 from repro.power.capacitor import IdealCapacitor
 from repro.power.harvester import ConstantPowerHarvester, TraceHarvester
 from repro.power.reconfigurable import ReconfigurableBuffer, capybara_bank_set
 from repro.power.system import capybara_power_system
 from repro.sim.adc import Adc, SamplingObserver
 from repro.sim.engine import PowerSystemSimulator
+from repro.sim.fastpath import OFF, RISE, STALL, UNTIL, Wait
 from repro.sim.faults import SupplyGlitch
 from repro.sim.uarch import CaptureMode, CulpeoUArchBlock
 
-#: Hop sizes a test wait cycles through: long, short and sub-step ones.
-HOPS = (0.05, 0.013, 0.0007, 0.031, 0.002)
-#: Bound on a test wait, so a wait that reads stale state fails, not hangs.
-MAX_HOPS = 400
+#: Bound on a per-hop wait, so a transcription that never stops fails.
+MAX_HOPS = 2000
+
+#: Rules every matrix case runs, built from the start time and voltage.
+RULES = {
+    # many hops to the deadline; the floor draws the last one
+    "until": lambda t0, v0: Wait(0.013, t0 + 0.0914, floor=1e-3),
+    # every check armed: a rise (constant harvest), a stall (no harvest,
+    # or the trace's dark lull), or the monitor forced off (the glitch)
+    "checks": lambda t0, v0: Wait(0.0107, t0 + 0.5, rise=v0 + 0.01,
+                                  stall=2, stop_off=True),
+}
 
 
 def build_system(kind, harvest, v_start=2.3):
@@ -78,42 +90,61 @@ def buffer_state(buffer):
     return (buffer.terminal_voltage, tuple(sorted(vars(inner).items())))
 
 
-def live_wait(sim, t_end, v_stop, log):
-    """Hops of varied size until ``t_end`` or until the voltage reaches
-    ``v_stop``, both read live; logs ``(time, V_term, monitor on)`` at
-    every hop boundary."""
+def idle_per_hop(sim, rule, harvesting, log):
+    """``rule`` as one ``idle`` per hop, its hop size and its checks
+    written out here: the loop a wait replaces. Logs ``(time, V_term,
+    monitor on)`` after every hop and returns the exit."""
     buffer = sim.system.buffer
     monitor = sim.system.monitor
-    for k in range(MAX_HOPS):
-        if sim.time >= t_end or buffer.terminal_voltage >= v_stop:
-            return
-        yield min(HOPS[k % len(HOPS)], t_end - sim.time)
-        log.append((sim.time, buffer.terminal_voltage,
-                    monitor.output_enabled))
+    flat = 0
+    for _ in range(MAX_HOPS):
+        left = rule.until - sim.time
+        if rule.floor is not None:
+            left = max(rule.floor, left)
+        before = buffer.terminal_voltage
+        sim.idle(min(rule.hop, left), harvesting=harvesting)
+        v = buffer.terminal_voltage
+        log.append((sim.time, v, monitor.output_enabled))
+        if rule.stall is not None:
+            flat = flat + 1 if v <= before + 1e-9 else 0
+            if flat > rule.stall:
+                return STALL
+        if rule.rise is not None and not v < rule.rise:
+            return RISE
+        if sim.time >= rule.until:
+            return UNTIL
+        if rule.stop_off and not monitor.output_enabled:
+            return OFF
+    raise AssertionError("the per-hop wait did not stop")
 
 
-def drive(system, observers, *, fast, batched, harvesting, t_end, v_rise,
+def drive(system, observers, rule_of, *, fast, per_hop, harvesting,
           start_off=False):
+    """Run one rule on a fresh simulator: ``(outcome, hop log)``; the
+    log is empty for a wait, which returns to Python only at its end."""
     sim = PowerSystemSimulator(system, fast=fast)
     if start_off:
         system.monitor.force_enabled(False)
     captures = attach(observers, sim)
+    rule = rule_of(sim.time, system.buffer.terminal_voltage)
     log = []
-    hops = live_wait(sim, t_end, system.buffer.terminal_voltage + v_rise,
-                     log)
-    if batched:
-        sim.idle_hops(hops, harvesting=harvesting)
+    if per_hop:
+        exit_ = idle_per_hop(sim, rule, harvesting, log)
     else:
-        for hop in hops:
-            sim.idle(hop, harvesting=harvesting)
-    return (sim.time, buffer_state(system.buffer),
-            system.monitor.output_enabled, log, captures())
+        exit_ = sim.wait(rule, harvesting=harvesting)
+    return (exit_, sim.time, buffer_state(system.buffer),
+            system.monitor.output_enabled, captures()), log
 
 
-def four_runs(build, observers, **kwargs):
-    """One idle_hops call and one idle per hop, on both loops."""
-    return [drive(build(), observers, fast=fast, batched=batched, **kwargs)
-            for fast in (True, False) for batched in (True, False)]
+def four_runs(build, observers, rule_of, **kwargs):
+    """The rule as one wait and as one idle per hop, on both loops:
+    the four outcomes and the per-hop log (equal on both loops)."""
+    runs = [drive(build(), observers, rule_of, fast=fast, per_hop=per_hop,
+                  **kwargs)
+            for fast in (True, False) for per_hop in (True, False)]
+    outcomes = [outcome for outcome, _ in runs]
+    assert runs[0][1] == runs[2][1]  # the per-hop runs' hop boundaries
+    return outcomes, runs[0][1]
 
 
 class TestIdleHopsMatchesIdlePerHop:
@@ -122,55 +153,161 @@ class TestIdleHopsMatchesIdlePerHop:
     @pytest.mark.parametrize("kind", ["ideal", "two-branch",
                                       "reconfigurable"])
     def test_bit_exact(self, kind, harvest, observers):
-        runs = four_runs(lambda: build_system(kind, harvest), observers,
-                         harvesting=harvest != "off", t_end=0.1,
-                         v_rise=0.02)
-        assert runs[0] == runs[1] == runs[2] == runs[3]
-        assert len(runs[0][3]) >= 3  # the wait took several hops
+        for name, rule_of in RULES.items():
+            outcomes, log = four_runs(lambda: build_system(kind, harvest),
+                                      observers, rule_of,
+                                      harvesting=harvest != "off")
+            assert outcomes[0] == outcomes[1] == outcomes[2] \
+                == outcomes[3], name
+            if name == "until":
+                assert outcomes[0][0] == UNTIL and len(log) >= 7
+                assert log[-1][0] - log[-2][0] == pytest.approx(1e-3)
+            elif observers == "glitch":
+                assert outcomes[0][0] == OFF
+            else:
+                assert outcomes[0][0] == (RISE if harvest == "constant"
+                                          else STALL)
+                assert len(log) >= 3
 
     def test_voltage_stop_is_read_live(self):
-        runs = four_runs(lambda: build_system("two-branch", "constant"),
-                         "none", harvesting=True, t_end=0.5, v_rise=1e-3)
-        assert runs[0] == runs[1] == runs[2] == runs[3]
-        t_final = runs[0][0]
-        assert t_final < 0.5  # stopped on the voltage, not the clock
+        outcomes, log = four_runs(
+            lambda: build_system("two-branch", "constant"), "none",
+            lambda t0, v0: Wait(0.013, t0 + 0.5, rise=v0 + 0.006),
+            harvesting=True)
+        assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+        assert outcomes[0][0] == RISE and len(log) >= 2
+        assert outcomes[0][1] < 0.5  # stopped on the voltage, not the clock
 
     def test_monitor_turns_on_mid_wait(self):
         """A device off just under V_high comes back on during the wait;
-        every hop boundary sees the live monitor."""
-        runs = four_runs(
+        the kernel carries the live monitor from hop to hop."""
+        outcomes, log = four_runs(
             lambda: build_system("two-branch", "constant", v_start=2.54),
-            "none", harvesting=True, t_end=1.0, v_rise=1.0, start_off=True)
-        assert runs[0] == runs[1] == runs[2] == runs[3]
-        enabled = [on for _, _, on in runs[0][3]]
+            "none", lambda t0, v0: Wait(0.013, t0 + 1.0),
+            harvesting=True, start_off=True)
+        assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+        enabled = [on for _, _, on in log]
         assert not enabled[0] and enabled[-1]
 
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_stall_exit(self, fast):
+        """At rest with no harvest the voltage stays flat: a stall count
+        of 2 ends the wait after its third flat hop."""
+        for per_hop in (True, False):
+            (exit_, t_final, *_), _ = drive(
+                build_system("two-branch", "off"), "none",
+                lambda t0, v0: Wait(0.013, t0 + 1.0, stall=2), fast=fast,
+                per_hop=per_hop, harvesting=False)
+            assert exit_ == STALL
+            assert t_final == pytest.approx(3 * 0.013)
+
+    def test_stall_counts_flat_hops_in_a_row(self):
+        """Lit and dark hops alternate: a rising hop resets the count, so
+        a stall count of 1 never fires."""
+        def build():
+            system = build_system("two-branch", "off")
+            system.harvester = TraceHarvester.from_pieces(
+                [(8e-3 * (k % 2 == 0), 0.013) for k in range(20)])
+            return system
+
+        outcomes, log = four_runs(
+            build, "none", lambda t0, v0: Wait(0.013, t0 + 0.2, stall=1),
+            harvesting=True)
+        assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+        assert outcomes[0][0] == UNTIL and len(log) >= 15
+
+    @pytest.mark.parametrize("case", ["stall-then-rise", "rise-then-until",
+                                      "until-then-off"])
+    def test_checks_run_in_order(self, case):
+        """After a hop on which two checks hold, the earlier one names
+        the exit."""
+        harvest, observers, rule_of, expected = {
+            "stall-then-rise": ("off", "none", lambda t0, v0: Wait(
+                0.013, t0 + 1.0, rise=v0, stall=0), STALL),
+            "rise-then-until": ("constant", "none", lambda t0, v0: Wait(
+                0.05, t0 + 0.05, rise=v0 + 1e-3), RISE),
+            "until-then-off": ("constant", "glitch", lambda t0, v0: Wait(
+                0.05, t0 + 0.05, stop_off=True), UNTIL),
+        }[case]
+        outcomes, log = four_runs(lambda: build_system("two-branch", harvest),
+                                  observers, rule_of,
+                                  harvesting=harvest != "off")
+        assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+        assert outcomes[0][0] == expected and len(log) == 1
+
     def test_one_kernel_call_per_wait(self, monkeypatch):
+        """An unobserved wait of many hops is one ``advance_segments``
+        call and enters the C body once."""
         import repro.sim.engine as engine_mod
         calls = []
-        kernel = engine_mod.advance_segments
-
-        def counting(*args):
-            calls.append(1)
-            return kernel(*args)
-
-        monkeypatch.setattr(engine_mod, "advance_segments", counting)
+        advance = engine_mod.advance_segments
+        monkeypatch.setattr(
+            engine_mod, "advance_segments",
+            lambda *args: calls.append(1) or advance(*args))
+        kernel = CountingKernel(fastpath._load())
+        monkeypatch.setattr(fastpath, "_kernel", kernel)
         sim = PowerSystemSimulator(build_system("two-branch", "constant"))
-        sim.idle_hops(iter(HOPS))
-        assert len(calls) == 1
-        sim.idle_hops(iter(()))  # no hop: no kernel call
-        assert len(calls) == 1
+        assert sim.wait(Wait(0.013, 2.0)) == UNTIL
+        assert sim.time >= 2.0  # about 154 hops
+        assert len(calls) == 1 and kernel.waits == 1
+
+    def test_a_hop_without_a_step_returns_to_python(self, monkeypatch):
+        """A hop too short for a step leaves the C body before the next,
+        so a wait that cannot end stays interruptible."""
+        kernel = CountingKernel(fastpath._load())
+        monkeypatch.setattr(fastpath, "_kernel", kernel)
+        sim = PowerSystemSimulator(build_system("two-branch", "constant"))
+        sim.idle(0.01)
+        t0 = sim.time
+        assert sim.wait(Wait(0.05, t0 + 1e-13, stall=2)) == STALL
+        assert sim.time == t0 and kernel.waits == 3
+
+
+class CountingKernel:
+    """The loaded kernel library, counting entries into its wait."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.waits = 0
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def repro_wait(self, state):
+        self.waits += 1
+        return self.lib.repro_wait(state)
 
 
 class TestHopValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.01])
     @pytest.mark.parametrize("fast", [True, False])
     def test_bad_hop_raises_after_the_good_ones(self, bad, fast):
+        """The rule rejects a bad hop when it is made: the waits before
+        it keep their hops, and nothing more runs."""
         sim = PowerSystemSimulator(build_system("two-branch", "constant"),
                                    fast=fast)
+        assert sim.wait(Wait(0.01, 0.03)) == UNTIL
+        t = sim.time
         with pytest.raises(ValueError):
-            sim.idle_hops(iter([0.01, 0.02, bad, 0.03]))
-        assert sim.time == 0.01 + 0.02
+            sim.wait(Wait(bad, 1.0))
+        assert sim.time == t and t >= 0.03
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(until=math.nan), dict(floor=0.0), dict(floor=math.nan),
+        dict(floor=math.inf), dict(rise=math.nan), dict(stall=-1),
+        dict(stall=1.5)],
+        ids=["until-nan", "floor-zero", "floor-nan", "floor-inf",
+             "rise-nan", "stall-negative", "stall-fraction"])
+    def test_bad_rule_raises(self, kwargs):
+        args = dict(until=1.0) | kwargs
+        with pytest.raises(ValueError):
+            Wait(0.05, args.pop("until"), **args)
+
+    def test_infinite_levels_are_waits_without_that_stop(self):
+        sim = PowerSystemSimulator(build_system("two-branch", "constant"))
+        assert sim.wait(Wait(0.05, 0.2, rise=math.inf)) == UNTIL
+        v = sim.system.buffer.terminal_voltage
+        assert sim.wait(Wait(0.05, math.inf, rise=v + 0.01)) == RISE
 
 
 class TestNonFiniteWaits:
@@ -204,7 +341,7 @@ class TestNonFiniteWaits:
 def charge_until_per_chunk(sim, v_target, *, max_time=3600.0,
                            harvesting=True):
     """``charge_until`` as one engine call per 0.25 s chunk: its loop
-    before the chunks became one :meth:`idle_hops` call."""
+    before the chunks became one wait."""
     sim._v_min_seen = sim.system.buffer.terminal_voltage
     sim._energy_out = 0.0
     start = sim.time
