@@ -8,7 +8,7 @@ arrival processes, and the optional background task. Specs are declarative;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -22,7 +22,6 @@ distinguishes three outcomes callers previously could not tell apart:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.loads.trace import CurrentTrace
 from repro.power.system import PowerSystem

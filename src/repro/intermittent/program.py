@@ -9,7 +9,7 @@ re-executes from scratch after the platform recharges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
 from repro.loads.trace import CurrentTrace

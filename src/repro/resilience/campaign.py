@@ -55,6 +55,7 @@ from repro.resilience.injectors import (
     FaultInjector,
     injector_from_dict,
 )
+from repro.sched.adaptive import decay_derate, raise_derate
 from repro.sched.gating import program_gates
 from repro.verify.generators import trial_rng
 
@@ -151,17 +152,15 @@ class AdaptiveGate:
 
     Wraps the estimator's per-task V_safe values in the executor's gate
     protocol: callable for the launch level, plus ``on_brownout`` /
-    ``on_success`` feedback hooks. A brown-out past the gate doubles the
-    task's derate (starting at ``initial``); each commit halves it — the
-    executor-side mirror of the adaptive scheduler's chain derating.
+    ``on_success`` feedback hooks. A brown-out past the gate raises the
+    task's derate and each commit decays it, by the adaptive scheduler's
+    rule for its chain gates (:func:`~repro.sched.adaptive.raise_derate`,
+    :func:`~repro.sched.adaptive.decay_derate`).
     """
 
-    def __init__(self, base: Dict[str, float], v_high: float, *,
-                 initial: float = 0.02, maximum: float = 0.5) -> None:
+    def __init__(self, base: Dict[str, float], v_high: float) -> None:
         self.base = base
         self.v_high = v_high
-        self.initial = initial
-        self.maximum = maximum
         self.derate: Dict[str, float] = {}
         self.backoffs = 0
 
@@ -170,19 +169,15 @@ class AdaptiveGate:
         return min(self.v_high, level)
 
     def on_brownout(self, task: AtomicTask) -> None:
-        current = self.derate.get(task.name, 0.0)
-        self.derate[task.name] = (self.initial if current <= 0.0
-                                  else min(self.maximum, current * 2.0))
+        self.derate[task.name] = raise_derate(self.derate.get(task.name, 0.0))
         self.backoffs += 1
 
     def on_success(self, task: AtomicTask) -> None:
-        current = self.derate.get(task.name, 0.0)
-        if current > 0.0:
-            halved = current / 2.0
-            if halved < 1e-3:
-                self.derate.pop(task.name, None)
-            else:
-                self.derate[task.name] = halved
+        derate = decay_derate(self.derate.get(task.name, 0.0))
+        if derate:
+            self.derate[task.name] = derate
+        else:
+            self.derate.pop(task.name, None)
 
 
 def _classify(report: ExecutionReport, gate: AdaptiveGate,
@@ -492,6 +487,10 @@ def run_campaign(trials: int, *, seed: int = 0, jobs: int = 1,
                       else default_injector_dicts(include_bank=bank_axis))
     for data in injector_dicts:
         injector_from_dict(data)  # validate early, in the parent
+    for axis, values in (("estimators", names), ("apps", app_names),
+                         ("injectors", injector_dicts)):
+        if not values:
+            raise ValueError(f"{axis} must not be empty")
     cfg = CampaignConfig(
         seed=seed, estimators=names, injectors=injector_dicts,
         apps=app_names, horizon=horizon, stall_tolerance=stall_tolerance,

@@ -17,7 +17,7 @@ real buffer energy and real seconds) and recompiles the policy gates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.isr import CulpeoIsrRuntime
 from repro.core.model import TaskDemand, VsafeEstimate
@@ -33,6 +33,27 @@ from repro.sched.scheduler import (
 )
 from repro.sched.task import Task, TaskChain
 from repro.sim.engine import PowerSystemSimulator
+
+#: First derate applied after a brown-out (volts).
+DERATE_INITIAL = 0.02
+#: Ceiling on the accumulated derate (volts); the derated gate is also
+#: capped at ``V_high`` by whoever applies it.
+DERATE_MAX = 0.5
+#: A decayed derate below this is dropped entirely (volts).
+DERATE_EPSILON = 1e-3
+
+
+def raise_derate(derate: float) -> float:
+    """The derate after a brown-out: ``DERATE_INITIAL`` from zero, else
+    doubled up to ``DERATE_MAX``. Every gate with a backoff uses it."""
+    return DERATE_INITIAL if derate <= 0.0 else min(DERATE_MAX, derate * 2.0)
+
+
+def decay_derate(derate: float) -> float:
+    """The derate after a success: halved, and ``0.0`` once below
+    ``DERATE_EPSILON`` (a zero derate stays zero)."""
+    halved = derate / 2.0
+    return 0.0 if halved < DERATE_EPSILON else halved
 
 
 class AdaptiveCulpeoScheduler(IntermittentScheduler):
@@ -54,17 +75,9 @@ class AdaptiveCulpeoScheduler(IntermittentScheduler):
     * An observed chain brown-out means the compiled gate was too low for
       the world as it is (aged ESR, degraded capacitance, measurement
       bias), so the chain's gate is derated upward with exponential
-      backoff — doubled per brown-out from ``DERATE_INITIAL`` — and
-      halved again after each captured event.
+      backoff (:func:`raise_derate`) and halved again after each
+      captured event (:func:`decay_derate`).
     """
-
-    #: First gate raise applied after an observed chain brown-out (volts).
-    DERATE_INITIAL = 0.02
-    #: Ceiling on the accumulated derate (the gate is also capped at
-    #: ``V_high`` inside the policy).
-    DERATE_MAX = 0.5
-    #: Derates below this are dropped entirely during decay.
-    DERATE_EPSILON = 1e-3
 
     def __init__(self, engine: PowerSystemSimulator,
                  chains: Sequence[TaskChain],
@@ -152,9 +165,7 @@ class AdaptiveCulpeoScheduler(IntermittentScheduler):
             self._decay_derate(chain.name)
 
     def _raise_derate(self, chain_name: str) -> None:
-        current = self.policy.derate.get(chain_name, 0.0)
-        raised = (self.DERATE_INITIAL if current <= 0.0
-                  else min(self.DERATE_MAX, current * 2.0))
+        raised = raise_derate(self.policy.derate.get(chain_name, 0.0))
         self.policy.derate[chain_name] = raised
         self.brownout_backoffs += 1
         obs = _obs_current()
@@ -167,12 +178,11 @@ class AdaptiveCulpeoScheduler(IntermittentScheduler):
         current = self.policy.derate.get(chain_name, 0.0)
         if current <= 0.0:
             return
-        halved = current / 2.0
-        if halved < self.DERATE_EPSILON:
-            self.policy.derate.pop(chain_name, None)
-            halved = 0.0
-        else:
+        halved = decay_derate(current)
+        if halved:
             self.policy.derate[chain_name] = halved
+        else:
+            self.policy.derate.pop(chain_name, None)
         obs = _obs_current()
         if obs is not None:
             obs.emit("sched.derate", chain=chain_name, derate_v=halved,

@@ -44,6 +44,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.model import TaskDemand, VsafeEstimate
 from repro.core.tables import VsafeTable
+from repro.sched.adaptive import decay_derate, raise_derate
 from repro.sched.gating import program_gates
 
 __all__ = [
@@ -144,20 +145,17 @@ class AdaptiveBankScheduler:
       than requested (stuck switch, corrupted tag), the per-config table
       row is not trustworthy for the rail actually connected, so the
       answer is the §V-B default: ``V_high``.
-    * **Derate-aware fallback** — a brown-out on a task doubles its
-      derate (from ``DERATE_INITIAL``, capped at ``DERATE_MAX``, exactly
-      the adaptive scheduler's backoff); after ``fallback_backoffs``
-      brown-outs the task is pinned to the ``heavy`` configuration.
+    * **Derate-aware fallback** — a brown-out on a task raises its
+      derate by the adaptive scheduler's backoff
+      (:func:`~repro.sched.adaptive.raise_derate`); after
+      ``fallback_backoffs`` brown-outs the task is pinned to the
+      ``heavy`` configuration.
 
     Per-config V_safe entries live in a :class:`repro.core.tables.VsafeTable`
     keyed by the canonical configuration tag, so unknown tags fall back
     to ``V_high`` through the table's own defaulting — one code path for
     "never profiled" and "hardware lied about the tag".
     """
-
-    DERATE_INITIAL = 0.02
-    DERATE_MAX = 0.5
-    DERATE_EPSILON = 1e-3
 
     def __init__(self, buffer, configs: Mapping[str, Tuple[str, ...]],
                  gates: Mapping[str, Mapping[str, float]],
@@ -274,11 +272,7 @@ class AdaptiveBankScheduler:
 
     def on_brownout(self, task) -> None:
         name = task.name
-        current = self.derate.get(name, 0.0)
-        self.derate[name] = min(
-            self.DERATE_MAX,
-            current * 2.0 if current > 0 else self.DERATE_INITIAL,
-        )
+        self.derate[name] = raise_derate(self.derate.get(name, 0.0))
         self.backoffs += 1
         count = self.brownouts.get(name, 0) + 1
         self.brownouts[name] = count
@@ -287,11 +281,8 @@ class AdaptiveBankScheduler:
 
     def on_success(self, task) -> None:
         name = task.name
-        current = self.derate.get(name)
-        if current is None:
-            return
-        halved = current / 2.0
-        if halved < self.DERATE_EPSILON:
-            self.derate.pop(name, None)
+        derate = decay_derate(self.derate.get(name, 0.0))
+        if derate:
+            self.derate[name] = derate
         else:
-            self.derate[name] = halved
+            self.derate.pop(name, None)

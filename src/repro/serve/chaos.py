@@ -867,6 +867,8 @@ def run_serve_campaign(trials: int, *, seed: int = 0, jobs: int = 1,
         raise ValueError(f"trials must be >= 1, got {trials}")
     injector_dicts = (tuple(injectors) if injectors is not None
                       else default_service_injector_dicts())
+    if not injector_dicts:
+        raise ValueError("injectors must not be empty")
     for data in injector_dicts:
         service_injector_from_dict(data)  # validate in the parent
     cfg = ServeCampaignConfig(

@@ -51,7 +51,7 @@ from repro.fleet.batch import BatchPlant, BatchShared
 from repro.loads.trace import CurrentTrace
 from repro.apps.programs import build_program
 from repro.power.harvester import ConstantPowerHarvester, TraceHarvester
-from repro.sched.adaptive import AdaptiveCulpeoScheduler as _Sched
+from repro.sched.adaptive import DERATE_EPSILON, DERATE_INITIAL, DERATE_MAX
 from repro.serve.errors import (
     DeadlineExpiredError,
     DegradedOperationError,
@@ -72,8 +72,8 @@ STORM_DEADLINE_MS = 1e-6
 
 class _LocalDevice:
     """The client's independent mirror of one device's derate backoff
-    (reimplements the scheduler arithmetic; does not import the serve
-    session type)."""
+    (reimplements the scheduler's rule and shares only its constants;
+    calls neither the rule nor the serve session type)."""
 
     __slots__ = ("derate", "brownouts", "successes")
 
@@ -84,14 +84,14 @@ class _LocalDevice:
 
     def brownout(self) -> None:
         self.brownouts += 1
-        self.derate = (_Sched.DERATE_INITIAL if self.derate <= 0.0
-                       else min(_Sched.DERATE_MAX, self.derate * 2.0))
+        self.derate = (DERATE_INITIAL if self.derate <= 0.0
+                       else min(DERATE_MAX, self.derate * 2.0))
 
     def success(self) -> None:
         self.successes += 1
         if self.derate > 0.0:
             halved = self.derate / 2.0
-            self.derate = 0.0 if halved < _Sched.DERATE_EPSILON else halved
+            self.derate = 0.0 if halved < DERATE_EPSILON else halved
 
 
 class ExpectedAnswers:

@@ -8,12 +8,11 @@ holding its served-capture registry (what V_safe the daemon last
 answered per task fingerprint — the capture registers, relocated) and
 its adaptive derate.
 
-The derate arithmetic deliberately *is*
-:class:`~repro.sched.adaptive.AdaptiveCulpeoScheduler`'s, constant for
-constant — first raise ``DERATE_INITIAL``, doubling to ``DERATE_MAX``
-on every reported brown-out, halving on success and dropping below
-``DERATE_EPSILON`` — so a fleet served centrally backs off exactly like
-a fleet of self-scheduling devices would. The served gate is
+The derate arithmetic *is* the on-device scheduler's:
+:func:`~repro.sched.adaptive.raise_derate` on every reported brown-out
+and :func:`~repro.sched.adaptive.decay_derate` on every success, so a
+fleet served centrally backs off exactly like a fleet of
+self-scheduling devices would. The served gate is
 ``min(V_high, V_safe + derate)``: waiting for a full buffer is always
 safe, so the backoff saturates at V_high gating just like the on-device
 policy chain.
@@ -30,13 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.sched.adaptive import AdaptiveCulpeoScheduler as _Sched
-
-#: Mirrored from the on-device scheduler so the two backoff policies can
-#: never drift apart.
-DERATE_INITIAL = _Sched.DERATE_INITIAL
-DERATE_MAX = _Sched.DERATE_MAX
-DERATE_EPSILON = _Sched.DERATE_EPSILON
+from repro.sched.adaptive import decay_derate, raise_derate
 
 
 @dataclass
@@ -59,16 +52,12 @@ class DeviceSession:
         """A reported brown-out: the estimate (or the plant model behind
         it) is optimistic for this device — double the safety margin."""
         self.brownouts += 1
-        self.derate = (DERATE_INITIAL if self.derate <= 0.0
-                       else min(DERATE_MAX, self.derate * 2.0))
+        self.derate = raise_derate(self.derate)
 
     def note_success(self) -> None:
         """A reported completion: decay the margin toward zero."""
         self.successes += 1
-        if self.derate <= 0.0:
-            return
-        halved = self.derate / 2.0
-        self.derate = 0.0 if halved < DERATE_EPSILON else halved
+        self.derate = decay_derate(self.derate)
 
     def capture(self, fingerprint: str, v_safe: float) -> None:
         """Record the served estimate (the capture-register write)."""
@@ -129,9 +118,6 @@ class SessionStore:
 
 
 __all__ = [
-    "DERATE_EPSILON",
-    "DERATE_INITIAL",
-    "DERATE_MAX",
     "DeviceSession",
     "SessionStore",
 ]

@@ -613,10 +613,18 @@ class PowerSystemSimulator:
         a chosen start voltage before applying a load profile. The bleed is
         applied at the buffer terminals (bypassing the booster) and the
         buffer is allowed to settle afterwards so it starts the next trace
-        at rest.
+        at rest. ``v_target`` and ``bleed_current`` must be finite and
+        positive, ``max_time`` finite and non-negative.
         """
-        if v_target <= 0:
-            raise ValueError(f"v_target must be positive, got {v_target}")
+        if not 0.0 < v_target < math.inf:
+            raise ValueError(
+                f"v_target must be finite and positive, got {v_target}")
+        if not 0.0 < bleed_current < math.inf:
+            raise ValueError(f"bleed_current must be finite and positive, "
+                             f"got {bleed_current}")
+        if not 0.0 <= max_time < math.inf:
+            raise ValueError(
+                f"max_time must be finite and non-negative, got {max_time}")
         buffer = self.system.buffer
         deadline = self.time + max_time
         while buffer.open_circuit_voltage > v_target and self.time < deadline:

@@ -36,7 +36,6 @@ from repro.sched.estimators import (
 from repro.verify import metamorphic
 from repro.verify.cases import ReproCase, save_case
 from repro.verify.generators import (
-    SystemSpec,
     bank_rng,
     env_rng,
     random_bank_scenario,
@@ -45,7 +44,7 @@ from repro.verify.generators import (
     random_trace,
     trial_rng,
 )
-from repro.verify.oracle import OracleResult, Verdict, differential_check
+from repro.verify.oracle import Verdict, differential_check
 from repro.verify.shrink import shrink_trace
 
 #: The estimators the paper claims sound — what `repro verify` gates on.

@@ -114,6 +114,18 @@ class TestCulpeoPGCaching:
         assert stats.hits >= len(tasks)
         assert stats.hit_rate > 0
 
+        # Many tasks over few load shapes, the redundancy the cache
+        # exists for: exactly one miss per distinct shape, ever.
+        cache = VsafeCache()
+        pg = CulpeoPG(system.characterize(), cache=cache)
+        shapes = [uniform_load(0.005 + 0.002 * i, 0.005 + 0.001 * i).trace
+                  for i in range(10)]
+        tasks = {f"task{i:03d}": shapes[i % 10] for i in range(100)}
+        analyze_tasks(pg, tasks)
+        assert (cache.stats.hits, cache.stats.misses) == (90, 10)
+        analyze_tasks(pg, tasks)
+        assert (cache.stats.hits, cache.stats.misses) == (190, 10)
+
 
 class TestStructuralInvalidation:
     """Derived configurations must never hit entries of the original."""

@@ -6,8 +6,8 @@ to estimator math regenerates the corpus (``PYTHONPATH=src python -m
 tests.golden.regen``) and commits the diff; an *unintentional* drift
 fails here.
 
-The regen module is loaded by file path (like the bench-compare tests)
-so the suite does not depend on ``tests`` being importable as a package.
+The regen module is loaded by file path so the suite does not depend
+on ``tests`` being importable as a package.
 """
 
 import importlib.util

@@ -1,7 +1,5 @@
 """Energy-buffer models: ESR behaviour, rebound, charge conservation."""
 
-import math
-
 import pytest
 
 from repro.power.capacitor import IdealCapacitor, TwoBranchSupercap

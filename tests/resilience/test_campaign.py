@@ -42,6 +42,9 @@ class TestConfig:
             run_campaign(1, apps=("doom",))
         with pytest.raises(ValueError, match="unknown injector"):
             run_campaign(1, injectors=[{"injector": "gremlins"}])
+        for axis in ("estimators", "apps", "injectors"):
+            with pytest.raises(ValueError, match=f"{axis} must not be empty"):
+                run_campaign(1, **{axis: []})
 
 
 class TestAdaptiveGate:

@@ -1,7 +1,5 @@
 """Adaptive re-profiling scheduler under changing harvest."""
 
-import pytest
-
 from repro.loads.trace import CurrentTrace
 from repro.power.harvester import CallableHarvester, ConstantPowerHarvester
 from repro.power.system import capybara_power_system

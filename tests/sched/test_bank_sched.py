@@ -16,6 +16,7 @@ from repro.power.reconfigurable import (
     capybara_bank_set,
 )
 from repro.power.system import capybara_power_system
+from repro.sched.adaptive import DERATE_INITIAL, DERATE_MAX
 from repro.sched.bank import (
     AdaptiveBankScheduler,
     build_config_gates,
@@ -207,17 +208,17 @@ class TestDerateFallback:
         sched = _sched(_buffer(("small",)))
         base = sched(_task("sense"))
         sched.on_brownout(_task("sense"))
-        assert sched.derate["sense"] == sched.DERATE_INITIAL
+        assert sched.derate["sense"] == DERATE_INITIAL
         assert sched(_task("sense")) == pytest.approx(
-            base + sched.DERATE_INITIAL)
+            base + DERATE_INITIAL)
         sched.on_brownout(_task("sense"))
-        assert sched.derate["sense"] == 2 * sched.DERATE_INITIAL
+        assert sched.derate["sense"] == 2 * DERATE_INITIAL
 
     def test_derate_caps_at_maximum(self):
         sched = _sched()
         for _ in range(12):
             sched.on_brownout(_task("sense"))
-        assert sched.derate["sense"] == sched.DERATE_MAX
+        assert sched.derate["sense"] == DERATE_MAX
 
     def test_repeated_brownouts_pin_to_heavy(self):
         sched = _sched()
@@ -232,7 +233,7 @@ class TestDerateFallback:
         sched = _sched()
         sched.on_brownout(_task("sense"))
         sched.on_success(_task("sense"))
-        assert sched.derate["sense"] == sched.DERATE_INITIAL / 2
+        assert sched.derate["sense"] == DERATE_INITIAL / 2
         for _ in range(8):
             sched.on_success(_task("sense"))
         assert "sense" not in sched.derate

@@ -5,7 +5,7 @@ import pytest
 from repro.loads.trace import CurrentTrace
 from repro.power.harvester import ConstantPowerHarvester
 from repro.power.system import capybara_power_system
-from repro.sched.adaptive import AdaptiveCulpeoScheduler
+from repro.sched.adaptive import DERATE_MAX, AdaptiveCulpeoScheduler
 from repro.sched.estimators import CulpeoREstimator
 from repro.sched.policy import CulpeoPolicy
 from repro.sched.task import Task, TaskChain
@@ -68,8 +68,7 @@ class TestAdaptiveBackoff:
         sched, chain = make_scheduler()
         for _ in range(16):
             sched._raise_derate(chain.name)
-        assert sched.policy.derate[chain.name] == pytest.approx(
-            AdaptiveCulpeoScheduler.DERATE_MAX)
+        assert sched.policy.derate[chain.name] == pytest.approx(DERATE_MAX)
 
     def test_success_decays_and_clears(self):
         sched, chain = make_scheduler()

@@ -12,12 +12,12 @@ import pytest
 from repro import obs
 from repro.env.spec import EnvSpec
 from repro.fleet.batch import BatchPlant, BatchShared
+from repro.sched.adaptive import DERATE_INITIAL
 from repro.serve import engine as engine_module
 from repro.serve.cache import PersistentVsafeCache
 from repro.serve.client import ExpectedAnswers
 from repro.serve.engine import AdmissionEngine
 from repro.serve.protocol import canonical
-from repro.serve.sessions import DERATE_INITIAL
 from repro.sim import engine as sim_engine
 from repro.verify.runner import KNOWN_ESTIMATORS, build_estimator
 

@@ -13,6 +13,7 @@ from random import Random
 
 import pytest
 
+from repro.serve import chaos as serve_chaos
 from repro.serve.chaos import (
     SERVICE_INJECTORS,
     STORM_DEADLINE_MS,
@@ -55,6 +56,14 @@ class TestInjectorRegistry:
             service_injector_from_dict(
                 {"injector": "deadline-storm",
                  "params": {"fraction": 1.5}})
+
+    def test_empty_injectors_fail_before_any_trial(self, monkeypatch):
+        def no_trial(args):
+            raise AssertionError("a trial (and its daemon) was started")
+
+        monkeypatch.setattr(serve_chaos, "run_serve_trial", no_trial)
+        with pytest.raises(ValueError, match="injectors must not be empty"):
+            run_serve_campaign(1, injectors=())
 
     def test_kinds_partition_the_fault_surface(self):
         kinds = {service_injector_from_dict(d).kind

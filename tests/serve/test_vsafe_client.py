@@ -52,7 +52,7 @@ class TestRetryPolicy:
 
     def test_reset_restarts_the_ramp(self):
         policy = RetryPolicy(seed=3)
-        first = policy.next_delay()
+        policy.next_delay()
         for _ in range(10):
             policy.next_delay()
         policy.reset()

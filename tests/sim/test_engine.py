@@ -4,7 +4,6 @@ import pytest
 
 from repro.loads.trace import CurrentTrace
 from repro.power.harvester import ConstantPowerHarvester
-from repro.power.system import capybara_power_system
 from repro.sim.engine import PowerSystemSimulator
 from repro.sim.recorder import TraceRecorder
 from repro.sim.uarch import CaptureMode, CulpeoUArchBlock
@@ -150,8 +149,18 @@ class TestDischargeTo:
         assert engine.system.buffer.open_circuit_voltage == pytest.approx(2.0)
 
     def test_validation(self, engine):
-        with pytest.raises(ValueError):
-            engine.discharge_to(0.0)
+        nan, inf = float("nan"), float("inf")
+        # A NaN target used to return at once and a non-positive bleed
+        # to idle or charge until max_time (forever, were it infinite).
+        for bad in (dict(v_target=0.0), dict(v_target=nan),
+                    dict(v_target=inf), dict(bleed_current=0.0),
+                    dict(bleed_current=-0.010), dict(bleed_current=nan),
+                    dict(bleed_current=inf), dict(max_time=-1.0),
+                    dict(max_time=nan), dict(max_time=inf)):
+            with pytest.raises(ValueError):
+                engine.discharge_to(**{"v_target": 2.0, **bad})
+        assert engine.time == 0.0
+        assert engine.system.buffer.terminal_voltage > 2.0
 
 
 class _CountingObserver:

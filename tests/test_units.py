@@ -1,7 +1,5 @@
 """Unit helpers and OperatingRange."""
 
-import math
-
 import pytest
 
 from repro.units import (
