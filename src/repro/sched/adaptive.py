@@ -13,6 +13,11 @@ scheduler: between events it watches the harvester through a
 :class:`~repro.core.reprofile.ReprofilingMonitor`; when the monitor trips,
 it re-profiles every task *in simulation time* (profiling runs consume
 real buffer energy and real seconds) and recompiles the policy gates.
+
+Because a re-profile may run before any background slice or idle hop,
+this scheduler keeps the per-pass loop the stock scheduler replaced
+with one wait per stretch: one ``run_trace`` per slice, one ``idle``
+per hop, each preceded by the power check.
 """
 
 from __future__ import annotations
@@ -194,16 +199,25 @@ class AdaptiveCulpeoScheduler(IntermittentScheduler):
         self._maybe_reprofile()
         return super()._wait_for(gate, deadline)
 
-    def _run_background_slice(self, result: ScheduleResult) -> None:
+    def _stretch(self, result: ScheduleResult, horizon: float) -> None:
+        """One background slice or one idle hop per main-loop pass, not
+        one wait per stretch: ``_maybe_reprofile`` may profile before
+        either, which advances the engine, so the stretch cannot be one
+        rule the kernel runs. Whether the slice is due is read before
+        the re-profile, the hop after it."""
+        background_due = (self.background is not None
+                          and self._voltage()
+                          >= self.policy.background_threshold)
         self._maybe_reprofile()
-        super()._run_background_slice(result)
-
-    def _idle(self, horizon: float) -> None:
-        """One hop per main-loop pass, not one wait per stretch:
-        ``_maybe_reprofile`` may profile before any hop, which advances
-        the engine, so the stretch cannot be one rule the kernel runs."""
-        self._maybe_reprofile()
-        self.engine.idle(self._idle_hop(horizon))
+        if background_due:
+            assert self._bg_slice is not None
+            run = self.engine.run_trace(self._bg_slice, harvesting=True)
+            result.background_time += self.engine.time - run.start_time
+            if run.browned_out:
+                result.brownout_count += 1
+        else:
+            self.engine.idle(min(self.WAIT_STEP,
+                                 max(1e-3, horizon - self.engine.time)))
 
     def _maybe_reprofile(self) -> None:
         power = self.engine.system.harvester.power_at(self.engine.time)

@@ -4,7 +4,8 @@
  * (the two stock efficiency curves among them), compiled.
  * repro/sim/fastpath.py builds this file with the system C compiler,
  * loads it through ctypes and drives it segment by segment, or hands
- * repro_wait a whole zero-load wait.
+ * repro_wait a whole wait: idle hops, and the load a scheduler runs
+ * between them.
  *
  * Float rules. Every operation is the one the reference loop performs,
  * in the same order, on IEEE doubles, so results are bit-identical:
@@ -38,22 +39,34 @@
  * After K_DUE and K_CHUNK the step is finished on the next call
  * (`pending`); `begin` starts a new segment.
  *
- * repro_wait runs a zero-load wait: hops drawn and stopped by one rule
- * (the w_ fields), each hop one segment of the body above. A hop is
- * min(w_hop, max(w_floor, w_until - time)), without the max when there
- * is no floor. After each hop the wait stops on the first of, in order:
+ * repro_wait runs a wait: hops, and optionally a load, drawn and
+ * stopped by one rule (the w_ fields), each hop or load segment one
+ * segment of the body above. A hop is min(w_hop, max(w_floor,
+ * w_until - time)), without the max when there is no floor. After each
+ * hop the wait stops on the first of, in order:
  *   K_STALL    the terminal voltage rose by at most 1e-9 V for more
  *              than w_stall hops in a row (w_stall < 0: never);
- *   K_RISE     the terminal voltage is not below w_rise;
+ *   K_RISE     the terminal voltage is not below w_rise (only without
+ *              a load);
  *   K_UNTIL    the time reached w_until;
  *   K_OFF      the monitor is off (only with w_stop_off).
- * The first hop is drawn unconditionally. repro_wait passes K_DUE,
- * K_CHUNK, K_NEED and the errors on, and resumes the hop on the next
- * call. It returns K_HOP when a hop is about to start and Python must
- * act first: in an observed wait, at every hop, so Python refreshes the
- * observers as at a segment's start; and after a hop that took no step,
- * so a wait that cannot end stays interruptible. Every float and every
- * comparison is the one PowerSystemSimulator's reference wait makes.
+ * A wait with a load (w_n_load > 0 segments, their currents at
+ * w_currents and durations at w_durations: a CurrentTrace's arrays)
+ * runs the load's segments in place of a hop whenever the terminal
+ * voltage is not below w_rise, and adds the load's time to
+ * w_load_time. A load segment stops below the monitor's v_off, as
+ * run_trace's segments do, and the wait ends there with K_BROWN; so
+ * does a load that would start with the monitor off, at once
+ * (run_trace's rule for a task).
+ * After a whole load the wait stops on K_UNTIL or K_OFF as after a
+ * hop. The first hop or load is drawn unconditionally. repro_wait
+ * passes K_DUE, K_CHUNK, K_NEED and the errors on, and resumes the
+ * segment on the next call. It returns K_HOP when a hop or load segment
+ * is about to start and Python must act first: in an observed wait, at
+ * every one, so Python refreshes the observers as at a segment's start;
+ * and after one that took no step, so a wait that cannot end stays
+ * interruptible. Every float and every comparison is the one
+ * PowerSystemSimulator's reference wait makes.
  *
  * repro_advance_lanes is the fleet's entry: it runs one segment on
  * every lane of an array of states, each lane exactly as one
@@ -97,19 +110,24 @@ struct kstate {
     int harvest_mode;   /* 0 none, 1 constant, 2 other, 3 trace, 4 solar */
     int stopping, observed, chunked, chunk, hp_last, enabled;
     /* a wait's rule (repro_wait) */
+    const double *w_currents;   /* the load's segments */
+    const double *w_durations;
     double w_hop, w_until, w_floor, w_rise;
-    int w_stall, w_has_floor, w_has_rise, w_stop_off;
+    double w_load_time;         /* the caller's total, plus each load's time */
+    int w_stall, w_has_floor, w_has_rise, w_stop_off, w_n_load;
     /* the segment and the step */
     double i_out, duration, burden, next_due;
     double start, elapsed, transient_window, dv_budget, total_out, p_out;
     double step_cap, t_last, v_new;
     double arg, x_power;        /* K_NEED */
     double w_before;            /* the terminal voltage at the hop's start */
+    double w_load_start;        /* the time at the load's start */
     long long steps;            /* steps taken since the state was packed */
     int has_due, out_on, drawing, hp_idx, n_volts;
     int begin, pending, have;
-    int w_flat, w_hopping, w_spun;  /* flat hops in a row; mid-hop; the
-                                     * last hop took no step */
+    int w_flat, w_running, w_spun;  /* flat hops in a row; mid-segment;
+                                     * the last segment took no step */
+    int w_loading, w_seg;       /* running the load; its segment index */
 };
 
 size_t repro_kstate_size(void)
@@ -528,37 +546,64 @@ int repro_wait(struct kstate *s)
     for (;;) {
         int code;
         double v;
-        if (!s->w_hopping) {
-            /* draw the hop as Python's min(hop, max(floor, left)) does:
-             * max keeps the floor unless left > floor, min keeps the hop
-             * unless left < hop */
-            double left = s->w_until - s->time_abs;
-            if (s->w_has_floor && !(left > s->w_floor))
-                left = s->w_floor;
-            s->duration = left < s->w_hop ? left : s->w_hop;
-            s->i_out = 0.0;
+        if (!s->w_running) {
+            if (s->w_n_load && !s->w_loading && !(terminal(s) < s->w_rise)) {
+                /* the load runs in place of a hop; with the monitor off
+                 * it browns out at once, as run_trace's task does */
+                s->w_load_start = s->time_abs;
+                if (!s->enabled) {
+                    s->w_load_time += s->time_abs - s->w_load_start;
+                    return K_BROWN;
+                }
+                s->w_loading = 1;
+                s->w_seg = 0;
+            }
+            if (s->w_loading) {
+                s->i_out = s->w_currents[s->w_seg];
+                s->duration = s->w_durations[s->w_seg];
+                s->stop_level = s->v_off;
+            } else {
+                /* draw the hop as Python's min(hop, max(floor, left))
+                 * does: max keeps the floor unless left > floor, min
+                 * keeps the hop unless left < hop */
+                double left = s->w_until - s->time_abs;
+                if (s->w_has_floor && !(left > s->w_floor))
+                    left = s->w_floor;
+                s->duration = left < s->w_hop ? left : s->w_hop;
+                s->i_out = 0.0;
+                s->w_before = terminal(s);
+            }
+            s->stopping = s->w_loading;     /* a hop never stops */
             s->begin = 1;
-            s->w_before = terminal(s);
-            s->w_hopping = 1;
+            s->w_running = 1;
             if (s->observed || s->w_spun)
                 return K_HOP;
         }
         code = repro_advance(s);
+        if (code == K_BROWN)
+            s->w_load_time += s->time_abs - s->w_load_start;
         if (code != K_END)
             return code;
-        s->w_hopping = 0;
+        s->w_running = 0;
         s->w_spun = !(s->elapsed > 0.0);
-        v = terminal(s);
-        if (s->w_stall >= 0) {
-            if (v <= s->w_before + 1e-9) {
-                if (++s->w_flat > s->w_stall)
-                    return K_STALL;
-            } else {
-                s->w_flat = 0;
+        if (s->w_loading) {
+            if (++s->w_seg < s->w_n_load)
+                continue;
+            s->w_loading = 0;
+            s->w_load_time += s->time_abs - s->w_load_start;
+        } else {
+            v = terminal(s);
+            if (s->w_stall >= 0) {
+                if (v <= s->w_before + 1e-9) {
+                    if (++s->w_flat > s->w_stall)
+                        return K_STALL;
+                } else {
+                    s->w_flat = 0;
+                }
             }
+            if (s->w_has_rise && !s->w_n_load && !(v < s->w_rise))
+                return K_RISE;
         }
-        if (s->w_has_rise && !(v < s->w_rise))
-            return K_RISE;
         if (s->time_abs >= s->w_until)
             return K_UNTIL;
         if (s->w_stop_off && !s->enabled)

@@ -33,6 +33,7 @@ from repro.power.reconfig import (
 )
 from repro.power.system import PowerSystem
 from repro.sim.fastpath import (
+    BROWN,
     OFF,
     RISE,
     STALL,
@@ -320,27 +321,46 @@ class PowerSystemSimulator:
         return None
 
     def _wait_reference(self, rule: Wait, harvesting: bool) -> str:
-        """One zero-load wait on the reference loop: one
-        :meth:`_advance_reference` call per hop, then the rule's checks
-        in order (see :class:`~repro.sim.fastpath.Wait`). The compiled
-        kernel's ``repro_wait`` makes the same hops and checks."""
+        """One wait on the reference loop: one
+        :meth:`_advance_reference` call per hop or load segment, then the
+        rule's checks in order (see :class:`~repro.sim.fastpath.Wait`).
+        The compiled kernel's ``repro_wait`` makes the same hops, loads
+        and checks."""
         buffer = self.system.buffer
         monitor = self.system.monitor
+        load = None if rule.load is None else list(rule.load.segments())
         flat = 0
         while True:
-            before = buffer.terminal_voltage
-            self._advance_reference(0.0, rule.next_hop(self.time),
-                                    harvesting, None)
-            v = buffer.terminal_voltage
-            if rule.stall is not None:
-                if v <= before + 1e-9:
-                    flat += 1
-                    if flat > rule.stall:
-                        return STALL
-                else:
-                    flat = 0
-            if rule.rise is not None and not v < rule.rise:
-                return RISE
+            if (load is not None and rule.rise is not None
+                    and not buffer.terminal_voltage < rule.rise):
+                start = self.time
+                # a load runs as run_trace runs a task: due with the
+                # monitor off it browns out at once, else it stops at V_off
+                browned = not monitor.output_enabled
+                for current, duration in load:
+                    if browned:
+                        break
+                    browned = self._advance_reference(
+                        current, duration, harvesting,
+                        monitor.v_off) is not None
+                rule.load_time += self.time - start
+                if browned:
+                    return BROWN
+            else:
+                before = buffer.terminal_voltage
+                self._advance_reference(0.0, rule.next_hop(self.time),
+                                        harvesting, None)
+                v = buffer.terminal_voltage
+                if rule.stall is not None:
+                    if v <= before + 1e-9:
+                        flat += 1
+                        if flat > rule.stall:
+                            return STALL
+                    else:
+                        flat = 0
+                if (load is None and rule.rise is not None
+                        and not v < rule.rise):
+                    return RISE
             if self.time >= rule.until:
                 return UNTIL
             if rule.stop_off and not monitor.output_enabled:
@@ -349,14 +369,15 @@ class PowerSystemSimulator:
     def _advance_span(self, segments, harvesting: bool,
                       stop_below: Optional[float]):
         """Advance ``(i_out, duration)`` segments in order (a list or a
-        trace's segment iterator), or one zero-load
+        trace's segment iterator), or one
         :class:`~repro.sim.fastpath.Wait`.
 
         For segments, returns the absolute time of a brown-out if the
         terminal voltage crossed ``stop_below`` (and stops there), else
-        ``None``. A wait ignores brown-outs (``stop_below`` is ``None``)
-        and returns the name of the check that ended it. ``i_out`` is
-        defined at the regulated rail; observer burden is added to it.
+        ``None``. A wait stops only where its own load browns out, at
+        the monitor's ``v_off`` (``stop_below`` is ``None``), and returns
+        the name of the check that ended it. ``i_out`` is defined at the regulated rail;
+        observer burden is added to it.
         The buffer sees the booster's input current minus any harvester
         charge current.
 
@@ -364,8 +385,8 @@ class PowerSystemSimulator:
         ``fast`` it makes one :func:`~repro.sim.fastpath.advance_segments`
         call (the compiled kernel, or the reference loop for a system the
         kernel cannot run); with ``fast=False`` it makes one
-        :meth:`_advance_reference` call per segment or hop and never
-        enters the fastpath. Sub-span grouping does not change the
+        :meth:`_advance_reference` call per segment, hop or load segment
+        and never enters the fastpath. Sub-span grouping does not change the
         float-step sequence: the kernel re-packs the plant per call but
         its per-segment recurrence is identical, so per-span calls remain
         bit-exact with a whole-trace call."""
@@ -546,28 +567,45 @@ class PowerSystemSimulator:
         return self.system.buffer.terminal_voltage
 
     def wait(self, rule: Wait, *, harvesting: bool = True) -> str:
-        """Run one zero-load wait under ``rule`` and return the name of
-        the check that ended it (:class:`~repro.sim.fastpath.Wait`).
+        """Run one wait under ``rule`` and return the name of the check
+        that ended it (:class:`~repro.sim.fastpath.Wait`).
 
         On the compiled kernel an unobserved wait is one C entry, however
-        many hops it takes; the reference loop makes one
-        :meth:`_advance_reference` call per hop. Either takes the same
-        steps as one :meth:`idle` per hop.
+        many hops and loads it takes; the reference loop makes one
+        :meth:`_advance_reference` call per hop or load segment. Either
+        takes the same steps as one :meth:`idle` per hop and one
+        :meth:`run_trace` per load.
 
         ``_v_min_seen`` and ``_energy_out`` are reset once, here, so they
         cover the whole wait rather than its last hop. Nothing reads them
         between a wait and the next :meth:`run_trace`, which resets both.
+
+        Observability sees a wait whole: a load that browns out counts
+        ``sim.brownouts`` and emits ``power.brownout`` as
+        :meth:`run_trace` does, but a load produces none of its per-task
+        items: no ``task`` span, ``sim.traces`` count, ``sim.v_min_v``
+        sample, ``power.v_min`` event or ``prof.run_trace_wall_s``
+        sample.
         """
         self._v_min_seen = self.system.buffer.terminal_voltage
         self._energy_out = 0.0
-        return self._advance_span(rule, harvesting, None)
+        exit_ = self._advance_span(rule, harvesting, None)
+        if exit_ == BROWN:
+            obs = _obs_current()
+            if obs is not None:
+                obs.metrics.counter("sim.brownouts").inc()
+                if obs.tracer is not None:
+                    obs.tracer.emit("power.brownout", t_sim=self.time,
+                                    v_off=self.system.monitor.v_off)
+        return exit_
 
     def charge_until(self, v_target: float, *, max_time: float = 3600.0,
                      harvesting: bool = True) -> Optional[float]:
         """Recharge until the terminal voltage reaches ``v_target``.
 
         Returns the elapsed recharge time, or ``None`` if ``max_time``
-        passed first, or the buffer stopped rising with no input ahead.
+        passed first (or is closer than a step can reach), or the buffer
+        stopped rising with no input ahead.
         The 0.25 s chunks are one wait, so a recharge is one kernel call
         until a chunk leaves the voltage flat; the harvester is then
         asked whether input lies ahead, and the wait goes on or ends.
@@ -589,10 +627,13 @@ class PowerSystemSimulator:
         while buffer.terminal_voltage < v_target:
             if self.time >= deadline:
                 return None
+            before = self.time
             if self._advance_span(chunks, harvesting, None) != STALL:
                 continue
-            # a flat chunk: wait on only while input lies ahead
-            if not harvesting:
+            # a flat chunk: wait on only while input lies ahead, and while
+            # the deadline is far enough for a step (a chunk shorter than
+            # a step's 1e-12 s threshold takes none, so it never arrives)
+            if not harvesting or self.time == before:
                 return None
             harvester = self.system.harvester
             if type(harvester) is TraceHarvester:

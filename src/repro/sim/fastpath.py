@@ -26,12 +26,16 @@ loop.
 This module drives the C body. Per call it packs the plant's fields
 and the live state into one struct (the C body derives the buffer's
 constants from them). A load trace's segments are iterated here, in
-Python; a zero-load wait (:class:`Wait`) is one rule that the C body
-runs itself, drawing each hop and checking after it whether to stop.
+Python; a wait (:class:`Wait`) is one rule that the C body runs
+itself, drawing each hop, running the rule's load (a scheduler's
+background slice, whose trace arrays it reads in place) whenever the
+voltage allows, and checking after each whether to stop. So a
+scheduler's whole stretch between events, idle hops and background
+slices alike, is one C entry.
 The C body returns to Python at a segment end, a brown-out, the end of
 a wait, a due observer sample, a full sample chunk, at the start of a
 step that needs a value only Python can compute, or at the start of an
-observed wait's hop, and is then re-entered:
+observed wait's hop or load segment, and is then re-entered:
 
 * Attached observers (ADC samplers, trace recorders, fault injectors)
   are scheduled exactly as the reference schedules them: samples already
@@ -59,8 +63,9 @@ observed wait's hop, and is then re-entered:
   Any other harvester's ``power_at`` is called from Python at the start
   of each step that needs it, in the reference's order.
 * An unobserved wait on such a plant is one C entry, however many hops
-  it takes. An observed wait returns at the start of every hop, so
-  Python refreshes the observers there as a segment's start does.
+  and loads it takes. An observed wait returns at the start of every
+  hop and load segment, so Python refreshes the observers there as a
+  segment's start does.
 
 Python writes ``sim.time``, the buffer state and the monitor's enable
 state back at due steps, where observers read them, and once at the
@@ -97,6 +102,7 @@ from typing import Any, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.loads.trace import CurrentTrace
 from repro.obs import current as _obs_current
 from repro.power.booster import (
     CurvedEfficiency,
@@ -125,7 +131,7 @@ _STALL, _RISE, _UNTIL, _OFF = 6, 7, 8, 9
 _ZERODIV, _OVERFLOW, _NEGATIVE_POWER, _DOMAIN = -1, -2, -3, -4
 
 #: How a wait ended: the check that stopped it (see :class:`Wait`).
-STALL, RISE, UNTIL, OFF = "stall", "rise", "until", "off"
+STALL, RISE, UNTIL, OFF, BROWN = "stall", "rise", "until", "off", "brown"
 _EXITS = {_STALL: STALL, _RISE: RISE, _UNTIL: UNTIL, _OFF: OFF}
 
 #: The efficiency models the kernel evaluates inline.
@@ -148,14 +154,15 @@ _CALL_FIELDS = _fields(ctypes.c_void_p, "h_edges h_powers volts") + _fields(
     v_oc i_last v_main v_red v_term time_abs v_min energy""") + _fields(
     ctypes.c_int, "harvest_mode stopping observed chunked chunk hp_last "
                   "enabled") + _fields(
-    ctypes.c_double, "w_hop w_until w_floor w_rise") + _fields(
-    ctypes.c_int, "w_stall w_has_floor w_has_rise w_stop_off")
+    ctypes.c_void_p, "w_currents w_durations") + _fields(
+    ctypes.c_double, "w_hop w_until w_floor w_rise w_load_time") + _fields(
+    ctypes.c_int, "w_stall w_has_floor w_has_rise w_stop_off w_n_load")
 _STEP_FIELDS = _fields(ctypes.c_double, """
     i_out duration burden next_due start elapsed transient_window dv_budget
-    total_out p_out step_cap t_last v_new arg x_power w_before
+    total_out p_out step_cap t_last v_new arg x_power w_before w_load_start
     """) + _fields(ctypes.c_longlong, "steps") + _fields(ctypes.c_int, """
     has_due out_on drawing hp_idx n_volts begin pending have
-    w_flat w_hopping w_spun""")
+    w_flat w_running w_spun w_loading w_seg""")
 
 
 class _State(ctypes.Structure):
@@ -169,7 +176,7 @@ class _State(ctypes.Structure):
 _ENTRY = struct.Struct("@" + "".join(
     ctype._type_ for _, ctype in _PLANT_FIELDS + _CALL_FIELDS))
 #: The call section's rule fields of a segment run (no wait).
-_NO_RULE = (0.0, 0.0, 0.0, 0.0, -1, 0, 0, 0)
+_NO_RULE = (0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, -1, 0, 0, 0, 0)
 _TAIL = bytes(ctypes.sizeof(_State) - _ENTRY.size)
 #: ``struct kstate`` as a numpy record, for the fleet's lane arrays.
 _LANE = np.dtype(_State)
@@ -260,7 +267,8 @@ def _load():
 
 
 class Wait:
-    """A zero-load wait: the one rule that draws its hops and ends it.
+    """A wait: the one rule that draws its hops, runs its optional load
+    and ends it.
 
     Each hop is ``min(hop, max(floor, until - time))``, or
     ``min(hop, until - time)`` without a floor; the first is drawn
@@ -270,27 +278,46 @@ class Wait:
     * :data:`STALL`: the terminal voltage rose by at most 1e-9 V for more
       than ``stall`` hops in a row (never, if ``stall`` is ``None``);
     * :data:`RISE`: the terminal voltage is not below ``rise`` (never, if
-      ``rise`` is ``None``);
+      ``rise`` is ``None``, and never with a load);
     * :data:`UNTIL`: the time is ``until`` or later;
     * :data:`OFF`: the monitor is off (only with ``stop_off``).
 
+    A ``load`` (a :class:`~repro.loads.trace.CurrentTrace`) runs in
+    place of a hop whenever the terminal voltage is not below ``rise``,
+    the first time included: a scheduler's background task, run between
+    idle hops. It runs as
+    :meth:`~repro.sim.engine.PowerSystemSimulator.run_trace` runs a
+    task: its segments stop where the terminal voltage falls below the
+    monitor's ``v_off``, and the wait then ends :data:`BROWN`. It also
+    ends :data:`BROWN`, at once, if the monitor is off when a load would
+    start, as ``run_trace`` fails a task started then. Each load's time,
+    end minus start, is added to :attr:`load_time`, which the caller
+    seeds. After a whole load the wait ends on :data:`UNTIL` or
+    :data:`OFF` as after a hop.
+
     ``hop`` must be finite and positive, ``until`` and ``rise`` not NaN
     (an infinite ``until`` is a wait without a deadline), ``floor``
-    finite and positive and ``stall`` a non-negative integer; anything
+    finite and positive and ``stall`` a non-negative integer. A load
+    needs a ``rise`` level and takes no ``stall`` count (its trace has
+    already refused empty, negative and non-finite segments). Anything
     else raises ``ValueError``.
 
     :meth:`~repro.sim.engine.PowerSystemSimulator.wait` runs one. On the
-    compiled kernel the C body draws and checks every hop (``repro_wait``
-    in ``_kernel.c``); the reference loop runs the same rule with one
-    ``_advance_reference`` call per hop. Both make the same hops, the
-    same checks and the same floats.
+    compiled kernel the C body draws and checks every hop and runs every
+    load (``repro_wait`` in ``_kernel.c``); the reference loop runs the
+    same rule with one ``_advance_reference`` call per hop or load
+    segment. Both make the same hops, the same checks and the same
+    floats.
     """
 
-    __slots__ = ("hop", "until", "floor", "rise", "stall", "stop_off")
+    __slots__ = ("hop", "until", "floor", "rise", "stall", "stop_off",
+                 "load", "load_time")
 
     def __init__(self, hop: float, until: float, *,
                  floor: Optional[float] = None, rise: Optional[float] = None,
-                 stall: Optional[int] = None, stop_off: bool = False) -> None:
+                 stall: Optional[int] = None, stop_off: bool = False,
+                 load: Optional[CurrentTrace] = None,
+                 load_time: float = 0.0) -> None:
         if not 0.0 < hop < math.inf:
             raise ValueError(f"hop must be finite and positive, got {hop}")
         if until != until:
@@ -303,12 +330,19 @@ class Wait:
         if stall is not None and not (isinstance(stall, int) and stall >= 0):
             raise ValueError(
                 f"stall must be a non-negative integer, got {stall}")
+        if load is not None:
+            if rise is None:
+                raise ValueError("a load needs a rise level")
+            if stall is not None:
+                raise ValueError("a load cannot have a stall count")
         self.hop = hop
         self.until = until
         self.floor = floor
         self.rise = rise
         self.stall = stall
         self.stop_off = stop_off
+        self.load = load
+        self.load_time = load_time
 
     def next_hop(self, time: float) -> float:
         """The hop a wait draws at ``time``."""
@@ -318,12 +352,19 @@ class Wait:
         return min(self.hop, left)
 
     def _entry(self) -> tuple:
-        """The rule fields of ``struct kstate``."""
-        return (self.hop, self.until,
+        """The rule fields of ``struct kstate``. The kernel reads the
+        load's segment arrays in place; the rule holds the trace for the
+        call."""
+        load = self.load
+        return (0 if load is None else load.currents.ctypes.data,
+                0 if load is None else load.durations.ctypes.data,
+                self.hop, self.until,
                 0.0 if self.floor is None else self.floor,
                 0.0 if self.rise is None else self.rise,
+                self.load_time,
                 -1 if self.stall is None else self.stall,
-                self.floor is not None, self.rise is not None, self.stop_off)
+                self.floor is not None, self.rise is not None, self.stop_off,
+                0 if load is None else len(load))
 
 
 def _stock_buffer(system):
@@ -469,7 +510,7 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
                      harvesting: bool,
                      stop_below: Optional[float]) -> Union[None, float, str]:
     """Advance ``sim`` through ``(current, duration)`` segments, or
-    through one zero-load :class:`Wait`.
+    through one :class:`Wait`.
 
     Mirrors a sequence of ``PowerSystemSimulator._advance_reference``
     calls exactly (same recurrence, same rounding, same observer
@@ -477,18 +518,20 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
     place. For segments, returns the absolute brown-out time if the
     terminal voltage crossed ``stop_below`` (stopping there, mid-trace),
     else ``None``. A wait runs as the reference wait does (one
-    ``_advance_reference`` per hop, the rule's checks after each), never
-    stops at a brown-out (``stop_below`` is ``None``) and returns the
-    name of the check that ended it.
+    ``_advance_reference`` per hop or load segment, the rule's checks
+    after each hop and each whole load), stops only where its load
+    browns out, at the monitor's ``v_off`` (``stop_below`` is
+    ``None``), stores the load time in the rule's ``load_time`` and
+    returns the name of the check that ended it.
 
-    With observers attached, each segment, and each hop of a wait,
-    starts as a reference call does: due times are refreshed, samples
-    already due are delivered, and ``loaded`` is read from the burden at
-    that moment. Every step is clamped to the next due time. At a due
-    step this function writes back time, buffer and monitor state, calls
-    the engine's ``_notify`` (the one notification routine both loops
-    share), then hands the kernel the monitor's enable state, the next
-    due time and the burden. A lone stock µArch block instead gets its
+    With observers attached, each segment, and each hop or load segment
+    of a wait, starts as a reference call does: due times are refreshed,
+    samples already due are delivered, and ``loaded`` is read from the
+    burden at that moment. Every step is clamped to the next due time.
+    At a due step this function writes back time, buffer and monitor
+    state, calls the engine's ``_notify`` (the one notification routine
+    both loops share), then hands the kernel the monitor's enable state,
+    the next due time and the burden. A lone stock µArch block instead gets its
     due-step samples in chunks (see the module docstring).
 
     Apart from due steps, the state is written back to the simulator
@@ -496,7 +539,7 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
     simulator.
 
     A system the kernel cannot run (see :func:`plant`) takes the
-    reference loop, one call per segment or hop.
+    reference loop, one call per segment, hop or load segment.
     """
     if isinstance(segments, Wait):
         wait: Optional[Wait] = segments
@@ -600,8 +643,8 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
             st.i_out, st.duration = seg
             st.begin = 1
         elif code == _HOP:
-            # an observed wait's next hop (or one after a hop that took
-            # no step) is about to start
+            # an observed wait's next hop or load segment (or one after
+            # a segment that took no step) is about to start
             if observed:
                 begin()
         elif code == _CHUNK:
@@ -619,7 +662,7 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
             st.x_power = power_at(st.arg)
             st.have = 1
         elif code == _BROWN:
-            result = st.time_abs
+            result = st.time_abs if wait is None else BROWN
             break
         elif code < 0:
             _raise(code, st.arg)
@@ -633,6 +676,8 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
     _write_back(sim, st, buffer, is_ideal)
     sim._v_min_seen = st.v_min   # noqa: SLF001
     sim._energy_out = st.energy  # noqa: SLF001
+    if wait is not None:
+        wait.load_time = st.w_load_time
     return result
 
 

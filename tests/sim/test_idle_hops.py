@@ -1,13 +1,15 @@
-"""Zero-load waits as one rule: ``PowerSystemSimulator.wait`` and
+"""Waits as one rule: ``PowerSystemSimulator.wait`` and
 ``charge_until``.
 
-A :class:`~repro.sim.fastpath.Wait` draws each hop and checks after it
-whether to stop; the compiled kernel runs the whole rule in C, the
-reference loop runs it with one ``_advance_reference`` call per hop.
-Each test here runs a rule two ways, as one wait and as one ``idle``
-call per hop (the rule's hop size and checks written out below), on both
-stepping loops, and compares with ``==``: the exit, the final state and
-every observer capture. ``charge_until`` is compared with a
+A :class:`~repro.sim.fastpath.Wait` draws each hop, runs its optional
+load, and checks after each whether to stop; the compiled kernel runs
+the whole rule in C, the reference loop runs it with one
+``_advance_reference`` call per hop or load segment. Each test here
+runs a rule two ways, as one wait and as one engine call per action
+(an ``idle`` per hop, a ``run_trace`` per load: the rule's hop size,
+load choice and checks written out below), on both stepping loops, and
+compares with ``==``: the exit, the final state, the load-time total
+and every observer capture. ``charge_until`` is compared with a
 transcription of its per-chunk loop, one ``_advance_span`` call per
 0.25 s chunk.
 """
@@ -17,13 +19,19 @@ import math
 import pytest
 
 import repro.sim.fastpath as fastpath
+from repro import obs
+from repro.loads.trace import CurrentTrace
 from repro.power.capacitor import IdealCapacitor
-from repro.power.harvester import ConstantPowerHarvester, TraceHarvester
+from repro.power.harvester import (
+    CallableHarvester,
+    ConstantPowerHarvester,
+    TraceHarvester,
+)
 from repro.power.reconfigurable import ReconfigurableBuffer, capybara_bank_set
 from repro.power.system import capybara_power_system
 from repro.sim.adc import Adc, SamplingObserver
 from repro.sim.engine import PowerSystemSimulator
-from repro.sim.fastpath import OFF, RISE, STALL, UNTIL, Wait
+from repro.sim.fastpath import BROWN, OFF, RISE, STALL, UNTIL, Wait
 from repro.sim.faults import SupplyGlitch
 from repro.sim.uarch import CaptureMode, CulpeoUArchBlock
 
@@ -41,6 +49,12 @@ RULES = {
 }
 
 
+#: Loads a wait runs between hops: a light one the harvest repays, and a
+#: heavy one that browns the plant out.
+LIGHT = CurrentTrace([(2e-3, 0.013), (0.5e-3, 0.0071), (3e-3, 0.004)])
+HEAVY = CurrentTrace([(0.04, 0.6), (1e-3, 0.01)])
+
+
 def build_system(kind, harvest, v_start=2.3):
     system = capybara_power_system()
     if kind == "ideal":
@@ -56,6 +70,10 @@ def build_system(kind, harvest, v_start=2.3):
         # a recorded sky with a dark lull inside the wait
         system.harvester = TraceHarvester.from_pieces(
             [(6e-3, 0.021), (0.0, 0.026), (2.5e-3, 1.0)])
+    elif harvest == "python":
+        # evaluated in Python at each step's start (the kernel's K_NEED)
+        system.harvester = CallableHarvester(
+            lambda t: 4e-3 * (1.0 + 0.5 * math.sin(40.0 * t)))
     system.rest_at(v_start)
     return system
 
@@ -263,6 +281,147 @@ class TestIdleHopsMatchesIdlePerHop:
         assert sim.time == t0 and kernel.waits == 3
 
 
+def wait_per_action(sim, rule, harvesting, log):
+    """``rule``, which has a load, as one engine call per action: a
+    ``run_trace`` of the load (stopping at V_off) when the terminal
+    voltage is not below the rise level, else one ``idle`` hop; then the
+    rule's checks, written out here. Adds each load's time to the rule's
+    total, logs ``(action, time, V_term, monitor on)`` after every
+    action and returns the exit."""
+    buffer = sim.system.buffer
+    monitor = sim.system.monitor
+    for _ in range(MAX_HOPS):
+        if not buffer.terminal_voltage < rule.rise:
+            run = sim.run_trace(rule.load, harvesting=harvesting)
+            rule.load_time += sim.time - run.start_time
+            log.append(("load", sim.time, buffer.terminal_voltage,
+                        monitor.output_enabled))
+            if run.browned_out:
+                return BROWN
+        else:
+            sim.idle(rule.next_hop(sim.time), harvesting=harvesting)
+            log.append(("hop", sim.time, buffer.terminal_voltage,
+                        monitor.output_enabled))
+        if sim.time >= rule.until:
+            return UNTIL
+        if rule.stop_off and not monitor.output_enabled:
+            return OFF
+    raise AssertionError("the per-action wait did not stop")
+
+
+def drive_load(case, *, fast, per_action):
+    """One ``LOAD_CASES`` rule on a fresh simulator: ``(outcome, log)``."""
+    kind, harvest, observers, rule_of, _, start_off = LOAD_CASES[case]
+    system = build_system(kind, harvest)
+    sim = PowerSystemSimulator(system, fast=fast)
+    if start_off:
+        system.monitor.force_enabled(False)
+    captures = attach(observers, sim)
+    rule = rule_of(sim.time, system.buffer.terminal_voltage)
+    log = []
+    if per_action:
+        exit_ = wait_per_action(sim, rule, harvest != "off", log)
+    else:
+        exit_ = sim.wait(rule, harvesting=harvest != "off")
+    return (exit_, sim.time, rule.load_time.hex(),
+            buffer_state(system.buffer), system.monitor.output_enabled,
+            captures()), log
+
+
+#: name: (buffer, harvest, observers, rule of (t0, V0), exit, start
+#: with the monitor off)
+LOAD_CASES = {
+    # loads and hops alternate up to the deadline
+    "until": ("two-branch", "constant", "none", lambda t0, v0: Wait(
+        0.013, t0 + 0.4, floor=1e-3, rise=v0 + 0.002, load=LIGHT,
+        stop_off=True, load_time=0.25), UNTIL, False),
+    # due samples (with a burden) interrupt the load's segments
+    "until-sampled": ("two-branch", "constant", "adc", lambda t0, v0: Wait(
+        0.013, t0 + 0.3, floor=1e-3, rise=v0 + 0.001, load=LIGHT,
+        stop_off=True), UNTIL, False),
+    # a harvester only Python evaluates interrupts every load step
+    "until-python-harvest": ("two-branch", "python", "none",
+                             lambda t0, v0: Wait(
+                                 0.013, t0 + 0.3, floor=1e-3,
+                                 rise=v0 + 0.002, load=LIGHT,
+                                 stop_off=True), UNTIL, False),
+    # the chunked µArch path and a recorded sky under an ideal buffer
+    "until-ideal-uarch": ("ideal", "trace", "uarch", lambda t0, v0: Wait(
+        0.0107, t0 + 0.2, rise=v0 - 0.004, load=LIGHT, load_time=1.5),
+        UNTIL, False),
+    # a glitch inside the first load turns the monitor off
+    "off": ("two-branch", "constant", "glitch", lambda t0, v0: Wait(
+        0.013, t0 + 0.4, floor=1e-3, rise=v0, load=LIGHT, stop_off=True,
+        load_time=0.5), OFF, False),
+    # hops up to the rise level, then the heavy load browns out
+    "brown": ("two-branch", "constant", "none", lambda t0, v0: Wait(
+        0.05, t0 + 30.0, floor=1e-3, rise=v0 + 0.003, load=HEAVY,
+        stop_off=True, load_time=3.0), BROWN, False),
+    # a load due with the monitor off browns out at once, as a task
+    # started then does
+    "brown-at-start": ("two-branch", "constant", "none", lambda t0, v0: Wait(
+        0.013, t0 + 0.4, rise=v0, load=LIGHT, load_time=0.5), BROWN, True),
+}
+
+
+class TestWaitWithALoadMatchesPerAction:
+    @pytest.mark.parametrize("case", sorted(LOAD_CASES))
+    def test_bit_exact(self, case):
+        runs = [drive_load(case, fast=fast, per_action=per_action)
+                for fast in (True, False) for per_action in (True, False)]
+        outcomes = [outcome for outcome, _ in runs]
+        assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+        log = runs[0][1]
+        assert log == runs[2][1]  # the per-action runs on both loops
+        exit_, t_end, load_time = outcomes[0][:3]
+        assert exit_ == LOAD_CASES[case][4]
+        actions = [action for action, *_ in log]
+        seed = LOAD_CASES[case][3](0.0, 2.3).load_time
+        if case == "brown-at-start":
+            # no step taken, the total gains 0.0
+            assert actions == ["load"] and t_end == 0.0
+            assert load_time == seed.hex()
+            return
+        assert float.fromhex(load_time) > seed
+        if exit_ == UNTIL:
+            assert "hop" in actions and actions.count("load") >= 2
+        if exit_ == BROWN:
+            # stopped inside the heavy load, at the brown-out
+            assert actions[-1] == "load" and "hop" in actions
+            assert log[-1][2] < 1.6
+
+    def test_one_kernel_call_per_wait(self, monkeypatch):
+        """An unobserved wait of many hops and loads enters the C body
+        once."""
+        kernel = CountingKernel(fastpath._load())
+        monkeypatch.setattr(fastpath, "_kernel", kernel)
+        system = build_system("two-branch", "constant")
+        sim = PowerSystemSimulator(system)
+        v0 = system.buffer.terminal_voltage
+        rule = Wait(0.013, 2.0, floor=1e-3, rise=v0 + 0.002, load=LIGHT,
+                    stop_off=True)
+        assert sim.wait(rule) == UNTIL
+        assert kernel.waits == 1
+        assert rule.load_time > 0.5  # dozens of loads
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_a_brown_out_reaches_obs(self, fast):
+        """A load that browns out counts ``sim.brownouts`` and emits
+        ``power.brownout`` at the brown-out, as ``run_trace`` does."""
+        system = build_system("two-branch", "constant")
+        sim = PowerSystemSimulator(system, fast=fast)
+        rule = Wait(0.05, 30.0, rise=2.0, load=HEAVY)
+        with obs.observe(tracer=obs.Tracer()) as state:
+            assert sim.wait(rule) == BROWN
+            events = state.tracer.drain()
+        counters = state.metrics.snapshot()["counters"]
+        assert counters["sim.brownouts"] == 1
+        assert "sim.traces" not in counters
+        brownouts = [e for e in events if e["event"] == "power.brownout"]
+        assert [(e["t_sim"], e["v_off"]) for e in brownouts] \
+            == [(sim.time, system.monitor.v_off)]
+
+
 class CountingKernel:
     """The loaded kernel library, counting entries into its wait."""
 
@@ -295,9 +454,11 @@ class TestHopValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(until=math.nan), dict(floor=0.0), dict(floor=math.nan),
         dict(floor=math.inf), dict(rise=math.nan), dict(stall=-1),
-        dict(stall=1.5)],
+        dict(stall=1.5), dict(load=LIGHT),
+        dict(load=LIGHT, rise=2.0, stall=3)],
         ids=["until-nan", "floor-zero", "floor-nan", "floor-inf",
-             "rise-nan", "stall-negative", "stall-fraction"])
+             "rise-nan", "stall-negative", "stall-fraction",
+             "load-without-rise", "load-with-stall"])
     def test_bad_rule_raises(self, kwargs):
         args = dict(until=1.0) | kwargs
         with pytest.raises(ValueError):
@@ -416,3 +577,28 @@ class TestChargeUntilMatchesPerChunkLoop:
             assert elapsed is None and t_final >= 0.25
         if case == "unreachable":
             assert t_final == max_time
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_a_deadline_closer_than_a_step_ends_the_recharge(
+            self, fast, monkeypatch):
+        """A chunk shorter than a step's 1e-12 s threshold takes no
+        step, so a recharge whose deadline is that close used to wait on
+        forever while input lay ahead (a scheduler's recovery can end
+        there, one rounding short of its deadline). It is a missed
+        deadline."""
+        system = recharge_system(ConstantPowerHarvester(10e-3), 2.0)
+        sim = PowerSystemSimulator(system, fast=fast)
+        sim.idle(0.01)
+        t, state = sim.time, buffer_state(system.buffer)
+        calls = []
+        advance = sim._advance_span
+
+        def bounded(*args):
+            calls.append(1)
+            assert len(calls) < 10, "the recharge does not end"
+            return advance(*args)
+
+        monkeypatch.setattr(sim, "_advance_span", bounded)
+        assert sim.charge_until(2.3, max_time=5e-13) is None
+        assert sim.time == t and buffer_state(system.buffer) == state
+        assert len(calls) == 1
