@@ -688,7 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "truth stays the dark-plant search")
     p_verify.add_argument("--bank-axis", action="store_true",
                           help="give each trial a reconfigurable bank set "
-                               "and a scheduled mid-trace reconfiguration; "
+                               "switched from its full configuration to a "
+                               "live subset before the load runs; "
                                "estimators are characterized in the live "
                                "configuration, the stale-config baseline "
                                "is convicted")

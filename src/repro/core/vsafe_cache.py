@@ -78,15 +78,12 @@ class VsafeCache:
 
     Values must be immutable (the frozen ``VsafeEstimate``/``TaskDemand``
     dataclasses are) because hits hand the same object to every caller.
-    ``enabled=False`` turns the cache into a pass-through that still counts
-    misses — useful for cold/warm benchmark comparisons.
     """
 
-    def __init__(self, maxsize: int = 4096, enabled: bool = True) -> None:
+    def __init__(self, maxsize: int = 4096) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self.enabled = enabled
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
@@ -96,14 +93,6 @@ class VsafeCache:
 
     def get(self, key: Hashable) -> Optional[Any]:
         """The cached value for ``key``, or ``None`` (counts the lookup)."""
-        if not self.enabled:
-            # Counts toward this object's own stats (the cold-cache
-            # benchmark reads them) but not the process-wide telemetry: a
-            # disabled cache is a no-caching baseline, and its forced
-            # misses would drown out the live cache's hit/miss signal.
-            with self._lock:
-                self._misses += 1
-            return None
         with self._lock:
             try:
                 value = self._data[key]
@@ -131,8 +120,6 @@ class VsafeCache:
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert ``value``, evicting the least recently used on overflow."""
-        if not self.enabled:
-            return
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)

@@ -547,7 +547,7 @@ class FleetParams:
         system.rest_at(level)
         if spec.bank is not None:
             # Idle banks rest at the same level the active group does
-            # (the admission precondition), so a mid-run reconfiguration
+            # (the admission precondition), so a later configure()
             # merges against banks parked at the start level.
             buffer.rest_all(level)
         return system

@@ -49,34 +49,21 @@ class GroundTruth:
 
 def attempt_load(system: PowerSystem, trace: CurrentTrace,
                  v_start: float, *, settle_after: float = 0.0,
-                 harvesting: bool = False,
-                 reconfig_plan=None) -> SimulationResult:
+                 harvesting: bool = False) -> SimulationResult:
     """Run ``trace`` once from a rested buffer at ``v_start``.
 
-    Operates on a copy — the caller's system is untouched. When a
-    ``reconfig_plan`` schedules mid-trace bank switches, *every* bank is
-    rested at ``v_start`` (``rest_all``), not just the active group: the
-    bench procedure charges the whole bank set before disconnecting the
-    charger, so a mid-trace reconnection must merge against charged
-    banks, and the monotone completed-above/browned-below structure the
-    bisection needs is preserved.
+    Operates on a copy — the caller's system is untouched.
     """
     trial = system.copy()
     trial.rest_at(v_start)
-    if reconfig_plan is not None:
-        rest_all = getattr(trial.buffer, "rest_all", None)
-        if rest_all is not None:
-            rest_all(v_start)
     sim = PowerSystemSimulator(trial)
     return sim.run_trace(trace, harvesting=harvesting,
-                         settle_after=settle_after,
-                         reconfig_plan=reconfig_plan)
+                         settle_after=settle_after)
 
 
 def find_true_vsafe(system: PowerSystem, trace: CurrentTrace, *,
                     tolerance: float = 0.002,
-                    max_iterations: int = 40,
-                    reconfig_plan=None) -> GroundTruth:
+                    max_iterations: int = 40) -> GroundTruth:
     """Binary-search the minimum rest voltage from which ``trace`` completes.
 
     Search brackets: the load must fail from ``V_off`` (trivially — the
@@ -102,7 +89,7 @@ def find_true_vsafe(system: PowerSystem, trace: CurrentTrace, *,
     v_off = system.monitor.v_off
     v_high = system.monitor.v_high
 
-    top = attempt_load(system, trace, v_high, reconfig_plan=reconfig_plan)
+    top = attempt_load(system, trace, v_high)
     if not top.completed:
         return GroundTruth(v_safe=float("nan"), v_min_at_vsafe=top.v_min,
                            iterations=1, feasible=False, converged=False,
@@ -113,8 +100,7 @@ def find_true_vsafe(system: PowerSystem, trace: CurrentTrace, *,
     iterations = 1
     while hi - lo > tolerance and iterations < max_iterations:
         mid = 0.5 * (lo + hi)
-        result = attempt_load(system, trace, mid,
-                              reconfig_plan=reconfig_plan)
+        result = attempt_load(system, trace, mid)
         iterations += 1
         if result.completed:
             hi = mid

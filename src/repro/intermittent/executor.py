@@ -114,11 +114,14 @@ class IntermittentExecutor:
         v_high = self.engine.system.monitor.v_high
         charged = False
         while self.engine.time < deadline:
-            budget = deadline - self.engine.time
-            if self.engine.charge_until(v_high, max_time=budget) is not None:
+            before = self.engine.time
+            if self.engine.charge_until(v_high,
+                                        max_time=deadline - before) is not None:
                 charged = True
                 break
-            if self.engine.time >= deadline:
+            # A deadline closer than one step stops the recharge without
+            # moving the clock; it has passed as far as a step can tell.
+            if self.engine.time >= deadline or self.engine.time == before:
                 break
             # The harvester went dark mid-charge. Idle through the outage
             # (bounded) and retry; a source that stays dark past the grace
@@ -127,8 +130,11 @@ class IntermittentExecutor:
             while (waited < self.dropout_grace
                    and self.engine.time < deadline
                    and self._harvest_now() <= 0.0):
-                step = min(0.1, deadline - self.engine.time)
+                before = self.engine.time
+                step = min(0.1, deadline - before)
                 self.engine.idle(step)
+                if self.engine.time == before:
+                    break
                 waited += step
             if self._harvest_now() <= 0.0:
                 break
@@ -142,8 +148,11 @@ class IntermittentExecutor:
             if self.engine.time >= deadline:
                 return False
             before = self.engine.system.buffer.terminal_voltage
-            step = min(0.1, deadline - self.engine.time)
+            t_before = self.engine.time
+            step = min(0.1, deadline - t_before)
             self.engine.idle(step)
+            if self.engine.time == t_before:
+                return False  # the deadline is closer than one step
             if self.engine.system.buffer.terminal_voltage <= before + 1e-9:
                 if self._harvest_now() > 0.0:
                     # Power is arriving yet the voltage is flat: the system

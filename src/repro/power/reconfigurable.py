@@ -183,12 +183,12 @@ class ReconfigurableBuffer:
         """Rest the active group *and* every parked bank at ``voltage``.
 
         A freshly built buffer has its parked banks at the constructor
-        voltage (0 V by default), so a mid-trace reconnection would merge
-        against empty banks and plunge the rail. Simulation paths that
-        schedule reconfiguration events (ground truth with a
-        :class:`~repro.power.reconfig.ReconfigPlan`) call this so the
-        whole bank set starts from the admission voltage — the physical
-        precondition a charged device actually satisfies.
+        voltage (0 V by default), so a later reconnection would merge
+        against empty banks and plunge the rail. The per-configuration
+        gate builder (:func:`repro.sched.bank.build_config_gates`), the
+        chaos campaign's bank axis and the fleet's bank plants call this
+        so the whole bank set starts from the admission voltage — the
+        physical precondition a charged device actually satisfies.
         """
         self._group.reset(voltage)
         for name in self._idle_voltage:

@@ -2,8 +2,9 @@
 
 Every unsafe trial (a brown-out past the gate, or a livelock) becomes one
 self-contained JSON document holding the *resolved* trial inputs — seed,
-index, app, estimator, injector recipe, executor parameters. Because a
-campaign trial is a pure function of those inputs,
+index, app, estimator, injector recipe, horizon and scenario axes (the
+executor settings are the campaign's constants). Because a campaign
+trial is a pure function of those inputs,
 ``repro chaos --replay case.json`` re-runs exactly the trial that failed
 and reports whether it still misbehaves — the same workflow
 ``repro verify`` established for soundness counterexamples.
@@ -32,9 +33,6 @@ class ChaosCase:
     estimator: str
     injector: dict
     horizon: float
-    stall_tolerance: int
-    dropout_grace: float
-    stuck_limit: int
     #: Whether the campaign ran with the environment scenario axis on
     #: (the replay must regenerate the same environment trace).
     env_axis: bool = False
@@ -56,9 +54,6 @@ class ChaosCase:
             "estimator": self.estimator,
             "injector": self.injector,
             "horizon": self.horizon,
-            "stall_tolerance": self.stall_tolerance,
-            "dropout_grace": self.dropout_grace,
-            "stuck_limit": self.stuck_limit,
             "env_axis": self.env_axis,
             "bank_axis": self.bank_axis,
             "original": self.original,
@@ -66,6 +61,8 @@ class ChaosCase:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChaosCase":
+        """Documents written while the executor settings were campaign
+        options carry them too, at the constants' values; they load."""
         if data.get("format") != FORMAT:
             raise ValueError("not a repro chaos-case document")
         if data.get("version") != VERSION:
@@ -77,9 +74,6 @@ class ChaosCase:
             estimator=data["estimator"],
             injector=dict(data["injector"]),
             horizon=float(data["horizon"]),
-            stall_tolerance=int(data["stall_tolerance"]),
-            dropout_grace=float(data["dropout_grace"]),
-            stuck_limit=int(data["stuck_limit"]),
             env_axis=bool(data.get("env_axis", False)),
             bank_axis=bool(data.get("bank_axis", False)),
             original=data.get("original", {}),
@@ -91,9 +85,8 @@ class ChaosCase:
 
         return _run_resolved(
             self.seed, self.index, self.app, self.estimator, self.injector,
-            horizon=self.horizon, stall_tolerance=self.stall_tolerance,
-            dropout_grace=self.dropout_grace, stuck_limit=self.stuck_limit,
-            env_axis=self.env_axis, bank_axis=self.bank_axis,
+            horizon=self.horizon, env_axis=self.env_axis,
+            bank_axis=self.bank_axis,
         )
 
 

@@ -3,9 +3,9 @@
 The paper's §V-B: devices with reconfigurable energy buffers tag every
 profile and V_safe entry with a buffer-configuration identifier, and
 queries must name the configuration they ask about. This module is the
-scheduler half of that story — the electrical half lives in
-:mod:`repro.power.reconfigurable` and the simulation half in
-:mod:`repro.power.reconfig`.
+scheduler half of that story; the electrical half lives in
+:mod:`repro.power.reconfigurable`. Banks switch between tasks: the
+scheduler calls ``configure()`` before it answers a task's launch gate.
 
 Composition rules (DESIGN §16): the launch gate for task *T* in bank
 configuration *c* is

@@ -529,6 +529,14 @@ def make_trial_workload(rng: Random, queries: int, *,
 
 # -- one trial --------------------------------------------------------------
 
+#: The daemon's queue bound and shutdown budget in every trial.
+QUEUE_LIMIT = 256
+DRAIN_TIMEOUT = 5.0
+#: The client's budget per request, and the bound on a whole client phase
+#: (its expiry is a livelock).
+DEADLINE_S = 20.0
+WATCHDOG_S = 120.0
+
 
 @dataclass(frozen=True)
 class ServeCampaignConfig:
@@ -537,10 +545,6 @@ class ServeCampaignConfig:
     seed: int
     injectors: Tuple[dict, ...]
     queries: int = 40
-    queue_limit: int = 256
-    drain_timeout: float = 5.0
-    deadline_s: float = 20.0      # client budget per request
-    watchdog_s: float = 120.0     # whole-phase bound -> livelock
 
     def combos(self) -> List[dict]:
         injectors = self.injectors or default_service_injector_dicts()
@@ -591,8 +595,8 @@ class _Totals(ByteCheck):
 
 
 async def _run_phase(host: str, port: int, reqs: List[dict],
-                     injector: ServiceInjector, seed: int, totals: _Totals,
-                     deadline_s: float) -> None:
+                     injector: ServiceInjector, seed: int,
+                     totals: _Totals) -> None:
     """Drive one contiguous slice of the workload against one daemon."""
     proxy: Optional[ChaosProxy] = None
     profile = injector.proxy_profile()
@@ -601,7 +605,7 @@ async def _run_phase(host: str, port: int, reqs: List[dict],
         await proxy.start()
         host, port = proxy.host, proxy.port
     try:
-        await totals.lane(VsafeClient(host, port, deadline_s=deadline_s,
+        await totals.lane(VsafeClient(host, port, deadline_s=DEADLINE_S,
                                       attempt_timeout_s=0.5, seed=seed),
                           reqs)
     finally:
@@ -611,9 +615,7 @@ async def _run_phase(host: str, port: int, reqs: List[dict],
 
 
 def _run_resolved_serve(seed: int, index: int, injector_dict: dict, *,
-                        queries: int, queue_limit: int,
-                        drain_timeout: float, deadline_s: float,
-                        watchdog_s: float) -> ServeTrialOutcome:
+                        queries: int) -> ServeTrialOutcome:
     """Run one fully resolved serve-chaos trial (campaign and replay)."""
     injector = service_injector_from_dict(injector_dict)
     rng = Random(f"serve-chaos:{seed}:{index}")
@@ -630,8 +632,8 @@ def _run_resolved_serve(seed: int, index: int, injector_dict: dict, *,
     if plan is not None:
         env[FAULTS_ENV] = json.dumps(plan)
     server_args = ("--cache", cache_path,
-                   "--queue-limit", str(queue_limit),
-                   "--drain-timeout", str(drain_timeout))
+                   "--queue-limit", str(QUEUE_LIMIT),
+                   "--drain-timeout", str(DRAIN_TIMEOUT))
 
     totals = _Totals(strip_degraded=injector.kind == "disk")
     timed_out = False
@@ -642,8 +644,8 @@ def _run_resolved_serve(seed: int, index: int, injector_dict: dict, *,
         try:
             asyncio.run(asyncio.wait_for(
                 _run_phase(server.host, server.port, reqs, injector,
-                           seed * 1_000_003 + index, totals, deadline_s),
-                timeout=watchdog_s))
+                           seed * 1_000_003 + index, totals),
+                timeout=WATCHDOG_S))
             return False
         except asyncio.TimeoutError:
             return True
@@ -659,7 +661,7 @@ def _run_resolved_serve(seed: int, index: int, injector_dict: dict, *,
             if injector.signal == "term":
                 server.terminate()
                 try:
-                    rc = server.wait(timeout=drain_timeout + 10.0)
+                    rc = server.wait(timeout=DRAIN_TIMEOUT + 10.0)
                     if rc != 0:
                         totals.failures.append(f"daemon exited with {rc}")
                 except subprocess.TimeoutExpired:
@@ -679,7 +681,7 @@ def _run_resolved_serve(seed: int, index: int, injector_dict: dict, *,
         else:
             timed_out = _phase(workload)
         if not timed_out:
-            totals.stop(server, drain_timeout)
+            totals.stop(server, DRAIN_TIMEOUT)
     finally:
         if server is not None:
             server.__exit__(None, None, None)
@@ -703,10 +705,8 @@ def run_serve_trial(args: "Tuple[int, ServeCampaignConfig]") \
     index, cfg = args
     combos = cfg.combos()
     injector_dict = combos[index % len(combos)]
-    return _run_resolved_serve(
-        cfg.seed, index, injector_dict, queries=cfg.queries,
-        queue_limit=cfg.queue_limit, drain_timeout=cfg.drain_timeout,
-        deadline_s=cfg.deadline_s, watchdog_s=cfg.watchdog_s)
+    return _run_resolved_serve(cfg.seed, index, injector_dict,
+                               queries=cfg.queries)
 
 
 # -- cases, report, campaign ------------------------------------------------
@@ -722,10 +722,6 @@ class ServeChaosCase:
     index: int
     injector: dict
     queries: int
-    queue_limit: int
-    drain_timeout: float
-    deadline_s: float
-    watchdog_s: float
     original: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -736,15 +732,14 @@ class ServeChaosCase:
             "index": self.index,
             "injector": self.injector,
             "queries": self.queries,
-            "queue_limit": self.queue_limit,
-            "drain_timeout": self.drain_timeout,
-            "deadline_s": self.deadline_s,
-            "watchdog_s": self.watchdog_s,
             "original": self.original,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServeChaosCase":
+        """Documents written while the daemon and client settings were
+        campaign options carry them too, at the constants' values; they
+        load."""
         if data.get("format") != CASE_FORMAT:
             raise ValueError("not a repro serve-chaos-case document")
         if data.get("version") != CASE_VERSION:
@@ -752,19 +747,13 @@ class ServeChaosCase:
         return cls(
             seed=int(data["seed"]), index=int(data["index"]),
             injector=dict(data["injector"]), queries=int(data["queries"]),
-            queue_limit=int(data["queue_limit"]),
-            drain_timeout=float(data["drain_timeout"]),
-            deadline_s=float(data["deadline_s"]),
-            watchdog_s=float(data["watchdog_s"]),
             original=data.get("original", {}),
         )
 
     def replay(self) -> ServeTrialOutcome:
         """Re-run the recorded trial against a fresh daemon."""
-        return _run_resolved_serve(
-            self.seed, self.index, self.injector, queries=self.queries,
-            queue_limit=self.queue_limit, drain_timeout=self.drain_timeout,
-            deadline_s=self.deadline_s, watchdog_s=self.watchdog_s)
+        return _run_resolved_serve(self.seed, self.index, self.injector,
+                                   queries=self.queries)
 
 
 def save_serve_chaos_case(case: ServeChaosCase, path) -> None:
@@ -791,8 +780,6 @@ class ServeChaosReport:
     seed: int
     injectors: Tuple[dict, ...]
     queries: int
-    queue_limit: int
-    drain_timeout: float
     counts: Dict[str, int]
     per_injector: Dict[str, Dict[str, int]]
     unsafe: List[dict]
@@ -816,8 +803,8 @@ class ServeChaosReport:
                 "seed": self.seed,
                 "injectors": list(self.injectors),
                 "queries": self.queries,
-                "queue_limit": self.queue_limit,
-                "drain_timeout": self.drain_timeout,
+                "queue_limit": QUEUE_LIMIT,
+                "drain_timeout": DRAIN_TIMEOUT,
             },
             "counts": self.counts,
             "per_injector": self.per_injector,
@@ -851,10 +838,7 @@ class ServeChaosReport:
 
 def run_serve_campaign(trials: int, *, seed: int = 0, jobs: int = 1,
                        injectors: Optional[Tuple[dict, ...]] = None,
-                       queries: int = 40, queue_limit: int = 256,
-                       drain_timeout: float = 5.0,
-                       deadline_s: float = 20.0,
-                       watchdog_s: float = 120.0,
+                       queries: int = 40,
                        cases_dir: Optional[str] = None) -> ServeChaosReport:
     """Run ``trials`` seeded serve-chaos trials and aggregate a report.
 
@@ -871,10 +855,8 @@ def run_serve_campaign(trials: int, *, seed: int = 0, jobs: int = 1,
         raise ValueError("injectors must not be empty")
     for data in injector_dicts:
         service_injector_from_dict(data)  # validate in the parent
-    cfg = ServeCampaignConfig(
-        seed=seed, injectors=injector_dicts, queries=queries,
-        queue_limit=queue_limit, drain_timeout=drain_timeout,
-        deadline_s=deadline_s, watchdog_s=watchdog_s)
+    cfg = ServeCampaignConfig(seed=seed, injectors=injector_dicts,
+                              queries=queries)
     outcomes = parallel_map(run_serve_trial,
                             [(i, cfg) for i in range(trials)], jobs=jobs)
 
@@ -909,8 +891,6 @@ def run_serve_campaign(trials: int, *, seed: int = 0, jobs: int = 1,
                 case = ServeChaosCase(
                     seed=seed, index=outcome.index,
                     injector=outcome.injector, queries=queries,
-                    queue_limit=queue_limit, drain_timeout=drain_timeout,
-                    deadline_s=deadline_s, watchdog_s=watchdog_s,
                     original={"outcome": outcome.outcome,
                               "details": outcome.details})
                 path = directory / (
@@ -921,9 +901,8 @@ def run_serve_campaign(trials: int, *, seed: int = 0, jobs: int = 1,
 
     return ServeChaosReport(
         trials=trials, seed=seed, injectors=injector_dicts,
-        queries=queries, queue_limit=queue_limit,
-        drain_timeout=drain_timeout, counts=counts,
-        per_injector=per_injector, unsafe=unsafe, cases=case_paths)
+        queries=queries, counts=counts, per_injector=per_injector,
+        unsafe=unsafe, cases=case_paths)
 
 
 __all__ = [

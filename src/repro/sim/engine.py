@@ -26,11 +26,6 @@ from repro.loads.trace import CurrentTrace
 from repro.obs import VOLTAGE_BUCKETS_V
 from repro.obs import current as _obs_current
 from repro.power.harvester import TraceHarvester
-from repro.power.reconfig import (
-    ReconfigPlan,
-    apply_reconfiguration,
-    split_at_offsets,
-)
 from repro.power.system import PowerSystem
 from repro.sim.fastpath import (
     BROWN,
@@ -386,10 +381,7 @@ class PowerSystemSimulator:
         call (the compiled kernel, or the reference loop for a system the
         kernel cannot run); with ``fast=False`` it makes one
         :meth:`_advance_reference` call per segment, hop or load segment
-        and never enters the fastpath. Sub-span grouping does not change the
-        float-step sequence: the kernel re-packs the plant per call but
-        its per-segment recurrence is identical, so per-span calls remain
-        bit-exact with a whole-trace call."""
+        and never enters the fastpath."""
         if not segments:
             return None
         if self.fast:
@@ -403,37 +395,11 @@ class PowerSystemSimulator:
                 return hit
         return None
 
-    def _advance_plan(self, trace: CurrentTrace, plan: ReconfigPlan,
-                      harvesting: bool,
-                      stop_below: Optional[float]) -> Optional[float]:
-        """Advance a trace with scheduled bank reconfigurations.
-
-        The trace is split at the plan's offsets; between sub-spans the
-        single shared transform switches the buffer and the monitor
-        observes the post-switch voltage. The same splitting and the same
-        transform run in every engine, which is what keeps the four-way
-        differential valid on plan-bearing traces (DESIGN §16).
-        """
-        spans = split_at_offsets(trace.segments(), plan.offsets())
-        events = plan.events
-        for k, span in enumerate(spans):
-            hit = self._advance_span(span, harvesting, stop_below)
-            if hit is not None:
-                return hit  # a browned-out device does not switch banks
-            if k < len(events):
-                v_new = apply_reconfiguration(self.system, events[k])
-                self._v_min_seen = min(self._v_min_seen, v_new)
-                if stop_below is not None and v_new < stop_below:
-                    return self.time  # redistribution sag crossed V_off
-        return None
-
     # -- public API ----------------------------------------------------------
 
     def run_trace(self, trace: CurrentTrace, *, harvesting: bool = True,
                   settle_after: float = 0.0,
-                  stop_on_brownout: bool = True,
-                  reconfig_plan: Optional[ReconfigPlan] = None,
-                  ) -> SimulationResult:
+                  stop_on_brownout: bool = True) -> SimulationResult:
         """Execute one load trace starting now.
 
         The load runs segment by segment; if the monitor cuts the output
@@ -441,14 +407,6 @@ class PowerSystemSimulator:
         execution aborts there — the paper's semantics for a failed task.
         ``settle_after`` seconds of zero-load simulation follow a completed
         trace so the caller can observe the rebounded final voltage.
-
-        ``reconfig_plan`` schedules bank reconfigurations at trace-relative
-        offsets (the §V-B Capybara/Morphy axis): the trace is split at each
-        event offset, each sub-span runs through the selected engine
-        unchanged, and the shared electrical transform
-        (:func:`repro.power.reconfig.apply_reconfiguration`) switches the
-        buffer between spans — so every engine sees identical events. A
-        brown-out cancels the remaining events.
 
         Observability (``repro.obs``) hooks in here, at trace granularity:
         one ``task`` span, one ``V_min`` sample and the brown-out event per
@@ -458,15 +416,13 @@ class PowerSystemSimulator:
         obs = _obs_current()
         if obs is None:
             return self._run_trace_impl(trace, harvesting, settle_after,
-                                        stop_on_brownout, reconfig_plan)
+                                        stop_on_brownout)
         return self._run_trace_observed(obs, trace, harvesting, settle_after,
-                                        stop_on_brownout, reconfig_plan)
+                                        stop_on_brownout)
 
     def _run_trace_observed(self, obs, trace: CurrentTrace,
                             harvesting: bool, settle_after: float,
-                            stop_on_brownout: bool,
-                            reconfig_plan: Optional[ReconfigPlan] = None,
-                            ) -> SimulationResult:
+                            stop_on_brownout: bool) -> SimulationResult:
         """The instrumented wrapper around :meth:`_run_trace_impl`."""
         tracer = obs.tracer
         wall_start = _time.perf_counter() if obs.profile else 0.0
@@ -478,7 +434,7 @@ class PowerSystemSimulator:
                 segments=len(trace), duration_s=trace.duration,
             )
         result = self._run_trace_impl(trace, harvesting, settle_after,
-                                      stop_on_brownout, reconfig_plan)
+                                      stop_on_brownout)
         metrics = obs.metrics
         metrics.counter("sim.traces").inc()
         metrics.histogram("sim.v_min_v", VOLTAGE_BUCKETS_V).observe(
@@ -506,9 +462,7 @@ class PowerSystemSimulator:
 
     def _run_trace_impl(self, trace: CurrentTrace, harvesting: bool,
                         settle_after: float,
-                        stop_on_brownout: bool,
-                        reconfig_plan: Optional[ReconfigPlan] = None,
-                        ) -> SimulationResult:
+                        stop_on_brownout: bool) -> SimulationResult:
         system = self.system
         v_start = system.buffer.terminal_voltage
         start_time = self.time
@@ -524,14 +478,10 @@ class PowerSystemSimulator:
                 notes=["output booster disabled at task start"],
             )
 
-        if reconfig_plan is not None and len(reconfig_plan) > 0:
-            brown_time = self._advance_plan(trace, reconfig_plan, harvesting,
-                                            stop_level)
-        else:
-            # On the kernel this is one whole-trace call: the plant is
-            # packed once for the entire trace, not once per segment.
-            brown_time = self._advance_span(trace.segments(), harvesting,
-                                            stop_level)
+        # On the kernel this is one whole-trace call: the plant is packed
+        # once for the entire trace, not once per segment.
+        brown_time = self._advance_span(trace.segments(), harvesting,
+                                        stop_level)
         browned_out = brown_time is not None
 
         if settle_after > 0:

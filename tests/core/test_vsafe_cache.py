@@ -63,13 +63,6 @@ class TestVsafeCacheMechanics:
         assert cache.stats.invalidations == 1
         assert len(cache) == 0
 
-    def test_disabled_cache_is_passthrough(self):
-        cache = VsafeCache(enabled=False)
-        cache.put("a", 1)
-        assert cache.get("a") is None   # put stored nothing
-        assert cache.stats.misses == 1
-        assert len(cache) == 0
-
     def test_rejects_bad_maxsize(self):
         with pytest.raises(ValueError):
             VsafeCache(maxsize=0)

@@ -5,11 +5,19 @@ import math
 import pytest
 
 from repro.core.profile_guided import CulpeoPG
-from repro.intermittent.executor import IntermittentExecutor, NonTermination
+from repro.intermittent.executor import (
+    ExecutionReport,
+    IntermittentExecutor,
+    NonTermination,
+)
 from repro.intermittent.program import AtomicTask, Program
 from repro.loads.peripherals import ble_listen, ble_radio
 from repro.loads.trace import CurrentTrace
-from repro.power.harvester import CallableHarvester, ConstantPowerHarvester
+from repro.power.harvester import (
+    CallableHarvester,
+    ConstantPowerHarvester,
+    NullHarvester,
+)
 from repro.power.system import capybara_power_system
 from repro.sim.engine import PowerSystemSimulator
 
@@ -231,3 +239,63 @@ class TestDropoutRecovery:
         report = executor.run(Program([light_task()]), until=120.0)
         assert not report.finished
         assert report.elapsed < 5.0
+
+
+def spin_guard(monkeypatch, engine, name):
+    """Fail once ``engine.<name>`` is called 100 times, so a wait that
+    spins fails here instead of hanging; returns the call list."""
+    calls = []
+    inner = getattr(engine, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        assert len(calls) < 100, f"{name} called 100 times: a spin"
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+class TestDeadlineCloserThanAStep:
+    """A deadline closer than one step (1e-12 s) ends a wait at once: no
+    recharge or hop can move the clock, so waiting on would spin."""
+
+    def test_recharge_with_a_lit_harvester(self, monkeypatch):
+        engine = make_engine(harvest=10e-3, v_start=1.7)
+        calls = spin_guard(monkeypatch, engine, "charge_until")
+        report = ExecutionReport(finished=False, tasks_committed=0,
+                                 elapsed=0.0)
+        start = engine.time
+        executor = IntermittentExecutor(engine)
+        assert not executor._recharge(report, start + 5e-13)
+        assert engine.time == start
+        assert report.charge_time == 0.0
+        assert len(calls) == 1
+
+    def test_recharge_outage_with_a_dark_harvester(self, monkeypatch):
+        # The dark chunk takes 0.25 s, the outage hops 0.1 s each; the
+        # last hop is the 5e-13 s left before the deadline, and takes
+        # no step.
+        system = capybara_power_system(harvester=NullHarvester())
+        system.rest_at(1.7)
+        engine = PowerSystemSimulator(system)
+        calls = spin_guard(monkeypatch, engine, "idle")
+        report = ExecutionReport(finished=False, tasks_committed=0,
+                                 elapsed=0.0)
+        deadline = engine.time + 0.55 + 5e-13
+        executor = IntermittentExecutor(engine)
+        assert not executor._recharge(report, deadline)
+        assert 0.0 < deadline - engine.time < 1e-12
+        assert [hop for hop, in calls[:3]] == [0.1, 0.1, 0.1]
+        assert len(calls) == 4
+
+    def test_gate_wait_with_a_dark_harvester(self, monkeypatch):
+        system = capybara_power_system(harvester=NullHarvester())
+        system.rest_at(1.9)
+        engine = PowerSystemSimulator(system)
+        calls = spin_guard(monkeypatch, engine, "idle")
+        start = engine.time
+        executor = IntermittentExecutor(engine)
+        assert not executor._wait_for_gate(2.3, start + 5e-13)
+        assert engine.time == start
+        assert len(calls) == 1

@@ -97,12 +97,6 @@ class TestCacheInstrumentation:
         # miss and the hit name the same key.
         assert events[0]["key"] == events[1]["key"]
 
-    def test_disabled_cache_never_observes(self):
-        cache = VsafeCache(enabled=False)
-        with obs.observe() as state:
-            cache.get("k")
-        assert "cache.misses" not in state.metrics.snapshot()["counters"]
-
 
 class TestProfilingHooks:
     def test_timed_noop_without_profile(self):

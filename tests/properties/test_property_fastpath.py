@@ -24,7 +24,6 @@ from repro.core.runtime import CulpeoRCalculator
 from repro.power.booster import CurvedEfficiency, LinearEfficiency
 from repro.power.capacitor import IdealCapacitor, TwoBranchSupercap
 from repro.power.harvester import ConstantPowerHarvester, TraceHarvester
-from repro.power.reconfig import ReconfigPlan
 from repro.power.reconfigurable import (
     ReconfigurableBuffer,
     capybara_bank_set,
@@ -272,14 +271,13 @@ def run_observed(fast, case):
     sim = PowerSystemSimulator(system, fast=fast)
     captures = attach_observers(case["observers"], sim, case["seed"])
     harvesting = case["harvest"] != "off"
-    plan = None
-    if case["kind"] == "reconfigurable":
-        total = sum(d for _, d in case["segs"])
-        plan = ReconfigPlan.build((0.3 * total, ("large",)),
-                                  (0.7 * total, ("large", "small")))
     result = sim.run_trace(CurrentTrace(case["segs"]),
                            harvesting=harvesting,
-                           settle_after=case["settle"], reconfig_plan=plan)
+                           settle_after=case["settle"])
+    if case["kind"] == "reconfigurable":
+        # a switch between tasks, as the bank scheduler makes one: the
+        # idle runs on the large bank alone, the small one parked
+        system.buffer.configure(("large",))
     v_idle = sim.idle(0.005, harvesting=harvesting)
     return (result, sim.time, v_idle, buffer_state(system.buffer),
             system.monitor.output_enabled, captures())

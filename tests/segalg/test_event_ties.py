@@ -7,9 +7,7 @@ segments that compile to nothing at all. Each is constructed by solving
 for the coincidence (measuring the event time, then rebuilding the
 trace so the boundary sits exactly there) rather than hoping a seed
 produces one. The segalg runs are one-lane fleets; the stepping
-fastpath is the cross-engine anchor. Reconfiguration ties run on the
-scalar engines only (the fleet engines have no plan path), where the
-reference loop must match the fastpath bit for bit.
+fastpath is the cross-engine anchor.
 """
 
 import numpy as np
@@ -17,9 +15,7 @@ import pytest
 
 from repro.env.spec import EnvSpec
 from repro.fleet.kernel import FleetRecorder, FleetState
-from repro.fleet.spec import FleetBankSpec, FleetSpec
-from repro.loads.trace import CurrentTrace
-from repro.power.reconfig import ReconfigPlan, split_at_offsets
+from repro.fleet.spec import FleetSpec
 from repro.segalg.model import Bank
 from repro.segalg.program import compile_segments
 from repro.segalg.vector import advance_fleet
@@ -34,36 +30,6 @@ V_METHOD_TOL = 5e-3
 #: loops locate a crossing only to their adaptive step.
 T_METHOD_TOL = 6e-2
 WEAK = FleetSpec(devices=1, seed=0, harvest_power=0.1e-3)
-
-#: A two-bank set pinned to start in the lone large configuration, so
-#: every reconfiguration event below actually changes the rail.
-RECONFIG_BANK = FleetBankSpec(
-    banks=(("large", 33.75e-3, 2.5, 12e-9),
-           ("small", 11.25e-3, 7.5, 4e-9)),
-    configs=(("large",),))
-MERGE = ("large", "small")
-
-
-def _bank_spec(**overrides):
-    kw = dict(devices=1, seed=0, harvest_power=3e-3, bank=RECONFIG_BANK)
-    kw.update(overrides)
-    return FleetSpec(**kw)
-
-
-def _scalar_plan(spec, segments, plan, v0=2.2, fast=True):
-    system = spec.parameters().device_system(0, rest_at=v0)
-    sim = PowerSystemSimulator(system, fast=fast)
-    result = sim.run_trace(CurrentTrace(list(segments)),
-                           reconfig_plan=plan)
-    return system, result
-
-
-def _assert_reference_matches(spec, segments, plan, fast_result):
-    """The reference loop replays the fastpath's plan run bit for bit."""
-    _sys, ref = _scalar_plan(spec, segments, plan, fast=False)
-    assert ref.v_final == fast_result.v_final
-    assert ref.v_min == fast_result.v_min
-    assert ref.brown_out_time == fast_result.brown_out_time
 
 
 def _scalar(spec, segments, harvesting=True, stop_below=None, v0=2.2):
@@ -367,163 +333,3 @@ class TestEnvBreakpointOnTaskBoundary:
         state_b, _ = _fleet(spec, split)
         assert float(state_b.v_term[0]) == pytest.approx(
             float(state_a.v_term[0]), abs=5e-4)
-
-
-class TestReconfigOnBrownCrossing:
-    """A reconfiguration event within a hair of the brown-out crossing.
-
-    The documented semantics: a brown-out inside a sub-span cancels the
-    remaining events (a dead device does not switch banks), while an
-    event that fires first changes the plant — here merging in a charged
-    reserve bank, which postpones the crossing. Both orderings are
-    pinned just past the partition sensitivity on each side.
-    """
-
-    EPS = 4e-3
-
-    def _t_star(self, spec):
-        _sys, res = _scalar_plan(spec, [(DRAW, 30.0)], None)
-        assert res.browned_out and 0.0 < res.brown_out_time < 30.0
-        return res.brown_out_time
-
-    def test_switch_a_hair_after_the_crossing_never_fires(self):
-        spec = _bank_spec(harvest_power=0.1e-3)
-        t_star = self._t_star(spec)
-        plan = ReconfigPlan.build((t_star + self.EPS, MERGE))
-        system, res = _scalar_plan(spec, [(DRAW, 30.0)], plan)
-        assert res.browned_out
-        assert res.brown_out_time == pytest.approx(t_star, abs=self.EPS)
-        assert res.brown_out_time < t_star + self.EPS
-        # the dead device kept its configuration
-        assert system.buffer.config_id == frozenset({"large"})
-        _assert_reference_matches(spec, [(DRAW, 30.0)], plan, res)
-
-    def test_switch_a_hair_before_the_crossing_postpones_it(self):
-        spec = _bank_spec(harvest_power=0.1e-3)
-        t_star = self._t_star(spec)
-        plan = ReconfigPlan.build((t_star - self.EPS, MERGE))
-        system, res = _scalar_plan(spec, [(DRAW, 30.0)], plan)
-        # the merge fired: the charged small bank pulls the rail back up
-        assert system.buffer.config_id == frozenset(MERGE)
-        assert res.browned_out  # the reserve only buys time
-        assert res.brown_out_time > t_star + self.EPS
-        _assert_reference_matches(spec, [(DRAW, 30.0)], plan, res)
-
-
-class TestReconfigOnTaskBoundary:
-    """An event landing exactly on a source-segment boundary.
-
-    The splitter's contract: an offset on a boundary needs no cut, and
-    every engine advances the identical spans. Physics must vary
-    continuously as the event crosses the boundary.
-    """
-
-    EPS = 4e-3
-    SEGMENTS = [(DRAW, 0.4), (0.0, 0.6)]
-
-    def test_boundary_event_needs_no_split(self):
-        spans = split_at_offsets(self.SEGMENTS, (0.4,))
-        assert spans[0] == [(DRAW, 0.4)]
-        assert spans[1] == [(0.0, 0.6)]
-
-    def _both_engines(self, plan):
-        spec = _bank_spec()
-        sys_fast, res_fast = _scalar_plan(spec, self.SEGMENTS, plan)
-        _assert_reference_matches(spec, self.SEGMENTS, plan, res_fast)
-        return sys_fast, res_fast
-
-    def test_event_exactly_on_the_boundary(self):
-        plan = ReconfigPlan.build((0.4, MERGE))
-        sys_fast, res_fast = self._both_engines(plan)
-        assert not res_fast.browned_out
-        assert sys_fast.buffer.config_id == frozenset(MERGE)
-
-    def test_both_orderings_bracket_the_boundary(self):
-        finals = []
-        for t_e in (0.4 - self.EPS, 0.4, 0.4 + self.EPS):
-            plan = ReconfigPlan.build((t_e, MERGE))
-            _sys, res_fast = self._both_engines(plan)
-            finals.append(res_fast.v_final)
-        # moving the switch by 4 ms moves the endpoint by less
-        assert max(finals) - min(finals) < 0.02
-
-
-class TestReconfigOnEnvBreakpoint:
-    """An event landing on an environment power-step edge that is also
-    a task boundary — chunk boundary, segment commit, harvest step and
-    bank switch all at one float. Both orderings must stay in band."""
-
-    EPS = 4e-3
-
-    def _spec(self):
-        env = EnvSpec(model="diurnal-solar", duration=8.0, seed=3,
-                      peak_power=5e-3, period=8.0, daylight_fraction=1.0,
-                      cloud_rate=6.0, grid_dt=0.25)
-        return FleetSpec(devices=1, seed=0, esr_jitter=0.0,
-                         capacitance_jitter=0.0, harvest_jitter=0.0,
-                         eta_jitter=0.0, env=env, bank=RECONFIG_BANK)
-
-    def _boundary_with_power_step(self, params):
-        harvester = params.device_harvester(0)
-        edges, powers = harvester.edges, harvester.powers
-        for k in range(2, len(powers) - 4):
-            if powers[k - 1] != powers[k]:
-                return float(edges[k])
-        raise AssertionError("no interior power step found")
-
-    def test_switch_on_the_power_step_both_orderings(self):
-        spec = self._spec()
-        t_b = self._boundary_with_power_step(spec.parameters())
-        segments = [(0.012, t_b), (0.0, 1.0)]
-        for t_e in (t_b - self.EPS, t_b, t_b + self.EPS):
-            plan = ReconfigPlan.build((t_e, MERGE))
-            sys_fast, res_fast = _scalar_plan(spec, segments, plan)
-            assert not res_fast.browned_out
-            assert sys_fast.buffer.config_id == frozenset(MERGE)
-            _assert_reference_matches(spec, segments, plan, res_fast)
-
-
-class TestReconfigOnRailArrival:
-    """An event landing on the V_high rail arrival.
-
-    Merging in a lower-rested bank pulls the pinned rail down (the dip
-    must show in ``v_min`` — the documented post-switch accounting) and
-    the pin regime then recovers. Both orderings: just before arrival
-    (still charging) and just after (pinned)."""
-
-    EPS = 4e-3
-
-    def _t_rail(self, spec, v0=2.2):
-        """(arrival time, pin level) — the pin overshoots nominal V_high
-        by the hysteresis sliver, so the level is measured, not assumed."""
-        def v_after(d):
-            _sys, res = _scalar_plan(spec, [(0.0, d)], None, v0=v0)
-            return res.v_final
-
-        lo_d, hi_d = 1e-3, 60.0
-        v_rail = v_after(hi_d)
-        assert v_rail > 2.5
-        assert v_after(lo_d) < v_rail - 1e-3
-        for _ in range(60):
-            mid = 0.5 * (lo_d + hi_d)
-            if v_after(mid) < v_rail - 1e-9:
-                lo_d = mid
-            else:
-                hi_d = mid
-        return hi_d, v_rail
-
-    def test_merge_on_the_rail_both_orderings(self):
-        spec = _bank_spec(harvest_power=6e-3)
-        t_rail, v_rail = self._t_rail(spec)
-        segments = [(0.0, t_rail), (0.0, 1.0)]
-        finals = []
-        for t_e in (t_rail - self.EPS, t_rail, t_rail + self.EPS):
-            plan = ReconfigPlan.build((t_e, MERGE))
-            sys_fast, res_fast = _scalar_plan(spec, segments, plan)
-            assert not res_fast.browned_out
-            assert sys_fast.buffer.config_id == frozenset(MERGE)
-            # the merge dip off the rail is visible to v_min accounting
-            assert V_OFF < res_fast.v_min < v_rail - 0.02
-            _assert_reference_matches(spec, segments, plan, res_fast)
-            finals.append(res_fast.v_final)
-        assert max(finals) - min(finals) < 0.02

@@ -236,14 +236,24 @@ class TestCases:
             seed=5, index=3,
             injector={"injector": "sigkill",
                       "params": {"at_fraction": 0.5}},
-            queries=10, queue_limit=256, drain_timeout=5.0,
-            deadline_s=20.0, watchdog_s=120.0,
-            original={"outcome": "brown_out"})
+            queries=10, original={"outcome": "brown_out"})
         path = tmp_path / "case.json"
         save_serve_chaos_case(case, path)
         loaded = load_serve_chaos_case(path)
         assert loaded == case
         assert loaded.to_dict() == case.to_dict()
+
+    def test_documents_with_daemon_settings_still_load(self, tmp_path):
+        # Cases persisted while the daemon and client settings were
+        # campaign options carry them, at today's constants.
+        case = ServeChaosCase(
+            seed=5, index=3, injector={"injector": "none", "params": {}},
+            queries=10)
+        document = dict(case.to_dict(), queue_limit=256, drain_timeout=5.0,
+                        deadline_s=20.0, watchdog_s=120.0)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert load_serve_chaos_case(path) == case
 
     def test_foreign_documents_rejected(self, tmp_path):
         path = tmp_path / "case.json"
@@ -255,7 +265,6 @@ class TestCases:
         case = ServeChaosCase(
             seed=5, index=0,
             injector={"injector": "none", "params": {}},
-            queries=8, queue_limit=256, drain_timeout=5.0,
-            deadline_s=20.0, watchdog_s=120.0)
+            queries=8)
         outcome = case.replay()
         assert outcome.outcome == "completed"

@@ -211,8 +211,7 @@ class TestChaosCommand:
         path = tmp_path / "serve-case.json"
         save_serve_chaos_case(ServeChaosCase(
             seed=5, index=0, injector={"injector": "none", "params": {}},
-            queries=8, queue_limit=256, drain_timeout=5.0,
-            deadline_s=20.0, watchdog_s=120.0), path)
+            queries=8), path)
         assert main(["chaos", "--replay", str(path)]) == 0
         details = [line for line in capsys.readouterr().out.splitlines()
                    if line.startswith("  ")]
