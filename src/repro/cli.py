@@ -212,132 +212,70 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.resilience import (
-        CHAOS_APPS,
-        INJECTORS,
-        load_chaos_case,
-        run_campaign,
-    )
+    import json
+    from pathlib import Path
 
+    # One path for both campaigns: --serve picks the daemon's for a run,
+    # the case document's format field picks it for a replay.
+    document = None
+    serve = args.serve
     if args.replay is not None:
-        import json as _json
-        from pathlib import Path as _Path
+        document = json.loads(Path(args.replay).read_text(encoding="utf-8"))
+        serve = document.get("format") == "repro.serve-chaos-case"
+    if serve:
+        from repro.serve.chaos import (
+            SERVICE_INJECTORS,
+            ServeChaosCase,
+            run_serve_campaign,
+        )
+        registry, case_type, run = (SERVICE_INJECTORS, ServeChaosCase,
+                                    run_serve_campaign)
+        options = {"queries": args.queries}
+    else:
+        from repro.resilience import (
+            CHAOS_STOCK,
+            INJECTORS,
+            ChaosCase,
+            run_campaign,
+        )
+        registry, case_type, run = INJECTORS, ChaosCase, run_campaign
+        options = {
+            "estimators": (tuple(args.estimators.split(","))
+                           if args.estimators else CHAOS_STOCK),
+            "apps": args.apps.split(",") if args.apps else None,
+            "horizon": args.horizon, "env_axis": args.env_axis,
+            "bank_axis": args.bank_axis,
+        }
 
-        raw = _json.loads(_Path(args.replay).read_text(encoding="utf-8"))
-        if raw.get("format") == "repro.serve-chaos-case":
-            return _replay_serve_chaos(args.replay)
-        case = load_chaos_case(args.replay)
+    if document is not None:
+        case = case_type.from_dict(document)
         outcome = case.replay()
-        print(f"replaying {args.replay}: trial {case.index}, app {case.app}, "
-              f"estimator {case.estimator}, "
-              f"injector {case.injector['injector']}")
+        print(f"replaying {args.replay}: trial {case.index}, "
+              + ", ".join(f"{key} {name}"
+                          for key, name in case.names().items()))
         print(f"outcome: {outcome.outcome}  "
               f"(recorded: {case.original.get('outcome', '?')})")
-        for key in ("tasks_committed", "brownouts", "backoffs", "stuck_on"):
+        for key in case.SUMMARY:
             print(f"  {key}: {outcome.details.get(key)}")
         return 1 if outcome.unsafe else 0
 
-    if args.serve:
-        return _run_serve_chaos(args)
-
-    injectors = None
-    if args.injectors:
-        names = args.injectors.split(",")
-        unknown = [n for n in names if n not in INJECTORS]
-        if unknown:
-            print(f"unknown injector(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            print(f"choose from: {', '.join(sorted(INJECTORS))}",
-                  file=sys.stderr)
-            return 2
-        injectors = [INJECTORS[n]().to_dict() for n in names]
-    apps = None
-    if args.apps:
-        names = args.apps.split(",")
-        unknown = [n for n in names if n not in CHAOS_APPS]
-        if unknown:
-            print(f"unknown app(s): {', '.join(unknown)}", file=sys.stderr)
-            print(f"choose from: {', '.join(CHAOS_APPS)}", file=sys.stderr)
-            return 2
-        apps = names
-    kwargs = {}
-    if args.estimators:
-        kwargs["estimators"] = tuple(args.estimators.split(","))
     try:
-        report = run_campaign(
-            args.trials, seed=args.seed, jobs=args.jobs,
-            injectors=injectors, apps=apps, horizon=args.horizon,
-            cases_dir=args.cases_dir, env_axis=args.env_axis,
-            bank_axis=args.bank_axis, **kwargs,
-        )
+        injectors = (registry.defaults(args.injectors.split(","))
+                     if args.injectors else None)
+        report = run(args.trials, seed=args.seed, jobs=args.jobs,
+                     injectors=injectors, cases_dir=args.cases_dir,
+                     **options)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     print(report.render())
     if args.report is not None:
-        import json
-        from pathlib import Path
-
-        Path(args.report).write_text(
-            json.dumps(report.to_dict(), indent=2), encoding="utf-8"
-        )
-        print(f"wrote {args.report}", file=sys.stderr)
-    if args.expect_unsafe:
-        # Demonstration mode: the campaign *should* break the estimator
-        # under test (e.g. an energy baseline under ESR drift).
-        return 0 if not report.ok else 1
-    return 0 if report.ok else 1
-
-
-def _replay_serve_chaos(path: str) -> int:
-    from repro.serve.chaos import load_serve_chaos_case
-
-    case = load_serve_chaos_case(path)
-    outcome = case.replay()
-    print(f"replaying {path}: trial {case.index}, "
-          f"injector {case.injector['injector']}")
-    print(f"outcome: {outcome.outcome}  "
-          f"(recorded: {case.original.get('outcome', '?')})")
-    for key in ("checked", "mismatches", "retries", "reconnects",
-                "resends", "restarts"):
-        print(f"  {key}: {outcome.details.get(key)}")
-    return 1 if outcome.unsafe else 0
-
-
-def _run_serve_chaos(args: argparse.Namespace) -> int:
-    """``repro chaos --serve``: the campaign against the real daemon."""
-    from repro.serve.chaos import SERVICE_INJECTORS, run_serve_campaign
-
-    injectors = None
-    if args.injectors:
-        names = args.injectors.split(",")
-        unknown = [n for n in names if n not in SERVICE_INJECTORS]
-        if unknown:
-            print(f"unknown service injector(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            print(f"choose from: {', '.join(sorted(SERVICE_INJECTORS))}",
-                  file=sys.stderr)
-            return 2
-        injectors = tuple(SERVICE_INJECTORS[n]().to_dict() for n in names)
-    try:
-        report = run_serve_campaign(
-            args.trials, seed=args.seed, jobs=args.jobs,
-            injectors=injectors, queries=args.queries,
-            cases_dir=args.cases_dir)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(report.render())
-    if args.report is not None:
-        import json
-        from pathlib import Path
-
         Path(args.report).write_text(
             json.dumps(report.to_dict(), indent=2), encoding="utf-8")
         print(f"wrote {args.report}", file=sys.stderr)
-    if args.expect_unsafe:
-        return 0 if not report.ok else 1
-    return 0 if report.ok else 1
+    # --expect-unsafe: a baseline demonstration succeeds only if the
+    # campaign breaks the estimator under test.
+    return 0 if report.ok != args.expect_unsafe else 1
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:

@@ -49,7 +49,7 @@ from repro.harness.parallel import parallel_map, split_ranges
 from repro.harness.report import TextTable
 from repro.obs import THROUGHPUT_BUCKETS, VOLTAGE_BUCKETS_V
 from repro.obs import current as _obs_current
-from repro.resilience.campaign import OUTCOMES
+from repro.resilience.skeleton import OUTCOMES
 from repro.segalg.vector import advance_fleet as _segalg_advance
 
 #: Fleet simulation engines: the stepping kernel (every device on the
@@ -77,7 +77,7 @@ _CODE_TO_OUTCOME = dict(enumerate(OUTCOMES))
 class FleetOutcomes:
     """Raw per-device results of one fleet run (device order, picklable).
 
-    ``outcome_codes`` index into :data:`repro.resilience.campaign.OUTCOMES`.
+    ``outcome_codes`` index into :data:`repro.resilience.skeleton.OUTCOMES`.
     ``brown_task`` / ``brown_time`` are the first gated task that crossed
     V_off and when ("" / NaN where the device never browned).
     """

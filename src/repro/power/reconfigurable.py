@@ -274,3 +274,90 @@ def capybara_bank_set(small: float = 7.5e-3, large: float = 37.5e-3,
         )
 
     return {"small": bank(small), "large": bank(large)}
+
+
+# -- switch-fabric faults ----------------------------------------------------
+#
+# Proxies over a ReconfigurableBuffer that change how it is configured or
+# tagged, never how it steps: the stepping kernel steps the active group
+# of the exact ReconfigurableBuffer they wrap (repro.sim.fastpath).
+
+
+class BankFaultProxy:
+    """Base proxy over a reconfigurable buffer: delegate everything,
+    intercept ``configure``. Subclasses model one switch-fabric fault."""
+
+    def __init__(self, inner: ReconfigurableBuffer) -> None:
+        object.__setattr__(self, "_inner", inner)
+
+    def __getattr__(self, name):
+        return getattr(object.__getattribute__(self, "_inner"), name)
+
+    def __setattr__(self, name, value):
+        setattr(object.__getattribute__(self, "_inner"), name, value)
+
+    def copy(self):
+        # Preserve the fault across the deep copies the harness makes
+        # (ground truth, profiling) — an aged part stays aged there too.
+        return type(self)(object.__getattribute__(self, "_inner").copy())
+
+
+class StuckSwitchBuffer(BankFaultProxy):
+    """``configure`` is a no-op: the switch fabric never actuates, so
+    both the electrical configuration and the reported tag stay frozen
+    at whatever the buffer powered up in."""
+
+    def configure(self, names):
+        inner = object.__getattribute__(self, "_inner")
+        return inner.config_id
+
+
+class RedistLossBuffer(BankFaultProxy):
+    """Every actuation leaks extra charge: after a real ``configure``
+    the merged group sags by ``loss_fraction`` of its voltage (lossy
+    balancing resistors, shoot-through during break-before-make)."""
+
+    def __init__(self, inner: ReconfigurableBuffer,
+                 loss_fraction: float) -> None:
+        super().__init__(inner)
+        object.__setattr__(self, "_loss_fraction", float(loss_fraction))
+
+    def configure(self, names):
+        inner = object.__getattribute__(self, "_inner")
+        result = inner.configure(names)
+        loss = object.__getattribute__(self, "_loss_fraction")
+        inner.reset(inner.terminal_voltage * (1.0 - loss))
+        return result
+
+    def copy(self):
+        inner = object.__getattribute__(self, "_inner")
+        loss = object.__getattribute__(self, "_loss_fraction")
+        return RedistLossBuffer(inner.copy(), loss)
+
+
+class StaleTagBuffer(BankFaultProxy):
+    """``configure`` actuates the rail but the tag register lags one
+    switch behind — ``config_id`` reports the *previous* configuration
+    (a corrupted status register / missed interrupt)."""
+
+    def __init__(self, inner: ReconfigurableBuffer) -> None:
+        super().__init__(inner)
+        object.__setattr__(self, "_reported", inner.config_id)
+
+    @property
+    def config_id(self):
+        return object.__getattribute__(self, "_reported")
+
+    def configure(self, names):
+        inner = object.__getattribute__(self, "_inner")
+        previous = inner.config_id
+        inner.configure(names)
+        object.__setattr__(self, "_reported", previous)
+        return previous
+
+    def copy(self):
+        inner = object.__getattribute__(self, "_inner")
+        duplicate = StaleTagBuffer(inner.copy())
+        object.__setattr__(duplicate, "_reported",
+                           object.__getattribute__(self, "_reported"))
+        return duplicate

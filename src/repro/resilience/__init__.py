@@ -9,20 +9,18 @@ registry of seeded, schedulable :mod:`injectors <repro.resilience.injectors>`
 that plug into the simulator's existing seams, and a
 :mod:`campaign <repro.resilience.campaign>` engine (``repro chaos``) that
 runs seeded fault campaigns across applications and estimators, classifies
-every trial, and persists replayable cases for anything unsafe.
+every trial, and persists replayable cases for anything unsafe. Both it
+and the daemon's campaign (``repro chaos --serve``) run on one
+:mod:`skeleton <repro.resilience.skeleton>`.
 """
 
 from repro.resilience.campaign import (
     CHAOS_APPS,
     CHAOS_STOCK,
-    CampaignConfig,
-    ChaosReport,
-    ChaosTrialOutcome,
+    ChaosCase,
     default_injector_dicts,
     run_campaign,
-    run_chaos_trial,
 )
-from repro.resilience.cases import ChaosCase, load_chaos_case, save_chaos_case
 from repro.resilience.injectors import (
     INJECTORS,
     AdcDropoutFault,
@@ -34,16 +32,23 @@ from repro.resilience.injectors import (
     HarvesterDropoutStorm,
     IsrTimerJitter,
     NoFault,
-    injector_from_dict,
+)
+from repro.resilience.skeleton import (
+    OUTCOMES,
+    CampaignReport,
+    Case,
+    Recipe,
+    Registry,
+    TrialOutcome,
 )
 
 __all__ = [
     "CHAOS_APPS",
     "CHAOS_STOCK",
-    "CampaignConfig",
+    "OUTCOMES",
+    "CampaignReport",
+    "Case",
     "ChaosCase",
-    "ChaosReport",
-    "ChaosTrialOutcome",
     "FaultInjector",
     "INJECTORS",
     "NoFault",
@@ -54,10 +59,9 @@ __all__ = [
     "AdcStuckFault",
     "AdcNoiseFault",
     "IsrTimerJitter",
+    "Recipe",
+    "Registry",
+    "TrialOutcome",
     "default_injector_dicts",
-    "injector_from_dict",
-    "load_chaos_case",
     "run_campaign",
-    "run_chaos_trial",
-    "save_chaos_case",
 ]

@@ -39,12 +39,7 @@ healing that masks injected faults cannot mask a daemon fault.
 """
 
 from repro.serve.cache import PersistentVsafeCache
-from repro.serve.chaos import (
-    SERVICE_INJECTORS,
-    ChaosProxy,
-    ServeChaosReport,
-    run_serve_campaign,
-)
+from repro.serve.chaos import SERVICE_INJECTORS, ChaosProxy, run_serve_campaign
 from repro.serve.engine import AdmissionEngine
 from repro.serve.errors import (
     DeadlineBudgetExceeded,
@@ -75,7 +70,6 @@ __all__ = [
     "OverloadedError",
     "PersistentVsafeCache",
     "RetryPolicy",
-    "ServeChaosReport",
     "ServeConfig",
     "ServeConnectionError",
     "ServeTimeoutError",

@@ -1,16 +1,21 @@
 """Service-level chaos: fault-injected campaigns against the real daemon.
 
 ``repro chaos --serve`` is :mod:`repro.resilience` pointed at the
-serving stack. One campaign *trial* is: derive the trial RNG from
-``(seed, index)``, boot a **real** ``python -m repro serve`` subprocess
-(its own cache journal in a scratch directory), pick one service-fault
-injector from the grid, fire a seeded mixed workload at the daemon
-through the self-healing :class:`~repro.serve.vsafe_client.VsafeClient`,
-and byte-compare every answered response against the independent library
+serving stack: this module holds the daemon's fault recipes, the
+:class:`ChaosProxy`, the trial workload and the trial, and runs them on
+the campaign skeleton (:mod:`repro.resilience.skeleton`), which owns the
+registry, the tally, the report and the case files.
+
+One campaign *trial* is: derive the trial RNG from ``(seed, index)``,
+boot a **real** ``python -m repro serve`` subprocess (its own cache
+journal in a scratch directory), pick one service-fault injector from
+the grid, fire a seeded mixed workload at the daemon through the
+self-healing :class:`~repro.serve.vsafe_client.VsafeClient`, and
+byte-compare every answered response against the independent library
 oracle — the same :class:`~repro.serve.client.ByteCheck` lane the
 ``repro.serve.check`` smoke runs. The outcome is classified with the
 four-way taxonomy of the simulator campaigns
-(:data:`repro.resilience.campaign.OUTCOMES`):
+(:data:`repro.resilience.skeleton.OUTCOMES`):
 
 ``completed``
     Every response byte-identical, no retries, no degradation, daemon
@@ -47,11 +52,10 @@ planes a deployment actually has:
   residence exceeds it — clock-independent by construction), so the
   shed path runs under load without a timing assumption.
 
-Trials fan out over :func:`repro.harness.parallel.parallel_map`; the
-report is a pure function of ``(trials, seed, parameters)`` —
-byte-identical for any ``--jobs`` — and every unsafe trial is saved as
-a replayable JSON case (``repro chaos --replay``), exactly the workflow
-``repro verify`` and simulator chaos established.
+As in the simulator campaign, the report is a pure function of
+``(trials, seed, parameters)`` — byte-identical for any ``--jobs`` —
+and every unsafe trial is saved as a replayable JSON case
+(``repro chaos --replay``).
 """
 
 from __future__ import annotations
@@ -63,49 +67,27 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from random import Random
-from typing import Dict, List, Optional, Tuple, Type
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
-from repro.harness.parallel import parallel_map
-from repro.harness.report import TextTable
-from repro.obs import current as _obs_current
-from repro.resilience.campaign import OUTCOMES
+from repro.resilience.skeleton import (
+    CampaignReport,
+    Case,
+    Recipe,
+    Registry,
+    TrialOutcome,
+    run_grid,
+)
 from repro.serve.client import STORM_DEADLINE_MS, ByteCheck, ServerProcess
 from repro.serve.faultfs import FAULTS_ENV
 from repro.serve.protocol import MAX_LINE_BYTES
 from repro.serve.vsafe_client import VsafeClient
 
 #: Registered service injector classes by name.
-SERVICE_INJECTORS: Dict[str, Type["ServiceInjector"]] = {}
+SERVICE_INJECTORS = Registry("service injector")
 
 
-def register(cls: Type["ServiceInjector"]) -> Type["ServiceInjector"]:
-    """Class decorator adding a service injector to the registry."""
-    if not cls.name:
-        raise ValueError(f"{cls.__name__} needs a non-empty name")
-    if cls.name in SERVICE_INJECTORS:
-        raise ValueError(f"duplicate service injector: {cls.name!r}")
-    SERVICE_INJECTORS[cls.name] = cls
-    return cls
-
-
-def service_injector_from_dict(data: dict) -> "ServiceInjector":
-    """Rebuild a service injector from its ``to_dict`` form."""
-    name = data.get("injector")
-    if name not in SERVICE_INJECTORS:
-        raise ValueError(f"unknown service injector {name!r}; choose from "
-                         f"{sorted(SERVICE_INJECTORS)}")
-    return SERVICE_INJECTORS[name](**data.get("params", {}))
-
-
-def default_service_injector_dicts() -> Tuple[dict, ...]:
-    """Every registered service injector with defaults, as plain data."""
-    return tuple(SERVICE_INJECTORS[name]().to_dict()
-                 for name in sorted(SERVICE_INJECTORS))
-
-
-class ServiceInjector:
+class ServiceInjector(Recipe):
     """Base service fault recipe: named, parameterized, plain-data.
 
     ``kind`` routes the fault to its plane: ``"proxy"`` recipes shape
@@ -116,16 +98,9 @@ class ServiceInjector:
     storms), and ``"none"`` is the clean control.
     """
 
-    name: str = ""
-    kind: str = "none"
+    kind: ClassVar[str] = "none"
     #: ``"kill"`` or ``"term"`` for signal-kind injectors.
-    signal: Optional[str] = None
-
-    def params(self) -> dict:
-        return {}
-
-    def to_dict(self) -> dict:
-        return {"injector": self.name, "params": self.params()}
+    signal: ClassVar[Optional[str]] = None
 
     def fault_plan(self) -> Optional[dict]:
         """The ``REPRO_SERVE_FAULTS`` plan for disk-kind injectors."""
@@ -140,7 +115,7 @@ class ServiceInjector:
         return 0.0
 
 
-@register
+@SERVICE_INJECTORS.register
 class NoServiceFault(ServiceInjector):
     """The control: a clean trial must classify ``completed``."""
 
@@ -148,29 +123,28 @@ class NoServiceFault(ServiceInjector):
     kind = "none"
 
 
-@register
+@SERVICE_INJECTORS.register
+@dataclass(frozen=True)
 class ConnectionReset(ServiceInjector):
     """The proxy aborts (RST) each connection after a few requests."""
 
     name = "connection-reset"
     kind = "proxy"
+    every: int = 4
+    jitter: int = 3
 
-    def __init__(self, every: int = 4, jitter: int = 3) -> None:
-        if every < 2:
-            raise ValueError(f"every must be >= 2, got {every}")
-        if jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {jitter}")
-        self.every = int(every)
-        self.jitter = int(jitter)
-
-    def params(self) -> dict:
-        return {"every": self.every, "jitter": self.jitter}
+    def check(self) -> None:
+        if self.every < 2:
+            raise ValueError(f"every must be >= 2, got {self.every}")
+        if self.jitter < 0:
+            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
 
     def proxy_profile(self) -> Optional[dict]:
         return {"mode": "reset", "every": self.every, "jitter": self.jitter}
 
 
-@register
+@SERVICE_INJECTORS.register
+@dataclass(frozen=True)
 class HalfOpenStall(ServiceInjector):
     """Responses silently stop after a few — the socket stays open.
 
@@ -179,23 +153,21 @@ class HalfOpenStall(ServiceInjector):
 
     name = "half-open-stall"
     kind = "proxy"
+    after: int = 6
+    jitter: int = 4
 
-    def __init__(self, after: int = 6, jitter: int = 4) -> None:
-        if after < 1:
-            raise ValueError(f"after must be >= 1, got {after}")
-        if jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {jitter}")
-        self.after = int(after)
-        self.jitter = int(jitter)
-
-    def params(self) -> dict:
-        return {"after": self.after, "jitter": self.jitter}
+    def check(self) -> None:
+        if self.after < 1:
+            raise ValueError(f"after must be >= 1, got {self.after}")
+        if self.jitter < 0:
+            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
 
     def proxy_profile(self) -> Optional[dict]:
         return {"mode": "stall", "after": self.after, "jitter": self.jitter}
 
 
-@register
+@SERVICE_INJECTORS.register
+@dataclass(frozen=True)
 class SlowLoris(ServiceInjector):
     """Request bytes trickle toward the daemon in tiny delayed chunks.
 
@@ -204,120 +176,107 @@ class SlowLoris(ServiceInjector):
 
     name = "slow-loris"
     kind = "proxy"
+    chunk: int = 48
+    delay_ms: float = 2.0
 
-    def __init__(self, chunk: int = 48, delay_ms: float = 2.0) -> None:
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        if delay_ms < 0:
-            raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
-        self.chunk = int(chunk)
-        self.delay_ms = float(delay_ms)
-
-    def params(self) -> dict:
-        return {"chunk": self.chunk, "delay_ms": self.delay_ms}
+    def check(self) -> None:
+        if self.chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {self.chunk}")
+        if self.delay_ms < 0:
+            raise ValueError(f"delay_ms must be >= 0, got {self.delay_ms}")
 
     def proxy_profile(self) -> Optional[dict]:
         return {"mode": "loris", "chunk": self.chunk,
                 "delay_ms": self.delay_ms}
 
 
-@register
+@SERVICE_INJECTORS.register
+@dataclass(frozen=True)
 class DiskFull(ServiceInjector):
     """ENOSPC partway through the journal: the tier must degrade, the
     answers must not change."""
 
     name = "disk-full"
     kind = "disk"
+    after_bytes: int = 1500
 
-    def __init__(self, after_bytes: int = 1500) -> None:
-        if after_bytes < 0:
-            raise ValueError(f"after_bytes must be >= 0, got {after_bytes}")
-        self.after_bytes = int(after_bytes)
-
-    def params(self) -> dict:
-        return {"after_bytes": self.after_bytes}
+    def check(self) -> None:
+        if self.after_bytes < 0:
+            raise ValueError(
+                f"after_bytes must be >= 0, got {self.after_bytes}")
 
     def fault_plan(self) -> Optional[dict]:
         return {"enospc_after_bytes": self.after_bytes}
 
 
-@register
+@SERVICE_INJECTORS.register
+@dataclass(frozen=True)
 class ShortWrite(ServiceInjector):
     """One append is torn mid-record; recovery must drop it cleanly."""
 
     name = "short-write"
     kind = "disk"
+    at_write: int = 3
 
-    def __init__(self, at_write: int = 3) -> None:
-        if at_write < 1:
-            raise ValueError(f"at_write must be >= 1, got {at_write}")
-        self.at_write = int(at_write)
-
-    def params(self) -> dict:
-        return {"at_write": self.at_write}
+    def check(self) -> None:
+        if self.at_write < 1:
+            raise ValueError(f"at_write must be >= 1, got {self.at_write}")
 
     def fault_plan(self) -> Optional[dict]:
         return {"short_write_at": self.at_write}
 
 
-@register
+@SERVICE_INJECTORS.register
+@dataclass(frozen=True)
 class FsyncEio(ServiceInjector):
     """fsync returns EIO: durability refused, service must continue."""
 
     name = "fsync-eio"
     kind = "disk"
+    after: int = 1
 
-    def __init__(self, after: int = 1) -> None:
-        if after < 1:
-            raise ValueError(f"after must be >= 1, got {after}")
-        self.after = int(after)
-
-    def params(self) -> dict:
-        return {"after": self.after}
+    def check(self) -> None:
+        if self.after < 1:
+            raise ValueError(f"after must be >= 1, got {self.after}")
 
     def fault_plan(self) -> Optional[dict]:
         return {"fsync_fail_after": self.after}
 
 
-@register
-class SigKill(ServiceInjector):
+@dataclass(frozen=True)
+class _SignalFault(ServiceInjector):
+    """The daemon gets ``signal`` near ``at_fraction`` of the workload and
+    restarts on the same port with the same journal."""
+
+    kind = "signal"
+    at_fraction: float = 0.5
+
+    def check(self) -> None:
+        if not 0.0 < self.at_fraction < 1.0:
+            raise ValueError(
+                f"at_fraction must be in (0, 1), got {self.at_fraction}")
+
+
+@SERVICE_INJECTORS.register
+class SigKill(_SignalFault):
     """SIGKILL at a randomized workload point; restart on the same port
     with the same journal. Recovery must serve identical bytes."""
 
     name = "sigkill"
-    kind = "signal"
     signal = "kill"
 
-    def __init__(self, at_fraction: float = 0.5) -> None:
-        if not 0.0 < at_fraction < 1.0:
-            raise ValueError(
-                f"at_fraction must be in (0, 1), got {at_fraction}")
-        self.at_fraction = float(at_fraction)
 
-    def params(self) -> dict:
-        return {"at_fraction": self.at_fraction}
-
-
-@register
-class SigTerm(ServiceInjector):
+@SERVICE_INJECTORS.register
+class SigTerm(_SignalFault):
     """SIGTERM mid-workload: the daemon must drain and exit 0 inside its
     ``drain_timeout`` budget, then a restart continues the workload."""
 
     name = "sigterm"
-    kind = "signal"
     signal = "term"
 
-    def __init__(self, at_fraction: float = 0.5) -> None:
-        if not 0.0 < at_fraction < 1.0:
-            raise ValueError(
-                f"at_fraction must be in (0, 1), got {at_fraction}")
-        self.at_fraction = float(at_fraction)
 
-    def params(self) -> dict:
-        return {"at_fraction": self.at_fraction}
-
-
-@register
+@SERVICE_INJECTORS.register
+@dataclass(frozen=True)
 class DeadlineStorm(ServiceInjector):
     """A seeded fraction of requests carry :data:`STORM_DEADLINE_MS` —
     they deterministically expire in the queue, exercising the shed path
@@ -325,14 +284,12 @@ class DeadlineStorm(ServiceInjector):
 
     name = "deadline-storm"
     kind = "workload"
+    fraction: float = 0.3
 
-    def __init__(self, fraction: float = 0.3) -> None:
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = float(fraction)
-
-    def params(self) -> dict:
-        return {"fraction": self.fraction}
+    def check(self) -> None:
+        if not 0.0 < self.fraction <= 1.0:
+            raise ValueError(
+                f"fraction must be in (0, 1], got {self.fraction}")
 
     def storm_fraction(self) -> float:
         return self.fraction
@@ -539,30 +496,32 @@ WATCHDOG_S = 120.0
 
 
 @dataclass(frozen=True)
-class ServeCampaignConfig:
-    """Everything a worker needs to run one serve-chaos trial."""
+class ServeChaosCase(Case):
+    """One serve-chaos trial: its resolved inputs, which ``replay`` runs
+    against a fresh daemon.
+
+    Documents written while the daemon and client settings were campaign
+    options carry them too, at the constants' values; they load.
+    """
+
+    FORMAT: ClassVar[str] = "repro.serve-chaos-case"
+    SUMMARY: ClassVar[Tuple[str, ...]] = ("checked", "mismatches",
+                                          "retries", "reconnects",
+                                          "resends", "restarts")
 
     seed: int
-    injectors: Tuple[dict, ...]
-    queries: int = 40
-
-    def combos(self) -> List[dict]:
-        injectors = self.injectors or default_service_injector_dicts()
-        return list(injectors)
-
-
-@dataclass
-class ServeTrialOutcome:
-    """Plain-data result of one serve-chaos trial (picklable)."""
-
     index: int
     injector: dict
-    outcome: str
-    details: dict = field(default_factory=dict)
+    #: Requests in the trial's workload.
+    queries: int
+    original: dict = field(default_factory=dict)
 
-    @property
-    def unsafe(self) -> bool:
-        return self.outcome in ("brown_out", "livelock")
+    def check(self) -> None:
+        if self.queries < 1:
+            raise ValueError(f"queries must be >= 1, got {self.queries}")
+
+    def replay(self) -> TrialOutcome:
+        return _run_trial(self)
 
 
 class _Totals(ByteCheck):
@@ -614,13 +573,13 @@ async def _run_phase(host: str, port: int, reqs: List[dict],
             totals.proxy_faults += proxy.faults_fired
 
 
-def _run_resolved_serve(seed: int, index: int, injector_dict: dict, *,
-                        queries: int) -> ServeTrialOutcome:
-    """Run one fully resolved serve-chaos trial (campaign and replay)."""
-    injector = service_injector_from_dict(injector_dict)
+def _run_trial(case: ServeChaosCase) -> TrialOutcome:
+    """Run one serve-chaos trial (a campaign's and a replay's)."""
+    injector = SERVICE_INJECTORS.from_dict(case.injector)
+    seed, index = case.seed, case.index
     rng = Random(f"serve-chaos:{seed}:{index}")
     workload = make_trial_workload(
-        rng, queries,
+        rng, case.queries,
         session_ops=injector.kind != "signal",
         flush_ops=injector.kind == "disk",
         storm_fraction=injector.storm_fraction())
@@ -695,151 +654,13 @@ def _run_resolved_serve(seed: int, index: int, injector_dict: dict, *,
         outcome = "degraded_but_safe"
     else:
         outcome = "completed"
-    return ServeTrialOutcome(index=index, injector=injector_dict,
-                             outcome=outcome, details=totals.as_dict())
-
-
-def run_serve_trial(args: "Tuple[int, ServeCampaignConfig]") \
-        -> ServeTrialOutcome:
-    """Execute one campaign trial (module-level: picklable for fan-out)."""
-    index, cfg = args
-    combos = cfg.combos()
-    injector_dict = combos[index % len(combos)]
-    return _run_resolved_serve(cfg.seed, index, injector_dict,
-                               queries=cfg.queries)
-
-
-# -- cases, report, campaign ------------------------------------------------
-
-CASE_FORMAT = "repro.serve-chaos-case"
-CASE_VERSION = 1
-
-@dataclass(frozen=True)
-class ServeChaosCase:
-    """One replayable unsafe serve-chaos trial."""
-
-    seed: int
-    index: int
-    injector: dict
-    queries: int
-    original: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "format": CASE_FORMAT,
-            "version": CASE_VERSION,
-            "seed": self.seed,
-            "index": self.index,
-            "injector": self.injector,
-            "queries": self.queries,
-            "original": self.original,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServeChaosCase":
-        """Documents written while the daemon and client settings were
-        campaign options carry them too, at the constants' values; they
-        load."""
-        if data.get("format") != CASE_FORMAT:
-            raise ValueError("not a repro serve-chaos-case document")
-        if data.get("version") != CASE_VERSION:
-            raise ValueError(f"unsupported version: {data.get('version')!r}")
-        return cls(
-            seed=int(data["seed"]), index=int(data["index"]),
-            injector=dict(data["injector"]), queries=int(data["queries"]),
-            original=data.get("original", {}),
-        )
-
-    def replay(self) -> ServeTrialOutcome:
-        """Re-run the recorded trial against a fresh daemon."""
-        return _run_resolved_serve(self.seed, self.index, self.injector,
-                                   queries=self.queries)
-
-
-def save_serve_chaos_case(case: ServeChaosCase, path) -> None:
-    Path(path).write_text(json.dumps(case.to_dict(), indent=2),
-                          encoding="utf-8")
-
-
-def load_serve_chaos_case(path) -> ServeChaosCase:
-    return ServeChaosCase.from_dict(
-        json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-@dataclass
-class ServeChaosReport:
-    """Aggregated outcomes of one serve-chaos campaign.
-
-    Pure data — no timestamps, no worker counts, details only for
-    unsafe trials (the safe-path counters are timing-dependent) — so
-    identical ``(trials, seed, parameters)`` runs serialize to
-    identical JSON regardless of parallelism.
-    """
-
-    trials: int
-    seed: int
-    injectors: Tuple[dict, ...]
-    queries: int
-    counts: Dict[str, int]
-    per_injector: Dict[str, Dict[str, int]]
-    unsafe: List[dict]
-    cases: List[str]
-
-    @property
-    def unsafe_count(self) -> int:
-        return len(self.unsafe)
-
-    @property
-    def ok(self) -> bool:
-        """True when no trial served a wrong byte or wedged."""
-        return self.unsafe_count == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "format": "repro.serve-chaos-report",
-            "version": 1,
-            "config": {
-                "trials": self.trials,
-                "seed": self.seed,
-                "injectors": list(self.injectors),
-                "queries": self.queries,
-                "queue_limit": QUEUE_LIMIT,
-                "drain_timeout": DRAIN_TIMEOUT,
-            },
-            "counts": self.counts,
-            "per_injector": self.per_injector,
-            "unsafe": self.unsafe,
-            "cases": self.cases,
-            "ok": self.ok,
-        }
-
-    def render(self) -> str:
-        table = TextTable(
-            ["injector"] + list(OUTCOMES),
-            title=(f"serve chaos campaign: {self.trials} trials, "
-                   f"seed {self.seed}, {self.queries} queries/trial"))
-        for name in sorted(self.per_injector):
-            stats = self.per_injector[name]
-            table.add_row([name] + [stats.get(o, 0) for o in OUTCOMES])
-        lines = [table.render()]
-        if self.unsafe:
-            lines.append(f"unsafe trials ({self.unsafe_count}):")
-            for entry in self.unsafe[:10]:
-                lines.append(
-                    f"  trial {entry['index']} / {entry['injector']}: "
-                    f"{entry['outcome']}")
-        if self.cases:
-            lines.append(f"serve chaos cases ({len(self.cases)}):")
-            for path in self.cases:
-                lines.append(f"  {path}")
-        lines.append("verdict: " + ("OK" if self.ok else "UNSAFE"))
-        return "\n".join(lines)
+    return TrialOutcome(outcome, totals.as_dict())
 
 
 def run_serve_campaign(trials: int, *, seed: int = 0, jobs: int = 1,
-                       injectors: Optional[Tuple[dict, ...]] = None,
+                       injectors: Optional[Sequence[dict]] = None,
                        queries: int = 40,
-                       cases_dir: Optional[str] = None) -> ServeChaosReport:
+                       cases_dir: Optional[str] = None) -> CampaignReport:
     """Run ``trials`` seeded serve-chaos trials and aggregate a report.
 
     Each trial boots (and tears down) a real daemon subprocess, so
@@ -847,80 +668,29 @@ def run_serve_campaign(trials: int, *, seed: int = 0, jobs: int = 1,
     injector. Results are identical for any ``jobs``; ``cases_dir``
     receives one replayable JSON case per unsafe trial.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     injector_dicts = (tuple(injectors) if injectors is not None
-                      else default_service_injector_dicts())
-    if not injector_dicts:
-        raise ValueError("injectors must not be empty")
-    for data in injector_dicts:
-        service_injector_from_dict(data)  # validate in the parent
-    cfg = ServeCampaignConfig(seed=seed, injectors=injector_dicts,
-                              queries=queries)
-    outcomes = parallel_map(run_serve_trial,
-                            [(i, cfg) for i in range(trials)], jobs=jobs)
-
-    counts: Dict[str, int] = {o: 0 for o in OUTCOMES}
-    per_injector: Dict[str, Dict[str, int]] = {
-        data["injector"]: {o: 0 for o in OUTCOMES}
-        for data in injector_dicts}
-    unsafe: List[dict] = []
-    case_paths: List[str] = []
-
-    # Telemetry parent-side, so the event stream is jobs-independent.
-    obs = _obs_current()
-    if obs is not None:
-        obs.metrics.counter("serve_chaos.trials").inc(len(outcomes))
-    for outcome in outcomes:
-        counts[outcome.outcome] += 1
-        per_injector[outcome.injector["injector"]][outcome.outcome] += 1
-        if obs is not None:
-            obs.metrics.counter(
-                f"serve_chaos.outcome.{outcome.outcome}").inc()
-        if outcome.unsafe:
-            entry = {
-                "index": outcome.index,
-                "injector": outcome.injector["injector"],
-                "outcome": outcome.outcome,
-                "details": outcome.details,
-            }
-            unsafe.append(entry)
-            if cases_dir is not None:
-                directory = Path(cases_dir)
-                directory.mkdir(parents=True, exist_ok=True)
-                case = ServeChaosCase(
-                    seed=seed, index=outcome.index,
-                    injector=outcome.injector, queries=queries,
-                    original={"outcome": outcome.outcome,
-                              "details": outcome.details})
-                path = directory / (
-                    f"serve-chaos-{outcome.index:06d}-"
-                    f"{outcome.injector['injector']}.json")
-                save_serve_chaos_case(case, path)
-                case_paths.append(str(path))
-
-    return ServeChaosReport(
-        trials=trials, seed=seed, injectors=injector_dicts,
-        queries=queries, counts=counts, per_injector=per_injector,
-        unsafe=unsafe, cases=case_paths)
+                      else SERVICE_INJECTORS.defaults())
+    return run_grid(
+        ServeChaosCase, trials, seed=seed, jobs=jobs,
+        axes={"injector": injector_dicts}, settings={"queries": queries},
+        registry=SERVICE_INJECTORS, tally=("injector",),
+        counter="serve_chaos",
+        case_file="serve-chaos-{index:06d}-{injector}.json",
+        cases_dir=cases_dir, report="repro.serve-chaos-report",
+        title=(f"serve chaos campaign: {trials} trials, seed {seed}, "
+               f"{queries} queries/trial"),
+        config={"trials": trials, "seed": seed,
+                "injectors": list(injector_dicts), "queries": queries,
+                "queue_limit": QUEUE_LIMIT, "drain_timeout": DRAIN_TIMEOUT},
+    )
 
 
 __all__ = [
-    "CASE_FORMAT",
     "ChaosProxy",
-    "OUTCOMES",
     "STORM_DEADLINE_MS",
     "SERVICE_INJECTORS",
-    "ServeCampaignConfig",
     "ServeChaosCase",
-    "ServeChaosReport",
-    "ServeTrialOutcome",
     "ServiceInjector",
-    "default_service_injector_dicts",
-    "load_serve_chaos_case",
     "make_trial_workload",
     "run_serve_campaign",
-    "run_serve_trial",
-    "save_serve_chaos_case",
-    "service_injector_from_dict",
 ]

@@ -118,7 +118,12 @@ from repro.power.harvester import (
     TraceHarvester,
 )
 from repro.power.monitor import VoltageMonitor
-from repro.power.reconfigurable import ReconfigurableBuffer
+from repro.power.reconfigurable import (
+    ReconfigurableBuffer,
+    RedistLossBuffer,
+    StaleTagBuffer,
+    StuckSwitchBuffer,
+)
 from repro.sim.uarch import CulpeoUArchBlock
 
 #: Samples the chunked µArch path buffers before it calls
@@ -136,6 +141,10 @@ _EXITS = {_STALL: STALL, _RISE: RISE, _UNTIL: UNTIL, _OFF: OFF}
 
 #: The efficiency models the kernel evaluates inline.
 _STOCK_EFFICIENCY = (LinearEfficiency, CurvedEfficiency)
+
+#: Bank-fault proxies: they change how the banks they wrap are configured
+#: and tagged, never how the active group steps.
+_BANK_FAULTS = (StuckSwitchBuffer, RedistLossBuffer, StaleTagBuffer)
 
 
 def _fields(ctype, names: str) -> list:
@@ -373,8 +382,10 @@ def _stock_buffer(system):
 
     A :class:`ReconfigurableBuffer` delegates all stepping to its active
     group (a ``TwoBranchSupercap``), so the kernel operates on the group
-    directly. Exact type checks, not isinstance: a subclass may override
-    behavior the kernel has inlined away.
+    directly; so does a bank-fault proxy over one, which changes only
+    how the banks are configured and tagged. Exact type checks, not
+    isinstance: a subclass may override behavior the kernel has inlined
+    away.
     """
     out, inp = system.output_booster, system.input_booster
     if (type(out) is not OutputBooster or type(inp) is not InputBooster
@@ -387,6 +398,10 @@ def _stock_buffer(system):
         buffer = buffer._group  # noqa: SLF001 — sim-internal
     if type(buffer) in (IdealCapacitor, TwoBranchSupercap):
         return buffer
+    # Checked last, so the stock buffers pay nothing for it.
+    if (type(buffer) in _BANK_FAULTS
+            and type(buffer._inner) is ReconfigurableBuffer):  # noqa: SLF001
+        return buffer._inner._group  # noqa: SLF001
     return None
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro import obs
 from repro.fleet.runner import run_fleet, run_fleet_raw
 from repro.fleet.spec import FleetSpec
-from repro.resilience.campaign import OUTCOMES
+from repro.resilience.skeleton import OUTCOMES
 
 
 class TestClassification:

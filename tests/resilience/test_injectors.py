@@ -1,4 +1,6 @@
-"""Fault injector registry: seams, seeding, and serialization."""
+"""Fault injector registries: seams, seeding, and serialization."""
+
+import json
 
 import numpy as np
 import pytest
@@ -14,12 +16,10 @@ from repro.resilience.injectors import (
     DropoutStormHarvester,
     EsrAgingDrift,
     FaultInjector,
-    HarvesterDropoutStorm,
     IsrTimerJitter,
     NoFault,
-    injector_from_dict,
-    register,
 )
+from repro.serve.chaos import SERVICE_INJECTORS, ServiceInjector
 from repro.sim.adc import Adc
 from repro.sim.faults import FaultyAdc
 
@@ -50,51 +50,123 @@ def make_bank_system():
     return system
 
 
+def _other_number_type(value):
+    """``value`` as the other JSON number type (2.0 <-> 2), else as is."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    return float(value) if type(value) is int else value
+
+
 class TestRegistry:
+    """The recipe registry contract, on the simulator's injectors;
+    :class:`TestServiceRegistry` runs the same tests on the daemon's."""
+
+    REGISTRY = INJECTORS
+    BASE = FaultInjector
+    #: ``REGISTRY.defaults()`` as JSON, pinned: a recipe's parameter
+    #: order or value types cannot change unnoticed.
+    DEFAULTS = (
+        '[{"injector": "adc-dropout", "params": {"dropout_rate": 0.05}}, '
+        '{"injector": "adc-noise", "params": {"sigma": 0.004}}, '
+        '{"injector": "adc-stuck", "params": {"stuck_code": null}}, '
+        '{"injector": "bank-config-tag-mismatch", "params": {}}, '
+        '{"injector": "bank-redistribution-loss", '
+        '"params": {"loss_min": 0.02, "loss_max": 0.08}}, '
+        '{"injector": "bank-switch-stuck", "params": {}}, '
+        '{"injector": "capacitance-degradation", '
+        '"params": {"factor_min": 0.5, "factor_max": 0.8}}, '
+        '{"injector": "esr-aging", "params": {"factor_min": 2.0, "factor_max": 3.0}}, '
+        '{"injector": "harvester-dropout-storm", '
+        '"params": {"mean_up": 6.0, "mean_down": 1.5, "horizon": 600.0}}, '
+        '{"injector": "isr-timer-jitter", "params": {"fraction": 0.1}}, '
+        '{"injector": "none", "params": {}}]')
+    #: One out-of-range value for every recipe whose parameters have a
+    #: range.
+    BAD_PARAMS = (
+        ("harvester-dropout-storm", {"mean_up": 0.0}),
+        ("harvester-dropout-storm", {"horizon": -1.0}),
+        ("esr-aging", {"factor_min": 0.5}),  # below 1: that's healing
+        ("capacitance-degradation", {"factor_min": 0.9, "factor_max": 0.5}),
+        ("bank-redistribution-loss", {"loss_max": 1.0}),
+        ("adc-dropout", {"dropout_rate": 0.0}),
+        ("adc-noise", {"sigma": -1.0}),
+        ("isr-timer-jitter", {"fraction": 1.0}),
+    )
+
     def test_all_expected_injectors_registered(self):
-        assert EXPECTED_NAMES <= set(INJECTORS)
+        assert json.dumps(self.REGISTRY.defaults()) == self.DEFAULTS
 
     def test_duplicate_registration_rejected(self):
-        class Imposter(FaultInjector):
+        control = self.REGISTRY["none"]
+
+        class Imposter(self.BASE):
             name = "none"
 
         with pytest.raises(ValueError, match="duplicate"):
-            register(Imposter)
-        assert INJECTORS["none"] is NoFault  # registry untouched
+            self.REGISTRY.register(Imposter)
+        assert self.REGISTRY["none"] is control  # registry untouched
 
     def test_unnamed_injector_rejected(self):
-        class Anonymous(FaultInjector):
+        class Anonymous(self.BASE):
             pass
 
         with pytest.raises(ValueError, match="name"):
-            register(Anonymous)
+            self.REGISTRY.register(Anonymous)
 
     def test_unknown_name_in_dict_rejected(self):
-        with pytest.raises(ValueError, match="unknown injector"):
-            injector_from_dict({"injector": "solar-flare"})
+        label = self.REGISTRY.label
+        with pytest.raises(ValueError, match=f"unknown {label} 'solar-flare'"):
+            self.REGISTRY.from_dict({"injector": "solar-flare", "params": {}})
+        with pytest.raises(ValueError, match=f"unknown {label}.*solar-flare"):
+            self.REGISTRY.defaults(["none", "solar-flare"])
 
     def test_every_injector_round_trips_through_dict(self):
-        for name, cls in INJECTORS.items():
+        for name, cls in self.REGISTRY.items():
             original = cls()
             data = original.to_dict()
             assert data["injector"] == name
-            rebuilt = injector_from_dict(data)
+            rebuilt = self.REGISTRY.from_dict(json.loads(json.dumps(data)))
             assert type(rebuilt) is cls
-            assert rebuilt.params() == original.params()
+            assert rebuilt == original
+            assert rebuilt.to_dict() == data
+            # A number given as the other type is stored as declared.
+            params = {key: _other_number_type(value)
+                      for key, value in data["params"].items()}
+            assert cls(**params).to_dict() == data
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            HarvesterDropoutStorm(mean_up=0.0)
-        with pytest.raises(ValueError):
-            EsrAgingDrift(factor_min=0.5)  # below 1: that's healing
-        with pytest.raises(ValueError):
-            CapacitanceDegradation(factor_min=0.9, factor_max=0.5)
-        with pytest.raises(ValueError):
-            AdcDropoutFault(dropout_rate=0.0)
-        with pytest.raises(ValueError):
-            AdcNoiseFault(sigma=-1.0)
-        with pytest.raises(ValueError):
-            IsrTimerJitter(fraction=1.0)
+        for name, params in self.BAD_PARAMS:
+            with pytest.raises(ValueError):
+                self.REGISTRY.from_dict({"injector": name, "params": params})
+
+
+class TestServiceRegistry(TestRegistry):
+    REGISTRY = SERVICE_INJECTORS
+    BASE = ServiceInjector
+    DEFAULTS = (
+        '[{"injector": "connection-reset", "params": {"every": 4, "jitter": 3}}, '
+        '{"injector": "deadline-storm", "params": {"fraction": 0.3}}, '
+        '{"injector": "disk-full", "params": {"after_bytes": 1500}}, '
+        '{"injector": "fsync-eio", "params": {"after": 1}}, '
+        '{"injector": "half-open-stall", "params": {"after": 6, "jitter": 4}}, '
+        '{"injector": "none", "params": {}}, '
+        '{"injector": "short-write", "params": {"at_write": 3}}, '
+        '{"injector": "sigkill", "params": {"at_fraction": 0.5}}, '
+        '{"injector": "sigterm", "params": {"at_fraction": 0.5}}, '
+        '{"injector": "slow-loris", "params": {"chunk": 48, "delay_ms": 2.0}}]')
+    BAD_PARAMS = (
+        ("connection-reset", {"every": 1}),
+        ("connection-reset", {"jitter": -1}),
+        ("half-open-stall", {"after": 0}),
+        ("slow-loris", {"chunk": 0}),
+        ("slow-loris", {"delay_ms": -1.0}),
+        ("disk-full", {"after_bytes": -1}),
+        ("short-write", {"at_write": 0}),
+        ("fsync-eio", {"after": 0}),
+        ("sigkill", {"at_fraction": 1.0}),
+        ("sigterm", {"at_fraction": 0.0}),
+        ("deadline-storm", {"fraction": 1.5}),
+    )
 
 
 class TestEnvironmentFaults:

@@ -1,10 +1,12 @@
 """The service-level chaos campaign: injectors, proxy, trials, cases.
 
 Unit tests cover the seeded machinery (injector round-trips, workload
-determinism, the degraded-flag comparator, the misbehaving proxy); a
-small set of real trials then boots actual daemon subprocesses to pin
-the four-way classification end to end. Trials are deliberately tiny —
-the full campaign is CI's job (``repro chaos --serve``).
+determinism, the degraded-flag comparator, the misbehaving proxy; the
+full injector registry contract runs in
+``tests/resilience/test_injectors.py``); a small set of real trials
+then boots actual daemon subprocesses to pin the four-way
+classification end to end. Trials are deliberately tiny — the full
+campaign is CI's job (``repro chaos --serve``).
 """
 
 import asyncio
@@ -13,61 +15,37 @@ from random import Random
 
 import pytest
 
-from repro.serve import chaos as serve_chaos
+from repro import obs
 from repro.serve.chaos import (
     SERVICE_INJECTORS,
     STORM_DEADLINE_MS,
     ChaosProxy,
-    ServeCampaignConfig,
     ServeChaosCase,
-    default_service_injector_dicts,
-    load_serve_chaos_case,
     make_trial_workload,
     run_serve_campaign,
-    run_serve_trial,
-    save_serve_chaos_case,
-    service_injector_from_dict,
 )
 from repro.serve.client import lines_match
 from repro.serve.protocol import encode_line
 
 
 class TestInjectorRegistry:
-    def test_default_dicts_cover_every_registered_injector(self):
-        dicts = default_service_injector_dicts()
-        assert sorted(d["injector"] for d in dicts) == \
-            sorted(SERVICE_INJECTORS)
-        assert "none" in SERVICE_INJECTORS
-
-    @pytest.mark.parametrize("data", default_service_injector_dicts())
+    @pytest.mark.parametrize("data", SERVICE_INJECTORS.defaults())
     def test_round_trip_through_dict(self, data):
-        injector = service_injector_from_dict(data)
+        injector = SERVICE_INJECTORS.from_dict(data)
         assert injector.to_dict() == data
-        again = service_injector_from_dict(injector.to_dict())
+        again = SERVICE_INJECTORS.from_dict(injector.to_dict())
         assert again.to_dict() == data
 
-    def test_unknown_injector_rejected(self):
-        with pytest.raises(ValueError):
-            service_injector_from_dict({"injector": "meteor-strike",
-                                        "params": {}})
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            service_injector_from_dict(
-                {"injector": "deadline-storm",
-                 "params": {"fraction": 1.5}})
-
     def test_empty_injectors_fail_before_any_trial(self, monkeypatch):
-        def no_trial(args):
+        def no_trial(case):
             raise AssertionError("a trial (and its daemon) was started")
 
-        monkeypatch.setattr(serve_chaos, "run_serve_trial", no_trial)
+        monkeypatch.setattr(ServeChaosCase, "replay", no_trial)
         with pytest.raises(ValueError, match="injectors must not be empty"):
             run_serve_campaign(1, injectors=())
 
     def test_kinds_partition_the_fault_surface(self):
-        kinds = {service_injector_from_dict(d).kind
-                 for d in default_service_injector_dicts()}
+        kinds = {cls.kind for cls in SERVICE_INJECTORS.values()}
         assert kinds == {"none", "proxy", "disk", "signal", "workload"}
 
 
@@ -197,31 +175,35 @@ class TestChaosProxy:
 class TestRealTrials:
     """Tiny end-to-end trials against real daemon subprocesses."""
 
-    def _config(self, injector_name):
-        injectors = tuple(d for d in default_service_injector_dicts()
-                          if d["injector"] == injector_name)
-        assert injectors, injector_name
-        return ServeCampaignConfig(seed=5, injectors=injectors, queries=10)
+    def _trial(self, injector_name):
+        (injector,) = SERVICE_INJECTORS.defaults([injector_name])
+        return ServeChaosCase(seed=5, index=0, injector=injector,
+                              queries=10).replay()
 
     def test_no_fault_trial_completes(self):
-        outcome = run_serve_trial((0, self._config("none")))
+        outcome = self._trial("none")
         assert outcome.outcome == "completed" and not outcome.unsafe
 
     def test_connection_reset_trial_degrades_but_stays_safe(self):
-        outcome = run_serve_trial((0, self._config("connection-reset")))
+        outcome = self._trial("connection-reset")
         assert outcome.outcome == "degraded_but_safe"
 
     def test_sigkill_trial_restarts_and_stays_safe(self):
-        outcome = run_serve_trial((0, self._config("sigkill")))
+        outcome = self._trial("sigkill")
         assert outcome.outcome == "degraded_but_safe"
 
     def test_small_campaign_report_is_pure_data(self):
-        report = run_serve_campaign(
-            2, seed=5, queries=10,
-            injectors=[{"injector": "none", "params": {}},
-                       {"injector": "deadline-storm",
-                        "params": {"fraction": 0.4}}])
+        with obs.observe() as state:
+            report = run_serve_campaign(
+                2, seed=5, queries=10,
+                injectors=[{"injector": "none", "params": {}},
+                           {"injector": "deadline-storm",
+                            "params": {"fraction": 0.4}}])
         assert report.ok
+        counters = state.metrics.snapshot()["counters"]
+        assert counters["serve_chaos.trials"] == 2
+        assert sum(counters.get(f"serve_chaos.outcome.{o}", 0)
+                   for o in ("completed", "degraded_but_safe")) == 2
         data = report.to_dict()
         again = json.dumps(data, sort_keys=True)
         assert json.loads(again) == data
@@ -238,8 +220,8 @@ class TestCases:
                       "params": {"at_fraction": 0.5}},
             queries=10, original={"outcome": "brown_out"})
         path = tmp_path / "case.json"
-        save_serve_chaos_case(case, path)
-        loaded = load_serve_chaos_case(path)
+        case.save(path)
+        loaded = ServeChaosCase.load(path)
         assert loaded == case
         assert loaded.to_dict() == case.to_dict()
 
@@ -253,13 +235,13 @@ class TestCases:
                         deadline_s=20.0, watchdog_s=120.0)
         path = tmp_path / "case.json"
         path.write_text(json.dumps(document), encoding="utf-8")
-        assert load_serve_chaos_case(path) == case
+        assert ServeChaosCase.load(path) == case
 
     def test_foreign_documents_rejected(self, tmp_path):
         path = tmp_path / "case.json"
         path.write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(ValueError):
-            load_serve_chaos_case(path)
+            ServeChaosCase.load(path)
 
     def test_replay_runs_the_recorded_trial(self):
         case = ServeChaosCase(

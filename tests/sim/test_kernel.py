@@ -19,6 +19,13 @@ from repro.loads.trace import CurrentTrace
 from repro.power.booster import CurvedEfficiency, OutputBooster
 from repro.power.capacitor import TwoBranchSupercap
 from repro.power.harvester import SolarHarvester
+from repro.power.reconfigurable import (
+    ReconfigurableBuffer,
+    RedistLossBuffer,
+    StaleTagBuffer,
+    StuckSwitchBuffer,
+    capybara_bank_set,
+)
 from repro.power.system import capybara_power_system
 from repro.sim import fastpath
 from repro.sim.adc import Adc, SamplingObserver
@@ -104,6 +111,43 @@ def test_a_custom_efficiency_model_runs_the_reference_loop():
     assert fastpath.plant(solar_plant(Sqrt())) is None
     kernel, reference = runs[0][3]
     assert kernel == 0 and reference > 0
+
+
+class SteppedBank(ReconfigurableBuffer):
+    """A bank set that steps itself: only the reference loop runs it."""
+
+    def step(self, i_load, dt):
+        return super().step(i_load, dt)
+
+
+#: The bank-fault proxies, which change how banks are configured and
+#: tagged, never how they step; "none" is the bare bank set.
+BANK_FAULTS = {
+    "none": lambda bank: bank,
+    "stuck-switch": StuckSwitchBuffer,
+    "redistribution-loss": lambda bank: RedistLossBuffer(bank, 0.05),
+    "stale-tag": StaleTagBuffer,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BANK_FAULTS))
+@pytest.mark.parametrize("bank_type", [ReconfigurableBuffer, SteppedBank])
+def test_the_kernel_steps_stock_banks_behind_a_fault_proxy(bank_type,
+                                                           fault):
+    trace = CurrentTrace([(0.02, 0.05), (0.0, 0.01)])
+    runs = []
+    for fast in (True, False):
+        system = capybara_power_system()
+        system.buffer = BANK_FAULTS[fault](
+            bank_type(capybara_bank_set(), ("large", "small")))
+        system.rest_at(2.4)
+        runs.append(counted_run(fast, system, trace))
+    (on_kernel, (kernel, reference)), (on_reference, _) = runs
+    assert on_kernel == on_reference
+    stock = bank_type is ReconfigurableBuffer
+    assert fastpath.supported(system) is stock
+    if HAS_COMPILER:
+        assert (kernel > 0, reference == 0) == (stock, stock)
 
 
 def test_solar_harvest_is_evaluated_in_the_kernel():

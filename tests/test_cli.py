@@ -159,6 +159,10 @@ class TestVerifyCommand:
         assert "unknown estimator" in capsys.readouterr().err
 
 
+def _no_trial(case):
+    raise AssertionError("a trial was started")
+
+
 class TestChaosCommand:
     """End-to-end `repro chaos`: fault campaigns as a user runs them."""
 
@@ -206,12 +210,12 @@ class TestChaosCommand:
 
     def test_serve_chaos_replay_prints_every_detail(self, capsys,
                                                     tmp_path):
-        from repro.serve.chaos import ServeChaosCase, save_serve_chaos_case
+        from repro.serve.chaos import ServeChaosCase
 
         path = tmp_path / "serve-case.json"
-        save_serve_chaos_case(ServeChaosCase(
+        ServeChaosCase(
             seed=5, index=0, injector={"injector": "none", "params": {}},
-            queries=8), path)
+            queries=8).save(path)
         assert main(["chaos", "--replay", str(path)]) == 0
         details = [line for line in capsys.readouterr().out.splitlines()
                    if line.startswith("  ")]
@@ -219,6 +223,24 @@ class TestChaosCommand:
             "checked", "mismatches", "retries", "reconnects", "resends",
             "restarts"]
         assert not any("None" in d for d in details)
+
+    @pytest.mark.parametrize("horizon", ["-5", "nan", "inf"])
+    def test_bad_horizon_fails_before_any_trial(self, horizon, capsys,
+                                                monkeypatch):
+        from repro.resilience import ChaosCase
+
+        monkeypatch.setattr(ChaosCase, "replay", _no_trial)
+        assert main(["chaos", "--trials", "1", "--horizon", horizon]) == 2
+        assert "horizon" in capsys.readouterr().err
+
+    def test_serve_queries_below_one_fail_before_any_trial(
+            self, capsys, monkeypatch):
+        from repro.serve.chaos import ServeChaosCase
+
+        monkeypatch.setattr(ServeChaosCase, "replay", _no_trial)
+        assert main(["chaos", "--serve", "--trials", "1",
+                     "--queries", "-5", "--injectors", "none"]) == 2
+        assert "queries" in capsys.readouterr().err
 
     def test_unknown_selectors_rejected(self, capsys):
         assert main(["chaos", "--trials", "1",
