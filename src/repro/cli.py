@@ -43,7 +43,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.harness import ablations, experiments
 from repro.harness.ground_truth import find_true_vsafe
@@ -90,6 +90,26 @@ def _parse_duration(text: str) -> float:
     if text.endswith("s"):
         return float(text[:-1])
     return float(text)
+
+
+def _load_case(path: str, from_dict: Callable[[dict], Any]) -> Any:
+    """The case ``from_dict`` builds from the JSON object in ``path``, or
+    ``None`` after a one-line message on stderr when the file does not
+    load as one; ``--replay`` then exits 2, since exit 1 means that the
+    case still replays unsafe."""
+    import json
+    from pathlib import Path
+
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(document, dict):
+            raise TypeError(f"expected a JSON object, got "
+                            f"{type(document).__name__}")
+        return from_dict(document)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"cannot replay {path}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return None
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -166,11 +186,13 @@ def cmd_vsafe(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from repro.verify import load_case, run_verification
+    from repro.verify import ReproCase, run_verification
     from repro.verify.runner import KNOWN_ESTIMATORS
 
     if args.replay is not None:
-        case = load_case(args.replay)
+        case = _load_case(args.replay, ReproCase.from_dict)
+        if case is None:
+            return 2
         result = case.replay()
         print(f"replaying {args.replay}: estimator {case.estimator}, "
               f"{len(case.segments)} segment(s)")
@@ -211,44 +233,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _chaos_case(document: dict) -> Any:
+    """The chaos case in ``document``: its format field picks the
+    daemon's campaign or the runtime's."""
+    if document.get("format") == "repro.serve-chaos-case":
+        from repro.serve.chaos import ServeChaosCase
+        return ServeChaosCase.from_dict(document)
+    from repro.resilience import ChaosCase
+    return ChaosCase.from_dict(document)
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    # One path for both campaigns: --serve picks the daemon's for a run,
-    # the case document's format field picks it for a replay.
-    document = None
-    serve = args.serve
     if args.replay is not None:
-        document = json.loads(Path(args.replay).read_text(encoding="utf-8"))
-        serve = document.get("format") == "repro.serve-chaos-case"
-    if serve:
-        from repro.serve.chaos import (
-            SERVICE_INJECTORS,
-            ServeChaosCase,
-            run_serve_campaign,
-        )
-        registry, case_type, run = (SERVICE_INJECTORS, ServeChaosCase,
-                                    run_serve_campaign)
-        options = {"queries": args.queries}
-    else:
-        from repro.resilience import (
-            CHAOS_STOCK,
-            INJECTORS,
-            ChaosCase,
-            run_campaign,
-        )
-        registry, case_type, run = INJECTORS, ChaosCase, run_campaign
-        options = {
-            "estimators": (tuple(args.estimators.split(","))
-                           if args.estimators else CHAOS_STOCK),
-            "apps": args.apps.split(",") if args.apps else None,
-            "horizon": args.horizon, "env_axis": args.env_axis,
-            "bank_axis": args.bank_axis,
-        }
-
-    if document is not None:
-        case = case_type.from_dict(document)
+        case = _load_case(args.replay, _chaos_case)
+        if case is None:
+            return 2
         outcome = case.replay()
         print(f"replaying {args.replay}: trial {case.index}, "
               + ", ".join(f"{key} {name}"
@@ -259,6 +261,20 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"  {key}: {outcome.details.get(key)}")
         return 1 if outcome.unsafe else 0
 
+    if args.serve:
+        from repro.serve.chaos import SERVICE_INJECTORS, run_serve_campaign
+        registry, run = SERVICE_INJECTORS, run_serve_campaign
+        options = {"queries": args.queries}
+    else:
+        from repro.resilience import CHAOS_STOCK, INJECTORS, run_campaign
+        registry, run = INJECTORS, run_campaign
+        options = {
+            "estimators": (tuple(args.estimators.split(","))
+                           if args.estimators else CHAOS_STOCK),
+            "apps": args.apps.split(",") if args.apps else None,
+            "horizon": args.horizon, "env_axis": args.env_axis,
+            "bank_axis": args.bank_axis,
+        }
     try:
         injectors = (registry.defaults(args.injectors.split(","))
                      if args.injectors else None)
@@ -472,7 +488,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     metrics_path = out_dir / "metrics.json"
 
     tracer = obs.Tracer(trace_path)
-    with obs.observe(tracer=tracer, profile=args.profile) as state:
+    with obs.observe(tracer=tracer) as state:
         if target in TRACE_APPS:
             spec = getattr(apps, TRACE_APPS[target])()
             # One run_app per trial, recompiling the policy each time —
@@ -876,9 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--out", metavar="DIR", default="obs-out",
                          help="output directory for trace.jsonl and "
                               "metrics.json (default obs-out/)")
-    p_trace.add_argument("--profile", action="store_true",
-                         help="also record wall-clock profiling samples "
-                              "(non-deterministic fields)")
     p_trace.set_defaults(fn=cmd_trace)
 
     p_stats = sub.add_parser(

@@ -44,7 +44,7 @@ from repro.loads.synthetic import (
     fig10_load_matrix,
 )
 from repro.loads.trace import CurrentTrace
-from repro.power.capacitor import IdealCapacitor
+from repro.power.capacitor import TwoBranchSupercap
 from repro.power.catalog import (
     CapacitorTechnology,
     reference_catalog,
@@ -199,7 +199,9 @@ def fig4_poweroff_demo(esr: float = 10.0, v_start: float = 2.12,
                        capacitance: float = 45e-3) -> PowerOffDemo:
     """Reproduce Figure 4: the paper's 10 ohm / 50 mA motivating scenario."""
     system = capybara_power_system()
-    buffer = IdealCapacitor(capacitance=capacitance, esr=esr, voltage=v_start)
+    # one capacitance in series with the ESR: no redistribution branch
+    # and no decoupling, so the drop is Ohmic and the rebound instant
+    buffer = TwoBranchSupercap(c_main=capacitance, r_esr=esr, voltage=v_start)
     system.buffer = buffer
     system.rest_at(v_start)
     sim = PowerSystemSimulator(system)

@@ -45,8 +45,7 @@ class _ObservedCall:
 
     def __call__(self, item: T) -> "Tuple[R, dict]":
         tracer = _obs.Tracer() if self.config.get("trace") else None
-        with _obs.observe(tracer=tracer,
-                          profile=self.config.get("profile", False)) as state:
+        with _obs.observe(tracer=tracer) as state:
             result = self.fn(item)
             payload = _obs.worker_events_and_snapshot(state)
         return result, payload

@@ -1,15 +1,12 @@
 """``repro.obs`` — zero-dependency observability for the whole stack.
 
-Three pieces, one switch:
+Two pieces, one switch:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — process-local counters,
   gauges and fixed-bucket histograms that merge deterministically across
   worker processes (:mod:`repro.obs.metrics`);
 * :class:`~repro.obs.tracer.Tracer` — span-based structured events
-  written as JSONL (:mod:`repro.obs.tracer`);
-* profiling hooks — wall-clock timing of simulation batches and
-  estimator calls, opt-in via ``profile=True`` because wall time is the
-  one non-deterministic field.
+  written as JSONL (:mod:`repro.obs.tracer`).
 
 The switch is module state: :func:`enable` installs an
 :class:`Observability` instance, :func:`current` returns it (or ``None``),
@@ -37,7 +34,6 @@ is identical to a serial run.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
@@ -75,7 +71,6 @@ __all__ = [
     "disable",
     "current",
     "observe",
-    "timed",
     "render_snapshot",
     "render_trace_summary",
     "load_trace",
@@ -84,21 +79,17 @@ __all__ = [
 
 
 class Observability:
-    """One enabled observability context: registry + tracer + profile flag.
+    """One enabled observability context: registry + tracer.
 
-    ``tracer`` may be ``None`` (metrics only). ``profile`` additionally
-    turns on wall-clock hooks — histograms of per-batch simulation time
-    and per-estimator latency, plus ``prof.*`` trace events.
+    ``tracer`` may be ``None`` (metrics only).
     """
 
-    __slots__ = ("metrics", "tracer", "profile")
+    __slots__ = ("metrics", "tracer")
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None,
-                 profile: bool = False) -> None:
+                 tracer: Optional[Tracer] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
-        self.profile = profile
 
     def emit(self, name: str, **fields: Any) -> None:
         """Emit a trace event if a tracer is attached (no-op otherwise)."""
@@ -107,7 +98,7 @@ class Observability:
 
     def spawn_config(self) -> dict:
         """How a worker process should re-enable observability locally."""
-        return {"trace": self.tracer is not None, "profile": self.profile}
+        return {"trace": self.tracer is not None}
 
 
 _state: Optional[Observability] = None
@@ -121,8 +112,7 @@ def current() -> Optional[Observability]:
 
 def enable(*, metrics: Optional[MetricsRegistry] = None,
            tracer: Optional[Tracer] = None,
-           trace_path: Union[None, str, Path] = None,
-           profile: bool = False) -> Observability:
+           trace_path: Union[None, str, Path] = None) -> Observability:
     """Install (and return) a process-wide observability context.
 
     ``trace_path`` is shorthand for ``tracer=Tracer(trace_path)``. Calling
@@ -131,7 +121,7 @@ def enable(*, metrics: Optional[MetricsRegistry] = None,
     global _state
     if tracer is None and trace_path is not None:
         tracer = Tracer(trace_path)
-    _state = Observability(metrics=metrics, tracer=tracer, profile=profile)
+    _state = Observability(metrics=metrics, tracer=tracer)
     return _state
 
 
@@ -145,8 +135,8 @@ def disable() -> Optional[Observability]:
 @contextmanager
 def observe(*, metrics: Optional[MetricsRegistry] = None,
             tracer: Optional[Tracer] = None,
-            trace_path: Union[None, str, Path] = None,
-            profile: bool = False) -> Iterator[Observability]:
+            trace_path: Union[None, str, Path] = None
+            ) -> Iterator[Observability]:
     """Enable observability for a block, restoring the prior state after.
 
     The tracer (if file-backed) is closed on exit, so the JSONL file is
@@ -154,32 +144,13 @@ def observe(*, metrics: Optional[MetricsRegistry] = None,
     """
     global _state
     previous = _state
-    state = enable(metrics=metrics, tracer=tracer, trace_path=trace_path,
-                   profile=profile)
+    state = enable(metrics=metrics, tracer=tracer, trace_path=trace_path)
     try:
         yield state
     finally:
         _state = previous
         if state.tracer is not None:
             state.tracer.close()
-
-
-@contextmanager
-def timed(name: str, **fields: Any) -> Iterator[None]:
-    """Profile a block: a latency histogram sample plus a ``prof.<name>``
-    event, only when profiling is enabled. Near-zero cost otherwise."""
-    obs = _state
-    if obs is None or not obs.profile:
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        wall = time.perf_counter() - start
-        obs.metrics.histogram(f"prof.{name}_wall_s",
-                              LATENCY_BUCKETS_S).observe(wall)
-        obs.emit(f"prof.{name}", wall_s=wall, **fields)
 
 
 def worker_events_and_snapshot(state: Observability) -> dict:

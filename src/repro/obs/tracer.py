@@ -8,9 +8,7 @@ CI artifacts, ``grep`` and pandas all read natively.
 Events carry *simulation-domain* fields (simulated time, voltages,
 verdicts) rather than wall-clock timestamps, so a trace is a deterministic
 function of the workload: two runs of the same seeded experiment produce
-byte-identical traces, serial or parallel. Wall-clock durations appear
-only when profiling is enabled (``Observability(profile=True)``), in
-dedicated ``wall_s`` fields.
+byte-identical traces, serial or parallel.
 
 Event vocabulary (see README §Observability for the full schema):
 
@@ -22,7 +20,6 @@ Event vocabulary (see README §Observability for the full schema):
 ``sched.event``        one scheduler event's life: outcome, latency
 ``verify.verdict``     one differential-oracle verdict
 ``isr.samples``        one ISR capture batch: count, V_min/V_max
-``prof.*``             wall-clock profiling samples (opt-in)
 =====================  ==================================================
 """
 

@@ -95,17 +95,15 @@ struct kstate {
     double v_off, v_high;
     double p_h_const;           /* ConstantPowerHarvester, Solar peak */
     double h_period, h_phase;   /* SolarHarvester */
-    double cap, esr, leak;                  /* IdealCapacitor */
-    double c_main, r_esr, c_red, r_red, c_dec;      /* TwoBranchSupercap */
+    double leak, c_main, r_esr, c_red, r_red, c_dec;  /* TwoBranchSupercap */
     int out_kind, in_kind;      /* efficiency: 1 linear, 2 curved */
-    int is_ideal;
     /* the call: engine constants, harvest, observers, live state */
     const double *h_edges;      /* TraceHarvester edges and powers */
     const double *h_powers;
     double *volts;              /* the uArch block's due-step voltages */
     double min_dt, max_idle_dt, idle_dv, load_dv;
     double period, stop_level;
-    double v_oc, i_last, v_main, v_red, v_term;
+    double v_main, v_red, v_term;
     double time_abs, v_min, energy;
     int harvest_mode;   /* 0 none, 1 constant, 2 other, 3 trace, 4 solar */
     int stopping, observed, chunked, chunk, hp_last, enabled;
@@ -150,24 +148,22 @@ int repro_advance(struct kstate *s)
     const double v_off = s->v_off, v_high = s->v_high;
     const double p_h_const = s->p_h_const;
     const double h_period = s->h_period, h_phase = s->h_phase;
-    const double cap = s->cap, esr = s->esr, leak = s->leak;
+    const double leak = s->leak;
     const double c_main = s->c_main, r_esr = s->r_esr;
     const double c_red = s->c_red, r_red = s->r_red, c_dec = s->c_dec;
     const double stop_level = s->stop_level;
     const double *h_edges = s->h_edges, *h_powers = s->h_powers;
     double *volts = s->volts;
     const int out_kind = s->out_kind, in_kind = s->in_kind;
-    const int harvest_mode = s->harvest_mode, is_ideal = s->is_ideal;
+    const int harvest_mode = s->harvest_mode;
     const int stopping = s->stopping;
     const int observed = s->observed, chunked = s->chunked;
     const int hp_last = s->hp_last, chunk = s->chunk;
     const double period = s->period;
     /* the buffer's derived constants, set below */
-    double g = 0.0, total_c = cap, stable = INFINITY, tau = 0.0;
-    double tau_quarter;
-    int has_red = 0, zero_g = 0;
+    double g, total_c, stable, branch, tau = 0.0, tau_quarter;
+    int has_red, zero_g;
 
-    double v_oc = s->v_oc, i_last = s->i_last;
     double v_main = s->v_main, v_red = s->v_red, v_term = s->v_term;
     double time_abs = s->time_abs, v_min = s->v_min, energy = s->energy;
     const double i_out = s->i_out, duration = s->duration;
@@ -183,29 +179,26 @@ int repro_advance(struct kstate *s)
     long long steps = s->steps;
     int code = K_END;
 
-    if (!is_ideal) {
-        /* TwoBranchSupercap's _has_redist, _conductance,
-         * total_capacitance and max_stable_dt and the engine's
-         * _transient_tau, each expression in its evaluation order. A
-         * zero divisor leaves inf or NaN here and sets zero_g, and the
-         * ZeroDivisionError is reported where the reference raises it. */
-        double branch;
-        has_red = c_red > 0.0 && isfinite(r_red);
-        g = 1.0 / r_esr;
-        if (has_red)
-            g += 1.0 / r_red;
-        total_c = c_main + c_dec;
-        if (has_red)
-            total_c += c_red;
-        stable = r_esr * c_main;
-        branch = r_red * c_red;
-        if (has_red && branch < stable)
-            stable = branch;
-        stable = 0.25 * stable;
-        if (!(c_dec <= 0.0))
-            tau = c_dec / g;
-        zero_g = r_esr == 0.0 || (has_red && r_red == 0.0) || g == 0.0;
-    }
+    /* TwoBranchSupercap's _has_redist, _conductance, total_capacitance
+     * and max_stable_dt and the engine's _transient_tau, each expression
+     * in its evaluation order. A zero divisor leaves inf or NaN here and
+     * sets zero_g, and the ZeroDivisionError is reported where the
+     * reference raises it. */
+    has_red = c_red > 0.0 && isfinite(r_red);
+    g = 1.0 / r_esr;
+    if (has_red)
+        g += 1.0 / r_red;
+    total_c = c_main + c_dec;
+    if (has_red)
+        total_c += c_red;
+    stable = r_esr * c_main;
+    branch = r_red * c_red;
+    if (has_red && branch < stable)
+        stable = branch;
+    stable = 0.25 * stable;
+    if (!(c_dec <= 0.0))
+        tau = c_dec / g;
+    zero_g = r_esr == 0.0 || (has_red && r_red == 0.0) || g == 0.0;
     tau_quarter = tau / 4.0;
 
     if (s->begin) {
@@ -252,17 +245,10 @@ int repro_advance(struct kstate *s)
     }
 
     while (elapsed < duration - 1e-12) {
-        double v, v_in, eta, i_in, i_chg, p_h, v_clamp, eta_c, dv;
+        const double v = v_term;    /* the terminal voltage */
+        double v_in, eta, i_in, i_chg, p_h, v_clamp, eta_c, dv;
         double i_net, remaining, i_abs, dt, dt_floor, drain;
-
-        /* terminal voltage */
-        if (is_ideal) {
-            v = v_oc - i_last * esr;
-            if (!(v > 0.0))
-                v = 0.0;
-        } else {
-            v = v_term;
-        }
+        double num, v_star, v_avg, i_main;
 
         /* output booster draw (OutputBooster.input_current) */
         if (drawing) {
@@ -379,76 +365,60 @@ int repro_advance(struct kstate *s)
         if (dt < dt_floor)
             dt = dt_floor;
 
-        /* buffer step (IdealCapacitor.pulse / TwoBranchSupercap.pulse) */
-        if (is_ideal) {
-            drain = i_net + (v_oc > 0.0 ? leak : 0.0);
-            if (cap == 0.0) {
-                code = K_ZERODIV;
-                goto out;
-            }
-            v_oc -= drain * dt / cap;
-            if (!(v_oc > 0.0))
-                v_oc = 0.0;
-            i_last = i_net;
-            v_new = v_oc - i_last * esr;
-            if (!(v_new > 0.0))
-                v_new = 0.0;
-        } else {
-            double num, v_star, v_avg, i_main;
-            if (zero_g) {
-                /* pulse's conductance, its tau or its v_star */
-                code = K_ZERODIV;
-                goto out;
-            }
-            num = v_main / r_esr - i_net;
-            if (has_red)
-                num += v_red / r_red;
-            v_star = num / g;
-            if (c_dec > 0.0) {
-                double ratio, alpha, diff;
-                if (tau == 0.0) {
-                    code = K_ZERODIV;
-                    goto out;
-                }
-                ratio = dt / tau;
-                alpha = exp(-ratio);
-                if (isinf(alpha) && isfinite(ratio)) {
-                    code = K_OVERFLOW;
-                    goto out;
-                }
-                diff = v_term - v_star;
-                if (ratio == 0.0) {
-                    code = K_ZERODIV;
-                    goto out;
-                }
-                v_avg = v_star + diff * (1.0 - alpha) / ratio;
-                v_term = v_star + diff * alpha;
-            } else {
-                v_avg = v_star;
-                v_term = v_star;
-            }
-            i_main = (v_main - v_avg) / r_esr;
-            drain = i_main + (v_main > 0.0 ? leak : 0.0);
-            if (c_main == 0.0) {
-                code = K_ZERODIV;
-                goto out;
-            }
-            v_main -= drain * dt / c_main;
-            if (!(v_main > 0.0))
-                v_main = 0.0;
-            if (has_red) {
-                if (c_red == 0.0) {
-                    code = K_ZERODIV;
-                    goto out;
-                }
-                v_red -= (v_red - v_avg) / r_red * dt / c_red;
-                if (!(v_red > 0.0))
-                    v_red = 0.0;
-            }
-            if (!(v_term > 0.0))
-                v_term = 0.0;
-            v_new = v_term;
+        /* buffer step (TwoBranchSupercap.pulse) */
+        if (zero_g) {
+            /* pulse's conductance, its tau or its v_star */
+            code = K_ZERODIV;
+            goto out;
         }
+        num = v_main / r_esr - i_net;
+        if (has_red)
+            num += v_red / r_red;
+        v_star = num / g;
+        if (c_dec > 0.0) {
+            double ratio, alpha, diff;
+            if (tau == 0.0) {
+                code = K_ZERODIV;
+                goto out;
+            }
+            ratio = dt / tau;
+            alpha = exp(-ratio);
+            if (isinf(alpha) && isfinite(ratio)) {
+                code = K_OVERFLOW;
+                goto out;
+            }
+            diff = v_term - v_star;
+            if (ratio == 0.0) {
+                code = K_ZERODIV;
+                goto out;
+            }
+            v_avg = v_star + diff * (1.0 - alpha) / ratio;
+            v_term = v_star + diff * alpha;
+        } else {
+            v_avg = v_star;
+            v_term = v_star;
+        }
+        i_main = (v_main - v_avg) / r_esr;
+        drain = i_main + (v_main > 0.0 ? leak : 0.0);
+        if (c_main == 0.0) {
+            code = K_ZERODIV;
+            goto out;
+        }
+        v_main -= drain * dt / c_main;
+        if (!(v_main > 0.0))
+            v_main = 0.0;
+        if (has_red) {
+            if (c_red == 0.0) {
+                code = K_ZERODIV;
+                goto out;
+            }
+            v_red -= (v_red - v_avg) / r_red * dt / c_red;
+            if (!(v_red > 0.0))
+                v_red = 0.0;
+        }
+        if (!(v_term > 0.0))
+            v_term = 0.0;
+        v_new = v_term;
 
         steps++;
         elapsed += dt;
@@ -502,8 +472,6 @@ resume:
     }
 
 out:
-    s->v_oc = v_oc;
-    s->i_last = i_last;
     s->v_main = v_main;
     s->v_red = v_red;
     s->v_term = v_term;
@@ -530,24 +498,12 @@ out:
     return code;
 }
 
-/* The terminal voltage the buffer reports: IdealCapacitor's
- * max(0.0, v - i_last * esr), or the two-branch terminal node. */
-static double terminal(const struct kstate *s)
-{
-    double v;
-    if (!s->is_ideal)
-        return s->v_term;
-    v = s->v_oc - s->i_last * s->esr;
-    return v > 0.0 ? v : 0.0;
-}
-
 int repro_wait(struct kstate *s)
 {
     for (;;) {
         int code;
-        double v;
         if (!s->w_running) {
-            if (s->w_n_load && !s->w_loading && !(terminal(s) < s->w_rise)) {
+            if (s->w_n_load && !s->w_loading && !(s->v_term < s->w_rise)) {
                 /* the load runs in place of a hop; with the monitor off
                  * it browns out at once, as run_trace's task does */
                 s->w_load_start = s->time_abs;
@@ -571,7 +527,7 @@ int repro_wait(struct kstate *s)
                     left = s->w_floor;
                 s->duration = left < s->w_hop ? left : s->w_hop;
                 s->i_out = 0.0;
-                s->w_before = terminal(s);
+                s->w_before = s->v_term;
             }
             s->stopping = s->w_loading;     /* a hop never stops */
             s->begin = 1;
@@ -592,16 +548,15 @@ int repro_wait(struct kstate *s)
             s->w_loading = 0;
             s->w_load_time += s->time_abs - s->w_load_start;
         } else {
-            v = terminal(s);
             if (s->w_stall >= 0) {
-                if (v <= s->w_before + 1e-9) {
+                if (s->v_term <= s->w_before + 1e-9) {
                     if (++s->w_flat > s->w_stall)
                         return K_STALL;
                 } else {
                     s->w_flat = 0;
                 }
             }
-            if (s->w_has_rise && !s->w_n_load && !(v < s->w_rise))
+            if (s->w_has_rise && !s->w_n_load && !(s->v_term < s->w_rise))
                 return K_RISE;
         }
         if (s->time_abs >= s->w_until)

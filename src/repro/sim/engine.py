@@ -18,7 +18,6 @@ execution stops (the task has failed) and the system must recharge to
 from __future__ import annotations
 
 import math
-import time as _time
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, runtime_checkable
 
@@ -425,7 +424,6 @@ class PowerSystemSimulator:
                             stop_on_brownout: bool) -> SimulationResult:
         """The instrumented wrapper around :meth:`_run_trace_impl`."""
         tracer = obs.tracer
-        wall_start = _time.perf_counter() if obs.profile else 0.0
         span = None
         if tracer is not None:
             span = tracer.begin(
@@ -441,15 +439,6 @@ class PowerSystemSimulator:
             result.v_min)
         if result.browned_out:
             metrics.counter("sim.brownouts").inc()
-        end_fields = dict(
-            t_sim=self.time, completed=result.completed,
-            browned_out=result.browned_out, v_min=result.v_min,
-            v_final=result.v_final,
-        )
-        if obs.profile:
-            wall = _time.perf_counter() - wall_start
-            metrics.histogram("prof.run_trace_wall_s").observe(wall)
-            end_fields["wall_s"] = wall
         if tracer is not None:
             if result.browned_out:
                 tracer.emit("power.brownout",
@@ -457,7 +446,10 @@ class PowerSystemSimulator:
                             v_off=self.system.monitor.v_off)
             tracer.emit("power.v_min", t_sim=result.end_time,
                         v=result.v_min)
-            tracer.end("task", span, **end_fields)
+            tracer.end("task", span, t_sim=self.time,
+                       completed=result.completed,
+                       browned_out=result.browned_out, v_min=result.v_min,
+                       v_final=result.v_final)
         return result
 
     def _run_trace_impl(self, trace: CurrentTrace, harvesting: bool,
@@ -534,8 +526,7 @@ class PowerSystemSimulator:
         ``sim.brownouts`` and emits ``power.brownout`` as
         :meth:`run_trace` does, but a load produces none of its per-task
         items: no ``task`` span, ``sim.traces`` count, ``sim.v_min_v``
-        sample, ``power.v_min`` event or ``prof.run_trace_wall_s``
-        sample.
+        sample or ``power.v_min`` event.
         """
         self._v_min_seen = self.system.buffer.terminal_voltage
         self._energy_out = 0.0

@@ -110,7 +110,7 @@ from repro.power.booster import (
     LinearEfficiency,
     OutputBooster,
 )
-from repro.power.capacitor import IdealCapacitor, TwoBranchSupercap
+from repro.power.capacitor import TwoBranchSupercap
 from repro.power.harvester import (
     ConstantPowerHarvester,
     NullHarvester,
@@ -155,12 +155,12 @@ def _fields(ctype, names: str) -> list:
 _PLANT_FIELDS = _fields(ctypes.c_double, """
     v_out min_vin derating out_a out_b out_c out_ref out_floor out_ceiling
     v_max_in in_a in_b in_c in_ref in_floor in_ceiling v_off v_high
-    p_h_const h_period h_phase cap esr leak c_main r_esr c_red r_red c_dec
-    """) + _fields(ctypes.c_int, "out_kind in_kind is_ideal")
+    p_h_const h_period h_phase leak c_main r_esr c_red r_red c_dec
+    """) + _fields(ctypes.c_int, "out_kind in_kind")
 _CALL_FIELDS = _fields(ctypes.c_void_p, "h_edges h_powers volts") + _fields(
     ctypes.c_double, """
     min_dt max_idle_dt idle_dv load_dv period stop_level
-    v_oc i_last v_main v_red v_term time_abs v_min energy""") + _fields(
+    v_main v_red v_term time_abs v_min energy""") + _fields(
     ctypes.c_int, "harvest_mode stopping observed chunked chunk hp_last "
                   "enabled") + _fields(
     ctypes.c_void_p, "w_currents w_durations") + _fields(
@@ -396,7 +396,7 @@ def _stock_buffer(system):
     buffer = system.buffer
     if type(buffer) is ReconfigurableBuffer:
         buffer = buffer._group  # noqa: SLF001 — sim-internal
-    if type(buffer) in (IdealCapacitor, TwoBranchSupercap):
+    if type(buffer) is TwoBranchSupercap:
         return buffer
     # Checked last, so the stock buffers pay nothing for it.
     if (type(buffer) in _BANK_FAULTS
@@ -431,7 +431,7 @@ def plant(system) -> Optional[tuple]:
     loop must run it (a non-stock component, or no compiled kernel).
     Read once per :func:`advance_segments` call.
 
-    ``(buffer, is_ideal, harvester, harvest kind, values)``: ``values``
+    ``(buffer, harvester, harvest kind, values)``: ``values``
     fills the plant section of the kernel state with the components'
     fields as they hold them (the kernel derives the buffer's
     conductance, capacitance, step limit and time constant itself).
@@ -468,36 +468,24 @@ def plant(system) -> Optional[tuple]:
     else:
         harvest_kind = 2
 
-    is_ideal = type(buffer) is IdealCapacitor
-    if is_ideal:
-        cap, esr, leak = buffer.capacitance, buffer.esr, buffer.leakage_current
-        c_main = r_esr = c_red = r_red = c_dec = 0.0
-    else:
-        cap = esr = 0.0
-        c_main, r_esr = buffer.c_main, buffer.r_esr
-        c_red, r_red = buffer.c_redist, buffer.r_redist
-        c_dec, leak = buffer.c_decoupling, buffer.leakage_current
     values = (
         out.v_out, out.min_input_voltage, out.power_derating,
         out_a, out_b, out_c, out_ref, out_floor, out_ceiling,
         inp.v_max, in_a, in_b, in_c, in_ref, in_floor, in_ceiling,
         monitor.v_off, monitor.v_high, p_h_const, h_period, h_phase,
-        cap, esr, leak, c_main, r_esr, c_red, r_red, c_dec,
-        out_kind, in_kind, is_ideal)
-    return buffer, is_ideal, harvester, harvest_kind, values
+        buffer.leakage_current, buffer.c_main, buffer.r_esr,
+        buffer.c_redist, buffer.r_redist, buffer.c_decoupling,
+        out_kind, in_kind)
+    return buffer, harvester, harvest_kind, values
 
 
-def _write_back(sim, st, buffer, is_ideal) -> None:
+def _write_back(sim, st, buffer) -> None:
     """Store the kernel's time, monitor state and buffer state."""
     sim.time = st.time_abs
     sim.system.monitor.force_enabled(st.enabled)
-    if is_ideal:
-        buffer._v = st.v_oc              # noqa: SLF001
-        buffer._i_last = st.i_last       # noqa: SLF001
-    else:
-        buffer._v_main = st.v_main       # noqa: SLF001
-        buffer._v_redist = st.v_red      # noqa: SLF001
-        buffer._v_term = st.v_term       # noqa: SLF001
+    buffer._v_main = st.v_main       # noqa: SLF001
+    buffer._v_redist = st.v_red      # noqa: SLF001
+    buffer._v_term = st.v_term       # noqa: SLF001
 
 
 def _set_due(st, next_due: Optional[float]) -> None:
@@ -571,7 +559,7 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
             if hit is not None:
                 return hit
         return None
-    buffer, is_ideal, harvester, harvest_kind, values = hoisted
+    buffer, harvester, harvest_kind, values = hoisted
 
     # Observability: count kernel entries at batch granularity. The
     # disabled cost is one global read per whole-trace (or whole-wait)
@@ -601,15 +589,6 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
         edges = harvester.edges.astype(float, order="C", copy=False)
         powers = harvester.powers.astype(float, order="C", copy=False)
         hp_last = len(powers) - 1
-    if is_ideal:
-        v_oc = buffer._v          # noqa: SLF001
-        i_last = buffer._i_last   # noqa: SLF001
-        v_main = v_red = v_term = 0.0
-    else:
-        v_oc = i_last = 0.0
-        v_main = buffer._v_main      # noqa: SLF001
-        v_red = buffer._v_redist     # noqa: SLF001
-        v_term = buffer._v_term      # noqa: SLF001
     stopping = stop_below is not None
     st = _State.from_buffer_copy(_ENTRY.pack(
         *values,
@@ -619,7 +598,7 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
         sim.MIN_DT, sim.MAX_IDLE_DT, sim.IDLE_DV, sim.LOAD_DV,
         block.clock_period if block is not None else 0.0,
         stop_below if stopping else 0.0,
-        v_oc, i_last, v_main, v_red, v_term,
+        buffer._v_main, buffer._v_redist, buffer._v_term,  # noqa: SLF001
         sim.time, sim._v_min_seen, sim._energy_out,  # noqa: SLF001
         harvest_mode, stopping, observed, block is not None, _SAMPLE_CHUNK,
         hp_last, monitor.output_enabled,
@@ -635,7 +614,7 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
         sim._refresh_observer_due()  # noqa: SLF001
         next_due = sim._next_due     # noqa: SLF001
         if next_due is not None and next_due <= st.time_abs + 1e-12:
-            _write_back(sim, st, buffer, is_ideal)
+            _write_back(sim, st, buffer)
             next_due = sim._notify()           # noqa: SLF001
             st.enabled = monitor.output_enabled
         st.burden = sim._burden()    # noqa: SLF001
@@ -668,7 +647,7 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
         elif code == _DUE:
             # _notify's due step: write back what observers read,
             # deliver the samples, hand back what they may change
-            _write_back(sim, st, buffer, is_ideal)
+            _write_back(sim, st, buffer)
             next_due = sim._notify()                 # noqa: SLF001
             st.enabled = monitor.output_enabled      # SupplyGlitch
             st.burden = sim._burden()                # noqa: SLF001
@@ -688,7 +667,7 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
 
     if volts is not None and st.n_volts:
         block.on_samples(volts[:st.n_volts], st.t_last)
-    _write_back(sim, st, buffer, is_ideal)
+    _write_back(sim, st, buffer)
     sim._v_min_seen = st.v_min   # noqa: SLF001
     sim._energy_out = st.energy  # noqa: SLF001
     if wait is not None:
@@ -707,12 +686,12 @@ def lanes(system, n: int) -> Optional[np.ndarray]:
     evaluates.
     """
     hoisted = plant(system)
-    if hoisted is None or hoisted[3] == 2:
+    if hoisted is None or hoisted[2] == 2:
         return None
     states = np.zeros(n, dtype=_LANE)
     for (name, _), value in zip(_PLANT_FIELDS, hoisted[-1]):
         states[name] = value
-    states["harvest_mode"] = hoisted[3]
+    states["harvest_mode"] = hoisted[2]
     return states
 
 

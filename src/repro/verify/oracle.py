@@ -42,7 +42,6 @@ from typing import Optional
 from repro.harness.ground_truth import GroundTruth, attempt_load, \
     find_true_vsafe
 from repro.loads.trace import CurrentTrace
-from repro.obs import timed as _obs_timed
 from repro.power.system import PowerSystem
 
 
@@ -119,8 +118,7 @@ def differential_check(system: PowerSystem, trace: CurrentTrace,
             margin=float("nan"), margin_fraction=float("nan"),
             v_min_from_estimate=float("nan"), browned_out=False,
         )
-    with _obs_timed(f"estimator.{estimator.name}"):
-        estimate = estimator.estimate(system, trace)
+    estimate = estimator.estimate(system, trace)
     # The estimate is taken literally as a start voltage: a device cannot
     # charge above V_high, and a claim below V_off means "start with the
     # booster already cut" — both are the estimator's problem, not ours.

@@ -98,30 +98,6 @@ class TestCacheInstrumentation:
         assert events[0]["key"] == events[1]["key"]
 
 
-class TestProfilingHooks:
-    def test_timed_noop_without_profile(self):
-        with obs.observe() as state:
-            with obs.timed("estimator.demo"):
-                pass
-        assert state.metrics.snapshot()["histograms"] == {}
-
-    def test_timed_records_when_profiling(self):
-        with obs.observe(tracer=obs.Tracer(), profile=True) as state:
-            with obs.timed("estimator.demo", task="blink"):
-                pass
-            events = state.tracer.drain()
-        histograms = state.metrics.snapshot()["histograms"]
-        assert histograms["prof.estimator.demo_wall_s"]["count"] == 1
-        prof = [e for e in events if e["event"] == "prof.estimator.demo"]
-        assert prof and prof[0]["task"] == "blink" and "wall_s" in prof[0]
-
-    def test_profiled_run_trace_emits_wall_time(self):
-        with obs.observe(profile=True) as state:
-            _run_sim()
-        histograms = state.metrics.snapshot()["histograms"]
-        assert histograms["prof.run_trace_wall_s"]["count"] == 1
-
-
 def _observed_sim(seed):
     result = _run_sim(seed)
     return (result.v_min, result.v_final, result.browned_out)

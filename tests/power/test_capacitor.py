@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.power.capacitor import IdealCapacitor, TwoBranchSupercap
+from repro.power.capacitor import TwoBranchSupercap
 
 
 def make_supercap(voltage=2.2, **overrides):
@@ -13,68 +13,72 @@ def make_supercap(voltage=2.2, **overrides):
 
 
 class TestIdealCapacitor:
+    """The ideal capacitor with ESR (paper §IV-B, Figure 4's circuit): a
+    TwoBranchSupercap with no redistribution branch and no decoupling."""
+
     def test_terminal_drop_is_ohmic(self):
-        cap = IdealCapacitor(capacitance=0.045, esr=10.0, voltage=2.0)
+        cap = TwoBranchSupercap(c_main=0.045, r_esr=10.0, voltage=2.0)
         cap.step(0.050, 1e-5)
         # ESR drop = 50 mA * 10 ohm = 0.5 V (plus a sliver of charge).
         assert cap.terminal_voltage == pytest.approx(1.5, abs=0.002)
 
     def test_rebound_is_instant(self):
-        cap = IdealCapacitor(capacitance=0.045, esr=10.0, voltage=2.0)
+        cap = TwoBranchSupercap(c_main=0.045, r_esr=10.0, voltage=2.0)
         cap.step(0.050, 0.001)
         cap.step(0.0, 1e-6)
         assert cap.terminal_voltage == pytest.approx(
             cap.open_circuit_voltage)
 
     def test_discharge_follows_i_over_c(self):
-        cap = IdealCapacitor(capacitance=0.010, esr=0.0, voltage=2.0)
+        cap = TwoBranchSupercap(c_main=0.010, r_esr=1.0, voltage=2.0)
         cap.step(0.010, 1.0)  # 10 mA for 1 s from 10 mF: dV = 1 V
         assert cap.open_circuit_voltage == pytest.approx(1.0)
 
     def test_leakage_drains(self):
-        cap = IdealCapacitor(capacitance=0.010, esr=0.0,
-                             leakage_current=1e-3, voltage=2.0)
+        cap = TwoBranchSupercap(c_main=0.010, r_esr=1.0,
+                                leakage_current=1e-3, voltage=2.0)
         cap.step(0.0, 1.0)
         assert cap.open_circuit_voltage == pytest.approx(1.9)
 
     def test_voltage_clamped_at_zero(self):
-        cap = IdealCapacitor(capacitance=1e-3, esr=0.0, voltage=0.1)
+        cap = TwoBranchSupercap(c_main=1e-3, r_esr=1.0, voltage=0.1)
         cap.step(1.0, 10.0)
         assert cap.open_circuit_voltage == 0.0
+        assert cap.terminal_voltage == 0.0
 
     def test_stored_energy(self):
-        cap = IdealCapacitor(capacitance=0.045, voltage=2.0)
+        cap = TwoBranchSupercap(c_main=0.045, r_esr=4.0, voltage=2.0)
         assert cap.stored_energy == pytest.approx(0.09)
 
     def test_copy_is_independent(self):
-        cap = IdealCapacitor(capacitance=0.045, esr=4.0, voltage=2.0)
+        cap = TwoBranchSupercap(c_main=0.045, r_esr=4.0, voltage=2.0)
         clone = cap.copy()
         cap.step(0.010, 1.0)
         assert clone.open_circuit_voltage == pytest.approx(2.0)
 
     def test_reset(self):
-        cap = IdealCapacitor(capacitance=0.045, esr=4.0, voltage=2.0)
+        cap = TwoBranchSupercap(c_main=0.045, r_esr=4.0, voltage=2.0)
         cap.step(0.050, 0.01)
         cap.reset(2.4)
         assert cap.terminal_voltage == pytest.approx(2.4)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(capacitance=0.0),
-        dict(capacitance=-1.0),
-        dict(capacitance=0.01, esr=-1.0),
-        dict(capacitance=0.01, leakage_current=-1e-9),
+        dict(c_main=0.0, r_esr=1.0),
+        dict(c_main=-1.0, r_esr=1.0),
+        dict(c_main=0.01, r_esr=-1.0),
+        dict(c_main=0.01, r_esr=1.0, leakage_current=-1e-9),
     ])
     def test_invalid_construction(self, kwargs):
         with pytest.raises(ValueError):
-            IdealCapacitor(**kwargs)
+            TwoBranchSupercap(**kwargs)
 
     def test_invalid_step(self):
-        cap = IdealCapacitor(capacitance=0.01, voltage=1.0)
+        cap = TwoBranchSupercap(c_main=0.01, r_esr=1.0, voltage=1.0)
         with pytest.raises(ValueError):
             cap.step(0.01, 0.0)
 
     def test_negative_reset_rejected(self):
-        cap = IdealCapacitor(capacitance=0.01, voltage=1.0)
+        cap = TwoBranchSupercap(c_main=0.01, r_esr=1.0, voltage=1.0)
         with pytest.raises(ValueError):
             cap.reset(-0.1)
 

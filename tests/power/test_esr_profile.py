@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.power.capacitor import IdealCapacitor, TwoBranchSupercap
+from repro.power.capacitor import TwoBranchSupercap
 from repro.power.esr_profile import (
     EsrFrequencyCurve,
     measure_esr_curve,
@@ -20,7 +20,8 @@ def supercap():
 
 class TestMeasurePulseEsr:
     def test_ideal_capacitor_measures_its_esr(self):
-        cap = IdealCapacitor(capacitance=0.045, esr=4.0, voltage=2.2)
+        # no redistribution branch, no decoupling: one C behind one ESR
+        cap = TwoBranchSupercap(c_main=0.045, r_esr=4.0, voltage=2.2)
         measured = measure_pulse_esr(cap, pulse_width=0.050)
         assert measured == pytest.approx(4.0, rel=0.02)
 

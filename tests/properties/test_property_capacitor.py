@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.power.capacitor import IdealCapacitor, TwoBranchSupercap
+from repro.power.capacitor import TwoBranchSupercap
 from repro.power.catalog import build_bank_survey, reference_catalog
 from repro.power.esr_profile import DEFAULT_PULSE_WIDTHS, measure_esr_curve
 from repro.power.reconfigurable import ReconfigurableBuffer, capybara_bank_set
@@ -24,16 +24,21 @@ def make_supercap(voltage):
                              voltage=voltage)
 
 
+def make_ideal(voltage):
+    """The ideal capacitor with ESR: no redistribution, no decoupling."""
+    return TwoBranchSupercap(c_main=0.045, r_esr=4.0, voltage=voltage)
+
+
 class TestIdealCapacitorProperties:
     @given(v=voltages, i=currents, dt=small_dts)
     def test_discharge_never_increases_open_circuit_voltage(self, v, i, dt):
-        cap = IdealCapacitor(capacitance=0.045, esr=4.0, voltage=v)
+        cap = make_ideal(v)
         cap.step(i, dt)
         assert cap.open_circuit_voltage <= v + 1e-12
 
     @given(v=voltages, i=currents)
     def test_terminal_drop_matches_ohms_law(self, v, i):
-        cap = IdealCapacitor(capacitance=0.045, esr=4.0, voltage=v)
+        cap = make_ideal(v)
         cap.step(i, 1e-9)  # negligible charge movement
         expected = max(0.0, v - i * 4.0)
         assert math.isclose(cap.terminal_voltage, expected,
@@ -41,7 +46,7 @@ class TestIdealCapacitorProperties:
 
     @given(v=voltages)
     def test_energy_consistent_with_voltage(self, v):
-        cap = IdealCapacitor(capacitance=0.045, voltage=v)
+        cap = make_ideal(v)
         assert math.isclose(cap.stored_energy, 0.5 * 0.045 * v * v,
                             rel_tol=1e-12)
 
@@ -103,25 +108,19 @@ class TestSupercapProperties:
         assert math.isclose(aged.open_circuit_voltage, v, rel_tol=1e-9)
 
 
-# -- one stepping body per buffer ---------------------------------------------
+# -- one stepping body ----------------------------------------------------------
 #
 # ``step`` is the one-step case of ``pulse``, so neither can serve as the
-# other's oracle. The reference below is a transcription of the two step
-# bodies as they read when every call re-derived its constants through
-# the properties (``_has_redist``, ``_conductance``, ``_target_terminal``).
+# other's oracle. The reference below is a transcription of the step
+# body as it read when every call re-derived its constants through the
+# properties (``_has_redist``, ``_conductance``, ``_target_terminal``).
 # The hoisted body must reproduce it bit for bit, and the whole state, not
 # only the returned minimum: a 1-ulp change in ``v_avg`` almost never
 # reaches the minimum, but it is still a different program.
 
 
-def reference_ideal_step(cap, i_load, dt):
-    drain = i_load + (cap.leakage_current if cap._v > 0 else 0.0)
-    cap._v = max(0.0, cap._v - drain * dt / cap.capacitance)
-    cap._i_last = i_load
-    return max(0.0, cap._v - cap._i_last * cap.esr)
-
-
-def reference_supercap_step(cap, i_load, dt):
+def reference_step(buffer, i_load, dt):
+    cap = _stepped(buffer)
     has_redist = cap.c_redist > 0 and math.isfinite(cap.r_redist)
     g = 1.0 / cap.r_esr
     if has_redist:
@@ -160,13 +159,6 @@ def _stepped(buffer):
     return buffer
 
 
-def reference_step(buffer, i_load, dt):
-    cap = _stepped(buffer)
-    if isinstance(cap, IdealCapacitor):
-        return reference_ideal_step(cap, i_load, dt)
-    return reference_supercap_step(cap, i_load, dt)
-
-
 def reference_pulse(buffer, i_load, dt, steps):
     v_min = math.inf
     for _ in range(steps):
@@ -192,8 +184,6 @@ def reference_esr_curve(buffer, test_current=0.010, rest_voltage=2.2):
 
 def state(buffer):
     cap = _stepped(buffer)
-    if isinstance(cap, IdealCapacitor):
-        return (cap._v, cap._i_last)
     return (cap._v_main, cap._v_redist, cap._v_term)
 
 
@@ -236,13 +226,21 @@ def supercaps(draw):
 
 @st.composite
 def ideal_caps(draw):
-    cap = IdealCapacitor(
-        capacitance=draw(st.floats(min_value=1e-4, max_value=0.1)),
-        esr=draw(st.just(0.0) | st.floats(min_value=1e-3, max_value=50.0)),
+    """The ideal capacitor with ESR: no redistribution branch (no
+    C_redist, or an infinite R_redist) and no decoupling."""
+    branch = draw(st.sampled_from(["no-c-redist", "no-r-redist"]))
+    cap = TwoBranchSupercap(
+        c_main=draw(st.floats(min_value=1e-4, max_value=0.1)),
+        r_esr=draw(st.floats(min_value=1e-3, max_value=50.0)),
+        c_redist=(0.0 if branch == "no-c-redist"
+                  else draw(st.floats(min_value=1e-4, max_value=0.05))),
+        r_redist=(math.inf if branch == "no-r-redist"
+                  else draw(st.floats(min_value=0.05, max_value=200.0))),
         leakage_current=draw(leakages),
-        voltage=draw(node_voltages),
     )
-    cap._i_last = draw(pulse_currents)
+    cap._v_main = draw(node_voltages)
+    cap._v_redist = draw(node_voltages)
+    cap._v_term = draw(node_voltages)
     return cap
 
 
@@ -290,8 +288,8 @@ class TestSharedSteppingBody:
     @pytest.mark.parametrize("i_load", [math.nan, math.inf, -math.inf,
                                         0.0, -0.0])
     @pytest.mark.parametrize("make", [
-        lambda v: IdealCapacitor(capacitance=0.045, esr=4.0,
-                                 leakage_current=1e-6, voltage=v),
+        lambda v: TwoBranchSupercap(c_main=0.045, r_esr=4.0,
+                                    leakage_current=1e-6, voltage=v),
         make_supercap,
         lambda v: TwoBranchSupercap(c_main=0.040, r_esr=4.0, voltage=v),
         lambda v: TwoBranchSupercap(c_main=0.040, r_esr=4.0, c_redist=0.004,
@@ -366,7 +364,7 @@ class TestSharedSteppingBody:
                 == bits(*reference_esr_curve(buffer)), part_number
 
     @pytest.mark.parametrize("cap", [
-        IdealCapacitor(capacitance=0.045, esr=4.0, voltage=2.0),
+        make_ideal(2.0),
         make_supercap(2.0),
     ])
     def test_pulse_rejects_bad_steps(self, cap):

@@ -22,7 +22,7 @@ from repro.loads.trace import CurrentTrace
 from repro.core.isr import CulpeoIsrRuntime
 from repro.core.runtime import CulpeoRCalculator
 from repro.power.booster import CurvedEfficiency, LinearEfficiency
-from repro.power.capacitor import IdealCapacitor, TwoBranchSupercap
+from repro.power.capacitor import TwoBranchSupercap
 from repro.power.harvester import ConstantPowerHarvester, TraceHarvester
 from repro.power.reconfigurable import (
     ReconfigurableBuffer,
@@ -52,8 +52,9 @@ buffer_kinds = st.sampled_from(("two-branch", "decoupled", "ideal"))
 def build_system(kind, esr, v_start):
     system = capybara_power_system(dc_esr=esr)
     if kind == "ideal":
-        system.buffer = IdealCapacitor(capacitance=45e-3, esr=esr,
-                                       voltage=v_start)
+        # the ideal capacitor with ESR: no redistribution, no decoupling
+        system.buffer = TwoBranchSupercap(c_main=45e-3, r_esr=esr,
+                                          voltage=v_start)
     elif kind == "decoupled":
         system.buffer = system.buffer.with_decoupling(800e-6)
     system.rest_at(v_start)

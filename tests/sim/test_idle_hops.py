@@ -21,7 +21,7 @@ import pytest
 import repro.sim.fastpath as fastpath
 from repro import obs
 from repro.loads.trace import CurrentTrace
-from repro.power.capacitor import IdealCapacitor
+from repro.power.capacitor import TwoBranchSupercap
 from repro.power.harvester import (
     CallableHarvester,
     ConstantPowerHarvester,
@@ -58,8 +58,9 @@ HEAVY = CurrentTrace([(0.04, 0.6), (1e-3, 0.01)])
 def build_system(kind, harvest, v_start=2.3):
     system = capybara_power_system()
     if kind == "ideal":
-        system.buffer = IdealCapacitor(capacitance=45e-3, esr=2.0,
-                                       voltage=v_start)
+        # the ideal capacitor with ESR: no redistribution, no decoupling
+        system.buffer = TwoBranchSupercap(c_main=45e-3, r_esr=2.0,
+                                          voltage=v_start)
     elif kind == "reconfigurable":
         system.buffer = ReconfigurableBuffer(capybara_bank_set(),
                                              ("large", "small"))

@@ -85,6 +85,21 @@ class TestTraceCommand:
         assert {"task.begin", "task.end", "power.v_min",
                 "cache.hit", "cache.miss"} <= names
 
+    def test_trace_is_byte_deterministic(self, capsys, tmp_path):
+        from repro.core.vsafe_cache import default_cache
+        runs = []
+        for name in ("first", "second"):
+            default_cache().invalidate()    # both runs start cold
+            out_dir = tmp_path / name
+            assert main(["trace", "ps", "--trials", "1",
+                         "--out", str(out_dir)]) == 0
+            runs.append([(out_dir / file).read_bytes()
+                         for file in ("trace.jsonl", "metrics.json")])
+        capsys.readouterr()
+        assert runs[0] == runs[1]
+        for content in runs[0]:
+            assert b"prof." not in content and b"wall_s" not in content
+
     def test_trace_unknown_target(self, capsys, tmp_path):
         assert main(["trace", "no-such-thing",
                      "--out", str(tmp_path)]) == 2
@@ -251,6 +266,40 @@ class TestChaosCommand:
         assert main(["chaos", "--trials", "1",
                      "--estimators", "psychic"]) == 2
         assert "unknown estimator" in capsys.readouterr().err
+
+
+#: Files ``--replay`` cannot load as a case (``None``: no file at all);
+#: ``FORMAT`` stands for the command's own case format.
+BAD_CASES = {
+    "missing-file": None,
+    "not-json": "{not json",
+    "not-an-object": "[]",
+    "foreign-format": '{"format": "something-else"}',
+    "wrong-version": '{"format": "FORMAT", "version": 99}',
+    "missing-key": '{"format": "FORMAT", "version": 1}',
+}
+
+
+class TestReplayOfABadCase:
+    """A ``--replay`` file that does not load exits 2 with one line on
+    stderr: exit 1 means the case still replays unsafe."""
+
+    @pytest.mark.parametrize("command,case_format", [
+        ("verify", "repro.verify-case"),
+        ("chaos", "repro.chaos-case"),
+        ("chaos", "repro.serve-chaos-case"),
+    ], ids=["verify", "chaos", "chaos-serve"])
+    @pytest.mark.parametrize("bad", sorted(BAD_CASES))
+    def test_exits_2_with_one_line(self, command, case_format, bad,
+                                   capsys, tmp_path):
+        path = tmp_path / "case.json"
+        if BAD_CASES[bad] is not None:
+            path.write_text(BAD_CASES[bad].replace("FORMAT", case_format))
+        assert main([command, "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot replay {path}: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestFleetCommand:
