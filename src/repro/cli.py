@@ -187,6 +187,7 @@ def cmd_vsafe(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify import ReproCase, run_verification
+    from repro.verify.oracle import check_settings
     from repro.verify.runner import KNOWN_ESTIMATORS
 
     if args.replay is not None:
@@ -202,6 +203,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
               f"margin={result.margin:+.4f} V")
         return 0 if result.verdict.value == "SOUND" else 1
 
+    # checked before any trial: exit 1 means an estimator was convicted
+    try:
+        if args.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {args.trials}")
+        check_settings(args.tolerance, args.margin)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     estimators = tuple(args.estimators.split(",")) if args.estimators \
         else None
     if estimators:

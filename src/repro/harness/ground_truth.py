@@ -21,6 +21,7 @@ distinguishes three outcomes callers previously could not tell apart:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.loads.trace import CurrentTrace
@@ -80,8 +81,11 @@ def find_true_vsafe(system: PowerSystem, trace: CurrentTrace, *,
     cap stopped the search first — callers previously could not tell a
     converged-at-floor result from an exhausted one.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < math.inf:
+        # (with a NaN or infinite one the bisection never runs and the
+        # "truth" is V_high)
+        raise ValueError(
+            f"tolerance must be positive and finite, got {tolerance}")
     if max_iterations < 1:
         raise ValueError(
             f"max_iterations must be >= 1, got {max_iterations}"

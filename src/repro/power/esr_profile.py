@@ -87,8 +87,10 @@ def measure_pulse_esr(buffer: EnergyBuffer, pulse_width: float,
 
     Applies ``test_current`` directly at the buffer terminals (bypassing
     the boosters, as a bench impedance analyzer would) for one
-    :meth:`~repro.power.capacitor.EnergyBuffer.pulse` of equal steps,
-    takes the minimum terminal voltage during the pulse, and subtracts the
+    :meth:`~repro.power.capacitor.EnergyBuffer.pulse` of equal steps (on
+    the compiled kernel, :func:`repro.sim.fastpath.pulse`, unless
+    :func:`repro.sim.set_default_fast` turned it off), takes the minimum
+    terminal voltage during the pulse, and subtracts the
     voltage that the consumed charge alone accounts for. The remainder
     over the current is the effective series resistance at this pulse
     width.
@@ -101,10 +103,17 @@ def measure_pulse_esr(buffer: EnergyBuffer, pulse_width: float,
             f"test_current must be positive and finite, got {test_current}")
     if not math.isfinite(rest_voltage):
         raise ValueError(f"rest_voltage must be finite, got {rest_voltage}")
+    # (imported here: repro.sim imports repro.power)
+    from repro.sim import engine, fastpath
+
     probe = buffer.copy()
     probe.reset(rest_voltage)
-    v_min = min(rest_voltage, probe.pulse(
-        test_current, pulse_width / _STEPS_PER_PULSE, _STEPS_PER_PULSE))
+    dt = pulse_width / _STEPS_PER_PULSE
+    if engine.DEFAULT_FAST:
+        v_pulse = fastpath.pulse(probe, test_current, dt, _STEPS_PER_PULSE)
+    else:
+        v_pulse = probe.pulse(test_current, dt, _STEPS_PER_PULSE)
+    v_min = min(rest_voltage, v_pulse)
     # Voltage drop explained by charge actually removed from the buffer.
     charge_drop = test_current * pulse_width / probe.total_capacitance
     esr_drop = (rest_voltage - v_min) - charge_drop

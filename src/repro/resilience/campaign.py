@@ -194,9 +194,19 @@ class ChaosCase(Case):
     original: dict = field(default_factory=dict)
 
     def check(self) -> None:
+        # Names resolve here, so a case file naming an unknown app,
+        # estimator or injector does not load (``--replay`` exits 2).
+        from repro.verify.runner import KNOWN_ESTIMATORS
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(
                 f"horizon must be finite and positive, got {self.horizon}")
+        if self.app not in CHAOS_APPS:
+            raise ValueError(
+                f"unknown app {self.app!r}; choose from {tuple(CHAOS_APPS)}")
+        if self.estimator not in KNOWN_ESTIMATORS:
+            raise ValueError(f"unknown estimator {self.estimator!r}; "
+                             f"choose from {KNOWN_ESTIMATORS}")
+        INJECTORS.from_dict(self.injector)
 
     def replay(self) -> TrialOutcome:
         return _run_trial(self)

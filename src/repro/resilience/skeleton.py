@@ -122,6 +122,9 @@ class Registry(dict):
 
     def from_dict(self, data: dict) -> Recipe:
         """Rebuild a recipe from its ``to_dict`` form."""
+        if not isinstance(data, dict):
+            raise TypeError(f"{self.label} must be a dict, got "
+                            f"{type(data).__name__}")
         name = data.get("injector")
         if name not in self:
             raise ValueError(f"unknown {self.label} {name!r}; choose from "

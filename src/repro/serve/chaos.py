@@ -519,6 +519,7 @@ class ServeChaosCase(Case):
     def check(self) -> None:
         if self.queries < 1:
             raise ValueError(f"queries must be >= 1, got {self.queries}")
+        SERVICE_INJECTORS.from_dict(self.injector)
 
     def replay(self) -> TrialOutcome:
         return _run_trial(self)

@@ -71,6 +71,11 @@
  * repro_advance_lanes is the fleet's entry: it runs one segment on
  * every lane of an array of states, each lane exactly as one
  * repro_advance call would.
+ *
+ * repro_pulse is TwoBranchSupercap.pulse: equal steps under one
+ * terminal current, the ESR probe's pulse (repro/power/esr_profile.py).
+ * It and repro_advance step the buffer through one function,
+ * buffer_step, so the file holds one buffer body.
  */
 
 #include <math.h>
@@ -133,6 +138,96 @@ size_t repro_kstate_size(void)
     return sizeof(struct kstate);
 }
 
+/* A TwoBranchSupercap's fields and the constants pulse derives from
+ * them: its _has_redist, its _conductance and the decoupling time
+ * constant (the engine's _transient_tau), each expression in its
+ * evaluation order. A zero divisor leaves inf or NaN here and sets
+ * zero_g, and buffer_step reports the ZeroDivisionError where pulse
+ * raises it. */
+struct buffer {
+    double c_main, r_esr, c_red, r_red, c_dec, leak;
+    double g, tau;
+    int has_red, zero_g;
+};
+
+static inline void buffer_init(struct buffer *b, double c_main,
+                               double r_esr, double c_red, double r_red,
+                               double c_dec, double leak)
+{
+    b->c_main = c_main;
+    b->r_esr = r_esr;
+    b->c_red = c_red;
+    b->r_red = r_red;
+    b->c_dec = c_dec;
+    b->leak = leak;
+    b->has_red = c_red > 0.0 && isfinite(r_red);
+    b->g = 1.0 / r_esr;
+    if (b->has_red)
+        b->g += 1.0 / r_red;
+    b->tau = 0.0;
+    if (!(c_dec <= 0.0))
+        b->tau = c_dec / b->g;
+    b->zero_g = r_esr == 0.0 || (b->has_red && r_red == 0.0)
+        || b->g == 0.0;
+}
+
+/* One step of pulse's loop: dt seconds under the terminal current
+ * i_load, from the node voltages *v_main, *v_red and *v_term. Returns
+ * K_END with the nodes stepped, or the error pulse raises (K_ZERODIV,
+ * K_OVERFLOW) with the nodes untouched: every error is tested before a
+ * node is written. */
+static inline int buffer_step(const struct buffer *b, double i_load,
+                              double dt, double *v_main, double *v_red,
+                              double *v_term)
+{
+    double ratio = 0.0, alpha = 0.0, num, v_star, v_avg, i_main, drain;
+
+    /* pulse's errors, in the order it meets them: its conductance, tau
+     * and v_star divisions, the exp of the decoupling ratio, v_avg's
+     * division by the ratio and v_main's by c_main (has_red implies
+     * c_red > 0) */
+    if (b->zero_g)
+        return K_ZERODIV;
+    if (b->c_dec > 0.0) {
+        if (b->tau == 0.0)
+            return K_ZERODIV;
+        ratio = dt / b->tau;
+        alpha = exp(-ratio);
+        if (isinf(alpha) && isfinite(ratio))
+            return K_OVERFLOW;
+        if (ratio == 0.0)
+            return K_ZERODIV;
+    }
+    if (b->c_main == 0.0)
+        return K_ZERODIV;
+
+    num = *v_main / b->r_esr - i_load;
+    if (b->has_red)
+        num += *v_red / b->r_red;
+    v_star = num / b->g;
+    if (b->c_dec > 0.0) {
+        const double diff = *v_term - v_star;
+        v_avg = v_star + diff * (1.0 - alpha) / ratio;
+        *v_term = v_star + diff * alpha;
+    } else {
+        v_avg = v_star;
+        *v_term = v_star;
+    }
+    i_main = (*v_main - v_avg) / b->r_esr;
+    drain = i_main + (*v_main > 0.0 ? b->leak : 0.0);
+    *v_main -= drain * dt / b->c_main;
+    if (!(*v_main > 0.0))
+        *v_main = 0.0;
+    if (b->has_red) {
+        *v_red -= (*v_red - v_avg) / b->r_red * dt / b->c_red;
+        if (!(*v_red > 0.0))
+            *v_red = 0.0;
+    }
+    if (!(*v_term > 0.0))
+        *v_term = 0.0;
+    return K_END;
+}
+
 int repro_advance(struct kstate *s)
 {
     const double min_dt = s->min_dt, max_idle_dt = s->max_idle_dt;
@@ -148,9 +243,6 @@ int repro_advance(struct kstate *s)
     const double v_off = s->v_off, v_high = s->v_high;
     const double p_h_const = s->p_h_const;
     const double h_period = s->h_period, h_phase = s->h_phase;
-    const double leak = s->leak;
-    const double c_main = s->c_main, r_esr = s->r_esr;
-    const double c_red = s->c_red, r_red = s->r_red, c_dec = s->c_dec;
     const double stop_level = s->stop_level;
     const double *h_edges = s->h_edges, *h_powers = s->h_powers;
     double *volts = s->volts;
@@ -160,9 +252,9 @@ int repro_advance(struct kstate *s)
     const int observed = s->observed, chunked = s->chunked;
     const int hp_last = s->hp_last, chunk = s->chunk;
     const double period = s->period;
-    /* the buffer's derived constants, set below */
-    double g, total_c, stable, branch, tau = 0.0, tau_quarter;
-    int has_red, zero_g;
+    /* the buffer and the engine's constants derived from it, set below */
+    struct buffer b;
+    double total_c, stable, branch, tau_quarter;
 
     double v_main = s->v_main, v_red = s->v_red, v_term = s->v_term;
     double time_abs = s->time_abs, v_min = s->v_min, energy = s->energy;
@@ -179,27 +271,19 @@ int repro_advance(struct kstate *s)
     long long steps = s->steps;
     int code = K_END;
 
-    /* TwoBranchSupercap's _has_redist, _conductance, total_capacitance
-     * and max_stable_dt and the engine's _transient_tau, each expression
-     * in its evaluation order. A zero divisor leaves inf or NaN here and
-     * sets zero_g, and the ZeroDivisionError is reported where the
-     * reference raises it. */
-    has_red = c_red > 0.0 && isfinite(r_red);
-    g = 1.0 / r_esr;
-    if (has_red)
-        g += 1.0 / r_red;
-    total_c = c_main + c_dec;
-    if (has_red)
-        total_c += c_red;
-    stable = r_esr * c_main;
-    branch = r_red * c_red;
-    if (has_red && branch < stable)
+    /* TwoBranchSupercap's total_capacitance and max_stable_dt, each
+     * expression in its evaluation order */
+    buffer_init(&b, s->c_main, s->r_esr, s->c_red, s->r_red, s->c_dec,
+                s->leak);
+    total_c = b.c_main + b.c_dec;
+    if (b.has_red)
+        total_c += b.c_red;
+    stable = b.r_esr * b.c_main;
+    branch = b.r_red * b.c_red;
+    if (b.has_red && branch < stable)
         stable = branch;
     stable = 0.25 * stable;
-    if (!(c_dec <= 0.0))
-        tau = c_dec / g;
-    zero_g = r_esr == 0.0 || (has_red && r_red == 0.0) || g == 0.0;
-    tau_quarter = tau / 4.0;
+    tau_quarter = b.tau / 4.0;
 
     if (s->begin) {
         /* one reference _advance call: the segment's constants */
@@ -221,12 +305,12 @@ int repro_advance(struct kstate *s)
             total_out = i_out;
             step_cap = max_idle_dt;
         }
-        if (loaded && zero_g && !(c_dec <= 0.0)) {
+        if (loaded && b.zero_g && !(b.c_dec <= 0.0)) {
             /* _transient_tau divides at a loaded segment's start */
             code = K_ZERODIV;
             goto out;
         }
-        transient_window = loaded ? 6.0 * tau : 0.0;
+        transient_window = loaded ? 6.0 * b.tau : 0.0;
         dv_budget = loaded ? s->load_dv : s->idle_dv;
         p_out = total_out * v_out;
         out_on = total_out > 0.0;
@@ -247,8 +331,7 @@ int repro_advance(struct kstate *s)
     while (elapsed < duration - 1e-12) {
         const double v = v_term;    /* the terminal voltage */
         double v_in, eta, i_in, i_chg, p_h, v_clamp, eta_c, dv;
-        double i_net, remaining, i_abs, dt, dt_floor, drain;
-        double num, v_star, v_avg, i_main;
+        double i_net, remaining, i_abs, dt, dt_floor;
 
         /* output booster draw (OutputBooster.input_current) */
         if (drawing) {
@@ -366,58 +449,9 @@ int repro_advance(struct kstate *s)
             dt = dt_floor;
 
         /* buffer step (TwoBranchSupercap.pulse) */
-        if (zero_g) {
-            /* pulse's conductance, its tau or its v_star */
-            code = K_ZERODIV;
+        code = buffer_step(&b, i_net, dt, &v_main, &v_red, &v_term);
+        if (code != K_END)
             goto out;
-        }
-        num = v_main / r_esr - i_net;
-        if (has_red)
-            num += v_red / r_red;
-        v_star = num / g;
-        if (c_dec > 0.0) {
-            double ratio, alpha, diff;
-            if (tau == 0.0) {
-                code = K_ZERODIV;
-                goto out;
-            }
-            ratio = dt / tau;
-            alpha = exp(-ratio);
-            if (isinf(alpha) && isfinite(ratio)) {
-                code = K_OVERFLOW;
-                goto out;
-            }
-            diff = v_term - v_star;
-            if (ratio == 0.0) {
-                code = K_ZERODIV;
-                goto out;
-            }
-            v_avg = v_star + diff * (1.0 - alpha) / ratio;
-            v_term = v_star + diff * alpha;
-        } else {
-            v_avg = v_star;
-            v_term = v_star;
-        }
-        i_main = (v_main - v_avg) / r_esr;
-        drain = i_main + (v_main > 0.0 ? leak : 0.0);
-        if (c_main == 0.0) {
-            code = K_ZERODIV;
-            goto out;
-        }
-        v_main -= drain * dt / c_main;
-        if (!(v_main > 0.0))
-            v_main = 0.0;
-        if (has_red) {
-            if (c_red == 0.0) {
-                code = K_ZERODIV;
-                goto out;
-            }
-            v_red -= (v_red - v_avg) / r_red * dt / c_red;
-            if (!(v_red > 0.0))
-                v_red = 0.0;
-        }
-        if (!(v_term > 0.0))
-            v_term = 0.0;
         v_new = v_term;
 
         steps++;
@@ -593,5 +627,34 @@ int repro_advance_lanes(struct kstate *lanes, long n, unsigned char *run,
             return code;
         }
     }
+    return K_END;
+}
+
+/* TwoBranchSupercap.pulse: steps equal steps of dt under the terminal
+ * current i_load, from the node voltages nodes[0..2] (v_main, v_red,
+ * v_term). Returns K_END with the nodes stepped and the lowest terminal
+ * voltage after any step in *v_min, or the error pulse raises, having
+ * written nothing. steps must be at least 1. */
+int repro_pulse(double *nodes, double c_main, double r_esr, double c_red,
+                double r_red, double c_dec, double leak, double i_load,
+                double dt, long long steps, double *v_min)
+{
+    struct buffer b;
+    double v_main = nodes[0], v_red = nodes[1], v_term = nodes[2];
+    double low = INFINITY;
+    long long k;
+
+    buffer_init(&b, c_main, r_esr, c_red, r_red, c_dec, leak);
+    for (k = 0; k < steps; k++) {
+        int code = buffer_step(&b, i_load, dt, &v_main, &v_red, &v_term);
+        if (code != K_END)
+            return code;
+        if (v_term < low)
+            low = v_term;
+    }
+    nodes[0] = v_main;
+    nodes[1] = v_red;
+    nodes[2] = v_term;
+    *v_min = low;
     return K_END;
 }

@@ -76,6 +76,11 @@ kernel state per device, and :func:`advance_lanes` runs a segment on
 all of them in one C call (:mod:`repro.fleet.kernel` packs and reads
 them).
 
+ESR characterization (:mod:`repro.power.esr_profile`) pulses a bare
+buffer: :func:`pulse` is ``EnergyBuffer.pulse`` as one C call, whose
+steps run through the buffer step the simulator's loop takes, so the C
+file holds one buffer body.
+
 The library is built on first use with the system C compiler and cached
 in ``__pycache__`` next to this file, under a digest of the source, the
 compile command and the platform; it is published with an atomic rename,
@@ -257,6 +262,10 @@ def _build():
         ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_double,
         ctypes.c_double, ctypes.c_void_p, ctypes.POINTER(ctypes.c_long)]
     lib.repro_advance_lanes.restype = ctypes.c_int
+    lib.repro_pulse.argtypes = [
+        ctypes.POINTER(ctypes.c_double), *[ctypes.c_double] * 8,
+        ctypes.c_longlong, ctypes.POINTER(ctypes.c_double)]
+    lib.repro_pulse.restype = ctypes.c_int
     return lib
 
 
@@ -376,9 +385,8 @@ class Wait:
                 0 if load is None else len(load))
 
 
-def _stock_buffer(system):
-    """The concrete capacitor the kernel steps, or ``None`` if a component
-    (efficiency models included) is not of a stock type.
+def _stepped(buffer) -> Optional[TwoBranchSupercap]:
+    """The stock capacitor that steps for ``buffer``, or ``None``.
 
     A :class:`ReconfigurableBuffer` delegates all stepping to its active
     group (a ``TwoBranchSupercap``), so the kernel operates on the group
@@ -387,13 +395,6 @@ def _stock_buffer(system):
     isinstance: a subclass may override behavior the kernel has inlined
     away.
     """
-    out, inp = system.output_booster, system.input_booster
-    if (type(out) is not OutputBooster or type(inp) is not InputBooster
-            or type(system.monitor) is not VoltageMonitor
-            or type(out.efficiency_model) not in _STOCK_EFFICIENCY
-            or type(inp.efficiency_model) not in _STOCK_EFFICIENCY):
-        return None
-    buffer = system.buffer
     if type(buffer) is ReconfigurableBuffer:
         buffer = buffer._group  # noqa: SLF001 — sim-internal
     if type(buffer) is TwoBranchSupercap:
@@ -403,6 +404,19 @@ def _stock_buffer(system):
             and type(buffer._inner) is ReconfigurableBuffer):  # noqa: SLF001
         return buffer._inner._group  # noqa: SLF001
     return None
+
+
+def _stock_buffer(system):
+    """The concrete capacitor the kernel steps (see :func:`_stepped`), or
+    ``None`` if a component (efficiency models included) is not of a
+    stock type."""
+    out, inp = system.output_booster, system.input_booster
+    if (type(out) is not OutputBooster or type(inp) is not InputBooster
+            or type(system.monitor) is not VoltageMonitor
+            or type(out.efficiency_model) not in _STOCK_EFFICIENCY
+            or type(inp.efficiency_model) not in _STOCK_EFFICIENCY):
+        return None
+    return _stepped(system.buffer)
 
 
 def supported(system) -> bool:
@@ -673,6 +687,35 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
     if wait is not None:
         wait.load_time = st.w_load_time
     return result
+
+
+def pulse(buffer, i_load: float, dt: float, steps: int) -> float:
+    """``buffer.pulse(i_load, dt, steps)`` on the compiled kernel.
+
+    :meth:`~repro.power.capacitor.EnergyBuffer.pulse`, bit for bit: the
+    same lowest terminal voltage and the same node voltages after it.
+    ``repro_pulse`` runs the steps through the buffer step
+    ``repro_advance`` takes. ``buffer.pulse`` runs instead for a buffer
+    the kernel does not step (see :func:`_stepped`), for arguments
+    ``pulse`` refuses, without a compiled kernel, and where the kernel
+    reports a step on which ``pulse`` raises (having written nothing),
+    so that ``pulse`` raises its own exception.
+    """
+    cap = _stepped(buffer)
+    if (cap is None or type(steps) is not int or steps < 1 or dt <= 0
+            or _load() is None):
+        return buffer.pulse(i_load, dt, steps)
+    nodes = (ctypes.c_double * 3)(
+        cap._v_main, cap._v_redist, cap._v_term)  # noqa: SLF001
+    v_min = ctypes.c_double()
+    code = _kernel.repro_pulse(
+        nodes, cap.c_main, cap.r_esr, cap.c_redist, cap.r_redist,
+        cap.c_decoupling, cap.leakage_current, i_load, dt, steps,
+        ctypes.byref(v_min))
+    if code != _END:
+        return buffer.pulse(i_load, dt, steps)
+    cap._v_main, cap._v_redist, cap._v_term = nodes  # noqa: SLF001
+    return v_min.value
 
 
 def lanes(system, n: int) -> Optional[np.ndarray]:

@@ -21,7 +21,11 @@ from repro.verify.generators import (
     trace_from_segments,
     trace_segments,
 )
-from repro.verify.oracle import OracleResult, differential_check
+from repro.verify.oracle import (
+    OracleResult,
+    check_settings,
+    differential_check,
+)
 
 PathLike = Union[str, Path]
 
@@ -48,6 +52,14 @@ class ReproCase:
     #: defaults (axis off), keeping old case files replayable.
     bank_axis: bool = False
     stale_active: tuple = ()
+
+    def __post_init__(self) -> None:
+        # (imported here: the runner imports this module)
+        from repro.verify.runner import KNOWN_ESTIMATORS
+        check_settings(self.tolerance, self.conservative_margin)
+        if self.estimator not in KNOWN_ESTIMATORS:
+            raise ValueError(f"unknown estimator {self.estimator!r}; "
+                             f"choose from {KNOWN_ESTIMATORS}")
 
     @property
     def trace(self) -> CurrentTrace:

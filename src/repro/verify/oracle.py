@@ -83,6 +83,18 @@ class OracleResult:
         }
 
 
+def check_settings(tolerance: float, conservative_margin: float) -> None:
+    """Raise ``ValueError`` unless the oracle's search ``tolerance`` (in
+    volts) and ``conservative_margin`` are positive and finite: with a NaN
+    or infinite tolerance no margin is ever below ``-tolerance``, so no
+    estimator could be convicted."""
+    for name, value in (("tolerance", tolerance),
+                        ("conservative_margin", conservative_margin)):
+        if not 0 < value < math.inf:
+            raise ValueError(
+                f"{name} must be positive and finite, got {value}")
+
+
 def differential_check(system: PowerSystem, trace: CurrentTrace,
                        estimator, truth: Optional[GroundTruth] = None, *,
                        tolerance: float = 0.002,
@@ -103,10 +115,7 @@ def differential_check(system: PowerSystem, trace: CurrentTrace,
     so an estimate sound against the dark-plant truth stays sound under
     any environment, and the conviction rule is unchanged.
     """
-    if conservative_margin <= 0:
-        raise ValueError(
-            f"conservative_margin must be positive, got {conservative_margin}"
-        )
+    check_settings(tolerance, conservative_margin)
     if truth is None:
         truth = find_true_vsafe(system, trace, tolerance=tolerance)
     name = getattr(estimator, "name", type(estimator).__name__)

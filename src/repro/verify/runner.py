@@ -44,7 +44,7 @@ from repro.verify.generators import (
     random_trace,
     trial_rng,
 )
-from repro.verify.oracle import Verdict, differential_check
+from repro.verify.oracle import Verdict, check_settings, differential_check
 from repro.verify.shrink import shrink_trace
 
 #: The estimators the paper claims sound — what `repro verify` gates on.
@@ -346,6 +346,7 @@ def run_verification(trials: int, *, seed: int = 0, jobs: int = 1,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    check_settings(tolerance, conservative_margin)
     names = tuple(estimators)
     for name in names:
         if name not in KNOWN_ESTIMATORS:

@@ -56,6 +56,13 @@ class TestFindTrueVsafe:
             find_true_vsafe(system, uniform_load(0.01, 0.01).trace,
                             tolerance=0.0)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, system, tolerance):
+        # the bisection would never run, leaving V_high as the "truth"
+        with pytest.raises(ValueError, match="tolerance"):
+            find_true_vsafe(system, uniform_load(0.01, 0.01).trace,
+                            tolerance=tolerance)
+
     def test_converged_flag_distinguishes_outcomes(self, system):
         """converged separates "bracket closed" from "iterations ran out"
         from "infeasible" — three states callers previously couldn't

@@ -2,7 +2,9 @@
 
 import importlib.util
 import math
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,13 @@ from hypothesis import strategies as st
 from repro.power.capacitor import TwoBranchSupercap
 from repro.power.catalog import build_bank_survey, reference_catalog
 from repro.power.esr_profile import DEFAULT_PULSE_WIDTHS, measure_esr_curve
-from repro.power.reconfigurable import ReconfigurableBuffer, capybara_bank_set
+from repro.power.reconfigurable import (
+    BankFaultProxy,
+    ReconfigurableBuffer,
+    StuckSwitchBuffer,
+    capybara_bank_set,
+)
+from repro.sim import fastpath, set_default_fast
 
 voltages = st.floats(min_value=0.5, max_value=3.0)
 currents = st.floats(min_value=0.0, max_value=0.2)
@@ -153,8 +161,8 @@ def reference_step(buffer, i_load, dt):
 
 def _stepped(buffer):
     """The object holding the stepping state (a reconfigurable buffer's
-    active group)."""
-    if isinstance(buffer, ReconfigurableBuffer):
+    active group, behind a bank-fault proxy or not)."""
+    if isinstance(buffer, (ReconfigurableBuffer, BankFaultProxy)):
         return buffer._group
     return buffer
 
@@ -185,6 +193,25 @@ def reference_esr_curve(buffer, test_current=0.010, rest_voltage=2.2):
 def state(buffer):
     cap = _stepped(buffer)
     return (cap._v_main, cap._v_redist, cap._v_term)
+
+
+def _fell_back(*_args):
+    raise AssertionError("the compiled pulse ran TwoBranchSupercap.pulse")
+
+
+@contextmanager
+def kernel_only():
+    """Refuse ``TwoBranchSupercap.pulse`` inside the block, so a compiled
+    pulse that fell back to it fails instead of comparing the reference
+    with itself."""
+    with mock.patch.object(TwoBranchSupercap, "pulse", _fell_back):
+        yield
+
+
+def compiled_pulse(buffer, i_load, dt, steps):
+    """``fastpath.pulse``, required to run on the kernel."""
+    with kernel_only():
+        return fastpath.pulse(buffer, i_load, dt, steps)
 
 
 def bits(*values):
@@ -272,10 +299,15 @@ class TestSharedSteppingBody:
            steps=st.integers(min_value=1, max_value=50))
     @settings(max_examples=300, deadline=None)
     def test_pulse_equals_reference_loop(self, buffer, i_load, dt, steps):
+        # and so does the compiled pulse (repro_pulse)
         expected = buffer.copy()
+        compiled = buffer.copy()
         v_min = reference_pulse(expected, i_load, dt, steps)
         assert bits(buffer.pulse(i_load, dt, steps)) == bits(v_min)
         assert bits(*state(buffer)) == bits(*state(expected))
+        assert bits(compiled_pulse(compiled, i_load, dt, steps)) \
+            == bits(v_min)
+        assert bits(*state(compiled)) == bits(*state(expected))
 
     @given(buffer=buffers, i_load=pulse_currents, dt=pulse_dts)
     @settings(max_examples=300, deadline=None)
@@ -302,9 +334,13 @@ class TestSharedSteppingBody:
         for v in (2.0, 0.0, -0.0):
             buffer = make(v)
             expected = buffer.copy()
+            compiled = buffer.copy()
             v_min = reference_pulse(expected, i_load, 1e-4, 3)
             assert bits(buffer.pulse(i_load, 1e-4, 3)) == bits(v_min)
             assert bits(*state(buffer)) == bits(*state(expected))
+            assert bits(compiled_pulse(compiled, i_load, 1e-4, 3)) \
+                == bits(v_min)
+            assert bits(*state(compiled)) == bits(*state(expected))
 
     @pytest.mark.parametrize("branch", [{}, {"c_redist": 0.0},
                                         {"r_redist": math.inf}])
@@ -351,17 +387,30 @@ class TestSharedSteppingBody:
             == bits(*reference_esr_curve(buffer))
 
     def test_esr_curves_of_golden_parts_match_reference(self):
-        # Value for value, the unstable ones included: CERA-0001 and
-        # TANT-0000 read a dc ESR of about 213 ohm from a pulse that
-        # collapsed to 0 V (an unstable step, not the part's ESR), and the
-        # shared body keeps that exactly.
+        # Value for value, on the kernel and on the reference loop, the
+        # unstable ones included. The explicit branch update diverges on
+        # four of these parts (ROADMAP "Stable physics"): ELEC-0000 and
+        # ELEC-0002 read a dc ESR of 0 ohm, and CERA-0001 (from 5 ms up)
+        # and TANT-0000 about 213-220 ohm from a pulse that collapsed to
+        # 0 V, not the part's ESR. Both loops keep those values exactly.
         survey = _golden_survey_buffers()
         assert len(survey) == 8
+        curves = {}
         for part_number, buffer in survey.items():
-            curve = measure_esr_curve(buffer)
+            with kernel_only():
+                curve = measure_esr_curve(buffer)
+            old = set_default_fast(False)
+            try:
+                reference = measure_esr_curve(buffer)
+            finally:
+                set_default_fast(old)
             assert curve.pulse_widths == DEFAULT_PULSE_WIDTHS
-            assert bits(*curve.esr_values) \
+            assert bits(*curve.esr_values) == bits(*reference.esr_values) \
                 == bits(*reference_esr_curve(buffer)), part_number
+            curves[part_number] = curve.esr_values
+        assert curves["ELEC-0000"][-1] == curves["ELEC-0002"][-1] == 0.0
+        assert all(213.0 < esr < 220.0 for esr in curves["CERA-0001"][4:])
+        assert 213.0 < curves["TANT-0000"][-1] < 214.0
 
     @pytest.mark.parametrize("cap", [
         make_ideal(2.0),
@@ -371,4 +420,45 @@ class TestSharedSteppingBody:
         for dt, steps in ((0.0, 1), (-1e-3, 4), (1e-3, 0), (1e-3, -3)):
             with pytest.raises(ValueError):
                 cap.pulse(0.010, dt, steps)
+            with pytest.raises(ValueError):
+                fastpath.pulse(cap, 0.010, dt, steps)
         assert cap.terminal_voltage == 2.0
+
+    @pytest.mark.parametrize("proxy", [None, StuckSwitchBuffer])
+    def test_compiled_pulse_steps_the_active_group(self, proxy):
+        buffer = ReconfigurableBuffer(capybara_bank_set(), ["large", "small"],
+                                      voltage=2.4)
+        if proxy is not None:
+            buffer = proxy(buffer)
+        expected = buffer.copy()
+        for i_load, dt, steps in ((0.010, 1e-5, 400), (-0.002, 1e-4, 37),
+                                  (0.050, 1e-3, 1)):
+            v_min = expected.pulse(i_load, dt, steps)
+            assert bits(compiled_pulse(buffer, i_load, dt, steps)) \
+                == bits(v_min)
+            assert bits(*state(buffer)) == bits(*state(expected))
+
+    @pytest.mark.parametrize("make, field, value, dt, error", [
+        (make_ideal, "r_esr", 0.0, 1e-4, ZeroDivisionError),
+        (make_supercap, "r_esr", 0.0, 1e-4, ZeroDivisionError),
+        (make_ideal, "c_main", 0.0, 1e-4, ZeroDivisionError),
+        (make_supercap, "c_main", 0.0, 1e-4, ZeroDivisionError),
+        # a negative ESR makes the decoupling tau negative, and
+        # exp(-dt / tau) overflows
+        (make_supercap, "r_esr", -1e-3, 1e-3, OverflowError),
+    ])
+    def test_compiled_pulse_raises_what_pulse_raises(self, make, field,
+                                                     value, dt, error):
+        reference, compiled, refused = (make(2.0) for _ in range(3))
+        for buffer in (reference, compiled, refused):
+            setattr(buffer, field, value)
+        with pytest.raises(error):
+            reference.pulse(0.010, dt, 3)
+        with pytest.raises(error):
+            fastpath.pulse(compiled, 0.010, dt, 3)
+        # the kernel took the pulse and reported the error, writing
+        # nothing; then pulse (refused here) raises it
+        with pytest.raises(AssertionError, match="compiled pulse ran"):
+            compiled_pulse(refused, 0.010, dt, 3)
+        assert bits(*state(reference)) == bits(*state(compiled)) \
+            == bits(*state(refused)) == bits(2.0, 2.0, 2.0)

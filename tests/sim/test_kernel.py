@@ -27,7 +27,7 @@ from repro.power.reconfigurable import (
     capybara_bank_set,
 )
 from repro.power.system import capybara_power_system
-from repro.sim import fastpath
+from repro.sim import fastpath, set_default_fast
 from repro.sim.adc import Adc, SamplingObserver
 from repro.sim.engine import PowerSystemSimulator
 
@@ -329,3 +329,30 @@ def test_without_a_compiler_fast_runs_the_reference_loop(monkeypatch):
     assert kernel == 0 and reference > 0
     ref, _ = counted_run(False, system.copy(), trace)
     assert fast == ref
+    # the ESR probe's pulse runs TwoBranchSupercap.pulse
+    model = system.characterize()
+    old = set_default_fast(False)
+    try:
+        assert system.characterize() == model
+    finally:
+        set_default_fast(old)
+
+
+class _RefusedKernel:
+    """A kernel library whose every entry raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"entered the compiled kernel ({name})")
+
+
+def test_characterize_enters_the_kernel_only_when_fast(monkeypatch):
+    system = capybara_power_system()
+    expected = system.characterize()
+    monkeypatch.setattr(fastpath, "_kernel", _RefusedKernel())
+    with pytest.raises(AssertionError, match="repro_pulse"):
+        system.characterize()
+    old = set_default_fast(False)
+    try:
+        assert system.characterize() == expected
+    finally:
+        set_default_fast(old)

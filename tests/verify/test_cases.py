@@ -38,6 +38,19 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             ReproCase.from_dict(good)
 
+    @pytest.mark.parametrize("key,value", [
+        # with a NaN or infinite tolerance every replay would read SOUND
+        ("tolerance", float("nan")), ("tolerance", float("inf")),
+        ("tolerance", 0.0), ("conservative_margin", float("nan")),
+        ("conservative_margin", float("inf")), ("conservative_margin", 0.0),
+        ("estimator", "psychic"),
+    ])
+    def test_rejects_what_no_replay_can_run(self, key, value):
+        document = _sample_case().to_dict()
+        document[key] = value
+        with pytest.raises(ValueError, match=key):
+            ReproCase.from_dict(document)
+
 
 class TestReplay:
     def test_replay_runs_the_recorded_check(self):

@@ -85,6 +85,16 @@ class TestVerdicts:
             differential_check(system, trace, _FixedEstimator(2.0),
                                conservative_margin=0.0)
 
+    @pytest.mark.parametrize("key", ["tolerance", "conservative_margin"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_settings_rejected(self, system, trace, key, value):
+        # even with the truth passed in: with a NaN or infinite tolerance
+        # no margin is below -tolerance, so nothing could be convicted
+        truth = find_true_vsafe(system, trace, tolerance=0.002)
+        with pytest.raises(ValueError, match=key):
+            differential_check(system, trace, _FixedEstimator(1.7), truth,
+                               **{key: value})
+
     def test_result_serializes(self, system, trace):
         result = differential_check(system, trace, _FixedEstimator(2.5))
         data = result.to_dict()

@@ -101,6 +101,19 @@ class TestRunVerification:
         with pytest.raises(ValueError):
             run_verification(1, estimators=("bogus",))
 
+    @pytest.mark.parametrize("key", ["tolerance", "conservative_margin"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_settings_fail_before_any_trial(self, key, value,
+                                                       monkeypatch):
+        from repro.verify import runner
+
+        def no_trial(job):
+            raise AssertionError("a trial was started")
+
+        monkeypatch.setattr(runner, "run_trial", no_trial)
+        with pytest.raises(ValueError, match=key):
+            run_verification(1, **{key: value})
+
 
 class TestReferenceLoopCrossCheck:
     """Whole trials, with the real µArch and ISR runtimes, report the same
