@@ -352,6 +352,14 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     )
 
 
+def _check_devices(devices: int) -> None:
+    """A fleet command needs a device: ``repro fleet``, ``env generate``
+    and ``env replay`` refuse an empty fleet, which would report an
+    ``OK`` verdict on nothing (the library still runs one)."""
+    if devices < 1:
+        raise ValueError(f"devices must be >= 1, got {devices}")
+
+
 def _run_fleet(args: argparse.Namespace, *, fail_on_unsafe: bool,
                **spec_fields) -> int:
     """Run the fleet ``FleetSpec(**spec_fields)`` with ``args``' app,
@@ -374,6 +382,7 @@ def _run_fleet(args: argparse.Namespace, *, fail_on_unsafe: bool,
     )
 
     try:
+        _check_devices(spec_fields["devices"])
         spec = FleetSpec(**spec_fields)
         outcomes = run_fleet_raw(
             spec, app=args.app, cycles=args.cycles,
@@ -430,6 +439,7 @@ def cmd_env(args: argparse.Namespace) -> int:
 
     if args.verb == "generate":
         try:
+            _check_devices(args.devices)
             spec = _env_spec_from_args(args)
             trace = generate_fleet_trace(spec, args.devices)
         except ValueError as exc:

@@ -37,6 +37,7 @@ tolerances (``V_TOL_SEGALG``, ``T_TOL_SEGALG``, ``E_TOL_SEGALG``).
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -242,8 +243,9 @@ def run_fleet_raw(spec: FleetSpec, *, app: str = "sense-store",
             f"unknown engine {engine!r}; choose from {FLEET_ENGINES}")
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(
+            f"horizon must be finite and positive, got {horizon}")
 
     program = build_program(app, cycles=cycles)  # validates the app name
     if spec.bank is not None:

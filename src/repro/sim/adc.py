@@ -16,7 +16,7 @@ while enabled.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +65,11 @@ class Adc:
     def measure(self, voltage: float) -> float:
         """Convert and immediately translate back to volts."""
         return self.code_to_voltage(self.convert(voltage))
+
+
+def _floats(volts: Sequence[float]) -> Sequence[float]:
+    """A chunk of samples as Python floats, for a loop over each."""
+    return volts.tolist() if isinstance(volts, np.ndarray) else volts
 
 
 class SamplingObserver:
@@ -130,14 +135,48 @@ class SamplingObserver:
     def on_sample(self, t: float, v_terminal: float) -> None:
         if not self._enabled:
             return
-        v = self.adc.measure(v_terminal)
+        self._take(self.adc.measure(v_terminal))
+        self._next_t = t + self.sample_period
+
+    def fixed_period(self) -> Optional[float]:
+        """The time :meth:`on_sample` schedules from one sample to the
+        next, or ``None`` where each sample draws its own."""
+        return self.sample_period
+
+    def on_samples(self, volts: Sequence[float], t_last: float) -> None:
+        """Deliver samples in order; the last was taken at ``t_last``.
+
+        For a sampler with a :meth:`fixed_period`: leaves it exactly as
+        :meth:`on_sample` would, applied to each voltage in turn, every
+        sample converted in order (a noisy converter's draws and a
+        :class:`~repro.sim.faults.FaultyAdc`'s counters included). The
+        fast kernel calls this with a float64 view of its buffered
+        due-step voltages, which are never NaN; any sequence of floats
+        will do.
+
+        The next due time counts from ``t_last`` before the first
+        conversion. So if one raises (an overflow on a diverging plant),
+        the samples before it are folded in as per-sample delivery
+        would, but the schedule already stands past the chunk, where
+        :meth:`on_sample` would have scheduled from an earlier sample.
+        """
+        if not self._enabled or len(volts) == 0:
+            return
+        period = self.fixed_period()
+        assert period is not None
+        self._next_t = t_last + period
+        measure = self.adc.measure
+        for v in _floats(volts):
+            self._take(measure(v))
+
+    def _take(self, v: float) -> None:
+        """Fold one measured sample into the capture statistics."""
         if self.v_first is None:
             self.v_first = v
         self.v_last = v
         self.v_min = v if self.v_min is None else min(self.v_min, v)
         self.v_max = v if self.v_max is None else max(self.v_max, v)
         self.sample_count += 1
-        self._next_t = t + self.sample_period
 
 
 class FilteringSamplingObserver(SamplingObserver):
@@ -198,16 +237,30 @@ class FilteringSamplingObserver(SamplingObserver):
             return min(self._recent)
         return sorted(self._recent)[1]
 
-    def on_sample(self, t: float, v_terminal: float) -> None:
-        if not self._enabled:
-            return
+    def _period(self) -> float:
+        """The time to the next sample: the sample period, perturbed by
+        the timer jitter if set, and at least 1 µs."""
         period = self.sample_period
         if self._jitter_rng is not None:
             period *= 1.0 + float(
                 self._jitter_rng.uniform(-self._jitter_fraction,
                                          self._jitter_fraction))
-        self._next_t = t + max(period, 1e-6)
-        v = self.adc.measure(v_terminal)
+        return max(period, 1e-6)
+
+    def fixed_period(self) -> Optional[float]:
+        """``max(sample_period, 1e-6)``, or ``None`` while the timer
+        jitter draws each period."""
+        return None if self._jitter_rng is not None else self._period()
+
+    def on_sample(self, t: float, v_terminal: float) -> None:
+        if not self._enabled:
+            return
+        self._next_t = t + self._period()
+        self._take(self.adc.measure(v_terminal))
+
+    def _take(self, v: float) -> None:
+        """Reject one measured sample below the plausibility floor, or
+        fold it in, the maximum through the median window."""
         if v < self.plausibility_floor:
             self.rejected_count += 1
             return

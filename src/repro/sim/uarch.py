@@ -20,10 +20,20 @@ design's whole advantage over ISR-based sampling.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ProfileError
-from repro.sim.adc import Adc
+from repro.sim.adc import Adc, _floats
+
+
+def _extremes(volts: Sequence[float]) -> Tuple[float, float]:
+    """The lowest and the highest of a chunk of samples: the fast
+    kernel's float64 buffer, or any sequence of floats."""
+    if isinstance(volts, np.ndarray):
+        return float(volts.min()), float(volts.max())
+    return min(volts), max(volts)
 
 
 class CaptureMode(enum.Enum):
@@ -155,8 +165,9 @@ class CulpeoUArchBlock:
         """Deliver clocked samples in order; the last was taken at ``t_last``.
 
         Leaves the block exactly as :meth:`on_sample` would, applied to
-        each voltage in turn. The fast kernel calls this with its buffered
-        due-step voltages, which are never NaN.
+        each voltage in turn. The fast kernel calls this with a float64
+        view of its buffered due-step voltages, which are never NaN; any
+        sequence of floats will do.
 
         A plain noise-free :class:`Adc` converts monotonically, so min and
         max commute with the conversion: only the extremes and the last
@@ -168,13 +179,14 @@ class CulpeoUArchBlock:
         :class:`~repro.sim.faults.FaultyAdc`) converts every sample in
         order, so its random draws and fault counters advance as before.
         """
-        if not self._enabled or not volts:
+        if not self._enabled or len(volts) == 0:
             return
         adc = self.adc
         if type(adc) is Adc and not adc.noise_sigma > 0:
+            v_lo, v_hi = _extremes(volts)
             try:
-                lo = adc.convert(min(volts))
-                hi = adc.convert(max(volts))
+                lo = adc.convert(v_lo)
+                hi = adc.convert(v_hi)
             except OverflowError:
                 pass
             else:
@@ -184,8 +196,8 @@ class CulpeoUArchBlock:
                             self._register = lo
                     elif hi > self._register:
                         self._register = hi
-                self._live_code = adc.convert(volts[-1])
+                self._live_code = adc.convert(float(volts[-1]))
                 self._next_t = t_last + self.clock_period
                 return
-        for v in volts:
+        for v in _floats(volts):
             self.on_sample(t_last, v)

@@ -6,12 +6,15 @@ the identical recurrence, so the results should agree to well inside the
 1e-6 V / 1e-6 s budget (in practice bit-for-bit). Attached observers are
 one more input to that property: the kernel schedules them exactly as the
 reference does, so every observer capture must match with ``==`` too.
-A lone µArch block gets its samples in chunks (``on_samples``); its
-registers, live code and next due time must still match the reference's
-per-sample delivery exactly.
+A lone µArch block, plain ADC sampler or unjittered ISR filter gets its
+samples in chunks (``on_samples``); its captures, converter state and
+next due time must still match the reference's per-sample delivery
+exactly.
 """
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -345,6 +348,180 @@ class TestChunkedUArchDelivery:
         assert len(flushes) >= 2
         assert flushes[:-1] == [_SAMPLE_CHUNK] * (len(flushes) - 1)
         assert 0 < flushes[-1] < _SAMPLE_CHUNK
+
+
+# -- a lone ISR sampler: chunked delivery -----------------------------------
+
+def _per_sample_refused(*_args):
+    raise AssertionError("the kernel delivered a sample through on_sample")
+
+
+@contextmanager
+def chunked_only():
+    """Refuse per-sample delivery to the stock samplers inside the block,
+    so a kernel run that fell back to ``_notify`` fails instead of
+    comparing per-sample delivery with the reference loop."""
+    with mock.patch.object(SamplingObserver, "on_sample",
+                           _per_sample_refused), \
+            mock.patch.object(FilteringSamplingObserver, "on_sample",
+                              _per_sample_refused):
+        yield
+
+
+def isr_converter(kind, seed):
+    if kind == "noisy":
+        return Adc(bits=12, noise_sigma=0.01,
+                   rng=np.random.default_rng(seed))
+    if kind == "stuck":
+        return FaultyAdc(bits=12, stuck_code=seed % 4096,
+                         stuck_after=seed % 40)
+    if kind == "dropout":
+        return FaultyAdc(bits=12, dropout_rate=0.2, seed=seed)
+    return Adc(bits=12)
+
+
+def run_isr_sampler(fast, case):
+    """``case``'s plant and trace with one ISR sampler attached, then an
+    idle wait; every capture the sampler holds, its schedule included."""
+    system = build_observed_system(case["kind"], case["esr"], case["v"],
+                                   case["harvest"], case["pieces"])
+    sim = PowerSystemSimulator(system, fast=fast)
+    adc = isr_converter(case["converter"], case["seed"])
+    if case["filtering"]:
+        sampler = FilteringSamplingObserver(
+            adc, case["period"], burden_current=72e-6,
+            plausibility_floor=case["floor"])
+        if case.get("jitter"):
+            sampler.set_jitter(np.random.default_rng(case["seed"]), 0.2)
+    else:
+        sampler = SamplingObserver(adc, case["period"], burden_current=72e-6)
+    sampler.enable(sim.time)
+    sim.attach(sampler)
+    harvesting = case["harvest"] != "off"
+    result = sim.run_trace(CurrentTrace(case["segs"]),
+                           harvesting=harvesting,
+                           settle_after=case["settle"])
+    v_idle = sim.idle(0.005, harvesting=harvesting)
+    return (result, sim.time, v_idle, buffer_state(system.buffer),
+            system.monitor.output_enabled,
+            (sampler.v_first, sampler.v_last, sampler.v_min, sampler.v_max,
+             sampler.sample_count, getattr(sampler, "rejected_count", None),
+             tuple(getattr(sampler, "_recent", ())),
+             sampler.next_event_time(), adc_state(adc)))
+
+
+isr_converters = st.sampled_from(("plain", "noisy", "stuck", "dropout"))
+# floors below, inside and above the drawn start voltages
+isr_floors = st.sampled_from((0.0, 1.9, 2.2))
+isr_periods = st.sampled_from((1e-3, 2.5e-4, 4e-5))
+
+
+class TestChunkedIsrSamplers:
+    """A lone ``SamplingObserver``, or a ``FilteringSamplingObserver``
+    without timer jitter, gets its samples in chunks (``on_samples``)
+    and ends exactly as under the reference loop's per-sample delivery:
+    captures, counts, rejections, median window, converter state and
+    next due time."""
+
+    @given(filtering=st.booleans(), converter=isr_converters,
+           period=isr_periods, floor=isr_floors,
+           kind=observed_buffer_kinds, esr=esr_values, v=start_voltages,
+           segs=short_segment_lists, harvest=harvest_kinds,
+           pieces=harvest_pieces,
+           seed=st.integers(min_value=0, max_value=2**31 - 1),
+           settle=st.sampled_from((0.0, 0.01)))
+    @settings(max_examples=80, deadline=None)
+    def test_chunked_sampler_matches_reference(
+            self, filtering, converter, period, floor, kind, esr, v, segs,
+            harvest, pieces, seed, settle):
+        case = dict(filtering=filtering, converter=converter, period=period,
+                    floor=floor, kind=kind, esr=esr, v=v, segs=segs,
+                    harvest=harvest, pieces=pieces, seed=seed, settle=settle)
+        ref = run_isr_sampler(False, case)
+        with chunked_only():
+            assert run_isr_sampler(True, case) == ref
+
+    @pytest.mark.parametrize("converter", ["plain", "noisy", "dropout"])
+    def test_rejections_and_the_median_maximum(self, converter):
+        """A load that pulls the terminal below the plausibility floor,
+        then a rebound: samples are rejected and the maximum comes from
+        the median window, on both loops alike."""
+        case = dict(filtering=True, converter=converter, period=2.5e-4,
+                    floor=2.25, kind="decoupled", esr=6.0, v=2.4,
+                    segs=[(0.05, 0.01), (0.0, 0.01), (0.03, 0.005)],
+                    harvest="constant", pieces=[(0.01, 0.0)], seed=11,
+                    settle=0.01)
+        ref = run_isr_sampler(False, case)
+        with chunked_only():
+            assert run_isr_sampler(True, case) == ref
+        (_, _, _, v_max, count, rejected, recent, _, _) = ref[-1]
+        assert rejected > 0 and count > 0
+        assert len(recent) == 3 and v_max >= sorted(recent)[1]
+
+    def test_filter_period_floor(self):
+        """Below 1 µs the filter schedules its samples 1e-6 s apart, and
+        the kernel with it."""
+        case = dict(filtering=True, converter="plain", period=5e-7,
+                    floor=0.0, kind="two-branch", esr=2.0, v=2.3,
+                    segs=[(0.02, 0.002)], harvest="off", pieces=[(0.01, 0.0)],
+                    seed=0, settle=0.0)
+        ref = run_isr_sampler(False, case)
+        with chunked_only():
+            assert run_isr_sampler(True, case) == ref
+        assert ref[-1][4] > 6000
+
+    @given(converter=isr_converters, v=start_voltages,
+           segs=short_segment_lists,
+           seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_jittered_filter_takes_the_per_sample_path(self, converter, v,
+                                                       segs, seed):
+        case = dict(filtering=True, converter=converter, period=1e-3,
+                    floor=1.9, kind="decoupled", esr=3.0, v=v, segs=segs,
+                    harvest="off", pieces=[(0.01, 0.0)], seed=seed,
+                    settle=0.01, jitter=True)
+        ref = run_isr_sampler(False, case)
+        with mock.patch.object(FilteringSamplingObserver, "on_samples",
+                               _per_sample_refused):
+            assert run_isr_sampler(True, case) == ref
+
+
+class TestChunkedIsrDelivery:
+    """A lone ISR sampler gets its samples in chunks of ``_SAMPLE_CHUNK``,
+    flushed when full and at each segment end, as the µArch block does."""
+
+    @pytest.fixture
+    def flushes(self, monkeypatch):
+        """Sizes of the chunks the kernel hands to ``on_samples`` (the
+        filter inherits it)."""
+        sizes = []
+        on_samples = SamplingObserver.on_samples
+
+        def record(sampler, volts, t_last):
+            assert isinstance(volts, np.ndarray)
+            assert volts.dtype == np.float64
+            sizes.append(len(volts))
+            on_samples(sampler, volts, t_last)
+
+        monkeypatch.setattr(SamplingObserver, "on_samples", record)
+        return sizes
+
+    @pytest.mark.parametrize("filtering", [False, True])
+    def test_run_spanning_several_chunks(self, flushes, filtering):
+        case = dict(filtering=filtering, converter="plain", period=1e-4,
+                    floor=1.5, kind="two-branch", esr=3.0, v=2.4,
+                    segs=[(0.002, 0.35), (0.0, 0.04)], harvest="off",
+                    pieces=[(0.01, 0.0)], seed=0, settle=0.0)
+        ref = run_isr_sampler(False, case)
+        assert not flushes
+        with chunked_only():
+            assert run_isr_sampler(True, case) == ref
+        # three full chunks, then a partial flush at each segment end and
+        # at each hop of the idle wait
+        assert flushes[:3] == [_SAMPLE_CHUNK] * 3
+        assert all(0 < n < _SAMPLE_CHUNK for n in flushes[3:])
+        assert flushes[3:5] == [3500 - 3 * _SAMPLE_CHUNK, 400]
+        assert sum(flushes) == ref[-1][4]
 
 
 # -- a plant whose explicit branch update diverges ---------------------------

@@ -439,6 +439,22 @@ class TestFleetCommand:
         assert main(["fleet", "--devices", "-3"]) == 2
         assert "devices" in capsys.readouterr().err
 
+    def test_empty_fleet_rejected(self, capsys):
+        """No device means no verdict: exit 2, not an ``OK`` on nothing."""
+        assert main(["fleet", "--devices", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["devices must be >= 1, got 0"]
+        assert "verdict" not in captured.out
+
+    @pytest.mark.parametrize("horizon", ["-5", "nan", "inf"])
+    def test_bad_horizon_rejected(self, horizon, capsys):
+        assert main(["fleet", "--devices", "2", "--cycles", "1",
+                     "--horizon", horizon]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("horizon must be finite and positive")
+        assert "verdict" not in captured.out
+
     def test_fail_on_unsafe_is_opt_in(self, capsys):
         # Zero harvest livelocks every device: exit 0 by default (a
         # deployment finding), exit 1 with --fail-on-unsafe.
@@ -532,6 +548,37 @@ class TestEnvCommand:
         save_trace(path, raw)
         assert main(["env", "replay", str(path)]) == 2
         assert "no generating spec" in capsys.readouterr().err
+
+    def test_generate_rejects_an_empty_fleet(self, capsys, tmp_path):
+        out = tmp_path / "empty.npz"
+        assert main(["env", "generate", "--devices", "0",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "devices must be >= 1, got 0"]
+        assert not out.exists()
+
+    def test_replay_rejects_an_empty_recording(self, capsys, tmp_path):
+        """The library still records an empty fleet; replay refuses it."""
+        from repro.env import EnvSpec, generate_fleet_trace, save_trace
+        path = tmp_path / "empty.npz"
+        save_trace(path, generate_fleet_trace(
+            EnvSpec(model="diurnal-solar", duration=20.0, seed=5), 0))
+        assert main(["env", "replay", str(path), "--horizon", "20",
+                     "--cycles", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["devices must be >= 1, got 0"]
+        assert "verdict" not in captured.out
+
+    @pytest.mark.parametrize("horizon", ["-5", "nan", "inf"])
+    def test_replay_rejects_a_bad_horizon(self, horizon, capsys, tmp_path):
+        out = self._generate(tmp_path)
+        capsys.readouterr()
+        assert main(["env", "replay", str(out), "--horizon", horizon,
+                     "--cycles", "1"]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("horizon must be finite and positive")
+        assert "verdict" not in captured.out
 
     def test_fleet_env_flag_drives_the_fleet(self, capsys, tmp_path):
         out = self._generate(tmp_path)
