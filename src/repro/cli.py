@@ -13,10 +13,10 @@ Usage::
     python -m repro fleet --devices 1000 --jobs 4   # vectorized fleet run
     python -m repro fleet --devices 64 --check 8    # + differential check
     python -m repro env generate --devices 64 --front-delay 0.1 \\
-        --out sky.npz                               # record an environment
-    python -m repro env inspect sky.npz             # summary JSON
-    python -m repro env replay sky.npz --check 8    # fleet under that sky
-    python -m repro fleet --devices 64 --env sky.npz  # fleet + recorded env
+        --out sky.json                              # record an environment
+    python -m repro env inspect sky.json            # summary JSON
+    python -m repro env replay sky.json --check 8   # fleet under that sky
+    python -m repro fleet --devices 64 --env sky.json  # fleet + recorded env
     python -m repro trace ps --trials 1             # traced app run
     python -m repro stats obs-out/metrics.json      # render the snapshot
 
@@ -32,8 +32,8 @@ jittered devices, steps them all through a shared-firmware program on
 the compiled kernel, and can differentially cross-check sampled
 devices re-run one at a time; ``env`` records parametric harvesting
 environments (diurnal solar with cloud transients, kinetic bursts, thermal
-gradients behind an MPPT front-end) as compact fingerprinted ``.npz``
-fleet traces and replays them through the fleet engines; ``trace`` re-runs
+gradients behind an MPPT front-end) as fingerprinted JSON recordings of
+their specs and replays them through the fleet engines; ``trace`` re-runs
 an app or experiment with the observability layer on, leaving a JSONL
 trace and a metrics snapshot behind; ``stats`` renders such a snapshot.
 """
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 from typing import Any, Callable, Dict, List, Optional
 
@@ -153,16 +154,25 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_vsafe(args: argparse.Namespace) -> int:
-    current = _parse_current(args.current)
-    width = _parse_duration(args.width)
-    if args.shape == "pulse":
-        load = pulse_with_compute_tail(current, width)
-    else:
-        load = uniform_load(current, width)
-    system = capybara_power_system(
-        datasheet_capacitance=args.capacitance * 1e-3,
-        dc_esr=args.esr,
-    )
+    try:
+        for name in ("capacitance", "esr"):
+            value = getattr(args, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
+        current = _parse_current(args.current)
+        width = _parse_duration(args.width)
+        if args.shape == "pulse":
+            load = pulse_with_compute_tail(current, width)
+        else:
+            load = uniform_load(current, width)
+        system = capybara_power_system(
+            datasheet_capacitance=args.capacitance * 1e-3,
+            dc_esr=args.esr,
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     model = system.characterize()
     truth = find_true_vsafe(system, load.trace)
     op_range = system.operating_range
@@ -317,16 +327,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         return 2
     env_spec = None
     if args.env is not None:
-        from repro.env import load_trace
-
-        try:
-            env_trace = load_trace(args.env)
-        except (ValueError, OSError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if env_trace.spec is None:
-            print(f"{args.env}: recorded trace carries no generating spec",
-                  file=sys.stderr)
+        env_trace = _load_env(args.env)
+        if env_trace is None:
             return 2
         if args.harvest_period > 0:
             print("--env and --harvest-period are mutually exclusive",
@@ -350,6 +352,19 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         env=env_spec,
         bank=bank_spec,
     )
+
+
+def _load_env(path: str) -> Any:
+    """The recording at ``path`` with its columns regenerated, or ``None``
+    after a one-line message on stderr when it does not load or its
+    columns drifted from the recorded fingerprint (the command exits 2)."""
+    from repro.env import load_trace
+
+    try:
+        return load_trace(path)
+    except (ValueError, OSError) as exc:
+        print(str(exc), file=sys.stderr)
+        return None
 
 
 def _check_devices(devices: int) -> None:
@@ -383,6 +398,8 @@ def _run_fleet(args: argparse.Namespace, *, fail_on_unsafe: bool,
 
     try:
         _check_devices(spec_fields["devices"])
+        if args.check < 0:
+            raise ValueError(f"check must be >= 0, got {args.check}")
         spec = FleetSpec(**spec_fields)
         outcomes = run_fleet_raw(
             spec, app=args.app, cycles=args.cycles,
@@ -435,7 +452,7 @@ def _env_spec_from_args(args: argparse.Namespace):
 def cmd_env(args: argparse.Namespace) -> int:
     import json
 
-    from repro.env import generate_fleet_trace, load_trace, save_trace
+    from repro.env import generate_fleet_trace, save_trace
 
     if args.verb == "generate":
         try:
@@ -452,31 +469,13 @@ def cmd_env(args: argparse.Namespace) -> int:
               f"fingerprint {summary['fingerprint']}")
         return 0
 
+    trace = _load_env(args.trace)
+    if trace is None:
+        return 2
     if args.verb == "inspect":
-        try:
-            trace = load_trace(args.trace)
-        except (ValueError, OSError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
         print(json.dumps(trace.summary(), indent=2, sort_keys=True))
         return 0
-
     # replay: re-run the recorded environment through the fleet engine
-    try:
-        trace = load_trace(args.trace)
-    except (ValueError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if trace.spec is None:
-        print(f"{args.trace}: recorded trace carries no generating spec — "
-              f"replay needs one to rebuild the fleet", file=sys.stderr)
-        return 2
-    regenerated = generate_fleet_trace(trace.spec, trace.devices)
-    if regenerated.fingerprint != trace.fingerprint:
-        print(f"{args.trace}: recorded fingerprint {trace.fingerprint} does "
-              f"not match regeneration {regenerated.fingerprint}",
-              file=sys.stderr)
-        return 2
     return _run_fleet(args, fail_on_unsafe=False, devices=trace.devices,
                       seed=args.seed, env=trace.spec)
 
@@ -569,17 +568,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.serve.server import ServeConfig, run_server
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        max_batch=args.max_batch,
-        queue_limit=args.queue_limit,
-        deadline_ms=args.deadline_ms,
-        cache_path=args.cache,
-        max_sessions=args.max_sessions,
-        metrics_out=args.metrics_out,
-        drain_timeout=args.drain_timeout,
-    )
+    try:
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            max_batch=args.max_batch,
+            queue_limit=args.queue_limit,
+            deadline_ms=args.deadline_ms,
+            cache_path=args.cache,
+            max_sessions=args.max_sessions,
+            metrics_out=args.metrics_out,
+            drain_timeout=args.drain_timeout,
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     # The daemon always runs instrumented: the shed/deadline counters and
     # latency histograms ARE its operational surface (snapshot written to
     # --metrics-out at shutdown).
@@ -775,11 +778,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 0.25)")
     p_fleet.add_argument("--env", metavar="FILE", default=None,
                          help="drive the fleet from a recorded environment "
-                              "(.npz from `repro env generate`): the "
-                              "file's spec regenerates one correlated "
-                              "power column per device, replacing the "
-                              "built-in constant/solar harvest model "
-                              "(excludes --harvest-period)")
+                              "(from `repro env generate`): the file's "
+                              "spec regenerates one correlated power "
+                              "column per device, replacing the built-in "
+                              "constant/solar harvest model; a recording "
+                              "whose columns drifted from its fingerprint "
+                              "exits 2 (excludes --harvest-period)")
     p_fleet.add_argument("--bank", action="store_true",
                          help="give every device the default Capybara "
                               "two-bank reconfigurable buffer; devices "
@@ -816,8 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = env_sub.add_parser(
         "generate",
-        help="expand an environment spec into a correlated fleet trace "
-             "(.npz, byte-deterministic)")
+        help="record an environment spec for a correlated fleet "
+             "(byte-deterministic JSON)")
     p_gen.add_argument("--model", default="diurnal-solar",
                        help="environment model (diurnal-solar, "
                             "kinetic-burst, thermal-gradient)")
@@ -846,13 +850,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "= every device under the same sky)")
     p_gen.add_argument("--grid-dt", type=float, default=0.25, metavar="SEC",
                        help="shared fleet trace grid step (default 0.25)")
-    p_gen.add_argument("--out", metavar="FILE", default="env-trace.npz",
-                       help="output path (default env-trace.npz)")
+    p_gen.add_argument("--out", metavar="FILE", default="env-trace.json",
+                       help="output path (default env-trace.json)")
     p_gen.set_defaults(fn=cmd_env)
 
     p_ins = env_sub.add_parser(
         "inspect", help="print a recorded trace's summary as JSON")
-    p_ins.add_argument("trace", help="path to a .npz written by "
+    p_ins.add_argument("trace", help="path to a recording written by "
                                      "`repro env generate`")
     p_ins.set_defaults(fn=cmd_env)
 
@@ -860,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay",
         help="verify a recorded trace against its spec and run the fleet "
              "under it")
-    p_rep.add_argument("trace", help="path to a .npz written by "
+    p_rep.add_argument("trace", help="path to a recording written by "
                                      "`repro env generate`")
     p_rep.add_argument("--seed", type=int, default=0,
                        help="fleet device-jitter seed (default 0)")

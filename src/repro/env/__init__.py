@@ -24,8 +24,9 @@ Layout:
 * :mod:`repro.env.spec` — the frozen, serializable :class:`EnvSpec`;
 * :mod:`repro.env.correlate` — spatio-temporal correlation: one
   environment swept across a fleet as a moving front, on a shared grid;
-* :mod:`repro.env.trace_io` — the versioned, content-fingerprinted
-  ``.npz`` recorded-trace format (byte-deterministic writer).
+* :mod:`repro.env.trace_io` — recordings: a canonical JSON document of
+  the spec, the fleet size and the fingerprint of the columns it expands
+  to, which the loader regenerates and checks.
 """
 
 from repro.env.correlate import fleet_columns

@@ -11,8 +11,8 @@ fleet runner replay an environment without ever shipping the columns
 between processes.
 
 The spec's :attr:`~EnvSpec.fingerprint` digests the canonical field
-dict, so it is stable across sessions and keys recorded ``.npz``
-artifacts; the *lowered trace* carries its own content fingerprint
+dict, so it is stable across sessions and keys the serving tier's
+environment grids; the *lowered trace* carries its own content fingerprint
 (:attr:`TraceHarvester.fingerprint`) which keys the V_safe cache.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from repro.env.lowering import lower_environment
@@ -95,17 +96,16 @@ class EnvSpec:
             raise ValueError(
                 f"unknown MPPT front-end {self.mppt!r}; "
                 f"choose from {ENV_MPPTS}")
-        if self.duration <= 0:
-            raise ValueError(
-                f"duration must be positive, got {self.duration}")
-        if self.peak_power < 0:
-            raise ValueError(
-                f"peak_power must be non-negative, got {self.peak_power}")
-        if self.grid_dt <= 0:
-            raise ValueError(f"grid_dt must be positive, got {self.grid_dt}")
-        if self.front_delay < 0:
-            raise ValueError(
-                f"front_delay must be non-negative, got {self.front_delay}")
+        for name in ("duration", "grid_dt"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
+        for name in ("peak_power", "front_delay"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}")
 
     # -- serialization ------------------------------------------------------
 

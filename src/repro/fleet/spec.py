@@ -218,9 +218,11 @@ class FleetSpec:
                 "environment engine replaces the built-in solar profile")
         if self.devices < 0:
             raise ValueError(f"devices must be >= 0, got {self.devices}")
-        if self.harvest_power < 0:
-            raise ValueError(
-                f"harvest_power must be >= 0, got {self.harvest_power}")
+        for name in ("harvest_power", "harvest_period"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}")
         if not 0 <= self.redist_fraction < 1:
             raise ValueError(
                 f"redist_fraction must be in [0, 1), "

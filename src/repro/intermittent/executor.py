@@ -28,15 +28,6 @@ from repro.sim.engine import PowerSystemSimulator
 GateFn = Callable[[AtomicTask], float]
 
 
-class NonTermination(Exception):
-    """A task can never complete on this platform."""
-
-    def __init__(self, task: AtomicTask, attempts: int, message: str) -> None:
-        super().__init__(message)
-        self.task = task
-        self.attempts = attempts
-
-
 @dataclass
 class ExecutionReport:
     """What one intermittent execution did and what it cost."""
@@ -172,13 +163,12 @@ class IntermittentExecutor:
                 outage = 0.0
         return True
 
-    def run(self, program: Program, *, until: float = 3600.0,
-            raise_on_stuck: bool = False) -> ExecutionReport:
+    def run(self, program: Program, *,
+            until: float = 3600.0) -> ExecutionReport:
         """Execute until the program commits its last task (or give up).
 
-        ``until`` bounds simulated time. With ``raise_on_stuck`` the
-        executor raises :class:`NonTermination` when a task proves
-        unrunnable; otherwise the report's ``stuck_on`` names it.
+        ``until`` bounds simulated time. A task that proves unrunnable
+        ends the run, and the report's ``stuck_on`` names it.
         """
         if not 0.0 < until < math.inf:
             # charge_until takes only a finite budget
@@ -224,12 +214,6 @@ class IntermittentExecutor:
                 consecutive_best_failures += 1
                 if consecutive_best_failures >= self.stuck_limit:
                     report.stuck_on = task.name
-                    if raise_on_stuck:
-                        raise NonTermination(
-                            task, consecutive_best_failures,
-                            f"task {task.name!r} fails even from a full "
-                            f"buffer ({v_high:.2f} V); it can never commit",
-                        )
                     break
             else:
                 consecutive_best_failures = 0

@@ -16,7 +16,9 @@ Two design rules make the registry safe for this repo's execution model:
   no state may depend on which worker saw which item.
 * **Plain-data snapshots.** ``snapshot()``/``merge_snapshot()`` speak JSON
   dictionaries, which is what lets a worker process ship its registry back
-  through a pickle boundary and the parent fold it in.
+  through a pickle boundary and the parent fold it in. ``merge_snapshot``
+  is the one merge: pooled workers' registries fold into the parent's
+  through it (:func:`repro.obs.absorb_worker_output`).
 
 All instruments are thread-safe; the cost only exists while observability
 is enabled — disabled code paths never touch a registry at all.
@@ -173,34 +175,6 @@ class Histogram:
     def mean(self) -> float:
         return self._sum / self._count if self._count else 0.0
 
-    def merge_from(self, other: "Histogram") -> None:
-        """Fold another histogram's samples into this one, allocation-free.
-
-        The other side's fields are copied to locals under *its* lock,
-        then folded under *ours* — no snapshot dictionary is built, which
-        is what keeps registry merging off the allocator in hot serving
-        paths. Exact totals merge exactly; bucket bounds must match.
-        """
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"cannot merge histogram {other.name!r} into {self.name!r}: "
-                f"bucket bounds differ")
-        with other._lock:
-            counts = list(other._counts)
-            count = other._count
-            total = other._sum
-            low = other._min
-            high = other._max
-        with self._lock:
-            for index, value in enumerate(counts):
-                self._counts[index] += value
-            self._count += count
-            self._sum += total
-            if low < self._min:
-                self._min = low
-            if high > self._max:
-                self._max = high
-
     def quantile(self, q: float) -> float:
         """Approximate ``q``-quantile (q in [0, 1]) from the bucket counts.
 
@@ -315,23 +289,6 @@ class MetricsRegistry:
                 if incoming_max is not None \
                         and incoming_max > histogram._max:  # noqa: SLF001
                     histogram._max = incoming_max           # noqa: SLF001
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one, instrument to instrument.
-
-        Used on hot paths (the serving dispatcher folds per-batch
-        registries once per batch), so unlike :meth:`merge_snapshot` it
-        never materializes the intermediate snapshot dictionary —
-        counters add, gauges take the incoming value, histograms fold via
-        :meth:`Histogram.merge_from`. Same result as merging the other
-        side's snapshot, minus the allocations.
-        """
-        for name, counter in sorted(other._counters.items()):
-            self.counter(name).inc(counter.value)
-        for name, gauge in sorted(other._gauges.items()):
-            self.gauge(name).set(gauge.value)
-        for name, histogram in sorted(other._histograms.items()):
-            self.histogram(name, histogram.buckets).merge_from(histogram)
 
     def __len__(self) -> int:
         return (len(self._counters) + len(self._gauges)

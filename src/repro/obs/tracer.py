@@ -42,10 +42,8 @@ class Tracer:
     parent's trace in submission order.
     """
 
-    def __init__(self, sink: Union[None, str, Path, TextIO] = None,
-                 buffered: bool = True) -> None:
+    def __init__(self, sink: Union[None, str, Path, TextIO] = None) -> None:
         self.events: List[Dict[str, Any]] = []
-        self.buffered = buffered
         self._seq = 0
         self._span_depth = 0
         self._owns_sink = False
@@ -63,8 +61,7 @@ class Tracer:
         event: Dict[str, Any] = {"seq": self._seq, "event": name}
         self._seq += 1
         event.update(fields)
-        if self.buffered:
-            self.events.append(event)
+        self.events.append(event)
         if self._sink is not None:
             self._sink.write(json.dumps(event, sort_keys=False) + "\n")
         return event

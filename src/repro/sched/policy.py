@@ -16,7 +16,7 @@ derives:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.model import TaskDemand, VsafeEstimate
 from repro.core.vsafe_cache import default_cache
@@ -27,6 +27,18 @@ from repro.sched.feasibility import chain_gate_voltage, energy_only_gate
 from repro.sched.task import Task, TaskChain
 
 
+def estimate_key(estimator: VsafeEstimator, system: PowerSystem,
+                 trace: CurrentTrace) -> Optional[tuple]:
+    """The key :func:`cached_estimate` stores an estimate under, or
+    ``None`` for an estimator without a ``cache_key()`` or a system
+    without a ``config_key()``."""
+    est_key = estimator_cache_key(estimator)
+    system_key_fn = getattr(system, "config_key", None)
+    if est_key is None or system_key_fn is None:
+        return None
+    return ("estimate", est_key, system_key_fn(), trace.fingerprint())
+
+
 def cached_estimate(estimator: VsafeEstimator, system: PowerSystem,
                     trace: CurrentTrace) -> VsafeEstimate:
     """``estimator.estimate`` memoized through the shared VsafeCache.
@@ -34,14 +46,13 @@ def cached_estimate(estimator: VsafeEstimator, system: PowerSystem,
     Profiling-based estimators simulate a full task run per call; policy
     compilation and feasibility checks ask for the same (estimator, system,
     trace) triple over and over — across trials, event-rate settings and
-    ablation points. Estimators that expose no ``cache_key()`` (or systems
-    with no ``config_key()``) are computed directly.
+    ablation points. This is the only V_safe memo of the analysis stack.
+    Estimators that expose no ``cache_key()`` (or systems with no
+    ``config_key()``) are computed directly.
     """
-    est_key = estimator_cache_key(estimator)
-    system_key_fn = getattr(system, "config_key", None)
-    if est_key is None or system_key_fn is None:
+    key = estimate_key(estimator, system, trace)
+    if key is None:
         return estimator.estimate(system, trace)
-    key = ("estimate", est_key, system_key_fn(), trace.fingerprint())
     return default_cache().get_or_compute(
         key, lambda: estimator.estimate(system, trace))
 

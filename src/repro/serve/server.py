@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import threading
 import time
@@ -77,17 +78,22 @@ class ServeConfig:
     drain_timeout: float = 5.0    # shutdown budget: queue drain + flush
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in [0, 65535], got {self.port}")
+        if self.max_sessions < 1:
+            raise ValueError(
+                f"max_sessions must be >= 1, got {self.max_sessions}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.queue_limit < 1:
             raise ValueError(
                 f"queue_limit must be >= 1, got {self.queue_limit}")
-        if self.deadline_ms < 0:
-            raise ValueError(
-                f"deadline_ms must be >= 0, got {self.deadline_ms}")
-        if self.drain_timeout <= 0:
-            raise ValueError(
-                f"drain_timeout must be > 0, got {self.drain_timeout}")
+        if not 0.0 <= self.deadline_ms < math.inf:
+            raise ValueError(f"deadline_ms must be finite and >= 0, "
+                             f"got {self.deadline_ms}")
+        if not 0.0 < self.drain_timeout < math.inf:
+            raise ValueError(f"drain_timeout must be finite and > 0, "
+                             f"got {self.drain_timeout}")
 
 
 class _Pending:

@@ -62,6 +62,9 @@ BASELINE_ESTIMATORS: Tuple[str, ...] = ("energy-direct", "energy-v",
 
 KNOWN_ESTIMATORS: Tuple[str, ...] = STOCK_ESTIMATORS + BASELINE_ESTIMATORS
 
+#: Predicate evaluations the shrinker may spend on one UNSOUND verdict.
+SHRINK_BUDGET = 120
+
 
 def build_estimator(name: str, system: PowerSystem,
                     model: Optional[PowerSystemModel] = None, *,
@@ -106,9 +109,6 @@ class TrialConfig:
     estimators: Tuple[str, ...] = STOCK_ESTIMATORS
     tolerance: float = 0.002
     conservative_margin: float = 0.25
-    metamorphic: bool = True
-    shrink: bool = True
-    shrink_budget: int = 120
     #: Environment scenario axis: attach a per-trial harvesting
     #: environment (lowered to a recorded trace) and run the admission
     #: attempt with the charger on. Opt-in — it draws from its own RNG
@@ -200,15 +200,14 @@ def run_trial(args: "Tuple[int, TrialConfig]") -> TrialOutcome:
             harvesting=cfg.env_axis,
         )
         outcome.oracle.append({**result.to_dict(), "estimator_key": name})
-        if result.verdict is Verdict.UNSOUND and cfg.shrink \
-                and env_scenario is None:
+        if result.verdict is Verdict.UNSOUND and env_scenario is None:
             shrunk = shrink_trace(
                 trace,
                 lambda t: _unsound_on(
                     system, estimator, t, tolerance=cfg.tolerance,
                     conservative_margin=cfg.conservative_margin,
                 ),
-                max_evaluations=cfg.shrink_budget,
+                max_evaluations=SHRINK_BUDGET,
             )
             case = ReproCase.build(
                 name, spec, shrunk,
@@ -220,7 +219,7 @@ def run_trial(args: "Tuple[int, TrialConfig]") -> TrialOutcome:
             )
             outcome.cases.append(case.to_dict())
 
-    if cfg.metamorphic and truth.feasible:
+    if truth.feasible:
         for inv in metamorphic.check_all(system, model, trace, rng):
             outcome.invariants.append(inv.to_dict())
     return outcome
@@ -328,9 +327,6 @@ def run_verification(trials: int, *, seed: int = 0, jobs: int = 1,
                      estimators: Sequence[str] = STOCK_ESTIMATORS,
                      tolerance: float = 0.002,
                      conservative_margin: float = 0.25,
-                     metamorphic_checks: bool = True,
-                     shrink: bool = True,
-                     shrink_budget: int = 120,
                      failures_dir: Optional[str] = None,
                      env_axis: bool = False,
                      bank_axis: bool = False
@@ -355,9 +351,7 @@ def run_verification(trials: int, *, seed: int = 0, jobs: int = 1,
             )
     cfg = TrialConfig(seed=seed, estimators=names, tolerance=tolerance,
                       conservative_margin=conservative_margin,
-                      metamorphic=metamorphic_checks, shrink=shrink,
-                      shrink_budget=shrink_budget, env_axis=env_axis,
-                      bank_axis=bank_axis)
+                      env_axis=env_axis, bank_axis=bank_axis)
     outcomes = parallel_map(run_trial, [(i, cfg) for i in range(trials)],
                             jobs=jobs)
 

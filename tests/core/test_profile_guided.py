@@ -183,8 +183,7 @@ class TestCompiledWalk:
     @settings(max_examples=200, deadline=None)
     def test_equals_the_python_walk(self, model, trace, esr, step_limit,
                                     margin):
-        pg = CulpeoPG(model, step_limit=step_limit, envelope_margin=margin,
-                      use_cache=False)
+        pg = CulpeoPG(model, step_limit=step_limit, envelope_margin=margin)
         with kernel_only():
             compiled = pg.analyze(trace, esr=esr)
         expected = reference_walk(pg, trace, esr)
@@ -199,7 +198,7 @@ class TestCompiledWalk:
                                 ceiling=0.9)
         assert line.efficiency(1.6) == line.floor
         assert line.efficiency(2.4) == line.ceiling
-        pg = CulpeoPG(make_model(line=line), use_cache=False)
+        pg = CulpeoPG(make_model(line=line))
         trace = CurrentTrace([(0.06, 0.05), (0.002, 0.2)])
         with kernel_only():
             compiled = pg.analyze(trace, esr=4.0)
@@ -211,7 +210,7 @@ class TestCompiledWalk:
     def test_raises_what_the_python_walk_raises(self, field, value):
         model = make_model()
         object.__setattr__(model, field, value)
-        pg = CulpeoPG(model, use_cache=False)
+        pg = CulpeoPG(model)
         trace = uniform_load(0.010, 0.005).trace
         with pytest.raises(ZeroDivisionError):
             reference_walk(pg, trace, 4.0)
@@ -233,7 +232,7 @@ class TestCompiledWalk:
         estimate = pg.analyze(trace)
         assert pg.last_steps
         with kernel_only():
-            assert CulpeoPG(model, use_cache=False).analyze(trace) \
+            assert CulpeoPG(model).analyze(trace) \
                 == estimate
 
     def test_another_efficiency_type_walks_in_python(self):
@@ -243,16 +242,15 @@ class TestCompiledWalk:
 
         line = dict(slope=0.12, intercept=0.55)
         trace = uniform_load(0.010, 0.005).trace
-        halved = CulpeoPG(make_model(line=Halved(**line)), use_cache=False)
+        halved = CulpeoPG(make_model(line=Halved(**line)))
         with kernel_only(), pytest.raises(AssertionError,
                                           match="compiled walk ran"):
             halved.analyze(trace)
-        plain = CulpeoPG(make_model(line=LinearEfficiency(**line)),
-                         use_cache=False)
+        plain = CulpeoPG(make_model(line=LinearEfficiency(**line)))
         assert halved.analyze(trace).v_safe > plain.analyze(trace).v_safe
 
     def test_the_kernel_walks_only_when_fast(self, monkeypatch):
-        pg = CulpeoPG(make_model(), use_cache=False)
+        pg = CulpeoPG(make_model())
         trace = uniform_load(0.010, 0.005).trace
         expected = pg.analyze(trace)
 
@@ -266,7 +264,7 @@ class TestCompiledWalk:
         assert reference_walk(pg, trace, None) == expected
 
     def test_without_a_compiler_the_python_walk_runs(self, monkeypatch):
-        pg = CulpeoPG(make_model(), use_cache=False)
+        pg = CulpeoPG(make_model())
         trace = uniform_load(0.010, 0.005).trace
         expected = pg.analyze(trace)
         monkeypatch.setattr(fastpath, "_kernel", None)

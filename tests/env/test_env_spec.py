@@ -35,6 +35,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             EnvSpec(model="diurnal-solar", front_delay=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["duration", "grid_dt", "peak_power",
+                                      "front_delay"])
+    def test_rejects_non_finite_scalars(self, name, value):
+        """NaN passed the ``< 0`` guards: a NaN front delay wrote a
+        recording, a NaN duration failed later in an integer cast."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            EnvSpec(model="diurnal-solar", **{name: value})
+
 
 class TestSerialization:
     def test_round_trip_every_model(self):

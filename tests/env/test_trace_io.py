@@ -1,14 +1,13 @@
-"""Recorded-trace npz format: round-trips, fingerprints, byte identity.
+"""Recordings: canonical JSON documents, fingerprints, byte identity.
 
 The CI byte-identity gates rest on the writer being deterministic:
 save -> load -> save must reproduce the file byte for byte, and two
-generations from the same spec must produce identical archives. The
-fingerprint is the trace's identity — load refuses archives whose
-recorded digest no longer matches the arrays.
+recordings of one spec must be identical. The fingerprint is the
+recording's identity: the loader regenerates the columns from the spec
+and refuses a document whose recorded digest they no longer match.
 """
 
 import json
-import zipfile
 
 import numpy as np
 import pytest
@@ -35,6 +34,15 @@ def trace():
     return generate_fleet_trace(_spec(), devices=5)
 
 
+def _edit(path, **fields):
+    """Rewrite the recording at ``path`` with ``fields`` changed, as a
+    hand edit would (spec fields go through ``spec``)."""
+    document = json.loads(path.read_text())
+    document["spec"].update(fields.pop("spec", {}))
+    document.update(fields)
+    path.write_text(json.dumps(document))
+
+
 class TestEnvFleetTrace:
     def test_generation_is_deterministic(self, trace):
         again = generate_fleet_trace(_spec(), devices=5)
@@ -43,41 +51,32 @@ class TestEnvFleetTrace:
         assert trace.fingerprint == again.fingerprint
 
     def test_fingerprint_tracks_content(self, trace):
-        bent = EnvFleetTrace(edges=trace.edges,
-                             powers=trace.powers + 1e-6,
-                             spec=trace.spec)
+        bent = EnvFleetTrace(spec=trace.spec, edges=trace.edges,
+                             powers=trace.powers + 1e-6)
         assert bent.fingerprint != trace.fingerprint
         assert trace.fingerprint == trace_fingerprint(trace.edges,
                                                       trace.powers)
 
-    def test_device_harvester_shares_the_column_floats(self, trace):
-        harvester = trace.device_harvester(2)
-        np.testing.assert_array_equal(harvester.edges, trace.edges)
-        np.testing.assert_array_equal(harvester.powers, trace.powers[2])
+    def test_fingerprint_is_the_version_1_digest(self, trace):
+        """A recording carries the fingerprint that the version-1 archive
+        of the same spec and fleet carried, so old recordings can be
+        checked against new ones."""
+        assert trace.fingerprint == "29a675c2f2d2d737a1f749c8241bea84"
 
     def test_summary_fields(self, trace):
         summary = trace.summary()
         assert summary["format"] == "repro.env-trace"
+        assert summary["version"] == 2
         assert summary["devices"] == 5
+        assert summary["pieces"] == 80
         assert summary["fingerprint"] == trace.fingerprint
         assert summary["spec"]["model"] == "diurnal-solar"
         json.dumps(summary)  # must be a plain JSON document
 
-    def test_rejects_malformed_arrays(self):
-        with pytest.raises(ValueError):
-            EnvFleetTrace(edges=np.array([0.0, 1.0]),
-                          powers=np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            EnvFleetTrace(edges=np.array([0.5, 1.0]),
-                          powers=np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            EnvFleetTrace(edges=np.array([0.0, 1.0]),
-                          powers=np.full((1, 1), -1e-3))
-
 
 class TestRoundTrip:
     def test_save_load_preserves_everything(self, trace, tmp_path):
-        path = tmp_path / "sky.npz"
+        path = tmp_path / "sky.json"
         save_trace(path, trace)
         loaded = load_trace(path)
         np.testing.assert_array_equal(loaded.edges, trace.edges)
@@ -86,35 +85,29 @@ class TestRoundTrip:
         assert loaded.fingerprint == trace.fingerprint
 
     def test_save_load_save_is_byte_identical(self, trace, tmp_path):
-        first = tmp_path / "a.npz"
-        second = tmp_path / "b.npz"
+        first = tmp_path / "a.json"
+        second = tmp_path / "b.json"
         save_trace(first, trace)
         save_trace(second, load_trace(first))
         assert first.read_bytes() == second.read_bytes()
 
     def test_two_saves_of_the_same_spec_are_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_trace(a, generate_fleet_trace(_spec(), devices=5))
         save_trace(b, generate_fleet_trace(_spec(), devices=5))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_specless_trace_round_trips(self, trace, tmp_path):
-        raw = EnvFleetTrace(edges=trace.edges, powers=trace.powers)
-        path = tmp_path / "recorded.npz"
-        save_trace(path, raw)
-        loaded = load_trace(path)
-        assert loaded.spec is None
-        assert loaded.fingerprint == raw.fingerprint
-
-    def test_archive_is_plain_npz(self, trace, tmp_path):
-        path = tmp_path / "sky.npz"
+    def test_document_is_canonical_json(self, trace, tmp_path):
+        """Sorted keys, two-space indent, one trailing newline; the spec,
+        the fleet size and the fingerprint, never the columns."""
+        path = tmp_path / "sky.json"
         save_trace(path, trace)
-        with np.load(path, allow_pickle=False) as data:
-            assert set(data.files) == {"edges", "header", "powers"}
-        with zipfile.ZipFile(path) as archive:
-            for info in archive.infolist():
-                assert info.date_time == (1980, 1, 1, 0, 0, 0)
-                assert info.compress_type == zipfile.ZIP_STORED
+        text = path.read_text()
+        document = json.loads(text)
+        assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
+        assert document == {"devices": 5, "fingerprint": trace.fingerprint,
+                            "format": "repro.env-trace",
+                            "spec": trace.spec.to_dict(), "version": 2}
 
 
 class TestLoadRejections:
@@ -124,39 +117,68 @@ class TestLoadRejections:
         with pytest.raises(ValueError, match="not an environment trace"):
             load_trace(path)
 
-    def test_rejects_tampered_content(self, trace, tmp_path):
+    def test_rejects_a_version_1_archive(self, trace, tmp_path):
+        """Version 1 wrote zip archives of the columns; the message says
+        how to re-record one."""
         path = tmp_path / "sky.npz"
+        header = json.dumps({"format": "repro.env-trace", "version": 1,
+                             "spec": trace.spec.to_dict()})
+        np.savez(path, edges=trace.edges, header=np.array(header),
+                 powers=trace.powers)
+        with pytest.raises(ValueError, match="version 1 recordings") as exc:
+            load_trace(path)
+        assert "repro env generate" in str(exc.value)
+
+    def test_rejects_foreign_json(self, tmp_path):
+        path = tmp_path / "other.json"
+        for text in ('{"format": "repro.env-spec"}', "[1, 2]", "not json"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="not an environment trace"):
+                load_trace(path)
+
+    def test_rejects_tampered_content(self, trace, tmp_path):
+        path = tmp_path / "sky.json"
         save_trace(path, trace)
-        with np.load(path, allow_pickle=False) as data:
-            header = str(data["header"])
-            edges = data["edges"]
-            powers = np.array(data["powers"])
-        powers[0, 0] += 1e-6  # corrupt one sample, keep the header
-        import io
-        import zipfile as zf
-        with zf.ZipFile(path, "w", zf.ZIP_STORED) as archive:
-            for name, arr in (("edges", edges),
-                              ("header", np.array(header)),
-                              ("powers", powers)):
-                buf = io.BytesIO()
-                np.lib.format.write_array(buf, np.asarray(arr),
-                                          version=(1, 0))
-                archive.writestr(name + ".npy", buf.getvalue())
+        _edit(path, fingerprint="0" * 32)
         with pytest.raises(ValueError, match="fingerprint mismatch"):
             load_trace(path)
 
+    @pytest.mark.parametrize("edit", [
+        {"spec": {"seed": 7}},        # the columns drift from the record
+        {"spec": {"front_delay": 0.5}},
+        {"devices": 4},
+    ], ids=["spec-seed", "spec-front-delay", "devices"])
+    def test_rejects_a_hand_edit(self, edit, trace, tmp_path):
+        path = tmp_path / "sky.json"
+        save_trace(path, trace)
+        _edit(path, **edit)
+        with pytest.raises(ValueError, match="fingerprint mismatch"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("spec", [
+        None, {"model": "lunar"}, {"model": "diurnal-solar", "warp": 9},
+        {"model": "diurnal-solar", "duration": float("nan")},
+    ], ids=["missing", "unknown-model", "unknown-field", "nan-duration"])
+    def test_rejects_a_bad_spec(self, spec, trace, tmp_path):
+        path = tmp_path / "sky.json"
+        save_trace(path, trace)
+        document = json.loads(path.read_text())
+        document["spec"] = spec
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="bad environment spec"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("devices", [-1, 2.5, "5", True, None])
+    def test_rejects_a_bad_fleet_size(self, devices, trace, tmp_path):
+        path = tmp_path / "sky.json"
+        save_trace(path, trace)
+        _edit(path, devices=devices)
+        with pytest.raises(ValueError, match="devices must be an integer"):
+            load_trace(path)
+
     def test_rejects_future_version(self, trace, tmp_path):
-        import io
-        import zipfile as zf
-        path = tmp_path / "sky.npz"
-        header = json.dumps({"format": "repro.env-trace", "version": 99})
-        with zf.ZipFile(path, "w", zf.ZIP_STORED) as archive:
-            for name, arr in (("edges", trace.edges),
-                              ("header", np.array(header)),
-                              ("powers", trace.powers)):
-                buf = io.BytesIO()
-                np.lib.format.write_array(buf, np.asarray(arr),
-                                          version=(1, 0))
-                archive.writestr(name + ".npy", buf.getvalue())
+        path = tmp_path / "sky.json"
+        save_trace(path, trace)
+        _edit(path, version=99)
         with pytest.raises(ValueError, match="unsupported trace version"):
             load_trace(path)

@@ -5,11 +5,7 @@ import math
 import pytest
 
 from repro.core.profile_guided import CulpeoPG
-from repro.intermittent.executor import (
-    ExecutionReport,
-    IntermittentExecutor,
-    NonTermination,
-)
+from repro.intermittent.executor import ExecutionReport, IntermittentExecutor
 from repro.intermittent.program import AtomicTask, Program
 from repro.loads.peripherals import ble_listen, ble_radio
 from repro.loads.trace import CurrentTrace
@@ -97,14 +93,6 @@ class TestNonTermination:
         report = IntermittentExecutor(engine).run(program, until=1200.0)
         assert not report.finished
         assert report.stuck_on == "monster"
-
-    def test_raise_on_stuck(self):
-        engine = make_engine(harvest=10e-3)
-        monster = AtomicTask("monster", CurrentTrace.constant(0.050, 3.0))
-        with pytest.raises(NonTermination) as excinfo:
-            IntermittentExecutor(engine).run(
-                Program([monster]), until=1200.0, raise_on_stuck=True)
-        assert excinfo.value.task.name == "monster"
 
     def test_progress_survives_detection(self):
         engine = make_engine(harvest=10e-3)

@@ -166,8 +166,7 @@ class TestVerifyInstrumentation:
         from repro.verify.runner import run_verification
 
         with obs.observe(tracer=obs.Tracer()) as state:
-            report = run_verification(trials=2, seed=0, jobs=1,
-                                      shrink=False)
+            report = run_verification(trials=2, seed=0, jobs=1)
             events = state.tracer.drain()
         counters = state.metrics.snapshot()["counters"]
         assert counters["verify.trials"] == 2

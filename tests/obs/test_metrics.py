@@ -136,6 +136,10 @@ def _observe_all(registry, samples):
 
 
 class TestMerge:
+    """``merge_snapshot`` is the one merge path (pooled workers fold
+    through it); these pin its semantics on another registry's
+    ``snapshot()``."""
+
     def test_split_merge_equals_serial(self):
         """The property the parallel harness relies on: any partition of
         the observation stream merges back to the identical snapshot."""
@@ -147,7 +151,7 @@ class TestMerge:
         for lo, hi in ((0, 2), (2, 5), (5, len(samples))):
             part = MetricsRegistry()
             _observe_all(part, samples[lo:hi])
-            merged.merge(part)
+            merged.merge_snapshot(part.snapshot())
         assert merged.snapshot() == serial.snapshot()
 
     def test_merge_snapshot_round_trips_through_json(self):
@@ -164,7 +168,7 @@ class TestMerge:
         b = MetricsRegistry()
         b.counter("n").inc(4)
         b.gauge("g").set(2.0)
-        a.merge(b)
+        a.merge_snapshot(b.snapshot())
         assert a.counter("n").value == 7
         assert a.gauge("g").value == 2.0
 
@@ -174,31 +178,34 @@ class TestMerge:
         b = MetricsRegistry()
         b.histogram("h", [10.0]).observe(1.0)
         b.histogram("h", [10.0]).observe(8.0)
-        a.merge(b)
+        a.merge_snapshot(b.snapshot())
         histogram = a.histogram("h", [10.0])
         assert histogram._min == 1.0 and histogram._max == 8.0
         assert histogram.count == 3
 
-    def test_histogram_merge_from_folds_without_a_snapshot(self):
-        a = Histogram("h", [1.0, 4.0])
-        b = Histogram("h", [1.0, 4.0])
-        a.observe(0.5)
-        b.observe(2.0)
-        b.observe(9.0)
-        a.merge_from(b)
-        assert a.count == 3
-        assert a._min == 0.5 and a._max == 9.0
+    def test_histogram_merge_keeps_exact_totals(self):
+        a = MetricsRegistry()
+        b = MetricsRegistry()
+        a.histogram("h", [1.0, 4.0]).observe(0.5)
+        b.histogram("h", [1.0, 4.0]).observe(2.0)
+        b.histogram("h", [1.0, 4.0]).observe(9.0)
+        a.merge_snapshot(b.snapshot())
+        merged = a.histogram("h", [1.0, 4.0])
+        assert merged.count == 3
+        assert merged._min == 0.5 and merged._max == 9.0
         reference = Histogram("h", [1.0, 4.0])
         for value in (0.5, 2.0, 9.0):
             reference.observe(value)
-        assert a._counts == reference._counts
-        assert a._sum == reference._sum
+        assert merged._counts == reference._counts
+        assert merged._sum == reference._sum
 
-    def test_histogram_merge_from_rejects_bucket_mismatch(self):
-        a = Histogram("h", [1.0, 4.0])
-        b = Histogram("h", [1.0, 2.0])
-        with pytest.raises(ValueError):
-            a.merge_from(b)
+    def test_histogram_merge_rejects_bucket_mismatch(self):
+        a = MetricsRegistry()
+        a.histogram("h", [1.0, 4.0])
+        b = MetricsRegistry()
+        b.histogram("h", [1.0, 2.0]).observe(1.5)
+        with pytest.raises(ValueError, match="different bucket bounds"):
+            a.merge_snapshot(b.snapshot())
 
 
 class TestRenderSnapshot:

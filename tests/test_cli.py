@@ -43,6 +43,56 @@ class TestCommands:
         assert code == 1
         assert "cannot complete" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, named", [
+        (["nan", "5ms"], "segment current"),
+        (["10mA", "nan"], "segment duration"),
+        (["10mA", "5ms", "--capacitance", "nan"], "capacitance"),
+        (["10mA", "5ms", "--capacitance", "inf"], "capacitance"),
+        (["10mA", "5ms", "--capacitance", "-5"], "capacitance"),
+        (["10mA", "5ms", "--esr", "nan"], "esr"),
+        (["10mA", "5ms", "--esr", "-1"], "esr"),
+        (["10mA", "5ms", "--esr", "0"], "esr"),
+    ], ids=["current-nan", "width-nan", "capacitance-nan", "capacitance-inf",
+            "capacitance-negative", "esr-nan", "esr-negative", "esr-zero"])
+    def test_vsafe_bad_setting_exits_2_with_one_line(self, argv, named,
+                                                     capsys):
+        """A NaN buffer printed the infeasible-load advice and exit 1; a
+        negative one or a NaN load raised a traceback."""
+        assert main(["vsafe"] + argv) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert named in line
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--max-batch", "0"], "max_batch"),
+        (["--queue-limit", "0"], "queue_limit"),
+        (["--deadline-ms", "nan"], "deadline_ms"),
+        (["--deadline-ms", "inf"], "deadline_ms"),
+        (["--deadline-ms", "-1"], "deadline_ms"),
+        (["--drain-timeout", "-1"], "drain_timeout"),
+        (["--drain-timeout", "nan"], "drain_timeout"),
+        (["--drain-timeout", "inf"], "drain_timeout"),
+        (["--max-sessions", "0"], "max_sessions"),
+        (["--port", "70000"], "port"),
+    ], ids=["max-batch-zero", "queue-limit-zero", "deadline-nan",
+            "deadline-inf", "deadline-negative", "drain-negative",
+            "drain-nan", "drain-inf", "max-sessions-zero", "port-too-big"])
+    def test_serve_bad_setting_exits_2_before_the_daemon(
+            self, argv, named, capsys, monkeypatch):
+        """A zero batch, session store or drain budget, or a port past
+        65535, raised a traceback; a NaN deadline or drain budget started
+        the daemon."""
+        from repro.serve import server
+
+        async def no_daemon(config):
+            raise AssertionError("the daemon was started")
+
+        monkeypatch.setattr(server, "run_server", no_daemon)
+        assert main(["serve"] + argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(named)
+
     def test_registry_covers_every_figure(self):
         for fig in ("fig1b", "fig3", "fig4", "fig5", "fig6", "table3",
                     "fig10", "fig11", "fig12", "fig13"):
@@ -455,6 +505,25 @@ class TestFleetCommand:
         assert line.startswith("horizon must be finite and positive")
         assert "verdict" not in captured.out
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--harvest", "nan"], "harvest_power"),
+        (["--harvest", "inf"], "harvest_power"),
+        (["--harvest-period", "nan"], "harvest_period"),
+        (["--harvest-period", "inf"], "harvest_period"),
+        (["--harvest-period", "-1"], "harvest_period"),
+        (["--check", "-1"], "check"),
+    ], ids=["harvest-nan", "harvest-inf", "period-nan", "period-inf",
+            "period-negative", "check-negative"])
+    def test_bad_setting_rejected(self, argv, named, capsys):
+        """A NaN harvest convicted every device at t=0; a NaN, infinite or
+        negative period ran constant harvest; a negative check ran none."""
+        assert main(["fleet", "--devices", "2", "--cycles", "1",
+                     "--horizon", "20"] + argv) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"{named} must be ")
+        assert "verdict" not in captured.out
+
     def test_fail_on_unsafe_is_opt_in(self, capsys):
         # Zero harvest livelocks every device: exit 0 by default (a
         # deployment finding), exit 1 with --fail-on-unsafe.
@@ -473,7 +542,7 @@ class TestEnvCommand:
            "--front-delay", "0.3", "--env-seed", "5"]
 
     def _generate(self, tmp_path, *extra):
-        out = tmp_path / "sky.npz"
+        out = tmp_path / "sky.json"
         assert main(self.GEN + ["--out", str(out)] + list(extra)) == 0
         return out
 
@@ -493,7 +562,7 @@ class TestEnvCommand:
 
     def test_generate_rejects_bad_spec(self, capsys, tmp_path):
         assert main(["env", "generate", "--model", "lunar",
-                     "--out", str(tmp_path / "x.npz")]) == 2
+                     "--out", str(tmp_path / "x.json")]) == 2
         assert "unknown environment model" in capsys.readouterr().err
 
     def test_inspect_prints_summary_json(self, capsys, tmp_path):
@@ -540,17 +609,68 @@ class TestEnvCommand:
         assert reports[0].read_text() == reports[1].read_text()
 
     def test_replay_needs_a_generating_spec(self, capsys, tmp_path):
-        import numpy as np
-        from repro.env import EnvFleetTrace, save_trace
-        raw = EnvFleetTrace(edges=np.array([0.0, 1.0, 2.0]),
-                            powers=np.full((2, 2), 1e-3))
-        path = tmp_path / "recorded.npz"
-        save_trace(path, raw)
+        path = self._generate(tmp_path)
+        self._edit(path, spec=None)
+        capsys.readouterr()
         assert main(["env", "replay", str(path)]) == 2
-        assert "no generating spec" in capsys.readouterr().err
+        [line] = capsys.readouterr().err.splitlines()
+        assert "bad environment spec" in line
+
+    @staticmethod
+    def _edit(path, **fields):
+        import json
+        document = json.loads(path.read_text())
+        document.update(fields)
+        path.write_text(json.dumps(document))
+
+    @pytest.mark.parametrize("field", ["spec", "devices", "fingerprint"])
+    @pytest.mark.parametrize("command", ["inspect", "replay", "fleet"])
+    def test_a_hand_edited_recording_is_refused(self, command, field,
+                                                capsys, tmp_path):
+        """A spec seed edited from 5 to 6 is the drift case: ``replay``
+        refused it, while ``fleet --env`` ran it with an ``OK`` verdict."""
+        import json
+        path = self._generate(tmp_path)
+        document = json.loads(path.read_text())
+        edits = {"spec": dict(document["spec"], seed=6),
+                 "devices": 5, "fingerprint": "0" * 32}
+        self._edit(path, **{field: edits[field]})
+        capsys.readouterr()
+        argv = {"inspect": ["env", "inspect", str(path)],
+                "replay": ["env", "replay", str(path), "--horizon", "20",
+                           "--cycles", "1"],
+                "fleet": ["fleet", "--devices", "6", "--env", str(path),
+                          "--horizon", "20", "--cycles", "1"]}[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert "fingerprint mismatch" in line
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--duration", "--grid-dt",
+                                      "--front-delay", "--peak-power"])
+    def test_generate_rejects_a_non_finite_setting(self, flag, capsys,
+                                                   tmp_path):
+        out = tmp_path / "sky.json"
+        assert main(self.GEN + [flag, "nan", "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        name = flag[2:].replace("-", "_")
+        assert line == f"{name} must be finite and " + (
+            "positive, got nan" if name in ("duration", "grid_dt")
+            else ">= 0, got nan")
+        assert not out.exists()
+
+    def test_replay_rejects_a_negative_check(self, capsys, tmp_path):
+        out = self._generate(tmp_path)
+        capsys.readouterr()
+        assert main(["env", "replay", str(out), "--horizon", "20",
+                     "--cycles", "1", "--check", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["check must be >= 0, got -2"]
+        assert "verdict" not in captured.out
 
     def test_generate_rejects_an_empty_fleet(self, capsys, tmp_path):
-        out = tmp_path / "empty.npz"
+        out = tmp_path / "empty.json"
         assert main(["env", "generate", "--devices", "0",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
@@ -560,7 +680,7 @@ class TestEnvCommand:
     def test_replay_rejects_an_empty_recording(self, capsys, tmp_path):
         """The library still records an empty fleet; replay refuses it."""
         from repro.env import EnvSpec, generate_fleet_trace, save_trace
-        path = tmp_path / "empty.npz"
+        path = tmp_path / "empty.json"
         save_trace(path, generate_fleet_trace(
             EnvSpec(model="diurnal-solar", duration=20.0, seed=5), 0))
         assert main(["env", "replay", str(path), "--horizon", "20",

@@ -57,10 +57,10 @@ class TestInvariantsHoldOnReference:
         bank_trace = random_trace(rng, spec, active=spec.active)
         model = spec.build().characterize()
         factor = 1.55684
-        base = CulpeoPG(model, use_cache=False).analyze(bank_trace)
+        base = CulpeoPG(model).analyze(bank_trace)
         bigger = CulpeoPG(
-            replace(model, capacitance=model.capacitance * factor),
-            use_cache=False).analyze(bank_trace)
+            replace(model, capacitance=model.capacitance * factor)
+        ).analyze(bank_trace)
         assert bigger.v_safe > base.v_safe          # the raw rise is real
         assert bigger.v_delta > base.v_delta        # and the floor grew more
         assert check_capacitance_antitone(model, bank_trace, factor).passed
@@ -96,8 +96,29 @@ class TestInvariantsHoldOnReference:
         assert not result.passed
         assert "adc" in result.detail
 
-    def test_cache_consistency(self, model, trace):
-        assert check_cache_consistency(model, trace).passed
+    def test_cache_consistency(self, system, model, trace):
+        assert check_cache_consistency(system, model, trace).passed
+
+    def test_cache_consistency_checks_the_hit(self, system, model, trace,
+                                              monkeypatch):
+        """A memo that hands back a perturbed estimate fails the
+        invariant, so it cannot pass without reading the memo."""
+        from dataclasses import replace
+
+        from repro.core.vsafe_cache import VsafeCache
+
+        get = VsafeCache.get
+
+        def perturbed(cache, key):
+            value = get(cache, key)
+            if value is None:
+                return None
+            return replace(value, v_safe=value.v_safe + 1e-9)
+
+        monkeypatch.setattr(VsafeCache, "get", perturbed)
+        result = check_cache_consistency(system, model, trace)
+        assert not result.passed
+        assert result.detail.startswith("hit: v_safe ")
 
     def test_check_all_runs_full_suite(self, system, model, trace):
         results = check_all(system, model, trace,

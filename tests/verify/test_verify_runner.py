@@ -36,7 +36,7 @@ class TestBuildEstimator:
 
 class TestRunTrial:
     def test_outcome_covers_every_estimator(self):
-        cfg = TrialConfig(seed=0, metamorphic=False)
+        cfg = TrialConfig(seed=0)
         outcome = run_trial((0, cfg))
         assert outcome.index == 0
         assert len(outcome.oracle) == len(cfg.estimators)
@@ -44,12 +44,11 @@ class TestRunTrial:
         assert keys == set(cfg.estimators)
 
     def test_trial_is_deterministic(self):
-        cfg = TrialConfig(seed=3, metamorphic=False)
+        cfg = TrialConfig(seed=3)
         assert run_trial((1, cfg)).oracle == run_trial((1, cfg)).oracle
 
     def test_unsound_verdict_carries_shrunk_case(self):
-        cfg = TrialConfig(seed=0, estimators=("energy-direct",),
-                          metamorphic=False)
+        cfg = TrialConfig(seed=0, estimators=("energy-direct",))
         outcome = run_trial((0, cfg))
         assert outcome.oracle[0]["verdict"] == "UNSOUND"
         assert outcome.cases
@@ -61,7 +60,7 @@ class TestRunTrial:
 
 class TestRunVerification:
     def test_parallel_report_is_bit_identical(self):
-        kwargs = dict(seed=0, metamorphic_checks=False, shrink=False)
+        kwargs = dict(seed=0)
         serial = run_verification(4, jobs=1, **kwargs)
         parallel = run_verification(4, jobs=2, **kwargs)
         assert json.dumps(serial.to_dict(), sort_keys=True) \
@@ -78,7 +77,6 @@ class TestRunVerification:
     def test_unsound_estimator_fails_and_persists(self, tmp_path):
         report = run_verification(
             2, seed=0, estimators=("energy-direct",),
-            metamorphic_checks=False,
             failures_dir=str(tmp_path / "failures"),
         )
         assert not report.ok
@@ -90,8 +88,7 @@ class TestRunVerification:
         assert "verdict: FAIL" in report.render()
 
     def test_unpersisted_cases_still_reported(self):
-        report = run_verification(2, seed=0, estimators=("energy-direct",),
-                                  metamorphic_checks=False)
+        report = run_verification(2, seed=0, estimators=("energy-direct",))
         assert report.failures
         assert all(f.startswith("<unpersisted") for f in report.failures)
 
@@ -151,18 +148,15 @@ class TestEnvAxis:
     """
 
     def test_stock_estimators_stay_sound_under_environments(self):
-        report = run_verification(4, seed=0, env_axis=True,
-                                  metamorphic_checks=False)
+        report = run_verification(4, seed=0, env_axis=True)
         assert report.ok
         assert report.unsound == 0
         assert report.env_axis
         assert "env axis on" in report.render()
 
     def test_axis_recorded_in_the_report_document(self):
-        on = run_verification(2, seed=0, env_axis=True,
-                              metamorphic_checks=False, shrink=False)
-        off = run_verification(2, seed=0, metamorphic_checks=False,
-                               shrink=False)
+        on = run_verification(2, seed=0, env_axis=True)
+        off = run_verification(2, seed=0)
         assert on.to_dict()["config"]["env_axis"] is True
         assert off.to_dict()["config"]["env_axis"] is False
 
@@ -170,15 +164,14 @@ class TestEnvAxis:
         # The env stream is independent: with the axis off, reports are
         # byte-identical whether or not the feature exists — pinned by
         # running the same config twice.
-        kwargs = dict(seed=7, metamorphic_checks=False, shrink=False)
+        kwargs = dict(seed=7)
         a = run_verification(3, **kwargs)
         b = run_verification(3, **kwargs)
         assert json.dumps(a.to_dict(), sort_keys=True) \
             == json.dumps(b.to_dict(), sort_keys=True)
 
     def test_env_axis_run_is_deterministic_and_parallel_stable(self):
-        kwargs = dict(seed=1, env_axis=True, metamorphic_checks=False,
-                      shrink=False)
+        kwargs = dict(seed=1, env_axis=True)
         serial = run_verification(4, jobs=1, **kwargs)
         parallel = run_verification(4, jobs=2, **kwargs)
         assert json.dumps(serial.to_dict(), sort_keys=True) \
@@ -186,7 +179,7 @@ class TestEnvAxis:
 
     def test_trial_attaches_the_environment_harvester(self):
         from repro.verify.generators import env_rng, random_env_spec
-        cfg = TrialConfig(seed=5, env_axis=True, metamorphic=False)
+        cfg = TrialConfig(seed=5, env_axis=True)
         outcome = run_trial((2, cfg))
         assert outcome.oracle
         # The same (seed, index) regenerates the same scenario the
