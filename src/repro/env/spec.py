@@ -40,6 +40,37 @@ from repro.power.harvester import TraceHarvester
 ENV_MODELS = ("diurnal-solar", "kinetic-burst", "thermal-gradient")
 ENV_MPPTS = ("constant-voltage", "voc-fraction", "perturb-observe")
 
+#: What each float field must be besides finite: the range the model,
+#: transducer, front-end or lowering that reads it enforces (checked for
+#: every field, whichever model is picked, since all of them are in the
+#: fingerprint).
+_RANGES = (
+    ("duration", "positive", lambda v: v > 0),
+    ("peak_power", ">= 0", lambda v: v >= 0),
+    ("v_oc", "positive", lambda v: v > 0),
+    ("knee", "> 1", lambda v: v > 1),
+    ("voc_exponent", "in [0, 1)", lambda v: 0 <= v < 1),
+    ("period", "positive", lambda v: v > 0),
+    ("daylight_fraction", "in (0, 1]", lambda v: 0 < v <= 1),
+    ("cloud_rate", ">= 0", lambda v: v >= 0),
+    ("cloud_depth", "in [0, 1]", lambda v: 0 <= v <= 1),
+    ("cloud_duration", "positive", lambda v: v > 0),
+    ("base_intensity", "in [0, 1]", lambda v: 0 <= v <= 1),
+    ("burst_rate", ">= 0", lambda v: v >= 0),
+    ("burst_duration", "positive", lambda v: v > 0),
+    ("burst_intensity", "in [0, 1]", lambda v: 0 <= v <= 1),
+    ("intensity_low", "in [0, 1]", lambda v: 0 <= v <= 1),
+    ("intensity_high", "in [0, 1]", lambda v: 0 <= v <= 1),
+    ("mppt_voltage", "positive", lambda v: v > 0),
+    ("mppt_fraction", "in (0, 1)", lambda v: 0 < v < 1),
+    ("po_step", "positive", lambda v: v > 0),
+    ("po_dt", "positive", lambda v: v > 0),
+    ("max_dt", "positive", lambda v: v > 0),
+    ("tol", ">= 0", lambda v: v >= 0),
+    ("front_delay", ">= 0", lambda v: v >= 0),
+    ("grid_dt", "positive", lambda v: v > 0),
+)
+
 
 @dataclass(frozen=True)
 class EnvSpec:
@@ -96,16 +127,15 @@ class EnvSpec:
             raise ValueError(
                 f"unknown MPPT front-end {self.mppt!r}; "
                 f"choose from {ENV_MPPTS}")
-        for name in ("duration", "grid_dt"):
+        for name, rule, holds in _RANGES:
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:
+            if not (math.isfinite(value) and holds(value)):
                 raise ValueError(
-                    f"{name} must be finite and positive, got {value}")
-        for name in ("peak_power", "front_delay"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and >= 0, got {value}")
+                    f"{name} must be finite and {rule}, got {value}")
+        if self.intensity_low > self.intensity_high:
+            raise ValueError(
+                f"intensity_low must not exceed intensity_high, got "
+                f"{self.intensity_low} > {self.intensity_high}")
 
     # -- serialization ------------------------------------------------------
 

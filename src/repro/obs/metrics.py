@@ -113,7 +113,10 @@ class Histogram:
                  "_min", "_max", "_lock")
 
     def __init__(self, name: str, buckets: Sequence[float]) -> None:
-        bounds = tuple(float(b) for b in buckets)
+        if type(buckets) is tuple and all(type(b) is float for b in buckets):
+            bounds = buckets    # kept, so a lookup can match it by identity
+        else:
+            bounds = tuple(float(b) for b in buckets)
         if not bounds:
             raise ValueError("a histogram needs at least one bucket bound")
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
@@ -229,7 +232,8 @@ class MetricsRegistry:
             with self._lock:
                 histogram = self._histograms.setdefault(
                     name, Histogram(name, buckets))
-        elif tuple(float(b) for b in buckets) != histogram.buckets:
+        elif (buckets is not histogram.buckets
+              and tuple(float(b) for b in buckets) != histogram.buckets):
             raise ValueError(
                 f"histogram {name!r} already registered with different "
                 f"bucket bounds"

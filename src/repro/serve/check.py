@@ -23,10 +23,12 @@ by :class:`~repro.serve.client.ByteCheck`. Two modes:
 
 A plain run gives each attempt the whole budget and fails if any client
 retried, resent or reconnected: the client's healing must never hide a
-daemon fault. ``--chaos`` runs either mode with the service-fault
-injectors live, and there the healing is the point: a disk-fault plan
-(ENOSPC) degrades the daemon's cache tier mid-run, and every data
-connection is routed through seeded
+daemon fault. It also fails if the daemon wrote anything after its
+``serving on`` line (a healthy daemon prints nothing more), so a logged
+traceback fails the run even when every answer matched. ``--chaos``
+runs either mode with the service-fault injectors live, and there the
+healing is the point: a disk-fault plan (ENOSPC) degrades the daemon's
+cache tier mid-run, and every data connection is routed through seeded
 :class:`~repro.serve.chaos.ChaosProxy` instances cycling the transport
 faults (resets, half-open stalls, slow-loris trickle); sustained mode
 additionally storms a fraction of requests with a queue deadline that
@@ -331,6 +333,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                     server.host, server.port, lanes,
                     chaos_seed=chaos_seed))
             check.stop(server)
+            if chaos_seed is None and server.poll() is not None:
+                logged = server.output()
+                if logged:
+                    check.failures.append(
+                        f"the daemon wrote after its 'serving on' line:\n"
+                        f"{logged.rstrip()}")
     finally:
         if tmpdir is not None:
             shutil.rmtree(tmpdir, ignore_errors=True)

@@ -389,6 +389,11 @@ class ServerProcess:
     def wait(self, timeout: float = 30.0) -> int:
         return self.proc.wait(timeout=timeout)
 
+    def output(self) -> str:
+        """What the daemon wrote (stdout and stderr) after its ``serving
+        on`` line. Call it once the daemon has exited."""
+        return self.proc.stdout.read()
+
     def poll(self) -> Optional[int]:
         return self.proc.poll()
 
@@ -409,6 +414,7 @@ class ServerProcess:
             except subprocess.TimeoutExpired:
                 self.proc.kill()
                 self.proc.wait()
+        self.proc.stdout.close()
 
 
 __all__ = [

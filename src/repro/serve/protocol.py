@@ -96,7 +96,8 @@ SYSTEM_FIELDS = _PLANT_FIELDS + _SHARED_FIELDS
 #: Device outcomes a ``report`` may carry.
 REPORT_OUTCOMES = ("brownout", "success")
 
-#: Largest accepted request line (bytes) — also the asyncio reader limit.
+#: Largest accepted request line (bytes): a longer line gets one
+#: ``bad-request`` answer, and its connection closes.
 MAX_LINE_BYTES = 1 << 20
 
 

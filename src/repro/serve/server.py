@@ -1,37 +1,46 @@
 """The asyncio daemon: connections in, batches through, bytes out.
 
-Layering (deliberately thin): connection handlers only *move* requests —
-decode, validate, answer the inline ops (``ping``/``stats``/
-``shutdown``), and enqueue the rest onto one bounded queue. A single
-dispatcher task drains the queue in batches of up to ``max_batch`` and
-hands each batch to the synchronous
-:class:`~repro.serve.engine.AdmissionEngine`; responses are written back
-to their connections as they resolve, matched by ``id`` (pipelined
-requests may complete out of order across a batch boundary).
+Two planes of plain event-loop callbacks, no task per connection. Each
+connection is one small :class:`asyncio.Protocol`: ``data_received``
+splits complete lines off its buffer, answers the inline ops (``ping``/
+``stats``/``flush``/``shutdown``) at once, and appends every other
+request to one bounded FIFO; a line longer than ``MAX_LINE_BYTES`` gets
+one ``bad-request`` answer and closes its connection. The first enqueue
+in a loop turn schedules one ``loop.call_soon`` dispatch: up to
+``max_batch`` requests off the FIFO, one ``AdmissionEngine.handle_batch``
+call, and one ``transport.write`` per connection for its answers; it
+reschedules itself while work remains. Queued requests resolve in
+arrival order; answers are matched by ``id`` (an inline answer or a
+deadline rejection may overtake earlier ones).
 
 Backpressure is structural, not advisory:
 
-* the queue is bounded (``queue_limit``) — a full queue **sheds** the
+* the FIFO is bounded (``queue_limit``) — a full FIFO **sheds** the
   request immediately with an ``overloaded`` error rather than letting
   latency grow without bound;
 * a request whose ``deadline_ms`` (or the server default) expires while
   it sits queued is rejected with a ``deadline`` error *before* the
-  kernel runs — no work is spent on an answer nobody is waiting for.
+  kernel runs — no work is spent on an answer nobody is waiting for;
+* flow control is per connection: a peer that leaves its answers unread
+  fills its own transport buffer, whose ``pause_writing`` pauses reading
+  that connection only. The dispatcher never awaits a peer, so no peer
+  can stall it, and an answer for a closing connection is dropped.
 
-Both paths are visible: ``serve.shed`` / ``serve.deadline_expired``
+Both shed paths are visible: ``serve.shed`` / ``serve.deadline_expired``
 counters, ``serve.batch_size`` and ``serve.latency_s`` histograms, all
 through the one-check-per-batch :func:`repro.obs.current` discipline the
 engines use. Shutdown (the ``shutdown`` op, ``stop()``, or SIGTERM /
 SIGINT — the daemon installs handlers) is graceful *and bounded*: stop
-accepting, drain the queue through the dispatcher, flush the persistent
-cache, optionally write a metrics snapshot, and leave no task behind —
-the CI smoke job asserts exit code 0 and the e2e test asserts
-``asyncio.all_tasks()`` is empty afterwards. The drain and the flush
-share one ``drain_timeout`` budget (``--drain-timeout``): a wedged disk
-or a stuck queue cannot hang shutdown forever — the flush runs on a
-daemon thread and is abandoned (``serve.drain_timeout`` counter,
-``drain_timed_out`` in stats) when the budget lapses, which is safe
-because the journal is append-as-you-go and recovery drops torn tails.
+accepting and reading, answer everything queued, close the connections
+once their answers are written, flush the persistent cache, optionally
+write a metrics snapshot, and leave no task behind — the CI smoke job
+asserts exit code 0 and the e2e test asserts ``asyncio.all_tasks()`` is
+empty afterwards. All of it shares one ``drain_timeout`` budget
+(``--drain-timeout``): a wedged disk, a stuck queue or a peer that never
+reads cannot hang shutdown — the flush runs on a daemon thread and is
+abandoned (``serve.drain_timeout`` counter, ``drain_timed_out`` in
+stats) when the budget lapses, which is safe because the journal is
+append-as-you-go and recovery drops torn tails.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import math
 import signal
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -58,9 +68,6 @@ from repro.serve.protocol import (
     ok_response,
     parse_request,
 )
-
-#: How long shutdown waits for open connections before cancelling them.
-SHUTDOWN_GRACE_S = 5.0
 
 
 @dataclass
@@ -96,24 +103,13 @@ class ServeConfig:
                              f"got {self.drain_timeout}")
 
 
-class _Pending:
-    """One queued request: what to answer and where to write it."""
-
-    __slots__ = ("req", "writer", "wlock", "enqueued", "deadline_s")
-
-    def __init__(self, req, writer, wlock, enqueued, deadline_s):
-        self.req = req
-        self.writer = writer
-        self.wlock = wlock
-        self.enqueued = enqueued
-        self.deadline_s = deadline_s
-
-
-def _unencodable(response: dict, exc: Exception) -> bytes:
-    """The ``internal`` error line that replaces a response with no JSON
-    form (a non-finite float): that request fails alone, and the
-    dispatcher lives on. An id that cannot be echoed is dropped."""
-    message = f"response not encodable: {exc}"
+def _encode(response: dict) -> bytes:
+    """The wire line; a response with no JSON form (a non-finite float)
+    becomes an ``internal`` error line, its id dropped if unencodable."""
+    try:
+        return encode_line(response)
+    except (TypeError, ValueError) as exc:
+        message = f"response not encodable: {exc}"
     try:
         return encode_line(error_response(response.get("id"), "internal",
                                           message))
@@ -121,8 +117,75 @@ def _unencodable(response: dict, exc: Exception) -> bytes:
         return encode_line(error_response(None, "internal", message))
 
 
+async def _until(done, deadline: float) -> bool:
+    """Poll ``done()`` until it holds or the deadline (>= 50 ms) passes."""
+    end = max(deadline, time.perf_counter() + 0.05)
+    while not done() and time.perf_counter() < end:
+        await asyncio.sleep(0.01)
+    return done()
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: complete lines in, answers out."""
+
+    __slots__ = ("server", "transport", "buffer")
+
+    def __init__(self, server: "VsafeServer") -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.buffer = bytearray()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server.connections += 1
+        self.server._conns.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.server._conns.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data             # a bytearray: appends stay linear
+        if b"\n" in data:
+            lines = self.buffer.split(b"\n")
+            self.buffer = lines.pop()
+            for line in lines:
+                if len(line) > MAX_LINE_BYTES:
+                    self._refuse()
+                    return
+                if self.server._stopping.is_set():
+                    return
+                if line.strip():
+                    self.server._handle_line(self, line)
+        if len(self.buffer) > MAX_LINE_BYTES:
+            self._refuse()
+
+    def eof_received(self) -> None:
+        # A last line without its newline counts; then the transport closes.
+        if self.buffer.strip():
+            self.data_received(b"\n")
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if not self.server._stopping.is_set():
+            self.transport.resume_reading()
+
+    def write(self, data: bytes) -> None:
+        if not self.transport.is_closing():
+            self.transport.write(data)
+
+    def _refuse(self) -> None:
+        """Answer a line longer than the limit once, then close."""
+        self.buffer.clear()
+        self.write(_encode(error_response(
+            None, "bad-request",
+            f"request line longer than {MAX_LINE_BYTES} bytes")))
+        self.transport.close()
+
+
 class VsafeServer:
-    """The admission daemon: one listener, one queue, one dispatcher."""
+    """The admission daemon: one listener, one FIFO, one dispatcher."""
 
     def __init__(self, config: Optional[ServeConfig] = None,
                  engine: Optional[AdmissionEngine] = None) -> None:
@@ -142,24 +205,23 @@ class VsafeServer:
         self.connections = 0
         self.drain_timed_out = False
         self._server: Optional[asyncio.AbstractServer] = None
-        self._queue: Optional[asyncio.Queue] = None
-        self._dispatcher: Optional[asyncio.Task] = None
-        self._conn_tasks: set = set()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        # Queued requests: (request, connection, enqueued at, deadline s).
+        self._fifo: deque = deque()
+        self._dispatch_due = False
+        self._conns: set = set()
         self._stopping: Optional[asyncio.Event] = None
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind, start the dispatcher, and announce the port."""
-        self._queue = asyncio.Queue(maxsize=self.config.queue_limit)
+        """Bind and announce the port."""
+        self._loop = asyncio.get_running_loop()
         self._stopping = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
-            limit=MAX_LINE_BYTES)
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.config.host, self.config.port)
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
-        self._dispatcher = asyncio.create_task(self._dispatch_loop(),
-                                               name="serve-dispatcher")
         # The one line a spawning client parses to find the bound port.
         print(f"serving on {self.host}:{self.port}", flush=True)
 
@@ -177,28 +239,22 @@ class VsafeServer:
 
     async def _shutdown(self) -> None:
         deadline = time.perf_counter() + self.config.drain_timeout
-        # Stop accepting; let open connections finish their current line.
+        # Stop accepting and reading; answer what is queued, unless the
+        # budget lapses first (undelivered answers are the lesser evil).
         self._server.close()
-        await self._server.wait_closed()
-        if self._conn_tasks:
-            grace = min(SHUTDOWN_GRACE_S, self.config.drain_timeout)
-            done, pending = await asyncio.wait(
-                self._conn_tasks, timeout=grace)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        # Everything enqueued before the sentinel is still answered —
-        # unless the drain budget lapses first (a wedged engine must not
-        # hang shutdown; undelivered answers are the lesser evil).
-        await self._queue.put(None)
-        try:
-            await asyncio.wait_for(
-                self._dispatcher,
-                timeout=max(0.05, deadline - time.perf_counter()))
-        except asyncio.TimeoutError:
+        for conn in self._conns:
+            conn.transport.pause_reading()
+        if not await _until(lambda: not self._fifo, deadline):
+            self._fifo.clear()
             self.drain_timed_out = True
             self._count("serve.drain_timeout")
+        # Close once written; cut off a peer still not reading at the end.
+        for conn in list(self._conns):
+            conn.transport.close()
+        await _until(lambda: not self._conns, deadline)
+        for conn in list(self._conns):
+            conn.transport.abort()
+        await self._server.wait_closed()
         await self._flush_bounded(deadline)
         self._write_metrics()
 
@@ -216,13 +272,9 @@ class VsafeServer:
             finally:
                 flushed.set()
 
-        worker = threading.Thread(target=_flush, daemon=True,
-                                  name="serve-flush")
-        worker.start()
-        end = max(deadline, time.perf_counter() + 0.05)
-        while not flushed.is_set() and time.perf_counter() < end:
-            await asyncio.sleep(0.01)
-        if not flushed.is_set():
+        threading.Thread(target=_flush, daemon=True,
+                         name="serve-flush").start()
+        if not await _until(flushed.is_set, deadline):
             self.drain_timed_out = True
             self._count("serve.drain_timeout")
 
@@ -242,124 +294,72 @@ class VsafeServer:
 
     # -- connection plane ---------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self.connections += 1
-        wlock = asyncio.Lock()
-        try:
-            while not self._stopping.is_set():
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ConnectionError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                await self._handle_line(line, writer, wlock)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    async def _handle_line(self, line, writer, wlock) -> None:
+    def _handle_line(self, conn: _Connection, line: bytes) -> None:
         try:
             req = parse_request(decode_line(line))
         except ProtocolError as exc:
-            await self._write(writer, wlock,
-                             error_response(None, exc.code, str(exc)))
+            conn.write(_encode(error_response(None, exc.code, str(exc))))
             return
         op = req["op"]
         req_id = req.get("id")
         if op == "ping":
-            await self._write(writer, wlock, ok_response(
-                req_id, "ping", {"version": PROTOCOL_VERSION}))
+            response = ok_response(req_id, op, {"version": PROTOCOL_VERSION})
         elif op == "stats":
-            await self._write(writer, wlock, ok_response(
-                req_id, "stats", self.stats(deep=True)))
+            response = ok_response(req_id, op, self.stats(deep=True))
         elif op == "flush":
-            await self._write(writer, wlock,
-                              self.engine.flush_response(req_id))
+            response = self.engine.flush_response(req_id)
         elif op == "shutdown":
-            await self._write(writer, wlock, ok_response(
-                req_id, "shutdown", {"stopping": True}))
-            self._stopping.set()
+            response = ok_response(req_id, op, {"stopping": True})
+            self.stop()
+        elif len(self._fifo) >= self.config.queue_limit:
+            self.shed += 1
+            self._count("serve.shed")
+            response = error_response(
+                req_id, "overloaded",
+                f"queue full ({self.config.queue_limit}); shedding")
         else:
             deadline_ms = req.get("deadline_ms", self.config.deadline_ms)
-            deadline_s = (deadline_ms / 1000.0) if deadline_ms else None
-            pending = _Pending(req, writer, wlock, time.perf_counter(),
-                               deadline_s)
-            try:
-                self._queue.put_nowait(pending)
-            except asyncio.QueueFull:
-                self.shed += 1
-                self._count("serve.shed")
-                await self._write(writer, wlock, error_response(
-                    req_id, "overloaded",
-                    f"queue full ({self.config.queue_limit}); shedding"))
-
-    async def _write(self, writer, wlock, response: dict) -> None:
-        try:
-            data = encode_line(response)
-        except (TypeError, ValueError) as exc:
-            data = _unencodable(response, exc)
-        async with wlock:
-            try:
-                writer.write(data)
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass  # peer went away; its answers are undeliverable
+            self._fifo.append((req, conn, time.perf_counter(),
+                               deadline_ms / 1000.0 if deadline_ms else None))
+            if not self._dispatch_due:
+                self._dispatch_due = True
+                self._loop.call_soon(self._dispatch)
+            return
+        conn.write(_encode(response))
 
     # -- dispatch plane -----------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
-        """Drain the queue in batches; one engine call per batch."""
-        queue = self._queue
-        while True:
-            item = await queue.get()
-            if item is None:
-                break
-            batch = [item]
-            while len(batch) < self.config.max_batch:
-                try:
-                    nxt = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt is None:
-                    await self._run_batch(batch)
-                    return
-                batch.append(nxt)
-            await self._run_batch(batch)
-
-    async def _run_batch(self, batch) -> None:
+    def _dispatch(self) -> None:
+        """Answer one batch off the FIFO; one engine call per batch."""
+        fifo = self._fifo
+        batch = [fifo.popleft()
+                 for _ in range(min(len(fifo), self.config.max_batch))]
+        self._dispatch_due = bool(fifo)
+        if fifo:
+            self._loop.call_soon(self._dispatch)
         now = time.perf_counter()
+        answers: dict = {}      # connection -> its answer lines, in order
         live = []
-        for pending in batch:
-            if (pending.deadline_s is not None
-                    and now - pending.enqueued > pending.deadline_s):
+        for item in batch:
+            req, conn, enqueued, deadline_s = item
+            if deadline_s is not None and now - enqueued > deadline_s:
                 self.deadline_expired += 1
                 self._count("serve.deadline_expired")
-                await self._write(pending.writer, pending.wlock,
-                                  error_response(
-                                      pending.req.get("id"), "deadline",
-                                      "deadline expired while queued"))
+                answers.setdefault(conn, []).append(_encode(error_response(
+                    req.get("id"), "deadline",
+                    "deadline expired while queued")))
             else:
-                live.append(pending)
-        if not live:
-            return
-        self.batches += 1
-        responses = self.engine.handle_batch([p.req for p in live])
-        done = time.perf_counter()
-        for pending, response in zip(live, responses):
-            await self._write(pending.writer, pending.wlock, response)
-        self._observe_batch(len(live), done - now,
-                            [done - p.enqueued for p in live])
+                live.append(item)
+        if live:
+            self.batches += 1
+            responses = self.engine.handle_batch([item[0] for item in live])
+            done = time.perf_counter()
+            for item, response in zip(live, responses):
+                answers.setdefault(item[1], []).append(_encode(response))
+            self._observe_batch(len(live), done - now,
+                                [done - item[2] for item in live])
+        for conn, lines in answers.items():
+            conn.write(b"".join(lines))
 
     # -- telemetry ----------------------------------------------------------
 
@@ -390,7 +390,7 @@ class VsafeServer:
             "batches": self.batches,
             "shed": self.shed,
             "deadline_expired": self.deadline_expired,
-            "queue": 0 if self._queue is None else self._queue.qsize(),
+            "queue": len(self._fifo),
             "queue_limit": self.config.queue_limit,
             "max_batch": self.config.max_batch,
             "drain_timeout": self.config.drain_timeout,
@@ -426,4 +426,4 @@ async def run_server(config: ServeConfig) -> int:
             loop.remove_signal_handler(sig)
 
 
-__all__ = ["SHUTDOWN_GRACE_S", "ServeConfig", "VsafeServer", "run_server"]
+__all__ = ["ServeConfig", "VsafeServer", "run_server"]

@@ -17,6 +17,9 @@ from repro.env.mppt import (
 )
 from repro.power.harvester import TraceHarvester
 
+FLOAT_FIELDS = [field.name for field in dataclasses.fields(EnvSpec)
+                if field.type == "float"]
+
 
 class TestValidation:
     def test_rejects_unknown_model_and_mppt(self):
@@ -36,13 +39,36 @@ class TestValidation:
             EnvSpec(model="diurnal-solar", front_delay=-0.1)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("name", ["duration", "grid_dt", "peak_power",
-                                      "front_delay"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
     def test_rejects_non_finite_scalars(self, name, value):
         """NaN passed the ``< 0`` guards: a NaN front delay wrote a
-        recording, a NaN duration failed later in an integer cast."""
+        recording, a NaN duration failed later in an integer cast, and a
+        NaN cloud rate recorded a cloudless sky."""
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             EnvSpec(model="diurnal-solar", **{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("v_oc", 0.0), ("knee", 1.0), ("voc_exponent", 1.0),
+        ("period", 0.0), ("daylight_fraction", 0.0), ("cloud_rate", -1.0),
+        ("cloud_depth", 1.5), ("cloud_duration", 0.0),
+        ("base_intensity", -0.1), ("burst_rate", -0.1),
+        ("burst_duration", 0.0), ("burst_intensity", 1.1),
+        ("intensity_low", -0.1), ("intensity_high", 1.1),
+        ("mppt_voltage", 0.0), ("mppt_fraction", 1.0), ("po_step", 0.0),
+        ("po_dt", 0.0), ("max_dt", 0.0), ("tol", -0.01),
+    ])
+    def test_rejects_values_outside_the_model_range(self, name, value):
+        """Every field is held to the range of the model, transducer,
+        front-end or lowering that reads it, whichever model is picked."""
+        for model in ENV_MODELS:
+            with pytest.raises(ValueError, match=f"{name} must be finite "
+                                                 f"and .*, got {value}"):
+                EnvSpec(model=model, **{name: value})
+
+    def test_rejects_inverted_thermal_intensities(self):
+        with pytest.raises(ValueError, match="intensity_low must not exceed"):
+            EnvSpec(model="thermal-gradient", intensity_low=0.8,
+                    intensity_high=0.5)
 
 
 class TestSerialization:

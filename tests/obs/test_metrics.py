@@ -108,6 +108,26 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.histogram("h", [1.0, 3.0])
 
+    def test_histogram_lookup_by_its_own_bounds(self):
+        """A float tuple is kept as the histogram's bounds, so a lookup
+        passing that very object skips the per-bound comparison; equal
+        bounds in another object still match, and other bounds still
+        raise — a list too, even the one registered, since it can
+        change after registration."""
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", LATENCY_BUCKETS_S)
+        assert histogram.buckets is LATENCY_BUCKETS_S
+        assert registry.histogram("h", LATENCY_BUCKETS_S) is histogram
+        assert registry.histogram("h", list(LATENCY_BUCKETS_S)) is histogram
+        for other in (VOLTAGE_BUCKETS_V, LATENCY_BUCKETS_S[:-1]):
+            with pytest.raises(ValueError, match="different bucket bounds"):
+                registry.histogram("h", other)
+        bounds = [1.0, 2.0]
+        assert registry.histogram("l", bounds).buckets == (1.0, 2.0)
+        bounds.append(3.0)
+        with pytest.raises(ValueError, match="different bucket bounds"):
+            registry.histogram("l", bounds)
+
     def test_snapshot_is_json_ready_and_sorted(self):
         registry = MetricsRegistry()
         registry.counter("z").inc(2)

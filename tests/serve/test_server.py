@@ -1,6 +1,6 @@
 """The asyncio daemon end to end: bytes, backpressure, clean exits.
 
-In-process servers (fast, deterministic — the dispatcher can be paused
+In-process servers (fast, deterministic — the dispatcher can be held
 to force queue states) plus real-subprocess runs of
 :mod:`repro.serve.check` in each mode the CI ``serve-smoke`` and
 ``serve-chaos-smoke`` jobs and the nightly flood run.
@@ -8,6 +8,8 @@ to force queue states) plus real-subprocess runs of
 
 import asyncio
 import json
+import logging
+import os
 import time
 
 import pytest
@@ -17,7 +19,7 @@ from repro.serve.check import main as check_main, make_smoke_workload
 from repro.serve.client import ExpectedAnswers, ServerProcess
 from repro.serve.errors import DegradedOperationError
 from repro.serve.faultfs import FaultyDiskOps
-from repro.serve.protocol import encode_line
+from repro.serve.protocol import MAX_LINE_BYTES, encode_line
 from repro.serve.server import ServeConfig, VsafeServer
 from repro.serve.vsafe_client import VsafeClient
 
@@ -46,8 +48,20 @@ async def _with_server(config, body):
 
 async def _raw(server):
     """A bare stream, for bytes the client would never send and for
-    reads that must wait while the dispatcher is paused."""
+    reads that must wait while the dispatcher is held."""
     return await asyncio.open_connection(server.host, server.port)
+
+
+def _hold_dispatch(server):
+    """Hold the dispatcher: the batch scheduled by the next enqueue does
+    nothing, so the queue can only fill. Returns the resume call, which
+    runs the held batch (and reschedules while work remains)."""
+    server._dispatch = lambda: None
+
+    def resume():
+        del server._dispatch
+        server._dispatch()
+    return resume
 
 
 class TestEndToEnd:
@@ -93,6 +107,33 @@ class TestEndToEnd:
 
         _run(_with_server(ServeConfig(), body))
 
+    def test_an_over_long_line_is_refused_and_closes_its_connection(
+            self, caplog):
+        """A line past ``MAX_LINE_BYTES`` gets one ``bad-request`` answer
+        naming the limit; then its connection closes, the others serve
+        on, and nothing is logged."""
+        async def body(server, client):
+            reader, writer = await _raw(server)
+            line = encode_line({"op": "ping", "id": "x" * MAX_LINE_BYTES})
+            writer.write(line[:MAX_LINE_BYTES])
+            await asyncio.sleep(0.1)        # all read, none over the limit
+            writer.write(line[MAX_LINE_BYTES:])
+            refused = json.loads(await reader.readline())
+            assert (refused["id"], refused["error"]) == (None, "bad-request")
+            assert str(MAX_LINE_BYTES) in refused["message"]
+            try:
+                writer.write(encode_line({"op": "ping", "id": "p"}))
+                closed = await reader.readline()
+            except ConnectionError:
+                closed = b""
+            assert closed == b""
+            writer.close()
+            assert (await client.request({"op": "ping", "id": "q"}))["ok"]
+
+        with caplog.at_level(logging.WARNING):
+            _run(_with_server(ServeConfig(), body))
+        assert caplog.records == []
+
     def test_stats_are_deep_and_live(self):
         async def body(server, client):
             await client.request_line(dict(ADMIT))
@@ -109,10 +150,8 @@ class TestEndToEnd:
 class TestBackpressure:
     def test_full_queue_sheds_with_overloaded(self):
         async def body(server, client):
-            # Pause the dispatcher so the queue can only fill.
-            server._dispatcher.cancel()
-            await asyncio.gather(server._dispatcher,
-                                 return_exceptions=True)
+            # Hold dispatch so the queue can only fill.
+            resume = _hold_dispatch(server)
             reader, writer = await _raw(server)
             writer.write(encode_line(ADMIT))   # occupies the single slot
             await asyncio.sleep(0.05)          # let the handler enqueue it
@@ -123,8 +162,7 @@ class TestBackpressure:
             assert server.shed == 1
             # Resume dispatch: the queued request must still be answered
             # and drain cleanly through shutdown.
-            server._dispatcher = asyncio.ensure_future(
-                server._dispatch_loop())
+            resume()
             answered = json.loads(await reader.readline())
             assert answered["id"] == "a0" and answered["ok"]
             writer.close()
@@ -134,14 +172,11 @@ class TestBackpressure:
 
     def test_expired_deadline_rejects_before_the_kernel(self):
         async def body(server, client):
-            server._dispatcher.cancel()
-            await asyncio.gather(server._dispatcher,
-                                 return_exceptions=True)
+            resume = _hold_dispatch(server)
             reader, writer = await _raw(server)
             writer.write(encode_line({**ADMIT, "deadline_ms": 1.0}))
             await asyncio.sleep(0.05)      # queued past its deadline
-            server._dispatcher = asyncio.ensure_future(
-                server._dispatch_loop())
+            resume()
             rejected = json.loads(await reader.readline())
             writer.close()
             assert rejected["error"] == "deadline"
@@ -150,6 +185,37 @@ class TestBackpressure:
             assert server.engine.cache.stats()["misses"] == 0
 
         _run(_with_server(ServeConfig(deadline_ms=1.0), body))
+
+    def test_a_connection_that_never_reads_stalls_no_one(self):
+        """Connection A pipelines admits whose answers (16 KiB ids)
+        overflow every socket buffer, and never reads one. Only A stops
+        being read: B is answered at once, A's reset logs nothing, and
+        the daemon exits 0."""
+        async def run(host, port):
+            _a_reader, a_writer = await asyncio.open_connection(host, port)
+            pad = "x" * 16384
+            a_writer.write(b"".join(
+                encode_line({**ADMIT, "id": f"{pad}{n}"})
+                for n in range(1024)))
+            await asyncio.sleep(0.5)       # A's answers fill its buffers
+            b_reader, b_writer = await asyncio.open_connection(host, port)
+
+            async def ask(req):
+                b_writer.write(encode_line(req))
+                answer = json.loads(
+                    await asyncio.wait_for(b_reader.readline(), 2.0))
+                assert answer["ok"] and answer["id"] == req["id"]
+
+            await ask(ADMIT)
+            a_writer.transport.abort()     # A resets, its answers unread
+            await ask({"op": "stats", "id": "st"})
+            await ask({"op": "shutdown", "id": "bye"})
+            b_writer.close()
+
+        with ServerProcess("--queue-limit", "100000") as server:
+            asyncio.run(run(server.host, server.port))
+            assert server.wait() == 0
+            assert server.output() == ""
 
 
 class TestLifecycle:
@@ -381,6 +447,24 @@ class TestSubprocessSmoke:
         # still every answered byte matches modulo the degraded flag.
         assert check_main(["--chaos", "--queries", "40", "--devices", "4",
                            "--connections", "3", "--seed", "1"]) == 0
+
+    def test_a_daemon_that_logs_fails_the_check(self, tmp_path, monkeypatch,
+                                                capsys):
+        """A healthy daemon prints nothing after its ``serving on`` line,
+        so a plain check fails on anything written there (here a
+        traceback header at exit), even when every answer matched."""
+        (tmp_path / "sitecustomize.py").write_text(
+            "import atexit, sys\n"
+            "atexit.register(print, 'Traceback (most recent call last):',"
+            " file=sys.stderr)\n", encoding="utf-8")
+        path = os.environ.get("PYTHONPATH")
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            [str(tmp_path)] + ([path] if path else [])))
+        assert check_main(["--queries", "12", "--devices", "2",
+                           "--connections", "2", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "wrote after its 'serving on' line" in err
+        assert "Traceback" in err
 
     def test_workload_generator_is_seeded_and_partitioned(self):
         lanes = make_smoke_workload(seed=3, queries=60, devices=5,

@@ -648,15 +648,19 @@ class TestEnvCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--duration", "--grid-dt",
-                                      "--front-delay", "--peak-power"])
+                                      "--front-delay", "--peak-power",
+                                      "--period", "--cloud-rate"])
     def test_generate_rejects_a_non_finite_setting(self, flag, capsys,
                                                    tmp_path):
+        """A NaN cloud rate used to record a cloudless sky (exit 0, with
+        ``NaN`` in the JSON), and a NaN period failed in numpy with a
+        message that named no setting."""
         out = tmp_path / "sky.json"
         assert main(self.GEN + [flag, "nan", "--out", str(out)]) == 2
         [line] = capsys.readouterr().err.splitlines()
         name = flag[2:].replace("-", "_")
         assert line == f"{name} must be finite and " + (
-            "positive, got nan" if name in ("duration", "grid_dt")
+            "positive, got nan" if name in ("duration", "grid_dt", "period")
             else ">= 0, got nan")
         assert not out.exists()
 
