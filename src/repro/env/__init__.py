@@ -12,6 +12,14 @@ scalar fastpath clamp their steps at piece edges, and the fleet kernels
 (stepping and segment algebra) replay shared edge grids with per-device
 power columns.
 
+There is one lowering: a uniform grid of ``grid_dt`` pieces, each
+holding the front-end's power at its midpoint (a stateless front-end)
+or at its start (perturb-and-observe, which steps its setpoint once per
+piece). :meth:`EnvSpec.lower` is that grid as one trace, the one a fleet
+device with no front delay replays, so a spec means the same harvest on
+the verify and chaos environment axes, in fleets, in recordings and in
+the daemon.
+
 Layout:
 
 * :mod:`repro.env.models` — intensity-versus-time models (diurnal solar
@@ -19,18 +27,16 @@ Layout:
 * :mod:`repro.env.mppt` — the PV transducer IV curve and the MPPT
   front-ends (constant-voltage, V_OC-fraction, perturb-and-observe)
   that turn intensity into electrical watts;
-* :mod:`repro.env.lowering` — adaptive, breakpoint-exact lowering of a
-  model + front-end into a :class:`TraceHarvester`;
 * :mod:`repro.env.spec` — the frozen, serializable :class:`EnvSpec`;
-* :mod:`repro.env.correlate` — spatio-temporal correlation: one
-  environment swept across a fleet as a moving front, on a shared grid;
+* :mod:`repro.env.correlate` — the grid lowering, and spatio-temporal
+  correlation: one environment swept across a fleet as a moving front,
+  as whole-step shifts of the grid;
 * :mod:`repro.env.trace_io` — recordings: a canonical JSON document of
   the spec, the fleet size and the fingerprint of the columns it expands
   to, which the loader regenerates and checks.
 """
 
 from repro.env.correlate import fleet_columns
-from repro.env.lowering import lower_environment
 from repro.env.models import (
     DiurnalSolarModel,
     KineticBurstModel,
@@ -65,6 +71,5 @@ __all__ = [
     "fleet_columns",
     "generate_fleet_trace",
     "load_trace",
-    "lower_environment",
     "save_trace",
 ]

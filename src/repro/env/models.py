@@ -2,12 +2,9 @@
 
 Each model maps absolute time to a dimensionless **intensity** in
 ``[0, 1]`` — fraction of full sun for PV, normalized vibration energy
-for kinetic, normalized thermal gradient for TEG — and reports the exact
-time points where that mapping is *non-smooth* (steps and kinks). The
-lowering pass puts every such breakpoint on the trace grid verbatim, so
-a cloud edge in the model becomes a piece edge in the lowered
-:class:`~repro.power.harvester.TraceHarvester` and, downstream, a
-segment-program breakpoint in the analytic engines.
+for kinetic, normalized thermal gradient for TEG. Lowering
+(:func:`repro.env.correlate.base_grid`) samples that mapping once per
+piece of a uniform grid.
 
 All stochastic structure (cloud transients, kinetic bursts) is drawn
 once at construction from a seeded generator over a fixed horizon, so a
@@ -31,21 +28,10 @@ _BURST_STREAM = 0xB0057
 
 @runtime_checkable
 class EnvironmentModel(Protocol):
-    """Normalized environment intensity plus its exact non-smooth points."""
+    """Normalized environment intensity versus absolute time."""
 
     def intensity(self, t: float) -> float:
         ...
-
-    def breakpoints(self, duration: float) -> np.ndarray:
-        ...
-
-
-def _clip_breakpoints(points, duration: float) -> np.ndarray:
-    """Sorted unique breakpoints strictly inside ``(0, duration)``."""
-    arr = np.asarray(sorted(set(float(p) for p in points)), dtype=np.float64)
-    if len(arr) == 0:
-        return arr
-    return arr[(arr > 0.0) & (arr < duration)]
 
 
 class DiurnalSolarModel:
@@ -54,14 +40,10 @@ class DiurnalSolarModel:
     The clear-sky component is a half-sine day: within each period of
     length ``period`` the first ``daylight_fraction`` is daylight with
     ``sin(pi * t_day / daylight)`` intensity, the rest is night at zero.
-    Dawn and dusk are *kinks* (the model is continuous but not smooth
-    there) and are reported as breakpoints so the lowered trace changes
-    piece exactly at sunrise.
 
     Cloud transients are step attenuations: each cloud ``j`` multiplies
-    intensity by ``(1 - depth_j)`` for its duration, overlapping clouds
-    compose multiplicatively, and both edges of every cloud are exact
-    breakpoints. Clouds are drawn at construction from
+    intensity by ``(1 - depth_j)`` for its duration, and overlapping
+    clouds compose multiplicatively. Clouds are drawn at construction from
     ``default_rng((seed, _CLOUD_STREAM))`` over ``[0, horizon)``:
     a Poisson count of ``cloud_rate`` per period, uniform starts,
     exponential durations with mean ``cloud_duration``, and depths
@@ -116,29 +98,16 @@ class DiurnalSolarModel:
         arc = math.sin(math.pi * t_day / self.daylight)
         return max(0.0, arc * self._attenuation(t))
 
-    def breakpoints(self, duration: float) -> np.ndarray:
-        points = []
-        day = 0
-        while day * self.period < duration:
-            points.append(day * self.period)            # dawn kink
-            points.append(day * self.period + self.daylight)  # dusk kink
-            day += 1
-        points.extend(self.cloud_starts.tolist())       # cloud step edges
-        points.extend(self.cloud_ends.tolist())
-        return _clip_breakpoints(points, duration)
-
 
 class KineticBurstModel:
     """Vibration harvesting: a weak floor plus seeded rectangular bursts.
 
-    Intensity is **piecewise constant** — ``base_intensity`` between
-    events, plus the amplitudes of all active bursts, capped at one —
-    so the lowering of this model is *exact*: the trace reproduces the
-    model's energy to the last joule. Bursts are drawn at construction
-    from ``default_rng((seed, _BURST_STREAM))``: a Poisson count of
-    ``burst_rate`` per second over the horizon, uniform starts,
-    exponential durations with mean ``burst_duration``, amplitudes
-    uniform in ``[0.5, 1] * burst_intensity``.
+    Intensity is piecewise constant: ``base_intensity`` between events,
+    plus the amplitudes of all active bursts, capped at one. Bursts are
+    drawn at construction from ``default_rng((seed, _BURST_STREAM))``:
+    a Poisson count of ``burst_rate`` per second over the horizon,
+    uniform starts, exponential durations with mean ``burst_duration``,
+    amplitudes uniform in ``[0.5, 1] * burst_intensity``.
     """
 
     def __init__(self, base_intensity: float = 0.05,
@@ -175,17 +144,12 @@ class KineticBurstModel:
         level = self.base + float(np.sum(self.burst_amps[active]))
         return min(1.0, level)
 
-    def breakpoints(self, duration: float) -> np.ndarray:
-        points = list(self.burst_starts) + list(self.burst_ends)
-        return _clip_breakpoints(points, duration)
-
 
 class ThermalGradientModel:
     """TEG harvesting from a slow thermal cycle: a triangle wave.
 
     Intensity ramps linearly from ``low`` to ``high`` over the first
-    half of each period and back over the second — piecewise *linear*,
-    with exact kinks at every ramp vertex (the half-period points).
+    half of each period and back over the second (piecewise linear).
     Deterministic: thermal mass leaves no room for fast transients.
     """
 
@@ -209,12 +173,6 @@ class ThermalGradientModel:
             t_cyc += self.period
         frac = t_cyc / half if t_cyc < half else (self.period - t_cyc) / half
         return self.low + (self.high - self.low) * frac
-
-    def breakpoints(self, duration: float) -> np.ndarray:
-        half = 0.5 * self.period
-        count = int(math.floor(duration / half)) + 1
-        points = [k * half for k in range(count + 1)]
-        return _clip_breakpoints(points, duration)
 
 
 __all__ = [

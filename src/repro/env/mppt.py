@@ -109,8 +109,8 @@ class ConstantVoltageMPPT:
     """Regulate the panel at a fixed voltage setpoint."""
 
     #: Stateless front-ends may be evaluated at arbitrary times in any
-    #: order; the lowering pass uses adaptive (out-of-order) refinement
-    #: only when this is False.
+    #: order; the grid lowering samples them at piece midpoints, and a
+    #: stateful one in order at piece starts.
     stateful = False
 
     def __init__(self, v_ref: float = 1.7) -> None:
@@ -156,8 +156,8 @@ class PerturbObserveMPPT:
     The tracker measures power at its current setpoint, keeps the last
     perturbation direction if power improved and reverses it otherwise,
     then steps the setpoint by ``step`` volts (clamped inside
-    ``[step, v_open]``). The lowering pass therefore evaluates this
-    front-end *sequentially* on its sample grid — never out of order.
+    ``[step, v_open]``). The grid lowering therefore evaluates this
+    front-end *sequentially*, once per piece — never out of order.
     """
 
     stateful = True

@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from repro.env.lowering import lower_environment
+from repro.env.correlate import base_grid
 from repro.env.models import (
     DiurnalSolarModel,
     KineticBurstModel,
@@ -41,7 +41,7 @@ ENV_MODELS = ("diurnal-solar", "kinetic-burst", "thermal-gradient")
 ENV_MPPTS = ("constant-voltage", "voc-fraction", "perturb-observe")
 
 #: What each float field must be besides finite: the range the model,
-#: transducer, front-end or lowering that reads it enforces (checked for
+#: transducer, front-end or grid that reads it enforces (checked for
 #: every field, whichever model is picked, since all of them are in the
 #: fingerprint).
 _RANGES = (
@@ -64,12 +64,22 @@ _RANGES = (
     ("mppt_voltage", "positive", lambda v: v > 0),
     ("mppt_fraction", "in (0, 1)", lambda v: 0 < v < 1),
     ("po_step", "positive", lambda v: v > 0),
-    ("po_dt", "positive", lambda v: v > 0),
-    ("max_dt", "positive", lambda v: v > 0),
-    ("tol", ">= 0", lambda v: v >= 0),
     ("front_delay", ">= 0", lambda v: v >= 0),
     ("grid_dt", "positive", lambda v: v > 0),
 )
+
+
+#: Work bounds. Lowering evaluates the model once per grid piece, at a
+#: cost that grows with the clouds or bursts the model draws up front,
+#: and a daemon lowers a request's spec on its event-loop thread. The
+#: largest spec these admit lowers in about a second (1.0-1.4 s on a
+#: 2-vCPU Xeon); the repository's own skies stay 100x inside them.
+MAX_GRID_PIECES = 100_000
+MAX_MODEL_EVENTS = 5_000
+
+#: Keys of earlier documents that tuned a second, adaptive lowering;
+#: the grid has no use for them, so documents carrying them still load.
+_RETIRED = ("max_dt", "tol", "po_dt")
 
 
 @dataclass(frozen=True)
@@ -111,10 +121,7 @@ class EnvSpec:
     mppt_voltage: float = 1.7
     mppt_fraction: float = 0.76
     po_step: float = 0.05
-    po_dt: float = 0.5
     # -- lowering / fleet correlation --------------------------------------
-    max_dt: float = 2.0
-    tol: float = 0.02
     front_delay: float = 0.0
     grid_dt: float = 0.25
 
@@ -136,6 +143,21 @@ class EnvSpec:
             raise ValueError(
                 f"intensity_low must not exceed intensity_high, got "
                 f"{self.intensity_low} > {self.intensity_high}")
+        pieces = self.duration / self.grid_dt
+        if pieces > MAX_GRID_PIECES:
+            raise ValueError(
+                f"duration / grid_dt must be at most {MAX_GRID_PIECES} "
+                f"pieces, got {pieces:.6g}")
+        if self.model == "diurnal-solar":
+            events = self.cloud_rate * self.duration / self.period
+        elif self.model == "kinetic-burst":
+            events = self.burst_rate * self.duration
+        else:
+            events = 0.0
+        if events > MAX_MODEL_EVENTS:
+            raise ValueError(
+                f"the {self.model} model would draw {events:.6g} events "
+                f"on average, more than {MAX_MODEL_EVENTS}")
 
     # -- serialization ------------------------------------------------------
 
@@ -150,7 +172,7 @@ class EnvSpec:
         if data.get("format", "repro.env-spec") != "repro.env-spec":
             raise ValueError(f"not an env spec: {data.get('format')!r}")
         fields = {k: v for k, v in data.items()
-                  if k not in ("format", "version")}
+                  if k not in ("format", "version", *_RETIRED)}
         return cls(**fields)
 
     @property
@@ -197,11 +219,11 @@ class EnvSpec:
         return PerturbObserveMPPT(step=self.po_step)
 
     def lower(self) -> TraceHarvester:
-        """The breakpoint-exact scalar lowering of this environment."""
-        return lower_environment(
-            self.build_model(), self.build_transducer(), self.build_mppt(),
-            self.duration, max_dt=self.max_dt, tol=self.tol,
-            sample_dt=self.po_dt)
+        """This environment as one harvest trace: the shared grid of
+        :func:`~repro.env.correlate.base_grid`, which a fleet device with
+        no front delay and no harvest jitter replays."""
+        return TraceHarvester(*base_grid(self))
 
 
-__all__ = ["ENV_MODELS", "ENV_MPPTS", "EnvSpec"]
+__all__ = ["ENV_MODELS", "ENV_MPPTS", "EnvSpec", "MAX_GRID_PIECES",
+           "MAX_MODEL_EVENTS"]

@@ -30,7 +30,7 @@ from repro.power.booster import (
     LinearEfficiency,
     OutputBooster,
 )
-from repro.env.correlate import base_grid, fleet_columns
+from repro.env.correlate import fleet_columns
 from repro.env.spec import EnvSpec
 from repro.power.bank import CapacitorBank
 from repro.power.capacitor import TwoBranchSupercap
@@ -267,8 +267,7 @@ class FleetSpec:
         if self.env is not None:
             # The un-shifted, un-jittered environment on the fleet's
             # shared grid — the same floats device columns derive from.
-            edges, base = base_grid(self.env)
-            harvester: object = TraceHarvester(edges, base)
+            harvester: object = self.env.lower()
         elif self.harvest_period <= 0:
             harvester = ConstantPowerHarvester(self.harvest_power)
         else:

@@ -92,8 +92,9 @@ def entry_estimate(entry: dict) -> VsafeEstimate:
 class PersistentVsafeCache:
     """A bounded LRU of JSON entries with a journaled disk tier.
 
-    ``path=None`` is a purely in-memory cache (the differential client's
-    local mirror uses one); with a path, the constructor replays
+    ``path=None`` is a purely in-memory cache (an
+    :class:`~repro.serve.engine.AdmissionEngine` built without one
+    makes one); with a path, the constructor replays
     whatever verifiable journal records exist and every :meth:`put`
     appends one durable record. :meth:`flush` fsyncs. Thread-safe like
     its in-memory sibling. ``disk`` overrides the syscall seam (fault

@@ -232,8 +232,8 @@ class AdmissionEngine:
         return self._lru_get(self._env_grids, fp, build, 8)
 
     def _admit_plan(self, req: dict) -> tuple:
-        """``(cache key, plant, shared, trace, fp, estimator)`` for an
-        admit, memoized by the request's cheap structural signature."""
+        """``(cache key, plant, shared, trace, estimator)`` for an admit,
+        memoized by the request's cheap structural signature."""
         system = req.get("system")
         raw = req.get("trace")
         sig = (
@@ -252,7 +252,7 @@ class AdmissionEngine:
         estimator = self._estimator_for(name, plant, shared)
         trace, fp = self._trace_for(req)
         key = ("vsafe", estimator.cache_key(), fp)
-        plan = (key, plant, shared, trace, fp, estimator)
+        plan = (key, plant, shared, trace, estimator)
         self._admit_plans[sig] = plan
         while len(self._admit_plans) > 1024:
             self._admit_plans.popitem(last=False)
@@ -286,7 +286,7 @@ class AdmissionEngine:
             try:
                 if op == "admit":
                     admits += 1
-                    key, plant, shared, trace, fp, estimator = \
+                    key, plant, shared, trace, estimator = \
                         self._admit_plan(req)
                     if key in seen_keys:
                         self.coalesced += 1
@@ -297,10 +297,7 @@ class AdmissionEngine:
                     device = req.get("device")
                     derate = 0.0
                     if device:
-                        session = self.sessions.get_or_create(device)
-                        session.queries += 1
-                        session.capture(fp, estimate.v_safe)
-                        derate = session.derate
+                        derate = self.sessions.get_or_create(device).derate
                     gate = min(shared.v_high, estimate.v_safe + derate)
                     responses[idx] = {
                         "id": req_id, "ok": True, "op": "admit",

@@ -20,7 +20,7 @@ Every request is an object with ``op`` and (except ``ping``) ``id``:
     name), ``v_bank``, a task (``trace`` as ``[[amps, seconds], ...]``
     or ``app``/``task`` naming a registered program's task), optional
     ``system`` overrides, optional ``device`` (attaches the per-device
-    session: capture registers + derate backoff).
+    session: its derate backoff).
 ``simulate``
     a one-shot profiling run of one plant on the scalar fastpath
     kernel: ``v_start``, a task (``trace`` or ``app``+``cycles``),

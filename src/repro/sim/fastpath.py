@@ -74,7 +74,7 @@ observed wait's hop or load segment, and is then re-entered:
 
 Python writes ``sim.time``, the buffer state and the monitor's enable
 state back at due steps, where observers read them, and once at the
-end of the call.
+end of the call, also when the call raises.
 
 A fleet steps its devices through the same body: :func:`lanes` holds one
 kernel state per device, and :func:`advance_lanes` runs a segment on
@@ -590,7 +590,11 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
 
     Apart from due steps, the state is written back to the simulator
     once, at the end of the call, so ``segments`` must not read the live
-    simulator.
+    simulator. That holds when something raises too (a kernel error, a
+    harvester's ``power_at``, an observer): the simulator then stands
+    where the reference loop stands when it raises, except after a
+    chunked sampler's error, which surfaces at its chunk flush, past
+    the sample that raised.
 
     A system the kernel cannot run (see :func:`plant`) takes the
     reference loop, one call per segment, hop or load segment.
@@ -674,52 +678,57 @@ def advance_segments(sim, segments: Union[Iterable[Tuple[float, float]],
     else:
         entry = _kernel.repro_wait
         code = entry(st)
-    while True:
-        if code == _END:
-            # the next segment (a wait's hops are drawn in C)
-            seg = next(pending, None)
-            if seg is None:
+    try:
+        while True:
+            if code == _END:
+                # the next segment (a wait's hops are drawn in C)
+                seg = next(pending, None)
+                if seg is None:
+                    break
+                if observed:
+                    begin()
+                st.i_out, st.duration = seg
+                st.begin = 1
+            elif code == _HOP:
+                # an observed wait's next hop or load segment (or one after
+                # a segment that took no step) is about to start
+                if observed:
+                    begin()
+            elif code == _CHUNK:
+                sampler.on_samples(volts, st.t_last)
+                st.n_volts = 0
+            elif code == _DUE:
+                # _notify's due step: write back what observers read,
+                # deliver the samples, hand back what they may change
+                _write_back(sim, st, buffer)
+                next_due = sim._notify()                 # noqa: SLF001
+                st.enabled = monitor.output_enabled      # SupplyGlitch
+                st.burden = sim._burden()                # noqa: SLF001
+                _set_due(st, next_due)
+            elif code == _NEED:
+                st.x_power = power_at(st.arg)
+                st.have = 1
+            elif code == _BROWN:
+                result = st.time_abs if wait is None else BROWN
                 break
-            if observed:
-                begin()
-            st.i_out, st.duration = seg
-            st.begin = 1
-        elif code == _HOP:
-            # an observed wait's next hop or load segment (or one after
-            # a segment that took no step) is about to start
-            if observed:
-                begin()
-        elif code == _CHUNK:
-            sampler.on_samples(volts, st.t_last)
-            st.n_volts = 0
-        elif code == _DUE:
-            # _notify's due step: write back what observers read,
-            # deliver the samples, hand back what they may change
-            _write_back(sim, st, buffer)
-            next_due = sim._notify()                 # noqa: SLF001
-            st.enabled = monitor.output_enabled      # SupplyGlitch
-            st.burden = sim._burden()                # noqa: SLF001
-            _set_due(st, next_due)
-        elif code == _NEED:
-            st.x_power = power_at(st.arg)
-            st.have = 1
-        elif code == _BROWN:
-            result = st.time_abs if wait is None else BROWN
-            break
-        elif code < 0:
-            _raise(code, st.arg)
-        else:
-            result = _EXITS[code]
-            break
-        code = entry(st)
+            elif code < 0:
+                _raise(code, st.arg)
+            else:
+                result = _EXITS[code]
+                break
+            code = entry(st)
 
-    if volts is not None and st.n_volts:
-        sampler.on_samples(volts[:st.n_volts], st.t_last)
-    _write_back(sim, st, buffer)
-    sim._v_min_seen = st.v_min   # noqa: SLF001
-    sim._energy_out = st.energy  # noqa: SLF001
-    if wait is not None:
-        wait.load_time = st.w_load_time
+        if volts is not None and st.n_volts:
+            sampler.on_samples(volts[:st.n_volts], st.t_last)
+    finally:
+        # also when a kernel error, a harvester or an observer raised:
+        # the simulator then stands where the kernel stopped, as the
+        # reference loop's stands where it raised
+        _write_back(sim, st, buffer)
+        sim._v_min_seen = st.v_min   # noqa: SLF001
+        sim._energy_out = st.energy  # noqa: SLF001
+        if wait is not None:
+            wait.load_time = st.w_load_time
     return result
 
 

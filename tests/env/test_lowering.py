@@ -1,19 +1,17 @@
 """Lowering: environment model + front-end -> piecewise harvest trace.
 
-Two contracts carry the whole stack. **Breakpoint exactness**: every
-model breakpoint lands on a trace edge verbatim (or the power is
-genuinely constant across it, in which case the merge pass may drop
-the edge — same physics either way). **Energy conservation**: the
-trace's ``sum(P_k * dt_k)`` tracks the model's true ``integral(P dt)``
-within the refinement tolerance, and exactly for piecewise-constant
-models.
+There is one lowering, the uniform ``grid_dt`` grid that fleets,
+recordings and the daemon replay: :meth:`EnvSpec.lower` is row 0 of a
+spec's fleet columns. Each piece holds the front-end's power at its
+midpoint (stateless front-ends) or, in order, at its start
+(perturb-and-observe). The grid's energy tracks the model's true
+``integral(P dt)`` within a bound that shrinks with ``grid_dt``.
 """
 
 import numpy as np
 import pytest
 
-from repro.env import EnvSpec, lower_environment
-from repro.env.lowering import MIN_DT
+from repro.env import EnvSpec, fleet_columns
 
 DURATION = 60.0
 
@@ -23,6 +21,9 @@ COMBOS = [(model, mppt)
                         "thermal-gradient")
           for mppt in ("constant-voltage", "voc-fraction",
                        "perturb-observe")]
+
+#: Step of the fine reference quadrature (s).
+FINE_DT = 0.002
 
 
 def _spec(model, mppt, **overrides):
@@ -37,29 +38,35 @@ def _trace_energy(trace):
     return float(np.sum(trace.powers * np.diff(trace.edges)))
 
 
-def _model_energy(spec, dt=0.002):
-    """Fine midpoint quadrature of the front-end power over the model.
+def _fine_samples(spec):
+    """The front-end power at the midpoints of a ``FINE_DT`` lattice.
 
-    Stateful front-ends are integrated on the trace's own semantics
-    elsewhere; this reference is only used for stateless ones, where
-    evaluation order does not matter.
+    Only used for stateless front-ends, where evaluation order does not
+    matter.
     """
     model = spec.build_model()
     pv = spec.build_transducer()
     mppt = spec.build_mppt()
     mppt.reset()
-    mids = np.arange(dt / 2.0, spec.duration, dt)
-    return float(sum(mppt.harvest_power(pv, model.intensity(float(t)))
-                     for t in mids) * dt)
+    mids = np.arange(FINE_DT / 2.0, spec.duration, FINE_DT)
+    return np.array([mppt.harvest_power(pv, model.intensity(float(t)))
+                     for t in mids])
+
+
+def _model_energy(spec):
+    """Fine midpoint quadrature of the front-end power over the model."""
+    return float(np.sum(_fine_samples(spec)) * FINE_DT)
 
 
 class TestTraceShape:
     @pytest.mark.parametrize("model,mppt", COMBOS)
     def test_lowered_trace_is_well_formed(self, model, mppt):
-        trace = _spec(model, mppt).lower()
-        assert trace.edges[0] == 0.0
-        assert trace.edges[-1] == pytest.approx(DURATION, abs=1e-9)
-        assert np.all(np.diff(trace.edges) > 0.0)
+        spec = _spec(model, mppt)
+        trace = spec.lower()
+        pieces = int(DURATION / spec.grid_dt)
+        np.testing.assert_array_equal(
+            trace.edges, np.arange(pieces + 1) * spec.grid_dt)
+        assert trace.edges[-1] == DURATION
         assert np.all(trace.powers >= 0.0)
         assert np.all(np.isfinite(trace.powers))
 
@@ -78,107 +85,57 @@ class TestTraceShape:
         assert a.fingerprint == b.fingerprint
 
 
-class TestBreakpointExactness:
-    @pytest.mark.parametrize("model", ["diurnal-solar", "kinetic-burst",
-                                       "thermal-gradient"])
-    def test_model_breakpoints_survive_verbatim(self, model):
-        spec = _spec(model, "voc-fraction")
+class TestOneLowering:
+    @pytest.mark.parametrize("model,mppt", COMBOS)
+    def test_lower_is_row_zero_of_the_fleet_columns(self, model, mppt):
+        # a front delay shifts later rows only: row 0 is the base grid
+        spec = _spec(model, mppt, front_delay=0.4)
         trace = spec.lower()
-        edges = set(trace.edges.tolist())
-        breaks = spec.build_model().breakpoints(DURATION)
-        assert len(breaks) > 0
-        for b in breaks:
-            if float(b) in edges:
-                continue
-            # The merge pass may only drop an edge when the power is
-            # constant across it (e.g. a cloud edge at night).
-            eps = 1e-9
-            assert trace.power_at(float(b) - eps) == \
-                trace.power_at(float(b) + eps), b
-
-    def test_cloud_step_lands_on_an_edge_in_daylight(self):
-        # Permanent daylight: every cloud edge changes the power, so
-        # none may be merged away.
-        spec = _spec("diurnal-solar", "constant-voltage",
-                     daylight_fraction=1.0, period=DURATION,
-                     cloud_rate=8.0)
-        model = spec.build_model()
-        assert len(model.cloud_starts) > 0
-        edges = set(spec.lower().edges.tolist())
-        for b in model.breakpoints(DURATION):
-            assert float(b) in edges, b
+        edges, powers = fleet_columns(spec, 1)
+        np.testing.assert_array_equal(trace.edges, edges)
+        np.testing.assert_array_equal(trace.powers, powers[0])
 
 
 class TestEnergyConservation:
-    @pytest.mark.parametrize("model", ["diurnal-solar",
+    @pytest.mark.parametrize("model", ["diurnal-solar", "kinetic-burst",
                                        "thermal-gradient"])
     @pytest.mark.parametrize("mppt", ["constant-voltage", "voc-fraction"])
     def test_energy_within_refinement_tolerance(self, model, mppt):
+        """A piece's midpoint power misses the piece's mean power by at
+        most the power's variation across the piece, so the grid's
+        energy differs from the exact integral by at most ``grid_dt``
+        times the power's total variation (the fine quadrature's own
+        error adds ``FINE_DT`` times the same)."""
         spec = _spec(model, mppt)
-        trace = spec.lower()
-        _v, p_scale = spec.build_transducer().mpp(1.0)
-        budget = 2.0 * spec.tol * p_scale * DURATION
-        assert abs(_trace_energy(trace) - _model_energy(spec)) <= budget
+        fine = _fine_samples(spec)
+        variation = float(np.sum(np.abs(np.diff(fine))))
+        budget = (spec.grid_dt + FINE_DT) * variation
+        error = abs(_trace_energy(spec.lower()) - float(np.sum(fine))
+                    * FINE_DT)
+        assert error <= budget
 
     def test_tighter_tolerance_tightens_energy(self):
-        spec = _spec("diurnal-solar", "voc-fraction")
-        loose = spec.lower()
-        tight = _spec("diurnal-solar", "voc-fraction", tol=0.002,
-                      max_dt=0.5).lower()
+        # grid_dt is the lowering's one fidelity knob
+        coarse = _spec("diurnal-solar", "voc-fraction").lower()
+        spec = _spec("diurnal-solar", "voc-fraction", grid_dt=0.05)
+        fine = spec.lower()
         reference = _model_energy(spec)
-        assert abs(_trace_energy(tight) - reference) <= \
-            abs(_trace_energy(loose) - reference) + 1e-9
-        assert len(tight.powers) > len(loose.powers)
+        assert abs(_trace_energy(fine) - reference) < \
+            0.5 * abs(_trace_energy(coarse) - reference)
+        assert len(fine.powers) == 5 * len(coarse.powers)
 
-    def test_piecewise_constant_model_is_exact(self):
-        # Kinetic bursts are flat between breakpoints: the midpoint
-        # sample *is* the piece value, so lowering loses no energy.
-        spec = _spec("kinetic-burst", "constant-voltage")
+
+class TestRefinementControls:
+    def test_stateful_front_end_uses_sequential_grid(self):
+        # P&O cannot be sampled out of order: it takes one tracker
+        # sample per piece, at the piece start, left to right, so it
+        # steps its setpoint once per grid_dt.
+        spec = _spec("thermal-gradient", "perturb-observe")
         trace = spec.lower()
         model = spec.build_model()
         pv = spec.build_transducer()
         mppt = spec.build_mppt()
-        cuts = np.concatenate([[0.0],
-                               model.breakpoints(DURATION),
-                               [DURATION]])
-        exact = float(sum(
-            mppt.harvest_power(pv, model.intensity(0.5 * (a + b)))
-            * (b - a) for a, b in zip(cuts[:-1], cuts[1:])))
-        assert _trace_energy(trace) == pytest.approx(exact, rel=1e-12)
-
-
-class TestRefinementControls:
-    def test_max_dt_caps_piece_length_between_breakpoints(self):
-        # A strictly monotone ramp (half a thermal period spans the
-        # whole duration): no two pieces hold equal power, so the merge
-        # pass can never fuse neighbours past the cap.
-        trace = _spec("thermal-gradient", "voc-fraction",
-                      period=2.0 * DURATION, max_dt=1.0).lower()
-        assert float(np.diff(trace.edges).max()) <= 1.0 + 1e-9
-
-    def test_min_dt_floors_subdivision(self):
-        trace = _spec("diurnal-solar", "voc-fraction", cloud_rate=8.0,
-                      tol=1e-6).lower()
-        widths = np.diff(trace.edges)
-        assert float(widths.min()) >= 0.25 * MIN_DT
-
-    def test_stateful_front_end_uses_sequential_grid(self):
-        # P&O cannot be sampled out of order: the grid is breakpoints
-        # plus the uniform sample_dt lattice, nothing finer.
-        spec = _spec("thermal-gradient", "perturb-observe")
-        trace = spec.lower()
-        lattice = np.arange(1, int(DURATION / spec.po_dt)) * spec.po_dt
-        expected = sorted({0.0, DURATION}
-                          | set(lattice.tolist())
-                          | set(spec.build_model()
-                                .breakpoints(DURATION).tolist()))
-        # Edges are a subset of the sequential grid (merge may drop
-        # equal-power interior points), in grid order.
-        grid = set(expected)
-        assert all(float(e) in grid for e in trace.edges)
-
-    def test_rejects_nonpositive_duration(self):
-        spec = _spec("diurnal-solar", "voc-fraction")
-        with pytest.raises(ValueError):
-            lower_environment(spec.build_model(), spec.build_transducer(),
-                              spec.build_mppt(), 0.0)
+        mppt.reset()
+        expected = [mppt.harvest_power(pv, model.intensity(float(t)))
+                    for t in trace.edges[:-1]]
+        np.testing.assert_array_equal(trace.powers, expected)

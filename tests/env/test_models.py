@@ -1,10 +1,9 @@
 """Parametric environment models: invariants and seeded determinism.
 
-The models feed the lowering pass, so everything downstream leans on
-three promises checked here: intensity stays inside ``[0, 1]``, the
-reported breakpoints are exactly the non-smooth points (strictly inside
-the duration), and the stochastic structure is a pure function of the
-seed — the same seed always yields the same sky.
+The models feed the lowering, so everything downstream leans on two
+promises checked here: intensity stays inside ``[0, 1]``, and the
+stochastic structure is a pure function of the seed — the same seed
+always yields the same sky.
 """
 
 import numpy as np
@@ -51,40 +50,6 @@ class TestIntensityRange:
         peaks = [model.intensity(float(t))
                  for t in np.linspace(0.0, 20.0, 2001)]
         assert max(peaks) == 1.0
-
-
-class TestBreakpoints:
-    @pytest.mark.parametrize("model", _models(),
-                             ids=lambda m: type(m).__name__)
-    def test_breakpoints_sorted_unique_interior(self, model):
-        points = model.breakpoints(DURATION)
-        assert np.all(np.diff(points) > 0.0)
-        if len(points):
-            assert points[0] > 0.0 and points[-1] < DURATION
-
-    def test_solar_reports_dawn_and_dusk(self):
-        model = DiurnalSolarModel(period=60.0, daylight_fraction=0.5,
-                                  seed=0, cloud_rate=0.0, horizon=DURATION)
-        points = set(model.breakpoints(DURATION).tolist())
-        # dusk of day 0, dawn + dusk of day 1 (0.0 and DURATION are
-        # clipped as exterior)
-        assert {30.0, 60.0, 90.0} <= points
-
-    def test_cloud_edges_are_breakpoints(self):
-        model = DiurnalSolarModel(period=240.0, daylight_fraction=1.0,
-                                  seed=7, cloud_rate=6.0, horizon=DURATION)
-        assert len(model.cloud_starts) > 0
-        points = set(model.breakpoints(DURATION).tolist())
-        for start, end in zip(model.cloud_starts, model.cloud_ends):
-            if 0.0 < start < DURATION:
-                assert float(start) in points
-            if 0.0 < end < DURATION:
-                assert float(end) in points
-
-    def test_thermal_vertices_at_half_periods(self):
-        model = ThermalGradientModel(period=40.0)
-        points = model.breakpoints(DURATION)
-        assert points.tolist() == [20.0, 40.0, 60.0, 80.0, 100.0]
 
 
 class TestSeededDeterminism:

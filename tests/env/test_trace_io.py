@@ -109,6 +109,25 @@ class TestRoundTrip:
                             "format": "repro.env-trace",
                             "spec": trace.spec.to_dict(), "version": 2}
 
+    def test_loads_a_recording_with_the_retired_lowering_keys(
+            self, tmp_path):
+        """CI's sky as recorded while specs still carried ``max_dt``,
+        ``tol`` and ``po_dt``: it loads and regenerates its recorded
+        fingerprint, and a re-save writes the spec without them."""
+        spec = EnvSpec(model="diurnal-solar", duration=60.0, seed=7,
+                       period=60.0, front_delay=0.4)
+        path = tmp_path / "sky.json"
+        path.write_text(json.dumps({
+            "devices": 12, "format": "repro.env-trace", "version": 2,
+            "fingerprint": "8751ac28034fa6e784931d48daf61c4e",
+            "spec": dict(spec.to_dict(), max_dt=2.0, tol=0.02, po_dt=0.5),
+        }))
+        loaded = load_trace(path)
+        assert loaded.spec == spec
+        assert loaded.fingerprint == "8751ac28034fa6e784931d48daf61c4e"
+        save_trace(path, loaded)
+        assert "max_dt" not in json.loads(path.read_text())["spec"]
+
 
 class TestLoadRejections:
     def test_rejects_foreign_npz(self, tmp_path):
@@ -158,7 +177,9 @@ class TestLoadRejections:
     @pytest.mark.parametrize("spec", [
         None, {"model": "lunar"}, {"model": "diurnal-solar", "warp": 9},
         {"model": "diurnal-solar", "duration": float("nan")},
-    ], ids=["missing", "unknown-model", "unknown-field", "nan-duration"])
+        {"model": "diurnal-solar", "tol": 0.02, "min_dt": 1e-3},
+    ], ids=["missing", "unknown-model", "unknown-field", "nan-duration",
+            "unknown-field-beside-a-retired-one"])
     def test_rejects_a_bad_spec(self, spec, trace, tmp_path):
         path = tmp_path / "sky.json"
         save_trace(path, trace)

@@ -4,8 +4,8 @@ The environment engine lowers parametric skies into the same
 piecewise-constant :class:`TraceHarvester` every engine consumes, so
 the permanent equivalence chain must hold unchanged on env-driven
 fleets: reference ≡ fastpath bit-exactly, fastpath ≡ fleet segalg at
-method tolerance. Dense dawn/dusk ramps (a short-period diurnal sky
-subdivides into many pieces around sunrise) stress the edge handling:
+method tolerance. Dense dawn/dusk ramps (a short-period diurnal sky on
+a fine grid) stress the edge handling:
 every trace edge is a step clamp in the stepping loops and a chunk
 boundary in the vector path.
 """
@@ -129,15 +129,16 @@ class TestEnvFourWay:
         _fourway(_env_fleet_spec(env), MIXED)
 
     def test_dawn_dusk_dense_ramps(self):
-        # A 6 s day: three full diurnal cycles inside the workload, so
-        # the sine ramps around every dawn/dusk subdivide densely and
-        # the engines cross dozens of piece edges per load segment.
+        # A 6 s day: three full diurnal cycles inside the workload, on a
+        # 50 ms grid, so the sine ramps around every dawn and dusk are
+        # finely stepped and the engines cross dozens of piece edges per
+        # load segment.
         env = EnvSpec(model="diurnal-solar", duration=21.5, seed=9,
                       peak_power=6e-3, period=6.0, cloud_rate=8.0,
-                      max_dt=0.25, tol=0.005)
+                      grid_dt=0.05)
         spec = _env_fleet_spec(env)
         trace = spec.parameters().device_harvester(0)
-        assert len(trace.powers) > 60  # genuinely breakpoint-dense
+        assert len(trace.powers) == 430
         _fourway(spec, MIXED)
 
     def test_workload_outliving_the_recording(self):

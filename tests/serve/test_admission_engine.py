@@ -12,7 +12,7 @@ import pytest
 from repro import obs
 from repro.env.spec import EnvSpec
 from repro.fleet.batch import BatchPlant, BatchShared
-from repro.sched.adaptive import DERATE_INITIAL
+from repro.sched.adaptive import DERATE_INITIAL, DERATE_MAX
 from repro.serve import engine as engine_module
 from repro.serve.cache import PersistentVsafeCache
 from repro.serve.client import ExpectedAnswers
@@ -241,12 +241,25 @@ class TestSessions:
             min(2.56, after["v_safe"] + DERATE_INITIAL))
         assert after["v_safe"] == before["v_safe"]
 
-    def test_admit_writes_capture_register(self):
+    def test_admit_opens_a_session(self):
         engine = AdmissionEngine()
         served = engine.handle(_req(ADMIT, device="dev-3"))
-        session = engine.sessions.get("dev-3")
-        assert session.queries == 1
-        assert list(session.captures.values()) == [served["v_safe"]]
+        assert served["derate"] == 0.0
+        assert engine.sessions.get("dev-3").derate == 0.0
+        assert engine.stats()["sessions"]["sessions"] == 1
+        engine.handle(_req(ADMIT, id="a1"))     # no device, no session
+        assert engine.stats()["sessions"]["sessions"] == 1
+
+    def test_gate_is_capped_at_v_high(self):
+        engine = AdmissionEngine()
+        for i in range(12):
+            engine.handle({"op": "report", "id": f"r{i}", "device":
+                           "dev-4", "outcome": "brownout"})
+        served = engine.handle(_req(ADMIT, device="dev-4",
+                                    system={"v_high": 2.2}))
+        assert served["derate"] == DERATE_MAX
+        assert served["v_safe"] + DERATE_MAX > 2.2
+        assert served["gate"] == 2.2
 
 
 class TestErrorContainment:
@@ -257,6 +270,9 @@ class TestErrorContainment:
         _req(ADMIT, task=None, cycles=0),
         _req(SIMULATE, harvesting=True, env={"model": "bogus"}),
         {"op": "bogus", "id": "x"},
+        # over the EnvSpec work bounds: refused before anything is drawn
+        _req(SIMULATE, harvesting=True, env=dict(ENV, duration=1e7)),
+        _req(SIMULATE, harvesting=True, env=dict(ENV, period=1e-6)),
     ])
     def test_bad_requests_answer_bad_request(self, req):
         response = AdmissionEngine().handle(req)

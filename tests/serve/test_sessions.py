@@ -48,20 +48,6 @@ class TestDerateMirror:
         session.note_success()
         assert session.derate == 0.0
 
-    def test_gate_is_capped_at_v_high(self):
-        session = DeviceSession("d", derate=0.5)
-        assert session.gate(2.2, 2.56) == pytest.approx(2.56)
-        session.derate = 0.02
-        assert session.gate(2.2, 2.56) == pytest.approx(2.22)
-
-    def test_capture_registers_record_last_served_v_safe(self):
-        session = DeviceSession("d")
-        session.capture("fp-a", 2.1)
-        session.capture("fp-a", 2.2)
-        session.capture("fp-b", 1.9)
-        assert session.captures == {"fp-a": 2.2, "fp-b": 1.9}
-        assert session.to_dict()["captures"] == 2
-
 
 class TestSessionStore:
     def test_get_or_create_then_get(self):

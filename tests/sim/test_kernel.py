@@ -227,6 +227,36 @@ def infinite_phase(system):
     system.harvester = SolarHarvester(peak=1e-3, period=1.0, phase=math.inf)
 
 
+class HarvesterLost(Exception):
+    pass
+
+
+def harvester_raises_mid_trace(system):
+    """A Python harvester that fails 5 ms into the run, after the
+    kernel has taken steps the simulator does not yet hold."""
+    class Failing:
+        def power_at(self, t):
+            if t > 5e-3:
+                raise HarvesterLost(t)
+            return 1e-3
+
+    system.harvester = Failing()
+
+
+def raised_state(make, error, fast, run):
+    """The simulator state ``run(sim)`` leaves on one loop when the plant
+    ``make`` builds raises ``error``."""
+    system = capybara_power_system()
+    system.rest_at(2.4)
+    make(system)
+    sim = PowerSystemSimulator(system, fast=fast)
+    with pytest.raises(error):
+        run(sim)
+    buffer = system.buffer
+    return (sim.time, buffer._v_main, buffer._v_redist, buffer._v_term,
+            system.monitor.output_enabled, sim._v_min_seen, sim._energy_out)
+
+
 @pytest.mark.parametrize("make, error", [
     (zero_efficiency, ZeroDivisionError),
     (open_esr, ZeroDivisionError),
@@ -235,17 +265,37 @@ def infinite_phase(system):
     (infinite_phase, ValueError),
     (short_esr_negative_harvest, ValueError),
     (short_decoupled_esr_negative_harvest, ZeroDivisionError),
+    (harvester_raises_mid_trace, HarvesterLost),
 ], ids=["zero-efficiency", "zero-conductance", "exp-overflow",
         "negative-harvest", "solar-domain", "harvest-before-zero-esr",
-        "zero-esr-at-loaded-start"])
+        "zero-esr-at-loaded-start", "harvester-raises-mid-trace"])
 @pytest.mark.parametrize("fast", [True, False])
 def test_errors_match_the_reference(make, error, fast):
-    system = capybara_power_system()
-    system.rest_at(2.4)
-    make(system)
-    sim = PowerSystemSimulator(system, fast=fast)
-    with pytest.raises(error):
+    """Each loop raises the reference's error and leaves the simulator
+    (time, buffer, monitor, V_min and energy) where the other does."""
+    def run(sim):
         sim.run_trace(CurrentTrace([(0.01, 0.01)]))
+
+    assert raised_state(make, error, fast, run) == \
+        raised_state(make, error, not fast, run)
+
+
+def test_a_raising_wait_keeps_its_load_time():
+    """A wait whose harvester fails during its second load: both loops
+    stand at the failing step, and the load time holds the first load
+    only (a load's time is added when it ends)."""
+    rules = {}
+
+    def run(fast):
+        def wait(sim):
+            rules[fast] = fastpath.Wait(
+                0.002, 1.0, rise=2.0, load=CurrentTrace([(0.01, 0.003)]))
+            sim.wait(rules[fast])
+        return raised_state(harvester_raises_mid_trace, HarvesterLost,
+                            fast, wait)
+
+    assert run(True) == run(False)
+    assert rules[True].load_time == rules[False].load_time == 0.003
 
 
 # -- building and loading ----------------------------------------------------

@@ -664,6 +664,18 @@ class TestEnvCommand:
             else ">= 0, got nan")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--duration", "1e7"], "duration / grid_dt must be at most"),
+        (["--period", "1e-6"], "the diurnal-solar model would draw"),
+    ], ids=["pieces", "clouds"])
+    def test_generate_rejects_a_sky_over_the_work_bounds(
+            self, flags, message, capsys, tmp_path):
+        out = tmp_path / "sky.json"
+        assert main(self.GEN + flags + ["--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(message)
+        assert not out.exists()
+
     def test_replay_rejects_a_negative_check(self, capsys, tmp_path):
         out = self._generate(tmp_path)
         capsys.readouterr()
