@@ -12,8 +12,9 @@ between processes.
 
 The spec's :attr:`~EnvSpec.fingerprint` digests the canonical field
 dict, so it is stable across sessions and keys the serving tier's
-environment grids; the *lowered trace* carries its own content fingerprint
-(:attr:`TraceHarvester.fingerprint`) which keys the V_safe cache.
+lowerings; the *lowered trace* carries its own content fingerprint
+(:attr:`TraceHarvester.fingerprint`), which keys served simulates and
+the V_safe cache.
 """
 
 from __future__ import annotations
@@ -169,6 +170,9 @@ class EnvSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnvSpec":
+        if not isinstance(data, dict):
+            raise TypeError(f"an env spec is a JSON object, got "
+                            f"{type(data).__name__}")
         if data.get("format", "repro.env-spec") != "repro.env-spec":
             raise ValueError(f"not an env spec: {data.get('format')!r}")
         fields = {k: v for k, v in data.items()

@@ -129,7 +129,7 @@ def load_trace(path) -> EnvFleetTrace:
                          f"got {devices!r}")
     try:
         spec = EnvSpec.from_dict(document["spec"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad environment spec: "
                          f"{type(exc).__name__}: {exc}") from exc
     trace = generate_fleet_trace(spec, devices)

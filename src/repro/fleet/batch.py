@@ -28,13 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.power.harvester import (
-    ConstantPowerHarvester,
-    Harvester,
-    TraceHarvester,
-)
+from repro.power.harvester import ConstantPowerHarvester, Harvester
 from repro.power.system import PowerSystem, capybara_power_system
 from repro.sim.engine import PowerSystemSimulator
 
@@ -127,15 +121,14 @@ def advance_batch(queries: Sequence[BatchQuery],
                   harvesting: bool = False,
                   stop_below: Optional[float] = None,
                   shared: Optional[BatchShared] = None,
-                  harvest_edges: Optional[np.ndarray] = None,
-                  harvest_powers: Optional[np.ndarray] = None) -> List[dict]:
+                  harvester: Optional[Harvester] = None) -> List[dict]:
     """Step every query through ``segments``, one scalar run per lane.
 
     Each lane is a fresh :meth:`BatchPlant.system` rested at its
     ``v_start`` and advanced by the simulator's ``_advance_span``. It
-    harvests its plant's constant ``harvest_power``, or with
-    ``harvest_edges`` row ``i`` of ``harvest_powers`` as a recorded
-    environment. Times are absolute from the lane's start at 0 s.
+    harvests its plant's constant ``harvest_power``, or ``harvester``
+    (a recorded environment, such as :meth:`EnvSpec.lower`'s trace) when
+    one is given. Times are absolute from the lane's start at 0 s.
 
     Returns one JSON-ready dict per query, in order: ``v_end``,
     ``v_min``, ``time``, ``energy`` and ``brownout`` (None when none).
@@ -145,12 +138,10 @@ def advance_batch(queries: Sequence[BatchQuery],
     segments = [(float(i), float(d)) for i, d in segments]
     shared = shared or BatchShared()
     lanes = []
-    for k, query in enumerate(queries):
-        if harvest_edges is None:
-            harvester = ConstantPowerHarvester(query.plant.harvest_power)
-        else:
-            harvester = TraceHarvester(harvest_edges, harvest_powers[k])
-        system = query.plant.system(shared, harvester)
+    for query in queries:
+        system = query.plant.system(
+            shared, harvester if harvester is not None
+            else ConstantPowerHarvester(query.plant.harvest_power))
         system.rest_at(query.v_start)
         sim = PowerSystemSimulator(system)
         brownout = sim._advance_span(    # noqa: SLF001 — sim-internal

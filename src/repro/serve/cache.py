@@ -10,10 +10,10 @@ the live set.
 
 Keys are the same *content* identities the in-memory cache uses —
 estimator ``cache_key()`` tuples (which fold in the plant's
-``config_key()``), trace fingerprints and EnvSpec fingerprints —
-digested to a stable hex string. Invalidation therefore stays
-structural: change the plant, the trace, or the environment and the
-key simply stops matching. There is no epoch bookkeeping, and a stale
+``config_key()``), trace fingerprints and the content fingerprints of
+lowered environments — digested to a stable hex string. Invalidation
+therefore stays structural: change the plant, the trace, or the
+environment and the key simply stops matching. There is no epoch bookkeeping, and a stale
 file can never serve a wrong answer — only a missing one. That holds
 across key layouts too: admit keys once also carried a segment-program
 fingerprint of the trace, so a journal written before it was dropped

@@ -45,12 +45,11 @@ import subprocess
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.env.correlate import base_grid
 from repro.env.spec import EnvSpec
 from repro.fleet.batch import BatchPlant, BatchShared
 from repro.loads.trace import CurrentTrace
 from repro.apps.programs import build_program
-from repro.power.harvester import ConstantPowerHarvester, TraceHarvester
+from repro.power.harvester import ConstantPowerHarvester
 from repro.sched.adaptive import DERATE_EPSILON, DERATE_INITIAL, DERATE_MAX
 from repro.serve.errors import (
     DeadlineExpiredError,
@@ -144,8 +143,7 @@ class ExpectedAnswers:
         harvesting = bool(req.get("harvesting", False))
         harvester = ConstantPowerHarvester(plant.harvest_power)
         if harvesting and req.get("env") is not None:
-            harvester = TraceHarvester(
-                *base_grid(EnvSpec.from_dict(req["env"])))
+            harvester = EnvSpec.from_dict(req["env"]).lower()
         system = plant.system(shared, harvester)
         system.rest_at(float(req["v_start"]))
         sim = PowerSystemSimulator(system, fast=False)

@@ -26,14 +26,18 @@ the daemon's disk is misbehaving:
 
 Server-side error codes surface as typed exceptions
 (:mod:`repro.serve.errors`); only the retryable subset
-(``overloaded``, ``deadline``) is retried, and only when
-``retry_server_errors`` is on (the default for sequential requests).
+(``overloaded``, ``deadline``) is ever retried, and only by the
+one-request calls, after a backoff.
 
-The client is asyncio-based and **sequential** per call —
-:meth:`request` keeps one request in flight; :meth:`request_many`
-pipelines a window and re-matches responses by ``id``, resending every
-unanswered request after a transport failure. Both leave the connection
-in sync or torn down, never ambiguous.
+The client is asyncio-based and runs **one request loop**. It keeps a
+window of requests in flight, matches answers by ``id`` (skipping a line
+that answers nothing in flight) and, after a transport failure, resends
+every unanswered request; ``resends`` counts each rewrite.
+:meth:`request` and :meth:`request_line` are window-1 calls of it that
+raise the typed error of an answer they do not retry;
+:meth:`request_many` pipelines a window and returns every answer line,
+server errors included. Either way the connection is left in sync or
+torn down, never ambiguous.
 
 It is the package's only client: the differential check
 (:class:`~repro.serve.client.ByteCheck`) drives it as well, and its
@@ -47,7 +51,7 @@ import json
 from collections import OrderedDict, deque
 from random import Random
 from time import monotonic
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.serve.errors import (
     DeadlineBudgetExceeded,
@@ -151,52 +155,89 @@ class VsafeClient:
         if delay > 0:
             await asyncio.sleep(delay)
 
-    # -- sequential requests ------------------------------------------------
+    # -- requests -----------------------------------------------------------
 
     async def request(self, req: dict, *,
-                      retry_server_errors: bool = True,
-                      deadline_s: Optional[float] = None) -> dict:
+                      retry_server_errors: bool = True) -> dict:
         """One request to completion: the decoded OK response.
 
-        Raises a typed :class:`VsafeServiceError` for a non-retryable
-        server error, :class:`DeadlineBudgetExceeded` when the budget
-        runs out across attempts.
+        Raises the typed :class:`VsafeServiceError` of a non-OK answer
+        it does not retry, :class:`DeadlineBudgetExceeded` when the
+        budget runs out across attempts.
         """
-        body, _line = await self._request(req, retry_server_errors,
-                                          deadline_s)
+        body, _line = await self._one(req, retry_server_errors)
         return body
 
     async def request_line(self, req: dict, *,
-                           retry_server_errors: bool = True,
-                           deadline_s: Optional[float] = None) -> bytes:
+                           retry_server_errors: bool = True) -> bytes:
         """Like :meth:`request` but returns the raw response line — the
         unit the differential byte check compares."""
-        _body, line = await self._request(req, retry_server_errors,
-                                          deadline_s)
+        _body, line = await self._one(req, retry_server_errors)
         return line
 
-    async def _request(self, req: dict, retry_server_errors: bool,
-                       deadline_s: Optional[float]) \
+    async def request_many(self, reqs: Sequence[dict], *,
+                           window: int = 64) -> Dict[str, bytes]:
+        """Pipeline ``reqs`` (unique ids required); raw line per id.
+
+        Keeps up to ``window`` requests in flight. Server errors are not
+        retried: their lines are returned as results (load harnesses
+        count sheds rather than fight them).
+        """
+        ids = [req.get("id") for req in reqs]
+        if len(set(ids)) != len(ids) or None in ids:
+            raise ValueError("request_many needs unique, non-null ids")
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        answers = await self._exchange(reqs, window, False)
+        return {rid: line for rid, (_body, line) in answers.items()}
+
+    async def _one(self, req: dict, retry_server_errors: bool) \
             -> Tuple[dict, bytes]:
-        line = encode_line(req)     # the canonical bytes every resend sends
-        want_id = req.get("id")
-        deadline = monotonic() + (self.deadline_s if deadline_s is None
-                                  else deadline_s)
+        """One request as a window-1 exchange; a non-OK answer raises."""
+        answers = await self._exchange([req], 1, retry_server_errors)
+        body, line = answers[req.get("id")]
+        if not body.get("ok"):
+            raise error_for_response(body)
+        return body, line
+
+    async def _exchange(self, reqs: Sequence[dict], window: int,
+                        retry_server_errors: bool) \
+            -> Dict[object, Tuple[dict, bytes]]:
+        """The one request loop: ``(body, line)`` per request id.
+
+        Keeps up to ``window`` requests in flight and matches answers by
+        ``id``, skipping a line that matches nothing in flight. A
+        transport failure or a stalled attempt tears the connection down
+        and **resends every unanswered request**, byte-identical, after a
+        backoff. A retryable server error is resent after a backoff when
+        ``retry_server_errors`` is set; any other answer is the
+        request's result. ``resends`` counts each time a request's bytes
+        are written again.
+        """
+        deadline = monotonic() + self.deadline_s
         self.policy.reset()
+        answers: Dict[object, Tuple[dict, bytes]] = {}
+        remaining: "deque[dict]" = deque(reqs)
+        outstanding: "OrderedDict[object, dict]" = OrderedDict()
+        written: set = set()
         last_error: Optional[VsafeServiceError] = None
-        first_attempt = True
-        while True:
+        while remaining or outstanding:
             budget = deadline - monotonic()
             if budget <= 0:
                 raise DeadlineBudgetExceeded(
-                    f"deadline budget exhausted for id={want_id!r} "
+                    f"deadline budget exhausted with "
+                    f"{len(remaining) + len(outstanding)} unanswered "
                     f"(last: {last_error})", last_error)
             try:
                 await self._ensure_connected(budget)
-                if not first_attempt:
-                    self.resends += 1
-                first_attempt = False
-                self._writer.write(line)
+                while remaining and len(outstanding) < window:
+                    req = remaining.popleft()
+                    rid = req.get("id")
+                    outstanding[rid] = req
+                    if rid in written:
+                        self.resends += 1
+                    written.add(rid)
+                    self._writer.write(encode_line(req))
                 await self._writer.drain()
                 raw = await asyncio.wait_for(
                     self._reader.readline(),
@@ -206,36 +247,42 @@ class VsafeClient:
                     raise ConnectionResetError(
                         "server closed the connection")
                 body = self._decode(raw)
-                if want_id is not None and body.get("id") != want_id:
-                    # Desynchronized stream (should be impossible on a
-                    # fresh connection): resync by reconnecting.
-                    raise ConnectionResetError(
-                        f"response id {body.get('id')!r} does not match "
-                        f"request id {want_id!r}")
+                rid = body.get("id")
+                req = outstanding.pop(rid, None)
+                if req is None:
+                    continue    # answers nothing in flight: skip it
                 if body.get("ok"):
                     if body.get("degraded"):
                         self.degraded_seen += 1
-                    return body, raw
-                error = error_for_response(body)
-                if error.retryable and retry_server_errors:
-                    last_error = error
+                elif retry_server_errors \
+                        and body.get("error") in RETRYABLE_ERRORS:
+                    last_error = error_for_response(body)
                     self.retries += 1
+                    remaining.append(req)
                     await self._backoff(deadline)
                     continue
-                raise error
+                answers[rid] = body, raw
             except asyncio.TimeoutError:
-                await self._teardown()
                 last_error = ServeTimeoutError(
-                    f"attempt stalled past {self.attempt_timeout_s:g}s "
-                    f"for id={want_id!r}")
-                self.retries += 1
-                await self._backoff(deadline)
+                    f"attempt stalled past {self.attempt_timeout_s:g}s")
+                await self._recover(remaining, outstanding, deadline)
             except _TRANSPORT_ERRORS as exc:
-                await self._teardown()
                 last_error = ServeConnectionError(
                     str(exc) or type(exc).__name__)
-                self.retries += 1
-                await self._backoff(deadline)
+                await self._recover(remaining, outstanding, deadline)
+        return answers
+
+    async def _recover(self, remaining: "deque[dict]",
+                       outstanding: "OrderedDict[object, dict]",
+                       deadline: float) -> None:
+        """Tear the connection down, put every unanswered in-flight
+        request back at the front in its original order (to be resent
+        byte-identically), and back off."""
+        await self._teardown()
+        self.retries += 1
+        remaining.extendleft(reversed(outstanding.values()))
+        outstanding.clear()
+        await self._backoff(deadline)
 
     @staticmethod
     def _decode(raw: bytes) -> dict:
@@ -252,95 +299,6 @@ class VsafeClient:
         if not isinstance(body, dict):
             raise ConnectionResetError("response line is not an object")
         return body
-
-    # -- pipelined requests -------------------------------------------------
-
-    async def request_many(self, reqs: Sequence[dict], *,
-                           window: int = 64,
-                           retry_server_errors: bool = False,
-                           deadline_s: Optional[float] = None) \
-            -> Dict[str, bytes]:
-        """Pipeline ``reqs`` (unique ids required); raw line per id.
-
-        Keeps up to ``window`` requests in flight, matching responses by
-        ``id``. A transport failure tears the connection down and
-        **resends every unanswered request** — safe because resends are
-        byte-identical and every op is idempotent under them. Retryable
-        server errors are resent only when ``retry_server_errors`` is
-        set; otherwise their error lines are returned as results (load
-        harnesses count sheds rather than fight them).
-        """
-        ids = [req.get("id") for req in reqs]
-        if len(set(ids)) != len(ids) or None in ids:
-            raise ValueError("request_many needs unique, non-null ids")
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        deadline = monotonic() + (self.deadline_s if deadline_s is None
-                                  else deadline_s)
-        self.policy.reset()
-        results: Dict[str, bytes] = {}
-        remaining: "deque[dict]" = deque(reqs)
-        outstanding: "OrderedDict[str, dict]" = OrderedDict()
-        last_error: Optional[VsafeServiceError] = None
-        while remaining or outstanding:
-            budget = deadline - monotonic()
-            if budget <= 0:
-                raise DeadlineBudgetExceeded(
-                    f"deadline budget exhausted with "
-                    f"{len(remaining) + len(outstanding)} unanswered "
-                    f"(last: {last_error})", last_error)
-            try:
-                await self._ensure_connected(budget)
-                while remaining and len(outstanding) < window:
-                    req = remaining.popleft()
-                    outstanding[req["id"]] = req
-                    self._writer.write(encode_line(req))
-                await self._writer.drain()
-                raw = await asyncio.wait_for(
-                    self._reader.readline(),
-                    timeout=min(self.attempt_timeout_s,
-                                max(0.05, budget)))
-                if not raw:
-                    raise ConnectionResetError(
-                        "server closed the connection")
-                body = self._decode(raw)
-                req = outstanding.pop(body.get("id"), None)
-                if req is None:
-                    continue    # unsolicited line; ignore and resync
-                if body.get("ok"):
-                    if body.get("degraded"):
-                        self.degraded_seen += 1
-                    results[req["id"]] = raw
-                elif retry_server_errors \
-                        and body.get("error") in RETRYABLE_ERRORS:
-                    last_error = error_for_response(body)
-                    self.retries += 1
-                    remaining.append(req)
-                else:
-                    results[req["id"]] = raw
-            except asyncio.TimeoutError:
-                await self._teardown()
-                last_error = ServeTimeoutError(
-                    f"attempt stalled past {self.attempt_timeout_s:g}s")
-                self._requeue(remaining, outstanding)
-                await self._backoff(deadline)
-            except _TRANSPORT_ERRORS as exc:
-                await self._teardown()
-                last_error = ServeConnectionError(
-                    str(exc) or type(exc).__name__)
-                self._requeue(remaining, outstanding)
-                await self._backoff(deadline)
-        return results
-
-    def _requeue(self, remaining: "deque[dict]",
-                 outstanding: "OrderedDict[str, dict]") -> None:
-        """Every unanswered in-flight request goes back to the front,
-        original order preserved (they will be resent byte-identically)."""
-        pending: List[dict] = list(outstanding.values())
-        outstanding.clear()
-        self.resends += len(pending)
-        self.retries += 1
-        remaining.extendleft(reversed(pending))
 
 
 __all__ = ["RetryPolicy", "VsafeClient"]

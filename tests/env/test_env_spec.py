@@ -134,6 +134,11 @@ class TestSerialization:
         with pytest.raises(TypeError, match="cloud_speed"):
             EnvSpec.from_dict(document)
 
+    @pytest.mark.parametrize("document", [[1, 2], "diurnal-solar", None])
+    def test_refuses_a_document_that_is_not_an_object(self, document):
+        with pytest.raises(TypeError, match="env spec is a JSON object"):
+            EnvSpec.from_dict(document)
+
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError, match="not an env spec"):
             EnvSpec.from_dict({"format": "repro.fleet-spec",

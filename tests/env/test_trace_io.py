@@ -178,8 +178,9 @@ class TestLoadRejections:
         None, {"model": "lunar"}, {"model": "diurnal-solar", "warp": 9},
         {"model": "diurnal-solar", "duration": float("nan")},
         {"model": "diurnal-solar", "tol": 0.02, "min_dt": 1e-3},
+        ["diurnal-solar"],
     ], ids=["missing", "unknown-model", "unknown-field", "nan-duration",
-            "unknown-field-beside-a-retired-one"])
+            "unknown-field-beside-a-retired-one", "not-an-object"])
     def test_rejects_a_bad_spec(self, spec, trace, tmp_path):
         path = tmp_path / "sky.json"
         save_trace(path, trace)

@@ -110,13 +110,9 @@ def _reference_lane(query, segments, harvest, stop):
 
 
 def _advance(queries, segments, harvest, stop):
-    env = {}
-    if harvest == "env":
-        edges, base = ENV_GRID
-        env = dict(harvest_edges=edges,
-                   harvest_powers=[base] * len(queries))
+    harvester = TraceHarvester(*ENV_GRID) if harvest == "env" else None
     return advance_batch(queries, segments, harvesting=harvest != "off",
-                         stop_below=stop, **env)
+                         stop_below=stop, harvester=harvester)
 
 
 class TestReferenceLoop:

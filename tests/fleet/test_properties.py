@@ -186,6 +186,11 @@ class TestSpecExpansion:
         with pytest.raises(ValueError, match="not a fleet spec"):
             FleetSpec.from_dict({"format": "repro.chaos-case"})
 
+    @pytest.mark.parametrize("env", [[1, 2], "diurnal-solar"])
+    def test_from_dict_refuses_an_env_that_is_not_an_object(self, env):
+        with pytest.raises(TypeError, match="env spec is a JSON object"):
+            FleetSpec.from_dict({"devices": 1, "env": env})
+
     def test_validation(self):
         with pytest.raises(ValueError, match="devices"):
             FleetSpec(devices=-1)

@@ -13,6 +13,7 @@ from repro import obs
 from repro.env.spec import EnvSpec
 from repro.fleet.batch import BatchPlant, BatchShared
 from repro.sched.adaptive import DERATE_INITIAL, DERATE_MAX
+from repro.sched.estimators import CulpeoPgEstimator
 from repro.serve import engine as engine_module
 from repro.serve.cache import PersistentVsafeCache
 from repro.serve.client import ExpectedAnswers
@@ -26,6 +27,11 @@ ADMIT = {"op": "admit", "id": "a0", "v_bank": 2.1,
 SIMULATE = {"op": "simulate", "id": "s0", "v_start": 2.2,
             "trace": [[0.01, 0.2], [0.004, 0.35]]}
 ENV = EnvSpec(model="diurnal-solar", duration=60.0, seed=3).to_dict()
+#: The same sky under another spec: the diurnal model draws no clouds
+#: in 60 s at either seed, so both specs lower to one trace.
+SAME_SKY = dict(ENV, seed=4)
+#: Another sky: five times the panel.
+OTHER_SKY = dict(ENV, peak_power=0.02)
 #: An env-backed simulate, and one change to each part of its cache key
 #: other than the plant and the start voltage: rails, trace, harvesting
 #: mode, stop level and environment.
@@ -35,7 +41,7 @@ KEY_CHANGES = {
     "segments": dict(trace=[[0.01, 0.2]]),
     "harvesting": dict(harvesting=False),
     "stop": dict(stop=False),
-    "env": dict(env=dict(ENV, seed=4)),
+    "env": dict(env=OTHER_SKY),
 }
 
 
@@ -106,6 +112,35 @@ class TestCoalescing:
         assert engine.coalesced == 0
 
 
+class TestAdmitPlans:
+    def test_a_repeated_admit_is_answered_from_its_plan(self):
+        engine = AdmissionEngine()
+        first = engine.handle(dict(ADMIT))
+        before = engine.cache.stats()
+        again = engine.handle(_req(ADMIT, id="a1"))
+        after = engine.cache.stats()
+        assert (after["hits"], after["misses"]) == \
+            (before["hits"], before["misses"])
+        assert canonical({**again, "id": None}) == \
+            canonical({**first, "id": None})
+
+    def test_one_trace_under_two_signatures_costs_one_tier_hit(
+            self, monkeypatch):
+        """``sample`` is one trace in both apps: the second signature
+        builds its own plan, whose key the persistent tier answers."""
+        engine = AdmissionEngine()
+        engine.handle(dict(ADMIT))
+        runs = []
+        monkeypatch.setattr(CulpeoPgEstimator, "estimate",
+                            lambda *args: runs.append(args))
+        before = engine.cache.stats()
+        served = engine.handle(_req(ADMIT, id="a1", app="sense-tx"))
+        after = engine.cache.stats()
+        assert served["ok"] and runs == []
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+
+
 class TestBatchedEqualsSequential:
     def test_mixed_batch_with_session_effects(self):
         # One batch through engine A; the same requests one at a time
@@ -117,7 +152,6 @@ class TestBatchedEqualsSequential:
              "outcome": "brownout"},
             _req(ADMIT, id="a1", device="dev-1"),
             dict(SIMULATE),
-            {"op": "ping", "id": "p0"},
             {"op": "report", "id": "r1", "device": "dev-1",
              "outcome": "success"},
             _req(ADMIT, id="a2", device="dev-1"),
@@ -172,13 +206,23 @@ class TestSimulate:
         engine.handle(dict(SIMULATE))
         engine.handle(_req(SIMULATE, id="s1", v_start=1.9))
         assert engine.kernel_calls == 2
-        # A different EnvSpec fingerprint misses, in one batch too.
+        # A different sky misses, in one batch too.
         engine.handle_batch([
             _req(SIMULATE, id="s2", harvesting=True, env=ENV),
-            _req(SIMULATE, id="s3", harvesting=True,
-                 env=dict(ENV, seed=4)),
+            _req(SIMULATE, id="s3", harvesting=True, env=OTHER_SKY),
         ])
         assert engine.kernel_calls == 4
+
+    def test_a_spec_that_lowers_to_the_same_sky_answers_warm(self):
+        """The key carries the lowered trace's fingerprint, not the
+        spec's: another seed that draws the same sky is a hit."""
+        assert EnvSpec.from_dict(SAME_SKY).fingerprint != \
+            EnvSpec.from_dict(ENV).fingerprint
+        engine = AdmissionEngine()
+        first = engine.handle(dict(ENV_SIMULATE))
+        again = engine.handle(_req(ENV_SIMULATE, env=SAME_SKY))
+        assert engine.kernel_calls == 1
+        assert canonical(again) == canonical(first)
 
     @pytest.mark.parametrize("change", sorted(KEY_CHANGES))
     def test_any_key_difference_misses(self, change):
@@ -273,6 +317,8 @@ class TestErrorContainment:
         # over the EnvSpec work bounds: refused before anything is drawn
         _req(SIMULATE, harvesting=True, env=dict(ENV, duration=1e7)),
         _req(SIMULATE, harvesting=True, env=dict(ENV, period=1e-6)),
+        # an env that is not an object
+        _req(SIMULATE, harvesting=True, env=[1, 2]),
     ])
     def test_bad_requests_answer_bad_request(self, req):
         response = AdmissionEngine().handle(req)
@@ -363,20 +409,23 @@ class TestPersistentTier:
         second.handle(_req(SIMULATE, harvesting=True, env=ENV))
         assert second.kernel_calls == 0          # same env: warm
         second.handle(_req(SIMULATE, id="s1", harvesting=True,
-                           env=dict(ENV, seed=4)))
-        assert second.kernel_calls == 1          # new fingerprint: miss
+                           env=OTHER_SKY))
+        assert second.kernel_calls == 1          # new sky: miss
 
 
 class TestIntrospection:
     def test_ping_and_stats(self):
+        """The server answers ``ping`` and ``stats`` inline; the engine
+        supplies the stats and serves neither op itself."""
         engine = AdmissionEngine()
-        ping = engine.handle({"op": "ping"})
-        assert ping["version"] >= 1
         engine.handle(dict(ADMIT))
-        stats = engine.handle({"op": "stats", "id": "st"})
-        assert stats["ok"]
+        stats = engine.stats()
+        assert stats["protocol"] >= 1
         assert stats["cache"]["entries"] >= 1
         assert stats["kernel_calls"] == 0
+        for op in ("ping", "stats", "flush"):
+            refused = engine.handle({"op": op, "id": op})
+            assert refused["error"] == "bad-request"
 
     def test_batch_telemetry_one_obs_fetch(self):
         obs.enable()

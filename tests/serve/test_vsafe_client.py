@@ -247,6 +247,90 @@ class TestSequentialRequests:
 
         _run(scenario())
 
+    def test_skips_a_line_that_answers_nothing_in_flight(self):
+        stale = True
+
+        async def handler(reader, writer):
+            nonlocal stale
+            while True:
+                raw = await reader.readline()
+                if not raw:
+                    return
+                req = json.loads(raw)
+                if stale:
+                    stale = False
+                    writer.write(_line({"id": "stale", "ok": True,
+                                        "op": "ping", "version": 1}))
+                writer.write(_line({"id": req["id"], "ok": True,
+                                    "op": req["op"], "version": 1}))
+                await writer.drain()
+
+        async def scenario():
+            server, port = await _serve(handler)
+            async with VsafeClient("127.0.0.1", port) as client:
+                body = await client.request({"op": "ping", "id": "p"})
+                assert body["id"] == "p"
+                assert (client.reconnects, client.resends,
+                        client.retries) == (1, 0, 0)
+            server.close()
+            await server.wait_closed()
+
+        _run(scenario())
+
+    def test_a_request_without_an_id_gets_its_answer(self):
+        async def handler(reader, writer):
+            raw = await reader.readline()
+            req = json.loads(raw)
+            writer.write(_line({"id": req.get("id"), "ok": True,
+                                "op": req["op"], "version": 1}))
+            await writer.drain()
+
+        async def scenario():
+            server, port = await _serve(handler)
+            async with VsafeClient("127.0.0.1", port) as client:
+                body = await client.request({"op": "ping"})
+                assert body == {"id": None, "ok": True, "op": "ping",
+                                "version": 1}
+            server.close()
+            await server.wait_closed()
+
+        _run(scenario())
+
+    def test_resends_count_each_rewrite_of_a_retried_shed(self):
+        sheds = 2
+        seen = []
+
+        async def handler(reader, writer):
+            nonlocal sheds
+            while True:
+                raw = await reader.readline()
+                if not raw:
+                    return
+                seen.append(raw)
+                req = json.loads(raw)
+                if sheds > 0:
+                    sheds -= 1
+                    writer.write(_line({"id": req["id"], "ok": False,
+                                        "error": "overloaded",
+                                        "message": "queue full"}))
+                else:
+                    writer.write(_line({"id": req["id"], "ok": True,
+                                        "op": req["op"], "version": 1}))
+                await writer.drain()
+
+        async def scenario():
+            server, port = await _serve(handler)
+            async with VsafeClient("127.0.0.1", port, seed=1,
+                                   backoff_base=0.001,
+                                   backoff_cap=0.002) as client:
+                await client.request({"op": "ping", "id": "p"})
+                assert client.resends == 2 and client.reconnects == 1
+            assert len(seen) == 3 and len(set(seen)) == 1
+            server.close()
+            await server.wait_closed()
+
+        _run(scenario())
+
 
 class TestPipelinedRequests:
     def test_request_many_requires_unique_ids(self):
@@ -322,41 +406,6 @@ class TestPipelinedRequests:
                 shed = json.loads(results["p1"])
                 assert shed["error"] == "overloaded"
                 assert json.loads(results["p0"])["ok"]
-            server.close()
-            await server.wait_closed()
-
-        _run(scenario())
-
-    def test_retry_server_errors_requeues_sheds(self):
-        shed_once = set()
-
-        async def handler(reader, writer):
-            while True:
-                raw = await reader.readline()
-                if not raw:
-                    return
-                req = json.loads(raw)
-                if req["id"] not in shed_once:
-                    shed_once.add(req["id"])
-                    writer.write(_line({"id": req["id"], "ok": False,
-                                        "error": "overloaded",
-                                        "message": "full"}))
-                else:
-                    writer.write(_line({"id": req["id"], "ok": True,
-                                        "op": req["op"], "version": 1}))
-                await writer.drain()
-
-        async def scenario():
-            server, port = await _serve(handler)
-            reqs = [{"op": "ping", "id": f"p{i}"} for i in range(4)]
-            async with VsafeClient("127.0.0.1", port, seed=1,
-                                   backoff_base=0.001,
-                                   backoff_cap=0.002) as client:
-                results = await client.request_many(
-                    reqs, retry_server_errors=True)
-                assert all(json.loads(line)["ok"]
-                           for line in results.values())
-                assert client.retries == 4
             server.close()
             await server.wait_closed()
 
